@@ -506,7 +506,7 @@ let cmd_batch file cache incremental demand jobs queries =
 type demand_entry = {
   de_prog : Ir.program;
   de_driver : Alias.Demand_driver.t;
-  de_seeded : Pointsto.Engine.summaries option;
+  de_seeded : Pointsto.Engine.store option;
   de_memo : (string option, Pointsto.Analysis.result) Hashtbl.t;
   de_mu : Mutex.t;
 }

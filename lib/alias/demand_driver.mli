@@ -43,4 +43,4 @@ val plan_for : t -> seed:string -> Demand.plan
 (** Sliced analysis for [seed]'s rows:
     {!Pointsto.Analysis.analyze_demand} over {!plan_for}, with [seeded]
     summaries replayed at skipped calls when supplied. *)
-val analyze : ?seeded:Pointsto.Engine.summaries -> t -> seed:string -> Analysis.result
+val analyze : ?seeded:Pointsto.Engine.store -> t -> seed:string -> Analysis.result

@@ -34,11 +34,10 @@ type result = {
   degraded : degradation option;
       (** [Some _] when the budget blew and these tables come from the
           widened (context-insensitive, possible-only) rerun *)
-  summaries : Engine.summaries;
-      (** per-(function, input) summaries recorded during the run when
-          [record_summaries] was set (empty otherwise); what {!Persist}
-          writes into the v3 summary section for incremental
-          re-analysis *)
+  summaries : Engine.store;
+      (** the run's summary store; {!Persist} writes its entries that
+          carry a frame and were recorded or replayed this run into the
+          summary section for incremental re-analysis *)
 }
 
 (** Initial points-to set for the entry function: global and local
@@ -90,12 +89,19 @@ let checkpoint_of (ctx : Engine.ctx) (graph : Ig.t) : ci_seed =
     in
     Hashtbl.replace slots name (Pts.merge_state cur_i di, Pts.merge_state cur_o dm)
   in
-  Hashtbl.iter
-    (fun name by_hash ->
-      Hashtbl.iter
-        (fun _h entries -> List.iter (fun (i, o) -> note name (Some i) (Some o)) entries)
-        by_hash)
-    ctx.Engine.share_memo;
+  (* the completed §6-sharing pairs: live entries, under sharing only *)
+  if ctx.Engine.opts.Options.share_contexts then
+    Hashtbl.iter
+      (fun name by_hash ->
+        Hashtbl.iter
+          (fun _h entries ->
+            List.iter
+              (fun e ->
+                if e.Engine.se_origin = Engine.Live then
+                  note name (Some e.Engine.se_in) (Some e.Engine.se_out))
+              entries)
+          by_hash)
+      ctx.Engine.store;
   Ig.fold
     (fun () node -> note node.Ig.func node.Ig.stored_input node.Ig.stored_output)
     () graph;
@@ -173,7 +179,11 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
     bodies_analyzed = ctx.Engine.bodies_analyzed;
     metrics = Metrics.snapshot ();
     degraded;
-    summaries = ctx.Engine.summaries;
+    (* only recorded or seeded entries carry the frames {!Persist.save}
+       writes; a store of frameless §6 pairs dies with the run *)
+    summaries =
+      (if record_summaries || Option.is_some seeded then ctx.Engine.store
+       else Engine.store_create ());
   }
 
 let analyze ?(opts = Options.default) ?(entry = "main") ?budget
@@ -263,7 +273,7 @@ let analyze_demand ?(opts = Options.default) ?(entry = "main") ?seeded ~plan
         bodies_analyzed = ctx.Engine.bodies_analyzed;
         metrics = Metrics.snapshot ();
         degraded = None;
-        summaries = Engine.summaries_create ();
+        summaries = Engine.store_create ();
       }
     in
     try demand_run ()

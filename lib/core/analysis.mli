@@ -45,10 +45,10 @@ type result = {
           come from the widened (context-insensitive, possible-only)
           rerun — still sound: every degraded table is a superset of
           what the precise run would have computed (docs/ROBUSTNESS.md) *)
-  summaries : Engine.summaries;
-      (** per-(function, input) summaries recorded when [analyze] was
-          called with [~record_summaries:true] (empty otherwise); the
-          payload of {!Persist}'s v3 summary section, replayed by later
+  summaries : Engine.store;
+      (** the run's (function, input) summary store; its entries recorded
+          with [~record_summaries:true] or replayed from [seeded] are the
+          payload of {!Persist}'s summary section, replayed by later
           incremental runs (docs/INCREMENTAL.md) *)
 }
 
@@ -83,7 +83,7 @@ val analyze :
   ?entry:string ->
   ?budget:Guard.budget ->
   ?record_summaries:bool ->
-  ?seeded:Engine.summaries ->
+  ?seeded:Engine.store ->
   Ir.program ->
   result
 
@@ -112,7 +112,7 @@ val analyze :
 val analyze_demand :
   ?opts:Options.t ->
   ?entry:string ->
-  ?seeded:Engine.summaries ->
+  ?seeded:Engine.store ->
   plan:Demand.plan ->
   Ir.program ->
   result

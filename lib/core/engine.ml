@@ -19,7 +19,18 @@ module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 open Cfront
 
-(** One memoized (input, output) pair of a function, together with the
+(** Where a {!summary_entry} came from. Live entries answer a lookup
+    only under §6 sub-tree sharing; seeded ones answer either way, by
+    replaying their frame. *)
+type origin =
+  | Seeded  (** loaded from a previous run's persisted summaries, not yet replayed *)
+  | Replayed
+      (** seeded and replayed this run with sharing off: still answers as
+          a seed, and is written back like a live entry *)
+  | Live  (** evaluated this run, or seeded and replayed with sharing on *)
+
+(** One memoized (input, output) pair of a function. The frame, present
+    when the run records summaries (and on every seed), holds the
     per-statement points-to contributions its (transitively nested)
     evaluation made — everything a later run needs to {e replay} the
     invocation without re-processing the body. Frames are keyed by
@@ -28,14 +39,41 @@ open Cfront
 type summary_entry = {
   se_in : Pts.t;
   se_out : Pts.t;
-  se_frame : (int, Pts.t) Hashtbl.t;
+  se_frame : (int, Pts.t) Hashtbl.t option;
+  mutable se_origin : origin;
 }
 
-(** Per-function summaries, indexed like {!ctx.share_memo}: function
-    name, then {!Pts.hash} of the input. *)
-type summaries = (string, (int, summary_entry list) Hashtbl.t) Hashtbl.t
+(** The one (function, input) summary store: function name, then
+    {!Pts.hash} of the input, so a lookup costs one digest plus O(1)
+    expected instead of a [Pts.equal] scan over every stored context.
+    It serves §6 sub-tree sharing, incremental record and replay, and
+    demand-mode skip replay. *)
+type store = (string, (int, summary_entry list) Hashtbl.t) Hashtbl.t
 
-let summaries_create () : summaries = Hashtbl.create 16
+let store_create () : store = Hashtbl.create 16
+
+let store_find (st : store) fname h (input : Pts.t) : summary_entry option =
+  match Hashtbl.find_opt st fname with
+  | None -> None
+  | Some by_hash -> (
+      match Hashtbl.find_opt by_hash h with
+      | None -> None
+      | Some entries -> List.find_opt (fun e -> Pts.equal e.se_in input) entries)
+
+(** Add [e] under input hash [h] unless an entry with the same input
+    is already stored: the first evaluation of an input wins. *)
+let store_add (st : store) fname h (e : summary_entry) =
+  let by_hash =
+    match Hashtbl.find_opt st fname with
+    | Some t -> t
+    | None ->
+        let t = Hashtbl.create 16 in
+        Hashtbl.replace st fname t;
+        t
+  in
+  let entries = Option.value ~default:[] (Hashtbl.find_opt by_hash h) in
+  if not (List.exists (fun e' -> Pts.equal e'.se_in e.se_in) entries) then
+    Hashtbl.replace by_hash h (e :: entries)
 
 type ctx = {
   tenv : Tenv.t;
@@ -60,24 +98,15 @@ type ctx = {
           each reachable function exactly once, so the fixpoint and the
           recorded [stmt_pts] are identical to the unmemoized walk *)
   mutable ci_changed : bool;
-  (* §6 sub-tree sharing: per-function memo of completed (input, output)
-     pairs, shared across invocation-graph nodes. Two-level index:
-     function name, then {!Pts.hash} of the input, so a lookup costs one
-     digest plus O(1) expected instead of a [Pts.equal] scan over every
-     stored context. *)
-  share_memo : (string, (int, (Pts.t * Pts.t) list) Hashtbl.t) Hashtbl.t;
+  store : store;
+      (** completed (input, output) pairs of this run plus the seeds it
+          was given (docs/INCREMENTAL.md) *)
   mutable share_hits : int;
   mutable bodies_analyzed : int;
       (** number of times any function body was (re)processed *)
-  (* incremental re-analysis (docs/INCREMENTAL.md) *)
   record_summaries : bool;
-      (** record a {!summary_entry} per evaluated (function, input) pair
-          so {!Persist} can write the v3 summary section *)
-  summaries : summaries;  (** entries recorded (or replayed) this run *)
-  seeded : summaries;
-      (** entries loaded from a previous run's persisted summaries for
-          functions whose code (and whole direct-call closure) is
-          unchanged; consulted on a share-memo miss *)
+      (** record a frame with every evaluated (function, input) pair so
+          {!Persist} can write the summary section *)
   mutable frame_stack : (int, Pts.t) Hashtbl.t list;
       (** open frames of the in-flight evaluations, innermost first;
           every statement contribution is merged into each of them *)
@@ -91,7 +120,16 @@ type ctx = {
           {!Demand.Oracle_miss} *)
 }
 
+(** [seeded] enters the store as seeds. The run works on its own copy:
+    one set of seeds may serve many runs (a demand session replays it
+    per query), while a run turns the entries it replays live. *)
 let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) : ctx =
+  let store = store_create () in
+  Option.iter
+    (Hashtbl.iter (fun fname ->
+         Hashtbl.iter (fun h ->
+             List.iter (fun e -> store_add store fname h { e with se_origin = Seeded }))))
+    seeded;
   {
     tenv;
     opts = tenv.Tenv.opts;
@@ -103,12 +141,10 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     ci_in_flight = Hashtbl.create 16;
     ci_done = Hashtbl.create 16;
     ci_changed = false;
-    share_memo = Hashtbl.create 16;
+    store;
     share_hits = 0;
     bodies_analyzed = 0;
     record_summaries;
-    summaries = summaries_create ();
-    seeded = (match seeded with Some s -> s | None -> summaries_create ());
     frame_stack = [];
     demand;
   }
@@ -159,29 +195,6 @@ let record_stmt ctx (s : Ir.stmt) (input : Pts.t) =
 (* ------------------------------------------------------------------ *)
 (* Summary recording and replay                                       *)
 (* ------------------------------------------------------------------ *)
-
-let summaries_find (tbl : summaries) fname (input : Pts.t) : summary_entry option =
-  match Hashtbl.find_opt tbl fname with
-  | None -> None
-  | Some by_hash -> (
-      match Hashtbl.find_opt by_hash (Pts.hash input) with
-      | None -> None
-      | Some entries ->
-          List.find_opt (fun e -> Pts.equal e.se_in input) entries)
-
-let summaries_add (tbl : summaries) fname (e : summary_entry) =
-  let by_hash =
-    match Hashtbl.find_opt tbl fname with
-    | Some t -> t
-    | None ->
-        let t = Hashtbl.create 16 in
-        Hashtbl.replace tbl fname t;
-        t
-  in
-  let h = Pts.hash e.se_in in
-  let entries = Option.value ~default:[] (Hashtbl.find_opt by_hash h) in
-  if not (List.exists (fun e' -> Pts.equal e'.se_in e.se_in) entries) then
-    Hashtbl.replace by_hash h (e :: entries)
 
 (** Fold a completed frame into every still-open frame, so a caller's
     record carries the transitive effects of its callees — including
@@ -574,8 +587,10 @@ and demand_skip ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.opera
   let su_ptr t =
     Ctype.is_su t && Ctype.carries_pointers (Tenv.layouts ctx.tenv) t
   in
+  (* a function outside the slice is never evaluated, so every store
+     entry it has is a seed *)
   let fast =
-    (not (Hashtbl.mem ctx.seeded fname))
+    (not (Hashtbl.mem ctx.store fname))
     && (not (su_ptr callee_fn.Ir.fn_ret))
     && List.for_all (fun (_, t) -> not (su_ptr t)) callee_fn.Ir.fn_params
     && List.length args <= List.length callee_fn.Ir.fn_params
@@ -650,11 +665,11 @@ and demand_skip ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.opera
       Map_unmap.map_call ctx.tenv ~caller_fn ~callee:callee_fn ~input:s ~actuals
     in
     let out =
-      match summaries_find ctx.seeded fname func_input with
-      | Some e ->
+      match store_find ctx.store fname (Pts.hash func_input) func_input with
+      | Some { se_origin = Seeded | Replayed; se_out; _ } ->
           m.Metrics.demand_replays <- m.Metrics.demand_replays + 1;
-          e.se_out
-      | None ->
+          se_out
+      | Some { se_origin = Live; _ } | None ->
           m.Metrics.demand_skipped <- m.Metrics.demand_skipped + 1;
           demand_widen ctx callee_fn func_input
     in
@@ -866,26 +881,42 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
         ->
           node.Ig.stored_output
       | _ -> (
-          (* §6 sub-tree sharing: another context of the same function may
-             already have been analyzed with an identical input *)
-          match shared_lookup ctx callee_fn.Ir.fn_name func_input with
-          | Some out ->
+          let fname = callee_fn.Ir.fn_name in
+          let sharing = ctx.opts.Options.share_contexts in
+          if sharing then Metrics.((cur ()).memo_lookups <- (cur ()).memo_lookups + 1);
+          let h = Pts.hash func_input in
+          match store_find ctx.store fname h func_input with
+          | Some ({ se_origin = Live; _ } as e) when sharing ->
+              (* §6 sub-tree sharing: another context of the same function
+                 has already been analyzed with an identical input *)
               ctx.share_hits <- ctx.share_hits + 1;
               Metrics.((cur ()).memo_hits <- (cur ()).memo_hits + 1);
               node.Ig.stored_input <- Some func_input;
-              node.Ig.stored_output <- Some out;
+              node.Ig.stored_output <- Some e.se_out;
               (* the first occurrence already merged its contributions
                  into [stmt_pts] this run, but open frames still need the
                  transitive effects of this invocation *)
-              (if ctx.record_summaries then
-                 match summaries_find ctx.summaries callee_fn.Ir.fn_name func_input with
-                 | Some e -> propagate_frame ctx e.se_frame
-                 | None -> ());
-              Some out
-          | None -> (
-          match seeded_replay ctx node callee_fn func_input with
-          | Some _ as out -> out
-          | None ->
+              Option.iter (propagate_frame ctx) e.se_frame;
+              Some e.se_out
+          | Some ({ se_origin = Seeded | Replayed; _ } as e) ->
+              (* Replay a persisted summary: merge its recorded frame into
+                 the live tables, adopt its output, and skip the body
+                 fixpoint. Only functions whose whole direct-call closure
+                 is unchanged — and free of indirect call sites — are ever
+                 seeded (docs/INCREMENTAL.md), so the replay creates no
+                 invocation-graph nodes, exactly like the skipped
+                 evaluation would not have under sub-tree sharing. *)
+              let tr0 = Trace.start () in
+              Option.iter (apply_frame ctx) e.se_frame;
+              e.se_origin <- (if sharing then Live else Replayed);
+              node.Ig.stored_input <- Some func_input;
+              node.Ig.stored_output <- Some e.se_out;
+              Metrics.((cur ()).incr_funcs_reused <- (cur ()).incr_funcs_reused + 1);
+              if Trace.on () then
+                Trace.emit Trace.Replay ~name:fname ~ctx:h ~pts_in:(Pts.cardinal func_input)
+                  ~pts_out:(Pts.cardinal e.se_out) ~t0:tr0 ();
+              Some e.se_out
+          | Some { se_origin = Live; _ } | None ->
               let tr0 = Trace.start () in
               node.Ig.stored_input <- Some func_input;
               node.Ig.stored_output <- Pts.bot;
@@ -899,11 +930,11 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                 end
                 else None
               in
-              Guard.at ctx.guard callee_fn.Ir.fn_name;
+              Guard.at ctx.guard fname;
               let rec fixpoint ~first ~n =
                 Guard.check ctx.guard;
                 Guard.check_fuel ctx.guard n;
-                Fault.maybe_slow_fixpoint ~fn:callee_fn.Ir.fn_name;
+                Fault.maybe_slow_fixpoint ~fn:fname;
                 if not first then Metrics.((cur ()).rec_iters <- (cur ()).rec_iters + 1);
                 let cur_input =
                   match node.Ig.stored_input with Some s -> s | None -> func_input
@@ -919,8 +950,8 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                 | Some o -> Guard.check_size ctx.guard (Pts.cardinal o)
                 | None -> ());
                 if Trace.on () then
-                  Trace.emit Trace.Body ~name:callee_fn.Ir.fn_name
-                    ~ctx:(Pts.hash cur_input) ~pts_in:(Pts.cardinal cur_input)
+                  Trace.emit Trace.Body ~name:fname ~ctx:(Pts.hash cur_input)
+                    ~pts_in:(Pts.cardinal cur_input)
                     ~pts_out:
                       (match func_output with Some o -> Pts.cardinal o | None -> -1)
                     ~t0:tb0 ();
@@ -945,88 +976,27 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               fixpoint ~first:true ~n:1;
               node.Ig.in_flight <- false;
               node.Ig.stored_input <- Some func_input;
+              (* without sharing, a frameless entry would never answer
+                 and never be saved *)
               (match node.Ig.stored_output with
-              | Some out -> shared_record ctx callee_fn.Ir.fn_name func_input out
-              | None -> ());
+              | Some out when sharing || Option.is_some frame ->
+                  store_add ctx.store fname h
+                    { se_in = func_input; se_out = out; se_frame = frame; se_origin = Live }
+              | Some _ | None -> ());
               (match frame with
               | Some fr ->
                   ctx.frame_stack <- List.tl ctx.frame_stack;
-                  (match node.Ig.stored_output with
-                  | Some out ->
-                      summaries_add ctx.summaries callee_fn.Ir.fn_name
-                        { se_in = func_input; se_out = out; se_frame = fr }
-                  | None -> ());
                   propagate_frame ctx fr
               | None -> ());
               if Trace.on () then
-                Trace.emit Trace.Node ~name:callee_fn.Ir.fn_name
-                  ~ctx:(Pts.hash func_input) ~stmts:(Ir.count_stmts callee_fn)
+                Trace.emit Trace.Node ~name:fname ~ctx:h ~stmts:(Ir.count_stmts callee_fn)
                   ~pts_in:(Pts.cardinal func_input)
                   ~pts_out:
                     (match node.Ig.stored_output with
                     | Some o -> Pts.cardinal o
                     | None -> -1)
                   ~t0:tr0 ();
-              node.Ig.stored_output)))
-
-(** Serve one (function, input) evaluation from a persisted summary:
-    replay its recorded frame into the live tables, adopt its output,
-    and skip the body fixpoint entirely. Only functions whose whole
-    direct-call closure is unchanged — and free of indirect call sites —
-    are ever seeded (docs/INCREMENTAL.md), so the replay is
-    bit-identical to what the skipped evaluation would have computed and
-    creates no invocation-graph nodes, exactly like the skipped
-    evaluation would not have under sub-tree sharing. *)
-and seeded_replay ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) :
-    Pts.state =
-  match summaries_find ctx.seeded callee_fn.Ir.fn_name func_input with
-  | None -> None
-  | Some e ->
-      let tr0 = Trace.start () in
-      apply_frame ctx e.se_frame;
-      (* carry the entry forward so the re-saved summary file keeps it *)
-      summaries_add ctx.summaries callee_fn.Ir.fn_name e;
-      shared_record ctx callee_fn.Ir.fn_name func_input e.se_out;
-      node.Ig.stored_input <- Some func_input;
-      node.Ig.stored_output <- Some e.se_out;
-      Metrics.((cur ()).incr_funcs_reused <- (cur ()).incr_funcs_reused + 1);
-      if Trace.on () then
-        Trace.emit Trace.Replay ~name:callee_fn.Ir.fn_name ~ctx:(Pts.hash func_input)
-          ~pts_in:(Pts.cardinal func_input) ~pts_out:(Pts.cardinal e.se_out) ~t0:tr0 ();
-      Some e.se_out
-
-and shared_lookup ctx fname (input : Pts.t) : Pts.t option =
-  if not ctx.opts.Options.share_contexts then None
-  else begin
-    Metrics.((cur ()).memo_lookups <- (cur ()).memo_lookups + 1);
-    match Hashtbl.find_opt ctx.share_memo fname with
-    | None -> None
-    | Some by_hash -> (
-        (* hash bucket first: [Pts.equal] runs only on digest collisions
-           (in practice, on the one stored entry with this input) *)
-        match Hashtbl.find_opt by_hash (Pts.hash input) with
-        | None -> None
-        | Some entries ->
-            List.find_map
-              (fun (i, o) -> if Pts.equal i input then Some o else None)
-              entries)
-  end
-
-and shared_record ctx fname (input : Pts.t) (output : Pts.t) : unit =
-  if ctx.opts.Options.share_contexts then begin
-    let by_hash =
-      match Hashtbl.find_opt ctx.share_memo fname with
-      | Some t -> t
-      | None ->
-          let t = Hashtbl.create 16 in
-          Hashtbl.replace ctx.share_memo fname t;
-          t
-    in
-    let h = Pts.hash input in
-    let entries = Option.value ~default:[] (Hashtbl.find_opt by_hash h) in
-    if not (List.exists (fun (i, _) -> Pts.equal i input) entries) then
-      Hashtbl.replace by_hash h ((input, output) :: entries)
-  end
+              node.Ig.stored_output))
 
 (** Context-insensitive ablation: one merged IN/OUT pair per function;
     convergence is reached by the driver re-running the whole program

@@ -644,11 +644,10 @@ type raw_summaries = {
     eligibility rule never seeds such a record). The blocks were
     digest-verified with the rest of the entry, so a decode failure
     still only means [Bad]. *)
-let bind_summaries ?(keep = fun _ -> true) (p : Ir.program) (raw : raw_summaries) :
-    Engine.summaries =
+let bind_summaries ~keep (p : Ir.program) (raw : raw_summaries) : Engine.store =
   let _, by_local = stmt_index p in
   let names = Array.of_list (List.map fst raw.rs_hashes) in
-  let out = Engine.summaries_create () in
+  let out = Engine.store_create () in
   List.iter
     (fun (fn, pos, len) ->
       if keep fn then begin
@@ -682,7 +681,8 @@ let bind_summaries ?(keep = fun _ -> true) (p : Ir.program) (raw : raw_summaries
                 items
             in
             if ok then
-              Engine.summaries_add out fn { Engine.se_in; se_out; se_frame = fr })
+              Engine.store_add out fn (Pts.hash se_in)
+                { Engine.se_in; se_out; se_frame = Some fr; se_origin = Engine.Seeded })
           entries
       end)
     raw.rs_blocks;
@@ -758,11 +758,25 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
   let fn_idx = Hashtbl.create 64 in
   List.iteri (fun i (n, _) -> Hashtbl.replace fn_idx n i) hashes;
   let by_id, _ = stmt_index res.Analysis.prog in
+  (* the entries recorded or replayed this run; an unused seed or a
+     frameless §6 pair is not a summary of this run *)
   let sum_fns =
     Hashtbl.fold
       (fun fn by_hash acc ->
-        let entries = Hashtbl.fold (fun _ es acc -> es @ acc) by_hash [] in
-        (fn, entries) :: acc)
+        let entries =
+          Hashtbl.fold
+            (fun _ es acc ->
+              List.filter_map
+                (fun e ->
+                  match (e.Engine.se_origin, e.Engine.se_frame) with
+                  | (Engine.Live | Engine.Replayed), Some fr ->
+                      Some (e.Engine.se_in, e.Engine.se_out, fr)
+                  | Engine.Seeded, _ | _, None -> None)
+                es
+              @ acc)
+            by_hash []
+        in
+        if entries = [] then acc else (fn, entries) :: acc)
       res.Analysis.summaries []
     |> List.sort compare
   in
@@ -776,7 +790,7 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
       Buffer.clear scratch;
       w_u scratch (List.length entries);
       List.iter
-        (fun { Engine.se_in; se_out; se_frame } ->
+        (fun (se_in, se_out, se_frame) ->
           w_u scratch (set_idx e rw se se_in);
           w_u scratch (set_idx e rw se se_out);
           let items =
@@ -851,24 +865,6 @@ let load_error_name = function
   | Stale -> "stale"
   | Corrupt -> "corrupt"
 
-(* internal: distinguishes the key-mismatch exit from [Bad] *)
-exception Stale_key
-
-(* Verify magic, version and the body digest; raises [Stale_key] on a
-   key mismatch unless [check_key] is false (the incremental partial-hit
-   path, which expects the source to have changed). The digest check
-   runs before anything decodes: [Marshal.from_string] must only ever
-   see bytes this process's [save] wrote. *)
-let decode_header ~check_key ~source ~opts ~entry r =
-  if r_raw r (String.length magic) <> magic then raise Bad;
-  if r_u r <> version then raise Bad;
-  let stored_key = r_raw r 16 in
-  if check_key && stored_key <> Digest.from_hex (key ~source ~opts ~entry) then
-    raise_notrace Stale_key;
-  let body_digest = r_raw r 16 in
-  if body_digest <> Digest.substring r.data r.pos (String.length r.data - r.pos) then
-    raise Bad
-
 let decode_body ~opts r : Analysis.result * raw_summaries =
   let prog : Ir.program = Marshal.from_string (r_str r) 0 in
   let arr = r_loc_table r in
@@ -919,24 +915,34 @@ let decode_body ~opts r : Analysis.result * raw_summaries =
       degraded = None;
       (* loaded results are never re-saved, so the recorded summaries
          stay encoded in [raw] until a replay actually needs them *)
-      summaries = Engine.summaries_create ();
+      summaries = Engine.store_create ();
     },
     raw )
 
-let load_checked ~source ?(opts = Options.default) ?(entry = "main") file :
-    (Analysis.result, load_error) result =
+(* The one reader: magic, version, then the body digest before anything
+   decodes ([Marshal.from_string] must only ever see bytes this
+   process's [save] wrote), then one decode. The stored content key is
+   returned, not checked: a key that does not match the source is a
+   miss for [load_checked] but a partial hit for the incremental
+   lookup, and only the caller knows its own key. *)
+let read_entry ~source ~opts file :
+    (string * Analysis.result * raw_summaries, load_error) result =
   let t0 = Metrics.now () in
   let tr0 = Trace.start () in
   let res =
     if not (Sys.file_exists file) then Error Missing
     else
-    try
-      let r = { data = read_file file; pos = 0 } in
-      decode_header ~check_key:true ~source ~opts ~entry r;
-      Ok (fst (decode_body ~opts r))
-    with
-    | Stale_key -> Error Stale
-    | Bad | Failure _ | Invalid_argument _ | Sys_error _ | End_of_file -> Error Corrupt
+      try
+        let r = { data = read_file file; pos = 0 } in
+        if r_raw r (String.length magic) <> magic then raise Bad;
+        if r_u r <> version then raise Bad;
+        let stored_key = r_raw r 16 in
+        let body_digest = r_raw r 16 in
+        if body_digest <> Digest.substring r.data r.pos (String.length r.data - r.pos)
+        then raise Bad;
+        let res, raw = decode_body ~opts r in
+        Ok (stored_key, res, raw)
+      with Bad | Failure _ | Invalid_argument _ | Sys_error _ | End_of_file -> Error Corrupt
   in
   let m = Metrics.cur () in
   m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. (Metrics.now () -. t0);
@@ -944,60 +950,22 @@ let load_checked ~source ?(opts = Options.default) ?(entry = "main") file :
     Trace.emit Trace.Cache_load
       ~name:(Filename.basename source)
       ~pts_out:
-        (match res with Ok r -> Hashtbl.length r.Analysis.stmt_pts | Error _ -> -1)
+        (match res with Ok (_, r, _) -> Hashtbl.length r.Analysis.stmt_pts | Error _ -> -1)
       ~t0:tr0 ();
   res
 
+let load_checked ~source ?(opts = Options.default) ?(entry = "main") file :
+    (Analysis.result, load_error) result =
+  match read_entry ~source ~opts file with
+  | Error e -> Error e
+  | Ok (stored_key, res, _) -> (
+      (* an unreadable source cannot be shown to own the entry *)
+      match Digest.from_hex (key ~source ~opts ~entry) with
+      | k when String.equal k stored_key -> Ok res
+      | _ | (exception Sys_error _) -> Error Stale)
+
 let load ~source ?opts ?entry file : Analysis.result option =
   Result.to_option (load_checked ~source ?opts ?entry file)
-
-(** Outcome of the incremental lookup, classified in one pass: one file
-    read, one digest verification, one decode. A partial hit (the entry
-    is well-formed but keys a different source text) carries the decoded
-    result, the raw incremental section, and the key this lookup was
-    after — everything the rekey and replay paths need without touching
-    the file again. *)
-type incr_load =
-  | L_hit of Analysis.result * raw_summaries
-  | L_partial of Analysis.result * raw_summaries * string
-  | L_missing
-  | L_corrupt
-
-let load_incr ~source ~opts ~entry file : incr_load =
-  if not (Sys.file_exists file) then L_missing
-  else begin
-    let t0 = Metrics.now () in
-    let tr0 = Trace.start () in
-    let res =
-      try
-        let r = { data = read_file file; pos = 0 } in
-        if r_raw r (String.length magic) <> magic then raise Bad;
-        if r_u r <> version then raise Bad;
-        let stored_key = r_raw r 16 in
-        let body_digest = r_raw r 16 in
-        if
-          body_digest
-          <> Digest.substring r.data r.pos (String.length r.data - r.pos)
-        then raise Bad;
-        let res, raw = decode_body ~opts r in
-        let mykey = Digest.from_hex (key ~source ~opts ~entry) in
-        if String.equal stored_key mykey then L_hit (res, raw)
-        else L_partial (res, raw, mykey)
-      with
-      | Bad | Failure _ | Invalid_argument _ | Sys_error _ | End_of_file -> L_corrupt
-    in
-    let m = Metrics.cur () in
-    m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. (Metrics.now () -. t0);
-    if Trace.on () then
-      Trace.emit Trace.Cache_load
-        ~name:(Filename.basename source)
-        ~pts_out:
-          (match res with
-          | L_hit (r, _) | L_partial (r, _, _) -> Hashtbl.length r.Analysis.stmt_pts
-          | L_missing | L_corrupt -> -1)
-        ~t0:tr0 ();
-    res
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Cache                                                              *)
@@ -1112,19 +1080,6 @@ let quarantine file =
   in
   try Sys.rename file dest with Sys_error _ -> ()
 
-(* Shared post-analysis bookkeeping of a cache miss: the analysis reset
-   this domain's accumulator, so the pre-lookup counters are re-applied
-   to both the accumulator and the result's snapshot. *)
-let miss_bookkeeping ~quarantined (res : Analysis.result) =
-  (Metrics.cur ()).Metrics.cache_quarantined <-
-    (Metrics.cur ()).Metrics.cache_quarantined + quarantined;
-  res.Analysis.metrics.Metrics.cache_quarantined <-
-    res.Analysis.metrics.Metrics.cache_quarantined + quarantined;
-  (Metrics.cur ()).Metrics.cache_misses <- (Metrics.cur ()).Metrics.cache_misses + 1;
-  res.Analysis.metrics.Metrics.cache_misses <-
-    res.Analysis.metrics.Metrics.cache_misses + 1;
-  res.Analysis.metrics.Metrics.t_serialize <- (Metrics.cur ()).Metrics.t_serialize
-
 (* Rewrite just the header key of an entry whose body is still byte-valid
    for the (edited) source: magic and version are unchanged, the stored
    16-byte key is replaced with [newkey], and the digest + body bytes of
@@ -1151,59 +1106,84 @@ let rekey_file ~data ~newkey file =
         Sys.rename tmp file)
   with Bad | Sys_error _ | Failure _ | End_of_file -> ()
 
-let load_summaries ~cache_dir ~source ~opts ?(entry = "main") (prog : Ir.program) :
-    Engine.summaries option =
-  (* same gate as [analyze_cached_incr]: summaries only replay under the
-     seedable engine modes *)
-  if not (opts.Options.context_sensitive && not opts.Options.heap_by_site) then None
-  else
-    let file = cache_file_incr ~cache_dir ~source ~opts ~entry in
-    match load_incr ~source ~opts ~entry file with
-    | L_missing | L_corrupt -> None
-    | L_hit (_, raw) | L_partial (_, raw, _) ->
-        if not (String.equal raw.rs_env (env_hash ~opts ~entry prog)) then None
-        else begin
-          let old_hashes = Hashtbl.create 64 in
-          List.iter (fun (n, d) -> Hashtbl.replace old_hashes n d) raw.rs_hashes;
-          let elig = eligible_funcs prog ~old_hashes in
-          match bind_summaries ~keep:(Hashtbl.mem elig) prog raw with
-          | exception Bad -> None
-          | seeded -> Some seeded
-        end
+(* Summaries replay only under the context-sensitive engine, and
+   [heap_by_site] names heap objects by (position-dependent) statement
+   id; other modes run in full and keep the entry as a plain cache. *)
+let seedable_mode (opts : Options.t) =
+  opts.Options.context_sensitive && not opts.Options.heap_by_site
 
-let analyze_cached_incr ~dir ~opts ~entry ?budget source : Analysis.result * bool =
-  let file = cache_file_incr ~cache_dir:dir ~source ~opts ~entry in
-  (* summaries replay only under the context-sensitive engine, and
-     [heap_by_site] names heap objects by (position-dependent) statement
-     id — both fall back to recording-only runs *)
-  let seedable =
-    opts.Options.context_sensitive && not opts.Options.heap_by_site
-  in
-  let quarantined = ref 0 in
+(* The seeds a saved summary section offers [prog] — the records of the
+   functions {!eligible_funcs} keeps — with the number of dirty
+   functions. [None] when the environment changed (everything is dirty)
+   or a kept block fails to decode. *)
+let seeds_of ~opts ~entry (prog : Ir.program) (raw : raw_summaries) :
+    (int * Engine.store) option =
+  if not (String.equal raw.rs_env (env_hash ~opts ~entry prog)) then None
+  else begin
+    let old_hashes = Hashtbl.create 64 in
+    List.iter (fun (n, d) -> Hashtbl.replace old_hashes n d) raw.rs_hashes;
+    let elig = eligible_funcs prog ~old_hashes in
+    match bind_summaries ~keep:(Hashtbl.mem elig) prog raw with
+    | exception Bad -> None
+    | seeds -> Some (List.length prog.Ir.funcs - Hashtbl.length elig, seeds)
+  end
+
+let load_summaries ~cache_dir ~source ~opts ?(entry = "main") (prog : Ir.program) :
+    Engine.store option =
+  if not (seedable_mode opts) then None
+  else
+    match read_entry ~source ~opts (cache_file_incr ~cache_dir ~source ~opts ~entry) with
+    | Error _ -> None
+    | Ok (_, _, raw) -> Option.map snd (seeds_of ~opts ~entry prog raw)
+
+let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budget
+    ?(incremental = false) source : Analysis.result * bool =
+  let dir = match cache_dir with Some d -> d | None -> default_cache_dir () in
+  let seedable = incremental && seedable_mode opts in
   let t0 = Metrics.now () in
-  match load_incr ~source ~opts ~entry file with
-  | L_hit (res, _) ->
-      let dt = Metrics.now () -. t0 in
-      (Metrics.cur ()).Metrics.cache_hits <- (Metrics.cur ()).Metrics.cache_hits + 1;
-      res.Analysis.metrics.Metrics.cache_hits <-
-        res.Analysis.metrics.Metrics.cache_hits + 1;
-      res.Analysis.metrics.Metrics.t_deserialize <-
-        res.Analysis.metrics.Metrics.t_deserialize +. dt;
-      (res, true)
-  | (L_partial _ | L_missing | L_corrupt) as outcome -> (
-      let partial =
-        match outcome with
-        | L_partial (res, raw, mykey) -> Some (res, raw, mykey)
-        | L_corrupt ->
-            (* truncated, damaged or version-skewed entry: quarantine it
-               and fall back to a cold (but still recording) analysis *)
-            quarantine file;
-            incr quarantined;
-            None
-        | L_missing | L_hit _ -> None
-      in
+  let quarantined = ref 0 in
+  (* The key is computed before the entry is read: a source that cannot
+     be read says nothing about the entry, which stays where it is, and
+     the analysis below reports the error. *)
+  let lookup =
+    match Digest.from_hex (key ~source ~opts ~entry) with
+    | exception Sys_error _ -> None
+    | mykey ->
+        let name = if incremental then cache_file_incr else cache_file in
+        let file = name ~cache_dir:dir ~source ~opts ~entry in
+        let stored =
+          match read_entry ~source ~opts file with
+          | Ok e -> Some e
+          | Error Corrupt ->
+              (* truncated, damaged or version-skewed entry: quarantine
+                 it and fall back to a cold analysis *)
+              quarantine file;
+              incr quarantined;
+              None
+          | Error (Missing | Stale) -> None
+        in
+        Some (file, mykey, stored)
+  in
+  let count_hit (res : Analysis.result) =
+    (Metrics.cur ()).Metrics.cache_hits <- (Metrics.cur ()).Metrics.cache_hits + 1;
+    res.Analysis.metrics.Metrics.cache_hits <- res.Analysis.metrics.Metrics.cache_hits + 1;
+    res.Analysis.metrics.Metrics.t_deserialize <-
+      res.Analysis.metrics.Metrics.t_deserialize +. (Metrics.now () -. t0);
+    (res, true)
+  in
+  match lookup with
+  | Some (_, mykey, Some (stored_key, res, _)) when String.equal stored_key mykey ->
+      count_hit res
+  | _ -> (
       let prog = Simple_ir.Simplify.of_file source in
       let n_defined = List.length prog.Ir.funcs in
+      (* an incremental entry keying an older text of the source *)
+      let stale =
+        match lookup with
+        | Some (file, mykey, Some (_, old_res, raw)) when incremental ->
+            Some (file, mykey, old_res, raw)
+        | _ -> None
+      in
       (* Rekey fast path: when the lowered program is byte-identical
          (comment / whitespace edits after the last statement), or every
          function hash matches and the run warned about nothing (so no
@@ -1213,69 +1193,47 @@ let analyze_cached_incr ~dir ~opts ~entry ?budget source : Analysis.result * boo
          hash-based gate additionally needs the seedable engine modes:
          [heap_by_site] names heap objects by statement id, which the
          hashes deliberately blank. *)
-      let rekey =
-        match partial with
-        | Some (old_res, raw, mykey) ->
-            let prog_identical () =
-              String.equal
-                (Digest.string (Marshal.to_string prog []))
-                (Digest.string (Marshal.to_string old_res.Analysis.prog []))
-            in
-            let hashes_identical () =
-              String.equal raw.rs_env (env_hash ~opts ~entry prog)
-              && List.compare_lengths raw.rs_hashes prog.Ir.funcs = 0
-              && List.for_all2
-                   (fun (n, d) f ->
-                     String.equal n f.Ir.fn_name && String.equal d (func_hash f))
-                   raw.rs_hashes prog.Ir.funcs
-            in
-            if
-              (seedable
-              && old_res.Analysis.warnings = []
-              && hashes_identical ())
-              || prog_identical ()
-            then Some (old_res, raw, mykey)
-            else None
-        | None -> None
+      let rekeyable (old_res : Analysis.result) raw =
+        let prog_identical () =
+          String.equal
+            (Digest.string (Marshal.to_string prog []))
+            (Digest.string (Marshal.to_string old_res.Analysis.prog []))
+        in
+        let hashes_identical () =
+          String.equal raw.rs_env (env_hash ~opts ~entry prog)
+          && List.compare_lengths raw.rs_hashes prog.Ir.funcs = 0
+          && List.for_all2
+               (fun (n, d) f -> String.equal n f.Ir.fn_name && String.equal d (func_hash f))
+               raw.rs_hashes prog.Ir.funcs
+        in
+        (seedable && old_res.Analysis.warnings = [] && hashes_identical ())
+        || prog_identical ()
       in
-      match rekey with
-      | Some (old_res, raw, mykey) ->
+      match stale with
+      | Some (file, mykey, old_res, raw) when rekeyable old_res raw ->
           (* fresh lowering in, so source positions track the edit; the
              statement ids it assigned are identical by construction *)
-          let res =
-            { old_res with Analysis.prog; tenv = Tenv.make ~opts prog }
-          in
+          let res = { old_res with Analysis.prog; tenv = Tenv.make ~opts prog } in
           rekey_file ~data:raw.rs_data ~newkey:mykey file;
-          let m = Metrics.cur () in
-          m.Metrics.cache_hits <- m.Metrics.cache_hits + 1;
-          m.Metrics.incr_funcs_dirty <- 0;
-          m.Metrics.incr_funcs_reused <- n_defined;
-          res.Analysis.metrics.Metrics.cache_hits <-
-            res.Analysis.metrics.Metrics.cache_hits + 1;
-          res.Analysis.metrics.Metrics.incr_funcs_dirty <- 0;
-          res.Analysis.metrics.Metrics.incr_funcs_reused <- n_defined;
-          res.Analysis.metrics.Metrics.t_deserialize <-
-            res.Analysis.metrics.Metrics.t_deserialize +. (Metrics.now () -. t0);
-          (res, true)
-      | None ->
-          let raw = Option.map (fun (_, raw, _) -> raw) partial in
+          List.iter
+            (fun (m : Metrics.t) ->
+              m.Metrics.incr_funcs_dirty <- 0;
+              m.Metrics.incr_funcs_reused <- n_defined)
+            [ Metrics.cur (); res.Analysis.metrics ];
+          count_hit res
+      | _ ->
           let dirty, seeded =
-            match raw with
-            | Some raw
-              when seedable && String.equal raw.rs_env (env_hash ~opts ~entry prog) ->
+            match stale with
+            | Some (_, _, _, raw) when seedable -> (
                 let td0 = Trace.start () in
-                let old_hashes = Hashtbl.create 64 in
-                List.iter (fun (n, d) -> Hashtbl.replace old_hashes n d) raw.rs_hashes;
-                let elig = eligible_funcs prog ~old_hashes in
-                let dirty = n_defined - Hashtbl.length elig in
-                (match bind_summaries ~keep:(Hashtbl.mem elig) prog raw with
-                | exception Bad -> (n_defined, None)
-                | seeded ->
+                match seeds_of ~opts ~entry prog raw with
+                | Some (dirty, seeds) ->
                     if Trace.on () then
-                      Trace.emit Trace.Dirty ~name:(Filename.basename source)
-                        ~stmts:dirty ~t0:td0 ();
-                    (dirty, Some seeded))
-            | Some _ | None ->
+                      Trace.emit Trace.Dirty ~name:(Filename.basename source) ~stmts:dirty
+                        ~t0:td0 ();
+                    (dirty, Some seeds)
+                | None -> (n_defined, None))
+            | _ ->
                 (* nothing usable (or the globals / layouts / externals /
                    options changed): everything is dirty *)
                 (n_defined, None)
@@ -1283,57 +1241,23 @@ let analyze_cached_incr ~dir ~opts ~entry ?budget source : Analysis.result * boo
           let res =
             Analysis.analyze ~opts ~entry ?budget ~record_summaries:seedable ?seeded prog
           in
-          (Metrics.cur ()).Metrics.incr_funcs_dirty <- dirty;
-          res.Analysis.metrics.Metrics.incr_funcs_dirty <- dirty;
-          (if res.Analysis.degraded = None then
-             try save ~source ~entry res file with Sys_error _ | Failure _ -> ());
-          miss_bookkeeping ~quarantined:!quarantined res;
+          if incremental then begin
+            (Metrics.cur ()).Metrics.incr_funcs_dirty <- dirty;
+            res.Analysis.metrics.Metrics.incr_funcs_dirty <- dirty
+          end;
+          (* a degraded result is not the full-precision answer the key
+             promises — never publish it to the cache *)
+          (match lookup with
+          | Some (file, _, _) when res.Analysis.degraded = None -> (
+              try save ~source ~entry res file with Sys_error _ | Failure _ -> ())
+          | _ -> ());
+          (* counters bumped after the analysis, which reset this
+             domain's accumulator; re-applied to both the accumulator and
+             the result's snapshot *)
+          List.iter
+            (fun (m : Metrics.t) ->
+              m.Metrics.cache_quarantined <- m.Metrics.cache_quarantined + !quarantined;
+              m.Metrics.cache_misses <- m.Metrics.cache_misses + 1)
+            [ Metrics.cur (); res.Analysis.metrics ];
+          res.Analysis.metrics.Metrics.t_serialize <- (Metrics.cur ()).Metrics.t_serialize;
           (res, false))
-
-let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budget
-    ?(incremental = false) source : Analysis.result * bool =
-  let dir = match cache_dir with Some d -> d | None -> default_cache_dir () in
-  if incremental then analyze_cached_incr ~dir ~opts ~entry ?budget source
-  else
-  let file = try Some (cache_file ~cache_dir:dir ~source ~opts ~entry) with Sys_error _ -> None in
-  let quarantined = ref 0 in
-  let load_attempt =
-    match file with
-    | None -> None
-    | Some f -> (
-        let t0 = Metrics.now () in
-        match load_checked ~source ~opts ~entry f with
-        | Ok r -> Some (r, Metrics.now () -. t0)
-        | Error Corrupt ->
-            (* truncated, damaged or version-skewed entry: quarantine it
-               and transparently fall back to a cold analysis *)
-            quarantine f;
-            incr quarantined;
-            None
-        | Error (Missing | Stale) -> None)
-  in
-  match load_attempt with
-  | Some (res, dt) ->
-      (Metrics.cur ()).Metrics.cache_hits <- (Metrics.cur ()).Metrics.cache_hits + 1;
-      res.Analysis.metrics.Metrics.cache_hits <- res.Analysis.metrics.Metrics.cache_hits + 1;
-      res.Analysis.metrics.Metrics.t_deserialize <-
-        res.Analysis.metrics.Metrics.t_deserialize +. dt;
-      (res, true)
-  | None ->
-      let res = Analysis.of_file ~opts ~entry ?budget source in
-      (* a degraded result is not the full-precision answer this key
-         promises — never publish it to the cache *)
-      (match file with
-      | Some f when res.Analysis.degraded = None -> (
-          try save ~source ~entry res f with Sys_error _ | Failure _ -> ())
-      | _ -> ());
-      (* bumped after the analysis, which reset this domain's accumulator *)
-      (Metrics.cur ()).Metrics.cache_quarantined <-
-        (Metrics.cur ()).Metrics.cache_quarantined + !quarantined;
-      res.Analysis.metrics.Metrics.cache_quarantined <-
-        res.Analysis.metrics.Metrics.cache_quarantined + !quarantined;
-      (Metrics.cur ()).Metrics.cache_misses <- (Metrics.cur ()).Metrics.cache_misses + 1;
-      res.Analysis.metrics.Metrics.cache_misses <-
-        res.Analysis.metrics.Metrics.cache_misses + 1;
-      res.Analysis.metrics.Metrics.t_serialize <- (Metrics.cur ()).Metrics.t_serialize;
-      (res, false)

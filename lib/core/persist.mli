@@ -79,7 +79,8 @@ val load_error_name : load_error -> string
 
 (** [load_checked ~source ?opts ?entry file] reads a result saved by
     {!save}, classifying failure: never raises, never returns a wrong
-    table. On success the program is re-lowered from [source] and the
+    table. An entry whose key cannot be checked because [source] is
+    unreadable is [Stale]. On success the program is re-lowered from [source] and the
     result is equivalent to the one originally saved: same
     per-statement points-to sets, entry output, invocation graph
     (shape, stored IN/OUT, map information), warnings and counters.
@@ -140,7 +141,7 @@ val load_summaries :
   opts:Options.t ->
   ?entry:string ->
   Simple_ir.Ir.program ->
-  Engine.summaries option
+  Engine.store option
 
 (** [analyze_cached ?cache_dir ?opts ?entry source] serves the analysis
     result for [source] from the disk cache when a valid entry exists,
@@ -150,10 +151,11 @@ val load_summaries :
     [cache_misses] / [t_serialize] / [t_deserialize] /
     [cache_quarantined]) alongside the counters of the run that
     originally produced the result. Cache I/O failures degrade to a
-    fresh analysis, never to an error; a {!Corrupt} entry is renamed to
-    [<file>.bad] (kept for post-mortem; a pre-existing [.bad] is never
-    clobbered — subsequent victims get [.bad.1], [.bad.2], ...) and
-    re-analyzed cold.
+    fresh analysis, never to an error. An unreadable [source] raises
+    [Sys_error] and leaves every entry in place. A {!Corrupt} entry is
+    renamed to [<file>.bad] (kept for post-mortem; a pre-existing
+    [.bad] is never clobbered — subsequent victims get [.bad.1],
+    [.bad.2], ...) and re-analyzed cold.
 
     [budget] is forwarded to {!Analysis.analyze} on a miss. A degraded
     result is returned but {e never} saved to the cache — its key
@@ -163,7 +165,8 @@ val load_summaries :
     ({!cache_file_incr}) with summary recording and replay: an unchanged
     source is a full hit as before; after an edit, only the dirty slice
     re-runs and the rest replays from the persisted summaries
-    (bit-identical tables, [incr_funcs_dirty] / [incr_funcs_reused]
+    (bit-identical tables outside direct-call cycles — see
+    docs/INCREMENTAL.md — and [incr_funcs_dirty] / [incr_funcs_reused]
     metrics). Defaults to [false]. *)
 val analyze_cached :
   ?cache_dir:string ->

@@ -4,7 +4,9 @@
 # demand (a) the re-analysis prints per-statement sets bit-identical to
 # a cold run of the edited file and (b) the dirty counter matches the
 # edit: 0 for a comment-only edit (the rekey fast path), a small bounded
-# cone for a one-function edit. Then regenerate the machine-readable
+# cone for a one-function edit. A livc kernel edit is also checked with
+# --no-share-contexts, where only persisted summaries answer a repeated
+# (function, input) pair. Then regenerate the machine-readable
 # trajectory (`bench --json`), whose own gates enforce suite-wide
 # bit-identity and incremental beating the non-incremental cache.
 # Run from the repository root after `dune build`; CI runs this as the
@@ -40,6 +42,24 @@ d=$(dirty_of "$tmp/incr1.txt")
 [ "$d" = 0 ] \
   || { echo "incremental_smoke: comment edit reported $d dirty (rekey expected 0)" >&2; exit 1; }
 echo "incremental_smoke: livc comment edit — $(wc -l <"$tmp/got1.txt") statement sets identical, 0 dirty (rekey)"
+
+# ---- 1b. kernel edit on livc with sub-tree sharing off ----------------
+# Persisted summaries answer even without §6 sharing, the one mode where
+# no live memo entry does: the replayed tables must still match a cold
+# run under the same flag.
+cp benchmarks/livc.c "$tmp/livc_ns.c"
+"$ptan" analyze "$tmp/livc_ns.c" --no-share-contexts --incremental --cache-dir "$cache" >/dev/null
+sed 's/double kern_a_5(void) { int i;/double kern_a_5(void) { int i; int edit_probe; edit_probe = 0;/' \
+  "$tmp/livc_ns.c" >"$tmp/livc_ns2.c" && mv "$tmp/livc_ns2.c" "$tmp/livc_ns.c"
+"$ptan" analyze "$tmp/livc_ns.c" --no-share-contexts --no-cache | grep '^s[0-9]' >"$tmp/cold1b.txt"
+"$ptan" analyze "$tmp/livc_ns.c" --no-share-contexts --incremental --cache-dir "$cache" --stats \
+  >"$tmp/incr1b.txt"
+grep '^s[0-9]' "$tmp/incr1b.txt" >"$tmp/got1b.txt"
+diff -u "$tmp/cold1b.txt" "$tmp/got1b.txt" \
+  || { echo "incremental_smoke: livc kernel edit without sharing diverges from cold analysis" >&2; exit 1; }
+grep -q 'functions dirty, [1-9][0-9]* summaries replayed' "$tmp/incr1b.txt" \
+  || { echo "incremental_smoke: livc kernel edit without sharing replayed no summaries" >&2; exit 1; }
+echo "incremental_smoke: livc kernel edit, no sharing — $(wc -l <"$tmp/got1b.txt") statement sets identical, $(sed -n 's/^incremental:[[:space:]]*//p' "$tmp/incr1b.txt")"
 
 # ---- 2. one-function edit: the dirty cone is bounded ------------------
 # Editing leaf_b must dirty exactly its caller cone {leaf_b, main};

@@ -222,6 +222,11 @@ let suite_names =
     "livc";
   ]
 
+(** Seeded summaries answer with §6 sharing off too, where no live
+    entry does: both modes must replay bit-identically. *)
+let share_modes =
+  [ ("", Options.default); (" (no sharing)", { Options.default with Options.share_contexts = false }) ]
+
 let suite_tests =
   [
     case "whole suite: comment edit rekeys bit-identically" (fun () ->
@@ -255,46 +260,62 @@ let suite_tests =
            rekey path is off and the clean subtrees replay from
            summaries while the fp-touching slice re-runs *)
         List.iter
-          (fun name ->
-            in_temp (fun dir ->
-                let source = Filename.concat dir (name ^ ".c") in
-                write_file source (read_file (bench name));
-                let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-                append_to source "\nvoid ptan_probe_added(void) { }\n";
-                let r, hit =
-                  Persist.analyze_cached ~cache_dir:dir ~incremental:true source
-                in
-                Alcotest.(check bool) (name ^ ": not a full hit") false hit;
-                let n_funcs = List.length r.Analysis.prog.Ir.funcs in
-                Alcotest.(check bool)
-                  (name ^ ": the new function is dirty, the suite is not")
-                  true
-                  (r.Analysis.metrics.Metrics.incr_funcs_dirty >= 1
-                  && r.Analysis.metrics.Metrics.incr_funcs_dirty < n_funcs);
-                check_identical name (Analysis.of_file source) r))
-          suite_names);
+          (fun (mode, opts) ->
+            List.iter
+              (fun name ->
+                in_temp (fun dir ->
+                    let source = Filename.concat dir (name ^ ".c") in
+                    write_file source (read_file (bench name));
+                    let name = name ^ mode in
+                    let _ =
+                      Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
+                    in
+                    append_to source "\nvoid ptan_probe_added(void) { }\n";
+                    let r, hit =
+                      Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
+                    in
+                    Alcotest.(check bool) (name ^ ": not a full hit") false hit;
+                    let n_funcs = List.length r.Analysis.prog.Ir.funcs in
+                    Alcotest.(check bool)
+                      (name ^ ": the new function is dirty, the suite is not")
+                      true
+                      (r.Analysis.metrics.Metrics.incr_funcs_dirty >= 1
+                      && r.Analysis.metrics.Metrics.incr_funcs_dirty < n_funcs);
+                    check_identical name (Analysis.of_file ~opts source) r))
+              suite_names)
+          share_modes);
     case "livc: a real one-kernel edit stays bit-identical" (fun () ->
-        in_temp (fun dir ->
-            let source = Filename.concat dir "livc.c" in
-            write_file source (read_file (bench "livc"));
-            let r1, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-            let n_funcs = List.length r1.Analysis.prog.Ir.funcs in
-            write_file source
-              (replace_once ~sub:"double kern_a_5(void) { int i;"
-                 ~by:"double kern_a_5(void) { int i; int edit_probe; edit_probe = 0;"
-                 (read_file source));
-            let r2, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-            Alcotest.(check bool)
-              "most of livc replays" true
-              (r2.Analysis.metrics.Metrics.incr_funcs_reused > n_funcs / 2);
-            Alcotest.(check bool)
-              "only a sliver is dirty" true
-              (r2.Analysis.metrics.Metrics.incr_funcs_dirty * 4 < n_funcs);
-            check_identical "livc edited" (Analysis.of_file source) r2));
+        List.iter
+          (fun (mode, opts) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir "livc.c" in
+                write_file source (read_file (bench "livc"));
+                let r1, _ =
+                  Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
+                in
+                let n_funcs = List.length r1.Analysis.prog.Ir.funcs in
+                write_file source
+                  (replace_once ~sub:"double kern_a_5(void) { int i;"
+                     ~by:"double kern_a_5(void) { int i; int edit_probe; edit_probe = 0;"
+                     (read_file source));
+                let r2, _ =
+                  Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
+                in
+                Alcotest.(check bool)
+                  ("most of livc replays" ^ mode)
+                  true
+                  (r2.Analysis.metrics.Metrics.incr_funcs_reused > n_funcs / 2);
+                Alcotest.(check bool)
+                  ("only a sliver is dirty" ^ mode)
+                  true
+                  (r2.Analysis.metrics.Metrics.incr_funcs_dirty * 4 < n_funcs);
+                check_identical ("livc edited" ^ mode) (Analysis.of_file ~opts source) r2))
+          share_modes);
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Corruption: truncated v3 entries quarantine and fall back cold      *)
+(* Corruption: damaged entries quarantine and fall back cold, and only  *)
+(* damaged ones                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let corruption_tests =
@@ -332,6 +353,27 @@ let corruption_tests =
               |> List.filter (fun f -> find_sub f ".bad" <> None)
             in
             Alcotest.(check int) "every victim kept" 5 (List.length bad)));
+    case "an unreadable source leaves a valid entry in place" (fun () ->
+        (* a watched file vanishing between edits is not damage to the
+           entry: the call fails, and the entry is still there for the
+           file's return *)
+        in_temp (fun dir ->
+            let source = Filename.concat dir "cone.c" in
+            write_file source cone_src_v1;
+            let pti =
+              Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default
+                ~entry:"main"
+            in
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Sys.remove source;
+            (match Persist.analyze_cached ~cache_dir:dir ~incremental:true source with
+            | _ -> Alcotest.fail "a missing source analyzed"
+            | exception Sys_error _ -> ());
+            Alcotest.(check bool) "entry kept" true (Sys.file_exists pti);
+            Alcotest.(check (list string))
+              "nothing quarantined" []
+              (Sys.readdir dir |> Array.to_list
+              |> List.filter (fun f -> find_sub f ".bad" <> None))));
   ]
 
 let suite = ("incremental", hash_tests @ cone_tests @ suite_tests @ corruption_tests)

@@ -1,11 +1,17 @@
 (** Benchmark harness: regenerates every table and figure of the paper's
     evaluation (§6) on the synthetic benchmark suite, prints each next to
     the paper's numbers, runs the ablation studies from DESIGN.md, and
-    measures analysis time per benchmark with Bechamel.
+    enforces the gates behind the subsystems' claims (each a hard
+    failure of its section). Committed performance numbers live in
+    [perf/] and BENCHMARK.json, not here.
 
-    Run with [dune exec bench/main.exe]. Sections: Table 2, Table 3,
-    Table 4, Table 5, Table 6, Figure 2, Figures 6-7, Figures 8-9, the
-    livc function-pointer study, overall averages, ablations, timings. *)
+    Run with [dune exec bench/main.exe -- [SECTION...] [-j N]]; no
+    section runs them all, [--smoke] runs the CI subset instead, and an
+    unknown section exits 2. Sections, in run order: table2, table3,
+    table4, table5, table6, figure2, figures67, figures89, livc,
+    overall, ablations, extensions, persistence, incremental, demand,
+    counters, tracing, degradation, parallel, serve, corpus, timings,
+    rep-ops. *)
 
 module Ir = Simple_ir.Ir
 module Stats = Pointsto.Stats
@@ -13,6 +19,7 @@ module Analysis = Pointsto.Analysis
 module Ig = Pointsto.Invocation_graph
 module Loc = Pointsto.Loc
 module Pts = Pointsto.Pts
+module Mono = Pointsto.Mono
 
 let bench_dir =
   if Sys.file_exists "benchmarks" then "benchmarks"
@@ -447,20 +454,40 @@ let gen_queries (r : Analysis.result) =
   List.rev !qs
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Mono.now_s () in
   let r = f () in
-  (r, (Unix.gettimeofday () -. t0) *. 1e3)
+  (r, (Mono.now_s () -. t0) *. 1e3)
 
-let persistence () =
-  section "Persisted Results: cold analyze+save vs warm load, then demand queries";
+(** [f]'s last result and its best time over 3 runs, each after
+    [prepare]: the min squeezes out the allocator and scheduler jitter
+    that would otherwise dwarf millisecond-scale rows. *)
+let min_time ?(prepare = ignore) f =
+  let best = ref infinity and last = ref None in
+  for _ = 1 to 3 do
+    prepare ();
+    let v, t = time f in
+    last := Some v;
+    if t < !best then best := t
+  done;
+  (Option.get !last, !best)
+
+(** [f] on a fresh private directory, removed recursively afterwards. *)
+let with_temp_dir f =
   let dir = Filename.temp_file "ptan-bench" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun n -> rm (Filename.concat p n)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+
+let persistence () =
+  section "Persisted Results: cold analyze+save vs warm load, then demand queries";
+  with_temp_dir (fun dir ->
       Fmt.pr "%-12s %10s %10s %9s %6s %8s %10s@." "benchmark" "cold ms" "warm ms" "speedup"
         "ident" "queries" "queries/s";
       Fmt.pr "%s@." hr;
@@ -523,18 +550,11 @@ let counters () =
   List.iter
     (fun name ->
       let m = (result name).Analysis.metrics in
-      (* memo hit rate comes from a share-contexts run of the same program *)
-      let shared =
-        Analysis.analyze
-          ~opts:{ Pointsto.Options.default with Pointsto.Options.share_contexts = true }
-          (prog name)
-      in
-      let ms = shared.Analysis.metrics in
       Fmt.pr "%-12s %7d %6d %6d %8d %8d %6.1f%% %6.1f%% %6.1f%%@." name m.M.bodies
         m.M.loop_iters m.M.rec_iters m.M.assigns m.M.merges
         (M.ratio m.M.merge_fast m.M.merges)
         (M.ratio m.M.equal_fast m.M.equal_checks)
-        (M.ratio ms.M.memo_hits ms.M.memo_lookups))
+        (M.ratio m.M.memo_hits m.M.memo_lookups))
     (Paper_data.names @ [ "livc" ]);
   let m = (result "livc").Analysis.metrics in
   Fmt.pr "@.livc detail:@.%a@." M.pp m;
@@ -730,19 +750,6 @@ let argv_jobs () =
 (* Incremental re-analysis: edit, diff hashes, replay the clean part  *)
 (* ------------------------------------------------------------------ *)
 
-let with_temp_dir f =
-  let dir = Filename.temp_file "ptan-incr" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
-  let rec rm p =
-    if Sys.is_directory p then begin
-      Array.iter (fun n -> rm (Filename.concat p n)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
-
 let read_file p = In_channel.with_open_bin p In_channel.input_all
 
 let write_file p s = Out_channel.with_open_bin p (fun oc -> Out_channel.output_string oc s)
@@ -776,13 +783,9 @@ type incr_row = {
 (** Populate the incremental cache for a private copy of [name], apply
     [edit] to the copy, then race the non-incremental cache trajectory
     against the incremental re-analysis of the same edit. All sides are
-    timed as the min over [incr_repeats] runs — the pre-edit cache entry
-    is restored (and the non-incremental cache cleared) before every run
-    so each one replays the same edit, and the min squeezes out
-    allocator and scheduler jitter that would otherwise dwarf these
-    millisecond-scale rows. *)
-let incr_repeats = 3
-
+    timed by {!min_time} — the pre-edit cache entry is restored (and
+    the non-incremental cache cleared) before every run so each one
+    replays the same edit. *)
 let incr_measure ~dir ~name ~label ~edit =
   let source = Filename.concat dir (label ^ ".c") in
   write_file source (read_file (path name));
@@ -793,16 +796,6 @@ let incr_measure ~dir ~name ~label ~edit =
   in
   let entry_bytes = read_file entry_file in
   write_file source (edit (read_file source));
-  let min_time ?(prepare = ignore) f =
-    let best = ref infinity and last = ref None in
-    for _ = 1 to incr_repeats do
-      prepare ();
-      let v, t = time f in
-      last := Some v;
-      if t < !best then best := t
-    done;
-    (Option.get !last, !best)
-  in
   let cold, t_nocache = min_time (fun () -> Analysis.of_file source) in
   let cold_dir = Filename.concat dir (label ^ ".cold") in
   let clear_cold () =
@@ -841,22 +834,20 @@ let kernel_edit src =
 
 (** One row per suite program (trailing-comment edit: every function
     hash survives, only the fp-touching slice re-runs), plus a real
-    one-kernel edit of livc. *)
-let incr_rows () =
-  with_temp_dir (fun dir ->
-      let rows =
-        List.map
-          (fun name -> incr_measure ~dir ~name ~label:name ~edit:comment_edit)
-          (Paper_data.names @ [ "livc" ])
-      in
-      rows @ [ incr_measure ~dir ~name:"livc" ~label:"livc-kernel" ~edit:kernel_edit ])
-
+    one-kernel edit of livc. Gates: every row bit-identical, and the
+    suite's incremental total beating the non-incremental cache total. *)
 let incremental () =
   section "Incremental Re-analysis: hash the functions, replay the clean subtrees";
   Fmt.pr "%-12s %8s %6s %6s %7s %9s %9s %9s %9s %6s@." "benchmark" "edit" "funcs" "dirty"
     "reused" "cold ms" "fixp ms" "incr ms" "speedup" "ident";
   Fmt.pr "%s@." hr;
-  let rows = incr_rows () in
+  let rows =
+    with_temp_dir (fun dir ->
+        List.map
+          (fun name -> incr_measure ~dir ~name ~label:name ~edit:comment_edit)
+          (Paper_data.names @ [ "livc" ])
+        @ [ incr_measure ~dir ~name:"livc" ~label:"livc-kernel" ~edit:kernel_edit ])
+  in
   List.iter
     (fun r ->
       Fmt.pr "%-12s %8s %6d %6d %7d %9.2f %9.2f %9.2f %8.1fx %6s@." r.ir_name r.ir_edit
@@ -877,7 +868,9 @@ let incremental () =
     "(cold = the same edit through the non-incremental cache, i.e. full miss +@.\
      fixpoint + save — what --incremental replaces; fixp = bare Analysis.of_file@.\
      with no caching at all; incr = hash diff + rekey or dirty-slice re-run +@.\
-     summary replay, including cache load and save; see docs/INCREMENTAL.md)@."
+     summary replay, including cache load and save; see docs/INCREMENTAL.md)@.";
+  if t_incr >= t_cold then
+    failwith "incremental: incremental re-analysis did not beat the non-incremental cache"
 
 (* ------------------------------------------------------------------ *)
 (* Serve: resident daemon throughput and latency                      *)
@@ -885,22 +878,11 @@ let incremental () =
 
 module Serve = Pointsto.Serve
 
-(** Force the lazy reverse indexes concurrent query dispatch would race
-    to build (same contract as [ptan serve]'s corpus load). *)
-let prime_result (r : Analysis.result) =
-  Hashtbl.iter (fun _ s -> Pts.prime s) r.Analysis.stmt_pts;
-  Option.iter Pts.prime r.Analysis.entry_output;
-  Ig.fold
-    (fun () n ->
-      Option.iter Pts.prime n.Ig.stored_input;
-      Option.iter Pts.prime n.Ig.stored_output)
-    () r.Analysis.graph
-
 let serve_corpus names =
   List.map
     (fun name ->
       let r = result name in
-      prime_result r;
+      Analysis.prime r;
       (name, r))
     names
 
@@ -937,20 +919,21 @@ let serve_workload corpus =
         (gen_queries r))
     corpus
 
-(** Run the daemon in-process over a pipe pair and push [lines] through
-    it: a writer domain feeds the request pipe (so neither side can
-    deadlock on a full pipe buffer) while this domain reads every reply.
-    Returns the replies and the wall-clock milliseconds from first write
-    to last reply. *)
-let serve_round cfg handler lines =
+(** Run the daemon in-process over a pipe pair and push the lines of
+    [workload] (line, expected reply) through it: a writer domain feeds
+    the request pipe (so neither side can deadlock on a full pipe
+    buffer) while this domain reads every reply. Fails on the first
+    reply that differs from the expected one; returns the daemon's
+    counters and the wall-clock milliseconds from first write to last
+    reply. *)
+let serve_round cfg handler workload =
   let req_r, req_w = Unix.pipe () in
   let rep_r, rep_w = Unix.pipe () in
   let daemon =
     Domain.spawn (fun () -> Serve.run cfg handler (Serve.Fds (req_r, rep_w)))
   in
-  let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
-  let n = List.length lines in
-  let t0 = Unix.gettimeofday () in
+  let payload = String.concat "" (List.map (fun (l, _) -> l ^ "\n") workload) in
+  let t0 = Mono.now_s () in
   let writer =
     Domain.spawn (fun () ->
         let len = String.length payload in
@@ -961,12 +944,18 @@ let serve_round cfg handler lines =
         Unix.close req_w)
   in
   let ic = Unix.in_channel_of_descr rep_r in
-  let replies = List.init n (fun _ -> input_line ic) in
-  let t_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let replies = List.map (fun _ -> input_line ic) workload in
+  let t_ms = (Mono.now_s () -. t0) *. 1e3 in
   Domain.join writer;
   let stats = Domain.join daemon in
   List.iter Unix.close [ req_r; rep_w; rep_r ];
-  (replies, stats, t_ms)
+  List.iteri
+    (fun i (got, (line, want)) ->
+      if not (String.equal got want) then
+        Fmt.failwith "serve: reply %d differs from cold query@.  line: %s@.  got:  %s@.  want: %s"
+          i line got want)
+    (List.combine replies workload);
+  (stats, t_ms)
 
 (** Synchronous round trips (one request in flight), for the latency
     distribution the batched throughput run cannot show. *)
@@ -981,14 +970,14 @@ let serve_round_trips handler line n =
   let payload = line ^ "\n" in
   let times =
     List.init n (fun _ ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Mono.now_s () in
         let len = String.length payload in
         let rec go off =
           if off < len then go (off + Unix.write_substring req_w payload off (len - off))
         in
         go 0;
         ignore (input_line ic);
-        (Unix.gettimeofday () -. t0) *. 1e3)
+        (Mono.now_s () -. t0) *. 1e3)
   in
   Unix.close req_w;
   ignore (Domain.join daemon);
@@ -1011,7 +1000,6 @@ let serve_bench () =
   let target = 40_000 in
   let reps = max 1 ((target + List.length workload - 1) / List.length workload) in
   let big = List.concat (List.init reps (fun _ -> workload)) in
-  let lines = List.map fst big and expected = List.map snd big in
   (* direct dispatch first: the per-query cost floor the daemon's
      protocol and batching overhead is measured against *)
   let direct =
@@ -1027,14 +1015,8 @@ let serve_bench () =
   in
   let jobs = min 4 (Domain.recommended_domain_count ()) in
   let cfg = { Serve.default_config with Serve.jobs; queue_max = 8192 } in
-  let replies, stats, t_ms = serve_round cfg handler lines in
-  List.iteri
-    (fun i (got, want) ->
-      if not (String.equal got want) then
-        Fmt.failwith "serve: reply %d differs from cold query@.  line: %s@.  got:  %s@.  want: %s"
-          i (List.nth lines i) got want)
-    (List.combine replies expected);
-  let n = List.length lines in
+  let stats, t_ms = serve_round cfg handler big in
+  let n = List.length big in
   let qps = float_of_int n /. t_ms *. 1e3 in
   Fmt.pr "corpus: %d files resident; workload: %d queries (%d distinct x %d)@."
     (List.length corpus) n (List.length workload) reps;
@@ -1049,74 +1031,41 @@ let serve_bench () =
   Fmt.pr "every reply bit-identical to a cold Alias.Query.run: yes@.";
   Fmt.pr "target: >= 100000 queries/s batched -- %s@."
     (if qps >= 1e5 then "met" else "MISSED");
-  let times = serve_round_trips handler (List.hd lines) 2000 in
+  let times = serve_round_trips handler (fst (List.hd big)) 2000 in
   Fmt.pr "synchronous round trip (1 in flight): p50 %.3f ms, p99 %.3f ms@."
     (percentile times 50) (percentile times 99)
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable trajectory: bench --json FILE                     *)
+(* Demand: one query's slice vs the exhaustive fixpoint               *)
 (* ------------------------------------------------------------------ *)
 
-(** Daemon throughput over the stanford+livc workload, for the JSON
-    report: (queries answered, queries per second). Replies are checked
-    against cold dispatch exactly as in {!serve_bench}. *)
-let serve_qps () =
-  let corpus = serve_corpus [ "stanford"; "livc" ] in
-  let handler = serve_handler corpus in
-  let workload = serve_workload corpus in
-  let lines = List.map fst workload and expected = List.map snd workload in
-  let jobs = min 4 (Domain.recommended_domain_count ()) in
-  let cfg = { Serve.default_config with Serve.jobs; queue_max = 8192 } in
-  let replies, _, t_ms = serve_round cfg handler lines in
-  List.iteri
-    (fun i (got, want) ->
-      if not (String.equal got want) then
-        Fmt.failwith "serve_qps: reply %d differs from cold query (%s)" i (List.nth lines i))
-    (List.combine replies expected);
-  let n = List.length lines in
-  (n, float_of_int n /. t_ms *. 1e3)
+(** The seed standing in for "a query about one function": the defined
+    non-entry function with the smallest slice under [d]'s plans (ties
+    to program order) — the best case a single query can hit, which is
+    exactly what the demand path exists for. Returns the seed and its
+    slice size. *)
+let cheapest_seed d (p : Ir.program) =
+  let slice_of seed = Pointsto.Demand.slice_size (Alias.Demand_driver.plan_for d ~seed) in
+  match
+    List.fold_left
+      (fun acc fn ->
+        let n = fn.Ir.fn_name in
+        if String.equal n "main" then acc
+        else
+          let size = slice_of n in
+          match acc with Some (_, best) when best <= size -> acc | _ -> Some (n, size))
+      None p.Ir.funcs
+  with
+  | Some seed -> seed
+  | None -> ("main", slice_of "main")
 
-(** The BENCH_incremental.json report (schema in docs/OBSERVABILITY.md):
-    per-program cold vs incremental wall-clock with dirty/reused
-    counters and the bit-identity verdict, suite totals, and daemon
-    throughput. Written with a trailing newline, keys in a fixed order,
-    so CI diffs stay readable. *)
-let incremental_json out =
-  let rows = incr_rows () in
-  let queries, qps = serve_qps () in
-  let t_cold = List.fold_left (fun a r -> a +. r.ir_t_cold) 0. rows in
-  let t_nocache = List.fold_left (fun a r -> a +. r.ir_t_nocache) 0. rows in
-  let t_incr = List.fold_left (fun a r -> a +. r.ir_t_incr) 0. rows in
-  let all_ident = List.for_all (fun r -> r.ir_ident) rows in
-  let buf = Buffer.create 4096 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "{\n";
-  pr "  \"schema\": \"ptan-bench-incremental/2\",\n";
-  pr "  \"programs\": [\n";
-  List.iteri
-    (fun i r ->
-      pr
-        "    {\"name\": %S, \"edit\": %S, \"funcs\": %d, \"dirty\": %d, \"reused\": %d, \
-         \"t_cold_ms\": %.3f, \"t_fixpoint_ms\": %.3f, \"t_incr_ms\": %.3f, \
-         \"identical\": %b}%s\n"
-        r.ir_name r.ir_edit r.ir_funcs r.ir_dirty r.ir_reused r.ir_t_cold r.ir_t_nocache
-        r.ir_t_incr r.ir_ident
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pr "  ],\n";
-  pr "  \"totals\": {\"t_cold_ms\": %.3f, \"t_fixpoint_ms\": %.3f, \"t_incr_ms\": %.3f, \
-      \"speedup\": %.2f, \"identical\": %b},\n"
-    t_cold t_nocache t_incr (t_cold /. t_incr) all_ident;
-  pr "  \"serve\": {\"queries\": %d, \"qps\": %.0f}\n" queries qps;
-  pr "}\n";
-  Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc (Buffer.contents buf));
-  Fmt.pr "incremental: %d program rows, suite %.1f ms cold vs %.1f ms incremental (%.1fx), \
-          serve %.0f queries/s -> %s@."
-    (List.length rows) t_cold t_incr (t_cold /. t_incr) qps out;
-  if not all_ident then failwith "incremental_json: a replayed run diverged from cold";
-  if t_incr >= t_cold then
-    failwith
-      "incremental_json: incremental re-analysis did not beat the non-incremental cache"
+(** The demand run's rows for [seed]'s body equal the exhaustive run's,
+    bit for bit. *)
+let seed_rows_identical ~exh ~dem seed =
+  Ir.fold_func
+    (fun ok s -> ok && Pts.equal (Analysis.pts_at exh s.Ir.s_id) (Analysis.pts_at dem s.Ir.s_id))
+    true
+    (Option.get (Ir.find_func dem.Analysis.prog seed))
 
 type demand_row = {
   dm_name : string;
@@ -1130,58 +1079,19 @@ type demand_row = {
   dm_ident : bool;  (** seed rows bit-identical to the exhaustive run *)
 }
 
-let demand_repeats = 3
-
-let demand_min_time f =
-  let best = ref infinity and last = ref None in
-  for _ = 1 to demand_repeats do
-    let v, t = time f in
-    last := Some v;
-    if t < !best then best := t
-  done;
-  (Option.get !last, !best)
-
-(** One demand-vs-exhaustive row. The seed stands in for "a query about
-    one function": the defined non-entry function with the smallest
-    slice (ties to program order) — the best case a single query can
-    hit, which is exactly what the demand path exists for. Both sides
-    are timed end to end from the source text (the demand side pays for
-    parsing, the Andersen pre-pass and planning inside the measurement),
-    min over {!demand_repeats} runs. *)
+(** One demand-vs-exhaustive row. Both sides are timed end to end from
+    the source text (the demand side pays for parsing, the Andersen
+    pre-pass and planning inside the measurement) by {!min_time}. *)
 let demand_measure name =
   let source = path name in
   let p0 = Simple_ir.Simplify.of_file source in
-  let d0 = Alias.Demand_driver.prepare p0 in
-  let slice_of seed = Pointsto.Demand.slice_size (Alias.Demand_driver.plan_for d0 ~seed) in
-  let seed, slice =
-    match
-      List.fold_left
-        (fun acc fn ->
-          let n = fn.Ir.fn_name in
-          if String.equal n "main" then acc
-          else
-            let size = slice_of n in
-            match acc with Some (_, best) when best <= size -> acc | _ -> Some (n, size))
-        None p0.Ir.funcs
-    with
-    | Some (n, size) -> (n, size)
-    | None -> ("main", slice_of "main")
-  in
-  let exh, t_exh =
-    demand_min_time (fun () -> Analysis.analyze (Simple_ir.Simplify.of_file source))
-  in
+  let seed, slice = cheapest_seed (Alias.Demand_driver.prepare p0) p0 in
+  let exh, t_exh = min_time (fun () -> Analysis.analyze (Simple_ir.Simplify.of_file source)) in
   let dem, t_demand =
-    demand_min_time (fun () ->
+    min_time (fun () ->
         let d = Alias.Demand_driver.prepare (Simple_ir.Simplify.of_file source) in
         Alias.Demand_driver.analyze d ~seed)
   in
-  let seed_fn = Option.get (Ir.find_func dem.Analysis.prog seed) in
-  let ident = ref true in
-  Ir.fold_func
-    (fun () s ->
-      if not (Pts.equal (Analysis.pts_at exh s.Ir.s_id) (Analysis.pts_at dem s.Ir.s_id))
-      then ident := false)
-    () seed_fn;
   {
     dm_name = name;
     dm_seed = seed;
@@ -1189,51 +1099,37 @@ let demand_measure name =
     dm_slice = slice;
     dm_t_exh = t_exh;
     dm_t_demand = t_demand;
-    dm_ident = !ident;
+    dm_ident = seed_rows_identical ~exh ~dem seed;
   }
 
-(** The BENCH_demand.json report (schema in docs/OBSERVABILITY.md):
-    per-program exhaustive vs demand wall clock, slice fraction and the
-    seed-row bit-identity verdict, plus suite totals. Bit-identity is a
-    hard gate; so is winning on at least 14 of the 18 programs. *)
-let demand_json out =
+(** Gates: every seed row bit-identical, and demand winning on at least
+    14 of the 18 programs. *)
+let demand () =
+  section "Demand Queries: one seed's slice vs the exhaustive fixpoint (cold, end to end)";
+  Fmt.pr "%-12s %-16s %6s %6s %9s %10s %9s %6s@." "benchmark" "seed" "funcs" "slice" "exh ms"
+    "demand ms" "speedup" "ident";
+  Fmt.pr "%s@." hr;
   let rows = List.map demand_measure (Paper_data.names @ [ "livc" ]) in
+  List.iter
+    (fun r ->
+      Fmt.pr "%-12s %-16s %6d %6d %9.2f %10.2f %8.1fx %6s@." r.dm_name r.dm_seed r.dm_funcs
+        r.dm_slice r.dm_t_exh r.dm_t_demand (r.dm_t_exh /. r.dm_t_demand)
+        (if r.dm_ident then "yes" else "NO"))
+    rows;
+  let n = List.length rows in
   let wins = List.length (List.filter (fun r -> r.dm_t_demand < r.dm_t_exh) rows) in
-  let need = 14 in
-  let all_ident = List.for_all (fun r -> r.dm_ident) rows in
   let t_exh = List.fold_left (fun a r -> a +. r.dm_t_exh) 0. rows in
   let t_demand = List.fold_left (fun a r -> a +. r.dm_t_demand) 0. rows in
-  let buf = Buffer.create 4096 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "{\n";
-  pr "  \"schema\": \"ptan-bench-demand/1\",\n";
-  pr "  \"programs\": [\n";
-  List.iteri
-    (fun i r ->
-      pr
-        "    {\"name\": %S, \"seed\": %S, \"funcs\": %d, \"slice\": %d, \
-         \"slice_fraction\": %.3f, \"t_exhaustive_ms\": %.3f, \"t_demand_ms\": %.3f, \
-         \"speedup\": %.2f, \"identical\": %b}%s\n"
-        r.dm_name r.dm_seed r.dm_funcs r.dm_slice
-        (float_of_int r.dm_slice /. float_of_int (max 1 r.dm_funcs))
-        r.dm_t_exh r.dm_t_demand (r.dm_t_exh /. r.dm_t_demand) r.dm_ident
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pr "  ],\n";
-  pr "  \"totals\": {\"programs\": %d, \"wins\": %d, \"t_exhaustive_ms\": %.3f, \
-      \"t_demand_ms\": %.3f, \"speedup\": %.2f, \"identical\": %b}\n"
-    (List.length rows) wins t_exh t_demand (t_exh /. t_demand) all_ident;
-  pr "}\n";
-  Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc (Buffer.contents buf));
+  Fmt.pr "@.suite totals: exhaustive %.1f ms, demand %.1f ms (%.1fx); demand won on %d/%d@."
+    t_exh t_demand (t_exh /. t_demand) wins n;
   Fmt.pr
-    "demand: %d program rows, %d/%d wins, suite %.1f ms exhaustive vs %.1f ms demand \
-     (%.1fx) -> %s@."
-    (List.length rows) wins (List.length rows) t_exh t_demand (t_exh /. t_demand) out;
-  if not all_ident then
-    failwith "demand_json: a demand run diverged from exhaustive on the seed rows";
-  if wins < need then
-    Fmt.failwith "demand_json: demand beat exhaustive cold on only %d/%d programs (need %d)"
-      wins (List.length rows) need
+    "(seed = the non-entry function with the smallest slice; exh = parse + full@.\
+     fixpoint; demand = parse + Andersen prepare + slice plan + sliced fixpoint;@.\
+     min of 3 runs each; see docs/DEMAND.md)@.";
+  if List.exists (fun r -> not r.dm_ident) rows then
+    failwith "demand: a demand run diverged from exhaustive on the seed rows";
+  if wins < 14 then
+    Fmt.failwith "demand: demand beat exhaustive cold on only %d/%d programs (need 14)" wins n
 
 (* ------------------------------------------------------------------ *)
 (* Scale corpus: generated big programs (Gen / ptan gen)              *)
@@ -1320,17 +1216,12 @@ let corpus_superset ~(full : Analysis.result) ~(degraded : Analysis.result) =
 
 type corpus_row = {
   cr_name : string;
-  cr_shape : string;
-  cr_knobs : Gen.knobs;
   cr_lines : int;
   cr_funcs : int;
   cr_indirect : int;
-  cr_t_gen : float;  (** generation ms (second render, after the regen identity check) *)
   cr_t_exh : float;  (** exhaustive context-sensitive analysis, ms *)
   cr_t_demand : float;  (** demand run for the cheapest-slice seed, end to end, ms *)
   cr_slice : int;
-  cr_seed_fn : string;
-  cr_demand_ident : bool;  (** demand seed-function rows equal the exhaustive run's *)
   cr_t_budget : float;  (** fuel-1 budgeted run (degrades to the widened rerun), ms *)
   cr_tripped : bool;
   cr_superset : bool;  (** degraded pairs contain the exhaustive pairs *)
@@ -1346,46 +1237,20 @@ type corpus_row = {
 let corpus_measure (shape, (k : Gen.knobs)) =
   let name = corpus_name (shape, k) in
   let text = Gen.program k in
-  let regen, t_gen = time (fun () -> Gen.program k) in
-  if not (String.equal text regen) then
+  if not (String.equal text (Gen.program k)) then
     Fmt.failwith "corpus: %s regeneration is not byte-identical" name;
   let p = Simple_ir.Simplify.of_string ~file:(name ^ ".c") text in
   let lines = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 text in
   if k.Gen.size >= 10_000 && lines < 10_000 then
     Fmt.failwith "corpus: %s is under the 10k-line acceptance floor (%d)" name lines;
   let exh, t_exh = time (fun () -> Analysis.analyze p) in
-  (* the demand side: cheapest-slice non-entry seed, like demand_measure,
-     but planned once on a shared driver — the corpus members are too
-     big for per-function re-preparation *)
-  let d0 = Alias.Demand_driver.prepare p in
-  let slice_of seed = Pointsto.Demand.slice_size (Alias.Demand_driver.plan_for d0 ~seed) in
-  let seed_fn, slice =
-    match
-      List.fold_left
-        (fun acc fn ->
-          let n = fn.Ir.fn_name in
-          if String.equal n "main" then acc
-          else
-            let size = slice_of n in
-            match acc with Some (_, best) when best <= size -> acc | _ -> Some (n, size))
-        None p.Ir.funcs
-    with
-    | Some (n, size) -> (n, size)
-    | None -> ("main", slice_of "main")
-  in
+  let seed_fn, slice = cheapest_seed (Alias.Demand_driver.prepare p) p in
   let dem, t_demand =
     time (fun () ->
         let d = Alias.Demand_driver.prepare p in
         Alias.Demand_driver.analyze d ~seed:seed_fn)
   in
-  let demand_ident = ref true in
-  Ir.fold_func
-    (fun () s ->
-      if not (Pts.equal (Analysis.pts_at exh s.Ir.s_id) (Analysis.pts_at dem s.Ir.s_id))
-      then demand_ident := false)
-    ()
-    (Option.get (Ir.find_func dem.Analysis.prog seed_fn));
-  if not !demand_ident then
+  if not (seed_rows_identical ~exh ~dem seed_fn) then
     Fmt.failwith "corpus: %s demand run diverged from exhaustive on seed %s" name seed_fn;
   let deg, t_budget = time (fun () -> Analysis.analyze ~budget:degradation_budget p) in
   let tripped = deg.Analysis.degraded <> None in
@@ -1402,17 +1267,12 @@ let corpus_measure (shape, (k : Gen.knobs)) =
       t_budget t_exh;
   {
     cr_name = name;
-    cr_shape = shape;
-    cr_knobs = k;
     cr_lines = lines;
     cr_funcs = List.length p.Ir.funcs;
     cr_indirect = indirect_sites p;
-    cr_t_gen = t_gen;
     cr_t_exh = t_exh;
     cr_t_demand = t_demand;
     cr_slice = slice;
-    cr_seed_fn = seed_fn;
-    cr_demand_ident = !demand_ident;
     cr_t_budget = t_budget;
     cr_tripped = tripped;
     cr_superset = superset;
@@ -1457,68 +1317,6 @@ let corpus () =
   Fmt.pr
     "(every member regenerates byte-identically from its seed; demand answers the@.\
      cheapest-slice seed bit-identically; fuel-1 degradation stays a pair superset)@."
-
-(** The BENCH_corpus.json report (schema ptan-bench-corpus/2, documented
-    in docs/BENCHMARKS.md): per-member line/function/indirect-site
-    counts and the four walls (exhaustive, demand, budgeted, plus the
-    corpus-wide parallel leg), with the regeneration, bit-identity,
-    superset and degradation-at-scale ([degraded_le_precise] on every
-    tripped 10k-line member) gates enforced while measuring. *)
-let corpus_json out =
-  let rows = List.map corpus_measure corpus_spec in
-  let jobs = Option.value ~default:4 (argv_jobs ()) in
-  let t_seq, t_par = corpus_parallel rows jobs in
-  let total_lines = List.fold_left (fun a r -> a + r.cr_lines) 0 rows in
-  let t_demand = List.fold_left (fun a r -> a +. r.cr_t_demand) 0. rows in
-  let t_budget = List.fold_left (fun a r -> a +. r.cr_t_budget) 0. rows in
-  let tripped = List.length (List.filter (fun r -> r.cr_tripped) rows) in
-  let buf = Buffer.create 4096 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pr "{\n";
-  pr "  \"schema\": \"ptan-bench-corpus/2\",\n";
-  pr "  \"programs\": [\n";
-  List.iteri
-    (fun i r ->
-      let k = r.cr_knobs in
-      pr
-        "    {\"name\": %S, \"shape\": %S, \"seed\": %d, \"size\": %d, \"depth\": %d, \
-         \"fnptr_density\": %d, \"lines\": %d, \"funcs\": %d, \"indirect_sites\": %d, \
-         \"t_gen_ms\": %.3f, \"t_exhaustive_ms\": %.3f, \"t_demand_ms\": %.3f, \
-         \"demand_seed\": %S, \"slice\": %d, \"t_budget_ms\": %.3f, \"tripped\": %b, \
-         \"superset\": %b, \"identical_seed_rows\": %b, \"degraded_le_precise\": %b}%s\n"
-        r.cr_name r.cr_shape k.Gen.seed k.Gen.size k.Gen.depth k.Gen.fnptr_density
-        r.cr_lines r.cr_funcs r.cr_indirect r.cr_t_gen r.cr_t_exh r.cr_t_demand
-        r.cr_seed_fn r.cr_slice r.cr_t_budget r.cr_tripped r.cr_superset r.cr_demand_ident
-        (* the degradation-at-scale gate (vacuously true below 10k lines
-           or when the budget never tripped, where the walls are noise) *)
-        (k.Gen.size < 10_000 || (not r.cr_tripped) || r.cr_t_budget <= r.cr_t_exh)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  pr "  ],\n";
-  pr "  \"parallel\": {\"jobs\": %d, \"t_seq_ms\": %.3f, \"t_par_ms\": %.3f, \
-      \"speedup\": %.2f, \"identical\": true},\n"
-    jobs t_seq t_par (t_seq /. t_par);
-  pr "  \"totals\": {\"programs\": %d, \"lines\": %d, \"t_exhaustive_ms\": %.3f, \
-      \"t_demand_ms\": %.3f, \"t_budget_ms\": %.3f, \"tripped\": %d}\n"
-    (List.length rows) total_lines t_seq t_demand t_budget tripped;
-  pr "}\n";
-  Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc (Buffer.contents buf));
-  Fmt.pr
-    "corpus: %d generated programs (%d lines), exhaustive %.1f ms sequential vs %.1f ms \
-     on -j %d, %d tripped under fuel 1 -> %s@."
-    (List.length rows) total_lines t_seq t_par jobs tripped out
-
-(** [--json FILE] on the command line selects a machine-readable report
-    instead of the full text harness, routed by file name: the corpus
-    report when it mentions corpus, the demand report when it mentions
-    demand, the incremental report otherwise (docs/BENCHMARKS.md). *)
-let argv_json () =
-  let rec go i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if String.equal Sys.argv.(i) "--json" then Some Sys.argv.(i + 1)
-    else go (i + 1)
-  in
-  go 1
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timings                                                   *)
@@ -1630,14 +1428,7 @@ let smoke () =
         m.Pointsto.Metrics.merges;
       if m.Pointsto.Metrics.bodies = 0 then failwith (name ^ ": no body passes recorded"))
     [ "stanford"; "livc" ];
-  let dir = Filename.temp_file "ptan-smoke" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
+  with_temp_dir (fun dir ->
       let source = path "stanford" in
       let cold, _ = Persist.analyze_cached ~cache_dir:dir source in
       let warm, hit = Persist.analyze_cached ~cache_dir:dir source in
@@ -1686,61 +1477,62 @@ let smoke () =
   let corpus = serve_corpus [ "stanford"; "livc" ] in
   let handler = serve_handler corpus in
   let workload = serve_workload corpus in
-  let lines = List.map fst workload and expected = List.map snd workload in
   let cfg = { Serve.default_config with Serve.jobs; queue_max = 8192 } in
-  let replies, _, t_ms = serve_round cfg handler lines in
-  List.iteri
-    (fun i (got, want) ->
-      if not (String.equal got want) then
-        Fmt.failwith "smoke: serve reply %d differs from cold query (%s)" i
-          (List.nth lines i))
-    (List.combine replies expected);
-  let qps = float_of_int (List.length lines) /. t_ms *. 1e3 in
+  let _, t_ms = serve_round cfg handler workload in
+  let qps = float_of_int (List.length workload) /. t_ms *. 1e3 in
   Fmt.pr "smoke: serve answered %d queries bit-identically at %.0f queries/s@."
-    (List.length lines) qps;
+    (List.length workload) qps;
   if qps < 2e4 then Fmt.failwith "smoke: serve throughput %.0f below the 20000 q/s floor" qps;
   Fmt.pr "smoke: ok@."
 
+(** The full run, in order; [bench SECTION...] runs the named ones. *)
+let sections =
+  [
+    ("table2", table2);
+    ("table3", table3);
+    ("table4", table4);
+    ("table5", table5);
+    ("table6", table6);
+    ("figure2", figure2);
+    ("figures67", figures67);
+    ("figures89", figures89);
+    ("livc", livc_study);
+    ("overall", overall);
+    ("ablations", ablations);
+    ("extensions", extensions);
+    ("persistence", persistence);
+    ("incremental", incremental);
+    ("demand", demand);
+    ("counters", counters);
+    ("tracing", tracing);
+    ("degradation", degradation);
+    ("parallel", fun () ->
+      parallel_suite (match argv_jobs () with Some n -> [ n ] | None -> [ 2; 4; 8 ]));
+    ("serve", serve_bench);
+    ("corpus", corpus);
+    ("timings", timings);
+    ("rep-ops", rep_ops);
+  ]
+
 let () =
-  match argv_json () with
-  | Some out ->
-      let base = String.lowercase_ascii (Filename.basename out) in
-      let mentions sub =
-        let n = String.length base and m = String.length sub in
-        let rec go i = i + m <= n && (String.equal (String.sub base i m) sub || go (i + 1)) in
-        go 0
-      in
-      if mentions "corpus" then corpus_json out
-      else if mentions "demand" then demand_json out
-      else incremental_json out
-  | None ->
-  if Array.exists (String.equal "--smoke") Sys.argv then smoke ()
-  else if Array.exists (String.equal "--serve") Sys.argv then serve_bench ()
-  else begin
-    Fmt.pr "Reproduction harness: Emami, Ghiya & Hendren, PLDI 1994@.";
-    Fmt.pr "\"Context-Sensitive Interprocedural Points-to Analysis in the Presence of@.";
-    Fmt.pr "Function Pointers\" -- every table and figure of section 6.@.";
-    table2 ();
-    table3 ();
-    table4 ();
-    table5 ();
-    table6 ();
-    figure2 ();
-    figures67 ();
-    figures89 ();
-    livc_study ();
-    overall ();
-    ablations ();
-    extensions ();
-    persistence ();
-    incremental ();
-    counters ();
-    tracing ();
-    degradation ();
-    parallel_suite (match argv_jobs () with Some n -> [ n ] | None -> [ 2; 4; 8 ]);
-    serve_bench ();
-    corpus ();
-    timings ();
-    rep_ops ();
-    Fmt.pr "@.Done. See EXPERIMENTS.md for the paper-vs-measured discussion.@."
-  end
+  let rec names = function
+    | "-j" :: _ :: rest | "--smoke" :: rest -> names rest
+    | name :: rest -> name :: names rest
+    | [] -> []
+  in
+  let names = names (List.tl (Array.to_list Sys.argv)) in
+  match List.filter (fun n -> not (List.mem_assoc n sections)) names with
+  | bad :: _ ->
+      Fmt.epr "bench: unknown section %S; sections: %s@." bad
+        (String.concat " " (List.map fst sections));
+      exit 2
+  | [] ->
+      if Array.exists (String.equal "--smoke") Sys.argv then smoke ()
+      else if names <> [] then List.iter (fun n -> (List.assoc n sections) ()) names
+      else begin
+        Fmt.pr "Reproduction harness: Emami, Ghiya & Hendren, PLDI 1994@.";
+        Fmt.pr "\"Context-Sensitive Interprocedural Points-to Analysis in the Presence of@.";
+        Fmt.pr "Function Pointers\" -- every table and figure of section 6.@.";
+        List.iter (fun (_, run) -> run ()) sections;
+        Fmt.pr "@.Done. See EXPERIMENTS.md for the paper-vs-measured discussion.@."
+      end

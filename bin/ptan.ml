@@ -340,21 +340,6 @@ let cmd_replace file cache =
       Fmt.pr "%d replacement opportunities@." (List.length reps);
       List.iter (fun rp -> Fmt.pr "  %a@." Transforms.Pointer_replace.pp_replacement rp) reps)
 
-(** Force the lazy components of a result that concurrent readers would
-    otherwise race to build (forcing the same lazy from two domains is a
-    runtime error in OCaml 5): the reverse indexes of every reachable
-    points-to set. After this the result is read-only for queries —
-    [query] and [batch] prime like [serve] does, so answering is pure
-    reads whatever the job count. *)
-let prime_result r =
-  Hashtbl.iter (fun _ s -> Pointsto.Pts.prime s) r.Pointsto.Analysis.stmt_pts;
-  Option.iter Pointsto.Pts.prime r.Pointsto.Analysis.entry_output;
-  Pointsto.Invocation_graph.fold
-    (fun () n ->
-      Option.iter Pointsto.Pts.prime n.Pointsto.Invocation_graph.stored_input;
-      Option.iter Pointsto.Pts.prime n.Pointsto.Invocation_graph.stored_output)
-    () r.Pointsto.Analysis.graph
-
 (** Summaries for demand skip-replay, from the incremental cache entry
     when both the cache and [--incremental] are on. Read-only: a demand
     result is never written back (its tables cover one slice, not the
@@ -388,7 +373,7 @@ let demand_dispatch ?seeded prog =
           | Some s -> Alias.Demand_driver.analyze ?seeded driver ~seed:s
           | None -> Pointsto.Analysis.analyze prog
         in
-        prime_result r;
+        Pointsto.Analysis.prime r;
         Hashtbl.replace memo seed r;
         r
 
@@ -405,7 +390,7 @@ let cmd_query file cache incremental demand words =
         end
         else begin
           let r = analyze_file ~cache ~incremental file in
-          prime_result r;
+          Pointsto.Analysis.prime r;
           Alias.Query.run r line
         end
       in
@@ -467,7 +452,7 @@ let cmd_batch file cache incremental demand jobs queries =
              afterwards keeps the output deterministic whatever the
              schedule. *)
           let r = analyze_file ~cache ~incremental file in
-          prime_result r;
+          Pointsto.Analysis.prime r;
           let answer (n, q) =
             match Alias.Query.run r q with
             | Ok ans -> Ok (Fmt.str "%s => %s" q ans)
@@ -554,7 +539,7 @@ let cmd_serve files cache incremental demand budget jobs socket request_deadline
         end
         else begin
           let r = analyze_file ?budget ~cache ~incremental file in
-          prime_result r;
+          Pointsto.Analysis.prime r;
           Hashtbl.replace results file r;
           Some r
         end
@@ -572,7 +557,7 @@ let cmd_serve files cache incremental demand budget jobs socket request_deadline
                   Alias.Demand_driver.analyze ?seeded:de.de_seeded de.de_driver ~seed:s
               | None -> Pointsto.Analysis.analyze de.de_prog
             in
-            prime_result r;
+            Pointsto.Analysis.prime r;
             Mutex.protect de.de_mu (fun () ->
                 match Hashtbl.find_opt de.de_memo seed with
                 | Some winner -> winner

@@ -321,3 +321,12 @@ let pts_at (r : result) (id : int) : Pts.t =
     §6). *)
 let pts_at_no_null (r : result) (id : int) : Pts.t =
   Pts.remove_tgt Loc.Null (pts_at r id)
+
+let prime (r : result) =
+  Hashtbl.iter (fun _ s -> Pts.prime s) r.stmt_pts;
+  Option.iter Pts.prime r.entry_output;
+  Ig.fold
+    (fun () n ->
+      Option.iter Pts.prime n.Ig.stored_input;
+      Option.iter Pts.prime n.Ig.stored_output)
+    () r.graph

@@ -135,3 +135,12 @@ val pts_at : result -> int -> Pts.t
 (** Same, with NULL-target pairs filtered (the paper's statistics
     convention, §6). *)
 val pts_at_no_null : result -> int -> Pts.t
+
+(** Force the lazy reverse index of every points-to set the result
+    reaches: per-statement sets, the entry output and each
+    invocation-graph node's stored input and output. Concurrent readers
+    must not force the same lazy value (two domains racing on one
+    suspension is a runtime error in OCaml 5), so prime a result before
+    sharing it with parallel queries; afterwards answering queries only
+    reads it. *)
+val prime : result -> unit

@@ -9,9 +9,11 @@
     advances and is immune to clock steps.
 
     The origin is arbitrary (boot time on Linux); readings are only
-    meaningful as differences. For timestamps that must align with the
-    outside world (trace spans, log lines) keep using
-    [Unix.gettimeofday] / {!Metrics.now}. *)
+    meaningful as differences. Trace spans ({!Trace.start}) and the
+    phase timers ({!Metrics.now}) read this clock too: both are consumed
+    as durations and offsets, never as dates. Only a timestamp that must
+    align with the outside world, such as a log line, needs
+    [Unix.gettimeofday]. *)
 
 val now_s : unit -> float
 (** Monotonic seconds since an arbitrary origin. *)

@@ -170,6 +170,37 @@ let identity_tests =
           () post);
   ]
 
+(** Slicing must actually trim something on the benchmark suite: if the
+    cheapest-slice non-entry seed of every benchmark covered its whole
+    program, the planner would have degenerated to analyze-everything
+    and demand's speed-ups would be measurement noise. Planning only,
+    no analysis run. *)
+let suite_tests =
+  [
+    case "the planner trims some benchmark to a proper sub-slice" (fun () ->
+        let cheapest name =
+          let p = Simple_ir.Simplify.of_file (Test_benchmarks.bench_path name) in
+          let d = Dd.prepare p in
+          let slices =
+            List.filter_map
+              (fun fn ->
+                let seed = fn.Ir.fn_name in
+                if String.equal seed "main" then None
+                else Some (Demand.slice_size (Dd.plan_for d ~seed)))
+              p.Ir.funcs
+          in
+          (List.fold_left min max_int slices, List.length p.Ir.funcs)
+        in
+        let names = Test_benchmarks.all_names @ [ "livc" ] in
+        Alcotest.(check int) "benchmarks" 18 (List.length names);
+        Alcotest.(check bool) "some benchmark has a proper sub-slice" true
+          (List.exists
+             (fun name ->
+               let slice, funcs = cheapest name in
+               slice < funcs)
+             names));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Random programs (QCheck)                                           *)
 (* ------------------------------------------------------------------ *)
@@ -273,4 +304,4 @@ let property_tests =
   ]
 
 let suite =
-  ("demand", slice_tests @ identity_tests @ property_tests)
+  ("demand", slice_tests @ identity_tests @ suite_tests @ property_tests)

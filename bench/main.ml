@@ -375,10 +375,11 @@ let extensions () =
             { Pointsto.Options.default with Pointsto.Options.share_contexts = false }
           p
       in
-      let on = Analysis.analyze p in
-      if on.Analysis.share_hits > 0 then
-        Fmt.pr "%-12s %14d %14d %8d@." name off.Analysis.bodies_analyzed
-          on.Analysis.bodies_analyzed on.Analysis.share_hits)
+      let on = (Analysis.analyze p).Analysis.metrics in
+      let off = off.Analysis.metrics in
+      if on.Pointsto.Metrics.memo_hits > 0 then
+        Fmt.pr "%-12s %14d %14d %8d@." name off.Pointsto.Metrics.bodies on.bodies
+          on.memo_hits)
     (Paper_data.names @ [ "livc" ]);
   (* section 8: companion heap analysis *)
   Fmt.pr

@@ -110,10 +110,11 @@ let cmd_analyze file cache incremental budget no_context no_definite sym_depth n
       |> List.iter (fun (id, s) ->
              let s = if show_null then s else Pointsto.Pts.remove_tgt Pointsto.Loc.Null s in
              Fmt.pr "s%d: %a@." id Pointsto.Pts.pp s);
+      let m = r.Pointsto.Analysis.metrics in
       if not no_share then
-        Fmt.pr "sub-tree sharing: %d hits, %d body passes@." r.Pointsto.Analysis.share_hits
-          r.Pointsto.Analysis.bodies_analyzed;
-      if show_stats then Fmt.pr "%a@." Pointsto.Stats.pp_engine_metrics r;
+        Fmt.pr "sub-tree sharing: %d hits, %d body passes@." m.Pointsto.Metrics.memo_hits
+          m.bodies;
+      if show_stats then Fmt.pr "%a@." Pointsto.Metrics.pp m;
       match r.Pointsto.Analysis.degraded with
       | Some d ->
           Fmt.pr "%a@." pp_degraded d;
@@ -182,7 +183,7 @@ let pp_stats_report ppf r =
   let s = ig_stats r in
   Fmt.pf ppf "IG: nodes %d sites %d funcs %d R %d A %d Avgc %.2f Avgf %.2f@." s.ig_nodes
     s.call_sites s.n_funcs s.n_recursive s.n_approximate s.avg_per_call_site s.avg_per_func;
-  Fmt.pf ppf "%a@." Pointsto.Stats.pp_engine_metrics r
+  Fmt.pf ppf "%a@." Pointsto.Metrics.pp r.Pointsto.Analysis.metrics
 
 let cmd_stats file cache incremental budget trace_out =
   with_errors (fun () ->
@@ -291,7 +292,8 @@ let cmd_profile files budget timeout_ms jobs trace_out top =
       | Ok r ->
           Fmt.pr "== %s ==@.%d IG nodes, %d body passes, %d sharing hits@." file
             r.Pointsto.Analysis.graph.Pointsto.Invocation_graph.n_nodes
-            r.Pointsto.Analysis.bodies_analyzed r.Pointsto.Analysis.share_hits;
+            r.Pointsto.Analysis.metrics.Pointsto.Metrics.bodies
+            r.Pointsto.Analysis.metrics.Pointsto.Metrics.memo_hits;
           Option.iter
             (fun d ->
               incr degraded_n;
@@ -640,7 +642,18 @@ let cmd_serve files cache incremental demand budget jobs socket request_deadline
           h_paths = List.map (fun f -> (f, f)) files;
         }
       in
-      handler
+      (* the counters of every result resident now: the corpus, or
+         under --demand the memoized slice results *)
+      let resident () =
+        Hashtbl.fold (fun _ r acc -> r.Pointsto.Analysis.metrics :: acc) results []
+        @ Hashtbl.fold
+            (fun _ de acc ->
+              Mutex.protect de.de_mu (fun () ->
+                  Hashtbl.fold (fun _ r acc -> r.Pointsto.Analysis.metrics :: acc)
+                    de.de_memo acc))
+            dentries []
+      in
+      (handler, resident)
       in
       let stop = Atomic.make false in
       let on_signal _ = Atomic.set stop true in
@@ -648,7 +661,7 @@ let cmd_serve files cache incremental demand budget jobs socket request_deadline
         (fun s -> try Sys.set_signal s (Sys.Signal_handle on_signal) with Invalid_argument _ -> ())
         [ Sys.sigterm; Sys.sigint ];
       let run_daemon ~restarts ~journal transport =
-        let handler = boot () in
+        let handler, resident = boot () in
         let config =
           { Pointsto.Serve.jobs; queue_max; request_deadline_ms; restarts; journal }
         in
@@ -663,7 +676,7 @@ let cmd_serve files cache incremental demand budget jobs socket request_deadline
            %d batch(es), %d reload(s)@."
           stats.Pointsto.Serve.s_requests stats.s_ok stats.s_degraded stats.s_errors
           stats.s_shed stats.s_batches stats.s_reloads;
-        if show_stats then Fmt.epr "%a@." Pointsto.Metrics.pp (Pointsto.Metrics.snapshot ())
+        if show_stats then Fmt.epr "%a@." Pointsto.Metrics.pp (Pointsto.Metrics.sum (resident ()))
       in
       if supervise then begin
         match socket with

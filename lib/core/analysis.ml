@@ -26,10 +26,6 @@ type result = {
           invocation contexts) *)
   entry_output : Pts.state;  (** output set of the entry function *)
   warnings : string list;
-  share_hits : int;
-      (** evaluations avoided by §6 sub-tree sharing (option
-          [share_contexts]) *)
-  bodies_analyzed : int;  (** function-body passes performed *)
   metrics : Metrics.t;  (** per-phase timing and operation counters *)
   degraded : degradation option;
       (** [Some _] when the budget blew and these tables come from the
@@ -175,8 +171,6 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
     stmt_pts = ctx.Engine.stmt_pts;
     entry_output;
     warnings = ctx.Engine.warnings;
-    share_hits = ctx.Engine.share_hits;
-    bodies_analyzed = ctx.Engine.bodies_analyzed;
     metrics = Metrics.snapshot ();
     degraded;
     (* only recorded or seeded entries carry the frames {!Persist.save}
@@ -269,8 +263,6 @@ let analyze_demand ?(opts = Options.default) ?(entry = "main") ?seeded ~plan
         stmt_pts = ctx.Engine.stmt_pts;
         entry_output;
         warnings = ctx.Engine.warnings;
-        share_hits = ctx.Engine.share_hits;
-        bodies_analyzed = ctx.Engine.bodies_analyzed;
         metrics = Metrics.snapshot ();
         degraded = None;
         summaries = Engine.store_create ();
@@ -280,27 +272,12 @@ let analyze_demand ?(opts = Options.default) ?(entry = "main") ?seeded ~plan
     with Demand.Oracle_miss _ ->
       (* An evaluated indirect site resolved to a defined target the
          planning oracle missed: the slice is untrustworthy. Rerun
-         exhaustively — [analyze] resets the metrics, so carry the
-         demand counters of the aborted attempt (and the fallback
-         itself) over into both the fresh accumulator and the snapshot
-         the caller reports from. *)
-      let a = Metrics.cur () in
-      let plans = a.Metrics.demand_plans
-      and slice = a.Metrics.demand_slice_funcs
-      and total = a.Metrics.demand_funcs_total
-      and skipped = a.Metrics.demand_skipped
-      and replays = a.Metrics.demand_replays in
+         exhaustively; the result also counts the aborted attempt (plan
+         included), as a degraded result counts its precise one. *)
+      let aborted = Metrics.snapshot () in
       let r = analyze ~opts ~entry ?seeded prog in
-      let carry (m : Metrics.t) =
-        m.Metrics.demand_plans <- m.Metrics.demand_plans + plans;
-        m.Metrics.demand_slice_funcs <- m.Metrics.demand_slice_funcs + slice;
-        m.Metrics.demand_funcs_total <- m.Metrics.demand_funcs_total + total;
-        m.Metrics.demand_skipped <- m.Metrics.demand_skipped + skipped;
-        m.Metrics.demand_replays <- m.Metrics.demand_replays + replays;
-        m.Metrics.demand_fallbacks <- m.Metrics.demand_fallbacks + 1
-      in
-      carry (Metrics.cur ());
-      carry r.metrics;
+      Metrics.add_into ~into:r.metrics aborted;
+      r.metrics.Metrics.demand_fallbacks <- r.metrics.Metrics.demand_fallbacks + 1;
       r
   end
 

@@ -34,12 +34,13 @@ type result = {
           all invocation contexts) *)
   entry_output : Pts.state;  (** output set of the entry function *)
   warnings : string list;
-  share_hits : int;
-      (** evaluations avoided by §6 sub-tree sharing ([share_contexts]) *)
-  bodies_analyzed : int;  (** function-body passes performed *)
   metrics : Metrics.t;
-      (** per-phase timing and operation counters of this run (a
-          snapshot of the engine's global {!Metrics.cur}) *)
+      (** per-phase timing and operation counters of this run, among
+          them the body passes ([bodies]) and the evaluations avoided by
+          §6 sub-tree sharing ([memo_hits]). The result owns this record:
+          it starts as a snapshot of the domain's {!Metrics.cur}, and
+          later work on the result (a {!Persist} cache hit, its save and
+          load timers) is counted here, not in the accumulator *)
   degraded : degradation option;
       (** [Some _] when a resource budget was exhausted and these tables
           come from the widened (context-insensitive, possible-only)
@@ -95,10 +96,11 @@ val analyze :
     plan's seed the recorded row is bit-identical to [analyze]'s — the
     argument is in docs/DEMAND.md; rows of other statements are absent.
 
-    Falls back to the exhaustive [analyze] (counting a
-    [demand_fallbacks] metric) when an evaluated indirect call resolves
-    to a defined target the planning oracle missed, and runs
-    exhaustively outright when [opts] disables context sensitivity.
+    Falls back to the exhaustive [analyze] when an evaluated indirect
+    call resolves to a defined target the planning oracle missed; the
+    fallback's metrics add the aborted sliced attempt's counters and one
+    [demand_fallbacks]. Runs exhaustively outright when [opts] disables
+    context sensitivity.
     Unlike [analyze], this does not reset the {!Metrics} accumulator:
     the caller resets once {e before} building the plan, so the plan's
     slice counters and the run land in one epoch

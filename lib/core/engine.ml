@@ -101,9 +101,6 @@ type ctx = {
   store : store;
       (** completed (input, output) pairs of this run plus the seeds it
           was given (docs/INCREMENTAL.md) *)
-  mutable share_hits : int;
-  mutable bodies_analyzed : int;
-      (** number of times any function body was (re)processed *)
   record_summaries : bool;
       (** record a frame with every evaluated (function, input) pair so
           {!Persist} can write the summary section *)
@@ -142,8 +139,6 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     ci_done = Hashtbl.create 16;
     ci_changed = false;
     store;
-    share_hits = 0;
-    bodies_analyzed = 0;
     record_summaries;
     frame_stack = [];
     demand;
@@ -889,7 +884,6 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
           | Some ({ se_origin = Live; _ } as e) when sharing ->
               (* §6 sub-tree sharing: another context of the same function
                  has already been analyzed with an identical input *)
-              ctx.share_hits <- ctx.share_hits + 1;
               Metrics.((cur ()).memo_hits <- (cur ()).memo_hits + 1);
               node.Ig.stored_input <- Some func_input;
               node.Ig.stored_output <- Some e.se_out;
@@ -939,7 +933,6 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                 let cur_input =
                   match node.Ig.stored_input with Some s -> s | None -> func_input
                 in
-                ctx.bodies_analyzed <- ctx.bodies_analyzed + 1;
                 Metrics.((cur ()).bodies <- (cur ()).bodies + 1);
                 let tb0 = Trace.start () in
                 let fl =

@@ -3,10 +3,12 @@
     One mutable record per domain accumulates counts from the hot paths
     of the analysis — the points-to lattice operations ({!Pts}), the
     kill / change / gen rule and the fixed points ({!Engine}), and the
-    call mapping machinery ({!Map_unmap}). {!Analysis.analyze} resets
-    the calling domain's record on entry and stores a {!snapshot} in its
-    result, so every result carries the exact work its computation
-    performed.
+    call mapping machinery ({!Map_unmap}). Only the analysis entry
+    points ({!Analysis.analyze} and the demand driver) {!reset} it; each
+    stores a {!snapshot} in its result, and from then on the result owns
+    its counters: code that works on a returned result ({!Persist}'s
+    cache and timers, the demand fallback) bumps the result's record,
+    never the accumulator.
 
     The accumulator is domain-local ({!Domain.DLS}): an analysis runs
     wholly on one domain, so parallel workers ({!Pool}) never contend on
@@ -92,12 +94,6 @@ type t = {
   mutable ext_unmodeled : int;
       (** external call evaluations that fell back to the coarse
           model *)
-  (* analysis daemon ({!Serve}); daemon-level counters, always 0 in a
-     single analysis' snapshot and deliberately not persisted *)
-  mutable serve_requests : int;  (** protocol requests received *)
-  mutable serve_errors : int;  (** requests answered with an [error] reply *)
-  mutable serve_shed : int;
-      (** requests shed by admission control (a [busy] reply) *)
   (* per-phase wall-clock time, seconds *)
   mutable t_map : float;  (** in {!Map_unmap.map_call} *)
   mutable t_unmap : float;  (** in {!Map_unmap.unmap_call} *)
@@ -141,15 +137,64 @@ let create () =
     demand_fallbacks = 0;
     ext_modeled = 0;
     ext_unmodeled = 0;
-    serve_requests = 0;
-    serve_errors = 0;
-    serve_shed = 0;
     t_map = 0.;
     t_unmap = 0.;
     t_analysis = 0.;
     t_serialize = 0.;
     t_deserialize = 0.;
   }
+
+(** One field of {!t}: its reader and writer. *)
+type field =
+  | Count of (t -> int) * (t -> int -> unit)
+  | Time of (t -> float) * (t -> float -> unit)
+
+(* Every field of [t] once, in record order. Aggregation and the
+   {!Persist} encoding are folds over this table, so a counter listed
+   here is summed and persisted with no edit to either. The order is
+   the on-disk order: a change to this list needs a [Persist.version]
+   bump. *)
+let fields =
+  [
+    Count ((fun m -> m.merges), fun m v -> m.merges <- v);
+    Count ((fun m -> m.merge_fast), fun m v -> m.merge_fast <- v);
+    Count ((fun m -> m.equal_checks), fun m v -> m.equal_checks <- v);
+    Count ((fun m -> m.equal_fast), fun m v -> m.equal_fast <- v);
+    Count ((fun m -> m.covered_checks), fun m v -> m.covered_checks <- v);
+    Count ((fun m -> m.covered_fast), fun m v -> m.covered_fast <- v);
+    Count ((fun m -> m.assigns), fun m v -> m.assigns <- v);
+    Count ((fun m -> m.kills), fun m v -> m.kills <- v);
+    Count ((fun m -> m.weakens), fun m v -> m.weakens <- v);
+    Count ((fun m -> m.gens), fun m v -> m.gens <- v);
+    Count ((fun m -> m.loop_iters), fun m v -> m.loop_iters <- v);
+    Count ((fun m -> m.rec_iters), fun m v -> m.rec_iters <- v);
+    Count ((fun m -> m.bodies), fun m v -> m.bodies <- v);
+    Count ((fun m -> m.memo_lookups), fun m v -> m.memo_lookups <- v);
+    Count ((fun m -> m.memo_hits), fun m v -> m.memo_hits <- v);
+    Count ((fun m -> m.map_calls), fun m v -> m.map_calls <- v);
+    Count ((fun m -> m.unmap_calls), fun m v -> m.unmap_calls <- v);
+    Count ((fun m -> m.cache_hits), fun m v -> m.cache_hits <- v);
+    Count ((fun m -> m.cache_misses), fun m v -> m.cache_misses <- v);
+    Count ((fun m -> m.cache_quarantined), fun m v -> m.cache_quarantined <- v);
+    Count ((fun m -> m.budget_trips), fun m v -> m.budget_trips <- v);
+    Count ((fun m -> m.heap_trips), fun m v -> m.heap_trips <- v);
+    Count ((fun m -> m.ckpt_funcs), fun m v -> m.ckpt_funcs <- v);
+    Count ((fun m -> m.incr_funcs_dirty), fun m v -> m.incr_funcs_dirty <- v);
+    Count ((fun m -> m.incr_funcs_reused), fun m v -> m.incr_funcs_reused <- v);
+    Count ((fun m -> m.demand_plans), fun m v -> m.demand_plans <- v);
+    Count ((fun m -> m.demand_slice_funcs), fun m v -> m.demand_slice_funcs <- v);
+    Count ((fun m -> m.demand_funcs_total), fun m v -> m.demand_funcs_total <- v);
+    Count ((fun m -> m.demand_skipped), fun m v -> m.demand_skipped <- v);
+    Count ((fun m -> m.demand_replays), fun m v -> m.demand_replays <- v);
+    Count ((fun m -> m.demand_fallbacks), fun m v -> m.demand_fallbacks <- v);
+    Count ((fun m -> m.ext_modeled), fun m v -> m.ext_modeled <- v);
+    Count ((fun m -> m.ext_unmodeled), fun m v -> m.ext_unmodeled <- v);
+    Time ((fun m -> m.t_map), fun m v -> m.t_map <- v);
+    Time ((fun m -> m.t_unmap), fun m v -> m.t_unmap <- v);
+    Time ((fun m -> m.t_analysis), fun m v -> m.t_analysis <- v);
+    Time ((fun m -> m.t_serialize), fun m v -> m.t_serialize <- v);
+    Time ((fun m -> m.t_deserialize), fun m v -> m.t_deserialize <- v);
+  ]
 
 (* One accumulator per domain: worker domains spawned by {!Pool} get a
    fresh record on first use, so the hot-path bumps below never race. *)
@@ -158,49 +203,7 @@ let key : t Domain.DLS.key = Domain.DLS.new_key create
 (** The calling domain's accumulator. *)
 let cur () = Domain.DLS.get key
 
-let reset () =
-  let cur = cur () in
-  cur.merges <- 0;
-  cur.merge_fast <- 0;
-  cur.equal_checks <- 0;
-  cur.equal_fast <- 0;
-  cur.covered_checks <- 0;
-  cur.covered_fast <- 0;
-  cur.assigns <- 0;
-  cur.kills <- 0;
-  cur.weakens <- 0;
-  cur.gens <- 0;
-  cur.loop_iters <- 0;
-  cur.rec_iters <- 0;
-  cur.bodies <- 0;
-  cur.memo_lookups <- 0;
-  cur.memo_hits <- 0;
-  cur.map_calls <- 0;
-  cur.unmap_calls <- 0;
-  cur.cache_hits <- 0;
-  cur.cache_misses <- 0;
-  cur.cache_quarantined <- 0;
-  cur.budget_trips <- 0;
-  cur.heap_trips <- 0;
-  cur.ckpt_funcs <- 0;
-  cur.incr_funcs_dirty <- 0;
-  cur.incr_funcs_reused <- 0;
-  cur.demand_plans <- 0;
-  cur.demand_slice_funcs <- 0;
-  cur.demand_funcs_total <- 0;
-  cur.demand_skipped <- 0;
-  cur.demand_replays <- 0;
-  cur.demand_fallbacks <- 0;
-  cur.ext_modeled <- 0;
-  cur.ext_unmodeled <- 0;
-  cur.serve_requests <- 0;
-  cur.serve_errors <- 0;
-  cur.serve_shed <- 0;
-  cur.t_map <- 0.;
-  cur.t_unmap <- 0.;
-  cur.t_analysis <- 0.;
-  cur.t_serialize <- 0.;
-  cur.t_deserialize <- 0.
+let reset () = Domain.DLS.set key (create ())
 
 let snapshot () =
   let cur = cur () in
@@ -211,47 +214,11 @@ let snapshot () =
     into one table; times add up to total CPU-seconds across domains,
     not wall-clock. *)
 let add_into ~(into : t) (m : t) =
-  into.merges <- into.merges + m.merges;
-  into.merge_fast <- into.merge_fast + m.merge_fast;
-  into.equal_checks <- into.equal_checks + m.equal_checks;
-  into.equal_fast <- into.equal_fast + m.equal_fast;
-  into.covered_checks <- into.covered_checks + m.covered_checks;
-  into.covered_fast <- into.covered_fast + m.covered_fast;
-  into.assigns <- into.assigns + m.assigns;
-  into.kills <- into.kills + m.kills;
-  into.weakens <- into.weakens + m.weakens;
-  into.gens <- into.gens + m.gens;
-  into.loop_iters <- into.loop_iters + m.loop_iters;
-  into.rec_iters <- into.rec_iters + m.rec_iters;
-  into.bodies <- into.bodies + m.bodies;
-  into.memo_lookups <- into.memo_lookups + m.memo_lookups;
-  into.memo_hits <- into.memo_hits + m.memo_hits;
-  into.map_calls <- into.map_calls + m.map_calls;
-  into.unmap_calls <- into.unmap_calls + m.unmap_calls;
-  into.cache_hits <- into.cache_hits + m.cache_hits;
-  into.cache_misses <- into.cache_misses + m.cache_misses;
-  into.cache_quarantined <- into.cache_quarantined + m.cache_quarantined;
-  into.budget_trips <- into.budget_trips + m.budget_trips;
-  into.heap_trips <- into.heap_trips + m.heap_trips;
-  into.ckpt_funcs <- into.ckpt_funcs + m.ckpt_funcs;
-  into.incr_funcs_dirty <- into.incr_funcs_dirty + m.incr_funcs_dirty;
-  into.incr_funcs_reused <- into.incr_funcs_reused + m.incr_funcs_reused;
-  into.demand_plans <- into.demand_plans + m.demand_plans;
-  into.demand_slice_funcs <- into.demand_slice_funcs + m.demand_slice_funcs;
-  into.demand_funcs_total <- into.demand_funcs_total + m.demand_funcs_total;
-  into.demand_skipped <- into.demand_skipped + m.demand_skipped;
-  into.demand_replays <- into.demand_replays + m.demand_replays;
-  into.demand_fallbacks <- into.demand_fallbacks + m.demand_fallbacks;
-  into.ext_modeled <- into.ext_modeled + m.ext_modeled;
-  into.ext_unmodeled <- into.ext_unmodeled + m.ext_unmodeled;
-  into.serve_requests <- into.serve_requests + m.serve_requests;
-  into.serve_errors <- into.serve_errors + m.serve_errors;
-  into.serve_shed <- into.serve_shed + m.serve_shed;
-  into.t_map <- into.t_map +. m.t_map;
-  into.t_unmap <- into.t_unmap +. m.t_unmap;
-  into.t_analysis <- into.t_analysis +. m.t_analysis;
-  into.t_serialize <- into.t_serialize +. m.t_serialize;
-  into.t_deserialize <- into.t_deserialize +. m.t_deserialize
+  List.iter
+    (function
+      | Count (get, set) -> set into (get into + get m)
+      | Time (get, set) -> set into (get into +. get m))
+    fields
 
 let sum (ms : t list) : t =
   let acc = create () in
@@ -310,13 +277,8 @@ let rows (m : t) : (string * string) list =
         m.demand_replays m.demand_fallbacks );
     ( "external calls",
       Printf.sprintf "%d modeled, %d unmodeled" m.ext_modeled m.ext_unmodeled );
-    ( "serve traffic",
-      Printf.sprintf "%d requests (%d errors, %d shed)" m.serve_requests m.serve_errors
-        m.serve_shed );
   ]
 (* END stats-labels *)
-
-let labels = List.map fst (rows (create ()))
 
 let pp ppf (m : t) =
   Fmt.pf ppf "@[<v>%a@]"

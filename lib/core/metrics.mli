@@ -1,9 +1,12 @@
 (** Engine observability: per-phase timing and work counters.
 
-    {!Analysis.analyze} resets the calling domain's accumulator
-    ({!cur}) on entry and stores a {!snapshot} in its result. Surfaced
-    by [ptan analyze --stats], [ptan stats], [ptan tables --stats] and
-    the bench harness.
+    Only the analysis entry points ({!Analysis.analyze} and
+    [Alias.Demand_driver.analyze]) {!reset} the calling domain's
+    accumulator ({!cur}); each stores a {!snapshot} in its result, which
+    owns its counters from then on (later work on a result, such as a
+    cache hit, bumps the result's record). Surfaced by
+    [ptan analyze --stats], [ptan stats], [ptan tables --stats],
+    [ptan serve --stats] and the bench harness.
 
     The accumulator is domain-local ({!Domain.DLS}): each {!Pool}
     worker bumps its own record, so parallel analyses never contend and
@@ -68,12 +71,6 @@ type t = {
   mutable ext_unmodeled : int;
       (** external call evaluations that fell back to the coarse
           model *)
-  mutable serve_requests : int;
-      (** {!Serve} protocol requests received (daemon-level; always 0
-          in a single analysis' snapshot, not persisted) *)
-  mutable serve_errors : int;  (** {!Serve} requests answered with [error] *)
-  mutable serve_shed : int;
-      (** {!Serve} requests shed by admission control ([busy] replies) *)
   mutable t_map : float;  (** seconds in {!Map_unmap.map_call} *)
   mutable t_unmap : float;
   mutable t_analysis : float;  (** whole-analysis wall-clock seconds *)
@@ -83,11 +80,23 @@ type t = {
 
 val create : unit -> t
 
+(** One field of {!t}: its reader and writer. *)
+type field =
+  | Count of (t -> int) * (t -> int -> unit)
+  | Time of (t -> float) * (t -> float -> unit)
+
+(** Every field of {!t} exactly once, in record order. {!add_into} and
+    {!Persist}'s encoding are folds over it, so adding a counter means
+    adding the field to {!t} and to {!create}, one line here, and a
+    bump of [Persist.version]. *)
+val fields : field list
+
 (** The calling domain's accumulator (created on first use, one record
     per domain). *)
 val cur : unit -> t
 
-(** Zero the calling domain's accumulator. *)
+(** Replace the calling domain's accumulator with a fresh record. Only
+    the analysis entry points call it. *)
 val reset : unit -> unit
 
 (** An independent copy of the calling domain's accumulator. *)
@@ -115,8 +124,5 @@ val ratio : int -> int -> float
     [scripts/check_cli_docs.sh] checks every label is documented in
     docs/CLI.md. *)
 val rows : t -> (string * string) list
-
-(** First components of {!rows}, in print order. *)
-val labels : string list
 
 val pp : Format.formatter -> t -> unit

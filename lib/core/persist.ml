@@ -14,8 +14,8 @@
     reaches a steady state, so most statements share one of a few dozen
     sets; each is written once, grouped by source location), the
     per-statement set references, the entry output, warnings, the
-    sharing counters, the metrics snapshot, and the invocation graph in
-    pre-order. The header carries a digest of the payload, verified
+    metrics record (every {!Metrics.fields} entry), and the invocation
+    graph in pre-order. The header carries a digest of the payload, verified
     before any decoding (in particular before [Marshal.from_string],
     which is not robust against corrupt input). Every decode path
     bounds-checks and raises {!Bad}, which [load] maps to [None] — a
@@ -25,7 +25,7 @@
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 4
+let version = 5
 
 let magic = "PTANC"
 
@@ -448,46 +448,17 @@ let r_map_info arr r : Ig.map_info =
 (* ------------------------------------------------------------------ *)
 
 let w_metrics b (m : Metrics.t) =
-  List.iter (w_u b)
-    [
-      m.Metrics.merges; m.merge_fast; m.equal_checks; m.equal_fast; m.covered_checks;
-      m.covered_fast; m.assigns; m.kills; m.weakens; m.gens; m.loop_iters; m.rec_iters;
-      m.bodies; m.memo_lookups; m.memo_hits; m.map_calls; m.unmap_calls; m.cache_hits;
-      m.cache_misses; m.cache_quarantined; m.budget_trips; m.incr_funcs_dirty;
-      m.incr_funcs_reused;
-    ];
-  List.iter (w_float b) [ m.t_map; m.t_unmap; m.t_analysis; m.t_serialize; m.t_deserialize ]
+  List.iter
+    (function
+      | Metrics.Count (get, _) -> w_u b (get m) | Metrics.Time (get, _) -> w_float b (get m))
+    Metrics.fields
 
 let r_metrics r : Metrics.t =
   let m = Metrics.create () in
-  m.Metrics.merges <- r_u r;
-  m.merge_fast <- r_u r;
-  m.equal_checks <- r_u r;
-  m.equal_fast <- r_u r;
-  m.covered_checks <- r_u r;
-  m.covered_fast <- r_u r;
-  m.assigns <- r_u r;
-  m.kills <- r_u r;
-  m.weakens <- r_u r;
-  m.gens <- r_u r;
-  m.loop_iters <- r_u r;
-  m.rec_iters <- r_u r;
-  m.bodies <- r_u r;
-  m.memo_lookups <- r_u r;
-  m.memo_hits <- r_u r;
-  m.map_calls <- r_u r;
-  m.unmap_calls <- r_u r;
-  m.cache_hits <- r_u r;
-  m.cache_misses <- r_u r;
-  m.cache_quarantined <- r_u r;
-  m.budget_trips <- r_u r;
-  m.incr_funcs_dirty <- r_u r;
-  m.incr_funcs_reused <- r_u r;
-  m.t_map <- r_float r;
-  m.t_unmap <- r_float r;
-  m.t_analysis <- r_float r;
-  m.t_serialize <- r_float r;
-  m.t_deserialize <- r_float r;
+  List.iter
+    (function
+      | Metrics.Count (_, set) -> set m (r_u r) | Metrics.Time (_, set) -> set m (r_float r))
+    Metrics.fields;
   m
 
 (* ------------------------------------------------------------------ *)
@@ -739,8 +710,6 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
   w_state e rw se pay res.Analysis.entry_output;
   w_u pay (List.length res.Analysis.warnings);
   List.iter (w_str pay) res.Analysis.warnings;
-  w_u pay res.Analysis.share_hits;
-  w_u pay res.Analysis.bodies_analyzed;
   w_metrics pay res.Analysis.metrics;
   w_u pay res.Analysis.graph.Ig.n_nodes;
   w_node e rw se pay res.Analysis.graph.Ig.root;
@@ -839,7 +808,7 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
       (* chaos harness: corrupt the published entry, exactly like torn
          storage under a complete, well-formed file name *)
       Fault.maybe_corrupt_file file);
-  let m = Metrics.cur () in
+  let m = res.Analysis.metrics in
   m.Metrics.t_serialize <- m.Metrics.t_serialize +. (Metrics.now () -. t0);
   if Trace.on () then
     Trace.emit Trace.Cache_store
@@ -878,8 +847,6 @@ let decode_body ~opts r : Analysis.result * raw_summaries =
   done;
   let entry_output = r_state sets r in
   let warnings = r_list r (fun () -> r_str r) in
-  let share_hits = r_u r in
-  let bodies_analyzed = r_u r in
   let metrics = r_metrics r in
   let n_nodes = r_u r in
   let root = r_node arr sets r ~parent:None ~nodes:(Hashtbl.create 64) in
@@ -907,8 +874,6 @@ let decode_body ~opts r : Analysis.result * raw_summaries =
       stmt_pts;
       entry_output;
       warnings;
-      share_hits;
-      bodies_analyzed;
       metrics;
       (* degraded results are never saved (see [analyze_cached]), so
          anything loaded back is a full-precision run *)
@@ -944,8 +909,11 @@ let read_entry ~source ~opts file :
         Ok (stored_key, res, raw)
       with Bad | Failure _ | Invalid_argument _ | Sys_error _ | End_of_file -> Error Corrupt
   in
-  let m = Metrics.cur () in
-  m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. (Metrics.now () -. t0);
+  Result.iter
+    (fun (_, res, _) ->
+      let m = res.Analysis.metrics in
+      m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. (Metrics.now () -. t0))
+    res;
   if Trace.on () then
     Trace.emit Trace.Cache_load
       ~name:(Filename.basename source)
@@ -1140,7 +1108,6 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
     ?(incremental = false) source : Analysis.result * bool =
   let dir = match cache_dir with Some d -> d | None -> default_cache_dir () in
   let seedable = incremental && seedable_mode opts in
-  let t0 = Metrics.now () in
   let quarantined = ref 0 in
   (* The key is computed before the entry is read: a source that cannot
      be read says nothing about the entry, which stays where it is, and
@@ -1165,10 +1132,8 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
         Some (file, mykey, stored)
   in
   let count_hit (res : Analysis.result) =
-    (Metrics.cur ()).Metrics.cache_hits <- (Metrics.cur ()).Metrics.cache_hits + 1;
-    res.Analysis.metrics.Metrics.cache_hits <- res.Analysis.metrics.Metrics.cache_hits + 1;
-    res.Analysis.metrics.Metrics.t_deserialize <-
-      res.Analysis.metrics.Metrics.t_deserialize +. (Metrics.now () -. t0);
+    let m = res.Analysis.metrics in
+    m.Metrics.cache_hits <- m.Metrics.cache_hits + 1;
     (res, true)
   in
   match lookup with
@@ -1215,11 +1180,8 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
              statement ids it assigned are identical by construction *)
           let res = { old_res with Analysis.prog; tenv = Tenv.make ~opts prog } in
           rekey_file ~data:raw.rs_data ~newkey:mykey file;
-          List.iter
-            (fun (m : Metrics.t) ->
-              m.Metrics.incr_funcs_dirty <- 0;
-              m.Metrics.incr_funcs_reused <- n_defined)
-            [ Metrics.cur (); res.Analysis.metrics ];
+          res.Analysis.metrics.Metrics.incr_funcs_dirty <- 0;
+          res.Analysis.metrics.Metrics.incr_funcs_reused <- n_defined;
           count_hit res
       | _ ->
           let dirty, seeded =
@@ -1241,23 +1203,16 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
           let res =
             Analysis.analyze ~opts ~entry ?budget ~record_summaries:seedable ?seeded prog
           in
-          if incremental then begin
-            (Metrics.cur ()).Metrics.incr_funcs_dirty <- dirty;
-            res.Analysis.metrics.Metrics.incr_funcs_dirty <- dirty
-          end;
+          let m = res.Analysis.metrics in
+          if incremental then m.Metrics.incr_funcs_dirty <- dirty;
           (* a degraded result is not the full-precision answer the key
              promises — never publish it to the cache *)
           (match lookup with
           | Some (file, _, _) when res.Analysis.degraded = None -> (
               try save ~source ~entry res file with Sys_error _ | Failure _ -> ())
           | _ -> ());
-          (* counters bumped after the analysis, which reset this
-             domain's accumulator; re-applied to both the accumulator and
-             the result's snapshot *)
-          List.iter
-            (fun (m : Metrics.t) ->
-              m.Metrics.cache_quarantined <- m.Metrics.cache_quarantined + !quarantined;
-              m.Metrics.cache_misses <- m.Metrics.cache_misses + 1)
-            [ Metrics.cur (); res.Analysis.metrics ];
-          res.Analysis.metrics.Metrics.t_serialize <- (Metrics.cur ()).Metrics.t_serialize;
+          (* after the save: the entry's record, which a hit reports,
+             carries the analysis counters only *)
+          m.Metrics.cache_quarantined <- m.Metrics.cache_quarantined + !quarantined;
+          m.Metrics.cache_misses <- m.Metrics.cache_misses + 1;
           (res, false))

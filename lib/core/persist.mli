@@ -16,7 +16,7 @@
     index), the per-statement {!Pts.t} sets, the entry output state, the
     invocation-graph shape (nodes, kinds, recursive back-edges, stored
     IN/OUT pairs and map information), and the run's {!Metrics.t}
-    snapshot. Loading re-lowers the (digest-verified) source to rebuild
+    record (every field of {!Metrics.fields}). Loading re-lowers the (digest-verified) source to rebuild
     the program and typing environment — parsing is cheap; only the
     fixed point is worth persisting.
 
@@ -59,8 +59,8 @@ val key : source:string -> opts:Options.t -> entry:string -> string
     analyzing [source] with entry [entry], default ["main"]) to [file]
     in the versioned binary format. The options are taken from the
     result's typing environment. Creates parent directories as needed;
-    writes atomically (temp file + rename). Records its cost in
-    {!Metrics.cur}[.t_serialize]. *)
+    writes atomically (temp file + rename). Adds its cost to the
+    result's [metrics.t_serialize], after the record is written. *)
 val save : source:string -> ?entry:string -> Analysis.result -> string -> unit
 
 (** Why a load produced no result. *)
@@ -84,7 +84,7 @@ val load_error_name : load_error -> string
     result is equivalent to the one originally saved: same
     per-statement points-to sets, entry output, invocation graph
     (shape, stored IN/OUT, map information), warnings and counters.
-    Records its cost in {!Metrics.cur}[.t_deserialize]. *)
+    Records its cost in the loaded result's [metrics.t_deserialize]. *)
 val load_checked :
   source:string ->
   ?opts:Options.t ->

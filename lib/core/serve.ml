@@ -3,8 +3,8 @@
     The calling domain owns the event loop and every mutable piece of
     daemon state (connections, counters); only the pure per-query
     closure crosses onto {!Pool} domains. Replies are classified and
-    counted back on the event-loop domain, so {!Metrics} mirroring
-    never races. *)
+    counted back on the event-loop domain, so the traffic counters
+    ({!stats}) never race. *)
 
 type answer =
   | Ans of string
@@ -276,7 +276,6 @@ let process pool cfg handler stats quit watching ~t0 pending =
   Fault.maybe_worker_kill ();
   let t_batch0 = Mono.now_s () in
   stats.s_batches <- stats.s_batches + 1;
-  let m = Metrics.cur () in
   let rec split_at n = function
     | [] -> ([], [])
     | l when n = 0 -> ([], l)
@@ -290,7 +289,6 @@ let process pool cfg handler stats quit watching ~t0 pending =
     List.map
       (fun (c, line) ->
         stats.s_requests <- stats.s_requests + 1;
-        m.Metrics.serve_requests <- m.Metrics.serve_requests + 1;
         match parse_request line with
         | Error e -> (c, Either.Left (reply_error e))
         | Ok Ping -> (c, Either.Left "ok pong")
@@ -373,9 +371,7 @@ let process pool cfg handler stats quit watching ~t0 pending =
     @ List.map
         (fun (c, _) ->
           stats.s_requests <- stats.s_requests + 1;
-          m.Metrics.serve_requests <- m.Metrics.serve_requests + 1;
           stats.s_shed <- stats.s_shed + 1;
-          m.Metrics.serve_shed <- m.Metrics.serve_shed + 1;
           ( c,
             Printf.sprintf "busy retry-after-ms=%d queue full (%d pending, max %d per \
                             batch)"
@@ -387,10 +383,8 @@ let process pool cfg handler stats quit watching ~t0 pending =
       if String.length r >= 2 && String.sub r 0 2 = "ok" then stats.s_ok <- stats.s_ok + 1
       else if String.length r >= 8 && String.sub r 0 8 = "degraded" then
         stats.s_degraded <- stats.s_degraded + 1
-      else if String.length r >= 5 && String.sub r 0 5 = "error" then begin
-        stats.s_errors <- stats.s_errors + 1;
-        m.Metrics.serve_errors <- m.Metrics.serve_errors + 1
-      end)
+      else if String.length r >= 5 && String.sub r 0 5 = "error" then
+        stats.s_errors <- stats.s_errors + 1)
     replies;
   (* one write per connection per batch *)
   let outs : (conn * Buffer.t) list ref = ref [] in

@@ -125,8 +125,8 @@ val default_config : config
 (** Traffic counters, returned by {!run} and rendered by the [stats]
     request ([ok requests=... ok=... degraded=... error=... shed=...
     batches=... reloads=...]; the [stats] request counts itself).
-    Mirrored into {!Metrics} ([serve_requests] / [serve_errors] /
-    [serve_shed]). *)
+    The only record of daemon traffic: {!Metrics} holds analysis
+    counters, owned by the results the daemon serves. *)
 type stats = {
   mutable s_requests : int;  (** non-empty request lines received *)
   mutable s_ok : int;

@@ -11,17 +11,6 @@ module Ig = Invocation_graph
 let no_null (s : Pts.t) = Pts.remove_tgt Loc.Null s
 
 (* ------------------------------------------------------------------ *)
-(* Engine cost counters (per-phase timings and operation counts)      *)
-(* ------------------------------------------------------------------ *)
-
-(** The per-phase timing and counter record of a run (fixpoint
-    iterations, kill/gen applications, merge and memo fast-path rates),
-    as recorded by the engine. *)
-let engine_metrics (r : Analysis.result) : Metrics.t = r.Analysis.metrics
-
-let pp_engine_metrics ppf (r : Analysis.result) = Metrics.pp ppf r.Analysis.metrics
-
-(* ------------------------------------------------------------------ *)
 (* Table 2: abstract stack sizes                                      *)
 (* ------------------------------------------------------------------ *)
 

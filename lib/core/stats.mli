@@ -6,16 +6,6 @@ module Ir = Simple_ir.Ir
 
 val no_null : Pts.t -> Pts.t
 
-(** {2 Engine cost counters}
-
-    Per-phase timings and operation counts recorded while the result was
-    computed (see {!Metrics}): body passes, fixpoint iterations, kill /
-    weaken / gen applications, merge and equality fast-path rates,
-    map/unmap time, memo hit rate. *)
-
-val engine_metrics : Analysis.result -> Metrics.t
-val pp_engine_metrics : Format.formatter -> Analysis.result -> unit
-
 (** {2 Table 2: benchmark characteristics} *)
 
 type characteristics = {

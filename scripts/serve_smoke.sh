@@ -116,4 +116,21 @@ grep -q '^serve: shutdown after 1 request(s): 1 ok,' "$tmp/serve3.err" \
   || { echo "serve_smoke: missing shutdown summary" >&2; cat "$tmp/serve3.err" >&2; exit 1; }
 echo "serve_smoke: SIGTERM shutdown clean (exit 0, summary printed)"
 
+# ---- 4. --stats survives a reload --------------------------------------
+# Six requests with a reload (a cache hit: the entry is warm from
+# section 1) in the middle. The shutdown line must count all six, and
+# the engine counters printed at shutdown are those of the resident
+# result, so its body passes match a cold `ptan analyze`.
+printf 'q hash pts lookup s3 e\nping\nreload hash\nq hash pts lookup s3 e\nstats\nping\n' \
+  >"$tmp/reload.txt"
+"$ptan" serve benchmarks/hash.c --cache-dir "$cache" --stats \
+  <"$tmp/reload.txt" >"$tmp/got4.txt" 2>"$tmp/serve4.err"
+grep -q '^serve: shutdown after 6 request(s): 6 ok,' "$tmp/serve4.err" \
+  || { echo "serve_smoke: shutdown line does not count 6 requests" >&2; cat "$tmp/serve4.err" >&2; exit 1; }
+cold_bodies=$("$ptan" analyze --no-cache --stats benchmarks/hash.c | grep '^body passes:')
+[ -n "$cold_bodies" ] || { echo "serve_smoke: no body passes line from ptan analyze" >&2; exit 1; }
+[ "$(grep '^body passes:' "$tmp/serve4.err")" = "$cold_bodies" ] \
+  || { echo "serve_smoke: serve --stats body passes differ from '$cold_bodies'" >&2; cat "$tmp/serve4.err" >&2; exit 1; }
+echo "serve_smoke: --stats across a reload counts every request and the resident result"
+
 echo "serve_smoke: OK"

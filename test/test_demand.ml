@@ -168,6 +168,27 @@ let identity_tests =
               true
               (Pts.is_empty (Analysis.pts_at dem s.Ir.s_id)))
           () post);
+    case "an oracle miss falls back and keeps the sliced attempt's counters" (fun () ->
+        (* an oracle that predicts no target at any indirect site: main's
+           fp() resolves to f1 and f2 at run time, so the sliced run
+           aborts to the exhaustive engine *)
+        let prog = simplify fp_src in
+        let exh = Analysis.analyze prog in
+        Pointsto.Metrics.reset ();
+        let plan = Demand.plan prog ~entry:"main" ~seed:"main" (fun ~fn:_ ~sid:_ -> []) in
+        let dem = Analysis.analyze_demand ~plan prog in
+        Ir.fold_func
+          (fun () s ->
+            Alcotest.(check string)
+              (Fmt.str "row s%d of main" s.Ir.s_id)
+              (Pts.to_string (Analysis.pts_at exh s.Ir.s_id))
+              (Pts.to_string (Analysis.pts_at dem s.Ir.s_id)))
+          ()
+          (Option.get (Ir.find_func prog "main"));
+        let m = dem.Analysis.metrics in
+        Alcotest.(check int) "one fallback" 1 m.Pointsto.Metrics.demand_fallbacks;
+        Alcotest.(check int) "the plan survives the fallback" 1
+          m.Pointsto.Metrics.demand_plans);
   ]
 
 (** Slicing must actually trim something on the benchmark suite: if the

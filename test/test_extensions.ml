@@ -28,9 +28,10 @@ let sharing_tests =
         in
         let off = analyze ~opts:no_share_opts src in
         let on = analyze ~opts:share_opts src in
-        Alcotest.(check bool) "hits occurred" true (on.Analysis.share_hits > 0);
+        let m (r : Analysis.result) = r.Analysis.metrics in
+        Alcotest.(check bool) "hits occurred" true ((m on).Pointsto.Metrics.memo_hits > 0);
         Alcotest.(check bool) "fewer body passes" true
-          (on.Analysis.bodies_analyzed < off.Analysis.bodies_analyzed);
+          ((m on).Pointsto.Metrics.bodies < (m off).Pointsto.Metrics.bodies);
         Alcotest.(check bool) "identical result" true
           (Pts.state_equal off.Analysis.entry_output on.Analysis.entry_output));
     case "sharing does not conflate different inputs" (fun () ->
@@ -42,7 +43,8 @@ let sharing_tests =
         let res = analyze ~opts:share_opts src in
         check_targets "p" [ "v/D" ] (exit_targets res "p");
         check_targets "q" [ "w/D" ] (exit_targets res "q");
-        Alcotest.(check int) "no spurious hits" 0 res.Analysis.share_hits);
+        Alcotest.(check int)
+          "no spurious hits" 0 res.Analysis.metrics.Pointsto.Metrics.memo_hits);
     case "whole benchmark agrees under sharing" (fun () ->
         let p = Simple_ir.Simplify.of_file "../benchmarks/config.c" in
         let off = Analysis.analyze ~opts:no_share_opts p in
@@ -50,7 +52,8 @@ let sharing_tests =
         Alcotest.(check bool) "same output" true
           (Pts.state_equal off.Analysis.entry_output on.Analysis.entry_output);
         Alcotest.(check bool) "saves work" true
-          (on.Analysis.bodies_analyzed < off.Analysis.bodies_analyzed));
+          (on.Analysis.metrics.Pointsto.Metrics.bodies
+          < off.Analysis.metrics.Pointsto.Metrics.bodies));
   ]
 
 let heap_tests =

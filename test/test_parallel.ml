@@ -147,7 +147,10 @@ let determinism_tests =
             let off =
               Analysis.analyze ~opts:{ Options.default with Options.share_contexts = false } p
             in
-            Alcotest.(check bool) (n ^ ": memo exercised") true (on.Analysis.share_hits > 0);
+            Alcotest.(check bool)
+              (n ^ ": memo exercised")
+              true
+              (on.Analysis.metrics.Pointsto.Metrics.memo_hits > 0);
             Alcotest.(check string) (n ^ ": table rows") (rows off) (rows on);
             Alcotest.(check string) (n ^ ": statement sets") (stmt_digest off) (stmt_digest on))
           fp_heavy);

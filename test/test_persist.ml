@@ -98,7 +98,8 @@ let roundtrip_tests =
         let fresh, loaded = save_load (bench "livc") in
         check_equivalent "livc" fresh loaded;
         Alcotest.(check int)
-          "bodies_analyzed" fresh.Analysis.bodies_analyzed loaded.Analysis.bodies_analyzed);
+          "bodies" fresh.Analysis.metrics.Pointsto.Metrics.bodies
+          loaded.Analysis.metrics.Pointsto.Metrics.bodies);
     case "round trip reproduces a recursive benchmark (xref)" (fun () ->
         let fresh, loaded = save_load (bench "xref") in
         check_equivalent "xref" fresh loaded);
@@ -199,6 +200,24 @@ let cache_tests =
             Alcotest.(check int)
               "hit recorded" 1 warm.Analysis.metrics.Pointsto.Metrics.cache_hits;
             check_equivalent "stanford cached" cold warm));
+    case "analyze_cached: a hit reports the cold run's counters" (fun () ->
+        (* config.c calls a modeled library function, so the external-call
+           row is non-zero; every row but this invocation's own cache
+           traffic and timings must survive the round trip *)
+        in_temp (fun dir ->
+            let source = bench "config" in
+            let rows (r : Analysis.result) =
+              List.filter
+                (fun (label, _) -> label <> "analysis time" && label <> "result cache")
+                (Pointsto.Metrics.rows r.Analysis.metrics)
+            in
+            let cold, _ = Persist.analyze_cached ~cache_dir:dir source in
+            let warm, hit = Persist.analyze_cached ~cache_dir:dir source in
+            Alcotest.(check bool) "second call hits" true hit;
+            Alcotest.(check bool)
+              "external calls counted" true
+              (cold.Analysis.metrics.Pointsto.Metrics.ext_modeled > 0);
+            Alcotest.(check (list (pair string string))) "rows" (rows cold) (rows warm)));
     case "analyze_cached: different options key different entries" (fun () ->
         in_temp (fun dir ->
             let source = bench "stanford" in

@@ -99,7 +99,8 @@ let nesting_tests =
         let bodies =
           List.length (List.filter (fun s -> s.Trace.sp_kind = Trace.Body) spans)
         in
-        Alcotest.(check int) "one Body span per body pass" r.Analysis.bodies_analyzed bodies;
+        Alcotest.(check int)
+          "one Body span per body pass" r.Analysis.metrics.Pointsto.Metrics.bodies bodies;
         let hist = Trace.iteration_histogram spans (Trace.Node, Trace.Body) in
         Alcotest.(check int) "histogram covers all body passes" bodies
           (List.fold_left (fun acc (n, c) -> acc + (n * c)) 0 hist));

@@ -42,11 +42,8 @@ type result = {
 let initial_input (tenv : Tenv.t) (entry_fn : Ir.func) : Pts.t =
   let s = ref Pts.empty in
   List.iter
-    (fun (g, ty) -> s := Map_unmap.null_init tenv (Loc.var g Loc.Kglobal) ty !s)
-    tenv.Tenv.prog.Ir.globals;
-  List.iter
-    (fun (n, ty) -> s := Map_unmap.null_init tenv (Loc.var n Loc.Klocal) ty !s)
-    entry_fn.Ir.fn_locals;
+    (fun (cell, singular) -> s := Pts.add cell Loc.Null (if singular then Pts.D else Pts.P) !s)
+    (tenv.Tenv.global_cells @ (Tenv.frame_cells tenv entry_fn).Tenv.local_cells);
   List.iter
     (fun (n, ty) ->
       List.iter

@@ -345,7 +345,7 @@ let widen_src wide_row src s =
       (fun t _ acc -> if Loc.Map.mem t acc then acc else Loc.Map.add t Pts.P acc)
       (Pts.tgt_map src s) wide_row
   in
-  Pts.add_map src row (Pts.kill_src src s)
+  Pts.add_rows [ (src, row) ] s
 
 let demand_mods ctx fname =
   match ctx.demand with

@@ -159,14 +159,16 @@ and explore st (cl : Loc.t) (c : Loc.t) : unit =
           | Loc.Heap | Loc.Site _ -> [ (c, Ctype.Ptr Ctype.Void) ]
           | _ -> [])
     in
-    List.iter
-      (fun (c_cell, _ty) ->
-        let cl_cell = rebase ~from:c ~onto:cl c_cell in
-        record_cell st cl_cell c_cell;
-        let targets = sort_definite_first (Pts.targets c_cell st.input) in
-        List.iter (fun (t, _d) -> ignore (map_target st ~parent:cl_cell t)) targets)
-      cells
+    List.iter (fun (c_cell, _ty) -> map_cell st (rebase ~from:c ~onto:cl c_cell) c_cell) cells
   end
+
+(** Record caller cell [c_cell] as represented by callee cell [cl_cell]
+    and map its targets, definite first. *)
+and map_cell st cl_cell c_cell =
+  record_cell st cl_cell c_cell;
+  List.iter
+    (fun (t, _d) -> ignore (map_target st ~parent:cl_cell t))
+    (sort_definite_first (Pts.targets c_cell st.input))
 
 (* ------------------------------------------------------------------ *)
 (* Building the callee input                                          *)
@@ -190,14 +192,38 @@ let info_of_state st : info =
     i_reps = Hashtbl.fold Loc.Map.add st.reps Loc.Map.empty;
   }
 
-(** NULL-initialize the pointer cells of a location of type [ty]:
-    singular cells definitely point to NULL, summary cells possibly. *)
-let null_init tenv l ty acc =
-  List.fold_left
-    (fun acc (cell, _) ->
-      Pts.add cell Loc.Null (if Loc.singular cell then Pts.D else Pts.P) acc)
-    acc
-    (Tenv.pointer_cells tenv l ty)
+(** Merge two target maps with Figure 1's merge semantics: a target is
+    definite only when definite in both (used when several caller cells
+    map onto one callee cell, or several callee-side names resolve back
+    to one caller location — their views must be reconciled
+    conservatively). *)
+let targets_meet (a : Pts.cert Loc.Map.t) (b : Pts.cert Loc.Map.t) =
+  Loc.Map.merge
+    (fun _ ca cb ->
+      match (ca, cb) with
+      | None, None -> None
+      | Some _, None | None, Some _ -> Some Pts.P
+      | Some ca, Some cb -> Some (Pts.cert_and ca cb))
+    a b
+
+(** Add target [t] to a target map, weakening on conflict (independent
+    facts accumulate: definite only when every contribution is). *)
+let add_weak_tgt t d row =
+  Loc.Map.update t (function None -> Some d | Some d0 -> Some (Pts.cert_and d0 d)) row
+
+(** A row every one of whose targets {!map_target} keeps as is without
+    exploring anything and that no demotion can touch: visible, not the
+    heap blob, and not symbolic. A symbolic name rooted at a global is
+    visible too, but this call may also mint it for several caller
+    invisibles, and then the rows pointing at it are demoted; such rows
+    are mapped. Allocation sites are visible roots explored on their
+    own, so they qualify. *)
+let names_nothing m =
+  Loc.Map.for_all
+    (fun t _ -> visible t && Loc.sym_depth t = 0 && not (Loc.equal t Loc.Heap))
+    m
+
+let null_row (cell, singular) = (cell, Loc.Map.singleton Loc.Null (if singular then Pts.D else Pts.P))
 
 (** Compute the callee's input set and map information for a call.
     [actuals] must be aligned with [callee.fn_params] (missing trailing
@@ -209,21 +235,23 @@ let map_call (tenv : Tenv.t) ~(caller_fn : Ir.func) ~(callee : Ir.func) ~(input 
   let t0 = Metrics.now () in
   let tr0 = Trace.start () in
   let st = make_state tenv caller_fn input in
-  (* roots: globals and the heap *)
+  (* roots: the globals' cells, in declaration order. A row that names
+     nothing maps to itself and is not explored; every other row maps in
+     order, so the symbolic names it mints do not depend on the skipped
+     rows *)
   List.iter
-    (fun (g, _ty) ->
-      let gl = Loc.var g Loc.Kglobal in
-      explore st gl gl)
-    tenv.Tenv.prog.Ir.globals;
+    (fun (cell, _) ->
+      let row = Pts.tgt_map cell input in
+      if not (Loc.Map.is_empty row || names_nothing row) then map_cell st cell cell)
+    tenv.Tenv.global_cells;
   explore st Loc.Heap Loc.Heap;
   (* with heap_by_site, each allocation site present in the caller's set
      is its own visible root *)
-  Pts.iter
-    (fun src _ _ ->
-      match Loc.root src with
-      | Loc.Site _ as site -> explore st site site
-      | _ -> ())
-    input;
+  if tenv.Tenv.opts.Options.heap_by_site then
+    Pts.iter_srcs
+      (fun src _ ->
+        match Loc.root src with Loc.Site _ as site -> explore st site site | _ -> ())
+      input;
   (* formals: collect (formal cell, target locset) pairs *)
   let formal_values : (Loc.t * (Loc.t * Pts.cert) list) list ref = ref [] in
   let n_params = List.length callee.Ir.fn_params in
@@ -261,67 +289,64 @@ let map_call (tenv : Tenv.t) ~(caller_fn : Ir.func) ~(callee : Ir.func) ~(input 
     (List.filteri (fun i _ -> i < n_params) actuals);
   let info = info_of_state st in
   let demote tm d = if rep_count info tm > 1 then Pts.P else d in
-  (* explored cells, merged per callee cell over the represented caller
-     cells *)
-  let func_input = ref Pts.empty in
+  (* the target map of caller cell [c] in the callee's name space:
+     independent facts accumulate (a conflict weakens) *)
+  let translated c =
+    Loc.Map.fold
+      (fun t d row ->
+        match translate_fwd st t with
+        | Some tm -> add_weak_tgt tm (demote tm d) row
+        | None -> row)
+      (Pts.tgt_map c input) Loc.Map.empty
+  in
   (* a target kept verbatim by the forward translation: visible, hence
-     its own callee-side name, and (not being a symbolic name) never
-     subject to multi-representation demotion *)
+     its own callee-side name, and not a symbolic name this call minted
+     for several invisibles, hence never demoted *)
   let identity_tgt t _d = visible t && rep_count info t = 1 in
-  List.iter
-    (fun cl_cell ->
-      let callers = Option.value ~default:[] (Hashtbl.find_opt st.cells cl_cell) in
-      let per_caller c =
-        List.fold_left
-          (fun acc (t, d) ->
-            match translate_fwd st t with
-            | Some tm -> Pts.add_weak cl_cell tm (demote tm d) acc
-            | None -> acc)
-          Pts.empty (Pts.targets c st.input)
-      in
-      match callers with
-      | [ c ]
-        when Loc.equal cl_cell c && Loc.Map.for_all identity_tgt (Pts.tgt_map c st.input)
-        ->
-          (* visible cell, every target visible: the caller's submap
-             transfers wholesale, shared, with no per-pair translation *)
-          func_input := Pts.add_map cl_cell (Pts.tgt_map c st.input) !func_input
-      | _ ->
-          let merged =
-            match List.map per_caller callers with
-            | [] -> Pts.empty
-            | s :: rest -> List.fold_left Pts.merge s rest
-          in
-          func_input := Pts.union_override !func_input merged)
-    (List.rev !(st.cell_order));
-  (* formal pairs *)
-  List.iter
-    (fun (fcell, mapped) ->
-      let fi =
-        if mapped = [] then Pts.add fcell Loc.Null Pts.D !func_input
+  (* every row below has its own source: explored cells are global-,
+     heap-, site- or symbolic-rooted, formals parameter-rooted, the
+     NULL rows local- or return-rooted. The base they go onto is the
+     caller's global rows, shared: a skipped row is already its
+     callee-side row, an explored global row is replaced *)
+  let explored_rows =
+    List.fold_left
+      (fun rows cl_cell ->
+        let row =
+          match Hashtbl.find st.cells cl_cell with
+          | [ c ] when Loc.equal cl_cell c && Loc.Map.for_all identity_tgt (Pts.tgt_map c input)
+            ->
+              (* visible cell, every target visible: the caller's submap
+                 transfers wholesale, shared, with no per-pair translation *)
+              Pts.tgt_map c input
+          | callers -> (
+              (* merged per callee cell over the represented caller cells *)
+              match List.map translated callers with
+              | [] -> Loc.Map.empty
+              | r :: rest -> List.fold_left targets_meet r rest)
+        in
+        (cl_cell, row) :: rows)
+      [] !(st.cell_order)
+  in
+  let formal_rows =
+    List.map
+      (fun (fcell, mapped) ->
+        if mapped = [] then (fcell, Loc.Map.singleton Loc.Null Pts.D)
         else
-          List.fold_left
-            (fun acc (tm, d) -> Pts.add_weak fcell tm (demote tm d) acc)
-            !func_input mapped
-      in
-      func_input := fi)
-    !formal_values;
+          ( fcell,
+            List.fold_left (fun row (tm, d) -> add_weak_tgt tm (demote tm d) row) Loc.Map.empty
+              mapped ))
+      !formal_values
+  in
   (* NULL-initialize callee pointer locals and the return slot *)
-  List.iter
-    (fun (n, ty) ->
-      func_input := null_init tenv (Loc.var n Loc.Klocal) ty !func_input)
-    callee.Ir.fn_locals;
-  func_input :=
-    null_init tenv (Loc.ret callee.Ir.fn_name) (Ctype.decay callee.Ir.fn_ret) !func_input;
-  (match callee.Ir.fn_ret with
-  | Ctype.Su _ ->
-      func_input := null_init tenv (Loc.ret callee.Ir.fn_name) callee.Ir.fn_ret !func_input
-  | _ -> ());
+  let frame = Tenv.frame_cells tenv callee in
+  let null_rows = List.map null_row (frame.Tenv.local_cells @ frame.Tenv.ret_cells) in
+  let globals = Pts.filter_src (fun src -> Loc.Set.mem src tenv.Tenv.global_cell_set) input in
+  let func_input = Pts.add_rows (explored_rows @ formal_rows @ null_rows) globals in
   m.Metrics.t_map <- m.Metrics.t_map +. (Metrics.now () -. t0);
   if Trace.on () then
     Trace.emit Trace.Map ~name:callee.Ir.fn_name ~pts_in:(Pts.cardinal input)
-      ~pts_out:(Pts.cardinal !func_input) ~t0:tr0 ();
-  (!func_input, info)
+      ~pts_out:(Pts.cardinal func_input) ~t0:tr0 ();
+  (func_input, info)
 
 (* ------------------------------------------------------------------ *)
 (* Unmapping                                                          *)
@@ -341,19 +366,6 @@ let rec resolve_back (info : info) (l : Loc.t) : Loc.t list =
   | Loc.Var _ | Loc.Ret _ -> []
   | Loc.Heap | Loc.Site _ | Loc.Null | Loc.Str | Loc.Fun _ -> [ l ]
 
-(** Merge two target maps with Figure 1's merge semantics: a target is
-    definite only when definite in both (used when several callee-side
-    names resolve back to the same caller location — their views must be
-    reconciled conservatively). *)
-let targets_meet (a : Pts.cert Loc.Map.t) (b : Pts.cert Loc.Map.t) =
-  Loc.Map.merge
-    (fun _ ca cb ->
-      match (ca, cb) with
-      | None, None -> None
-      | Some _, None | None, Some _ -> Some Pts.P
-      | Some ca, Some cb -> Some (Pts.cert_and ca cb))
-    a b
-
 (** Output points-to set at the call site, from the callee's output.
     [merged] marks calls evaluated with merged per-function contexts
     (the context-insensitive ablation and the widened degradation
@@ -367,21 +379,21 @@ let unmap_call ?(callee = "?") ?(merged = false) (_tenv : Tenv.t) ~(input : Pts.
   m.Metrics.unmap_calls <- m.Metrics.unmap_calls + 1;
   let t0 = Metrics.now () in
   let tr0 = Trace.start () in
-  (* relationships of caller locations out of the callee's reach persist *)
-  let persistent =
-    Pts.filter_src (fun src -> Option.is_none (info_translate info src)) input
-  in
+  let self_resolving t = visible t && not (Loc.Map.mem t info.i_reps) in
+  (* the caller-side rows the callee's output translates to *)
+  let rows : (Loc.t, Pts.cert Loc.Map.t) Hashtbl.t = Hashtbl.create 64 in
   (* per caller source: the translated target maps of every callee-side
      source resolving to it *)
   let per_src : (Loc.t, Pts.cert Loc.Map.t list) Hashtbl.t = Hashtbl.create 32 in
-  let seen_sources = Hashtbl.create 32 in
-  Pts.iter
-    (fun src _ _ ->
-      if not (Hashtbl.mem seen_sources src) then begin
-        Hashtbl.replace seen_sources src ();
+  Pts.iter_srcs
+    (fun src m0 ->
+      if self_resolving src && Loc.Map.for_all (fun t _ -> self_resolving t) m0 then
+        (* already its caller-side row, and no other callee source
+           resolves to a visible location: kept as is, shared *)
+        Hashtbl.replace rows src m0
+      else
         let srcs = resolve_back info src in
         if srcs <> [] then begin
-          let m0 = Pts.tgt_map src output in
           (* a symbolic target with no representation at this site comes
              from another call path whose facts were merged into the
              callee's set (context-insensitive slots, approximate-node
@@ -396,11 +408,7 @@ let unmap_call ?(callee = "?") ?(merged = false) (_tenv : Tenv.t) ~(input : Pts.
           let tmap =
             (* every target resolves back to itself: the callee's submap
                is already the translated target map — share it *)
-            if
-              Loc.Map.for_all
-                (fun t _ -> visible t && not (Loc.Map.mem t info.i_reps))
-                m0
-            then m0
+            if Loc.Map.for_all (fun t _ -> self_resolving t) m0 then m0
             else
               Loc.Map.fold
                 (fun tgt d acc ->
@@ -408,12 +416,7 @@ let unmap_call ?(callee = "?") ?(merged = false) (_tenv : Tenv.t) ~(input : Pts.
                   if tgts = [] && (merged || Loc.sym_depth tgt > 0) then
                     dropped_sym := true;
                   let d = if List.length tgts > 1 then Pts.P else d in
-                  List.fold_left
-                    (fun acc t ->
-                      Loc.Map.update t
-                        (function None -> Some d | Some d0 -> Some (Pts.cert_and d0 d))
-                        acc)
-                    acc tgts)
+                  List.fold_left (fun acc t -> add_weak_tgt t d acc) acc tgts)
                 m0 Loc.Map.empty
           in
           List.iter
@@ -428,20 +431,25 @@ let unmap_call ?(callee = "?") ?(merged = false) (_tenv : Tenv.t) ~(input : Pts.
               in
               Hashtbl.replace per_src s maps)
             srcs
-        end
-      end)
+        end)
     output;
-  let result =
-    Hashtbl.fold
-      (fun s tmaps acc ->
-        let merged =
-          match tmaps with
-          | [] -> Loc.Map.empty
-          | m :: rest -> List.fold_left targets_meet m rest
-        in
-        Pts.add_map s merged acc)
-      per_src persistent
+  Hashtbl.iter
+    (fun s tmaps ->
+      match tmaps with
+      | [] -> ()
+      | m :: rest -> Hashtbl.replace rows s (List.fold_left targets_meet m rest))
+    per_src;
+  (* a caller row the callee could reach is replaced by its translated
+     row, or dropped when nothing translates back to its source; rows
+     out of the callee's reach persist. A row the call left alone comes
+     back physically shared, so only the rows the call changed cost a
+     tree update *)
+  let kept =
+    Pts.filter_src
+      (fun src -> Hashtbl.mem rows src || Option.is_none (info_translate info src))
+      input
   in
+  let result = Pts.add_rows (Hashtbl.fold (fun s row acc -> (s, row) :: acc) rows []) kept in
   m.Metrics.t_unmap <- m.Metrics.t_unmap +. (Metrics.now () -. t0);
   if Trace.on () then
     Trace.emit Trace.Unmap ~name:callee ~pts_in:(Pts.cardinal output)

@@ -33,13 +33,12 @@ val info_translate : info -> Loc.t -> Loc.t option
     represents; escaping callee locals resolve to nothing. *)
 val resolve_back : info -> Loc.t -> Loc.t list
 
-(** NULL-initialize the pointer cells of a location of type [ty]
-    (paper §6: "we initialize all pointers to NULL"). *)
-val null_init : Tenv.t -> Loc.t -> Cfront.Ctype.t -> Pts.t -> Pts.t
-
 (** Compute the callee's input set and map information for a call.
     [actuals] align with [callee.fn_params]; missing trailing actuals map
-    to NULL. *)
+    to NULL. The roots are the {!Tenv.t} [global_cells]; a global row whose
+    targets are all visible and none the heap maps to itself and is
+    shared without exploration. The callee's locals and return slot
+    start at NULL ({!Tenv.frame_cells}). *)
 val map_call :
   Tenv.t ->
   caller_fn:Ir.func ->

@@ -283,24 +283,26 @@ let r_row_table arr r : (Loc.t * Pts.cert Loc.Map.t) array =
   rows
 
 (** One set: its rows in source order, by reference into the row
-    table. Decoding costs one {!Pts.add_map} per row, over a shared,
-    already-built map. *)
+    table. Decoding binds each row, a shared, already-built map, in
+    one {!Pts.add_rows}. *)
 let w_set e rw b (s : Pts.t) =
   let n = ref 0 in
   Pts.iter_srcs (fun _ _ -> incr n) s;
   w_u b !n;
   Pts.iter_srcs (fun src m -> w_u b (row_idx e rw src m)) s
 
-let r_set (rows : (Loc.t * Pts.cert Loc.Map.t) array) r : Pts.t =
+(** A count, then that many references into the row table. *)
+let r_rows (rows : (Loc.t * Pts.cert Loc.Map.t) array) r =
   let n = r_u r in
-  let s = ref Pts.empty in
+  let acc = ref [] in
   for _ = 1 to n do
     let i = r_u r in
     if i < 0 || i >= Array.length rows then raise Bad;
-    let src, m = rows.(i) in
-    s := Pts.add_map src m !s
+    acc := rows.(i) :: !acc
   done;
-  !s
+  !acc
+
+let r_set rows r : Pts.t = Pts.add_rows (r_rows rows r) Pts.empty
 
 (** Table of distinct points-to sets, interned by structural equality
     (bucketed by cardinality; {!Pts.equal} answers shared or equal sets
@@ -394,14 +396,7 @@ let r_set_table arr rows r : Pts.t array =
           for _ = 1 to nk do
             s := Pts.kill_src (r_loc arr r) !s
           done;
-          let na = r_u r in
-          for _ = 1 to na do
-            let j = r_u r in
-            if j < 0 || j >= Array.length rows then raise Bad;
-            let src, m = rows.(j) in
-            s := Pts.add_map src m !s
-          done;
-          !s
+          Pts.add_rows (r_rows rows r) !s
       | _ -> raise Bad
     in
     sets.(i) <- s

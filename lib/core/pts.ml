@@ -110,22 +110,25 @@ let targets src (s : t) : (Loc.t * cert) list =
 let tgt_map src (s : t) : cert LM.t =
   match LM.find_opt src s.fwd with None -> LM.empty | Some m -> m
 
-(** [add_map src m s]: bind every pair [(src, tgt, c)] of [m] in [s] with
-    override semantics, sharing [m] itself when [src] is unbound — the
-    bulk counterpart of repeated {!add}, used by {!Map_unmap} when a
-    whole cell translates identically. *)
-let add_map src m (s : t) : t =
-  if LM.is_empty m then s
-  else
-    match LM.find_opt src s.fwd with
-    | None -> mk (LM.add src m s.fwd) (s.card + LM.cardinal m)
-    | Some m0 ->
-        let m' = LM.fold LM.add m m0 in
-        if m' == m0 then s
-        else
-          let added = LM.cardinal m' - LM.cardinal m0 in
-          if added = 0 then { s with fwd = LM.add src m' s.fwd }
-          else mk (LM.add src m' s.fwd) (s.card + added)
+(** [add_rows rows s]: bind each row's source to exactly that target
+    map, replacing the row it had (an empty map unbinds it), and pack
+    once. A row is shared, not copied, and one physically equal to the
+    source's current row leaves the set untouched — so assembling a set
+    from rows (a callee input) or re-binding a caller's rows after a
+    call costs a tree update only per row that changed. *)
+let add_rows rows (s : t) : t =
+  let fwd, card =
+    List.fold_left
+      (fun (fwd, card) (src, m) ->
+        match LM.find_opt src fwd with
+        | Some m0 when m0 == m -> (fwd, card)
+        | old ->
+            let card = match old with Some m0 -> card - LM.cardinal m0 | None -> card in
+            if LM.is_empty m then (LM.remove src fwd, card)
+            else (LM.add src m fwd, card + LM.cardinal m))
+      (s.fwd, s.card) rows
+  in
+  if fwd == s.fwd then s else mk fwd card
 
 (** All sources pointing at [tgt] (the reverse index). *)
 let sources tgt (s : t) : Loc.Set.t =
@@ -379,11 +382,6 @@ let hash (s : t) : int =
     racing to force the same lazy suspension is a runtime error in
     OCaml 5, and a primed set has no suspension left to race on. *)
 let prime (s : t) : unit = ignore (Lazy.force s.rev)
-
-(** Union where pairs of [over] override pairs of [base] (Figure 1's
-    [(changed_input - kill_set) ∪ gen_set]). *)
-let union_override (base : t) (over : t) : t =
-  fold (fun src tgt c acc -> add src tgt c acc) over base
 
 (** Every location mentioned (as source or target) — assembled from the
     two index levels, without folding over pairs. *)

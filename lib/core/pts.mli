@@ -42,10 +42,11 @@ val targets : Loc.t -> t -> (Loc.t * cert) list
     the set's own submap, shared, not a copy. *)
 val tgt_map : Loc.t -> t -> cert Loc.Map.t
 
-(** Bind every pair of a target map under the given source with override
-    semantics — the bulk counterpart of repeated {!add}, sharing the map
-    when the source is unbound. *)
-val add_map : Loc.t -> cert Loc.Map.t -> t -> t
+(** Bind each (source, target map) row's source to exactly that map,
+    replacing the row it had (an empty map unbinds the source), with
+    one repack at the end. Rows are shared, not copied; a row
+    physically equal to the current one costs no update. *)
+val add_rows : (Loc.t * cert Loc.Map.t) list -> t -> t
 
 (** Remove every relationship of a source (Figure 1's kill). *)
 val kill_src : Loc.t -> t -> t
@@ -108,10 +109,6 @@ val merge : t -> t -> t
     every pair of [s1] in [s2], and every definite claim of [s2] definite
     in [s1] (Figure 4's [isSubsetOf]). *)
 val covered_by : t -> t -> bool
-
-(** Union where the second operand's pairs win (Figure 1's
-    [(changed_input − kill) ∪ gen]). *)
-val union_override : t -> t -> t
 
 (** Every location mentioned as source or target. *)
 val all_locs : t -> Loc.Set.t

@@ -6,24 +6,21 @@
 open Cfront
 module Ir = Simple_ir.Ir
 
+type frame_cells = {
+  local_cells : (Loc.t * bool) list;
+  ret_cells : (Loc.t * bool) list;
+}
+
 type t = {
   prog : Ir.program;
   opts : Options.t;
   globals : (string, Ctype.t) Hashtbl.t;
   funcs : (string, Ir.func) Hashtbl.t;
   externals : (string, Ctype.func_sig) Hashtbl.t;
+  global_cells : (Loc.t * bool) list;
+  global_cell_set : Loc.Set.t;
+  frames : (string, frame_cells) Hashtbl.t;
 }
-
-let make ?(opts = Options.default) (prog : Ir.program) : t =
-  let globals = Hashtbl.create 64 in
-  List.iter (fun (n, ty) -> Hashtbl.replace globals n ty) prog.Ir.globals;
-  let funcs = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace funcs f.Ir.fn_name f) prog.Ir.funcs;
-  let externals = Hashtbl.create 16 in
-  List.iter
-    (fun (n, s) -> if not (Hashtbl.mem funcs n) then Hashtbl.replace externals n s)
-    prog.Ir.protos;
-  { prog; opts; globals; funcs; externals }
 
 let layouts t = t.prog.Ir.layouts
 
@@ -164,6 +161,58 @@ let rec pointer_cells t (l : Loc.t) (ty : Ctype.t) : (Loc.t * Ctype.t) list =
             (fun (f, ft) -> pointer_cells t (Loc.fld l f) ft)
             lay.Ctype.fields)
   | Ctype.Void | Ctype.Int _ | Ctype.Float _ | Ctype.Func _ -> []
+
+let with_singular cells = List.map (fun (cell, _) -> (cell, Loc.singular cell)) cells
+
+(** The NULL-initialized cells of [f]'s frame: its locals' pointer
+    cells, then its return slot's. *)
+let frame_of t (f : Ir.func) =
+  {
+    local_cells =
+      List.concat_map
+        (fun (n, ty) -> with_singular (pointer_cells t (Loc.var n Loc.Klocal) ty))
+        f.Ir.fn_locals;
+    ret_cells = with_singular (pointer_cells t (Loc.ret f.Ir.fn_name) (Ctype.decay f.Ir.fn_ret));
+  }
+
+let frame_cells t (f : Ir.func) = Hashtbl.find t.frames f.Ir.fn_name
+
+let make ?(opts = Options.default) (prog : Ir.program) : t =
+  let globals = Hashtbl.create 64 in
+  List.iter (fun (n, ty) -> Hashtbl.replace globals n ty) prog.Ir.globals;
+  let funcs = Hashtbl.create 64 in
+  List.iter (fun f -> Hashtbl.replace funcs f.Ir.fn_name f) prog.Ir.funcs;
+  let externals = Hashtbl.create 16 in
+  List.iter
+    (fun (n, s) -> if not (Hashtbl.mem funcs n) then Hashtbl.replace externals n s)
+    prog.Ir.protos;
+  let t =
+    {
+      prog;
+      opts;
+      globals;
+      funcs;
+      externals;
+      global_cells = [];
+      global_cell_set = Loc.Set.empty;
+      frames = Hashtbl.create 64;
+    }
+  in
+  (* a global declared twice is one location, typed by its last
+     declaration (as [var_info] types it) *)
+  let seen = Hashtbl.create 64 in
+  let global_cells =
+    List.concat_map
+      (fun (n, _) ->
+        if Hashtbl.mem seen n then []
+        else begin
+          Hashtbl.replace seen n ();
+          with_singular (pointer_cells t (Loc.var n Loc.Kglobal) (Hashtbl.find globals n))
+        end)
+      prog.Ir.globals
+  in
+  List.iter (fun f -> Hashtbl.replace t.frames f.Ir.fn_name (frame_of t f)) prog.Ir.funcs;
+  { t with global_cells; global_cell_set = Loc.Set.of_list (List.map fst global_cells) }
 
 (** Pointee type used to chase through a cell of type [ty]; unions use
     their first pointer-carrying field. *)

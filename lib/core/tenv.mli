@@ -5,15 +5,35 @@
 open Cfront
 module Ir = Simple_ir.Ir
 
+(** The pointer cells a function's frame starts with NULL in (paper §6:
+    "we initialize all pointers to NULL"), each paired with its
+    {!Loc.singular} flag: a singular cell points to NULL definitely, a
+    summary cell possibly. *)
+type frame_cells = {
+  local_cells : (Loc.t * bool) list;  (** the locals' cells, in declaration order *)
+  ret_cells : (Loc.t * bool) list;  (** the return slot's cells *)
+}
+
 type t = {
   prog : Ir.program;
   opts : Options.t;
   globals : (string, Ctype.t) Hashtbl.t;
   funcs : (string, Ir.func) Hashtbl.t;
   externals : (string, Ctype.func_sig) Hashtbl.t;
+  global_cells : (Loc.t * bool) list;
+      (** the pointer cells of every global, in declaration order, typed
+          from the declaration (never from a same-named parameter of the
+          function at hand), each with its {!Loc.singular} flag: the
+          roots {!Map_unmap.map_call} walks at every call *)
+  global_cell_set : Loc.Set.t;  (** the same cells, as a set *)
+  frames : (string, frame_cells) Hashtbl.t;  (** per defined function *)
 }
 
+(** Computes the per-program cell tables once. *)
 val make : ?opts:Options.t -> Ir.program -> t
+
+(** The frame cells of a function of the program (its [frames] entry). *)
+val frame_cells : t -> Ir.func -> frame_cells
 
 val layouts : t -> Ctype.layouts
 val find_func : t -> string -> Ir.func option

@@ -181,4 +181,162 @@ let direct_tests =
         Alcotest.(check bool) "non-empty" true (tr <> []))
   ]
 
-let suite = ("mapunmap", direct_tests)
+(* The root walk over globals skips rows that translate to themselves
+   and name nothing; every other row must map exactly as a full
+   exploration does. *)
+let roots_fixture =
+  simplify
+    {|
+int x, y;
+int *gp;
+int **ga;
+int **gb;
+void callee(int **pp) { }
+int main() {
+  int la, lb;
+  int *lq;
+  callee(&lq);
+  return 0;
+}
+|}
+
+let roots_tenv = Tenv.make roots_fixture
+let roots_caller = Option.get (Ir.find_func roots_fixture "main")
+let roots_callee = Option.get (Ir.find_func roots_fixture "callee")
+
+let map_roots ?(tenv = roots_tenv) ?(actuals = [ MU.Aother ]) input =
+  MU.map_call tenv ~caller_fn:roots_caller ~callee:roots_callee ~input ~actuals
+
+let resolved info l = List.map Loc.to_string (MU.resolve_back info l)
+
+let root_tests =
+  [
+    case "a global pointing at the heap still explores it first" (fun () ->
+        (* ga's heap target is explored when ga's row is mapped, so the
+           invisible lq is named through the heap before gb reaches it *)
+        let input =
+          Pts.of_list
+            [
+              (g "ga", Loc.Heap, Pts.P);
+              (Loc.Heap, v "lq", Pts.P);
+              (g "gb", v "lq", Pts.D);
+              (v "lq", v "la", Pts.D);
+            ]
+        in
+        let fi, info = map_roots input in
+        let sym_heap = Loc.Sym Loc.Heap in
+        Alcotest.(check (list string)) "heap -> 1_heap" [ "1_heap/P" ] (targets_of fi Loc.Heap);
+        Alcotest.(check (list string)) "gb -> 1_heap" [ "1_heap/D" ] (targets_of fi (g "gb"));
+        Alcotest.(check (list string)) "ga -> heap" [ "heap/P" ] (targets_of fi (g "ga"));
+        Alcotest.(check (list string)) "1_heap is lq" [ "lq" ] (resolved info sym_heap);
+        Alcotest.(check (list string)) "2_heap is la" [ "la" ]
+          (resolved info (Loc.Sym sym_heap));
+        Alcotest.(check (list string)) "1_heap -> 2_heap" [ "2_heap/D" ] (targets_of fi sym_heap));
+    case "a global's invisible targets get its 1_ name, definite first" (fun () ->
+        let input =
+          Pts.of_list [ (g "gp", v "la", Pts.P); (g "gp", v "lb", Pts.D); (g "ga", g "gp", Pts.D) ]
+        in
+        let fi, info = map_roots input in
+        let sym = Loc.Sym (g "gp") in
+        Alcotest.(check (list string)) "gp -> 1_gp possibly" [ "1_gp/P" ] (targets_of fi (g "gp"));
+        Alcotest.(check (list string)) "definite lb assigned before la" [ "lb"; "la" ]
+          (resolved info sym);
+        (* a row of visible targets transfers as is *)
+        Alcotest.(check (list string)) "ga -> gp" [ "gp/D" ] (targets_of fi (g "ga")));
+    case "a global pointing at a reused symbolic name is demoted" (fun () ->
+        (* ga -> 1_gb is the caller's own name, visible; this call also
+           names gb's two invisible targets 1_gb, so ga's row is mapped,
+           not skipped, and its target demoted *)
+        let input =
+          Pts.of_list
+            [ (g "ga", Loc.Sym (g "gb"), Pts.D); (g "gb", v "la", Pts.P); (g "gb", v "lb", Pts.P) ]
+        in
+        let fi, info = map_roots input in
+        Alcotest.(check int) "1_gb names two invisibles" 2 (MU.rep_count info (Loc.Sym (g "gb")));
+        Alcotest.(check (list string)) "ga -> 1_gb possibly" [ "1_gb/P" ] (targets_of fi (g "ga")));
+    case "a store through a reused symbolic name stays weak" (fun () ->
+        (* in callee, ga -> 1_gq stands for both la and lb: the store
+           must not kill their old targets *)
+        check_exit "r1 -> x0, x1, y possibly"
+          {|int x0, x1, y;
+            int **gq, **ga;
+            int *r1;
+            void callee(void) { *ga = &y; }
+            void mid(int c) {
+              int *la, *lb;
+              la = &x0;
+              lb = &x1;
+              ga = gq;
+              if (c) gq = &la; else gq = &lb;
+              callee();
+              r1 = la;
+            }
+            int main() {
+              int *x;
+              x = &x0;
+              gq = &x;
+              mid(1);
+              return 0;
+            }|}
+          "r1" [ "x0/P"; "x1/P"; "y/P" ]);
+    case "heap_by_site: a site reached only from the caller's state is a root" (fun () ->
+        let opts = { Pointsto.Options.default with Pointsto.Options.heap_by_site = true } in
+        let tenv = Tenv.make ~opts roots_fixture in
+        let site = Loc.Site 7 in
+        let input =
+          Pts.of_list [ (site, v "la", Pts.D); (site, g "x", Pts.P); (g "gp", g "y", Pts.D) ]
+        in
+        let fi, info = map_roots ~tenv input in
+        Alcotest.(check (list string)) "site row mapped" [ "1_heap@7/D"; "x/P" ]
+          (targets_of fi site);
+        Alcotest.(check (list string)) "1_heap@7 is la" [ "la" ] (resolved info (Loc.Sym site)));
+    case "unmap shares a self-resolving row and demotes a symbolic one" (fun () ->
+        let input = Pts.of_list [ (v "lq", v "la", Pts.P); (g "gp", g "x", Pts.D) ] in
+        let _, info =
+          map_roots
+            ~actuals:[ MU.Aptr (Pointsto.Lval.of_list [ (v "la", Pts.P); (v "lb", Pts.P) ]) ]
+            input
+        in
+        (* the callee leaves gp -> y and makes ga point at its parameter's
+           pointee, a name for both la and lb *)
+        let out =
+          Pts.of_list
+            [ (g "gp", g "y", Pts.D); (g "ga", Loc.Sym (param "pp"), Pts.D) ]
+        in
+        let res = MU.unmap_call roots_tenv ~input ~output:out ~info in
+        Alcotest.(check bool) "gp's row is the callee's, shared" true
+          (Pts.tgt_map (g "gp") res == Pts.tgt_map (g "gp") out);
+        Alcotest.(check (list string)) "ga -> la, lb possibly" [ "la/P"; "lb/P" ]
+          (targets_of res (g "ga"));
+        Alcotest.(check (list string)) "lq persists" [ "la/P" ] (targets_of res (v "lq")));
+    case "a block-local shadowing a global does not hide it from a callee" (fun () ->
+        (* lowering renames the shadowing local, so the name [g] in main's
+           scope is the global's again when the callee is mapped *)
+        check_exit "q -> x"
+          {|int x;
+            int *g, *q;
+            void callee(void) { q = g; }
+            int main() {
+              g = &x;
+              { int g; g = 0; callee(); }
+              return 0;
+            }|}
+          "q" [ "x/D" ]);
+    case "a parameter shadowing a global does not hide it from a callee" (fun () ->
+        (* root cells are typed from the global's declaration, not from
+           the same-named [int] parameter of the function making the
+           call *)
+        check_exit "q -> x"
+          {|int x;
+            int *g, *q;
+            void callee(void) { q = g; }
+            void mid(int g) { callee(); }
+            int main() {
+              g = &x;
+              mid(0);
+              return 0;
+            }|}
+          "q" [ "x/D" ]);
+  ]
+
+let suite = ("mapunmap", direct_tests @ root_tests)

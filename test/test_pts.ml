@@ -10,6 +10,7 @@ let g name = Loc.Var (name, Loc.Kglobal)
 let x = v "x"
 let y = v "y"
 let z = v "z"
+let w = v "w"
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests                                                         *)
@@ -70,12 +71,6 @@ let unit_tests =
         let s = Some (Pts.of_list [ (x, y, Pts.D) ]) in
         Alcotest.(check bool) "left" true (Pts.state_equal (Pts.merge_state None s) s);
         Alcotest.(check bool) "right" true (Pts.state_equal (Pts.merge_state s None) s));
-    case "union_override prefers the overriding side" (fun () ->
-        let base = Pts.of_list [ (x, y, Pts.P); (y, z, Pts.D) ] in
-        let over = Pts.of_list [ (x, y, Pts.D) ] in
-        let u = Pts.union_override base over in
-        Alcotest.(check bool) "x->y D" true (Pts.find x y u = Some Pts.D);
-        Alcotest.(check bool) "y->z kept" true (Pts.find y z u = Some Pts.D));
     case "remove_tgt drops every pair at the target" (fun () ->
         let s = Pts.of_list [ (x, z, Pts.D); (y, z, Pts.P); (z, y, Pts.D) ] in
         let s = Pts.remove_tgt z s in
@@ -92,17 +87,25 @@ let unit_tests =
         let s = Pts.filter_src (fun src -> not (Loc.equal src x)) s in
         Alcotest.(check int) "x's pairs gone" 1 (Pts.cardinal s);
         Alcotest.(check bool) "y->z kept" true (Pts.mem y z s));
-    case "add_map equals repeated add" (fun () ->
-        let base = Pts.of_list [ (x, y, Pts.P); (y, z, Pts.D) ] in
-        let m = Pts.tgt_map y base in
-        (* graft y's targets under x: overrides x->... pairs pointwise *)
-        let bulk = Pts.add_map x m base in
+    case "add_rows equals kill then repeated add, sharing rows" (fun () ->
+        let base = Pts.of_list [ (x, y, Pts.P); (x, z, Pts.P); (y, z, Pts.D); (z, x, Pts.D) ] in
+        let rows =
+          [ (x, Loc.Map.singleton y Pts.D); (w, Pts.tgt_map y base); (z, Loc.Map.empty) ]
+        in
+        let bulk = Pts.add_rows rows base in
         let one_by_one =
-          Loc.Map.fold (fun t d acc -> Pts.add x t d acc) m base
+          List.fold_left
+            (fun acc (s, m) -> Loc.Map.fold (fun t d acc -> Pts.add s t d acc) m (Pts.kill_src s acc))
+            base rows
         in
         Alcotest.(check bool) "same set" true (Pts.equal bulk one_by_one);
-        Alcotest.(check int) "cardinal tracked" (Pts.cardinal one_by_one)
-          (Pts.cardinal bulk));
+        Alcotest.(check int) "cardinal tracked" (Pts.cardinal one_by_one) (Pts.cardinal bulk);
+        Alcotest.(check bool) "x's row replaced" true (Pts.targets x bulk = [ (y, Pts.D) ]);
+        Alcotest.(check bool) "empty row unbinds" true (Pts.targets z bulk = []);
+        Alcotest.(check bool) "fresh row shared" true
+          (Pts.tgt_map w bulk == Pts.tgt_map y base);
+        Alcotest.(check bool) "unchanged rows, same set" true
+          (Pts.add_rows [ (y, Pts.tgt_map y base) ] base == base));
     case "all_locs collects sources and targets" (fun () ->
         let s = Pts.of_list [ (x, y, Pts.D); (y, z, Pts.P) ] in
         Alcotest.(check int) "three locs" 3 (Loc.Set.cardinal (Pts.all_locs s)));

@@ -356,39 +356,62 @@ let demand_seeded ~cache ~incremental prog file =
         prog
   | Some _ | None -> None
 
-(** Demand-mode dispatch: one {!Alias.Demand_driver.prepare} (Andersen
-    pre-pass) per file, then one sliced analysis per distinct seed
-    function, memoized — queries about the same function share a primed
-    result. A query whose statement id exists nowhere has no seed; it
-    falls back to one (also memoized) exhaustive run so its answer —
-    including the error text — matches non-demand mode exactly. *)
-let demand_dispatch ?seeded prog =
-  let driver = Alias.Demand_driver.prepare prog in
-  let memo : (string option, Pointsto.Analysis.result) Hashtbl.t = Hashtbl.create 8 in
-  fun (q : Alias.Query.t) ->
-    let seed = Alias.Demand_driver.seed_of driver q in
-    match Hashtbl.find_opt memo seed with
-    | Some r -> r
-    | None ->
-        let r =
-          match seed with
-          | Some s -> Alias.Demand_driver.analyze ?seeded driver ~seed:s
-          | None -> Pointsto.Analysis.analyze prog
-        in
-        Pointsto.Analysis.prime r;
-        Hashtbl.replace memo seed r;
-        r
+(** Demand mode over one file: the parsed program, one
+    {!Alias.Demand_driver.prepare} (Andersen pre-pass), optional cache
+    summaries for skip-replay, and a mutex-guarded memo of primed
+    per-seed results, so queries about the same function share one
+    sliced analysis whichever domain asks first. A query whose statement
+    id exists nowhere has no seed: [None] keys one (also memoized)
+    exhaustive run, so its answer, including the error text, matches
+    non-demand mode exactly. *)
+type demand_entry = {
+  de_prog : Ir.program;
+  de_driver : Alias.Demand_driver.t;
+  de_seeded : Pointsto.Engine.store option;
+  de_memo : (string option, Pointsto.Analysis.result) Hashtbl.t;
+  de_mu : Mutex.t;
+}
+
+let demand_entry ~cache ~incremental file =
+  let prog = load file in
+  {
+    de_prog = prog;
+    de_driver = Alias.Demand_driver.prepare prog;
+    de_seeded = demand_seeded ~cache ~incremental prog file;
+    de_memo = Hashtbl.create 8;
+    de_mu = Mutex.create ();
+  }
+
+(** The primed result that answers [q]: a memo hit, else computed
+    outside the lock (a racing request may duplicate the work; the
+    published value stays unique) and published. *)
+let demand_result (de : demand_entry) (q : Alias.Query.t) =
+  let seed = Alias.Demand_driver.seed_of de.de_driver q in
+  match Mutex.protect de.de_mu (fun () -> Hashtbl.find_opt de.de_memo seed) with
+  | Some r -> r
+  | None ->
+      let r =
+        match seed with
+        | Some s -> Alias.Demand_driver.analyze ?seeded:de.de_seeded de.de_driver ~seed:s
+        | None -> Pointsto.Analysis.analyze de.de_prog
+      in
+      Pointsto.Analysis.prime r;
+      Mutex.protect de.de_mu (fun () ->
+          match Hashtbl.find_opt de.de_memo seed with
+          | Some winner -> winner
+          | None ->
+              Hashtbl.replace de.de_memo seed r;
+              r)
 
 let cmd_query file cache incremental demand words =
   with_errors (fun () ->
       let line = String.concat " " words in
       let answer =
         if demand then begin
-          let prog = load file in
-          let seeded = demand_seeded ~cache ~incremental prog file in
+          let de = demand_entry ~cache ~incremental file in
           match Alias.Query.parse line with
           | Error _ as e -> e
-          | Ok q -> Alias.Query.answer (demand_dispatch ?seeded prog q) q
+          | Ok q -> Alias.Query.answer (demand_result de q) q
         end
         else begin
           let r = analyze_file ~cache ~incremental file in
@@ -432,17 +455,15 @@ let cmd_batch file cache incremental demand jobs queries =
       let answers =
         if demand then begin
           (* Demand mode: one sliced analysis per distinct seed function
-             (memoized by [demand_dispatch]), answered sequentially —
+             (memoized by [demand_result]), answered sequentially —
              queries about the same function share a slice, and slicing
              itself is the speedup, not fan-out. *)
-          let prog = load file in
-          let seeded = demand_seeded ~cache ~incremental prog file in
-          let dispatch = demand_dispatch ?seeded prog in
+          let de = demand_entry ~cache ~incremental file in
           let answer (n, qline) =
             match Alias.Query.parse qline with
             | Error e -> Error (Fmt.str "line %d: error: %s" n e)
             | Ok q -> (
-                match Alias.Query.answer (dispatch q) q with
+                match Alias.Query.answer (demand_result de q) q with
                 | Ok ans -> Ok (Fmt.str "%s => %s" qline ans)
                 | Error e -> Error (Fmt.str "line %d: error: %s" n e))
           in
@@ -484,20 +505,6 @@ let cmd_batch file cache incremental demand jobs queries =
         answers;
       if !failed > 0 then exit 2)
 
-(** One demand-mode corpus entry of the daemon: the parsed program, the
-    Andersen planning driver, optional cache summaries for skip-replay,
-    and a mutex-guarded memo of primed per-seed results — filled on
-    first use by whichever worker domain gets there, dropped wholesale
-    on reload. [None] keys the exhaustive fallback for seedless
-    queries. *)
-type demand_entry = {
-  de_prog : Ir.program;
-  de_driver : Alias.Demand_driver.t;
-  de_seeded : Pointsto.Engine.store option;
-  de_memo : (string option, Pointsto.Analysis.result) Hashtbl.t;
-  de_mu : Mutex.t;
-}
-
 (** The resident daemon: analyze (or load from cache) and prime every
     corpus file once, then answer {!Alias.Query} requests over the
     {!Pointsto.Serve} line protocol until end-of-input, [quit], or
@@ -528,15 +535,7 @@ let cmd_serve files cache incremental demand budget jobs socket request_deadline
       let dentries : (string, demand_entry) Hashtbl.t = Hashtbl.create 16 in
       let load_entry file =
         if demand then begin
-          let prog = load file in
-          Hashtbl.replace dentries file
-            {
-              de_prog = prog;
-              de_driver = Alias.Demand_driver.prepare prog;
-              de_seeded = demand_seeded ~cache ~incremental prog file;
-              de_memo = Hashtbl.create 8;
-              de_mu = Mutex.create ();
-            };
+          Hashtbl.replace dentries file (demand_entry ~cache ~incremental file);
           None
         end
         else begin
@@ -545,27 +544,6 @@ let cmd_serve files cache incremental demand budget jobs socket request_deadline
           Hashtbl.replace results file r;
           Some r
         end
-      in
-      (* A worker answering a demand request: memo hit, else compute
-         outside the lock (a racing request may duplicate the work; the
-         published primed value stays unique) and publish. *)
-      let demand_result (de : demand_entry) seed =
-        match Mutex.protect de.de_mu (fun () -> Hashtbl.find_opt de.de_memo seed) with
-        | Some r -> r
-        | None ->
-            let r =
-              match seed with
-              | Some s ->
-                  Alias.Demand_driver.analyze ?seeded:de.de_seeded de.de_driver ~seed:s
-              | None -> Pointsto.Analysis.analyze de.de_prog
-            in
-            Pointsto.Analysis.prime r;
-            Mutex.protect de.de_mu (fun () ->
-                match Hashtbl.find_opt de.de_memo seed with
-                | Some winner -> winner
-                | None ->
-                    Hashtbl.replace de.de_memo seed r;
-                    r)
       in
       List.iter
         (fun file ->
@@ -612,8 +590,7 @@ let cmd_serve files cache incremental demand budget jobs socket request_deadline
                   match Alias.Query.parse query with
                   | Error e -> Pointsto.Serve.Ans_error e
                   | Ok q -> (
-                      let seed = Alias.Demand_driver.seed_of de.de_driver q in
-                      match Alias.Query.answer (demand_result de seed) q with
+                      match Alias.Query.answer (demand_result de q) q with
                       | Error e -> Pointsto.Serve.Ans_error e
                       (* demand runs take no budget, so never degraded *)
                       | Ok ans -> Pointsto.Serve.Ans ans))

@@ -35,7 +35,9 @@ type origin =
     evaluation made — everything a later run needs to {e replay} the
     invocation without re-processing the body. Frames are keyed by
     statement id and hold the merged contribution of the evaluation to
-    that statement's row. *)
+    that statement's row: the statements its body visited, plus the
+    frame of every callee evaluation, memo hit and replay it contained,
+    each folded in once when it finished. *)
 type summary_entry = {
   se_in : Pts.t;
   se_out : Pts.t;
@@ -82,7 +84,8 @@ type ctx = {
       (** resource governor, polled at the fixed-point boundaries below;
           an unlimited guard still polls task cancellation *)
   stmt_pts : (int, Pts.t) Hashtbl.t;
-      (** merged points-to set valid at each statement, over all contexts *)
+      (** merged points-to set valid at each statement, over all
+          contexts: the root of the recording chain *)
   mutable warnings : string list;
   warn_seen : (string, unit) Hashtbl.t;
       (** messages already emitted (duplicate suppression in O(1)) *)
@@ -104,9 +107,13 @@ type ctx = {
   record_summaries : bool;
       (** record a frame with every evaluated (function, input) pair so
           {!Persist} can write the summary section *)
-  mutable frame_stack : (int, Pts.t) Hashtbl.t list;
-      (** open frames of the in-flight evaluations, innermost first;
-          every statement contribution is merged into each of them *)
+  mutable recording : (int, Pts.t) Hashtbl.t;
+      (** the innermost open recording table, the only one a statement
+          visit merges into: the frame of the innermost in-flight
+          evaluation when the run records summaries, [stmt_pts]
+          otherwise. A finished frame is folded into the table that was
+          innermost when it opened, so each row reaches [stmt_pts]
+          through its chain of enclosing frames *)
   demand : Demand.plan option;
       (** demand mode (docs/DEMAND.md): when set, calls to defined
           functions outside the plan's slice are answered without
@@ -122,6 +129,7 @@ type ctx = {
     per query), while a run turns the entries it replays live. *)
 let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) : ctx =
   let store = store_create () in
+  let stmt_pts = Hashtbl.create 256 in
   Option.iter
     (Hashtbl.iter (fun fname ->
          Hashtbl.iter (fun h ->
@@ -131,7 +139,7 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     tenv;
     opts = tenv.Tenv.opts;
     guard = (match guard with Some g -> g | None -> Guard.unlimited ());
-    stmt_pts = Hashtbl.create 256;
+    stmt_pts;
     warnings = [];
     warn_seen = Hashtbl.create 16;
     ci_slots = Hashtbl.create 16;
@@ -140,7 +148,7 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     ci_changed = false;
     store;
     record_summaries;
-    frame_stack = [];
+    recording = stmt_pts;
     demand;
   }
 
@@ -178,34 +186,14 @@ let merge_into_tbl (tbl : (int, Pts.t) Hashtbl.t) sid (s : Pts.t) =
   | Some old -> Hashtbl.replace tbl sid (Pts.merge old s)
 
 let record_stmt ctx (s : Ir.stmt) (input : Pts.t) =
-  if
-    ctx.opts.Options.record_stats
-    && (match ctx.demand with Some p -> Demand.records p s.Ir.s_id | None -> true)
-  then begin
-    merge_into_tbl ctx.stmt_pts s.Ir.s_id input;
-    if ctx.record_summaries then
-      List.iter (fun fr -> merge_into_tbl fr s.Ir.s_id input) ctx.frame_stack
-  end
+  if match ctx.demand with Some p -> Demand.records p s.Ir.s_id | None -> true then
+    merge_into_tbl ctx.recording s.Ir.s_id input
 
-(* ------------------------------------------------------------------ *)
-(* Summary recording and replay                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** Fold a completed frame into every still-open frame, so a caller's
-    record carries the transitive effects of its callees — including
-    callees answered by the memo or by a replayed summary. *)
-let propagate_frame ctx (frame : (int, Pts.t) Hashtbl.t) =
-  if ctx.record_summaries && ctx.frame_stack <> [] then
-    Hashtbl.iter
-      (fun sid s -> List.iter (fun fr -> merge_into_tbl fr sid s) ctx.frame_stack)
-      frame
-
-(** Replay: merge a persisted frame's per-statement contributions into
-    the live tables, exactly as the skipped evaluation would have. *)
-let apply_frame ctx (frame : (int, Pts.t) Hashtbl.t) =
-  if ctx.opts.Options.record_stats then
-    Hashtbl.iter (fun sid s -> merge_into_tbl ctx.stmt_pts sid s) frame;
-  propagate_frame ctx frame
+(** Fold a frame into the innermost open table: the frame of a finished
+    evaluation, of a memo hit or of a replayed summary, exactly as if
+    its statement visits had been recorded there. *)
+let fold_frame ctx (frame : (int, Pts.t) Hashtbl.t) =
+  Hashtbl.iter (merge_into_tbl ctx.recording) frame
 
 (* ------------------------------------------------------------------ *)
 (* Basic statement rule (Figure 1, process_basic_stmt)                *)
@@ -568,6 +556,21 @@ and actual_of_operand ctx fn (s : Pts.t) (pty : Ctype.t option) (op : Ir.operand
   | Ir.Onull | Ir.Oconst _ -> Map_unmap.Aother
   | Ir.Ostr -> Map_unmap.Aptr (Lval.of_list [ (Loc.Str, Pts.P) ])
 
+(** The call's actuals, each paired with its parameter type when the
+    callee declares one. Extra actuals (variadic or unprototyped calls)
+    have no type; missing trailing ones are left to
+    {!Map_unmap.map_call}, which binds their formals to NULL. *)
+and actuals_of ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.operand list) :
+    Map_unmap.actual list =
+  let rec go params args =
+    match (params, args) with
+    | _, [] -> []
+    | [], op :: args -> actual_of_operand ctx caller_fn s None op :: go [] args
+    | (_, t) :: params, op :: args ->
+        actual_of_operand ctx caller_fn s (Some t) op :: go params args
+  in
+  go callee_fn.Ir.fn_params args
+
 (** Answer a call to a defined function outside the demand slice
     without evaluating it: map the input, replay a seeded summary when
     one matches the mapped input (exact), otherwise apply the widened
@@ -648,14 +651,7 @@ and demand_skip ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.opera
     (Some out, ret_tgts, [])
   end
   else begin
-    let param_tys = List.map (fun (_, t) -> Some t) callee_fn.Ir.fn_params in
-    let param_tys =
-      if List.length args <= List.length param_tys then param_tys
-      else param_tys @ List.init (List.length args - List.length param_tys) (fun _ -> None)
-    in
-    let actuals =
-      List.map2 (fun pty op -> actual_of_operand ctx caller_fn s pty op) param_tys args
-    in
+    let actuals = actuals_of ctx caller_fn s callee_fn args in
     let func_input, info =
       Map_unmap.map_call ctx.tenv ~caller_fn ~callee:callee_fn ~input:s ~actuals
     in
@@ -820,14 +816,7 @@ and finish_call ctx fn _node (out : Pts.state) (ret_tgts : (Loc.t * Pts.cert) li
 and invoke ctx caller_fn (child : Ig.node) (s : Pts.t) (callee_fn : Ir.func)
     (args : Ir.operand list) :
     Pts.state * (Loc.t * Pts.cert) list * ((Loc.t -> Loc.t) * (Loc.t * Pts.cert) list) list =
-  let param_tys = List.map (fun (_, t) -> Some t) callee_fn.Ir.fn_params in
-  let param_tys =
-    if List.length args <= List.length param_tys then param_tys
-    else param_tys @ List.init (List.length args - List.length param_tys) (fun _ -> None)
-  in
-  let actuals =
-    List.map2 (fun pty op -> actual_of_operand ctx caller_fn s pty op) param_tys args
-  in
+  let actuals = actuals_of ctx caller_fn s callee_fn args in
   let func_input, info =
     Map_unmap.map_call ctx.tenv ~caller_fn ~callee:callee_fn ~input:s ~actuals
   in
@@ -887,21 +876,21 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               Metrics.((cur ()).memo_hits <- (cur ()).memo_hits + 1);
               node.Ig.stored_input <- Some func_input;
               node.Ig.stored_output <- Some e.se_out;
-              (* the first occurrence already merged its contributions
-                 into [stmt_pts] this run, but open frames still need the
-                 transitive effects of this invocation *)
-              Option.iter (propagate_frame ctx) e.se_frame;
+              (* the open frames need the transitive effects of this
+                 invocation; with none open, the first occurrence's frame
+                 has already reached [stmt_pts] *)
+              if ctx.recording != ctx.stmt_pts then Option.iter (fold_frame ctx) e.se_frame;
               Some e.se_out
           | Some ({ se_origin = Seeded | Replayed; _ } as e) ->
-              (* Replay a persisted summary: merge its recorded frame into
-                 the live tables, adopt its output, and skip the body
+              (* Replay a persisted summary: fold its recorded frame into
+                 the innermost table, adopt its output, and skip the body
                  fixpoint. Only functions whose whole direct-call closure
                  is unchanged — and free of indirect call sites — are ever
                  seeded (docs/INCREMENTAL.md), so the replay creates no
                  invocation-graph nodes, exactly like the skipped
                  evaluation would not have under sub-tree sharing. *)
               let tr0 = Trace.start () in
-              Option.iter (apply_frame ctx) e.se_frame;
+              Option.iter (fold_frame ctx) e.se_frame;
               e.se_origin <- (if sharing then Live else Replayed);
               node.Ig.stored_input <- Some func_input;
               node.Ig.stored_output <- Some e.se_out;
@@ -916,10 +905,13 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               node.Ig.stored_output <- Pts.bot;
               node.Ig.pending <- [];
               node.Ig.in_flight <- true;
+              (* an exception abandons the whole run, so [recording] is
+                 restored on the normal path only *)
+              let parent = ctx.recording in
               let frame =
                 if ctx.record_summaries then begin
                   let fr = Hashtbl.create 16 in
-                  ctx.frame_stack <- fr :: ctx.frame_stack;
+                  ctx.recording <- fr;
                   Some fr
                 end
                 else None
@@ -976,11 +968,8 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                   store_add ctx.store fname h
                     { se_in = func_input; se_out = out; se_frame = frame; se_origin = Live }
               | Some _ | None -> ());
-              (match frame with
-              | Some fr ->
-                  ctx.frame_stack <- List.tl ctx.frame_stack;
-                  propagate_frame ctx fr
-              | None -> ());
+              ctx.recording <- parent;
+              Option.iter (fold_frame ctx) frame;
               if Trace.on () then
                 Trace.emit Trace.Node ~name:fname ~ctx:h ~stmts:(Ir.count_stmts callee_fn)
                   ~pts_in:(Pts.cardinal func_input)

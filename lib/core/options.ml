@@ -22,7 +22,6 @@ type t = {
       (** true: track definite relationships and use them for strong
           updates (the paper); false: everything possible, weak updates
           only (ablation) *)
-  record_stats : bool;  (** record per-statement points-to sets *)
   share_contexts : bool;
       (** the paper's §6 proposal for large invocation graphs: memoize
           IN/OUT pairs per function across contexts, so a node whose
@@ -43,7 +42,6 @@ let default =
     pointer_arith_stays = true;
     context_sensitive = true;
     use_definite = true;
-    record_stats = true;
     share_contexts = true;
     heap_by_site = false;
   }

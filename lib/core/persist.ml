@@ -97,10 +97,9 @@ let r_float r =
 (* ------------------------------------------------------------------ *)
 
 let opts_repr (o : Options.t) =
-  Printf.sprintf "sym=%d;arith=%b;ctx=%b;def=%b;stats=%b;share=%b;site=%b"
+  Printf.sprintf "sym=%d;arith=%b;ctx=%b;def=%b;share=%b;site=%b"
     o.Options.max_sym_depth o.Options.pointer_arith_stays o.Options.context_sensitive
-    o.Options.use_definite o.Options.record_stats o.Options.share_contexts
-    o.Options.heap_by_site
+    o.Options.use_definite o.Options.share_contexts o.Options.heap_by_site
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 

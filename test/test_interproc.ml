@@ -399,6 +399,40 @@ let ig_tests =
         Alcotest.(check bool) "recorded" true has_info);
   ]
 
+let arity_tests =
+  [
+    case "a call with too few arguments binds the missing formal to NULL" (fun () ->
+        (* C89: an unprototyped declaration lets the call pass fewer
+           actuals than the definition has formals *)
+        let src =
+          {|int *f(); int x; int *r;
+            int main() { r = f(&x); return 0; }
+            int *f(int *a, int *b) { probe1(); return a; }|}
+        in
+        let prog = simplify src in
+        let res = Analysis.analyze prog in
+        check_targets "r" [ "x/D" ] (exit_targets res "r");
+        let f = Option.get (Ir.find_func prog "f") in
+        let b = Option.get (Pointsto.Tenv.base_loc res.Analysis.tenv f "b") in
+        Alcotest.(check (list string))
+          "b" [ "NULL/D" ]
+          (List.map show_pair (Pts.targets b (Analysis.pts_at res (probe_stmt res "probe1"))));
+        (* the demand run answers each function's rows identically *)
+        let d = Alias.Demand_driver.prepare prog in
+        List.iter
+          (fun (fn : Ir.func) ->
+            let dem = Alias.Demand_driver.analyze d ~seed:fn.Ir.fn_name in
+            Ir.fold_func
+              (fun () st ->
+                Alcotest.(check string)
+                  (Fmt.str "demand row s%d" st.Ir.s_id)
+                  (Pts.to_string (Analysis.pts_at res st.Ir.s_id))
+                  (Pts.to_string (Analysis.pts_at dem st.Ir.s_id)))
+              () fn)
+          prog.Ir.funcs);
+  ]
+
 let suite =
   ( "interproc",
-    mapping_tests @ return_tests @ context_tests @ recursion_tests @ fnptr_tests @ ig_tests )
+    mapping_tests @ return_tests @ context_tests @ recursion_tests @ fnptr_tests @ ig_tests
+    @ arity_tests )

@@ -217,4 +217,20 @@ let pin_tests =
           if drift <> [] then Alcotest.failf "%s\n%s" name (String.concat "\n" drift)))
     expected
 
-let suite = ("rows", pin_tests)
+(** Summary recording folds each finished frame into its caller's table
+    only, so a recording run does a bounded multiple of a cold run's
+    merges whatever the call depth, and records the same rows. *)
+let recording_cost_test =
+  case "summary recording at most doubles a cold run's merges: gen:deep" (fun () ->
+      let prog =
+        Simple_ir.Simplify.of_string ~file:"gen:deep" (Gen.program (gen_knobs "deep"))
+      in
+      let cold = Analysis.analyze prog in
+      let recorded = Analysis.analyze ~record_summaries:true prog in
+      Alcotest.(check string) "rows" (rows_digest cold) (rows_digest recorded);
+      let merges (r : Analysis.result) = r.Analysis.metrics.Pointsto.Metrics.merges in
+      if merges recorded > 2 * merges cold then
+        Alcotest.failf "recording run made %d merges, cold run %d" (merges recorded)
+          (merges cold))
+
+let suite = ("rows", pin_tests @ [ recording_cost_test ])

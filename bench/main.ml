@@ -10,8 +10,7 @@
     unknown section exits 2. Sections, in run order: table2, table3,
     table4, table5, table6, figure2, figures67, figures89, livc,
     overall, ablations, extensions, persistence, incremental, demand,
-    counters, tracing, degradation, parallel, serve, corpus, timings,
-    rep-ops. *)
+    counters, tracing, degradation, parallel, serve, corpus. *)
 
 module Ir = Simple_ir.Ir
 module Stats = Pointsto.Stats
@@ -1319,104 +1318,9 @@ let corpus () =
     "(every member regenerates byte-identically from its seed; demand answers the@.\
      cheapest-slice seed bit-identically; fuel-1 degradation stays a pair superset)@."
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel timings                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let timings () =
-  section "Timings (Bechamel, monotonic clock, one Test.make per benchmark)";
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    List.map
-      (fun name ->
-        let p = prog name in
-        Test.make ~name (Staged.stage (fun () -> ignore (Analysis.analyze p))))
-      (Paper_data.names @ [ "livc" ])
-    @ [
-        (let p = prog "stanford" in
-         Test.make ~name:"baseline:andersen(stanford)"
-           (Staged.stage (fun () -> ignore (Alias.Andersen.run p))));
-        (let p = prog "stanford" in
-         Test.make ~name:"baseline:steensgaard(stanford)"
-           (Staged.stage (fun () -> ignore (Alias.Steensgaard.run p))));
-      ]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.25) ~kde:None () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun tst ->
-          let raw = Benchmark.run cfg [ instance ] tst in
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> Fmt.pr "%-32s %10.3f ms/run@." (Test.Elt.name tst) (t /. 1e6)
-          | Some _ | None -> Fmt.pr "%-32s (no estimate)@." (Test.Elt.name tst))
-        (Test.elements test))
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Representation micro-benchmarks                                    *)
-(* ------------------------------------------------------------------ *)
-
-(** Micro-benchmarks of the points-to set operations on the hot path of
-    the fixed points, over the largest set observed while analyzing livc
-    (the heaviest benchmark). *)
-let rep_ops () =
-  section "Representation Ops (Bechamel, largest points-to set of livc)";
-  let r = result "livc" in
-  let big =
-    Hashtbl.fold (fun _ s acc -> if Pts.cardinal s > Pts.cardinal acc then s else acc)
-      r.Analysis.stmt_pts Pts.empty
-  in
-  let pairs = Pts.to_list big in
-  (* a structurally equal copy that shares nothing, so [equal]/[merge]
-     cannot win by physical identity *)
-  let copy = Pts.of_list pairs in
-  (* a slightly divergent variant, for the non-subsuming merge path *)
-  let variant = Pts.add Loc.Heap Loc.Str Pointsto.Pts.P copy in
-  let some_src =
-    match pairs with (s, _, _) :: _ -> s | [] -> Loc.Heap
-  in
-  Fmt.pr "set under test: %d pairs, %d locations@.@." (Pts.cardinal big)
-    (Loc.Set.cardinal (Pts.all_locs big));
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    [
-      Test.make ~name:"merge (identical copy)"
-        (Staged.stage (fun () -> ignore (Pts.merge big copy)));
-      Test.make ~name:"merge (divergent)"
-        (Staged.stage (fun () -> ignore (Pts.merge big variant)));
-      Test.make ~name:"equal (identical copy)"
-        (Staged.stage (fun () -> ignore (Pts.equal big copy)));
-      Test.make ~name:"covered_by"
-        (Staged.stage (fun () -> ignore (Pts.covered_by big variant)));
-      Test.make ~name:"kill_src"
-        (Staged.stage (fun () -> ignore (Pts.kill_src some_src big)));
-      Test.make ~name:"remove_tgt NULL"
-        (Staged.stage (fun () -> ignore (Pts.remove_tgt Loc.Null big)));
-    ]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.25) ~kde:None () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun tst ->
-          let raw = Benchmark.run cfg [ instance ] tst in
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> Fmt.pr "%-32s %10.1f ns/run@." (Test.Elt.name tst) t
-          | Some _ | None -> Fmt.pr "%-32s (no estimate)@." (Test.Elt.name tst))
-        (Test.elements test))
-    tests
-
 (** CI smoke mode: parse, analyze and sanity-check two benchmarks (the
-    smallest and the heaviest) without the Bechamel sections. *)
+    smallest and the heaviest), then one pass over the gates that stay
+    cheap on them. *)
 let smoke () =
   Fmt.pr "smoke: analyzing stanford and livc@.";
   List.iter
@@ -1511,8 +1415,6 @@ let sections =
       parallel_suite (match argv_jobs () with Some n -> [ n ] | None -> [ 2; 4; 8 ]));
     ("serve", serve_bench);
     ("corpus", corpus);
-    ("timings", timings);
-    ("rep-ops", rep_ops);
   ]
 
 let () =

@@ -106,17 +106,19 @@ let checkpoint_of (ctx : Engine.ctx) (graph : Ig.t) : ci_seed =
     degraded rerun accumulates on top of the aborted precise run).
     [checkpoint_out] receives the partial-state checkpoint when the
     budget trips; [ci_seed] pre-loads the widened engine's per-function
-    slots from a previous trip's checkpoint. *)
+    slots from a previous trip's checkpoint. [demand] runs over the
+    plan's slice (docs/DEMAND.md): the graph is built within it, and
+    the result's summary store stays empty. *)
 let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
-    ?checkpoint_out ?(ci_seed = []) (prog : Ir.program) : result =
+    ?checkpoint_out ?(ci_seed = []) ?demand (prog : Ir.program) : result =
   let tenv = Tenv.make ~opts prog in
   let entry_fn =
     match Tenv.find_func tenv entry with
     | Some f -> f
     | None -> raise (No_entry entry)
   in
-  let graph = Ig.build tenv ~entry in
-  let ctx = Engine.make_ctx ~guard ~record_summaries ?seeded tenv in
+  let graph = Ig.build ?within:(Option.map Demand.in_slice demand) tenv ~entry in
+  let ctx = Engine.make_ctx ~guard ~record_summaries ?seeded ?demand tenv in
   List.iter
     (fun (name, slot) -> Hashtbl.replace ctx.Engine.ci_slots name slot)
     ci_seed;
@@ -155,12 +157,16 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
       raise e
   in
   (Metrics.cur ()).Metrics.t_analysis <- Metrics.now () -. t0;
-  if Trace.on () then
-    Trace.emit Trace.Analysis ~name:entry
-      ~stmts:(Ir.fold_program (fun n _ -> n + 1) 0 prog)
-      ~pts_in:(Pts.cardinal input0)
+  if Trace.on () then begin
+    let kind, name, stmts =
+      match demand with
+      | Some plan -> (Trace.Demand, plan.Demand.p_seed, Demand.slice_size plan)
+      | None -> (Trace.Analysis, entry, Ir.fold_program (fun n _ -> n + 1) 0 prog)
+    in
+    Trace.emit kind ~name ~stmts ~pts_in:(Pts.cardinal input0)
       ~pts_out:(match entry_output with Some s -> Pts.cardinal s | None -> -1)
-      ~t0:ttr ();
+      ~t0:ttr ()
+  end;
   {
     prog;
     tenv;
@@ -171,9 +177,11 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
     metrics = Metrics.snapshot ();
     degraded;
     (* only recorded or seeded entries carry the frames {!Persist.save}
-       writes; a store of frameless §6 pairs dies with the run *)
+       writes; a store of frameless §6 pairs dies with the run, and a
+       sliced run's entries must never seed a later one *)
     summaries =
-      (if record_summaries || Option.is_some seeded then ctx.Engine.store
+      (if Option.is_none demand && (record_summaries || Option.is_some seeded) then
+         ctx.Engine.store
        else Engine.store_create ());
   }
 
@@ -233,39 +241,9 @@ let analyze_demand ?(opts = Options.default) ?(entry = "main") ?seeded ~plan
     (* No [Metrics.reset] here: the caller resets once before building
        the plan, so the Slice and Demand counters land in one epoch
        ({!Alias.Demand_driver.analyze} does). *)
-    let demand_run () =
-      let tenv = Tenv.make ~opts prog in
-      let entry_fn =
-        match Tenv.find_func tenv entry with
-        | Some f -> f
-        | None -> raise (No_entry entry)
-      in
-      let graph = Ig.build ~within:(Demand.in_slice plan) tenv ~entry in
-      let guard = Guard.of_budget None in
-      let ctx = Engine.make_ctx ~guard ?seeded ~demand:plan tenv in
-      let input0 = initial_input tenv entry_fn in
-      let t0 = Metrics.now () in
-      let ttr = Trace.start () in
-      let entry_output = Engine.eval_node ctx graph.Ig.root entry_fn input0 in
-      (Metrics.cur ()).Metrics.t_analysis <- Metrics.now () -. t0;
-      if Trace.on () then
-        Trace.emit Trace.Demand ~name:plan.Demand.p_seed
-          ~stmts:(Demand.slice_size plan) ~pts_in:(Pts.cardinal input0)
-          ~pts_out:(match entry_output with Some s -> Pts.cardinal s | None -> -1)
-          ~t0:ttr ();
-      {
-        prog;
-        tenv;
-        graph;
-        stmt_pts = ctx.Engine.stmt_pts;
-        entry_output;
-        warnings = ctx.Engine.warnings;
-        metrics = Metrics.snapshot ();
-        degraded = None;
-        summaries = Engine.store_create ();
-      }
-    in
-    try demand_run ()
+    try
+      run ~opts ~entry ~guard:(Guard.unlimited ()) ~degraded:None ?seeded ~demand:plan
+        prog
     with Demand.Oracle_miss _ ->
       (* An evaluated indirect site resolved to a defined target the
          planning oracle missed: the slice is untrustworthy. Rerun

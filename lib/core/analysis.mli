@@ -88,13 +88,16 @@ val analyze :
   Ir.program ->
   result
 
-(** Demand-driven run over a {!Demand.plan}'s slice: the invocation
-    graph is built only within the slice, defined callees outside it are
-    answered by summary replay (from [seeded], when a matching entry
-    exists) or by the widened skip transfer, and only the seed
-    function's statement rows are recorded. For every statement of the
-    plan's seed the recorded row is bit-identical to [analyze]'s — the
-    argument is in docs/DEMAND.md; rows of other statements are absent.
+(** Demand-driven run over a {!Demand.plan}'s slice, through the same
+    driver as [analyze]: the invocation graph is built only within the
+    slice, defined callees outside it are answered by summary replay
+    (from [seeded], when a matching entry exists) or by the widened skip
+    transfer, and only the seed function's statement rows are recorded,
+    from statement visits and replayed frames alike. For every statement
+    of the plan's seed the recorded row is bit-identical to [analyze]'s
+    — the argument is in docs/DEMAND.md; rows of other statements are
+    absent, seeded or not. The run emits a [Trace.Demand] span where
+    [analyze] emits [Trace.Analysis].
 
     Falls back to the exhaustive [analyze] when an evaluated indirect
     call resolves to a defined target the planning oracle missed; the

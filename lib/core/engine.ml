@@ -180,20 +180,23 @@ let merge_flow a b =
     ret = Pts.merge_state a.ret b.ret;
   }
 
-let merge_into_tbl (tbl : (int, Pts.t) Hashtbl.t) sid (s : Pts.t) =
-  match Hashtbl.find_opt tbl sid with
-  | None -> Hashtbl.replace tbl sid s
-  | Some old -> Hashtbl.replace tbl sid (Pts.merge old s)
-
-let record_stmt ctx (s : Ir.stmt) (input : Pts.t) =
-  if match ctx.demand with Some p -> Demand.records p s.Ir.s_id | None -> true then
-    merge_into_tbl ctx.recording s.Ir.s_id input
+(** Merge [row] into statement [sid]'s row of the innermost open table,
+    unless a demand plan keeps only its seed's rows and [sid] is not one
+    of them. Statement visits and folded frames both pass this gate. *)
+let record ctx sid (row : Pts.t) =
+  if match ctx.demand with Some p -> Demand.records p sid | None -> true then
+    match Hashtbl.find_opt ctx.recording sid with
+    | None -> Hashtbl.replace ctx.recording sid row
+    | Some old -> Hashtbl.replace ctx.recording sid (Pts.merge old row)
 
 (** Fold a frame into the innermost open table: the frame of a finished
     evaluation, of a memo hit or of a replayed summary, exactly as if
     its statement visits had been recorded there. *)
-let fold_frame ctx (frame : (int, Pts.t) Hashtbl.t) =
-  Hashtbl.iter (merge_into_tbl ctx.recording) frame
+let fold_frame ctx (frame : (int, Pts.t) Hashtbl.t) = Hashtbl.iter (record ctx) frame
+
+(** Does [t] carry pointers inside a struct or union (so values of it
+    are copied cell by cell)? *)
+let su_ptr ctx t = Ctype.is_su t && Ctype.carries_pointers (Tenv.layouts ctx.tenv) t
 
 (* ------------------------------------------------------------------ *)
 (* Basic statement rule (Figure 1, process_basic_stmt)                *)
@@ -335,6 +338,17 @@ let widen_src wide_row src s =
   in
   Pts.add_rows [ (src, row) ] s
 
+(** Rebind every source of [s] that [keep] selects to the wide [row]
+    (forced on the first rebind only). *)
+let widen_where row keep (s : Pts.t) : Pts.t =
+  let out = ref s in
+  Pts.iter_srcs (fun src _ -> if keep src then out := widen_src (Lazy.force row) src !out) s;
+  !out
+
+(** Is [src] a cell of one of the globals [gs]? *)
+let modified_global gs src =
+  match loc_global_root src with Some g -> Hashtbl.mem gs g | None -> false
+
 let demand_mods ctx fname =
   match ctx.demand with
   | Some plan -> Demand.func_mods plan fname
@@ -348,23 +362,216 @@ let demand_mods ctx fname =
     visible, at the heap, or at string storage, and its definite
     relationships are demoted to possible. *)
 let demand_widen ctx (callee_fn : Ir.func) (func_input : Pts.t) : Pts.t =
-  let wide_row = lazy (wide_row_of (Pts.all_locs func_input)) in
-  let out = ref func_input in
-  (match demand_mods ctx callee_fn.Ir.fn_name with
-  | Demand.Mod_all ->
-      Pts.iter_srcs (fun src _ -> out := widen_src (Lazy.force wide_row) src !out)
-        func_input
-  | Demand.Mod_globals gs ->
-      Pts.iter_srcs
-        (fun src _ ->
-          match loc_global_root src with
-          | Some g when Hashtbl.mem gs g -> out := widen_src (Lazy.force wide_row) src !out
-          | Some _ | None -> ())
-        func_input);
+  let row = lazy (wide_row_of (Pts.all_locs func_input)) in
+  let keep =
+    match demand_mods ctx callee_fn.Ir.fn_name with
+    | Demand.Mod_all -> fun _ -> true
+    | Demand.Mod_globals gs -> modified_global gs
+  in
+  let out = widen_where row keep func_input in
   if Ctype.is_pointer (Ctype.decay callee_fn.Ir.fn_ret) then
-    out := Pts.add_weak (Loc.ret callee_fn.Ir.fn_name) Loc.Null Pts.P
-             (widen_src (Lazy.force wide_row) (Loc.ret callee_fn.Ir.fn_name) !out);
-  !out
+    let ret = Loc.ret callee_fn.Ir.fn_name in
+    Pts.add_weak ret Loc.Null Pts.P (widen_src (Lazy.force row) ret out)
+  else out
+
+(* ------------------------------------------------------------------ *)
+(* Calls (Figures 4 and 5)                                            *)
+(* ------------------------------------------------------------------ *)
+
+let actual_of_operand ctx fn (s : Pts.t) (pty : Ctype.t option) (op : Ir.operand) :
+    Map_unmap.actual =
+  match op with
+  | Ir.Oref r when Ir.is_plain_var r -> (
+      let is_agg =
+        match Tenv.var_info ctx.tenv fn r.Ir.r_base with
+        | Some (_, ty) -> Ctype.is_su ty
+        | None -> false
+      in
+      if is_agg then
+        match Tenv.base_loc ctx.tenv fn r.Ir.r_base with
+        | Some l -> Map_unmap.Aagg l
+        | None -> Map_unmap.Aother
+      else
+        match pty with
+        | Some pty when Ctype.is_pointer (Ctype.decay pty) ->
+            Map_unmap.Aptr (Lval.rvals_operand ctx.tenv fn s op)
+        | Some _ -> Map_unmap.Aother
+        | None ->
+            (* unknown parameter type (variadic or unprototyped): pass
+               pointer info if the operand is pointer-typed *)
+            let opty = Tenv.vref_type ctx.tenv fn r in
+            if (match opty with Some t -> Ctype.is_pointer (Ctype.decay t) | None -> false)
+            then Map_unmap.Aptr (Lval.rvals_operand ctx.tenv fn s op)
+            else Map_unmap.Aother)
+  | Ir.Oref _ -> Map_unmap.Aptr (Lval.rvals_operand ctx.tenv fn s op)
+  | Ir.Onull | Ir.Oconst _ -> Map_unmap.Aother
+  | Ir.Ostr -> Map_unmap.Aptr (Lval.of_list [ (Loc.Str, Pts.P) ])
+
+(** The call's actuals, each paired with its parameter type when the
+    callee declares one. Extra actuals (variadic or unprototyped calls)
+    have no type; missing trailing ones are left to
+    {!Map_unmap.map_call}, which binds their formals to NULL. *)
+let actuals_of ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.operand list) :
+    Map_unmap.actual list =
+  let rec go params args =
+    match (params, args) with
+    | _, [] -> []
+    | [], op :: args -> actual_of_operand ctx caller_fn s None op :: go [] args
+    | (_, t) :: params, op :: args ->
+        actual_of_operand ctx caller_fn s (Some t) op :: go params args
+  in
+  go callee_fn.Ir.fn_params args
+
+(** What a call hands back to its caller: the caller-side output state,
+    the return value's targets, and the targets of each returned
+    pointer cell of an aggregate result. *)
+type call_result =
+  Pts.state * (Loc.t * Pts.cert) list * ((Loc.t -> Loc.t) * (Loc.t * Pts.cert) list) list
+
+(** Figure 4's process_call around a [transfer] of the callee: map the
+    caller's state [s] into [callee_fn], apply [transfer] to the mapped
+    input, and unmap its output ([merged] when the output stands for
+    more than this call's context) with the return-value targets. The
+    evaluation of {!invoke} and the replay-or-widen of a demand skip
+    are the two transfers. *)
+let call_mapped ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.operand list)
+    ~merged (transfer : Pts.t -> Map_unmap.info -> Pts.state) : call_result =
+  let callee = callee_fn.Ir.fn_name in
+  let actuals = actuals_of ctx caller_fn s callee_fn args in
+  let func_input, info =
+    Map_unmap.map_call ctx.tenv ~caller_fn ~callee:callee_fn ~input:s ~actuals
+  in
+  match transfer func_input info with
+  | None -> (Pts.bot, [], [])
+  | Some out ->
+      let result = Map_unmap.unmap_call ~callee ~merged ctx.tenv ~input:s ~output:out ~info in
+      let ret_tgts = Map_unmap.return_targets ~output:out ~info ~callee in
+      let ret_cells =
+        if su_ptr ctx callee_fn.Ir.fn_ret then
+          Map_unmap.return_cell_targets ~output:out ~info ~callee
+        else []
+      in
+      (Some result, ret_tgts, ret_cells)
+
+(** Answer a call to a defined function outside the demand slice
+    without evaluating it: map the input, replay a seeded summary when
+    one matches the mapped input (exact), otherwise apply the widened
+    transfer, and unmap — no invocation-graph child is created and no
+    body is processed. By plan construction the imprecision cannot flow
+    into the recorded (seed) rows. *)
+let demand_skip ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.operand list) :
+    call_result =
+  let fname = callee_fn.Ir.fn_name in
+  let m = Metrics.cur () in
+  (* a function outside the slice is never evaluated, so every store
+     entry it has is a seed *)
+  let fast =
+    (not (Hashtbl.mem ctx.store fname))
+    && (not (su_ptr ctx callee_fn.Ir.fn_ret))
+    && List.for_all (fun (_, t) -> not (su_ptr ctx t)) callee_fn.Ir.fn_params
+    && List.length args <= List.length callee_fn.Ir.fn_params
+  in
+  if fast then begin
+    (* no seeded summary can match and no pointer-carrying struct flows
+       through the call: widen the caller's state in place over the
+       cells the callee can see — the same closure {!Map_unmap.map_call}
+       would compute (globals plus everything reachable from the
+       actuals) — and spare the map/unmap round trip that otherwise
+       dominates the cost of a skip *)
+    m.Metrics.demand_skipped <- m.Metrics.demand_skipped + 1;
+    let visible () =
+      let seen = ref Loc.Set.empty in
+      let q = Queue.create () in
+      let push l =
+        if not (Loc.Set.mem l !seen) then begin
+          seen := Loc.Set.add l !seen;
+          Queue.push l q
+        end
+      in
+      Pts.iter_srcs (fun src _ -> if loc_global_root src <> None then push src) s;
+      List.iter
+        (fun op ->
+          Loc.Map.iter (fun l _ -> push l) (Lval.rvals_operand ctx.tenv caller_fn s op))
+        args;
+      while not (Queue.is_empty q) do
+        Loc.Map.iter (fun t _ -> push t) (Pts.tgt_map (Queue.pop q) s)
+      done;
+      !seen
+    in
+    let row, keep =
+      match demand_mods ctx fname with
+      | Demand.Mod_globals gs -> (lazy (wide_row_of (Pts.all_locs s)), modified_global gs)
+      | Demand.Mod_all ->
+          let vis = visible () in
+          (lazy (wide_row_of vis), fun src -> Loc.Set.mem src vis)
+    in
+    let out = widen_where row keep s in
+    let ret_tgts =
+      if Ctype.is_pointer (Ctype.decay callee_fn.Ir.fn_ret) then
+        (Loc.Null, Pts.P)
+        :: Loc.Map.fold (fun l c acc -> (l, c) :: acc) (Lazy.force row) []
+      else []
+    in
+    (Some out, ret_tgts, [])
+  end
+  else
+    call_mapped ctx caller_fn s callee_fn args ~merged:true (fun func_input _ ->
+        match store_find ctx.store fname (Pts.hash func_input) func_input with
+        | Some { se_origin = Seeded | Replayed; se_out; _ } ->
+            m.Metrics.demand_replays <- m.Metrics.demand_replays + 1;
+            Some se_out
+        | Some { se_origin = Live; _ } | None ->
+            m.Metrics.demand_skipped <- m.Metrics.demand_skipped + 1;
+            Some (demand_widen ctx callee_fn func_input))
+
+(** One target [fname] of a call: a function outside the program goes
+    to its library model, a defined one outside the demand slice to
+    {!demand_skip}, and any other to [evaluate]. *)
+let call_target ctx fn (s : Pts.t) (args : Ir.operand list) fname
+    (evaluate : Ir.func -> call_result) : call_result =
+  match Tenv.find_func ctx.tenv fname with
+  | None -> (Some s, external_call_targets ctx.tenv fn s fname args, [])
+  | Some callee_fn when demand_skips ctx fname -> demand_skip ctx fn s callee_fn args
+  | Some callee_fn -> evaluate callee_fn
+
+(** Bind the call's result into the caller state. *)
+let finish_call ctx fn ((out, ret_tgts, ret_cells) : call_result) lhs : flow =
+  match out with
+  | None -> flow_of Pts.bot
+  | Some s -> (
+      match lhs with
+      | None -> flow_of (Some s)
+      | Some lref ->
+          if Tenv.is_pointer_assignment ctx.tenv fn lref then begin
+            let lhs_locs = Lval.lvals ctx.tenv fn s lref in
+            let rvals =
+              match ret_tgts with
+              | [] -> Lval.of_list [ (Loc.Null, Pts.D) ]
+              | _ -> Lval.of_list ret_tgts
+            in
+            flow_of (Some (apply_assign ctx s lhs_locs rvals))
+          end
+          else begin
+            (* aggregate result: bind each returned cell onto the matching
+               cell of the destination *)
+            match Tenv.vref_type ctx.tenv fn lref with
+            | Some ty when su_ptr ctx ty ->
+                let lhs_locs = Lval.to_list (Lval.lvals ctx.tenv fn s lref) in
+                let s =
+                  List.fold_left
+                    (fun s (graft, tgts) ->
+                      List.fold_left
+                        (fun s (base, cb) ->
+                          let cell = graft base in
+                          let lhs = Lval.of_list [ (cell, cb) ] in
+                          let rvals = Lval.of_list tgts in
+                          apply_assign ctx s lhs rvals)
+                        s lhs_locs)
+                    s ret_cells
+                in
+                flow_of (Some s)
+            | _ -> flow_of (Some s)
+          end)
 
 (* ------------------------------------------------------------------ *)
 (* Statement processing                                               *)
@@ -386,7 +593,7 @@ and process_stmt ctx fn node (input : Pts.state) (stmt : Ir.stmt) : flow =
   match input with
   | None -> flow_of Pts.bot
   | Some s -> (
-      record_stmt ctx stmt s;
+      record ctx stmt.Ir.s_id s;
       match stmt.Ir.s_desc with
       | Ir.Sassign (lref, rhs) ->
           if Tenv.is_pointer_assignment ctx.tenv fn lref then begin
@@ -422,10 +629,7 @@ and process_stmt ctx fn node (input : Pts.state) (stmt : Ir.stmt) : flow =
                   let rvals = Lval.rvals_operand ctx.tenv fn s op in
                   apply_assign ctx s lhs rvals
                 end
-                else if
-                  Ctype.is_su ret_ty
-                  && Ctype.carries_pointers (Tenv.layouts ctx.tenv) ret_ty
-                then begin
+                else if su_ptr ctx ret_ty then begin
                   (* aggregate return: copy each pointer cell of the value
                      into the matching cell of the return slot *)
                   match op with
@@ -449,55 +653,38 @@ and process_stmt ctx fn node (input : Pts.state) (stmt : Ir.stmt) : flow =
           in
           { normal = Pts.bot; brk = Pts.bot; cont = Pts.bot; ret = Some s })
 
-(** The unified loop rule: a fixed point on the loop-head state (the
-    point where the condition is evaluated), following Figure 1's
-    process_while generalized with condition-statements, a for-step, and
-    break/continue (continue re-runs step and condition). *)
+(** The unified loop rule: a fixed point on the loop-head state,
+    following Figure 1's process_while generalized with
+    condition-statements, a for-step, and break/continue (continue re-runs
+    step and condition). A while/for head is the state after the
+    condition statements, and the loop exits from it; a do head is the
+    body entry, and the loop exits after the last condition evaluation. *)
 and process_loop ctx fn node (s : Pts.t) (l : Ir.loop) : flow =
   let process_list st stmts = process_stmts ctx fn node st stmts in
-  match l.Ir.l_kind with
-  | `While | `For ->
-      (* head state: after evaluating the condition statements *)
-      let first = process_list (Some s) l.Ir.l_cond_stmts in
-      let rec iterate head ~brk ~ret ~n =
-        Guard.check ctx.guard;
-        Guard.check_fuel ctx.guard n;
-        Metrics.((cur ()).loop_iters <- (cur ()).loop_iters + 1);
-        let lt0 = Trace.start () in
-        let body = process_list head l.Ir.l_body in
-        let brk = Pts.merge_state brk body.brk in
-        let ret = Pts.merge_state ret body.ret in
-        let after_body = Pts.merge_state body.normal body.cont in
-        let step = process_list after_body l.Ir.l_step in
-        let back = process_list step.normal l.Ir.l_cond_stmts in
-        let head' = Pts.merge_state head back.normal in
-        if Trace.on () then Trace.emit Trace.Loop ~name:fn.Ir.fn_name ~t0:lt0 ();
-        if Pts.state_equal head head' then (head, brk, ret)
-        else iterate head' ~brk ~ret ~n:(n + 1)
-      in
-      let head, brk, ret = iterate first.normal ~brk:Pts.bot ~ret:Pts.bot ~n:1 in
-      let exit = Pts.merge_state head brk in
-      { normal = exit; brk = Pts.bot; cont = Pts.bot; ret }
-  | `Do ->
-      let rec iterate entry ~brk ~ret ~n =
-        Guard.check ctx.guard;
-        Guard.check_fuel ctx.guard n;
-        Metrics.((cur ()).loop_iters <- (cur ()).loop_iters + 1);
-        let lt0 = Trace.start () in
-        let body = process_list entry l.Ir.l_body in
-        let brk = Pts.merge_state brk body.brk in
-        let ret = Pts.merge_state ret body.ret in
-        let after_body = Pts.merge_state body.normal body.cont in
-        let step = process_list after_body l.Ir.l_step in
-        let after_cond = process_list step.normal l.Ir.l_cond_stmts in
-        let entry' = Pts.merge_state entry after_cond.normal in
-        if Trace.on () then Trace.emit Trace.Loop ~name:fn.Ir.fn_name ~t0:lt0 ();
-        if Pts.state_equal entry entry' then (after_cond.normal, brk, ret)
-        else iterate entry' ~brk ~ret ~n:(n + 1)
-      in
-      let after_cond, brk, ret = iterate (Some s) ~brk:Pts.bot ~ret:Pts.bot ~n:1 in
-      let exit = Pts.merge_state after_cond brk in
-      { normal = exit; brk = Pts.bot; cont = Pts.bot; ret }
+  let rec iterate head ~brk ~ret ~n =
+    Guard.check ctx.guard;
+    Guard.check_fuel ctx.guard n;
+    Metrics.((cur ()).loop_iters <- (cur ()).loop_iters + 1);
+    let lt0 = Trace.start () in
+    let body = process_list head l.Ir.l_body in
+    let brk = Pts.merge_state brk body.brk in
+    let ret = Pts.merge_state ret body.ret in
+    let after_body = Pts.merge_state body.normal body.cont in
+    let step = process_list after_body l.Ir.l_step in
+    let after_cond = process_list step.normal l.Ir.l_cond_stmts in
+    let head' = Pts.merge_state head after_cond.normal in
+    if Trace.on () then Trace.emit Trace.Loop ~name:fn.Ir.fn_name ~t0:lt0 ();
+    if Pts.state_equal head head' then (head, after_cond.normal, brk, ret)
+    else iterate head' ~brk ~ret ~n:(n + 1)
+  in
+  let start =
+    match l.Ir.l_kind with
+    | `While | `For -> (process_list (Some s) l.Ir.l_cond_stmts).normal
+    | `Do -> Some s
+  in
+  let head, after_cond, brk, ret = iterate start ~brk:Pts.bot ~ret:Pts.bot ~n:1 in
+  let last = match l.Ir.l_kind with `While | `For -> head | `Do -> after_cond in
+  { normal = Pts.merge_state last brk; brk = Pts.bot; cont = Pts.bot; ret }
 
 (** Switch rule: every group is reachable from the scrutinee (via its
     labels) and from the previous group (fall-through); breaks join the
@@ -524,183 +711,26 @@ and process_switch ctx fn node (s : Pts.t) (groups : Ir.switch_group list) : flo
   { normal = exit; brk = Pts.bot; cont = acc.cont; ret = acc.ret }
 
 (* ------------------------------------------------------------------ *)
-(* Calls (Figures 4 and 5)                                            *)
+(* Call statements and invocations                                    *)
 (* ------------------------------------------------------------------ *)
-
-and actual_of_operand ctx fn (s : Pts.t) (pty : Ctype.t option) (op : Ir.operand) :
-    Map_unmap.actual =
-  match op with
-  | Ir.Oref r when Ir.is_plain_var r -> (
-      let is_agg =
-        match Tenv.var_info ctx.tenv fn r.Ir.r_base with
-        | Some (_, ty) -> Ctype.is_su ty
-        | None -> false
-      in
-      if is_agg then
-        match Tenv.base_loc ctx.tenv fn r.Ir.r_base with
-        | Some l -> Map_unmap.Aagg l
-        | None -> Map_unmap.Aother
-      else
-        match pty with
-        | Some pty when Ctype.is_pointer (Ctype.decay pty) ->
-            Map_unmap.Aptr (Lval.rvals_operand ctx.tenv fn s op)
-        | Some _ -> Map_unmap.Aother
-        | None ->
-            (* unknown parameter type (variadic or unprototyped): pass
-               pointer info if the operand is pointer-typed *)
-            let opty = Tenv.vref_type ctx.tenv fn r in
-            if (match opty with Some t -> Ctype.is_pointer (Ctype.decay t) | None -> false)
-            then Map_unmap.Aptr (Lval.rvals_operand ctx.tenv fn s op)
-            else Map_unmap.Aother)
-  | Ir.Oref _ -> Map_unmap.Aptr (Lval.rvals_operand ctx.tenv fn s op)
-  | Ir.Onull | Ir.Oconst _ -> Map_unmap.Aother
-  | Ir.Ostr -> Map_unmap.Aptr (Lval.of_list [ (Loc.Str, Pts.P) ])
-
-(** The call's actuals, each paired with its parameter type when the
-    callee declares one. Extra actuals (variadic or unprototyped calls)
-    have no type; missing trailing ones are left to
-    {!Map_unmap.map_call}, which binds their formals to NULL. *)
-and actuals_of ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.operand list) :
-    Map_unmap.actual list =
-  let rec go params args =
-    match (params, args) with
-    | _, [] -> []
-    | [], op :: args -> actual_of_operand ctx caller_fn s None op :: go [] args
-    | (_, t) :: params, op :: args ->
-        actual_of_operand ctx caller_fn s (Some t) op :: go params args
-  in
-  go callee_fn.Ir.fn_params args
-
-(** Answer a call to a defined function outside the demand slice
-    without evaluating it: map the input, replay a seeded summary when
-    one matches the mapped input (exact), otherwise apply the widened
-    transfer, and unmap — no invocation-graph child is created and no
-    body is processed. By plan construction the imprecision cannot flow
-    into the recorded (seed) rows. *)
-and demand_skip ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.operand list) :
-    Pts.state * (Loc.t * Pts.cert) list * ((Loc.t -> Loc.t) * (Loc.t * Pts.cert) list) list
-    =
-  let fname = callee_fn.Ir.fn_name in
-  let m = Metrics.cur () in
-  let su_ptr t =
-    Ctype.is_su t && Ctype.carries_pointers (Tenv.layouts ctx.tenv) t
-  in
-  (* a function outside the slice is never evaluated, so every store
-     entry it has is a seed *)
-  let fast =
-    (not (Hashtbl.mem ctx.store fname))
-    && (not (su_ptr callee_fn.Ir.fn_ret))
-    && List.for_all (fun (_, t) -> not (su_ptr t)) callee_fn.Ir.fn_params
-    && List.length args <= List.length callee_fn.Ir.fn_params
-  in
-  if fast then begin
-    (* no seeded summary can match and no pointer-carrying struct flows
-       through the call: widen the caller's state in place over the
-       cells the callee can see — the same closure {!Map_unmap.map_call}
-       would compute (globals plus everything reachable from the
-       actuals) — and spare the map/unmap round trip that otherwise
-       dominates the cost of a skip *)
-    m.Metrics.demand_skipped <- m.Metrics.demand_skipped + 1;
-    let visible () =
-      let seen = ref Loc.Set.empty in
-      let q = Queue.create () in
-      let push l =
-        if not (Loc.Set.mem l !seen) then begin
-          seen := Loc.Set.add l !seen;
-          Queue.push l q
-        end
-      in
-      Pts.iter_srcs (fun src _ -> if loc_global_root src <> None then push src) s;
-      List.iter
-        (fun op ->
-          Loc.Map.iter (fun l _ -> push l) (Lval.rvals_operand ctx.tenv caller_fn s op))
-        args;
-      while not (Queue.is_empty q) do
-        Loc.Map.iter (fun t _ -> push t) (Pts.tgt_map (Queue.pop q) s)
-      done;
-      !seen
-    in
-    let row, out =
-      match demand_mods ctx fname with
-      | Demand.Mod_globals gs ->
-          let row = lazy (wide_row_of (Pts.all_locs s)) in
-          let out = ref s in
-          Pts.iter_srcs
-            (fun src _ ->
-              match loc_global_root src with
-              | Some g when Hashtbl.mem gs g -> out := widen_src (Lazy.force row) src !out
-              | Some _ | None -> ())
-            s;
-          (row, !out)
-      | Demand.Mod_all ->
-          let vis = visible () in
-          let row = lazy (wide_row_of vis) in
-          let out = ref s in
-          Pts.iter_srcs
-            (fun src _ ->
-              if Loc.Set.mem src vis then out := widen_src (Lazy.force row) src !out)
-            s;
-          (row, !out)
-    in
-    let ret_tgts =
-      if Ctype.is_pointer (Ctype.decay callee_fn.Ir.fn_ret) then
-        (Loc.Null, Pts.P)
-        :: Loc.Map.fold (fun l c acc -> (l, c) :: acc) (Lazy.force row) []
-      else []
-    in
-    (Some out, ret_tgts, [])
-  end
-  else begin
-    let actuals = actuals_of ctx caller_fn s callee_fn args in
-    let func_input, info =
-      Map_unmap.map_call ctx.tenv ~caller_fn ~callee:callee_fn ~input:s ~actuals
-    in
-    let out =
-      match store_find ctx.store fname (Pts.hash func_input) func_input with
-      | Some { se_origin = Seeded | Replayed; se_out; _ } ->
-          m.Metrics.demand_replays <- m.Metrics.demand_replays + 1;
-          se_out
-      | Some { se_origin = Live; _ } | None ->
-          m.Metrics.demand_skipped <- m.Metrics.demand_skipped + 1;
-          demand_widen ctx callee_fn func_input
-    in
-    let result =
-      Map_unmap.unmap_call ~callee:fname ~merged:true ctx.tenv ~input:s ~output:out
-        ~info
-    in
-    let ret_tgts = Map_unmap.return_targets ~output:out ~info ~callee:fname in
-    let ret_cells =
-      if su_ptr callee_fn.Ir.fn_ret then
-        Map_unmap.return_cell_targets ~output:out ~info ~callee:fname
-      else []
-    in
-    (Some result, ret_tgts, ret_cells)
-  end
 
 and process_call_stmt ctx fn node (s : Pts.t) (stmt : Ir.stmt) lhs callee args : flow =
   match callee with
-  | Ir.Cdirect fname -> (
-      match Tenv.find_func ctx.tenv fname with
-      | Some callee_fn when demand_skips ctx fname ->
-          let out, ret_tgts, ret_cells = demand_skip ctx fn s callee_fn args in
-          finish_call ctx fn node out ret_tgts ret_cells lhs
-      | Some callee_fn ->
-          let child =
-            match Ig.child_at_for node stmt.Ir.s_id fname with
-            | Some c -> c
-            | None ->
-                (* can happen in the context-insensitive ablation where
-                   graph and analysis orders diverge; grow on demand *)
-                let c = Ig.add_indirect_child ctx.tenv node stmt.Ir.s_id fname in
-                Guard.check_nodes ctx.guard (Ig.node_count ());
-                c
-          in
-          let out, ret_tgts, ret_cells = invoke ctx fn child s callee_fn args in
-          finish_call ctx fn node out ret_tgts ret_cells lhs
-      | None ->
-          (* external function *)
-          let ret_tgts = external_call_targets ctx.tenv fn s fname args in
-          finish_call ctx fn node (Some s) ret_tgts [] lhs)
+  | Ir.Cdirect fname ->
+      finish_call ctx fn
+        (call_target ctx fn s args fname (fun callee_fn ->
+             let child =
+               match Ig.child_at_for node stmt.Ir.s_id fname with
+               | Some c -> c
+               | None ->
+                   (* can happen in the context-insensitive ablation where
+                      graph and analysis orders diverge; grow on demand *)
+                   let c = Ig.add_indirect_child ctx.tenv node stmt.Ir.s_id fname in
+                   Guard.check_nodes ctx.guard (Ig.node_count ());
+                   c
+             in
+             invoke ctx fn child s callee_fn args))
+        lhs
   | Ir.Cindirect fref ->
       (* Figure 5: the functions invocable here are exactly the functions
          the pointer can point to *)
@@ -730,20 +760,14 @@ and process_call_stmt ctx fn node (s : Pts.t) (stmt : Ir.stmt) lhs callee args :
       | None -> ());
       if fnames = [] then begin
         warn ctx "indirect call at s%d has no function targets" stmt.Ir.s_id;
-        finish_call ctx fn node (Some s) [] [] lhs
+        finish_call ctx fn (Some s, [], []) lhs
       end
       else begin
         let fptr_lvals = Lval.lvals ctx.tenv fn s fref in
         let results =
           List.map
             (fun fname ->
-              match Tenv.find_func ctx.tenv fname with
-              | None ->
-                  (* external target *)
-                  (Some s, external_call_targets ctx.tenv fn s fname args, [])
-              | Some callee_fn when demand_skips ctx fname ->
-                  demand_skip ctx fn s callee_fn args
-              | Some callee_fn ->
+              call_target ctx fn s args fname (fun callee_fn ->
                   let child = Ig.add_indirect_child ctx.tenv node stmt.Ir.s_id fname in
                   Guard.check_nodes ctx.guard (Ig.node_count ());
                   (* make the function pointer definitely point to fname
@@ -757,7 +781,7 @@ and process_call_stmt ctx fn node (s : Pts.t) (stmt : Ir.stmt) lhs callee args :
                         Pts.add l (Loc.func fname) Pts.D (Pts.kill_src l s)
                     | _ -> s
                   in
-                  invoke ctx fn child s' callee_fn args)
+                  invoke ctx fn child s' callee_fn args))
             fnames
         in
         (* merge the outputs of all invocable functions *)
@@ -766,84 +790,20 @@ and process_call_stmt ctx fn node (s : Pts.t) (stmt : Ir.stmt) lhs callee args :
         in
         let ret_tgts = List.concat_map (fun (_, t, _) -> t) results in
         let ret_cells = List.concat_map (fun (_, _, c) -> c) results in
-        finish_call ctx fn node out ret_tgts ret_cells lhs
+        finish_call ctx fn (out, ret_tgts, ret_cells) lhs
       end
 
-(** Bind the call's result into the caller state. *)
-and finish_call ctx fn _node (out : Pts.state) (ret_tgts : (Loc.t * Pts.cert) list)
-    (ret_cells : ((Loc.t -> Loc.t) * (Loc.t * Pts.cert) list) list) lhs : flow =
-  match out with
-  | None -> flow_of Pts.bot
-  | Some s -> (
-      match lhs with
-      | None -> flow_of (Some s)
-      | Some lref ->
-          if Tenv.is_pointer_assignment ctx.tenv fn lref then begin
-            let lhs_locs = Lval.lvals ctx.tenv fn s lref in
-            let rvals =
-              match ret_tgts with
-              | [] -> Lval.of_list [ (Loc.Null, Pts.D) ]
-              | _ -> Lval.of_list ret_tgts
-            in
-            flow_of (Some (apply_assign ctx s lhs_locs rvals))
-          end
-          else begin
-            (* aggregate result: bind each returned cell onto the matching
-               cell of the destination *)
-            match Tenv.vref_type ctx.tenv fn lref with
-            | Some ty
-              when Ctype.is_su ty && Ctype.carries_pointers (Tenv.layouts ctx.tenv) ty ->
-                let lhs_locs = Lval.to_list (Lval.lvals ctx.tenv fn s lref) in
-                let s =
-                  List.fold_left
-                    (fun s (graft, tgts) ->
-                      List.fold_left
-                        (fun s (base, cb) ->
-                          let cell = graft base in
-                          let lhs = Lval.of_list [ (cell, cb) ] in
-                          let rvals = Lval.of_list tgts in
-                          apply_assign ctx s lhs rvals)
-                        s lhs_locs)
-                    s ret_cells
-                in
-                flow_of (Some s)
-            | _ -> flow_of (Some s)
-          end)
-
 (** Invoke a defined function in the context of invocation-graph node
-    [child] (Figure 4's process_call): map, evaluate or reuse, unmap.
-    Returns the caller-side output state and return-value targets. *)
+    [child] (Figure 4's process_call): {!call_mapped} with the evaluate
+    or reuse step as its transfer. *)
 and invoke ctx caller_fn (child : Ig.node) (s : Pts.t) (callee_fn : Ir.func)
-    (args : Ir.operand list) :
-    Pts.state * (Loc.t * Pts.cert) list * ((Loc.t -> Loc.t) * (Loc.t * Pts.cert) list) list =
-  let actuals = actuals_of ctx caller_fn s callee_fn args in
-  let func_input, info =
-    Map_unmap.map_call ctx.tenv ~caller_fn ~callee:callee_fn ~input:s ~actuals
-  in
-  child.Ig.map_info <-
-    Loc.Map.fold (fun k v acc -> (k, v) :: acc) info.Map_unmap.i_reps [];
-  let output : Pts.state =
-    if ctx.opts.Options.context_sensitive then eval_node ctx child callee_fn func_input
-    else eval_ci ctx child callee_fn func_input
-  in
-  match output with
-  | None -> (Pts.bot, [], [])
-  | Some out ->
-      let result =
-        Map_unmap.unmap_call ~callee:callee_fn.Ir.fn_name
-          ~merged:(not ctx.opts.Options.context_sensitive) ctx.tenv ~input:s
-          ~output:out ~info
-      in
-      let ret_tgts = Map_unmap.return_targets ~output:out ~info ~callee:callee_fn.Ir.fn_name in
-      let ret_cells =
-        if
-          Ctype.is_su callee_fn.Ir.fn_ret
-          && Ctype.carries_pointers (Tenv.layouts ctx.tenv) callee_fn.Ir.fn_ret
-        then
-          Map_unmap.return_cell_targets ~output:out ~info ~callee:callee_fn.Ir.fn_name
-        else []
-      in
-      (Some result, ret_tgts, ret_cells)
+    (args : Ir.operand list) : call_result =
+  let cs = ctx.opts.Options.context_sensitive in
+  call_mapped ctx caller_fn s callee_fn args ~merged:(not cs) (fun func_input info ->
+      child.Ig.map_info <-
+        Loc.Map.fold (fun k v acc -> (k, v) :: acc) info.Map_unmap.i_reps [];
+      if cs then eval_node ctx child callee_fn func_input
+      else eval_ci ctx child callee_fn func_input)
 
 (** Evaluate (or reuse) the invocation represented by [node] with the
     given mapped input — the Ordinary/Approximate/Recursive rules of

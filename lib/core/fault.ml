@@ -49,7 +49,14 @@ let fault_fn : string option Atomic.t = Atomic.make None
 (* seconds slept per injected fixpoint pass *)
 let fault_sleep : float Atomic.t = Atomic.make 0.05
 
-let from_env = lazy (
+(* The environment is read once, on first use. Not with a [lazy]: the
+   pool's workers consult the flags as their first tasks start, and two
+   domains forcing one suspension at once raise
+   [CamlinternalLazy.Undefined]. *)
+let env_read = Atomic.make false
+let env_lock = Mutex.create ()
+
+let read_env () =
   (match Sys.getenv_opt "PTAN_FAULTS" with
   | None | Some "" -> ()
   | Some spec ->
@@ -69,14 +76,22 @@ let from_env = lazy (
   | Some ms -> (
       match float_of_string_opt ms with
       | Some ms when ms >= 0. -> Atomic.set fault_sleep (ms /. 1e3)
-      | _ -> Fmt.failwith "PTAN_FAULT_SLEEP_MS: not a non-negative number: %S" ms))
+      | _ -> Fmt.failwith "PTAN_FAULT_SLEEP_MS: not a non-negative number: %S" ms)
+
+let from_env () =
+  if not (Atomic.get env_read) then
+    Mutex.protect env_lock (fun () ->
+        if not (Atomic.get env_read) then begin
+          read_env ();
+          Atomic.set env_read true
+        end)
 
 let enabled p =
-  Lazy.force from_env;
+  from_env ();
   Atomic.get flags.(idx p)
 
 let set ?fn ?sleep_ms p v =
-  Lazy.force from_env;
+  from_env ();
   Atomic.set flags.(idx p) v;
   (match fn with None -> () | Some _ -> Atomic.set fault_fn fn);
   match sleep_ms with
@@ -96,11 +111,11 @@ let with_point ?fn ?sleep_ms p f =
     f
 
 let target_fn () =
-  Lazy.force from_env;
+  from_env ();
   Atomic.get fault_fn
 
 let sleep_s () =
-  Lazy.force from_env;
+  from_env ();
   Atomic.get fault_sleep
 
 (** The slow-fixpoint site, called by the engine once per body pass of a
@@ -126,9 +141,8 @@ let maybe_task_exn () =
 let kill_file : string option Atomic.t = Atomic.make None
 
 let () =
-  (* reading one more variable in the lazy env block would change its
-     type; a separate eager read keeps it simple, and the variable is
-     only consulted when the injection is already on *)
+  (* an eager read: the variable is only consulted when the injection
+     is already on *)
   match Sys.getenv_opt "PTAN_FAULT_KILL_FILE" with
   | None | Some "" -> ()
   | Some p -> Atomic.set kill_file (Some p)

@@ -3,7 +3,8 @@
 # every query flavor (pts / alias / calls, plus the error paths) must
 # print byte-for-byte what the exhaustive engine prints, one-shot and
 # in batch, on a function-pointer fixture and across the benchmark
-# suite. Then run the bench's demand section, whose own gates enforce
+# suite, and seeded from an incremental cache entry after an edit.
+# Then run the bench's demand section, whose own gates enforce
 # seed-row bit-identity on all 18 programs and demand beating
 # exhaustive cold on at least 14 of them (that the planner trims some
 # program to a proper sub-slice is checked by `dune runtest`, in
@@ -92,7 +93,39 @@ for f in benchmarks/*.c; do
 done
 echo "demand_smoke: benchmark sweep — all replies identical under --demand"
 
-# ---- 4. the bench section ---------------------------------------------
+# ---- 4. seeded demand: replay from an incremental cache entry ---------
+# Prime an incremental entry, then edit main only: the other functions'
+# summaries stay valid, and demand queries outside main replay them at
+# skipped calls (Engine's seeded skip path). Answers must still match a
+# cold exhaustive query byte for byte.
+cp benchmarks/stanford.c "$tmp/st.c"
+"$ptan" analyze "$tmp/st.c" --incremental --cache-dir "$tmp/cache" >/dev/null
+sed 's|^    /\* Perm \*/$|    /* Perm */\
+    pctr = 1;|' benchmarks/stanford.c >"$tmp/st.c"
+grep -q '^    pctr = 1;$' "$tmp/st.c" \
+  || { echo "demand_smoke: stanford edit did not apply" >&2; exit 1; }
+for q in "pts swap_elems s2 a" "alias swap_elems s2 a b" "pts quicksort s77 a" \
+  "pts tree_insert s89 t" "pts tree_check s116 t"; do
+  # shellcheck disable=SC2086 # $q is the query's words
+  "$ptan" query "$tmp/st.c" --no-cache $q >"$tmp/exh.out" 2>&1 \
+    || { echo "demand_smoke: '$q' failed exhaustively" >&2; exit 1; }
+  # shellcheck disable=SC2086
+  "$ptan" query "$tmp/st.c" --demand --incremental --cache-dir "$tmp/cache" $q \
+    >"$tmp/dem.out" 2>&1 \
+    || { echo "demand_smoke: '$q' failed under seeded --demand" >&2; exit 1; }
+  diff -u "$tmp/exh.out" "$tmp/dem.out" \
+    || { echo "demand_smoke: '$q' diverges under seeded --demand" >&2; exit 1; }
+done
+# the same queries through the daemon, whose --stats prove the skips
+# actually replayed seeded summaries instead of widening
+printf 'q %s pts swap_elems s2 a\nq %s pts tree_check s116 t\nquit\n' "$tmp/st.c" "$tmp/st.c" \
+  | "$ptan" serve "$tmp/st.c" --demand --incremental --cache-dir "$tmp/cache" --stats \
+    >/dev/null 2>"$tmp/serve.err"
+grep -q '^demand: .* [1-9][0-9]* replayed' "$tmp/serve.err" \
+  || { echo "demand_smoke: seeded --demand replayed no summary" >&2; cat "$tmp/serve.err" >&2; exit 1; }
+echo "demand_smoke: seeded --demand after an edit of main — replies identical, summaries replayed"
+
+# ---- 5. the bench section ---------------------------------------------
 # The bench gates internally: seed rows bit-identical on every program,
 # and demand beating exhaustive cold on >= 14/18. A non-zero exit fails
 # the job.

@@ -191,6 +191,47 @@ let identity_tests =
           m.Pointsto.Metrics.demand_plans);
   ]
 
+(** Seeded demand runs: every function of [name] as seed, with an
+    exhaustive run's recorded summaries minus [main]'s as seeds, so the
+    skips outside the slice replay them. The seed's rows match the
+    exhaustive rows, a replayed frame adds no row outside the seed, and
+    the replay path is actually taken. *)
+let check_seeded_demand name =
+  let prog = Simple_ir.Simplify.of_file (Test_benchmarks.bench_path name) in
+  let exh = Analysis.analyze ~record_summaries:true prog in
+  let seeded = Hashtbl.copy exh.Analysis.summaries in
+  Hashtbl.remove seeded "main";
+  let d = Dd.prepare prog in
+  let replays =
+    List.fold_left
+      (fun replays fn ->
+        let dem = Dd.analyze ~seeded d ~seed:fn.Ir.fn_name in
+        let own = Hashtbl.create 64 in
+        Ir.fold_func
+          (fun () s ->
+            Hashtbl.replace own s.Ir.s_id ();
+            Alcotest.(check string)
+              (Fmt.str "%s: row s%d of %s" name s.Ir.s_id fn.Ir.fn_name)
+              (Pts.to_string (Analysis.pts_at exh s.Ir.s_id))
+              (Pts.to_string (Analysis.pts_at dem s.Ir.s_id)))
+          () fn;
+        Hashtbl.iter
+          (fun sid _ ->
+            if not (Hashtbl.mem own sid) then
+              Alcotest.failf "%s: seed %s keeps a row for s%d outside it" name
+                fn.Ir.fn_name sid)
+          dem.Analysis.stmt_pts;
+        replays + dem.Analysis.metrics.Pointsto.Metrics.demand_replays)
+      0 prog.Ir.funcs
+  in
+  Alcotest.(check bool) (name ^ ": seeded summaries were replayed") true (replays > 0)
+
+let seeded_tests =
+  [
+    case "seeded demand rows match exhaustive and stay inside the seed" (fun () ->
+        List.iter check_seeded_demand [ "livc"; "stanford" ]);
+  ]
+
 (** Slicing must actually trim something on the benchmark suite: if the
     cheapest-slice non-entry seed of every benchmark covered its whole
     program, the planner would have degenerated to analyze-everything
@@ -325,4 +366,4 @@ let property_tests =
   ]
 
 let suite =
-  ("demand", slice_tests @ identity_tests @ suite_tests @ property_tests)
+  ("demand", slice_tests @ identity_tests @ seeded_tests @ suite_tests @ property_tests)

@@ -698,6 +698,15 @@ let exit_code_tests =
     case "tables: all clean exits 0" (fun () ->
         let code, _, _ = run_ptan (Fmt.str "tables --no-cache %s" (bench "hash")) in
         Alcotest.(check int) "exit 0" 0 code);
+    case "tables: pool workers read the fault environment without racing" (fun () ->
+        (* every worker consults the fault flags as its first task
+           starts; a suspension forced by two domains at once failed
+           about one run in five with CamlinternalLazy.Undefined *)
+        let files = String.concat " " (List.map bench Test_benchmarks.all_names) in
+        for _ = 1 to 10 do
+          let code, _, err = run_ptan (Fmt.str "tables -j 4 --no-cache %s" files) in
+          Alcotest.(check (pair int string)) "exit 0, no error" (0, "") (code, err)
+        done);
     case "tables: a tripped heap ceiling exits 3, not an OOM kill" (fun () ->
         let code, out, _ =
           run_ptan ~env:"PTAN_FAULTS=alloc-spike"

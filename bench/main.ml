@@ -878,13 +878,7 @@ let incremental () =
 
 module Serve = Pointsto.Serve
 
-let serve_corpus names =
-  List.map
-    (fun name ->
-      let r = result name in
-      Analysis.prime r;
-      (name, r))
-    names
+let serve_corpus names = List.map (fun name -> (name, result name)) names
 
 let serve_handler corpus =
   let tbl = Hashtbl.create 32 in

@@ -60,7 +60,6 @@ let with_errors f =
 
 let opts_of ~no_context ~no_definite ~sym_depth ~no_share ~heap_by_site =
   {
-    Pointsto.Options.default with
     Pointsto.Options.context_sensitive = not no_context;
     use_definite = not no_definite;
     max_sym_depth = sym_depth;
@@ -358,7 +357,7 @@ let demand_seeded ~cache ~incremental prog file =
 
 (** Demand mode over one file: the parsed program, one
     {!Alias.Demand_driver.prepare} (Andersen pre-pass), optional cache
-    summaries for skip-replay, and a mutex-guarded memo of primed
+    summaries for skip-replay, and a mutex-guarded memo of
     per-seed results, so queries about the same function share one
     sliced analysis whichever domain asks first. A query whose statement
     id exists nowhere has no seed: [None] keys one (also memoized)
@@ -382,7 +381,7 @@ let demand_entry ~cache ~incremental file =
     de_mu = Mutex.create ();
   }
 
-(** The primed result that answers [q]: a memo hit, else computed
+(** The result that answers [q]: a memo hit, else computed
     outside the lock (a racing request may duplicate the work; the
     published value stays unique) and published. *)
 let demand_result (de : demand_entry) (q : Alias.Query.t) =
@@ -395,7 +394,6 @@ let demand_result (de : demand_entry) (q : Alias.Query.t) =
         | Some s -> Alias.Demand_driver.analyze ?seeded:de.de_seeded de.de_driver ~seed:s
         | None -> Pointsto.Analysis.analyze de.de_prog
       in
-      Pointsto.Analysis.prime r;
       Mutex.protect de.de_mu (fun () ->
           match Hashtbl.find_opt de.de_memo seed with
           | Some winner -> winner
@@ -415,7 +413,6 @@ let cmd_query file cache incremental demand words =
         end
         else begin
           let r = analyze_file ~cache ~incremental file in
-          Pointsto.Analysis.prime r;
           Alias.Query.run r line
         end
       in
@@ -471,11 +468,10 @@ let cmd_batch file cache incremental demand jobs queries =
         end
         else begin
           (* Each query is independent, so answering is a pure map over
-             the one shared (primed) result; printing in input order
+             the one shared result; printing in input order
              afterwards keeps the output deterministic whatever the
              schedule. *)
           let r = analyze_file ~cache ~incremental file in
-          Pointsto.Analysis.prime r;
           let answer (n, q) =
             match Alias.Query.run r q with
             | Ok ans -> Ok (Fmt.str "%s => %s" q ans)
@@ -505,8 +501,8 @@ let cmd_batch file cache incremental demand jobs queries =
         answers;
       if !failed > 0 then exit 2)
 
-(** The resident daemon: analyze (or load from cache) and prime every
-    corpus file once, then answer {!Alias.Query} requests over the
+(** The resident daemon: analyze (or load from cache) every corpus
+    file once, then answer {!Alias.Query} requests over the
     {!Pointsto.Serve} line protocol until end-of-input, [quit], or
     SIGTERM/SIGINT. Everything human-readable (startup progress, the
     ready line, shutdown stats) goes to stderr; stdout carries protocol
@@ -540,7 +536,6 @@ let cmd_serve files cache incremental demand budget jobs socket request_deadline
         end
         else begin
           let r = analyze_file ?budget ~cache ~incremental file in
-          Pointsto.Analysis.prime r;
           Hashtbl.replace results file r;
           Some r
         end
@@ -1030,7 +1025,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Analyze (or load) FILES once, keep the primed results resident, and answer \
+         "Analyze (or load) FILES once, keep the results resident, and answer \
           alias/pts/calls queries over a line protocol on stdin/stdout or --socket; \
           queries fan out over -j domains, each under --request-deadline-ms. See \
           docs/SERVE.md")

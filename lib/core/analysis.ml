@@ -157,6 +157,8 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
       raise e
   in
   (Metrics.cur ()).Metrics.t_analysis <- Metrics.now () -. t0;
+  (* indirect call sites grew the graph after {!Ig.build} counted it *)
+  graph.Ig.n_nodes <- Ig.n_nodes graph;
   if Trace.on () then begin
     let kind, name, stmts =
       match demand with
@@ -273,12 +275,3 @@ let pts_at (r : result) (id : int) : Pts.t =
     §6). *)
 let pts_at_no_null (r : result) (id : int) : Pts.t =
   Pts.remove_tgt Loc.Null (pts_at r id)
-
-let prime (r : result) =
-  Hashtbl.iter (fun _ s -> Pts.prime s) r.stmt_pts;
-  Option.iter Pts.prime r.entry_output;
-  Ig.fold
-    (fun () n ->
-      Option.iter Pts.prime n.Ig.stored_input;
-      Option.iter Pts.prime n.Ig.stored_output)
-    () r.graph

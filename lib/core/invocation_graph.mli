@@ -37,6 +37,9 @@ type node = {
 type t = {
   root : node;
   mutable n_nodes : int;
+      (** node count of the finished graph: {!build} counts the direct
+          call graph, and {!Analysis.run} recounts once indirect call
+          sites have grown it *)
 }
 
 (** Nearest ancestor (or the node itself) running [fname]. *)

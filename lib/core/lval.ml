@@ -47,8 +47,7 @@ let apply_field tenv fn l f c : (Loc.t * Pts.cert) list =
     and pointer arithmetic, the "(*a)[i]" rows of Table 1): the head
     element shifted positively lands in the tail; an unknown shift may
     land anywhere in the array. Subscripting a pointer to a non-array
-    object stays within that object under the pointer-arithmetic flag
-    (paper §6). *)
+    object stays within that object (the paper's §6 setting). *)
 let apply_shift l (idx : Ir.index) c : (Loc.t * Pts.cert) list =
   match l with
   | Loc.Site _ -> [ (l, c) ]
@@ -127,16 +126,9 @@ let rvals_ref tenv fn (s : Pts.t) (r : Ir.vref) : locset =
       ls empty
 
 (** Targets after pointer arithmetic: shift each pointed-to location by
-    the classified displacement. With [pointer_arith_stays] unset, a
-    shifted non-array target may be any location in the current set. *)
-let shift_loc tenv (s : Pts.t) (l : Loc.t) (shift : Ir.ptr_shift) c : (Loc.t * Pts.cert) list =
-  let universe () =
-    if tenv.Tenv.opts.Options.pointer_arith_stays then [ (l, Pts.P) ]
-    else
-      Loc.Set.fold
-        (fun x acc -> if Loc.is_null x then acc else (x, Pts.P) :: acc)
-        (Pts.all_locs s) []
-  in
+    the classified displacement. A shifted non-array target stays the
+    presently pointed-to object, possibly (the paper's §6 setting). *)
+let shift_loc (l : Loc.t) (shift : Ir.ptr_shift) c : (Loc.t * Pts.cert) list =
   match shift with
   | Ir.Pzero -> [ (l, c) ]
   | Ir.Ppos -> (
@@ -146,14 +138,14 @@ let shift_loc tenv (s : Pts.t) (l : Loc.t) (shift : Ir.ptr_shift) c : (Loc.t * P
       | Loc.Heap | Loc.Site _ -> [ (l, c) ]
       | Loc.Str -> [ (Loc.Str, c) ]
       | Loc.Null -> [ (Loc.Null, c) ]
-      | _ -> universe ())
+      | _ -> [ (l, Pts.P) ])
   | Ir.Pany -> (
       match l with
       | Loc.Head b | Loc.Tail b -> [ (Loc.head b, Pts.P); (Loc.tail b, Pts.P) ]
       | Loc.Heap | Loc.Site _ -> [ (l, c) ]
       | Loc.Str -> [ (Loc.Str, c) ]
       | Loc.Null -> [ (Loc.Null, c) ]
-      | _ -> universe ())
+      | _ -> [ (l, Pts.P) ])
 
 (** R-location set of a right-hand side. *)
 let rvals_rhs tenv fn (s : Pts.t) (rhs : Ir.rhs) : locset =
@@ -171,7 +163,7 @@ let rvals_rhs tenv fn (s : Pts.t) (rhs : Ir.rhs) : locset =
           List.fold_left
             (fun acc (l, c) -> add_loc l c acc)
             acc
-            (shift_loc tenv s l shift c))
+            (shift_loc l shift c))
         base empty
 
 (** R-location set of an operand. *)

@@ -1,20 +1,17 @@
 (** Analysis options.
 
     The defaults match the configuration the paper's experiments ran
-    under (§6): pointer arithmetic assumed to stay within the pointed-to
-    object (with a warning), full context sensitivity, and definite
-    relationships enabled. The other settings exist for the ablation
-    benchmarks (see DESIGN.md). *)
+    under (§6): full context sensitivity and definite relationships
+    enabled. The other settings exist for the ablation benchmarks (see
+    DESIGN.md). Pointer arithmetic is not an option: a shifted non-array
+    target always stays within the pointed-to object, the paper's
+    experimental setting. *)
 
 type t = {
   max_sym_depth : int;
       (** bound on the nesting of symbolic names for invisible variables;
           beyond it, chains are summarized by the enclosing symbolic
           location (needed for recursive structure types on the stack) *)
-  pointer_arith_stays : bool;
-      (** paper §6 flag: non-array pointer arithmetic stays within the
-          presently pointed-to object (true, the experimental setting) or
-          may target any location (false) *)
   context_sensitive : bool;
       (** true: full invocation-graph context sensitivity (the paper);
           false: one merged IN/OUT pair per function (ablation) *)
@@ -39,7 +36,6 @@ type t = {
 let default =
   {
     max_sym_depth = 5;
-    pointer_arith_stays = true;
     context_sensitive = true;
     use_definite = true;
     share_contexts = true;

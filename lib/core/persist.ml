@@ -25,7 +25,7 @@
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 5
+let version = 6
 
 let magic = "PTANC"
 
@@ -97,9 +97,9 @@ let r_float r =
 (* ------------------------------------------------------------------ *)
 
 let opts_repr (o : Options.t) =
-  Printf.sprintf "sym=%d;arith=%b;ctx=%b;def=%b;share=%b;site=%b"
-    o.Options.max_sym_depth o.Options.pointer_arith_stays o.Options.context_sensitive
-    o.Options.use_definite o.Options.share_contexts o.Options.heap_by_site
+  Printf.sprintf "sym=%d;ctx=%b;def=%b;share=%b;site=%b"
+    o.Options.max_sym_depth o.Options.context_sensitive o.Options.use_definite
+    o.Options.share_contexts o.Options.heap_by_site
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -705,7 +705,6 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
   w_u pay (List.length res.Analysis.warnings);
   List.iter (w_str pay) res.Analysis.warnings;
   w_metrics pay res.Analysis.metrics;
-  w_u pay res.Analysis.graph.Ig.n_nodes;
   w_node e rw se pay res.Analysis.graph.Ig.root;
   (* v3 incremental section: env hash, per-function content hashes and
      the recorded summaries (docs/INCREMENTAL.md). Sets intern into the
@@ -842,7 +841,6 @@ let decode_body ~opts r : Analysis.result * raw_summaries =
   let entry_output = r_state sets r in
   let warnings = r_list r (fun () -> r_str r) in
   let metrics = r_metrics r in
-  let n_nodes = r_u r in
   let root = r_node arr sets r ~parent:None ~nodes:(Hashtbl.create 64) in
   let rs_env = r_raw r 16 in
   let rs_hashes = r_list r (fun () ->
@@ -861,10 +859,13 @@ let decode_body ~opts r : Analysis.result * raw_summaries =
   if r.pos <> String.length r.data then raise Bad;
   let raw = { rs_env; rs_hashes; rs_data = r.data; rs_sets = sets; rs_blocks } in
   let tenv = Tenv.make ~opts prog in
+  (* the node count is not stored: it is read off the decoded graph *)
+  let graph = { Ig.root; n_nodes = 0 } in
+  graph.Ig.n_nodes <- Ig.n_nodes graph;
   ( {
       Analysis.prog;
       tenv;
-      graph = { Ig.root; n_nodes };
+      graph;
       stmt_pts;
       entry_output;
       warnings;

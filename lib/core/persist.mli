@@ -16,9 +16,12 @@
     index), the per-statement {!Pts.t} sets, the entry output state, the
     invocation-graph shape (nodes, kinds, recursive back-edges, stored
     IN/OUT pairs and map information), and the run's {!Metrics.t}
-    record (every field of {!Metrics.fields}). Loading re-lowers the (digest-verified) source to rebuild
-    the program and typing environment — parsing is cheap; only the
-    fixed point is worth persisting.
+    record (every field of {!Metrics.fields}). The payload also carries
+    the marshalled SIMPLE program, so loading neither parses nor lowers
+    the source: it unmarshals the program and rebuilds only the typing
+    environment from it. Only the incremental rekey path (an edit that
+    leaves the lowered program or every function hash unchanged)
+    re-lowers the edited source, so source positions track the edit.
 
     A load returns [None] — never a wrong answer — when the file is
     missing, truncated or corrupt, was written by a different {!version}
@@ -80,8 +83,9 @@ val load_error_name : load_error -> string
 (** [load_checked ~source ?opts ?entry file] reads a result saved by
     {!save}, classifying failure: never raises, never returns a wrong
     table. An entry whose key cannot be checked because [source] is
-    unreadable is [Stale]. On success the program is re-lowered from [source] and the
-    result is equivalent to the one originally saved: same
+    unreadable is [Stale]. On success the program comes from the
+    entry's marshalled SIMPLE program (the source is read only to check
+    the key) and the result is equivalent to the one originally saved: same
     per-statement points-to sets, entry output, invocation graph
     (shape, stored IN/OUT, map information), warnings and counters.
     Records its cost in the loaded result's [metrics.t_deserialize]. *)

@@ -1,15 +1,14 @@
 (** Points-to sets: finite maps from (source, target) location pairs to a
     certainty — definite or possible (paper Definitions 3.1/3.2).
 
-    The representation is source-indexed ([source -> target -> cert]) and
-    carries two derived structures:
-
-    - a reverse index [target -> sources], built lazily on the first
-      target-directed query ({!remove_tgt}, {!sources}, {!all_locs}) and
-      memoized, so the add-heavy phases (gen sets, call mapping) never
-      pay for it;
-    - the pair count, maintained incrementally, so cardinality is O(1)
-      and serves as a pre-check for {!equal} and {!covered_by}.
+    The representation is one source-indexed map ([source -> target ->
+    cert]) plus the pair count, maintained incrementally, so cardinality
+    is O(1) and serves as a pre-check for {!equal} and {!covered_by}.
+    Every rule that builds or reads a set goes by source (Figure 1's
+    kill/change/gen, §4.1 map/unmap, Figure 4's merge); the rare
+    target-directed operations ({!remove_tgt}, {!all_locs}) scan the
+    map. A set is plain immutable data: it holds no closure or
+    suspension, so any number of domains may read it at once.
 
     The lattice ordering used for the interprocedural fixed point
     (Figure 4's [isSubsetOf] and [Merge]) is: [s1] is covered by [s2]
@@ -32,40 +31,23 @@ module LM = Loc.Map
 
 type t = {
   fwd : cert LM.t LM.t;  (** source -> target -> certainty *)
-  rev : Loc.Set.t LM.t Lazy.t;  (** target -> sources, forced on demand *)
   card : int;  (** number of pairs *)
 }
 
-(* Invariants: submaps of [fwd] and sets of [rev] are never empty;
-   forcing [rev] yields exactly the transpose of [fwd]'s pair set;
-   [card] is the number of pairs. Keys are not interned here — the
-   producers ({!Lval}, {!Tenv}, {!Map_unmap}) build locations through
-   the interning smart constructors, so the [Loc.compare] fast path
-   fires throughout without paying a hash lookup per insertion. *)
+(* Invariants: submaps of [fwd] are never empty; [card] is the number
+   of pairs. Keys are not interned here — the producers ({!Lval},
+   {!Tenv}, {!Map_unmap}) build locations through the interning smart
+   constructors, so the [Loc.compare] fast path fires throughout
+   without paying a hash lookup per insertion. *)
 
-let empty : t = { fwd = LM.empty; rev = lazy LM.empty; card = 0 }
+let empty : t = { fwd = LM.empty; card = 0 }
 
 let is_empty (s : t) = s.card = 0
 
 let cert_eq (a : cert) b = a == b
 
-let rev_add src tgt rev =
-  LM.update tgt
-    (function
-      | None -> Some (Loc.Set.singleton src)
-      | Some ss -> Some (Loc.Set.add src ss))
-    rev
-
-let transpose (fwd : cert LM.t LM.t) : Loc.Set.t LM.t =
-  LM.fold
-    (fun src m rev -> LM.fold (fun tgt _ rev -> rev_add src tgt rev) m rev)
-    fwd LM.empty
-
-let rev (s : t) = Lazy.force s.rev
-
-(** Pack a forward map whose pair count is [card]; the reverse index is
-    recomputed on first use. *)
-let mk fwd card = { fwd; rev = lazy (transpose fwd); card }
+(** Pack a map whose pair count is [card]. *)
+let mk fwd card = { fwd; card }
 
 (** Add a pair, overriding any existing certainty (used for gen sets:
     the newly generated relationship replaces the old one). *)
@@ -76,7 +58,7 @@ let add src tgt cert (s : t) : t =
       let m' = LM.add tgt cert m in
       if m' == m then s (* already bound to the same certainty *)
       else if LM.mem tgt m then
-        (* certainty change only: the pair set, hence [rev], is unchanged *)
+        (* certainty change only: the pair count is unchanged *)
         { s with fwd = LM.add src m' s.fwd }
       else mk (LM.add src m' s.fwd) (s.card + 1)
 
@@ -130,10 +112,6 @@ let add_rows rows (s : t) : t =
   in
   if fwd == s.fwd then s else mk fwd card
 
-(** All sources pointing at [tgt] (the reverse index). *)
-let sources tgt (s : t) : Loc.Set.t =
-  match LM.find_opt tgt (rev s) with None -> Loc.Set.empty | Some ss -> ss
-
 (** Remove every relationship whose source is [src]. *)
 let kill_src src (s : t) : t =
   match LM.find_opt src s.fwd with
@@ -148,34 +126,12 @@ let weaken_src src (s : t) : t =
       if LM.for_all (fun _ c -> c == P) m then s
       else { s with fwd = LM.add src (LM.map (fun _ -> P) m) s.fwd }
 
-(** Remove every relationship whose target is [tgt] (reverse-index
-    directed: touches only the sources actually pointing at [tgt]). *)
-let remove_tgt tgt (s : t) : t =
-  match LM.find_opt tgt (rev s) with
-  | None -> s
-  | Some srcs ->
-      let fwd, removed =
-        Loc.Set.fold
-          (fun src (fwd, k) ->
-            match LM.find_opt src fwd with
-            | None -> (fwd, k)
-            | Some m ->
-                let m' = LM.remove tgt m in
-                ((if LM.is_empty m' then LM.remove src fwd else LM.add src m' fwd), k + 1))
-          srcs (s.fwd, 0)
-      in
-      (* [s.rev] is already forced; removing the one key keeps it exact *)
-      { fwd; rev = lazy (LM.remove tgt (rev s)); card = s.card - removed }
-
 let fold f (s : t) acc =
   LM.fold (fun src m acc -> LM.fold (fun tgt c acc -> f src tgt c acc) m acc) s.fwd acc
 
 let iter f (s : t) = LM.iter (fun src m -> LM.iter (fun tgt c -> f src tgt c) m) s.fwd
 
 let iter_srcs f (s : t) = LM.iter f s.fwd
-
-let exists f (s : t) =
-  LM.exists (fun src m -> LM.exists (fun tgt c -> f src tgt c) m) s.fwd
 
 (* Filters start from [s] and remove only the dropped pairs, so the
    untouched submaps stay physically shared with the input (and a filter
@@ -205,6 +161,10 @@ let filter_src f (s : t) : t =
       s.fwd (s.fwd, s.card)
   in
   if fwd == s.fwd then s else mk fwd card
+
+(** Remove every relationship whose target is [tgt]: a {!filter}, so a
+    set in which no source points at [tgt] is returned itself. *)
+let remove_tgt tgt (s : t) : t = filter (fun _ t _ -> not (Loc.equal t tgt)) s
 
 let cardinal (s : t) = s.card
 
@@ -377,19 +337,16 @@ let hash (s : t) : int =
     s.fwd (comb 0 s.card)
   land max_int
 
-(** Force (and memoize) the reverse index now. Call before sharing a
-    set across domains for read-only parallel querying: two domains
-    racing to force the same lazy suspension is a runtime error in
-    OCaml 5, and a primed set has no suspension left to race on. *)
-let prime (s : t) : unit = ignore (Lazy.force s.rev)
+(** A no-op: a set holds no suspension, so there is nothing to force
+    before sharing it across domains. Kept only because the frozen
+    [perf/] harness still calls it; delete it with that call. *)
+let prime (_ : t) : unit = ()
 
-(** Every location mentioned (as source or target) — assembled from the
-    two index levels, without folding over pairs. *)
+(** Every location mentioned, as source or target. *)
 let all_locs (s : t) : Loc.Set.t =
   LM.fold
-    (fun src _ acc -> Loc.Set.add src acc)
-    s.fwd
-    (LM.fold (fun tgt _ acc -> Loc.Set.add tgt acc) (rev s) Loc.Set.empty)
+    (fun src m acc -> LM.fold (fun tgt _ acc -> Loc.Set.add tgt acc) m (Loc.Set.add src acc))
+    s.fwd Loc.Set.empty
 
 let pp ppf (s : t) =
   let pairs = to_list s in

@@ -1,13 +1,12 @@
 (** Points-to sets: maps from (source, target) abstract-location pairs to
     a certainty (paper Definitions 3.1–3.3).
 
-    The representation is source-indexed and carries the pair count
-    plus a lazily computed, memoized reverse (target → sources) index,
-    so cardinality is O(1) and target-directed operations cost one
-    transposition per set value instead of per query; {!merge},
-    {!equal} and {!covered_by} run identity / cardinality / subsumption
-    pre-checks so fixed-point steady states cost O(1)–O(pairs) without
-    allocation.
+    The representation is one source-indexed map plus the pair count,
+    so cardinality is O(1); {!merge}, {!equal} and {!covered_by} run
+    identity / cardinality / subsumption pre-checks so fixed-point
+    steady states cost O(1)–O(pairs) without allocation. A set is plain
+    immutable data with no closure or suspension inside: any number of
+    domains may read one at once, and it marshals as it is.
 
     The interprocedural fixed point (Figure 4) uses the lattice defined
     by {!covered_by} (safe generalization) and {!merge} (least upper
@@ -55,12 +54,10 @@ val kill_src : Loc.t -> t -> t
     change set). *)
 val weaken_src : Loc.t -> t -> t
 
-(** Remove every relationship with the given target, via the reverse
-    index (touches only the sources actually pointing at it). *)
+(** Remove every relationship with the given target, by filtering the
+    map. Rows without the target stay shared; a set in which no source
+    points at the target is returned physically unchanged. *)
 val remove_tgt : Loc.t -> t -> t
-
-(** All sources pointing at a target (the reverse index). *)
-val sources : Loc.t -> t -> Loc.Set.t
 
 val fold : (Loc.t -> Loc.t -> cert -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Loc.t -> Loc.t -> cert -> unit) -> t -> unit
@@ -71,7 +68,6 @@ val iter : (Loc.t -> Loc.t -> cert -> unit) -> t -> unit
     (e.g. the serializer's row-dedup table) can exploit physical
     equality across related sets. *)
 val iter_srcs : (Loc.t -> cert Loc.Map.t -> unit) -> t -> unit
-val exists : (Loc.t -> Loc.t -> cert -> bool) -> t -> bool
 val filter : (Loc.t -> Loc.t -> cert -> bool) -> t -> t
 
 (** Keep only the relationships whose source satisfies the predicate
@@ -95,9 +91,9 @@ val equal : t -> t -> bool
     Backs the hash-indexed sub-tree-sharing memo in {!Engine}. *)
 val hash : t -> int
 
-(** Force the lazy reverse index now. Required before read-only
-    parallel querying of a shared set ({!Pool} workers racing to force
-    one suspension is a runtime error in OCaml 5). *)
+(** A no-op, kept only because the frozen [perf/] harness still calls
+    it: a set holds no suspension, so nothing needs forcing before
+    domains share it. Delete it together with that call. *)
 val prime : t -> unit
 
 (** Least upper bound: union of pairs, definite only when definite on

@@ -1,7 +1,7 @@
 (** The resident analysis daemon: analyze (or load) once, serve many
     queries — the serving half of the analyze-once / query-many story.
 
-    [ptan serve] keeps primed results for a whole corpus in memory and
+    [ptan serve] keeps analysis results for a whole corpus in memory and
     answers alias/pts/calls queries over a line-oriented protocol, on
     standard input/output or a Unix-domain socket. This module is the
     daemon core — protocol parsing, batching, admission control,
@@ -78,7 +78,7 @@ type handler = {
   h_files : string list;  (** corpus names, for the [files] request *)
   h_answer : file:string -> query:string -> answer;
       (** must be safe to call from several {!Pool} domains at once
-          (query dispatch over primed, read-only results is) *)
+          (query dispatch over immutable results is) *)
   h_reload : (file:string -> (string, string) result) option;
       (** re-analyze one corpus entry in place; called only on the
           event-loop domain, between batches, so it may mutate the

@@ -228,4 +228,43 @@ let cache_tests =
             Alcotest.(check int) "two cache entries" 2 (Array.length (Sys.readdir dir))));
   ]
 
-let suite = ("persist", roundtrip_tests @ invalidation_tests @ cache_tests)
+(** Marshal every points-to set a result reaches; raises
+    [Invalid_argument] if any of them holds a closure or suspension. *)
+let marshal_sets (r : Analysis.result) =
+  ignore (Marshal.to_string r.Analysis.stmt_pts []);
+  ignore (Marshal.to_string r.Analysis.entry_output []);
+  Ig.fold
+    (fun () n ->
+      ignore (Marshal.to_string n.Ig.stored_input []);
+      ignore (Marshal.to_string n.Ig.stored_output []))
+    () r.Analysis.graph
+
+let plain_data_tests =
+  [
+    case "livc: the node count is the finished graph's, cold and cached" (fun () ->
+        in_temp (fun dir ->
+            let source = bench "livc" in
+            let check what (r : Analysis.result) =
+              let g = r.Analysis.graph in
+              Alcotest.(check int) (what ^ ": field = fold") (Ig.n_nodes g) g.Ig.n_nodes;
+              Alcotest.(check int) (what ^ ": indirect sites counted") 151 g.Ig.n_nodes
+            in
+            let cold, _ = Persist.analyze_cached ~cache_dir:dir source in
+            let warm, hit = Persist.analyze_cached ~cache_dir:dir source in
+            Alcotest.(check bool) "second call hits" true hit;
+            check "cold" cold;
+            check "cached" warm));
+    case "results are plain data: cold, demand and cached sets marshal" (fun () ->
+        in_temp (fun dir ->
+            let source = bench "livc" in
+            marshal_sets (Analysis.of_file source);
+            let d = Alias.Demand_driver.prepare (Simple_ir.Simplify.of_file source) in
+            marshal_sets (Alias.Demand_driver.analyze d ~seed:"drive_a");
+            let _ = Persist.analyze_cached ~cache_dir:dir source in
+            let warm, hit = Persist.analyze_cached ~cache_dir:dir source in
+            Alcotest.(check bool) "second call hits" true hit;
+            marshal_sets warm));
+  ]
+
+let suite =
+  ("persist", roundtrip_tests @ invalidation_tests @ cache_tests @ plain_data_tests)

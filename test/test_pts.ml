@@ -76,12 +76,6 @@ let unit_tests =
         let s = Pts.remove_tgt z s in
         Alcotest.(check int) "one pair left" 1 (Pts.cardinal s);
         Alcotest.(check bool) "z->y kept" true (Pts.find z y s = Some Pts.D));
-    case "sources inverts targets" (fun () ->
-        let s = Pts.of_list [ (x, z, Pts.D); (y, z, Pts.P); (z, y, Pts.D) ] in
-        Alcotest.(check int) "two sources of z" 2 (Loc.Set.cardinal (Pts.sources z s));
-        Alcotest.(check bool) "x there" true (Loc.Set.mem x (Pts.sources z s));
-        Alcotest.(check bool) "y there" true (Loc.Set.mem y (Pts.sources z s));
-        Alcotest.(check bool) "none of x" true (Loc.Set.is_empty (Pts.sources x s)));
     case "filter_src keeps whole sources" (fun () ->
         let s = Pts.of_list [ (x, y, Pts.D); (x, z, Pts.P); (y, z, Pts.D) ] in
         let s = Pts.filter_src (fun src -> not (Loc.equal src x)) s in
@@ -232,15 +226,16 @@ let property_tests =
         Pts.equal (Pts.merge a ab) ab && Pts.equal (Pts.merge ab b) ab);
     qcase "remove_tgt leaves no sources of the target"
       QCheck2.Gen.(pair loc_gen pts_gen)
-      (fun (l, s) -> Loc.Set.is_empty (Pts.sources l (Pts.remove_tgt l s)));
-    qcase "sources agrees with a forward scan" QCheck2.Gen.(pair loc_gen pts_gen)
       (fun (l, s) ->
+        let r = Pts.remove_tgt l s in
+        let targeted = Pts.fold (fun _ tgt _ hit -> hit || Loc.equal tgt l) s false in
+        Pts.equal r (Pts.filter (fun _ tgt _ -> not (Loc.equal tgt l)) s)
+        && (targeted || r == s));
+    qcase "all_locs equals the locations fold visits" pts_gen (fun s ->
         let scan =
-          Pts.fold
-            (fun src tgt _ acc -> if Loc.equal tgt l then Loc.Set.add src acc else acc)
-            s Loc.Set.empty
+          Pts.fold (fun src tgt _ acc -> Loc.Set.add src (Loc.Set.add tgt acc)) s Loc.Set.empty
         in
-        Loc.Set.equal scan (Pts.sources l s));
+        Loc.Set.equal scan (Pts.all_locs s));
     qcase "filter_src agrees with filter" pts_gen (fun s ->
         let keep src = Loc.singular src in
         Pts.equal (Pts.filter_src keep s) (Pts.filter (fun src _ _ -> keep src) s));

@@ -9,7 +9,6 @@ open Test_util
 module Serve = Pointsto.Serve
 module Guard = Pointsto.Guard
 module Fault = Pointsto.Fault
-module Ig = Pointsto.Invocation_graph
 
 (* ------------------------------------------------------------------ *)
 (* Harness: drive the daemon in-process over a pipe pair              *)
@@ -407,17 +406,6 @@ let robustness_tests =
 (* Socket transport: concurrent clients, bit-identity                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Force the lazy reverse indexes before cross-domain query dispatch
-    (same contract as [ptan serve]'s corpus load). *)
-let prime_result (r : Analysis.result) =
-  Hashtbl.iter (fun _ s -> Pts.prime s) r.Analysis.stmt_pts;
-  Option.iter Pts.prime r.Analysis.entry_output;
-  Ig.fold
-    (fun () n ->
-      Option.iter Pts.prime n.Ig.stored_input;
-      Option.iter Pts.prime n.Ig.stored_output)
-    () r.Analysis.graph
-
 let fixture_src =
   {|int g1; int g2;
     void set(int **q, int *v) { *q = v; }
@@ -457,7 +445,6 @@ let socket_tests =
   [
     case "concurrent socket clients get ordered, bit-identical replies" (fun () ->
         let r = analyze fixture_src in
-        prime_result r;
         let handler =
           {
             Serve.h_files = [ "prog" ];

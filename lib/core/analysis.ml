@@ -156,6 +156,7 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
             Trace.emit Trace.Checkpoint ~name:entry ~stmts:(List.length ck) ~t0:tc0 ());
       raise e
   in
+  let stmt_pts = Engine.freeze_table ctx.Engine.stmt_pts in
   (Metrics.cur ()).Metrics.t_analysis <- Metrics.now () -. t0;
   (* indirect call sites grew the graph after {!Ig.build} counted it *)
   graph.Ig.n_nodes <- Ig.n_nodes graph;
@@ -173,7 +174,7 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
     prog;
     tenv;
     graph;
-    stmt_pts = ctx.Engine.stmt_pts;
+    stmt_pts;
     entry_output;
     warnings = ctx.Engine.warnings;
     metrics = Metrics.snapshot ();

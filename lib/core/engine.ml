@@ -83,9 +83,10 @@ type ctx = {
   guard : Guard.t;
       (** resource governor, polled at the fixed-point boundaries below;
           an unlimited guard still polls task cancellation *)
-  stmt_pts : (int, Pts.t) Hashtbl.t;
+  stmt_pts : (int, Pts.Acc.t) Hashtbl.t;
       (** merged points-to set valid at each statement, over all
-          contexts: the root of the recording chain *)
+          contexts: the root of the recording chain, frozen once by
+          {!Analysis.run} when the run ends *)
   mutable warnings : string list;
   warn_seen : (string, unit) Hashtbl.t;
       (** messages already emitted (duplicate suppression in O(1)) *)
@@ -107,13 +108,17 @@ type ctx = {
   record_summaries : bool;
       (** record a frame with every evaluated (function, input) pair so
           {!Persist} can write the summary section *)
-  mutable recording : (int, Pts.t) Hashtbl.t;
+  mutable recording : (int, Pts.Acc.t) Hashtbl.t;
       (** the innermost open recording table, the only one a statement
-          visit merges into: the frame of the innermost in-flight
+          visit folds into: the frame of the innermost in-flight
           evaluation when the run records summaries, [stmt_pts]
-          otherwise. A finished frame is folded into the table that was
-          innermost when it opened, so each row reaches [stmt_pts]
-          through its chain of enclosing frames *)
+          otherwise. A finished frame is frozen and folded into the
+          table that was innermost when it opened, so each row reaches
+          [stmt_pts] through its chain of enclosing frames *)
+  chain : Pts.Acc.chain;
+      (** the latest row fold, shared by every recording table: a
+          statement that sees the same set as the one before it, with
+          the same bound, adopts that fold's result *)
   demand : Demand.plan option;
       (** demand mode (docs/DEMAND.md): when set, calls to defined
           functions outside the plan's slice are answered without
@@ -149,6 +154,7 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     store;
     record_summaries;
     recording = stmt_pts;
+    chain = Pts.Acc.chain ();
     demand;
   }
 
@@ -180,18 +186,34 @@ let merge_flow a b =
     ret = Pts.merge_state a.ret b.ret;
   }
 
-(** Merge [row] into statement [sid]'s row of the innermost open table,
-    unless a demand plan keeps only its seed's rows and [sid] is not one
-    of them. Statement visits and folded frames both pass this gate. *)
+(** Fold [row] into statement [sid]'s accumulator in the innermost open
+    table, unless a demand plan keeps only its seed's rows and [sid] is
+    not one of them. Statement visits and folded frames both pass this
+    gate. {!Pts.Acc.add} counts the folds into a row already there
+    ([records], each a {!Pts.merge} before row accumulators) and times
+    the ones that walk. *)
 let record ctx sid (row : Pts.t) =
   if match ctx.demand with Some p -> Demand.records p sid | None -> true then
     match Hashtbl.find_opt ctx.recording sid with
-    | None -> Hashtbl.replace ctx.recording sid row
-    | Some old -> Hashtbl.replace ctx.recording sid (Pts.merge old row)
+    | Some acc -> Pts.Acc.add ctx.chain acc row
+    | None ->
+        let acc = Pts.Acc.create () in
+        Pts.Acc.add ctx.chain acc row;
+        Hashtbl.replace ctx.recording sid acc
 
-(** Fold a frame into the innermost open table: the frame of a finished
-    evaluation, of a memo hit or of a replayed summary, exactly as if
-    its statement visits had been recorded there. *)
+(** A recording table's rows, frozen, timed into [t_record]: the shape
+    the store, {!Persist} and {!Analysis.result} keep. *)
+let freeze_table (t : (int, Pts.Acc.t) Hashtbl.t) : (int, Pts.t) Hashtbl.t =
+  let t0 = Metrics.now () in
+  let out = Hashtbl.create (Hashtbl.length t) in
+  Hashtbl.iter (fun sid acc -> Hashtbl.replace out sid (Pts.Acc.freeze acc)) t;
+  let m = Metrics.cur () in
+  m.Metrics.t_record <- m.Metrics.t_record +. (Metrics.now () -. t0);
+  out
+
+(** Fold a frozen frame into the innermost open table: the frame of a
+    finished evaluation, of a memo hit or of a replayed summary, exactly
+    as if its statement visits had been recorded there. *)
 let fold_frame ctx (frame : (int, Pts.t) Hashtbl.t) = Hashtbl.iter (record ctx) frame
 
 (** Does [t] carry pointers inside a struct or union (so values of it
@@ -868,7 +890,7 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               (* an exception abandons the whole run, so [recording] is
                  restored on the normal path only *)
               let parent = ctx.recording in
-              let frame =
+              let open_frame =
                 if ctx.record_summaries then begin
                   let fr = Hashtbl.create 16 in
                   ctx.recording <- fr;
@@ -920,6 +942,7 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               in
               fixpoint ~first:true ~n:1;
               node.Ig.in_flight <- false;
+              let frame = Option.map freeze_table open_frame in
               node.Ig.stored_input <- Some func_input;
               (* without sharing, a frameless entry would never answer
                  and never be saved *)

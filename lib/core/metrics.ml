@@ -49,6 +49,11 @@ type t = {
   (* map/unmap (§4.1) *)
   mutable map_calls : int;
   mutable unmap_calls : int;
+  (* per-statement recording ({!Engine.record}, {!Pts.Acc}) *)
+  mutable records : int;
+      (** statement visits and folded frame rows that land on a row
+          their recording table already holds (a row's first fold is
+          stored as it is) *)
   (* result cache ({!Persist}) *)
   mutable cache_hits : int;  (** results served from the disk cache *)
   mutable cache_misses : int;  (** cache lookups that fell back to analysis *)
@@ -97,6 +102,9 @@ type t = {
   (* per-phase wall-clock time, seconds *)
   mutable t_map : float;  (** in {!Map_unmap.map_call} *)
   mutable t_unmap : float;  (** in {!Map_unmap.unmap_call} *)
+  mutable t_record : float;
+      (** in the {!Pts.Acc.add} calls that walk a row accumulator, and
+          in {!Engine.freeze_table} *)
   mutable t_analysis : float;  (** whole {!Analysis.analyze} run *)
   mutable t_serialize : float;  (** in {!Persist.save} *)
   mutable t_deserialize : float;  (** in {!Persist.load} *)
@@ -121,6 +129,7 @@ let create () =
     memo_hits = 0;
     map_calls = 0;
     unmap_calls = 0;
+    records = 0;
     cache_hits = 0;
     cache_misses = 0;
     cache_quarantined = 0;
@@ -139,6 +148,7 @@ let create () =
     ext_unmodeled = 0;
     t_map = 0.;
     t_unmap = 0.;
+    t_record = 0.;
     t_analysis = 0.;
     t_serialize = 0.;
     t_deserialize = 0.;
@@ -173,6 +183,7 @@ let fields =
     Count ((fun m -> m.memo_hits), fun m v -> m.memo_hits <- v);
     Count ((fun m -> m.map_calls), fun m v -> m.map_calls <- v);
     Count ((fun m -> m.unmap_calls), fun m v -> m.unmap_calls <- v);
+    Count ((fun m -> m.records), fun m v -> m.records <- v);
     Count ((fun m -> m.cache_hits), fun m v -> m.cache_hits <- v);
     Count ((fun m -> m.cache_misses), fun m v -> m.cache_misses <- v);
     Count ((fun m -> m.cache_quarantined), fun m v -> m.cache_quarantined <- v);
@@ -191,6 +202,7 @@ let fields =
     Count ((fun m -> m.ext_unmodeled), fun m v -> m.ext_unmodeled <- v);
     Time ((fun m -> m.t_map), fun m v -> m.t_map <- v);
     Time ((fun m -> m.t_unmap), fun m v -> m.t_unmap <- v);
+    Time ((fun m -> m.t_record), fun m v -> m.t_record <- v);
     Time ((fun m -> m.t_analysis), fun m v -> m.t_analysis <- v);
     Time ((fun m -> m.t_serialize), fun m v -> m.t_serialize <- v);
     Time ((fun m -> m.t_deserialize), fun m v -> m.t_deserialize <- v);
@@ -258,6 +270,10 @@ let rows (m : t) : (string * string) list =
       Printf.sprintf "%d (%.1f%% fast-path)" m.covered_checks
         (ratio m.covered_fast m.covered_checks) );
     ("map/unmap calls", Printf.sprintf "%d/%d" m.map_calls m.unmap_calls);
+    ( "recording",
+      Printf.sprintf "%d folds into a recorded row, %.3f ms (%.1f%% of analysis)" m.records
+        (m.t_record *. 1e3)
+        (if m.t_analysis > 0. then 100. *. m.t_record /. m.t_analysis else 0.) );
     ( "memo hit rate",
       Printf.sprintf "%d/%d (%.1f%%)" m.memo_hits m.memo_lookups
         (ratio m.memo_hits m.memo_lookups) );

@@ -31,6 +31,9 @@ type t = {
   mutable memo_hits : int;
   mutable map_calls : int;
   mutable unmap_calls : int;
+  mutable records : int;
+      (** statement visits and folded frame rows that land on a row
+          their recording table already holds ({!Pts.Acc.add}) *)
   mutable cache_hits : int;  (** results served from the {!Persist} disk cache *)
   mutable cache_misses : int;  (** cache lookups that fell back to a fresh analysis *)
   mutable cache_quarantined : int;
@@ -73,6 +76,9 @@ type t = {
           model *)
   mutable t_map : float;  (** seconds in {!Map_unmap.map_call} *)
   mutable t_unmap : float;
+  mutable t_record : float;
+      (** seconds in the row folds that walk an accumulator and in
+          freezing recording tables *)
   mutable t_analysis : float;  (** whole-analysis wall-clock seconds *)
   mutable t_serialize : float;  (** seconds in {!Persist.save} *)
   mutable t_deserialize : float;  (** seconds in {!Persist.load} *)

@@ -25,7 +25,7 @@
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 6
+let version = 7
 
 let magic = "PTANC"
 

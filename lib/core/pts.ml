@@ -118,13 +118,17 @@ let kill_src src (s : t) : t =
   | None -> s
   | Some m -> mk (LM.remove src s.fwd) (s.card - LM.cardinal m)
 
+(** A target map with every certainty possible: the map itself when it
+    already is. *)
+let demote m = if LM.for_all (fun _ c -> c == P) m then m else LM.map (fun _ -> P) m
+
 (** Demote every relationship of [src] from definite to possible. *)
 let weaken_src src (s : t) : t =
   match LM.find_opt src s.fwd with
   | None -> s
   | Some m ->
-      if LM.for_all (fun _ c -> c == P) m then s
-      else { s with fwd = LM.add src (LM.map (fun _ -> P) m) s.fwd }
+      let m' = demote m in
+      if m' == m then s else { s with fwd = LM.add src m' s.fwd }
 
 let fold f (s : t) acc =
   LM.fold (fun src m acc -> LM.fold (fun tgt c acc -> f src tgt c acc) m acc) s.fwd acc
@@ -226,8 +230,6 @@ let subsumes (a : t) (b : t) : bool =
                   ma)
           a.fwd)
 
-let all_possible m = LM.for_all (fun _ c -> c == P) m
-
 (** Least upper bound: union of pairs; a pair is definite only when
     definite in both operands (a definite pair present on only one side
     becomes possible, since the other side's execution paths do not
@@ -256,7 +258,7 @@ let merge (a : t) (b : t) : t =
           | None, None -> None
           | Some m, None | None, Some m ->
               count := !count + LM.cardinal m;
-              Some (if all_possible m then m else LM.map (fun _ -> P) m)
+              Some (demote m)
           | Some ma, Some mb ->
               if ma == mb then begin
                 count := !count + LM.cardinal ma;
@@ -279,6 +281,291 @@ let merge (a : t) (b : t) : t =
     in
     mk fwd !count
   end
+
+(* ------------------------------------------------------------------ *)
+(* Row accumulators: a least upper bound built in place               *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-target steps of {!row_cmp}'s flags: bit 1 holds while the bound's
+   row [ma] subsumes the visit's row [mb] (their merge is [ma]), bit 2
+   while [mb] subsumes [ma]. A one-sided target becomes possible in the
+   merge. *)
+let both flags ca cb = if ca == cb then flags else if ca == D then flags land 2 else flags land 1
+let only_b flags cb = if cb == D then 0 else flags land 2
+
+(** How two target maps of one source order: 3 when equal, 1 when [ma]
+    strictly subsumes [mb], 2 for the converse, 0 when their merge is
+    neither. One lookup per target of [mb], counting the shared ones,
+    and a scan of [ma] only when it has targets [mb] lacks; the
+    accumulator packs the count above the two flag bits, so a check
+    allocates one closure. *)
+let row_cmp ma mb =
+  let acc =
+    LM.fold
+      (fun t cb acc ->
+        match LM.find t ma with
+        | ca -> ((acc lsr 2 + 1) lsl 2) lor both (acc land 3) ca cb
+        | exception Not_found -> acc land lnot 3 lor only_b (acc land 3) cb)
+      mb 3
+  in
+  let flags = acc land 3 in
+  if flags = 0 || acc lsr 2 = LM.cardinal ma then flags
+  else if LM.for_all (fun t ca -> ca == P || LM.mem t mb) ma then flags land 1
+  else 0
+
+(** Least upper bound of two target maps of one source, neither of
+    which subsumes the other. *)
+let row_union ma mb =
+  LM.merge
+    (fun _tgt ca cb ->
+      match (ca, cb) with
+      | None, None -> None
+      | Some _, None | None, Some _ -> Some P
+      | Some ca, Some cb -> Some (cert_and ca cb))
+    ma mb
+
+module Acc = struct
+  type set = t
+
+  (* The bound as parallel source-sorted arrays, the first [len] slots
+     live: each source's bound row, and in [last] the row the latest
+     visit with that source brought, which the bound already covers.
+     [cur] is a set equal to the bound when one is known: a visit that
+     covered everything before it, or the last {!freeze}. [shape] is a
+     set with exactly the bound's sources, which {!freeze} copies the
+     tree shape of. *)
+  type rows = {
+    mutable srcs : Loc.t array;
+    mutable maps : cert LM.t array;
+    mutable last : cert LM.t array;
+    mutable len : int;
+    mutable cur : set option;
+    mutable shape : set option;
+  }
+
+  type state = Empty | One of set | Rows of rows
+
+  (* A bound, shared by every accumulator whose visits so far were the
+     same sets in the same order (see {!chain}). [refs] counts the
+     accumulators pointing here, and a shared cell is never mutated: an
+     add copies it first. *)
+  type cell = { mutable st : state; mutable refs : int }
+  type t = { mutable cell : cell }
+
+  (* The latest {!add} that did not adopt another's result: the visit,
+     the cell it started from ([None]: an empty one) and the cell it
+     produced. *)
+  type chain = { mutable row : set; mutable before : cell option; mutable after : cell }
+
+  let create () = { cell = { st = Empty; refs = 1 } }
+
+  (* [row] starts as a set no caller holds, so nothing matches it *)
+  let chain () = { row = { fwd = LM.empty; card = 0 }; before = None; after = (create ()).cell }
+
+  let rows_of (s : set) =
+    let n = LM.cardinal s.fwd in
+    let srcs = Array.make n Loc.Null and maps = Array.make n LM.empty in
+    let i = ref 0 in
+    LM.iter
+      (fun src m ->
+        srcs.(!i) <- src;
+        maps.(!i) <- m;
+        incr i)
+      s.fwd;
+    { srcs; maps; last = Array.copy maps; len = n; cur = Some s; shape = Some s }
+
+  (* One in-step walk of the bound's rows against a visit's. Slots are
+     rewritten in place; the arrays are copied only when the visit brings
+     a source the bound lacks. [changed]: the bound grew; [covers]: the
+     new bound equals the visit; [lacks]: the visit misses a source of
+     the bound. *)
+  type walk = {
+    mutable i : int;  (** next unread slot of the old arrays *)
+    mutable j : int;  (** next slot to write *)
+    mutable osrcs : Loc.t array;
+    mutable omaps : cert LM.t array;
+    mutable olast : cert LM.t array;
+    mutable changed : bool;
+    mutable covers : bool;
+    mutable lacks : bool;
+  }
+
+  let add_rows r (s : set) =
+    let w =
+      {
+        i = 0;
+        j = 0;
+        osrcs = r.srcs;
+        omaps = r.maps;
+        olast = r.last;
+        changed = false;
+        covers = true;
+        lacks = false;
+      }
+    in
+    let put src m l =
+      let j = w.j in
+      if w.osrcs != r.srcs then begin
+        w.osrcs.(j) <- src;
+        w.omaps.(j) <- m;
+        w.olast.(j) <- l
+      end
+      else begin
+        if w.omaps.(j) != m then w.omaps.(j) <- m;
+        if w.olast.(j) != l then w.olast.(j) <- l
+      end;
+      w.j <- j + 1
+    in
+    (* a source of the bound the visit lacks: its pairs become possible *)
+    let only_old () =
+      let m = r.maps.(w.i) in
+      w.covers <- false;
+      w.lacks <- true;
+      let m' = demote m in
+      if m' != m then w.changed <- true;
+      put r.srcs.(w.i) m' r.last.(w.i);
+      w.i <- w.i + 1
+    in
+    LM.iter
+      (fun src mb ->
+        while w.i < r.len && r.srcs.(w.i) != src && Loc.compare r.srcs.(w.i) src < 0 do
+          only_old ()
+        done;
+        if w.i < r.len && (r.srcs.(w.i) == src || Loc.compare r.srcs.(w.i) src = 0) then begin
+          let ma = r.maps.(w.i) in
+          let m =
+            if ma == mb then ma
+            else if r.last.(w.i) == mb && not w.covers then
+              (* merged before; whether the visit covers is settled *)
+              ma
+            else
+              match row_cmp ma mb with
+              | 3 -> if w.covers then mb else ma
+              | 1 ->
+                  w.covers <- false;
+                  ma
+              | 2 ->
+                  w.changed <- true;
+                  mb
+              | _ ->
+                  w.changed <- true;
+                  w.covers <- false;
+                  row_union ma mb
+          in
+          put r.srcs.(w.i) m mb;
+          w.i <- w.i + 1
+        end
+        else begin
+          (* a source only the visit has: leave the in-place arrays for
+             larger copies *)
+          if w.osrcs == r.srcs then begin
+            let cap = r.len + LM.cardinal s.fwd in
+            let osrcs = Array.make cap Loc.Null
+            and omaps = Array.make cap LM.empty
+            and olast = Array.make cap LM.empty in
+            Array.blit r.srcs 0 osrcs 0 w.j;
+            Array.blit r.maps 0 omaps 0 w.j;
+            Array.blit r.last 0 olast 0 w.j;
+            w.osrcs <- osrcs;
+            w.omaps <- omaps;
+            w.olast <- olast
+          end;
+          w.changed <- true;
+          let m = demote mb in
+          if m != mb then w.covers <- false;
+          put src m mb
+        end)
+      s.fwd;
+    while w.i < r.len do
+      only_old ()
+    done;
+    let grew = w.j > r.len in
+    r.srcs <- w.osrcs;
+    r.maps <- w.omaps;
+    r.last <- w.olast;
+    r.len <- w.j;
+    if not w.lacks then r.shape <- Some s else if grew then r.shape <- None;
+    if w.changed then r.cur <- (if w.covers then Some s else None)
+    else if w.covers && Option.is_none r.cur then r.cur <- Some s
+
+  let add_state c (s : set) =
+    match c.st with
+    | Empty -> c.st <- One s
+    | One a ->
+        if a != s then begin
+          let r = rows_of a in
+          c.st <- Rows r;
+          add_rows r s
+        end
+    | Rows r -> add_rows r s
+
+  let copy_state = function
+    | Rows r ->
+        let sub a = Array.sub a 0 r.len in
+        Rows { r with srcs = sub r.srcs; maps = sub r.maps; last = sub r.last }
+    | (Empty | One _) as st -> st
+
+  let move acc c =
+    if acc.cell != c then begin
+      acc.cell.refs <- acc.cell.refs - 1;
+      c.refs <- c.refs + 1;
+      acc.cell <- c
+    end
+
+  (* Counts [records] and times the walks into [t_record]: a chain
+     adoption or a first visit costs less than the two clock reads. *)
+  let add ch acc (s : set) =
+    let c = acc.cell in
+    let m = Metrics.cur () in
+    if c.st != Empty then m.Metrics.records <- m.Metrics.records + 1;
+    if ch.row == s && match ch.before with None -> c.st == Empty | Some b -> b == c then
+      (* the latest add took this same bound by this same visit *)
+      move acc ch.after
+    else begin
+      let before = match c.st with Empty -> None | One _ | Rows _ -> Some c in
+      if c.refs > 1 then move acc { st = copy_state c.st; refs = 0 };
+      (match before with
+      | None -> add_state acc.cell s
+      | Some _ ->
+          let t0 = Metrics.now () in
+          add_state acc.cell s;
+          m.Metrics.t_record <- m.Metrics.t_record +. (Metrics.now () -. t0));
+      ch.row <- s;
+      ch.before <- before;
+      ch.after <- acc.cell
+    end
+
+  let freeze acc : set =
+    match acc.cell.st with
+    | Empty -> empty
+    | One a -> a
+    | Rows { cur = Some s; _ } -> s
+    | Rows r ->
+        let card = ref 0 in
+        for k = 0 to r.len - 1 do
+          card := !card + LM.cardinal r.maps.(k)
+        done;
+        let fwd =
+          match r.shape with
+          | Some t ->
+              (* same sources: rebuild [t]'s tree in order, no compares *)
+              let k = ref (-1) in
+              LM.mapi
+                (fun _ _ ->
+                  incr k;
+                  r.maps.(!k))
+                t.fwd
+          | None ->
+              let fwd = ref LM.empty in
+              for k = 0 to r.len - 1 do
+                fwd := LM.add r.srcs.(k) r.maps.(k) !fwd
+              done;
+              !fwd
+        in
+        let s = mk fwd !card in
+        r.cur <- Some s;
+        s
+end
 
 (** [covered_by s1 s2]: is [s2] a safe generalization of [s1]?
     Requires (1) every pair of [s1] to be present in [s2], and (2) every

@@ -101,6 +101,51 @@ val prime : t -> unit
     paths do not establish it). *)
 val merge : t -> t -> t
 
+(** A mutable least-upper-bound accumulator: the {!merge} of every set
+    added to it, built in place. It backs the per-statement recording
+    tables, where one row receives a visit per context and most visits
+    change nothing.
+
+    The first visit is kept as it is. From the second on, the bound is a
+    source-sorted array of target maps that {!Acc.add} walks in step with
+    the visit's sources, so equal sources meet by a pointer check and a
+    physically shared row costs one [==]; a row is rebuilt only when the
+    visit grows it. {!Acc.freeze} returns a visited set physically
+    whenever one covers all the others (so at least whenever folding
+    the visits with {!merge} would have returned an operand), and
+    otherwise builds the bound once and caches it until the next
+    change.
+
+    Accumulators that received the same sets in the same order share
+    one bound: a {!Acc.chain} remembers the latest add, and an add of
+    the same set to an accumulator holding that add's old bound adopts
+    its result without a walk. Consecutive statements that change no
+    pointer see the same set in every context, so along such a run only
+    the first statement walks. A shared bound is copied before it
+    changes. *)
+module Acc : sig
+  type set := t
+  type t
+
+  (** The memory of the latest {!add} that did its own work. *)
+  type chain
+
+  val create : unit -> t
+  val chain : unit -> chain
+
+  (** [add chain acc s]: merge a visit into the bound, adopting the
+      result of [chain]'s latest add when it applies. Any number of
+      accumulators may share one chain. Counts [Metrics.records] when
+      the accumulator already held a visit, and times an add that walks
+      the bound into [Metrics.t_record]. *)
+  val add : chain -> t -> set -> unit
+
+  (** The bound: [List.fold_left merge v1 [v2; ...]] over the visits so
+      far, {!empty} before the first. Adding more after a freeze is
+      allowed. *)
+  val freeze : t -> set
+end
+
 (** [covered_by s1 s2]: is [s2] a safe generalization of [s1]? Requires
     every pair of [s1] in [s2], and every definite claim of [s2] definite
     in [s1] (Figure 4's [isSubsetOf]). *)

@@ -253,4 +253,98 @@ let property_tests =
         sign (Loc.compare (Loc.intern a) (Loc.intern b)) = sign (Loc.compare a b));
   ]
 
-let suite = ("pts", unit_tests @ loc_tests @ property_tests)
+(* ------------------------------------------------------------------ *)
+(* Row accumulators                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A small interned vocabulary, so visits collide on sources and rows. *)
+let acc_locs =
+  [| Loc.var "p" Loc.Klocal; Loc.var "q" Loc.Klocal; Loc.var "ga" Loc.Kglobal; Loc.Heap; Loc.Null |]
+
+let small_pts : Pts.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let loc = oneofa acc_locs in
+  list_size (int_bound 8) (triple loc loc cert_gen) >|= Pts.of_list
+
+(** Visits derived from a few base sets: whole sets and single rows are
+    physically shared between them, some are empty, and killing or
+    weakening a source leaves it one-sided or demoted. *)
+let visits_gen : Pts.t list QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  list_size (int_range 1 3) small_pts >>= fun bases ->
+  let base = oneofl bases and loc = oneofa acc_locs in
+  let visit =
+    oneof
+      [
+        base;
+        return Pts.empty;
+        small_pts;
+        map2 Pts.kill_src loc base;
+        map2 Pts.weaken_src loc base;
+        map3 (fun l b o -> Pts.add_rows [ (l, Pts.tgt_map l o) ] b) loc base base;
+      ]
+  in
+  list_size (int_range 1 6) visit
+
+let fold_acc visits =
+  let acc = Pts.Acc.create () and chain = Pts.Acc.chain () in
+  List.iter (Pts.Acc.add chain acc) visits;
+  Pts.Acc.freeze acc
+
+let lub = function [] -> Pts.empty | v :: vs -> List.fold_left Pts.merge v vs
+
+let acc_tests =
+  [
+    case "Acc: nothing added freezes to the empty set" (fun () ->
+        Alcotest.(check bool) "empty" true (Pts.is_empty (fold_acc [])));
+    case "Acc: a row one visit lacks becomes possible" (fun () ->
+        let a = Pts.of_list [ (x, y, Pts.D); (y, z, Pts.D) ] in
+        let b = Pts.of_list [ (y, z, Pts.D); (z, x, Pts.D) ] in
+        let f = fold_acc [ a; b ] in
+        Alcotest.(check bool) "x->y P" true (Pts.find x y f = Some Pts.P);
+        Alcotest.(check bool) "y->z D" true (Pts.find y z f = Some Pts.D);
+        Alcotest.(check bool) "z->x P" true (Pts.find z x f = Some Pts.P));
+    qcase "Acc: freeze equals the fold of merge, in any order"
+      QCheck2.Gen.(visits_gen >>= fun vs -> pair (return vs) (shuffle_l vs))
+      (fun (vs, perm) -> Pts.equal (fold_acc perm) (lub vs));
+    qcase "Acc: freeze of one visit is that visit" small_pts (fun s ->
+        fold_acc [ s ] == s && fold_acc [ s; s; s ] == s);
+    qcase "Acc: freeze is a visit that covers all the others"
+      QCheck2.Gen.(
+        visits_gen >>= fun vs ->
+        (* a visit equal to the bound of the others, at any position *)
+        shuffle_l (lub vs :: vs))
+      (fun vs ->
+        let f = fold_acc vs in
+        Pts.equal f (lub vs) && List.exists (fun v -> v == f) vs);
+    qcase "Acc: a chain shares folds without changing any bound"
+      QCheck2.Gen.(
+        visits_gen >>= fun vs ->
+        (* runs of one visit to consecutive accumulators, some frozen after *)
+        list_size (int_range 1 12) (quad (int_bound 3) (int_bound 3) (oneofl vs) bool))
+      (fun runs ->
+        let n = 4 in
+        let accs = Array.init n (fun _ -> Pts.Acc.create ()) and seen = Array.make n [] in
+        let chain = Pts.Acc.chain () in
+        let agrees i = Pts.equal (Pts.Acc.freeze accs.(i)) (lub (List.rev seen.(i))) in
+        List.for_all
+          (fun (k, len, v, freeze) ->
+            let last = min (n - 1) (k + len) in
+            for i = k to last do
+              Pts.Acc.add chain accs.(i) v;
+              seen.(i) <- v :: seen.(i)
+            done;
+            (not freeze) || agrees last)
+          runs
+        && List.for_all agrees (List.init n Fun.id));
+    qcase "Acc: a freeze mid-way does not disturb later visits"
+      QCheck2.Gen.(pair visits_gen visits_gen)
+      (fun (xs, ys) ->
+        let acc = Pts.Acc.create () and chain = Pts.Acc.chain () in
+        List.iter (Pts.Acc.add chain acc) xs;
+        let mid = Pts.Acc.freeze acc in
+        List.iter (Pts.Acc.add chain acc) ys;
+        Pts.equal mid (lub xs) && Pts.equal (Pts.Acc.freeze acc) (lub (xs @ ys)));
+  ]
+
+let suite = ("pts", unit_tests @ loc_tests @ property_tests @ acc_tests)

@@ -32,8 +32,9 @@ type result = {
           widened (context-insensitive, possible-only) rerun *)
   summaries : Engine.store;
       (** the run's summary store; {!Persist} writes its entries that
-          carry a frame and were recorded or replayed this run into the
-          summary section for incremental re-analysis *)
+          carry a frame and were recorded or replayed this run, with the
+          entries their frames reference, into the summary section for
+          incremental re-analysis *)
 }
 
 (** Initial points-to set for the entry function: global and local

@@ -48,9 +48,10 @@ type result = {
           what the precise run would have computed (docs/ROBUSTNESS.md) *)
   summaries : Engine.store;
       (** the run's (function, input) summary store; its entries recorded
-          with [~record_summaries:true] or replayed from [seeded] are the
-          payload of {!Persist}'s summary section, replayed by later
-          incremental runs (docs/INCREMENTAL.md) *)
+          with [~record_summaries:true] or replayed from [seeded], with
+          the entries their frames reference, are the payload of
+          {!Persist}'s summary section, replayed by later incremental
+          runs (docs/INCREMENTAL.md) *)
 }
 
 (** Initial set for the entry function: global and local pointers

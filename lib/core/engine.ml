@@ -23,25 +23,43 @@ open Cfront
     only under §6 sub-tree sharing; seeded ones answer either way, by
     replaying their frame. *)
 type origin =
-  | Seeded  (** loaded from a previous run's persisted summaries, not yet replayed *)
+  | Seeded
+      (** loaded from a previous run's persisted summaries; its rows have
+          not reached [stmt_pts] this run *)
   | Replayed
-      (** seeded and replayed this run with sharing off: still answers as
-          a seed, and is written back like a live entry *)
+      (** seeded, with its rows folded this run: replayed with sharing
+          off, or reached through the references of a replayed entry.
+          Still answers as a seed, and is written back like a live
+          entry *)
   | Live  (** evaluated this run, or seeded and replayed with sharing on *)
 
-(** One memoized (input, output) pair of a function. The frame, present
-    when the run records summaries (and on every seed), holds the
-    per-statement points-to contributions its (transitively nested)
-    evaluation made — everything a later run needs to {e replay} the
-    invocation without re-processing the body. Frames are keyed by
-    statement id and hold the merged contribution of the evaluation to
-    that statement's row: the statements its body visited, plus the
-    frame of every callee evaluation, memo hit and replay it contained,
-    each folded in once when it finished. *)
+(** A reference from a frame to the summary entry one of its calls
+    used: the callee, {!Pts.hash} of that entry's input and the input
+    itself, i.e. the entry's key in the {!store}. *)
+type sref = { r_fn : string; r_hash : int; r_in : Pts.t }
+
+(** What one evaluation contributed to the per-statement tables, in two
+    parts: the rows of the statements of its {e own} function (each the
+    merge of that evaluation's visits), and references to the entries of
+    the callee evaluations, memo hits and replays it contained, each
+    holding its own frame. A frame is the invocation-graph node of §4
+    with its children by reference: the contribution of the whole call
+    cone is the rows of every entry the references reach. Rows are in
+    statement order, so consecutive statements that hold the same set
+    fold into [stmt_pts] through the recording chain. *)
+type frame = {
+  f_rows : (int * Pts.t) array;
+  f_refs : sref list;
+}
+
+(** One memoized (input, output) pair of a function. The frame is
+    present when the run records summaries, and on every seed: it is
+    what a later run needs to {e replay} the invocation without
+    re-processing the body. *)
 type summary_entry = {
   se_in : Pts.t;
   se_out : Pts.t;
-  se_frame : (int, Pts.t) Hashtbl.t option;
+  se_frame : frame option;
   mutable se_origin : origin;
 }
 
@@ -63,8 +81,10 @@ let store_find (st : store) fname h (input : Pts.t) : summary_entry option =
       | Some entries -> List.find_opt (fun e -> Pts.equal e.se_in input) entries)
 
 (** Add [e] under input hash [h] unless an entry with the same input
-    is already stored: the first evaluation of an input wins. *)
-let store_add (st : store) fname h (e : summary_entry) =
+    is already stored: the first evaluation of an input wins. Returns
+    the entry the store now holds for that input, which is what a
+    reference to the input resolves to. *)
+let store_add (st : store) fname h (e : summary_entry) : summary_entry =
   let by_hash =
     match Hashtbl.find_opt st fname with
     | Some t -> t
@@ -74,8 +94,75 @@ let store_add (st : store) fname h (e : summary_entry) =
         t
   in
   let entries = Option.value ~default:[] (Hashtbl.find_opt by_hash h) in
-  if not (List.exists (fun e' -> Pts.equal e'.se_in e.se_in) entries) then
-    Hashtbl.replace by_hash h (e :: entries)
+  match List.find_opt (fun e' -> Pts.equal e'.se_in e.se_in) entries with
+  | Some e' -> e'
+  | None ->
+      Hashtbl.replace by_hash h (e :: entries);
+      e
+
+(** The entry a reference names, if [st] holds it with a frame. *)
+let resolve (st : store) (r : sref) : summary_entry option =
+  match store_find st r.r_fn r.r_hash r.r_in with
+  | Some { se_frame = None; _ } | None -> None
+  | found -> found
+
+(** The entries [keep] selects, each with its function and input hash,
+    plus every entry their references reach, minus every entry whose
+    references do not all resolve to entries that are themselves kept.
+    A reference can dangle when the callee evaluation returned bottom
+    and so was never stored (only inside a recursive cycle, see
+    {!eval_node}), or when a seed store was cut down. Replaying an entry
+    folds the rows its references reach, so an entry with a dangling one
+    would fold too few: it is dropped, and with it everything that
+    references it. *)
+let closed_entries (st : store) ~(keep : summary_entry -> bool) :
+    (string * int * summary_entry) list =
+  (* (function, input hash) -> the entries met, each with its verdict;
+     entries are told apart physically *)
+  let seen : (string * int, (summary_entry * bool ref) list) Hashtbl.t = Hashtbl.create 64 in
+  let verdict fname h e =
+    Option.bind (Hashtbl.find_opt seen (fname, h)) (fun b ->
+        Option.map snd (List.find_opt (fun (e', _) -> e' == e) b))
+  in
+  let met = ref [] in
+  let rec visit fname h e =
+    if Option.is_none (verdict fname h e) then begin
+      let ok = ref true in
+      let b = Option.value ~default:[] (Hashtbl.find_opt seen (fname, h)) in
+      Hashtbl.replace seen (fname, h) ((e, ok) :: b);
+      met := (fname, h, e, ok) :: !met;
+      Option.iter
+        (fun fr ->
+          List.iter
+            (fun r -> Option.iter (visit r.r_fn r.r_hash) (resolve st r))
+            fr.f_refs)
+        e.se_frame
+    end
+  in
+  Hashtbl.iter
+    (fun fname by_hash ->
+      Hashtbl.iter (fun h es -> List.iter (fun e -> if keep e then visit fname h e) es) by_hash)
+    st;
+  let resolves r =
+    match resolve st r with
+    | Some e -> ( match verdict r.r_fn r.r_hash e with Some ok -> !ok | None -> false)
+    | None -> false
+  in
+  let rec strike () =
+    let struck = ref false in
+    List.iter
+      (fun (_, _, e, ok) ->
+        if !ok then
+          match e.se_frame with
+          | Some fr when not (List.for_all resolves fr.f_refs) ->
+              ok := false;
+              struck := true
+          | Some _ | None -> ())
+      !met;
+    if !struck then strike ()
+  in
+  strike ();
+  List.filter_map (fun (fname, h, e, ok) -> if !ok then Some (fname, h, e) else None) !met
 
 type ctx = {
   tenv : Tenv.t;
@@ -110,11 +197,17 @@ type ctx = {
           {!Persist} can write the summary section *)
   mutable recording : (int, Pts.Acc.t) Hashtbl.t;
       (** the innermost open recording table, the only one a statement
-          visit folds into: the frame of the innermost in-flight
+          visit folds into: the rows of the innermost in-flight
           evaluation when the run records summaries, [stmt_pts]
-          otherwise. A finished frame is frozen and folded into the
-          table that was innermost when it opened, so each row reaches
-          [stmt_pts] through its chain of enclosing frames *)
+          otherwise. A finished evaluation's rows are frozen and folded
+          straight into [stmt_pts] *)
+  mutable refs : sref list;
+      (** the references of the innermost open frame (none is open when
+          [recording] is [stmt_pts]) *)
+  node_refs : (int, sref) Hashtbl.t;
+      (** when the run records summaries: per invocation-graph node id,
+          the entry its stored (input, output) pair came from, which a
+          repeat of the node's input references again *)
   chain : Pts.Acc.chain;
       (** the latest row fold, shared by every recording table: a
           statement that sees the same set as the one before it, with
@@ -129,16 +222,19 @@ type ctx = {
           {!Demand.Oracle_miss} *)
 }
 
-(** [seeded] enters the store as seeds. The run works on its own copy:
-    one set of seeds may serve many runs (a demand session replays it
-    per query), while a run turns the entries it replays live. *)
+(** [seeded] enters the store as seeds, minus those whose references
+    do not all resolve among them ({!closed_entries}). The run works on
+    its own copy: one set of seeds may serve many runs (a demand session
+    replays it per query), while a run turns the entries it replays
+    live. *)
 let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) : ctx =
   let store = store_create () in
   let stmt_pts = Hashtbl.create 256 in
   Option.iter
-    (Hashtbl.iter (fun fname ->
-         Hashtbl.iter (fun h ->
-             List.iter (fun e -> store_add store fname h { e with se_origin = Seeded }))))
+    (fun seeds ->
+      List.iter
+        (fun (fname, h, e) -> ignore (store_add store fname h { e with se_origin = Seeded }))
+        (closed_entries seeds ~keep:(fun _ -> true)))
     seeded;
   {
     tenv;
@@ -154,6 +250,8 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     store;
     record_summaries;
     recording = stmt_pts;
+    refs = [];
+    node_refs = Hashtbl.create (if record_summaries then 256 else 1);
     chain = Pts.Acc.chain ();
     demand;
   }
@@ -186,20 +284,20 @@ let merge_flow a b =
     ret = Pts.merge_state a.ret b.ret;
   }
 
-(** Fold [row] into statement [sid]'s accumulator in the innermost open
-    table, unless a demand plan keeps only its seed's rows and [sid] is
-    not one of them. Statement visits and folded frames both pass this
-    gate. {!Pts.Acc.add} counts the folds into a row already there
-    ([records], each a {!Pts.merge} before row accumulators) and times
-    the ones that walk. *)
-let record ctx sid (row : Pts.t) =
+(** Fold [row] into statement [sid]'s accumulator in [table], unless a
+    demand plan keeps only its seed's rows and [sid] is not one of them.
+    Statement visits and folded frame rows both pass this gate.
+    {!Pts.Acc.add} counts the folds into a row already there ([records],
+    each a {!Pts.merge} before row accumulators) and times the ones that
+    walk. *)
+let record_into ctx table sid (row : Pts.t) =
   if match ctx.demand with Some p -> Demand.records p sid | None -> true then
-    match Hashtbl.find_opt ctx.recording sid with
+    match Hashtbl.find_opt table sid with
     | Some acc -> Pts.Acc.add ctx.chain acc row
     | None ->
         let acc = Pts.Acc.create () in
         Pts.Acc.add ctx.chain acc row;
-        Hashtbl.replace ctx.recording sid acc
+        Hashtbl.replace table sid acc
 
 (** A recording table's rows, frozen, timed into [t_record]: the shape
     the store, {!Persist} and {!Analysis.result} keep. *)
@@ -211,10 +309,46 @@ let freeze_table (t : (int, Pts.Acc.t) Hashtbl.t) : (int, Pts.t) Hashtbl.t =
   m.Metrics.t_record <- m.Metrics.t_record +. (Metrics.now () -. t0);
   out
 
-(** Fold a frozen frame into the innermost open table: the frame of a
-    finished evaluation, of a memo hit or of a replayed summary, exactly
-    as if its statement visits had been recorded there. *)
-let fold_frame ctx (frame : (int, Pts.t) Hashtbl.t) = Hashtbl.iter (record ctx) frame
+(** A frame's rows, frozen, in statement order. *)
+let freeze_rows (t : (int, Pts.Acc.t) Hashtbl.t) : (int * Pts.t) array =
+  let rows = Array.of_seq (Hashtbl.to_seq (freeze_table t)) in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) rows;
+  rows
+
+(** Fold a frame's rows into [stmt_pts], exactly as if their statement
+    visits had been recorded there. *)
+let fold_rows ctx (rows : (int * Pts.t) array) =
+  Array.iter (fun (sid, row) -> record_into ctx ctx.stmt_pts sid row) rows
+
+(** Reference [r] from the innermost open frame, if one is open and does
+    not reference it yet. *)
+let add_ref ctx (r : sref) =
+  if
+    ctx.recording != ctx.stmt_pts
+    && not (List.exists (fun r' -> r'.r_in == r.r_in && String.equal r'.r_fn r.r_fn) ctx.refs)
+  then ctx.refs <- r :: ctx.refs
+
+(** [node] now holds the (input, output) pair of the entry [r] names:
+    reference it from the open frame, and remember it for the node. *)
+let use_entry ctx (node : Ig.node) (r : sref) =
+  add_ref ctx r;
+  if ctx.record_summaries then Hashtbl.replace ctx.node_refs node.Ig.id r
+
+(** Replay the rows of seed [e] and of every entry its references reach
+    into [stmt_pts], once per entry per run: an entry that is no longer
+    [Seeded] has had its rows folded this run, or was evaluated in it.
+    The entries reached turn [Replayed], so {!Persist} writes them back
+    with the entries that reference them. {!make_ctx} keeps only seeds
+    whose references resolve. *)
+let rec replay_rows ctx (e : summary_entry) =
+  if e.se_origin = Seeded then begin
+    e.se_origin <- Replayed;
+    Option.iter
+      (fun fr ->
+        fold_rows ctx fr.f_rows;
+        List.iter (fun r -> Option.iter (replay_rows ctx) (resolve ctx.store r)) fr.f_refs)
+      e.se_frame
+  end
 
 (** Does [t] carry pointers inside a struct or union (so values of it
     are copied cell by cell)? *)
@@ -615,7 +749,7 @@ and process_stmt ctx fn node (input : Pts.state) (stmt : Ir.stmt) : flow =
   match input with
   | None -> flow_of Pts.bot
   | Some s -> (
-      record ctx stmt.Ir.s_id s;
+      record_into ctx ctx.recording stmt.Ir.s_id s;
       match stmt.Ir.s_desc with
       | Ir.Sassign (lref, rhs) ->
           if Tenv.is_pointer_assignment ctx.tenv fn lref then begin
@@ -845,6 +979,11 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
       match (node.Ig.stored_input, node.Ig.in_flight) with
       | Some si, false when Pts.equal si func_input && Option.is_some node.Ig.stored_output
         ->
+          (* the node's own stored pair: a re-evaluation of its caller
+             (with a grown input) still references the entry it came
+             from *)
+          if ctx.recording != ctx.stmt_pts then
+            Option.iter (add_ref ctx) (Hashtbl.find_opt ctx.node_refs node.Ig.id);
           node.Ig.stored_output
       | _ -> (
           let fname = callee_fn.Ir.fn_name in
@@ -858,21 +997,24 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               Metrics.((cur ()).memo_hits <- (cur ()).memo_hits + 1);
               node.Ig.stored_input <- Some func_input;
               node.Ig.stored_output <- Some e.se_out;
-              (* the open frames need the transitive effects of this
-                 invocation; with none open, the first occurrence's frame
-                 has already reached [stmt_pts] *)
-              if ctx.recording != ctx.stmt_pts then Option.iter (fold_frame ctx) e.se_frame;
+              (* the entry's rows, and those of every entry it
+                 references, reached [stmt_pts] when it was evaluated or
+                 replayed: the open frame only references it *)
+              use_entry ctx node { r_fn = fname; r_hash = h; r_in = e.se_in };
               Some e.se_out
           | Some ({ se_origin = Seeded | Replayed; _ } as e) ->
-              (* Replay a persisted summary: fold its recorded frame into
-                 the innermost table, adopt its output, and skip the body
-                 fixpoint. Only functions whose whole direct-call closure
-                 is unchanged — and free of indirect call sites — are ever
-                 seeded (docs/INCREMENTAL.md), so the replay creates no
-                 invocation-graph nodes, exactly like the skipped
-                 evaluation would not have under sub-tree sharing. *)
+              (* Replay a persisted summary: fold the rows its frame
+                 reaches into [stmt_pts] (the first time this run), adopt
+                 its output, reference it from the open frame, and skip
+                 the body fixpoint. Only functions whose whole direct-call
+                 closure is unchanged — and free of indirect call sites —
+                 are ever seeded (docs/INCREMENTAL.md), so the replay
+                 creates no invocation-graph nodes, exactly like the
+                 skipped evaluation would not have under sub-tree
+                 sharing. *)
               let tr0 = Trace.start () in
-              Option.iter (fold_frame ctx) e.se_frame;
+              replay_rows ctx e;
+              use_entry ctx node { r_fn = fname; r_hash = h; r_in = e.se_in };
               e.se_origin <- (if sharing then Live else Replayed);
               node.Ig.stored_input <- Some func_input;
               node.Ig.stored_output <- Some e.se_out;
@@ -887,13 +1029,14 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               node.Ig.stored_output <- Pts.bot;
               node.Ig.pending <- [];
               node.Ig.in_flight <- true;
-              (* an exception abandons the whole run, so [recording] is
-                 restored on the normal path only *)
-              let parent = ctx.recording in
+              (* an exception abandons the whole run, so [recording] and
+                 [refs] are restored on the normal path only *)
+              let parent = ctx.recording and parent_refs = ctx.refs in
               let open_frame =
                 if ctx.record_summaries then begin
                   let fr = Hashtbl.create 16 in
                   ctx.recording <- fr;
+                  ctx.refs <- [];
                   Some fr
                 end
                 else None
@@ -942,17 +1085,37 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               in
               fixpoint ~first:true ~n:1;
               node.Ig.in_flight <- false;
-              let frame = Option.map freeze_table open_frame in
+              let frame =
+                Option.map (fun fr -> { f_rows = freeze_rows fr; f_refs = ctx.refs }) open_frame
+              in
               node.Ig.stored_input <- Some func_input;
               (* without sharing, a frameless entry would never answer
                  and never be saved *)
-              (match node.Ig.stored_output with
-              | Some out when sharing || Option.is_some frame ->
-                  store_add ctx.store fname h
-                    { se_in = func_input; se_out = out; se_frame = frame; se_origin = Live }
-              | Some _ | None -> ());
+              let stored =
+                match node.Ig.stored_output with
+                | Some out when sharing || Option.is_some frame ->
+                    Some
+                      (store_add ctx.store fname h
+                         { se_in = func_input; se_out = out; se_frame = frame; se_origin = Live })
+                | Some _ | None -> None
+              in
               ctx.recording <- parent;
-              Option.iter (fold_frame ctx) frame;
+              ctx.refs <- parent_refs;
+              (* the own rows go straight to [stmt_pts], the caller's
+                 frame gets a reference. An evaluation that returned
+                 bottom (a cycle-mate's output still pending) is not
+                 stored, so that reference dangles, and the entries that
+                 reach it are never saved ({!closed_entries}) *)
+              Option.iter
+                (fun fr ->
+                  fold_rows ctx fr.f_rows;
+                  use_entry ctx node
+                    {
+                      r_fn = fname;
+                      r_hash = h;
+                      r_in = (match stored with Some e -> e.se_in | None -> func_input);
+                    })
+                frame;
               if Trace.on () then
                 Trace.emit Trace.Node ~name:fname ~ctx:h ~stmts:(Ir.count_stmts callee_fn)
                   ~pts_in:(Pts.cardinal func_input)

@@ -25,7 +25,7 @@
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 7
+let version = 8
 
 let magic = "PTANC"
 
@@ -103,10 +103,11 @@ let opts_repr (o : Options.t) =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let key ~source ~opts ~entry =
-  let content = read_file source in
+let key_of_content ~content ~opts ~entry =
   Digest.to_hex
     (Digest.string (Printf.sprintf "%d\x00%s\x00%s\x00%s" version content (opts_repr opts) entry))
+
+let key ~source ~opts ~entry = key_of_content ~content:(read_file source) ~opts ~entry
 
 (* ------------------------------------------------------------------ *)
 (* Location table                                                     *)
@@ -304,12 +305,13 @@ let r_rows (rows : (Loc.t * Pts.cert Loc.Map.t) array) r =
 let r_set rows r : Pts.t = Pts.add_rows (r_rows rows r) Pts.empty
 
 (** Table of distinct points-to sets, interned by structural equality
-    (bucketed by cardinality; {!Pts.equal} answers shared or equal sets
-    cheaply). A fixed point leaves most statements of a function with
-    the same final set, so the table is far smaller than the statement
-    count. *)
+    (bucketed by the canonical {!Pts.hash}, so equal sets built in
+    different tree shapes meet in one bucket; {!Pts.equal} answers
+    shared or equal sets cheaply). A fixed point leaves most statements
+    of a function with the same final set, so the table is far smaller
+    than the statement count. *)
 type set_enc = {
-  s_tbl : (int, (Pts.t * int) list) Hashtbl.t;  (** {!Pts.fingerprint} -> entries *)
+  s_tbl : (int, (Pts.t * int) list) Hashtbl.t;  (** {!Pts.hash} -> entries *)
   s_buf : Buffer.t;
   mutable s_next : int;
   mutable s_last : (Pts.t * int) option;
@@ -365,20 +367,27 @@ let w_set_entry e rw se b (s : Pts.t) =
       Buffer.add_char b '\000';
       w_set e rw b s
 
-let set_idx e rw se (s : Pts.t) : int =
-  let card = Pts.fingerprint s in
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt se.s_tbl card) in
-  match List.find_opt (fun (s', _) -> Pts.equal s' s) bucket with
-  | Some (_, i) ->
-      se.s_last <- Some (s, i);
-      i
-  | None ->
-      w_set_entry e rw se se.s_buf s;
-      let i = se.s_next in
-      se.s_next <- i + 1;
-      Hashtbl.replace se.s_tbl card ((s, i) :: bucket);
-      se.s_last <- Some (s, i);
-      i
+(** The index of [s], interning it on first sight. Consecutive
+    statements often hold the very same set, so the previous one is
+    checked by pointer before [s] is hashed; [hash], when the caller
+    knows it (a summary input's store key), spares the hashing. *)
+let set_idx ?hash e rw se (s : Pts.t) : int =
+  match se.s_last with
+  | Some (last, i) when last == s -> i
+  | Some _ | None -> (
+      let h = match hash with Some h -> h | None -> Pts.hash s in
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt se.s_tbl h) in
+      match List.find_opt (fun (s', _) -> Pts.equal s' s) bucket with
+      | Some (_, i) ->
+          se.s_last <- Some (s, i);
+          i
+      | None ->
+          w_set_entry e rw se se.s_buf s;
+          let i = se.s_next in
+          se.s_next <- i + 1;
+          Hashtbl.replace se.s_tbl h ((s, i) :: bucket);
+          se.s_last <- Some (s, i);
+          i)
 
 let r_set_table arr rows r : Pts.t array =
   let n = r_u r in
@@ -567,10 +576,11 @@ let env_hash ~opts ~entry (p : Ir.program) : Digest.t =
        (p.Ir.globals, p.Ir.layouts, p.Ir.protos, opts_repr opts, entry)
        [])
 
-(* Frames are persisted position-independently as (function, index of
-   the statement within that function's textual order): program-wide
-   statement ids shift under edits, but an unchanged function's local
-   order is stable. *)
+(* Frame rows are persisted position-independently, as the index of the
+   statement within its function's textual order: program-wide statement
+   ids shift under edits, but an unchanged function's local order is
+   stable. A frame holds rows of its own function only, so the function
+   is the record's. *)
 let stmt_index (p : Ir.program) :
     (int, string * int) Hashtbl.t * (string * int, int) Hashtbl.t =
   let by_id = Hashtbl.create 256 in
@@ -587,10 +597,10 @@ let stmt_index (p : Ir.program) :
     p.Ir.funcs;
   (by_id, by_local)
 
-(** The v3 incremental section of a file, decoded but not yet bound to
-    a program: frame statements are still (function index, local index)
-    pairs, resolved against whatever program the summaries get seeded
-    into. *)
+(** The incremental section of a file, decoded but not yet bound to a
+    program: frame rows are still local statement indices and references
+    still (function index, set index) pairs, resolved against whatever
+    program the summaries get seeded into. *)
 type raw_summaries = {
   rs_env : string;  (** {!env_hash} of the saved run, 16 raw bytes *)
   rs_hashes : (string * string) list;
@@ -599,58 +609,107 @@ type raw_summaries = {
   rs_sets : Pts.t array;  (** the decoded set table the blocks reference *)
   rs_blocks : (string * int * int) list;
       (** per function, the (name, offset, length) of its still-encoded
-          (input, output, frame) records — decoded by {!bind_summaries}
-          only for the functions that will actually replay *)
+          (input, output, rows, references) records — decoded by
+          {!bind_summaries} only for the functions that will actually
+          replay *)
 }
 
 (** Decode the records of the [keep]-satisfying functions and rebind
-    their frames to [p]'s statement ids, dropping any record whose
-    frame references a statement [p] does not have (defensive — the
-    eligibility rule never seeds such a record). The blocks were
-    digest-verified with the rest of the entry, so a decode failure
-    still only means [Bad]. *)
+    their rows to [p]'s statement ids. A record whose rows name a
+    statement its function does not have in [p] is dropped (defensive —
+    the eligibility rule never seeds such a record). A block with a
+    reference that no surviving record of a kept block answers is
+    dropped whole, to a fixed point, like a block that was not kept: its
+    records would replay too few rows. The blocks were digest-verified
+    with the rest of the entry, so a decode failure or an out-of-range
+    index means a damaged entry: [Bad]. *)
 let bind_summaries ~keep (p : Ir.program) (raw : raw_summaries) : Engine.store =
   let _, by_local = stmt_index p in
   let names = Array.of_list (List.map fst raw.rs_hashes) in
+  let sets = raw.rs_sets in
+  let set_ix r =
+    let i = r_u r in
+    if i >= Array.length sets then raise Bad;
+    i
+  in
+  let decode (fn, pos, len) =
+    let r = { data = raw.rs_data; pos } in
+    let records =
+      r_list r (fun () ->
+          let i = set_ix r in
+          let o = set_ix r in
+          let rows =
+            r_list r (fun () ->
+                let li = r_u r in
+                (li, set_ix r))
+          in
+          let refs =
+            r_list r (fun () ->
+                let fi = r_u r in
+                if fi >= Array.length names then raise Bad;
+                (names.(fi), set_ix r))
+          in
+          (i, o, rows, refs))
+    in
+    if r.pos <> pos + len then raise Bad;
+    let bound =
+      List.filter_map
+        (fun (i, o, rows, refs) ->
+          match List.map (fun (li, si) -> (Hashtbl.find by_local (fn, li), sets.(si))) rows with
+          | exception Not_found -> None
+          | rows ->
+              let fr = Array.of_list rows in
+              Array.sort (fun (a, _) (b, _) -> Int.compare a b) fr;
+              Some (i, o, fr, refs))
+        records
+    in
+    (fn, bound)
+  in
+  let rec settle blocks =
+    let answers = Hashtbl.create 256 in
+    List.iter
+      (fun (fn, recs) -> List.iter (fun (i, _, _, _) -> Hashtbl.replace answers (fn, i) ()) recs)
+      blocks;
+    let resolved (_, recs) =
+      List.for_all (fun (_, _, _, refs) -> List.for_all (Hashtbl.mem answers) refs) recs
+    in
+    let kept = List.filter resolved blocks in
+    if List.compare_lengths kept blocks = 0 then blocks else settle kept
+  in
+  let blocks =
+    settle (List.filter_map (fun ((fn, _, _) as b) -> if keep fn then Some (decode b) else None)
+              raw.rs_blocks)
+  in
+  (* each set hashed once, whether keying a record or a reference *)
+  let hashes = Hashtbl.create 256 in
+  let hash_of si =
+    match Hashtbl.find_opt hashes si with
+    | Some h -> h
+    | None ->
+        let h = Pts.hash sets.(si) in
+        Hashtbl.replace hashes si h;
+        h
+  in
   let out = Engine.store_create () in
   List.iter
-    (fun (fn, pos, len) ->
-      if keep fn then begin
-        let r = { data = raw.rs_data; pos } in
-        let entries =
-          r_list r (fun () ->
-              let i = r_set_ref raw.rs_sets r in
-              let o = r_set_ref raw.rs_sets r in
-              let items =
-                r_list r (fun () ->
-                    let fi = r_u r in
-                    let li = r_u r in
-                    (fi, li, r_set_ref raw.rs_sets r))
-              in
-              (i, o, items))
-        in
-        if r.pos <> pos + len then raise Bad;
-        List.iter
-          (fun (se_in, se_out, items) ->
-            let fr = Hashtbl.create 16 in
-            let ok =
-              List.for_all
-                (fun (fi, li, s) ->
-                  fi >= 0 && fi < Array.length names
-                  &&
-                  match Hashtbl.find_opt by_local (names.(fi), li) with
-                  | None -> false
-                  | Some sid ->
-                      Hashtbl.replace fr sid s;
-                      true)
-                items
-            in
-            if ok then
-              Engine.store_add out fn (Pts.hash se_in)
-                { Engine.se_in; se_out; se_frame = Some fr; se_origin = Engine.Seeded })
-          entries
-      end)
-    raw.rs_blocks;
+    (fun (fn, recs) ->
+      List.iter
+        (fun (i, o, f_rows, refs) ->
+          let f_refs =
+            List.map
+              (fun (g, si) -> { Engine.r_fn = g; r_hash = hash_of si; r_in = sets.(si) })
+              refs
+          in
+          ignore
+            (Engine.store_add out fn (hash_of i)
+               {
+                 Engine.se_in = sets.(i);
+                 se_out = sets.(o);
+                 se_frame = Some { Engine.f_rows; f_refs };
+                 se_origin = Engine.Seeded;
+               }))
+        recs)
+    blocks;
   out
 
 (* ------------------------------------------------------------------ *)
@@ -681,7 +740,7 @@ let tmp_name dir =
        ((Domain.self () :> int))
        !c)
 
-let save ~source ?(entry = "main") (res : Analysis.result) file =
+let save ~source ?(entry = "main") ?key:stored_key (res : Analysis.result) file =
   let t0 = Metrics.now () in
   let tr0 = Trace.start () in
   let opts = res.Analysis.tenv.Tenv.opts in
@@ -720,27 +779,19 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
   let fn_idx = Hashtbl.create 64 in
   List.iteri (fun i (n, _) -> Hashtbl.replace fn_idx n i) hashes;
   let by_id, _ = stmt_index res.Analysis.prog in
-  (* the entries recorded or replayed this run; an unused seed or a
-     frameless §6 pair is not a summary of this run *)
+  (* the entries recorded or replayed this run and every entry their
+     references reach, minus those whose references dangle
+     ({!Engine.closed_entries}); an unused seed or a frameless §6 pair
+     is not a summary of this run *)
   let sum_fns =
-    Hashtbl.fold
-      (fun fn by_hash acc ->
-        let entries =
-          Hashtbl.fold
-            (fun _ es acc ->
-              List.filter_map
-                (fun e ->
-                  match (e.Engine.se_origin, e.Engine.se_frame) with
-                  | (Engine.Live | Engine.Replayed), Some fr ->
-                      Some (e.Engine.se_in, e.Engine.se_out, fr)
-                  | Engine.Seeded, _ | _, None -> None)
-                es
-              @ acc)
-            by_hash []
-        in
-        if entries = [] then acc else (fn, entries) :: acc)
-      res.Analysis.summaries []
-    |> List.sort compare
+    let by_fn = Hashtbl.create 64 in
+    List.iter
+      (fun (fn, h, e) ->
+        Hashtbl.replace by_fn fn ((h, e) :: Option.value ~default:[] (Hashtbl.find_opt by_fn fn)))
+      (Engine.closed_entries res.Analysis.summaries ~keep:(fun e ->
+           e.Engine.se_origin <> Engine.Seeded && Option.is_some e.Engine.se_frame));
+    Hashtbl.fold (fun fn es acc -> (fn, es) :: acc) by_fn []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   w_u pay (List.length sum_fns);
   (* each function's records go behind a byte-length prefix so the
@@ -752,26 +803,31 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
       Buffer.clear scratch;
       w_u scratch (List.length entries);
       List.iter
-        (fun (se_in, se_out, se_frame) ->
-          w_u scratch (set_idx e rw se se_in);
-          w_u scratch (set_idx e rw se se_out);
-          let items =
-            Hashtbl.fold
-              (fun sid s acc ->
-                (* statements of undefined functions cannot occur in a
-                   frame; [find] is total here *)
-                let owner, li = Hashtbl.find by_id sid in
-                (Hashtbl.find fn_idx owner, li, s) :: acc)
-              se_frame []
-            |> List.sort (fun (a, b, _) (c, d, _) -> compare (a, b) (c, d))
+        (fun (h, (en : Engine.summary_entry)) ->
+          w_u scratch (set_idx ~hash:h e rw se en.Engine.se_in);
+          w_u scratch (set_idx e rw se en.Engine.se_out);
+          (* [closed_entries] keeps entries with a frame only *)
+          let fr = Option.get en.Engine.se_frame in
+          let rows =
+            Array.map
+              (fun (sid, s) ->
+                match Hashtbl.find_opt by_id sid with
+                | Some (owner, li) when String.equal owner fn -> (li, s)
+                | Some _ | None -> failwith "Persist.save: a frame row outside its function")
+              fr.Engine.f_rows
           in
-          w_u scratch (List.length items);
-          List.iter
-            (fun (fi, li, s) ->
-              w_u scratch fi;
+          w_u scratch (Array.length rows);
+          Array.iter
+            (fun (li, s) ->
               w_u scratch li;
               w_u scratch (set_idx e rw se s))
-            items)
+            rows;
+          w_u scratch (List.length fr.Engine.f_refs);
+          List.iter
+            (fun (r : Engine.sref) ->
+              w_u scratch (Hashtbl.find fn_idx r.Engine.r_fn);
+              w_u scratch (set_idx ~hash:r.Engine.r_hash e rw se r.Engine.r_in))
+            fr.Engine.f_refs)
         entries;
       w_str pay (Buffer.contents scratch))
     sum_fns;
@@ -788,7 +844,10 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
   let out = Buffer.create (String.length body + 64) in
   Buffer.add_string out magic;
   w_u out version;
-  Buffer.add_string out (Digest.from_hex (key ~source ~opts ~entry));
+  let stored_key =
+    match stored_key with Some k -> k | None -> key ~source ~opts ~entry
+  in
+  Buffer.add_string out (Digest.from_hex stored_key);
   Buffer.add_string out (Digest.string body);
   Buffer.add_string out body;
   mkdirs (Filename.dirname file);
@@ -942,9 +1001,12 @@ let default_cache_dir () =
       | Some h when h <> "" -> Filename.concat (Filename.concat h ".cache") "ptan"
       | _ -> ".ptan-cache")
 
-let cache_file ~cache_dir ~source ~opts ~entry =
+let cache_file_of_key ~cache_dir ~source hexkey =
   let base = Filename.remove_extension (Filename.basename source) in
-  Filename.concat cache_dir (Printf.sprintf "%s-%s.ptc" base (key ~source ~opts ~entry))
+  Filename.concat cache_dir (Printf.sprintf "%s-%s.ptc" base hexkey)
+
+let cache_file ~cache_dir ~source ~opts ~entry =
+  cache_file_of_key ~cache_dir ~source (key ~source ~opts ~entry)
 
 (* The incremental entry must survive edits to the source, so its name
    cannot involve the content (unlike [cache_file], whose key makes an
@@ -1077,8 +1139,8 @@ let seedable_mode (opts : Options.t) =
 
 (* The seeds a saved summary section offers [prog] — the records of the
    functions {!eligible_funcs} keeps — with the number of dirty
-   functions. [None] when the environment changed (everything is dirty)
-   or a kept block fails to decode. *)
+   functions. [None] when the environment changed (everything is dirty);
+   raises [Bad] when a kept block fails to decode. *)
 let seeds_of ~opts ~entry (prog : Ir.program) (raw : raw_summaries) :
     (int * Engine.store) option =
   if not (String.equal raw.rs_env (env_hash ~opts ~entry prog)) then None
@@ -1086,9 +1148,8 @@ let seeds_of ~opts ~entry (prog : Ir.program) (raw : raw_summaries) :
     let old_hashes = Hashtbl.create 64 in
     List.iter (fun (n, d) -> Hashtbl.replace old_hashes n d) raw.rs_hashes;
     let elig = eligible_funcs prog ~old_hashes in
-    match bind_summaries ~keep:(Hashtbl.mem elig) prog raw with
-    | exception Bad -> None
-    | seeds -> Some (List.length prog.Ir.funcs - Hashtbl.length elig, seeds)
+    let seeds = bind_summaries ~keep:(Hashtbl.mem elig) prog raw in
+    Some (List.length prog.Ir.funcs - Hashtbl.length elig, seeds)
   end
 
 let load_summaries ~cache_dir ~source ~opts ?(entry = "main") (prog : Ir.program) :
@@ -1097,51 +1158,53 @@ let load_summaries ~cache_dir ~source ~opts ?(entry = "main") (prog : Ir.program
   else
     match read_entry ~source ~opts (cache_file_incr ~cache_dir ~source ~opts ~entry) with
     | Error _ -> None
-    | Ok (_, _, raw) -> Option.map snd (seeds_of ~opts ~entry prog raw)
+    | Ok (_, _, raw) -> (
+        match seeds_of ~opts ~entry prog raw with
+        | exception Bad -> None
+        | seeds -> Option.map snd seeds)
 
 let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budget
     ?(incremental = false) source : Analysis.result * bool =
   let dir = match cache_dir with Some d -> d | None -> default_cache_dir () in
   let seedable = incremental && seedable_mode opts in
   let quarantined = ref 0 in
-  (* The key is computed before the entry is read: a source that cannot
-     be read says nothing about the entry, which stays where it is, and
-     the analysis below reports the error. *)
-  let lookup =
-    match Digest.from_hex (key ~source ~opts ~entry) with
-    | exception Sys_error _ -> None
-    | mykey ->
-        let name = if incremental then cache_file_incr else cache_file in
-        let file = name ~cache_dir:dir ~source ~opts ~entry in
-        let stored =
-          match read_entry ~source ~opts file with
-          | Ok e -> Some e
-          | Error Corrupt ->
-              (* truncated, damaged or version-skewed entry: quarantine
-                 it and fall back to a cold analysis *)
-              quarantine file;
-              incr quarantined;
-              None
-          | Error (Missing | Stale) -> None
-        in
-        Some (file, mykey, stored)
+  (* The source is read once, before any entry is: the same bytes are
+     keyed, analyzed and published under that key, so an edit landing
+     mid-analysis can never be saved under a key naming text that was
+     not analyzed. A source that cannot be read raises here, and says
+     nothing about the entry, which stays where it is. *)
+  let content = read_file source in
+  let hexkey = key_of_content ~content ~opts ~entry in
+  let mykey = Digest.from_hex hexkey in
+  let file =
+    if incremental then cache_file_incr ~cache_dir:dir ~source ~opts ~entry
+    else cache_file_of_key ~cache_dir:dir ~source hexkey
+  in
+  let stored =
+    match read_entry ~source ~opts file with
+    | Ok e -> Some e
+    | Error Corrupt ->
+        (* truncated, damaged or version-skewed entry: quarantine it and
+           fall back to a cold analysis *)
+        quarantine file;
+        incr quarantined;
+        None
+    | Error (Missing | Stale) -> None
   in
   let count_hit (res : Analysis.result) =
     let m = res.Analysis.metrics in
     m.Metrics.cache_hits <- m.Metrics.cache_hits + 1;
     (res, true)
   in
-  match lookup with
-  | Some (_, mykey, Some (stored_key, res, _)) when String.equal stored_key mykey ->
-      count_hit res
+  match stored with
+  | Some (stored_key, res, _) when String.equal stored_key mykey -> count_hit res
   | _ -> (
-      let prog = Simple_ir.Simplify.of_file source in
+      let prog = Simple_ir.Simplify.of_string ~file:source content in
       let n_defined = List.length prog.Ir.funcs in
       (* an incremental entry keying an older text of the source *)
       let stale =
-        match lookup with
-        | Some (file, mykey, Some (_, old_res, raw)) when incremental ->
-            Some (file, mykey, old_res, raw)
+        match stored with
+        | Some (_, old_res, raw) when incremental -> Some (old_res, raw)
         | _ -> None
       in
       (* Rekey fast path: when the lowered program is byte-identical
@@ -1170,7 +1233,7 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
         || prog_identical ()
       in
       match stale with
-      | Some (file, mykey, old_res, raw) when rekeyable old_res raw ->
+      | Some (old_res, raw) when rekeyable old_res raw ->
           (* fresh lowering in, so source positions track the edit; the
              statement ids it assigned are identical by construction *)
           let res = { old_res with Analysis.prog; tenv = Tenv.make ~opts prog } in
@@ -1181,7 +1244,7 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
       | _ ->
           let dirty, seeded =
             match stale with
-            | Some (_, _, _, raw) when seedable -> (
+            | Some (_, raw) when seedable -> (
                 let td0 = Trace.start () in
                 match seeds_of ~opts ~entry prog raw with
                 | Some (dirty, seeds) ->
@@ -1189,7 +1252,13 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
                       Trace.emit Trace.Dirty ~name:(Filename.basename source) ~stmts:dirty
                         ~t0:td0 ();
                     (dirty, Some seeds)
-                | None -> (n_defined, None))
+                | None -> (n_defined, None)
+                | exception Bad ->
+                    (* a kept block that does not decode, under a digest
+                       that held: the entry is damaged all the same *)
+                    quarantine file;
+                    incr quarantined;
+                    (n_defined, None))
             | _ ->
                 (* nothing usable (or the globals / layouts / externals /
                    options changed): everything is dirty *)
@@ -1202,10 +1271,8 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
           if incremental then m.Metrics.incr_funcs_dirty <- dirty;
           (* a degraded result is not the full-precision answer the key
              promises — never publish it to the cache *)
-          (match lookup with
-          | Some (file, _, _) when res.Analysis.degraded = None -> (
-              try save ~source ~entry res file with Sys_error _ | Failure _ -> ())
-          | _ -> ());
+          (if res.Analysis.degraded = None then
+             try save ~source ~entry ~key:hexkey res file with Sys_error _ | Failure _ -> ());
           (* after the save: the entry's record, which a hit reports,
              carries the analysis counters only *)
           m.Metrics.cache_quarantined <- m.Metrics.cache_quarantined + !quarantined;

@@ -58,13 +58,15 @@ val version : int
     [source] is the path of the C file. *)
 val key : source:string -> opts:Options.t -> entry:string -> string
 
-(** [save ~source ?entry result file] writes [result] (obtained by
+(** [save ~source ?entry ?key result file] writes [result] (obtained by
     analyzing [source] with entry [entry], default ["main"]) to [file]
     in the versioned binary format. The options are taken from the
-    result's typing environment. Creates parent directories as needed;
-    writes atomically (temp file + rename). Adds its cost to the
-    result's [metrics.t_serialize], after the record is written. *)
-val save : source:string -> ?entry:string -> Analysis.result -> string -> unit
+    result's typing environment. The header carries [key] ({!key} of
+    the text that was analyzed); without it, {!key} of [source] as it
+    reads now. Creates parent directories as needed; writes atomically
+    (temp file + rename). Adds its cost to the result's
+    [metrics.t_serialize], after the record is written. *)
+val save : source:string -> ?entry:string -> ?key:string -> Analysis.result -> string -> unit
 
 (** Why a load produced no result. *)
 type load_error =

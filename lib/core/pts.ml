@@ -172,12 +172,6 @@ let remove_tgt tgt (s : t) : t = filter (fun _ t _ -> not (Loc.equal t tgt)) s
 
 let cardinal (s : t) = s.card
 
-(** Cheap structural fingerprint: equal sets fingerprint equally, and
-    the bounded traversal of [Hashtbl.hash] keeps it O(1) even on large
-    sets. Used to bucket set-interning tables — cardinality alone
-    chains every same-sized set into one bucket. *)
-let fingerprint (s : t) = Hashtbl.hash (s.card, s.fwd)
-
 let to_list (s : t) = List.rev (fold (fun a b c acc -> (a, b, c) :: acc) s [])
 
 let of_list l = List.fold_left (fun s (a, b, c) -> add_weak a b c s) empty l

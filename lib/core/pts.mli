@@ -75,13 +75,6 @@ val filter : (Loc.t -> Loc.t -> cert -> bool) -> t -> t
 val filter_src : (Loc.t -> bool) -> t -> t
 val cardinal : t -> int
 
-(** Cheap bounded-traversal fingerprint for bucketing interning tables:
-    physically shared sets fingerprint equally in O(1); equal but
-    separately built sets may not (callers must still compare with
-    {!equal} inside a bucket). Contrast {!hash}, which is canonical but
-    walks every pair. *)
-val fingerprint : t -> int
-
 val to_list : t -> (Loc.t * Loc.t * cert) list
 val of_list : (Loc.t * Loc.t * cert) list -> t
 val equal : t -> t -> bool

@@ -6,9 +6,10 @@
 # edit: 0 for a comment-only edit (the rekey fast path), a small bounded
 # cone for a one-function edit. A livc kernel edit is also checked with
 # --no-share-contexts, where only persisted summaries answer a repeated
-# (function, input) pair. Then run the bench's incremental section,
-# whose own gates enforce suite-wide bit-identity and incremental
-# beating the non-incremental cache.
+# (function, input) pair. A generated deep call chain takes two
+# successive mid-layer edits, with sharing on and off. Then run the
+# bench's incremental section, whose own gates enforce suite-wide
+# bit-identity and incremental beating the non-incremental cache.
 # Run from the repository root after `dune build`; CI runs this as the
 # incremental-smoke job. See docs/INCREMENTAL.md.
 set -eu
@@ -86,6 +87,42 @@ d=$(dirty_of "$tmp/incr2.txt")
 grep -q 'functions dirty, [1-9][0-9]* summaries replayed' "$tmp/incr2.txt" \
   || { echo "incremental_smoke: cone edit replayed no summaries" >&2; exit 1; }
 echo "incremental_smoke: cone edit — sets identical, 2 dirty, clean subtrees replayed"
+
+# ---- 2b. deep call chain: two successive mid-layer edits ---------------
+# A frame holds its own function's rows and references to its callees'
+# entries, so the second re-analysis replays entries the first one only
+# replayed or reached through references, and saved again. Both must
+# print what a cold run prints, with sharing on and off.
+"$ptan" gen --seed 23 --size 800 --depth 7 --fnptr-density 0 --structs 50 \
+  --out "$tmp/deep.c" >/dev/null
+# Put LINE before the first statement of the generated function FN.
+edit_top() { # edit_top FILE FN LINE
+  awk -v fn="$2" -v line="$3" '
+    $0 == "int " fn "(int n, int *p) {" { inside = 1 }
+    inside && $0 == "    r = n;" { print line; inside = 0 }
+    { print }' "$1" >"$1.tmp" && mv "$1.tmp" "$1"
+}
+for flags in "" "--no-share-contexts"; do
+  cp "$tmp/deep.c" "$tmp/deep_e.c"
+  # shellcheck disable=SC2086 # $flags is empty or one flag
+  "$ptan" analyze "$tmp/deep_e.c" $flags --incremental --cache-dir "$tmp/deep_cache$flags" >/dev/null
+  for step in "f3_1 1" "f4_0 2"; do
+    # shellcheck disable=SC2086 # the function to edit, then the gv index
+    set -- $step
+    edit_top "$tmp/deep_e.c" "$1" "    gp0 = &gv$2;"
+    # shellcheck disable=SC2086
+    "$ptan" analyze "$tmp/deep_e.c" $flags --no-cache | grep '^s[0-9]' >"$tmp/cold_deep.txt"
+    # shellcheck disable=SC2086
+    "$ptan" analyze "$tmp/deep_e.c" $flags --incremental --cache-dir "$tmp/deep_cache$flags" \
+      --stats >"$tmp/incr_deep.txt"
+    grep '^s[0-9]' "$tmp/incr_deep.txt" >"$tmp/got_deep.txt"
+    diff -u "$tmp/cold_deep.txt" "$tmp/got_deep.txt" \
+      || { echo "incremental_smoke: deep edit of $1 ${flags:-(sharing)} diverges from cold analysis" >&2; exit 1; }
+    grep -q 'functions dirty, [1-9][0-9]* summaries replayed' "$tmp/incr_deep.txt" \
+      || { echo "incremental_smoke: deep edit of $1 ${flags:-(sharing)} replayed no summaries" >&2; exit 1; }
+    echo "incremental_smoke: deep-800 edit of $1 ${flags:-(sharing)} — $(wc -l <"$tmp/got_deep.txt") statement sets identical, $(sed -n 's/^incremental:[[:space:]]*//p' "$tmp/incr_deep.txt")"
+  done
+done
 
 # ---- 3. the bench section ---------------------------------------------
 # The bench gates internally: every row bit-identical, and the suite

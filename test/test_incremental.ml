@@ -376,4 +376,196 @@ let corruption_tests =
               |> List.filter (fun f -> find_sub f ".bad" <> None))));
   ]
 
-let suite = ("incremental", hash_tests @ cone_tests @ suite_tests @ corruption_tests)
+(* ------------------------------------------------------------------ *)
+(* Frames by reference                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Engine = Pointsto.Engine
+
+let gen_prog shape =
+  Simple_ir.Simplify.of_string ~file:("gen:" ^ shape)
+    (Gen.program (Test_rows.gen_knobs shape))
+
+let frame_tests =
+  [
+    case "frames keep their own function's rows and references that resolve" (fun () ->
+        List.iter
+          (fun shape ->
+            let prog = gen_prog shape in
+            let owner = Hashtbl.create 1024 in
+            List.iter
+              (fun f ->
+                Ir.fold_func (fun () s -> Hashtbl.replace owner s.Ir.s_id f.Ir.fn_name) () f)
+              prog.Ir.funcs;
+            let res = Analysis.analyze ~record_summaries:true prog in
+            let store = res.Analysis.summaries in
+            let entries = ref 0 and refs = ref 0 and dangling = ref 0 in
+            Hashtbl.iter
+              (fun fname by_hash ->
+                Hashtbl.iter
+                  (fun _ es ->
+                    List.iter
+                      (fun (e : Engine.summary_entry) ->
+                        incr entries;
+                        match e.Engine.se_frame with
+                        | None -> Alcotest.failf "%s: %s has no frame" shape fname
+                        | Some fr ->
+                            Array.iter
+                              (fun (sid, _) ->
+                                if Hashtbl.find_opt owner sid <> Some fname then
+                                  Alcotest.failf "%s: a frame of %s has a row for s%d" shape
+                                    fname sid)
+                              fr.Engine.f_rows;
+                            List.iter
+                              (fun r ->
+                                incr refs;
+                                if Engine.resolve store r = None then incr dangling)
+                              fr.Engine.f_refs)
+                      es)
+                  by_hash)
+              store;
+            Alcotest.(check bool) (shape ^ ": calls are referenced") true (!refs > 0);
+            Alcotest.(check int) (shape ^ ": every reference resolves") 0 !dangling;
+            Alcotest.(check int)
+              (shape ^ ": every entry is closed under its references")
+              !entries
+              (List.length (Engine.closed_entries store ~keep:(fun _ -> true))))
+          [ "deep"; "web"; "knot" ]);
+    case "a memo hit's reference replays the callee's rows" (fun () ->
+        (* [leaf] is evaluated under [x] and memo-hit, with the same
+           input, under [y]. After [x] stops calling it, only the replay
+           of [y] reaches [leaf]'s rows, through the reference the memo
+           hit left in [y]'s frame *)
+        let src ~edited =
+          "int ga; int *pa;\n\
+           void leaf(void) { int *q; q = &ga; }\n"
+          ^ (if edited then "void x(void) { int t; t = 0; }\n" else "void x(void) { leaf(); }\n")
+          ^ "void y(void) { leaf(); }\n\
+             int main(void) { pa = &ga; x(); y(); return 0; }\n"
+        in
+        in_temp (fun dir ->
+            let source = Filename.concat dir "memo.c" in
+            write_file source (src ~edited:false);
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            write_file source (src ~edited:true);
+            let r, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Alcotest.(check int) "y replays" 1 r.Analysis.metrics.Metrics.incr_funcs_reused;
+            check_identical "memo hit" (Analysis.of_file source) r));
+    case "a replay's reference replays the callee's rows after a second edit" (fun () ->
+        (* edit 1 re-runs [p], which replays [c] and so references it;
+           edit 2 re-runs [main] only, which replays [p]: [c]'s rows
+           come through [p]'s reference alone *)
+        let v0 =
+          "int ga; int *pa;\n\
+           void c(void) { int *q; q = &ga; }\n\
+           void p(void) { c(); }\n\
+           int main(void) { pa = &ga; p(); return 0; }\n"
+        in
+        let v1 = replace_once ~sub:"void p(void) { c(); }" ~by:"void p(void) { int t; t = 0; c(); }" v0 in
+        let v2 =
+          replace_once ~sub:"int main(void) { pa = &ga;" ~by:"int main(void) { int t; t = 0; pa = &ga;" v1
+        in
+        List.iter
+          (fun (mode, opts) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir "replay.c" in
+                write_file source v0;
+                let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                List.iter
+                  (fun (label, text) ->
+                    write_file source text;
+                    let r, _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                    Alcotest.(check int)
+                      (label ^ mode ^ ": one replay") 1
+                      r.Analysis.metrics.Metrics.incr_funcs_reused;
+                    check_identical (label ^ mode) (Analysis.of_file ~opts source) r)
+                  [ ("edit of p", v1); ("edit of main", v2) ]))
+          share_modes);
+    case "a caller re-evaluated with a grown input references the callee it reuses" (fun () ->
+        (* the loop calls [p] twice, the second time with a grown input;
+           [c]'s input is unchanged, so [p]'s second evaluation reuses
+           [c]'s invocation-graph node. The edit calls [p] with that
+           second input only: its replay must still bring [c]'s row *)
+        let v1 =
+          "int ga; int a; int b;\n\
+           void c(void) { int *q; q = &ga; }\n\
+           void p(int *x) { c(); }\n\
+           void g(int n) { int i; int *x; x = &a; for (i = 0; i < n; i++) { p(x); x = &b; } }\n\
+           int main(void) { g(2); return 0; }\n"
+        in
+        let v2 =
+          replace_once
+            ~sub:"void g(int n) { int i; int *x; x = &a; for (i = 0; i < n; i++) { p(x); x = &b; } }"
+            ~by:"void g(int n) { int *x; if (n) x = &a; else x = &b; p(x); }" v1
+        in
+        in_temp (fun dir ->
+            let source = Filename.concat dir "grown.c" in
+            write_file source v1;
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            write_file source v2;
+            let r, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Alcotest.(check int) "p replays" 1 r.Analysis.metrics.Metrics.incr_funcs_reused;
+            check_identical "grown input" (Analysis.of_file source) r));
+    case "two chained edits equal a cold run: gen:deep, gen:web" (fun () ->
+        (* the second re-analysis replays entries the first one saved
+           after replaying them itself, and entries it only reached
+           through references *)
+        List.iter
+          (fun (mode, opts) ->
+            List.iter
+              (fun (shape, edits) ->
+                in_temp (fun dir ->
+                    let source = Filename.concat dir (shape ^ ".c") in
+                    write_file source (Gen.program (Test_rows.gen_knobs shape));
+                    let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                    List.iteri
+                      (fun i fn ->
+                        write_file source
+                          (insert_at_top (read_file source) ~fn
+                             ~line:(Printf.sprintf "    gp0 = &gv%d;\n" (i + 1)));
+                        let r, hit =
+                          Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
+                        in
+                        let name = Printf.sprintf "%s edit %d (%s)%s" shape (i + 1) fn mode in
+                        Alcotest.(check bool) (name ^ ": not a full hit") false hit;
+                        Alcotest.(check bool)
+                          (name ^ ": summaries replay") true
+                          (r.Analysis.metrics.Metrics.incr_funcs_reused > 0);
+                        check_identical name (Analysis.of_file ~opts source) r)
+                      edits))
+              [ ("deep", [ "f3_1"; "f2_1" ]); ("web", [ "f2_1"; "f1_3" ]) ])
+          share_modes);
+    case "an edit landing mid-analysis is not published under the new text's key" (fun () ->
+        (* the source is rewritten while the fixpoint sleeps in [main]:
+           the entry must key the text that was analyzed, so a lookup of
+           the new text misses instead of serving the old tables *)
+        in_temp (fun dir ->
+            let source = Filename.concat dir "cone.c" in
+            write_file source cone_src_v1;
+            let writer =
+              Domain.spawn (fun () ->
+                  Unix.sleepf 0.25;
+                  write_file source cone_src_v2)
+            in
+            let r1, _ =
+              Fun.protect
+                ~finally:(fun () -> Domain.join writer)
+                (fun () ->
+                  Pointsto.Fault.with_point ~fn:"main" ~sleep_ms:1000. Pointsto.Fault.Slow_fixpoint
+                    (fun () -> Persist.analyze_cached ~cache_dir:dir ~incremental:true source))
+            in
+            let b_stmts (r : Analysis.result) =
+              match Ir.find_func r.Analysis.prog "b" with
+              | Some f -> Ir.count_stmts f
+              | None -> Alcotest.fail "no b"
+            in
+            Alcotest.(check int)
+              "the rewrite landed after the read: the old text was analyzed"
+              (b_stmts (Analysis.of_string cone_src_v1))
+              (b_stmts r1);
+            let r2, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Alcotest.(check bool) "the new text misses" false hit;
+            check_identical "rewritten mid-analysis" (Analysis.of_file source) r2));
+  ]
+
+let suite = ("incremental", hash_tests @ cone_tests @ suite_tests @ corruption_tests @ frame_tests)

@@ -237,4 +237,33 @@ let recording_cost_test =
           (records recorded)
           (records cold))
 
-let suite = ("rows", pin_tests @ [ recording_cost_test ])
+(** The incremental leg: after a one-line edit, the re-analysis folds
+    the rows of the entries it replays into [stmt_pts] once per entry,
+    where a cold run visits each statement once per context and loop
+    iteration. Its rows equal the cold run's, and it folds no more rows
+    into recorded ones. *)
+let incremental_cost_test =
+  case "incremental re-analysis records no more than a cold run: gen:deep" (fun () ->
+      let dir = Filename.temp_file "ptan-rows" "" in
+      Sys.remove dir;
+      Sys.mkdir dir 0o755;
+      let source = Filename.concat dir "deep.c" in
+      let write s = Out_channel.with_open_bin source (fun oc -> Out_channel.output_string oc s) in
+      Fun.protect
+        ~finally:(fun () ->
+          Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+          Sys.rmdir dir)
+        (fun () ->
+          let text = Gen.program (gen_knobs "deep") in
+          write text;
+          let _ = Pointsto.Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+          write (insert_at_top text ~fn:"f3_1" ~line:"    gp0 = &gv1;\n");
+          let incr, _ = Pointsto.Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+          let cold = Analysis.of_file source in
+          Alcotest.(check string) "rows" (rows_digest cold) (rows_digest incr);
+          let records (r : Analysis.result) = r.Analysis.metrics.Pointsto.Metrics.records in
+          if records cold = 0 || records incr > records cold then
+            Alcotest.failf "incremental run folded %d rows into recorded ones, cold run %d"
+              (records incr) (records cold)))
+
+let suite = ("rows", pin_tests @ [ recording_cost_test; incremental_cost_test ])

@@ -71,3 +71,19 @@ let case name f = Alcotest.test_case name `Quick f
 
 let qcase ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
+
+(** Insert [line] before the first statement ([    r = n;]) of the
+    {!Gen} function [fn], after its declarations: the one-line edit the
+    incremental tests make to generated programs. *)
+let insert_at_top text ~fn ~line =
+  let find sub from =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length text then Alcotest.failf "%S not found in %s" sub fn
+      else if String.sub text i n = sub then i
+      else go (i + 1)
+    in
+    go from
+  in
+  let at = find "    r = n;\n" (find (Printf.sprintf "int %s(int n, int *p) {\n" fn) 0) in
+  String.sub text 0 at ^ line ^ String.sub text at (String.length text - at)

@@ -46,16 +46,25 @@ let with_trace trace_out f =
       in
       Fun.protect ~finally f
 
+(** Render an analysis failure: {!with_errors} reports the input errors
+    with it, and [tables] every per-file failure, where one bad file
+    must not kill the whole run. *)
+let describe_exn = function
+  | Cfront.Srcloc.Error (loc, m) -> Fmt.str "%a: error: %s" Cfront.Srcloc.pp loc m
+  | Simple_ir.Simplify.Unsupported (loc, m) ->
+      Fmt.str "%a: unsupported: %s" Cfront.Srcloc.pp loc m
+  | Pointsto.Analysis.No_entry e -> Fmt.str "error: no entry function '%s'" e
+  | Pointsto.Guard.Cancelled -> "error: cancelled (task timeout)"
+  | Pointsto.Guard.Exhausted t ->
+      Fmt.str "error: %a (even the widened rerun blew the budget)" Pointsto.Guard.pp_trip t
+  | Pointsto.Fault.Injected p -> Fmt.str "error: injected fault '%s'" p
+  | e -> Printexc.to_string e
+
 let with_errors f =
   try f () with
-  | Cfront.Srcloc.Error (loc, m) ->
-      Fmt.epr "%a: error: %s@." Cfront.Srcloc.pp loc m;
-      exit 1
-  | Simple_ir.Simplify.Unsupported (loc, m) ->
-      Fmt.epr "%a: unsupported: %s@." Cfront.Srcloc.pp loc m;
-      exit 1
-  | Pointsto.Analysis.No_entry e ->
-      Fmt.epr "error: no entry function '%s'@." e;
+  | (Cfront.Srcloc.Error _ | Simple_ir.Simplify.Unsupported _ | Pointsto.Analysis.No_entry _)
+    as e ->
+      Fmt.epr "%s@." (describe_exn e);
       exit 1
 
 let opts_of ~no_context ~no_definite ~sym_depth ~no_share ~heap_by_site =
@@ -194,20 +203,6 @@ let cmd_stats file cache incremental budget trace_out =
           Fmt.pr "%a@." pp_degraded d;
           exit exit_degraded
       | None -> ())
-
-(** Render an analysis failure the way {!with_errors} reports it, for
-    the per-file handling in [tables] where one bad file must not kill
-    the whole run. *)
-let describe_exn = function
-  | Cfront.Srcloc.Error (loc, m) -> Fmt.str "%a: error: %s" Cfront.Srcloc.pp loc m
-  | Simple_ir.Simplify.Unsupported (loc, m) ->
-      Fmt.str "%a: unsupported: %s" Cfront.Srcloc.pp loc m
-  | Pointsto.Analysis.No_entry e -> Fmt.str "error: no entry function '%s'" e
-  | Pointsto.Guard.Cancelled -> "error: cancelled (task timeout)"
-  | Pointsto.Guard.Exhausted t ->
-      Fmt.str "error: %a (even the widened rerun blew the budget)" Pointsto.Guard.pp_trip t
-  | Pointsto.Fault.Injected p -> Fmt.str "error: injected fault '%s'" p
-  | e -> Printexc.to_string e
 
 (** Exit policy for multi-file commands, where some files may have
     failed and others degraded. Failure wins (exit 1), then degradation

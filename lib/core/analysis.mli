@@ -75,7 +75,10 @@ exception No_entry of string
     [record_summaries] makes the engine record a replayable summary per
     evaluated (function, input) pair into [result.summaries]; [seeded]
     supplies summaries from a previous run to replay instead of
-    re-evaluating (both default off — see docs/INCREMENTAL.md). The
+    re-evaluating (both default off — see docs/INCREMENTAL.md). Seeds
+    must be closed under their references, as a recording run's framed
+    entries and {!Persist}'s loaded ones are: a replay folds only the
+    rows its references reach. The
     widened rerun of a degraded analysis never records or replays.
 
     @raise Guard.Cancelled if the driver cancelled this task

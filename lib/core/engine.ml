@@ -106,64 +106,6 @@ let resolve (st : store) (r : sref) : summary_entry option =
   | Some { se_frame = None; _ } | None -> None
   | found -> found
 
-(** The entries [keep] selects, each with its function and input hash,
-    plus every entry their references reach, minus every entry whose
-    references do not all resolve to entries that are themselves kept.
-    A reference can dangle when the callee evaluation returned bottom
-    and so was never stored (only inside a recursive cycle, see
-    {!eval_node}), or when a seed store was cut down. Replaying an entry
-    folds the rows its references reach, so an entry with a dangling one
-    would fold too few: it is dropped, and with it everything that
-    references it. *)
-let closed_entries (st : store) ~(keep : summary_entry -> bool) :
-    (string * int * summary_entry) list =
-  (* (function, input hash) -> the entries met, each with its verdict;
-     entries are told apart physically *)
-  let seen : (string * int, (summary_entry * bool ref) list) Hashtbl.t = Hashtbl.create 64 in
-  let verdict fname h e =
-    Option.bind (Hashtbl.find_opt seen (fname, h)) (fun b ->
-        Option.map snd (List.find_opt (fun (e', _) -> e' == e) b))
-  in
-  let met = ref [] in
-  let rec visit fname h e =
-    if Option.is_none (verdict fname h e) then begin
-      let ok = ref true in
-      let b = Option.value ~default:[] (Hashtbl.find_opt seen (fname, h)) in
-      Hashtbl.replace seen (fname, h) ((e, ok) :: b);
-      met := (fname, h, e, ok) :: !met;
-      Option.iter
-        (fun fr ->
-          List.iter
-            (fun r -> Option.iter (visit r.r_fn r.r_hash) (resolve st r))
-            fr.f_refs)
-        e.se_frame
-    end
-  in
-  Hashtbl.iter
-    (fun fname by_hash ->
-      Hashtbl.iter (fun h es -> List.iter (fun e -> if keep e then visit fname h e) es) by_hash)
-    st;
-  let resolves r =
-    match resolve st r with
-    | Some e -> ( match verdict r.r_fn r.r_hash e with Some ok -> !ok | None -> false)
-    | None -> false
-  in
-  let rec strike () =
-    let struck = ref false in
-    List.iter
-      (fun (_, _, e, ok) ->
-        if !ok then
-          match e.se_frame with
-          | Some fr when not (List.for_all resolves fr.f_refs) ->
-              ok := false;
-              struck := true
-          | Some _ | None -> ())
-      !met;
-    if !struck then strike ()
-  in
-  strike ();
-  List.filter_map (fun (fname, h, e, ok) -> if !ok then Some (fname, h, e) else None) !met
-
 type ctx = {
   tenv : Tenv.t;
   opts : Options.t;
@@ -222,19 +164,18 @@ type ctx = {
           {!Demand.Oracle_miss} *)
 }
 
-(** [seeded] enters the store as seeds, minus those whose references
-    do not all resolve among them ({!closed_entries}). The run works on
-    its own copy: one set of seeds may serve many runs (a demand session
-    replays it per query), while a run turns the entries it replays
-    live. *)
+(** [seeded] enters the store as seeds; they must be closed under their
+    references, as a run's framed entries are ({!eval_node}). The run
+    works on its own copy: one set of seeds may serve many runs (a
+    demand session replays it per query), while a run turns the entries
+    it replays live. *)
 let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) : ctx =
   let store = store_create () in
   let stmt_pts = Hashtbl.create 256 in
   Option.iter
-    (fun seeds ->
-      List.iter
-        (fun (fname, h, e) -> ignore (store_add store fname h { e with se_origin = Seeded }))
-        (closed_entries seeds ~keep:(fun _ -> true)))
+    (Hashtbl.iter (fun fname ->
+         Hashtbl.iter (fun h ->
+             List.iter (fun e -> ignore (store_add store fname h { e with se_origin = Seeded })))))
     seeded;
   {
     tenv;
@@ -338,8 +279,8 @@ let use_entry ctx (node : Ig.node) (r : sref) =
     into [stmt_pts], once per entry per run: an entry that is no longer
     [Seeded] has had its rows folded this run, or was evaluated in it.
     The entries reached turn [Replayed], so {!Persist} writes them back
-    with the entries that reference them. {!make_ctx} keeps only seeds
-    whose references resolve. *)
+    with the entries that reference them. Seeds are closed under their
+    references, so the rows reached are the whole call cone. *)
 let rec replay_rows ctx (e : summary_entry) =
   if e.se_origin = Seeded then begin
     e.se_origin <- Replayed;
@@ -1089,23 +1030,32 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                 Option.map (fun fr -> { f_rows = freeze_rows fr; f_refs = ctx.refs }) open_frame
               in
               node.Ig.stored_input <- Some func_input;
-              (* without sharing, a frameless entry would never answer
-                 and never be saved *)
+              (* the frame is stored only when every reference resolves
+                 to a stored frame, so a stored frame replays its whole
+                 call cone. A reference dangles when its callee returned
+                 bottom, and so was not stored (it never returns, or a
+                 cycle-mate's output was still pending), or was itself
+                 stored without a frame. Without sharing, a frameless
+                 entry would never answer and never be saved *)
+              let closed =
+                match frame with
+                | Some fr
+                  when List.for_all (fun r -> Option.is_some (resolve ctx.store r)) fr.f_refs ->
+                    frame
+                | Some _ | None -> None
+              in
               let stored =
                 match node.Ig.stored_output with
-                | Some out when sharing || Option.is_some frame ->
+                | Some out when sharing || Option.is_some closed ->
                     Some
                       (store_add ctx.store fname h
-                         { se_in = func_input; se_out = out; se_frame = frame; se_origin = Live })
+                         { se_in = func_input; se_out = out; se_frame = closed; se_origin = Live })
                 | Some _ | None -> None
               in
               ctx.recording <- parent;
               ctx.refs <- parent_refs;
               (* the own rows go straight to [stmt_pts], the caller's
-                 frame gets a reference. An evaluation that returned
-                 bottom (a cycle-mate's output still pending) is not
-                 stored, so that reference dangles, and the entries that
-                 reach it are never saved ({!closed_entries}) *)
+                 frame gets a reference, stored or not *)
               Option.iter
                 (fun fr ->
                   fold_rows ctx fr.f_rows;

@@ -615,14 +615,12 @@ type raw_summaries = {
 }
 
 (** Decode the records of the [keep]-satisfying functions and rebind
-    their rows to [p]'s statement ids. A record whose rows name a
-    statement its function does not have in [p] is dropped (defensive —
-    the eligibility rule never seeds such a record). A block with a
-    reference that no surviving record of a kept block answers is
-    dropped whole, to a fixed point, like a block that was not kept: its
-    records would replay too few rows. The blocks were digest-verified
-    with the rest of the entry, so a decode failure or an out-of-range
-    index means a damaged entry: [Bad]. *)
+    their rows to [p]'s statement ids. A saved entry is closed under its
+    references, [keep] is closed under direct calls, and a kept function
+    is unchanged, so every reference is answered by a kept record and
+    every row names a statement of its function. Anything else, like a
+    decode failure or an out-of-range index under a digest that held,
+    means a damaged entry: [Bad]. *)
 let bind_summaries ~keep (p : Ir.program) (raw : raw_summaries) : Engine.store =
   let _, by_local = stmt_index p in
   let names = Array.of_list (List.map fst raw.rs_hashes) in
@@ -641,7 +639,9 @@ let bind_summaries ~keep (p : Ir.program) (raw : raw_summaries) : Engine.store =
           let rows =
             r_list r (fun () ->
                 let li = r_u r in
-                (li, set_ix r))
+                match Hashtbl.find_opt by_local (fn, li) with
+                | Some sid -> (sid, sets.(set_ix r))
+                | None -> raise Bad)
           in
           let refs =
             r_list r (fun () ->
@@ -649,37 +649,21 @@ let bind_summaries ~keep (p : Ir.program) (raw : raw_summaries) : Engine.store =
                 if fi >= Array.length names then raise Bad;
                 (names.(fi), set_ix r))
           in
-          (i, o, rows, refs))
+          let fr = Array.of_list rows in
+          Array.sort (fun (a, _) (b, _) -> Int.compare a b) fr;
+          (i, o, fr, refs))
     in
     if r.pos <> pos + len then raise Bad;
-    let bound =
-      List.filter_map
-        (fun (i, o, rows, refs) ->
-          match List.map (fun (li, si) -> (Hashtbl.find by_local (fn, li), sets.(si))) rows with
-          | exception Not_found -> None
-          | rows ->
-              let fr = Array.of_list rows in
-              Array.sort (fun (a, _) (b, _) -> Int.compare a b) fr;
-              Some (i, o, fr, refs))
-        records
-    in
-    (fn, bound)
-  in
-  let rec settle blocks =
-    let answers = Hashtbl.create 256 in
-    List.iter
-      (fun (fn, recs) -> List.iter (fun (i, _, _, _) -> Hashtbl.replace answers (fn, i) ()) recs)
-      blocks;
-    let resolved (_, recs) =
-      List.for_all (fun (_, _, _, refs) -> List.for_all (Hashtbl.mem answers) refs) recs
-    in
-    let kept = List.filter resolved blocks in
-    if List.compare_lengths kept blocks = 0 then blocks else settle kept
+    (fn, records)
   in
   let blocks =
-    settle (List.filter_map (fun ((fn, _, _) as b) -> if keep fn then Some (decode b) else None)
-              raw.rs_blocks)
+    List.filter_map (fun ((fn, _, _) as b) -> if keep fn then Some (decode b) else None)
+      raw.rs_blocks
   in
+  let answers = Hashtbl.create 256 in
+  List.iter
+    (fun (fn, recs) -> List.iter (fun (i, _, _, _) -> Hashtbl.replace answers (fn, i) ()) recs)
+    blocks;
   (* each set hashed once, whether keying a record or a reference *)
   let hashes = Hashtbl.create 256 in
   let hash_of si =
@@ -697,7 +681,9 @@ let bind_summaries ~keep (p : Ir.program) (raw : raw_summaries) : Engine.store =
         (fun (i, o, f_rows, refs) ->
           let f_refs =
             List.map
-              (fun (g, si) -> { Engine.r_fn = g; r_hash = hash_of si; r_in = sets.(si) })
+              (fun ((g, si) as r) ->
+                if not (Hashtbl.mem answers r) then raise Bad;
+                { Engine.r_fn = g; r_hash = hash_of si; r_in = sets.(si) })
               refs
           in
           ignore
@@ -779,18 +765,27 @@ let save ~source ?(entry = "main") ?key:stored_key (res : Analysis.result) file 
   let fn_idx = Hashtbl.create 64 in
   List.iteri (fun i (n, _) -> Hashtbl.replace fn_idx n i) hashes;
   let by_id, _ = stmt_index res.Analysis.prog in
-  (* the entries recorded or replayed this run and every entry their
-     references reach, minus those whose references dangle
-     ({!Engine.closed_entries}); an unused seed or a frameless §6 pair
-     is not a summary of this run *)
+  (* the framed entries recorded or replayed this run, by function; an
+     unused seed or a frameless entry is not a summary of this run. A
+     frame is stored only when its references resolve to frames
+     ({!Engine.eval_node}), and an entry a used one references was used
+     too, so what is written is closed under its references *)
   let sum_fns =
-    let by_fn = Hashtbl.create 64 in
-    List.iter
-      (fun (fn, h, e) ->
-        Hashtbl.replace by_fn fn ((h, e) :: Option.value ~default:[] (Hashtbl.find_opt by_fn fn)))
-      (Engine.closed_entries res.Analysis.summaries ~keep:(fun e ->
-           e.Engine.se_origin <> Engine.Seeded && Option.is_some e.Engine.se_frame));
-    Hashtbl.fold (fun fn es acc -> (fn, es) :: acc) by_fn []
+    Hashtbl.fold
+      (fun fn by_hash acc ->
+        let es =
+          Hashtbl.fold
+            (fun h es acc ->
+              List.fold_left
+                (fun acc (en : Engine.summary_entry) ->
+                  match en.Engine.se_frame with
+                  | Some fr when en.Engine.se_origin <> Engine.Seeded -> (h, en, fr) :: acc
+                  | Some _ | None -> acc)
+                acc es)
+            by_hash []
+        in
+        match es with [] -> acc | es -> (fn, es) :: acc)
+      res.Analysis.summaries []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   w_u pay (List.length sum_fns);
@@ -803,11 +798,9 @@ let save ~source ?(entry = "main") ?key:stored_key (res : Analysis.result) file 
       Buffer.clear scratch;
       w_u scratch (List.length entries);
       List.iter
-        (fun (h, (en : Engine.summary_entry)) ->
+        (fun (h, (en : Engine.summary_entry), (fr : Engine.frame)) ->
           w_u scratch (set_idx ~hash:h e rw se en.Engine.se_in);
           w_u scratch (set_idx e rw se en.Engine.se_out);
-          (* [closed_entries] keeps entries with a frame only *)
-          let fr = Option.get en.Engine.se_frame in
           let rows =
             Array.map
               (fun (sid, s) ->
@@ -1274,7 +1267,14 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
           (if res.Analysis.degraded = None then
              try save ~source ~entry ~key:hexkey res file with Sys_error _ | Failure _ -> ());
           (* after the save: the entry's record, which a hit reports,
-             carries the analysis counters only *)
+             carries the analysis counters only. A stale entry was read
+             and decoded all the same; [read_entry] timed that into the
+             old result *)
+          Option.iter
+            (fun (_, (old : Analysis.result), _) ->
+              m.Metrics.t_deserialize <-
+                m.Metrics.t_deserialize +. old.Analysis.metrics.Metrics.t_deserialize)
+            stored;
           m.Metrics.cache_quarantined <- m.Metrics.cache_quarantined + !quarantined;
           m.Metrics.cache_misses <- m.Metrics.cache_misses + 1;
           (res, false))

@@ -6,8 +6,9 @@
 # edit: 0 for a comment-only edit (the rekey fast path), a small bounded
 # cone for a one-function edit. A livc kernel edit is also checked with
 # --no-share-contexts, where only persisted summaries answer a repeated
-# (function, input) pair. A generated deep call chain takes two
-# successive mid-layer edits, with sharing on and off. Then run the
+# (function, input) pair. A generated deep call chain and a generated
+# program with recursion each take two successive edits, with sharing
+# on and off. Then run the
 # bench's incremental section, whose own gates enforce suite-wide
 # bit-identity and incremental beating the non-incremental cache.
 # Run from the repository root after `dune build`; CI runs this as the
@@ -88,13 +89,13 @@ grep -q 'functions dirty, [1-9][0-9]* summaries replayed' "$tmp/incr2.txt" \
   || { echo "incremental_smoke: cone edit replayed no summaries" >&2; exit 1; }
 echo "incremental_smoke: cone edit — sets identical, 2 dirty, clean subtrees replayed"
 
-# ---- 2b. deep call chain: two successive mid-layer edits ---------------
+# ---- 2b. generated programs: two successive edits ---------------------
 # A frame holds its own function's rows and references to its callees'
 # entries, so the second re-analysis replays entries the first one only
 # replayed or reached through references, and saved again. Both must
-# print what a cold run prints, with sharing on and off.
-"$ptan" gen --seed 23 --size 800 --depth 7 --fnptr-density 0 --structs 50 \
-  --out "$tmp/deep.c" >/dev/null
+# print what a cold run prints, with sharing on and off. deep-800 is a
+# long call chain; knot-1000 has recursion and function pointers, where
+# an output can stay bottom and a frame referencing it is not stored.
 # Put LINE before the first statement of the generated function FN.
 edit_top() { # edit_top FILE FN LINE
   awk -v fn="$2" -v line="$3" '
@@ -102,27 +103,37 @@ edit_top() { # edit_top FILE FN LINE
     inside && $0 == "    r = n;" { print line; inside = 0 }
     { print }' "$1" >"$1.tmp" && mv "$1.tmp" "$1"
 }
-for flags in "" "--no-share-contexts"; do
-  cp "$tmp/deep.c" "$tmp/deep_e.c"
-  # shellcheck disable=SC2086 # $flags is empty or one flag
-  "$ptan" analyze "$tmp/deep_e.c" $flags --incremental --cache-dir "$tmp/deep_cache$flags" >/dev/null
-  for step in "f3_1 1" "f4_0 2"; do
-    # shellcheck disable=SC2086 # the function to edit, then the gv index
-    set -- $step
-    edit_top "$tmp/deep_e.c" "$1" "    gp0 = &gv$2;"
-    # shellcheck disable=SC2086
-    "$ptan" analyze "$tmp/deep_e.c" $flags --no-cache | grep '^s[0-9]' >"$tmp/cold_deep.txt"
-    # shellcheck disable=SC2086
-    "$ptan" analyze "$tmp/deep_e.c" $flags --incremental --cache-dir "$tmp/deep_cache$flags" \
-      --stats >"$tmp/incr_deep.txt"
-    grep '^s[0-9]' "$tmp/incr_deep.txt" >"$tmp/got_deep.txt"
-    diff -u "$tmp/cold_deep.txt" "$tmp/got_deep.txt" \
-      || { echo "incremental_smoke: deep edit of $1 ${flags:-(sharing)} diverges from cold analysis" >&2; exit 1; }
-    grep -q 'functions dirty, [1-9][0-9]* summaries replayed' "$tmp/incr_deep.txt" \
-      || { echo "incremental_smoke: deep edit of $1 ${flags:-(sharing)} replayed no summaries" >&2; exit 1; }
-    echo "incremental_smoke: deep-800 edit of $1 ${flags:-(sharing)} — $(wc -l <"$tmp/got_deep.txt") statement sets identical, $(sed -n 's/^incremental:[[:space:]]*//p' "$tmp/incr_deep.txt")"
+# Generate NAME with GEN-FLAGS, then edit FN1 (gp0 = &gv1;) and FN2
+# (gp0 = &gv2;) in turn.
+two_edits() { # two_edits NAME FN1 FN2 GEN-FLAGS...
+  name=$1 fn1=$2 fn2=$3
+  shift 3
+  "$ptan" gen "$@" --out "$tmp/$name.c" >/dev/null
+  for flags in "" "--no-share-contexts"; do
+    src="$tmp/${name}_e.c"
+    gcache="$tmp/${name}_cache$flags"
+    cp "$tmp/$name.c" "$src"
+    # shellcheck disable=SC2086 # $flags is empty or one flag
+    "$ptan" analyze "$src" $flags --incremental --cache-dir "$gcache" >/dev/null
+    for step in "$fn1 1" "$fn2 2"; do
+      # shellcheck disable=SC2086 # the function to edit, then the gv index
+      set -- $step
+      edit_top "$src" "$1" "    gp0 = &gv$2;"
+      # shellcheck disable=SC2086
+      "$ptan" analyze "$src" $flags --no-cache | grep '^s[0-9]' >"$tmp/cold_gen.txt"
+      # shellcheck disable=SC2086
+      "$ptan" analyze "$src" $flags --incremental --cache-dir "$gcache" --stats >"$tmp/incr_gen.txt"
+      grep '^s[0-9]' "$tmp/incr_gen.txt" >"$tmp/got_gen.txt"
+      diff -u "$tmp/cold_gen.txt" "$tmp/got_gen.txt" \
+        || { echo "incremental_smoke: $name edit of $1 ${flags:-(sharing)} diverges from cold analysis" >&2; exit 1; }
+      grep -q 'functions dirty, [1-9][0-9]* summaries replayed' "$tmp/incr_gen.txt" \
+        || { echo "incremental_smoke: $name edit of $1 ${flags:-(sharing)} replayed no summaries" >&2; exit 1; }
+      echo "incremental_smoke: $name edit of $1 ${flags:-(sharing)} — $(wc -l <"$tmp/got_gen.txt") statement sets identical, $(sed -n 's/^incremental:[[:space:]]*//p' "$tmp/incr_gen.txt")"
+    done
   done
-done
+}
+two_edits deep-800 f3_1 f4_0 --seed 23 --size 800 --depth 7 --fnptr-density 0 --structs 50
+two_edits knot-1000 f1_0 f3_0 --seed 37 --size 1000 --depth 4 --fnptr-density 15 --recursion 30
 
 # ---- 3. the bench section ---------------------------------------------
 # The bench gates internally: every row bit-identical, and the suite

@@ -266,56 +266,67 @@ let plain_data_tests =
             marshal_sets warm));
   ]
 
-(** A summary reference whose function index is out of range, under a
-    payload digest that still holds (as a faulty writer would leave it):
-    the incremental lookup must treat the entry as corrupt, quarantine
-    it and fall back to a cold run. *)
+(** Damage the summary section of an incremental entry under a payload
+    digest that still holds (as a faulty writer would leave it): the
+    incremental lookup must treat the entry as corrupt, quarantine it
+    and fall back to a cold run, never replay a record with missing
+    rows. [damage] rewrites bytes of the entry, given its length. The
+    file ends with the block of [main], the last function by name, whose
+    one record ends with a row (local statement index, set index), the
+    reference count 2, then the references as (function index, set
+    index) pairs: [b]'s, then [a]'s. Functions are indexed in textual
+    order, and every number here fits one byte. *)
+let damaged_summaries_fall_back damage =
+  let src =
+    "int ga; int gb; int *pa; int *pb;\n\
+     void leaf(void) { pa = &ga; }\n\
+     void a(void) { leaf(); }\n\
+     void b(void) { pb = &gb; }\n\
+     int main(void) { a(); b(); return 0; }\n"
+  in
+  in_temp (fun dir ->
+      let source = Filename.concat dir "refs.c" in
+      let write path s =
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+      in
+      write source src;
+      let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+      let pti =
+        Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
+      in
+      let data = Bytes.of_string (In_channel.with_open_bin pti In_channel.input_all) in
+      let n = Bytes.length data in
+      Alcotest.(check (list int))
+        "main's references" [ 2; 2; 1 ]
+        (List.map (fun i -> Bytes.get_uint8 data (n - i)) [ 5; 4; 2 ]);
+      damage data n;
+      (* header: magic, one-byte version, key, then the body digest *)
+      let body = 5 + 1 + 16 + 16 in
+      Bytes.blit_string (Digest.subbytes data body (n - body)) 0 data (body - 16) 16;
+      write pti (Bytes.to_string data);
+      (* an uncalled function keeps every old one replayable, so the
+         block of [main] is decoded *)
+      write source (src ^ "void added(void) { }\n");
+      let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+      Alcotest.(check bool) "miss" false hit;
+      Alcotest.(check int) "quarantined" 1 r.Analysis.metrics.Pointsto.Metrics.cache_quarantined;
+      Alcotest.(check int)
+        "nothing replayed" 0 r.Analysis.metrics.Pointsto.Metrics.incr_funcs_reused;
+      Alcotest.(check bool) "the victim is kept" true (Sys.file_exists (pti ^ ".bad"));
+      Alcotest.(check (list (pair int string)))
+        "cold tables" (stmt_pts_strings (Analysis.of_file source)) (stmt_pts_strings r))
+
 let reference_tests =
   [
     case "an out-of-range summary reference is corrupt: quarantine, cold fallback" (fun () ->
-        let src =
-          "int ga; int gb; int *pa; int *pb;\n\
-           void leaf(void) { pa = &ga; }\n\
-           void a(void) { leaf(); }\n\
-           void b(void) { pb = &gb; }\n\
-           int main(void) { a(); b(); return 0; }\n"
-        in
-        in_temp (fun dir ->
-            let source = Filename.concat dir "refs.c" in
-            let write path s =
-              Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-            in
-            write source src;
-            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-            let pti =
-              Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
-            in
-            let data = Bytes.of_string (In_channel.with_open_bin pti In_channel.input_all) in
-            let n = Bytes.length data in
-            (* the file ends with the block of [main], the last function
-               by name, whose one record ends with its references: the
-               last two bytes are a (function index, set index) pair *)
-            let fi = Bytes.get_uint8 data (n - 2) in
-            Alcotest.(check bool) "the byte is a function index" true (fi < 4);
-            Bytes.set_uint8 data (n - 2) 0x7f;
-            (* header: magic, one-byte version, key, then the body digest *)
-            let body = 5 + 1 + 16 + 16 in
-            Bytes.blit_string
-              (Digest.subbytes data body (n - body))
-              0 data (body - 16) 16;
-            write pti (Bytes.to_string data);
-            (* an uncalled function keeps every old one replayable, so
-               the block of [main] is decoded *)
-            write source (src ^ "void added(void) { }\n");
-            let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-            Alcotest.(check bool) "miss" false hit;
-            Alcotest.(check int)
-              "quarantined" 1 r.Analysis.metrics.Pointsto.Metrics.cache_quarantined;
-            Alcotest.(check int)
-              "nothing replayed" 0 r.Analysis.metrics.Pointsto.Metrics.incr_funcs_reused;
-            Alcotest.(check bool) "the victim is kept" true (Sys.file_exists (pti ^ ".bad"));
-            Alcotest.(check (list (pair int string)))
-              "cold tables" (stmt_pts_strings (Analysis.of_file source)) (stmt_pts_strings r)));
+        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 2) 0x7f));
+    case "a summary reference no kept record answers is corrupt: quarantine, cold fallback"
+      (fun () ->
+        (* [a]'s input set under [b]'s name: [b] has no record for it *)
+        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 2) 2));
+    case "a summary row naming a statement its function lacks is corrupt: quarantine, cold fallback"
+      (fun () ->
+        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 7) 0x7f));
   ]
 
 let suite =

@@ -521,6 +521,8 @@ let persistence () =
             (t_cold /. t_warm)
             (if ident then "yes" else "NO")
             n qps;
+          if not ident then
+            Fmt.failwith "persistence: %s loaded result is not bit-identical to the cold one" name;
           if String.equal name "livc" then livc_detail := Some (cold, warm))
         (Paper_data.names @ [ "livc" ]);
       (match !livc_detail with

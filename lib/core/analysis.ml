@@ -86,15 +86,12 @@ let checkpoint_of (ctx : Engine.ctx) (graph : Ig.t) : ci_seed =
   (* the completed §6-sharing pairs: live entries, under sharing only *)
   if ctx.Engine.opts.Options.share_contexts then
     Hashtbl.iter
-      (fun name by_hash ->
-        Hashtbl.iter
-          (fun _h entries ->
-            List.iter
-              (fun e ->
-                if e.Engine.se_origin = Engine.Live then
-                  note name (Some e.Engine.se_in) (Some e.Engine.se_out))
-              entries)
-          by_hash)
+      (fun name by_input ->
+        Pts.Tbl.iter
+          (fun _ e ->
+            if e.Engine.se_origin = Engine.Live then
+              note name (Some e.Engine.se_in) (Some e.Engine.se_out))
+          by_input)
       ctx.Engine.store;
   Ig.fold
     (fun () node -> note node.Ig.func node.Ig.stored_input node.Ig.stored_output)

@@ -34,9 +34,9 @@ type origin =
   | Live  (** evaluated this run, or seeded and replayed with sharing on *)
 
 (** A reference from a frame to the summary entry one of its calls
-    used: the callee, {!Pts.hash} of that entry's input and the input
-    itself, i.e. the entry's key in the {!store}. *)
-type sref = { r_fn : string; r_hash : int; r_in : Pts.t }
+    used: the callee and that entry's input, i.e. the entry's key in the
+    {!store}. *)
+type sref = { r_fn : string; r_in : Pts.t }
 
 (** What one evaluation contributed to the per-statement tables, in two
     parts: the rows of the statements of its {e own} function (each the
@@ -63,46 +63,40 @@ type summary_entry = {
   mutable se_origin : origin;
 }
 
-(** The one (function, input) summary store: function name, then
-    {!Pts.hash} of the input, so a lookup costs one digest plus O(1)
-    expected instead of a [Pts.equal] scan over every stored context.
-    It serves §6 sub-tree sharing, incremental record and replay, and
-    demand-mode skip replay. *)
-type store = (string, (int, summary_entry list) Hashtbl.t) Hashtbl.t
+(** The one (function, input) summary store: function name, then the
+    input set, so a lookup costs the input's (cached) {!Pts.hash} plus
+    O(1) expected instead of a [Pts.equal] scan over every stored
+    context. It serves §6 sub-tree sharing, incremental record and
+    replay, and demand-mode skip replay. *)
+type store = (string, summary_entry Pts.Tbl.t) Hashtbl.t
 
 let store_create () : store = Hashtbl.create 16
 
-let store_find (st : store) fname h (input : Pts.t) : summary_entry option =
-  match Hashtbl.find_opt st fname with
-  | None -> None
-  | Some by_hash -> (
-      match Hashtbl.find_opt by_hash h with
-      | None -> None
-      | Some entries -> List.find_opt (fun e -> Pts.equal e.se_in input) entries)
+let store_find (st : store) fname (input : Pts.t) : summary_entry option =
+  Option.bind (Hashtbl.find_opt st fname) (fun by_input -> Pts.Tbl.find_opt by_input input)
 
-(** Add [e] under input hash [h] unless an entry with the same input
-    is already stored: the first evaluation of an input wins. Returns
-    the entry the store now holds for that input, which is what a
-    reference to the input resolves to. *)
-let store_add (st : store) fname h (e : summary_entry) : summary_entry =
-  let by_hash =
+(** Add [e] unless an entry with the same input is already stored: the
+    first evaluation of an input wins. Returns the entry the store now
+    holds for that input, which is what a reference to the input
+    resolves to. *)
+let store_add (st : store) fname (e : summary_entry) : summary_entry =
+  let by_input =
     match Hashtbl.find_opt st fname with
     | Some t -> t
     | None ->
-        let t = Hashtbl.create 16 in
+        let t = Pts.Tbl.create 16 in
         Hashtbl.replace st fname t;
         t
   in
-  let entries = Option.value ~default:[] (Hashtbl.find_opt by_hash h) in
-  match List.find_opt (fun e' -> Pts.equal e'.se_in e.se_in) entries with
+  match Pts.Tbl.find_opt by_input e.se_in with
   | Some e' -> e'
   | None ->
-      Hashtbl.replace by_hash h (e :: entries);
+      Pts.Tbl.add by_input e.se_in e;
       e
 
 (** The entry a reference names, if [st] holds it with a frame. *)
 let resolve (st : store) (r : sref) : summary_entry option =
-  match store_find st r.r_fn r.r_hash r.r_in with
+  match store_find st r.r_fn r.r_in with
   | Some { se_frame = None; _ } | None -> None
   | found -> found
 
@@ -174,8 +168,7 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
   let stmt_pts = Hashtbl.create 256 in
   Option.iter
     (Hashtbl.iter (fun fname ->
-         Hashtbl.iter (fun h ->
-             List.iter (fun e -> ignore (store_add store fname h { e with se_origin = Seeded })))))
+         Pts.Tbl.iter (fun _ e -> ignore (store_add store fname { e with se_origin = Seeded }))))
     seeded;
   {
     tenv;
@@ -613,7 +606,7 @@ let demand_skip ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.opera
   end
   else
     call_mapped ctx caller_fn s callee_fn args ~merged:true (fun func_input _ ->
-        match store_find ctx.store fname (Pts.hash func_input) func_input with
+        match store_find ctx.store fname func_input with
         | Some { se_origin = Seeded | Replayed; se_out; _ } ->
             m.Metrics.demand_replays <- m.Metrics.demand_replays + 1;
             Some se_out
@@ -930,8 +923,7 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
           let fname = callee_fn.Ir.fn_name in
           let sharing = ctx.opts.Options.share_contexts in
           if sharing then Metrics.((cur ()).memo_lookups <- (cur ()).memo_lookups + 1);
-          let h = Pts.hash func_input in
-          match store_find ctx.store fname h func_input with
+          match store_find ctx.store fname func_input with
           | Some ({ se_origin = Live; _ } as e) when sharing ->
               (* §6 sub-tree sharing: another context of the same function
                  has already been analyzed with an identical input *)
@@ -941,7 +933,7 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               (* the entry's rows, and those of every entry it
                  references, reached [stmt_pts] when it was evaluated or
                  replayed: the open frame only references it *)
-              use_entry ctx node { r_fn = fname; r_hash = h; r_in = e.se_in };
+              use_entry ctx node { r_fn = fname; r_in = e.se_in };
               Some e.se_out
           | Some ({ se_origin = Seeded | Replayed; _ } as e) ->
               (* Replay a persisted summary: fold the rows its frame
@@ -955,13 +947,14 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                  sharing. *)
               let tr0 = Trace.start () in
               replay_rows ctx e;
-              use_entry ctx node { r_fn = fname; r_hash = h; r_in = e.se_in };
+              use_entry ctx node { r_fn = fname; r_in = e.se_in };
               e.se_origin <- (if sharing then Live else Replayed);
               node.Ig.stored_input <- Some func_input;
               node.Ig.stored_output <- Some e.se_out;
               Metrics.((cur ()).incr_funcs_reused <- (cur ()).incr_funcs_reused + 1);
               if Trace.on () then
-                Trace.emit Trace.Replay ~name:fname ~ctx:h ~pts_in:(Pts.cardinal func_input)
+                Trace.emit Trace.Replay ~name:fname ~ctx:(Pts.hash func_input)
+                  ~pts_in:(Pts.cardinal func_input)
                   ~pts_out:(Pts.cardinal e.se_out) ~t0:tr0 ();
               Some e.se_out
           | Some { se_origin = Live; _ } | None ->
@@ -1006,7 +999,7 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                     ~pts_out:
                       (match func_output with Some o -> Pts.cardinal o | None -> -1)
                     ~t0:tb0 ();
-                if node.Ig.pending <> [] then begin
+                if not (List.is_empty node.Ig.pending) then begin
                   let merged =
                     List.fold_left
                       (fun acc p -> Pts.merge_state acc (Some p))
@@ -1048,7 +1041,7 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                 match node.Ig.stored_output with
                 | Some out when sharing || Option.is_some closed ->
                     Some
-                      (store_add ctx.store fname h
+                      (store_add ctx.store fname
                          { se_in = func_input; se_out = out; se_frame = closed; se_origin = Live })
                 | Some _ | None -> None
               in
@@ -1062,12 +1055,12 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                   use_entry ctx node
                     {
                       r_fn = fname;
-                      r_hash = h;
                       r_in = (match stored with Some e -> e.se_in | None -> func_input);
                     })
                 frame;
               if Trace.on () then
-                Trace.emit Trace.Node ~name:fname ~ctx:h ~stmts:(Ir.count_stmts callee_fn)
+                Trace.emit Trace.Node ~name:fname ~ctx:(Pts.hash func_input)
+                  ~stmts:(Ir.count_stmts callee_fn)
                   ~pts_in:(Pts.cardinal func_input)
                   ~pts_out:
                     (match node.Ig.stored_output with

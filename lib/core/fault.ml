@@ -138,16 +138,10 @@ let maybe_task_exn () =
    across worker restarts, which would otherwise re-read the same
    environment and die forever. Without an arm file the kill is
    unconditional. *)
-let kill_file : string option Atomic.t = Atomic.make None
-
-let () =
+let kill_file =
   (* an eager read: the variable is only consulted when the injection
      is already on *)
-  match Sys.getenv_opt "PTAN_FAULT_KILL_FILE" with
-  | None | Some "" -> ()
-  | Some p -> Atomic.set kill_file (Some p)
-
-let set_kill_file p = Atomic.set kill_file p
+  match Sys.getenv_opt "PTAN_FAULT_KILL_FILE" with None | Some "" -> None | Some p -> Some p
 
 (** The worker-kill site, called by {!Serve} as a request batch starts:
     SIGKILL the current process — an OOM-killed or crashed daemon
@@ -155,7 +149,7 @@ let set_kill_file p = Atomic.set kill_file p
 let maybe_worker_kill () =
   if enabled Worker_kill then
     let armed =
-      match Atomic.get kill_file with
+      match kill_file with
       | None -> true
       | Some p ->
           if Sys.file_exists p then begin

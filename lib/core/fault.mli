@@ -79,8 +79,5 @@ val maybe_task_exn : unit -> unit
 val maybe_corrupt_file : string -> unit
 (** The {!Corrupt_cache} site (persist, after the atomic rename). *)
 
-val set_kill_file : string option -> unit
-(** Override {!Worker_kill}'s arm file ([PTAN_FAULT_KILL_FILE]). *)
-
 val maybe_worker_kill : unit -> unit
 (** The {!Worker_kill} site (serve, as a request batch starts). *)

@@ -215,8 +215,6 @@ let category l =
     | Heap | Site _ | Null | Str | Fun _ -> None
     | Fld _ | Head _ | Tail _ | Sym _ -> None
 
-let is_heap l = match root l with Heap | Site _ -> true | _ -> false
-
 let is_null = function Null -> true | _ -> false
 
 let is_fun = function Fun _ -> true | _ -> false

@@ -104,9 +104,6 @@ val singular : t -> bool
     parameter / symbolic; [None] for special locations. *)
 val category : t -> [ `Lo | `Gl | `Fp | `Sy ] option
 
-(** Rooted in heap storage (the blob or an allocation site). *)
-val is_heap : t -> bool
-
 val is_null : t -> bool
 val is_fun : t -> bool
 

@@ -305,13 +305,13 @@ let r_rows (rows : (Loc.t * Pts.cert Loc.Map.t) array) r =
 let r_set rows r : Pts.t = Pts.add_rows (r_rows rows r) Pts.empty
 
 (** Table of distinct points-to sets, interned by structural equality
-    (bucketed by the canonical {!Pts.hash}, so equal sets built in
-    different tree shapes meet in one bucket; {!Pts.equal} answers
-    shared or equal sets cheaply). A fixed point leaves most statements
-    of a function with the same final set, so the table is far smaller
-    than the statement count. *)
+    (a {!Pts.Tbl}, so equal sets built in different tree shapes meet
+    under one key, and a set hashed before, or shared with one that was,
+    costs no digest). A fixed point leaves most statements of a function
+    with the same final set, so the table is far smaller than the
+    statement count. *)
 type set_enc = {
-  s_tbl : (int, (Pts.t * int) list) Hashtbl.t;  (** {!Pts.hash} -> entries *)
+  s_tbl : int Pts.Tbl.t;  (** set -> its index *)
   s_buf : Buffer.t;
   mutable s_next : int;
   mutable s_last : (Pts.t * int) option;
@@ -369,25 +369,23 @@ let w_set_entry e rw se b (s : Pts.t) =
 
 (** The index of [s], interning it on first sight. Consecutive
     statements often hold the very same set, so the previous one is
-    checked by pointer before [s] is hashed; [hash], when the caller
-    knows it (a summary input's store key), spares the hashing. *)
-let set_idx ?hash e rw se (s : Pts.t) : int =
+    checked by pointer before the table is probed. *)
+let set_idx e rw se (s : Pts.t) : int =
   match se.s_last with
   | Some (last, i) when last == s -> i
-  | Some _ | None -> (
-      let h = match hash with Some h -> h | None -> Pts.hash s in
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt se.s_tbl h) in
-      match List.find_opt (fun (s', _) -> Pts.equal s' s) bucket with
-      | Some (_, i) ->
-          se.s_last <- Some (s, i);
-          i
-      | None ->
-          w_set_entry e rw se se.s_buf s;
-          let i = se.s_next in
-          se.s_next <- i + 1;
-          Hashtbl.replace se.s_tbl h ((s, i) :: bucket);
-          se.s_last <- Some (s, i);
-          i)
+  | Some _ | None ->
+      let i =
+        match Pts.Tbl.find_opt se.s_tbl s with
+        | Some i -> i
+        | None ->
+            w_set_entry e rw se se.s_buf s;
+            let i = se.s_next in
+            se.s_next <- i + 1;
+            Pts.Tbl.add se.s_tbl s i;
+            i
+      in
+      se.s_last <- Some (s, i);
+      i
 
 let r_set_table arr rows r : Pts.t array =
   let n = r_u r in
@@ -565,9 +563,6 @@ let func_hash (f : Ir.func) : Digest.t =
   Digest.string
     (Marshal.to_string { f with Ir.fn_body = List.map norm_stmt f.Ir.fn_body } [])
 
-let fn_hashes (p : Ir.program) : (string * Digest.t) list =
-  List.map (fun f -> (f.Ir.fn_name, func_hash f)) p.Ir.funcs
-
 (* Everything outside the function bodies that the result depends on: a
    change here invalidates every persisted summary at once. *)
 let env_hash ~opts ~entry (p : Ir.program) : Digest.t =
@@ -575,6 +570,29 @@ let env_hash ~opts ~entry (p : Ir.program) : Digest.t =
     (Marshal.to_string
        (p.Ir.globals, p.Ir.layouts, p.Ir.protos, opts_repr opts, entry)
        [])
+
+(* A lowered program's fingerprint: the environment digest, then each
+   defined function's {!func_hash}, in program order. Lowering numbers
+   statements program-wide in that order, and a function's digest fixes
+   its statement count, so equal fingerprints mean equal statement ids:
+   the programs differ at most in source positions, which no answer
+   holds (heap sites and warnings name statements by id). Computed once
+   per cached lookup, it is the rekey test, the diff oracle and what the
+   save writes. *)
+type fingerprint = { fp_env : Digest.t; fp_funcs : (string * Digest.t) list }
+
+let fingerprint ~opts ~entry (p : Ir.program) : fingerprint =
+  {
+    fp_env = env_hash ~opts ~entry p;
+    fp_funcs = List.map (fun f -> (f.Ir.fn_name, func_hash f)) p.Ir.funcs;
+  }
+
+(* The per-function digests, by name: one side of {!eligible_funcs}'s
+   diff. *)
+let digests fp =
+  let t = Hashtbl.create 64 in
+  List.iter (fun (n, d) -> Hashtbl.replace t n d) fp.fp_funcs;
+  t
 
 (* Frame rows are persisted position-independently, as the index of the
    statement within its function's textual order: program-wide statement
@@ -602,9 +620,7 @@ let stmt_index (p : Ir.program) :
     still (function index, set index) pairs, resolved against whatever
     program the summaries get seeded into. *)
 type raw_summaries = {
-  rs_env : string;  (** {!env_hash} of the saved run, 16 raw bytes *)
-  rs_hashes : (string * string) list;
-      (** per defined function, its {!func_hash} — the diff oracle *)
+  rs_fp : fingerprint;  (** the saved run's program: the rekey test and diff oracle *)
   rs_data : string;  (** the verified entry bytes the blocks index into *)
   rs_sets : Pts.t array;  (** the decoded set table the blocks reference *)
   rs_blocks : (string * int * int) list;
@@ -623,7 +639,7 @@ type raw_summaries = {
     means a damaged entry: [Bad]. *)
 let bind_summaries ~keep (p : Ir.program) (raw : raw_summaries) : Engine.store =
   let _, by_local = stmt_index p in
-  let names = Array.of_list (List.map fst raw.rs_hashes) in
+  let names = Array.of_list (List.map fst raw.rs_fp.fp_funcs) in
   let sets = raw.rs_sets in
   let set_ix r =
     let i = r_u r in
@@ -664,16 +680,6 @@ let bind_summaries ~keep (p : Ir.program) (raw : raw_summaries) : Engine.store =
   List.iter
     (fun (fn, recs) -> List.iter (fun (i, _, _, _) -> Hashtbl.replace answers (fn, i) ()) recs)
     blocks;
-  (* each set hashed once, whether keying a record or a reference *)
-  let hashes = Hashtbl.create 256 in
-  let hash_of si =
-    match Hashtbl.find_opt hashes si with
-    | Some h -> h
-    | None ->
-        let h = Pts.hash sets.(si) in
-        Hashtbl.replace hashes si h;
-        h
-  in
   let out = Engine.store_create () in
   List.iter
     (fun (fn, recs) ->
@@ -683,11 +689,11 @@ let bind_summaries ~keep (p : Ir.program) (raw : raw_summaries) : Engine.store =
             List.map
               (fun ((g, si) as r) ->
                 if not (Hashtbl.mem answers r) then raise Bad;
-                { Engine.r_fn = g; r_hash = hash_of si; r_in = sets.(si) })
+                { Engine.r_fn = g; r_in = sets.(si) })
               refs
           in
           ignore
-            (Engine.store_add out fn (hash_of i)
+            (Engine.store_add out fn
                {
                  Engine.se_in = sets.(i);
                  se_out = sets.(o);
@@ -726,14 +732,15 @@ let tmp_name dir =
        ((Domain.self () :> int))
        !c)
 
-let save ~source ?(entry = "main") ?key:stored_key (res : Analysis.result) file =
+(* Write [res] under header key [stored_key] (raw bytes), with [fp], the
+   fingerprint of [res]'s program, as the incremental section's oracle. *)
+let write ~source ~stored_key ~fp (res : Analysis.result) file =
   let t0 = Metrics.now () in
   let tr0 = Trace.start () in
-  let opts = res.Analysis.tenv.Tenv.opts in
   let e = { tbl = Hashtbl.create 1024; buf = Buffer.create 8192; next = 0 } in
   let rw = { rw_tbl = Hashtbl.create 512; rw_buf = Buffer.create 8192; rw_next = 0 } in
   let se =
-    { s_tbl = Hashtbl.create 256; s_buf = Buffer.create 8192; s_next = 0; s_last = None }
+    { s_tbl = Pts.Tbl.create 256; s_buf = Buffer.create 8192; s_next = 0; s_last = None }
   in
   let pay = Buffer.create 65536 in
   let stmts =
@@ -751,19 +758,18 @@ let save ~source ?(entry = "main") ?key:stored_key (res : Analysis.result) file 
   List.iter (w_str pay) res.Analysis.warnings;
   w_metrics pay res.Analysis.metrics;
   w_node e rw se pay res.Analysis.graph.Ig.root;
-  (* v3 incremental section: env hash, per-function content hashes and
-     the recorded summaries (docs/INCREMENTAL.md). Sets intern into the
-     same table as everything above. *)
-  Buffer.add_string pay (env_hash ~opts ~entry res.Analysis.prog);
-  let hashes = fn_hashes res.Analysis.prog in
-  w_u pay (List.length hashes);
+  (* v3 incremental section: the fingerprint (env hash, per-function
+     content hashes) and the recorded summaries (docs/INCREMENTAL.md).
+     Sets intern into the same table as everything above. *)
+  Buffer.add_string pay fp.fp_env;
+  w_u pay (List.length fp.fp_funcs);
   List.iter
     (fun (n, d) ->
       w_str pay n;
       Buffer.add_string pay d)
-    hashes;
+    fp.fp_funcs;
   let fn_idx = Hashtbl.create 64 in
-  List.iteri (fun i (n, _) -> Hashtbl.replace fn_idx n i) hashes;
+  List.iteri (fun i (n, _) -> Hashtbl.replace fn_idx n i) fp.fp_funcs;
   let by_id, _ = stmt_index res.Analysis.prog in
   (* the framed entries recorded or replayed this run, by function; an
      unused seed or a frameless entry is not a summary of this run. A
@@ -772,17 +778,14 @@ let save ~source ?(entry = "main") ?key:stored_key (res : Analysis.result) file 
      too, so what is written is closed under its references *)
   let sum_fns =
     Hashtbl.fold
-      (fun fn by_hash acc ->
+      (fun fn by_input acc ->
         let es =
-          Hashtbl.fold
-            (fun h es acc ->
-              List.fold_left
-                (fun acc (en : Engine.summary_entry) ->
-                  match en.Engine.se_frame with
-                  | Some fr when en.Engine.se_origin <> Engine.Seeded -> (h, en, fr) :: acc
-                  | Some _ | None -> acc)
-                acc es)
-            by_hash []
+          Pts.Tbl.fold
+            (fun _ (en : Engine.summary_entry) acc ->
+              match en.Engine.se_frame with
+              | Some fr when en.Engine.se_origin <> Engine.Seeded -> (en, fr) :: acc
+              | Some _ | None -> acc)
+            by_input []
         in
         match es with [] -> acc | es -> (fn, es) :: acc)
       res.Analysis.summaries []
@@ -798,8 +801,8 @@ let save ~source ?(entry = "main") ?key:stored_key (res : Analysis.result) file 
       Buffer.clear scratch;
       w_u scratch (List.length entries);
       List.iter
-        (fun (h, (en : Engine.summary_entry), (fr : Engine.frame)) ->
-          w_u scratch (set_idx ~hash:h e rw se en.Engine.se_in);
+        (fun ((en : Engine.summary_entry), (fr : Engine.frame)) ->
+          w_u scratch (set_idx e rw se en.Engine.se_in);
           w_u scratch (set_idx e rw se en.Engine.se_out);
           let rows =
             Array.map
@@ -819,7 +822,7 @@ let save ~source ?(entry = "main") ?key:stored_key (res : Analysis.result) file 
           List.iter
             (fun (r : Engine.sref) ->
               w_u scratch (Hashtbl.find fn_idx r.Engine.r_fn);
-              w_u scratch (set_idx ~hash:r.Engine.r_hash e rw se r.Engine.r_in))
+              w_u scratch (set_idx e rw se r.Engine.r_in))
             fr.Engine.f_refs)
         entries;
       w_str pay (Buffer.contents scratch))
@@ -837,10 +840,7 @@ let save ~source ?(entry = "main") ?key:stored_key (res : Analysis.result) file 
   let out = Buffer.create (String.length body + 64) in
   Buffer.add_string out magic;
   w_u out version;
-  let stored_key =
-    match stored_key with Some k -> k | None -> key ~source ~opts ~entry
-  in
-  Buffer.add_string out (Digest.from_hex stored_key);
+  Buffer.add_string out stored_key;
   Buffer.add_string out (Digest.string body);
   Buffer.add_string out body;
   mkdirs (Filename.dirname file);
@@ -860,6 +860,13 @@ let save ~source ?(entry = "main") ?key:stored_key (res : Analysis.result) file 
       ~name:(Filename.basename source)
       ~pts_in:(Hashtbl.length res.Analysis.stmt_pts)
       ~t0:tr0 ()
+
+let save ~source ?(entry = "main") (res : Analysis.result) file =
+  let opts = res.Analysis.tenv.Tenv.opts in
+  write ~source
+    ~stored_key:(Digest.from_hex (key ~source ~opts ~entry))
+    ~fp:(fingerprint ~opts ~entry res.Analysis.prog)
+    res file
 
 (* ------------------------------------------------------------------ *)
 (* Load                                                               *)
@@ -894,8 +901,8 @@ let decode_body ~opts r : Analysis.result * raw_summaries =
   let warnings = r_list r (fun () -> r_str r) in
   let metrics = r_metrics r in
   let root = r_node arr sets r ~parent:None ~nodes:(Hashtbl.create 64) in
-  let rs_env = r_raw r 16 in
-  let rs_hashes = r_list r (fun () ->
+  let fp_env = r_raw r 16 in
+  let fp_funcs = r_list r (fun () ->
       let n = r_str r in
       (n, r_raw r 16))
   in
@@ -909,7 +916,7 @@ let decode_body ~opts r : Analysis.result * raw_summaries =
         (fn, pos, len))
   in
   if r.pos <> String.length r.data then raise Bad;
-  let raw = { rs_env; rs_hashes; rs_data = r.data; rs_sets = sets; rs_blocks } in
+  let raw = { rs_fp = { fp_env; fp_funcs }; rs_data = r.data; rs_sets = sets; rs_blocks } in
   let tenv = Tenv.make ~opts prog in
   (* the node count is not stored: it is read off the decoded graph *)
   let graph = { Ig.root; n_nodes = 0 } in
@@ -1025,10 +1032,10 @@ let cache_file_incr ~cache_dir ~source ~opts ~entry =
    (docs/INCREMENTAL.md). The dirty set is the complement — edited
    functions, their (transitive) callers, and anything touching a
    function pointer. Computed as a decreasing fixed point: start from
-   the locally-clean functions and strike out any whose callee chain
-   fails. *)
-let eligible_funcs (p : Ir.program) ~(old_hashes : (string, string) Hashtbl.t) :
-    (string, unit) Hashtbl.t =
+   the locally-clean functions (equal digests in the two tables) and
+   strike out any whose callee chain fails. *)
+let eligible_funcs (p : Ir.program) ~(old_hashes : (string, string) Hashtbl.t)
+    ~(new_hashes : (string, string) Hashtbl.t) : (string, unit) Hashtbl.t =
   let defined = Hashtbl.create 64 in
   List.iter (fun f -> Hashtbl.replace defined f.Ir.fn_name ()) p.Ir.funcs;
   let callees = Hashtbl.create 64 in
@@ -1046,9 +1053,11 @@ let eligible_funcs (p : Ir.program) ~(old_hashes : (string, string) Hashtbl.t) :
         () f;
       Hashtbl.replace callees f.Ir.fn_name !cs;
       let unchanged =
-        match Hashtbl.find_opt old_hashes f.Ir.fn_name with
-        | Some d -> String.equal d (func_hash f)
-        | None -> false
+        match
+          (Hashtbl.find_opt old_hashes f.Ir.fn_name, Hashtbl.find_opt new_hashes f.Ir.fn_name)
+        with
+        | Some d, Some d' -> String.equal d d'
+        | _ -> false
       in
       if unchanged && not !has_indirect then Hashtbl.replace elig f.Ir.fn_name ())
     p.Ir.funcs;
@@ -1124,23 +1133,23 @@ let rekey_file ~data ~newkey file =
         Sys.rename tmp file)
   with Bad | Sys_error _ | Failure _ | End_of_file -> ()
 
-(* Summaries replay only under the context-sensitive engine, and
-   [heap_by_site] names heap objects by (position-dependent) statement
-   id; other modes run in full and keep the entry as a plain cache. *)
+(* Summaries replay only under the context-sensitive engine, and not
+   under [heap_by_site]: heap objects are named by statement id, and
+   ids shift when an earlier function grows, which the per-function
+   digests deliberately do not see. Other modes run in full on any
+   change to the fingerprint and keep the entry as a plain cache. *)
 let seedable_mode (opts : Options.t) =
   opts.Options.context_sensitive && not opts.Options.heap_by_site
 
-(* The seeds a saved summary section offers [prog] — the records of the
-   functions {!eligible_funcs} keeps — with the number of dirty
-   functions. [None] when the environment changed (everything is dirty);
-   raises [Bad] when a kept block fails to decode. *)
-let seeds_of ~opts ~entry (prog : Ir.program) (raw : raw_summaries) :
-    (int * Engine.store) option =
-  if not (String.equal raw.rs_env (env_hash ~opts ~entry prog)) then None
+(* The seeds a saved summary section offers [prog], whose fingerprint is
+   [fp] — the records of the functions {!eligible_funcs} keeps — with
+   the number of dirty functions. [None] when the environment changed
+   (everything is dirty); raises [Bad] when a kept block fails to
+   decode. *)
+let seeds_of ~fp (prog : Ir.program) (raw : raw_summaries) : (int * Engine.store) option =
+  if not (String.equal raw.rs_fp.fp_env fp.fp_env) then None
   else begin
-    let old_hashes = Hashtbl.create 64 in
-    List.iter (fun (n, d) -> Hashtbl.replace old_hashes n d) raw.rs_hashes;
-    let elig = eligible_funcs prog ~old_hashes in
+    let elig = eligible_funcs prog ~old_hashes:(digests raw.rs_fp) ~new_hashes:(digests fp) in
     let seeds = bind_summaries ~keep:(Hashtbl.mem elig) prog raw in
     Some (List.length prog.Ir.funcs - Hashtbl.length elig, seeds)
   end
@@ -1152,7 +1161,7 @@ let load_summaries ~cache_dir ~source ~opts ?(entry = "main") (prog : Ir.program
     match read_entry ~source ~opts (cache_file_incr ~cache_dir ~source ~opts ~entry) with
     | Error _ -> None
     | Ok (_, _, raw) -> (
-        match seeds_of ~opts ~entry prog raw with
+        match seeds_of ~fp:(fingerprint ~opts ~entry prog) prog raw with
         | exception Bad -> None
         | seeds -> Option.map snd seeds)
 
@@ -1194,41 +1203,18 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
   | _ -> (
       let prog = Simple_ir.Simplify.of_string ~file:source content in
       let n_defined = List.length prog.Ir.funcs in
-      (* an incremental entry keying an older text of the source *)
-      let stale =
-        match stored with
-        | Some (_, old_res, raw) when incremental -> Some (old_res, raw)
-        | _ -> None
-      in
-      (* Rekey fast path: when the lowered program is byte-identical
-         (comment / whitespace edits after the last statement), or every
-         function hash matches and the run warned about nothing (so no
-         persisted string can embed a shifted source position), the old
-         body is still exactly the answer — only the header key is
-         stale. Serve it as a hit without touching the engine. The
-         hash-based gate additionally needs the seedable engine modes:
-         [heap_by_site] names heap objects by statement id, which the
-         hashes deliberately blank. *)
-      let rekeyable (old_res : Analysis.result) raw =
-        let prog_identical () =
-          String.equal
-            (Digest.string (Marshal.to_string prog []))
-            (Digest.string (Marshal.to_string old_res.Analysis.prog []))
-        in
-        let hashes_identical () =
-          String.equal raw.rs_env (env_hash ~opts ~entry prog)
-          && List.compare_lengths raw.rs_hashes prog.Ir.funcs = 0
-          && List.for_all2
-               (fun (n, d) f -> String.equal n f.Ir.fn_name && String.equal d (func_hash f))
-               raw.rs_hashes prog.Ir.funcs
-        in
-        (seedable && old_res.Analysis.warnings = [] && hashes_identical ())
-        || prog_identical ()
-      in
-      match stale with
-      | Some (old_res, raw) when rekeyable old_res raw ->
-          (* fresh lowering in, so source positions track the edit; the
-             statement ids it assigned are identical by construction *)
+      let tf0 = Metrics.now () in
+      let fp = fingerprint ~opts ~entry prog in
+      let t_fp = Metrics.now () -. tf0 in
+      (* [stored], if any, is an entry keying an older text of the source *)
+      match stored with
+      | Some (_, old_res, raw) when incremental && raw.rs_fp = fp ->
+          (* Rekey: the edit moved source positions only (a comment,
+             whitespace), so statement ids, heap-site names and warnings
+             are unchanged and the old body is still exactly the answer,
+             in every engine mode. Serve it as a hit without touching
+             the engine, with the fresh lowering so that source
+             positions track the edit. *)
           let res = { old_res with Analysis.prog; tenv = Tenv.make ~opts prog } in
           rekey_file ~data:raw.rs_data ~newkey:mykey file;
           res.Analysis.metrics.Metrics.incr_funcs_dirty <- 0;
@@ -1236,10 +1222,10 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
           count_hit res
       | _ ->
           let dirty, seeded =
-            match stale with
-            | Some (_, raw) when seedable -> (
+            match stored with
+            | Some (_, _, raw) when seedable -> (
                 let td0 = Trace.start () in
-                match seeds_of ~opts ~entry prog raw with
+                match seeds_of ~fp prog raw with
                 | Some (dirty, seeds) ->
                     if Trace.on () then
                       Trace.emit Trace.Dirty ~name:(Filename.basename source) ~stmts:dirty
@@ -1265,7 +1251,13 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
           (* a degraded result is not the full-precision answer the key
              promises — never publish it to the cache *)
           (if res.Analysis.degraded = None then
-             try save ~source ~entry ~key:hexkey res file with Sys_error _ | Failure _ -> ());
+             try
+               write ~source ~stored_key:mykey ~fp res file;
+               (* the fingerprint is the save's digest work, computed
+                  early to serve the rekey test: it counts in the save
+                  time, as it does in {!save} *)
+               m.Metrics.t_serialize <- m.Metrics.t_serialize +. t_fp
+             with Sys_error _ | Failure _ -> ());
           (* after the save: the entry's record, which a hit reports,
              carries the analysis counters only. A stale entry was read
              and decoded all the same; [read_entry] timed that into the

@@ -20,8 +20,9 @@
     the marshalled SIMPLE program, so loading neither parses nor lowers
     the source: it unmarshals the program and rebuilds only the typing
     environment from it. Only the incremental rekey path (an edit that
-    leaves the lowered program or every function hash unchanged)
-    re-lowers the edited source, so source positions track the edit.
+    leaves the program's fingerprint, its environment digest and every
+    function hash, unchanged) re-lowers the edited source, so source
+    positions track the edit.
 
     A load returns [None] — never a wrong answer — when the file is
     missing, truncated or corrupt, was written by a different {!version}
@@ -58,15 +59,14 @@ val version : int
     [source] is the path of the C file. *)
 val key : source:string -> opts:Options.t -> entry:string -> string
 
-(** [save ~source ?entry ?key result file] writes [result] (obtained by
+(** [save ~source ?entry result file] writes [result] (obtained by
     analyzing [source] with entry [entry], default ["main"]) to [file]
     in the versioned binary format. The options are taken from the
-    result's typing environment. The header carries [key] ({!key} of
-    the text that was analyzed); without it, {!key} of [source] as it
-    reads now. Creates parent directories as needed; writes atomically
-    (temp file + rename). Adds its cost to the result's
+    result's typing environment. The header carries {!key} of [source]
+    as it reads now. Creates parent directories as needed; writes
+    atomically (temp file + rename). Adds its cost to the result's
     [metrics.t_serialize], after the record is written. *)
-val save : source:string -> ?entry:string -> ?key:string -> Analysis.result -> string -> unit
+val save : source:string -> ?entry:string -> Analysis.result -> string -> unit
 
 (** Why a load produced no result. *)
 type load_error =
@@ -126,12 +126,15 @@ val cache_file_incr :
 val func_hash : Simple_ir.Ir.func -> Digest.t
 
 (** The functions of the program whose persisted summaries may be
-    replayed after an edit, given the saved run's {!func_hash} table:
-    those whose whole direct-call closure is unchanged and free of
-    indirect call sites (docs/INCREMENTAL.md). The complement is the
-    dirty set. *)
+    replayed after an edit, given the saved run's {!func_hash} table and
+    the program's own, by function name: those whose whole direct-call
+    closure is unchanged (equal digests) and free of indirect call sites
+    (docs/INCREMENTAL.md). The complement is the dirty set. *)
 val eligible_funcs :
-  Simple_ir.Ir.program -> old_hashes:(string, string) Hashtbl.t -> (string, unit) Hashtbl.t
+  Simple_ir.Ir.program ->
+  old_hashes:(string, string) Hashtbl.t ->
+  new_hashes:(string, string) Hashtbl.t ->
+  (string, unit) Hashtbl.t
 
 (** The replayable summaries of the incremental cache entry for
     [source], restricted to {!eligible_funcs} against [prog] (the

@@ -32,22 +32,25 @@ module LM = Loc.Map
 type t = {
   fwd : cert LM.t LM.t;  (** source -> target -> certainty *)
   card : int;  (** number of pairs *)
+  mutable hash : int;  (** {!hash} once computed, [-1] before *)
 }
 
 (* Invariants: submaps of [fwd] are never empty; [card] is the number
-   of pairs. Keys are not interned here — the producers ({!Lval},
+   of pairs; [hash] is [-1] or the digest of [fwd]. Every set is built
+   by [mk], which resets [hash], so no update can carry a stale digest
+   over. Keys are not interned here — the producers ({!Lval},
    {!Tenv}, {!Map_unmap}) build locations through the interning smart
    constructors, so the [Loc.compare] fast path fires throughout
    without paying a hash lookup per insertion. *)
 
-let empty : t = { fwd = LM.empty; card = 0 }
+(** Pack a map whose pair count is [card]: the only constructor. *)
+let mk fwd card = { fwd; card; hash = -1 }
+
+let empty : t = mk LM.empty 0
 
 let is_empty (s : t) = s.card = 0
 
 let cert_eq (a : cert) b = a == b
-
-(** Pack a map whose pair count is [card]. *)
-let mk fwd card = { fwd; card }
 
 (** Add a pair, overriding any existing certainty (used for gen sets:
     the newly generated relationship replaces the old one). *)
@@ -59,7 +62,7 @@ let add src tgt cert (s : t) : t =
       if m' == m then s (* already bound to the same certainty *)
       else if LM.mem tgt m then
         (* certainty change only: the pair count is unchanged *)
-        { s with fwd = LM.add src m' s.fwd }
+        mk (LM.add src m' s.fwd) s.card
       else mk (LM.add src m' s.fwd) (s.card + 1)
 
 (** Add a pair, weakening: if present as definite and added as possible
@@ -74,7 +77,7 @@ let add_weak src tgt cert (s : t) : t =
       | Some c0 ->
           let c' = cert_and c0 cert in
           if cert_eq c' c0 then s
-          else { s with fwd = LM.add src (LM.add tgt c' m) s.fwd })
+          else mk (LM.add src (LM.add tgt c' m) s.fwd) s.card)
 
 let find src tgt (s : t) : cert option =
   match LM.find_opt src s.fwd with None -> None | Some m -> LM.find_opt tgt m
@@ -128,7 +131,7 @@ let weaken_src src (s : t) : t =
   | None -> s
   | Some m ->
       let m' = demote m in
-      if m' == m then s else { s with fwd = LM.add src m' s.fwd }
+      if m' == m then s else mk (LM.add src m' s.fwd) s.card
 
 let fold f (s : t) acc =
   LM.fold (fun src m acc -> LM.fold (fun tgt c acc -> f src tgt c acc) m acc) s.fwd acc
@@ -354,7 +357,7 @@ module Acc = struct
   let create () = { cell = { st = Empty; refs = 1 } }
 
   (* [row] starts as a set no caller holds, so nothing matches it *)
-  let chain () = { row = { fwd = LM.empty; card = 0 }; before = None; after = (create ()).cell }
+  let chain () = { row = mk LM.empty 0; before = None; after = (create ()).cell }
 
   let rows_of (s : set) =
     let n = LM.cardinal s.fwd in
@@ -603,20 +606,35 @@ let covered_by (s1 : t) (s2 : t) : bool =
     hash equal (on any domain). Folding [fwd] visits pairs in
     [Loc.compare] order, which is canonical for the value, and
     {!Loc.hash} is structural, so neither interning nor construction
-    order can split equal sets. Used by the {!Engine} sub-tree-sharing
-    memo to index stored (IN, OUT) entries in O(1) expected instead of a
-    linear [equal] scan. *)
+    order can split equal sets. Computed on first use and kept in the
+    set; two domains racing on the first call write the same int. *)
 let hash (s : t) : int =
-  let comb h x = (h * 1000003) lxor x in
-  LM.fold
-    (fun src m acc ->
+  if s.hash >= 0 then s.hash
+  else begin
+    let comb h x = (h * 1000003) lxor x in
+    let h =
       LM.fold
-        (fun tgt c acc ->
-          comb (comb acc (Loc.hash tgt)) (match c with D -> 17 | P -> 19))
-        m
-        (comb acc (Loc.hash src)))
-    s.fwd (comb 0 s.card)
-  land max_int
+        (fun src m acc ->
+          LM.fold
+            (fun tgt c acc ->
+              comb (comb acc (Loc.hash tgt)) (match c with D -> 17 | P -> 19))
+            m
+            (comb acc (Loc.hash src)))
+        s.fwd (comb 0 s.card)
+      land max_int
+    in
+    s.hash <- h;
+    h
+  end
+
+(* Both keys' digests are cached, so unequal digests settle a probe
+   before {!equal} is asked (and counted in [Metrics]). *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let hash = hash
+  let equal a b = hash a = hash b && equal a b
+end)
 
 (** A no-op: a set holds no suspension, so there is nothing to force
     before sharing it across domains. Kept only because the frozen

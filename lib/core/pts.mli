@@ -4,9 +4,10 @@
     The representation is one source-indexed map plus the pair count,
     so cardinality is O(1); {!merge}, {!equal} and {!covered_by} run
     identity / cardinality / subsumption pre-checks so fixed-point
-    steady states cost O(1)–O(pairs) without allocation. A set is plain
-    immutable data with no closure or suspension inside: any number of
-    domains may read one at once, and it marshals as it is.
+    steady states cost O(1)–O(pairs) without allocation. A set is
+    immutable data with no closure or suspension inside, plus one cached
+    int, its {!hash}: any number of domains may read one at once, and it
+    marshals as it is.
 
     The interprocedural fixed point (Figure 4) uses the lattice defined
     by {!covered_by} (safe generalization) and {!merge} (least upper
@@ -81,8 +82,24 @@ val equal : t -> t -> bool
 
 (** Canonical structural digest, consistent with {!equal}: equal sets
     hash equal, regardless of construction order or interning domain.
-    Backs the hash-indexed sub-tree-sharing memo in {!Engine}. *)
+
+    The set keeps it: the first call computes it, later calls read it.
+    Every operation that returns a new set builds it with the digest
+    unset, so a digest never outlives the pairs it digests. Domains may
+    race on the cache: it is one int, written whole and only ever with
+    the one value, so a reader sees "unset" (and computes the same
+    value) or the digest — unlike a lazy suspension, which raises when
+    a second domain forces it mid-computation.
+
+    The cached field makes polymorphic [=], [compare] and
+    [Hashtbl.hash] unreliable on sets and on values holding them: use
+    {!equal}, {!hash} and {!Tbl}. *)
 val hash : t -> int
+
+(** Hash tables keyed by a set: the summary store's and the persisted
+    set table's. A probe asks {!equal} only of keys with the same
+    digest. *)
+module Tbl : Hashtbl.S with type key = t
 
 (** A no-op, kept only because the frozen [perf/] harness still calls
     it: a set holds no suspension, so nothing needs forcing before

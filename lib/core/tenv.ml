@@ -213,17 +213,3 @@ let make ?(opts = Options.default) (prog : Ir.program) : t =
   in
   List.iter (fun f -> Hashtbl.replace t.frames f.Ir.fn_name (frame_of t f)) prog.Ir.funcs;
   { t with global_cells; global_cell_set = Loc.Set.of_list (List.map fst global_cells) }
-
-(** Pointee type used to chase through a cell of type [ty]; unions use
-    their first pointer-carrying field. *)
-let cell_pointee t (ty : Ctype.t) : Ctype.t option =
-  match ty with
-  | Ctype.Ptr inner -> Some inner
-  | Ctype.Su (Ctype.Union_su, tag) -> (
-      match Hashtbl.find_opt (layouts t) tag with
-      | None -> None
-      | Some lay ->
-          List.find_map
-            (fun (_, ft) -> match ft with Ctype.Ptr inner -> Some inner | _ -> None)
-            lay.Ctype.fields)
-  | _ -> None

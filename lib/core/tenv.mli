@@ -69,7 +69,3 @@ val is_pointer_assignment : t -> Ir.func -> Ir.vref -> bool
     itself for pointers, head/tail for arrays, one per pointer-carrying
     struct field, the collapsed location for unions. *)
 val pointer_cells : t -> Loc.t -> Ctype.t -> (Loc.t * Ctype.t) list
-
-(** Pointee type chased through a cell; unions use their first
-    pointer-carrying field. *)
-val cell_pointee : t -> Ctype.t -> Ctype.t option

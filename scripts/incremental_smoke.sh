@@ -3,8 +3,9 @@
 # driver output — populate the stable cache entry, edit the source, and
 # demand (a) the re-analysis prints per-statement sets bit-identical to
 # a cold run of the edited file and (b) the dirty counter matches the
-# edit: 0 for a comment-only edit (the rekey fast path), a small bounded
-# cone for a one-function edit. A livc kernel edit is also checked with
+# edit: 0 for a comment-only edit (the rekey fast path, also checked
+# mid-file under --heap-by-site), a small bounded cone for a
+# one-function edit. A livc kernel edit is also checked with
 # --no-share-contexts, where only persisted summaries answer a repeated
 # (function, input) pair. A generated deep call chain and a generated
 # program with recursion each take two successive edits, with sharing
@@ -44,6 +45,33 @@ d=$(dirty_of "$tmp/incr1.txt")
 [ "$d" = 0 ] \
   || { echo "incremental_smoke: comment edit reported $d dirty (rekey expected 0)" >&2; exit 1; }
 echo "incremental_smoke: livc comment edit — $(wc -l <"$tmp/got1.txt") statement sets identical, 0 dirty (rekey)"
+
+# ---- 1a. mid-file comment edit under --heap-by-site -----------------
+# A comment before a function shifts the source position of every later
+# statement but no statement id, so the program's fingerprint holds and
+# the entry rekeys in every engine mode — here with heap objects named
+# by their allocation statement. livc allocates nothing; in sim the
+# allocating functions follow the comment, so its heap@N rows are the
+# ids that must not go stale.
+for case in "livc:double kern_a_5" "sim:int max3"; do
+  b=${case%%:*} anchor=${case#*:}
+  cp "benchmarks/$b.c" "$tmp/${b}_site.c"
+  "$ptan" analyze "$tmp/${b}_site.c" --heap-by-site --incremental --cache-dir "$cache" >/dev/null
+  awk -v a="$anchor" 'index($0, a) == 1 { print "/* incremental_smoke: mid-file comment */" } { print }' \
+    "benchmarks/$b.c" >"$tmp/${b}_site.c"
+  "$ptan" analyze "$tmp/${b}_site.c" --heap-by-site --no-cache | grep '^s[0-9]' >"$tmp/cold1a.txt"
+  "$ptan" analyze "$tmp/${b}_site.c" --heap-by-site --incremental --cache-dir "$cache" --stats \
+    >"$tmp/incr1a.txt"
+  grep '^s[0-9]' "$tmp/incr1a.txt" >"$tmp/got1a.txt"
+  diff -u "$tmp/cold1a.txt" "$tmp/got1a.txt" \
+    || { echo "incremental_smoke: $b mid-file comment edit (heap by site) diverges from cold analysis" >&2; exit 1; }
+  d=$(dirty_of "$tmp/incr1a.txt")
+  [ "$d" = 0 ] \
+    || { echo "incremental_smoke: $b mid-file comment edit (heap by site) reported $d dirty (rekey expected 0)" >&2; exit 1; }
+  echo "incremental_smoke: $b mid-file comment edit, heap by site — $(wc -l <"$tmp/got1a.txt") statement sets identical, $(grep -c 'heap@' "$tmp/got1a.txt") with site names, 0 dirty (rekey)"
+done
+[ "$(grep -c 'heap@' "$tmp/got1a.txt")" -gt 0 ] \
+  || { echo "incremental_smoke: sim under --heap-by-site shows no heap@ site" >&2; exit 1; }
 
 # ---- 1b. kernel edit on livc with sub-tree sharing off ----------------
 # Persisted summaries answer even without §6 sharing, the one mode where

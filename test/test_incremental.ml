@@ -84,6 +84,12 @@ let check_identical name (cold : Analysis.result) (incr : Analysis.result) =
 (* The diff oracle: func_hash and eligible_funcs                       *)
 (* ------------------------------------------------------------------ *)
 
+(** Each defined function's {!Persist.func_hash}, by name. *)
+let digests (p : Ir.program) =
+  let t = Hashtbl.create 8 in
+  List.iter (fun f -> Hashtbl.replace t f.Ir.fn_name (Persist.func_hash f)) p.Ir.funcs;
+  t
+
 (** A function moved around the file (statement ids and locations all
     shifted) must hash identically; a body edit must not. *)
 let hash_tests =
@@ -118,11 +124,10 @@ let hash_tests =
         in
         let old_prog = simplify (src ~edited:false) in
         let new_prog = simplify (src ~edited:true) in
-        let old_hashes = Hashtbl.create 8 in
-        List.iter
-          (fun f -> Hashtbl.replace old_hashes f.Ir.fn_name (Persist.func_hash f))
-          old_prog.Ir.funcs;
-        let elig = Persist.eligible_funcs new_prog ~old_hashes in
+        let elig =
+          Persist.eligible_funcs new_prog ~old_hashes:(digests old_prog)
+            ~new_hashes:(digests new_prog)
+        in
         let names =
           Hashtbl.fold (fun n () acc -> n :: acc) elig [] |> List.sort compare
         in
@@ -137,13 +142,11 @@ let hash_tests =
            int main(void) { hub(tgt); quiet(); return 0; }\n"
         in
         let prog = simplify src in
-        let old_hashes = Hashtbl.create 8 in
-        List.iter
-          (fun f -> Hashtbl.replace old_hashes f.Ir.fn_name (Persist.func_hash f))
-          prog.Ir.funcs;
         (* nothing edited, yet hub (indirect site) and main (calls hub)
            must stay dirty; tgt and quiet replay *)
-        let elig = Persist.eligible_funcs prog ~old_hashes in
+        let elig =
+          Persist.eligible_funcs prog ~old_hashes:(digests prog) ~new_hashes:(digests prog)
+        in
         let names =
           Hashtbl.fold (fun n () acc -> n :: acc) elig [] |> List.sort compare
         in
@@ -258,6 +261,52 @@ let suite_tests =
                 Alcotest.(check bool) (name ^ ": rekeyed file reloads") true hit2;
                 check_identical (name ^ " reloaded") r r2))
           suite_names);
+    case "a mid-file comment rekeys in every engine mode" (fun () ->
+        (* the comment shifts the source position of every later
+           statement but no statement id, so the fingerprint holds and
+           the saved body is the answer: with heap objects named by
+           site, without context sensitivity, and when the run warned
+           (warnings name statements by id) *)
+        let warns =
+          "int g; int *p;\nvoid (*fp)(void);\n\
+           void f(void) { p = &g; }\n\
+           int main(void) { fp(); f(); return 0; }\n"
+        in
+        let site_rows (r : Analysis.result) =
+          List.exists (fun (_, s) -> Option.is_some (find_sub s "heap@")) (stmt_pts_strings r)
+        in
+        let heap_by_site = { Options.default with Options.heap_by_site = true } in
+        List.iter
+          (fun (name, text, anchor, opts, witness) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir "prog.c" in
+                write_file source text;
+                let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                write_file source (replace_once ~sub:anchor ~by:("/* moved */\n" ^ anchor) text);
+                let r, hit = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                Alcotest.(check bool) (name ^ ": a hit") true hit;
+                Alcotest.(check int)
+                  (name ^ ": nothing dirty") 0
+                  r.Analysis.metrics.Metrics.incr_funcs_dirty;
+                let cold = Analysis.of_file ~opts source in
+                check_identical name cold r;
+                Alcotest.(check bool) (name ^ ": the run shows what is kept") true (witness cold)))
+          [
+            ("livc, heap by site", read_file (bench "livc"), "double kern_a_5", heap_by_site, Fun.const true);
+            (* sim allocates after the comment: its heap@N names are the
+               statement ids that must not go stale *)
+            ("sim, heap by site", read_file (bench "sim"), "int max3", heap_by_site, site_rows);
+            ( "livc, context-insensitive",
+              read_file (bench "livc"),
+              "double kern_a_5",
+              { Options.default with Options.context_sensitive = false },
+              Fun.const true );
+            ( "warnings",
+              warns,
+              "void f(void)",
+              Options.default,
+              fun (r : Analysis.result) -> r.Analysis.warnings <> [] );
+          ]);
     case "whole suite: adding a function replays bit-identically" (fun () ->
         (* a new (uncalled) function changes the hash table, so the
            rekey path is off and the clean subtrees replay from
@@ -404,27 +453,24 @@ let frame_tests =
             let store = res.Analysis.summaries in
             let refs = ref 0 and dangling = ref 0 in
             Hashtbl.iter
-              (fun fname by_hash ->
-                Hashtbl.iter
-                  (fun _ es ->
-                    List.iter
-                      (fun (e : Engine.summary_entry) ->
-                        match e.Engine.se_frame with
-                        | None -> Alcotest.failf "%s: %s has no frame" shape fname
-                        | Some fr ->
-                            Array.iter
-                              (fun (sid, _) ->
-                                if Hashtbl.find_opt owner sid <> Some fname then
-                                  Alcotest.failf "%s: a frame of %s has a row for s%d" shape
-                                    fname sid)
-                              fr.Engine.f_rows;
-                            List.iter
-                              (fun r ->
-                                incr refs;
-                                if Engine.resolve store r = None then incr dangling)
-                              fr.Engine.f_refs)
-                      es)
-                  by_hash)
+              (fun fname by_input ->
+                Pts.Tbl.iter
+                  (fun _ (e : Engine.summary_entry) ->
+                    match e.Engine.se_frame with
+                    | None -> Alcotest.failf "%s: %s has no frame" shape fname
+                    | Some fr ->
+                        Array.iter
+                          (fun (sid, _) ->
+                            if Hashtbl.find_opt owner sid <> Some fname then
+                              Alcotest.failf "%s: a frame of %s has a row for s%d" shape fname
+                                sid)
+                          fr.Engine.f_rows;
+                        List.iter
+                          (fun r ->
+                            incr refs;
+                            if Option.is_none (Engine.resolve store r) then incr dangling)
+                          fr.Engine.f_refs)
+                  by_input)
               store;
             Alcotest.(check bool) (shape ^ ": calls are referenced") true (!refs > 0);
             Alcotest.(check int) (shape ^ ": every reference resolves") 0 !dangling)
@@ -536,7 +582,7 @@ let frame_tests =
                 let records fn =
                   match Hashtbl.find_opt seeds fn with
                   | None -> 0
-                  | Some by_hash -> Hashtbl.fold (fun _ es n -> n + List.length es) by_hash 0
+                  | Some by_input -> Pts.Tbl.length by_input
                 in
                 List.iter
                   (fun (fn, n) -> Alcotest.(check int) (fn ^ " records" ^ mode) n (records fn))

@@ -347,4 +347,52 @@ let acc_tests =
         Pts.equal mid (lub xs) && Pts.equal (Pts.Acc.freeze acc) (lub (xs @ ys)));
   ]
 
-let suite = ("pts", unit_tests @ loc_tests @ property_tests @ acc_tests)
+(* ------------------------------------------------------------------ *)
+(* The cached hash                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** One step of a set's life: every operation that returns a new set. *)
+let step_gen : (Pts.t -> Pts.t) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let loc = oneofa acc_locs in
+  oneof
+    [
+      map3 Pts.add loc loc cert_gen;
+      map3 Pts.add_weak loc loc cert_gen;
+      map Pts.kill_src loc;
+      map Pts.weaken_src loc;
+      map Pts.remove_tgt loc;
+      map (fun l -> Pts.filter (fun _ tgt c -> c == Pts.P || not (Loc.equal tgt l))) loc;
+      map (fun l -> Pts.filter_src (fun src -> not (Loc.equal src l))) loc;
+      map2 (fun l o -> Pts.add_rows [ (l, Pts.tgt_map l o) ]) loc small_pts;
+      map (fun o s -> Pts.merge s o) small_pts;
+      map
+        (fun vs s ->
+          let acc = Pts.Acc.create () and chain = Pts.Acc.chain () in
+          List.iter (Pts.Acc.add chain acc) (s :: vs);
+          Pts.Acc.freeze acc)
+        (list_size (int_range 1 3) small_pts);
+    ]
+
+let hash_tests =
+  [
+    qcase ~count:500 "hash: a set's cached hash is never stale"
+      QCheck2.Gen.(pair small_pts (list_size (int_range 1 12) step_gen))
+      (fun (s0, steps) ->
+        (* forcing the hash of every intermediate set means a step that
+           carried its input's cached hash over to a different set is
+           caught at the next check *)
+        let fresh s =
+          let rebuilt = Pts.of_list (Pts.to_list s) in
+          let t = Pts.Tbl.create 4 in
+          Pts.Tbl.replace t s ();
+          Pts.hash s = Pts.hash rebuilt && Pts.Tbl.mem t rebuilt
+        in
+        let rec go s = function
+          | [] -> fresh s
+          | step :: rest -> fresh s && go (step s) rest
+        in
+        go s0 steps);
+  ]
+
+let suite = ("pts", unit_tests @ loc_tests @ property_tests @ acc_tests @ hash_tests)

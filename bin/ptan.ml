@@ -89,9 +89,7 @@ let cmd_simple file =
 let analyze_file ?(opts = Pointsto.Options.default) ?budget ?(cache = None)
     ?(incremental = false) file =
   match cache with
-  | None ->
-      let p = load file in
-      Pointsto.Analysis.analyze ~opts ?budget p
+  | None -> Pointsto.Analysis.of_file ~opts ?budget file
   | Some cache_dir -> fst (Persist.analyze_cached ?cache_dir ~opts ?budget ~incremental file)
 
 (** One-line degradation report, printed after a degraded result's

@@ -125,8 +125,11 @@ let keyword_table : (string * t) list =
     ("sizeof", KW_SIZEOF);
   ]
 
-let of_ident s =
-  match List.assoc_opt s keyword_table with Some kw -> kw | None -> IDENT s
+(* Built once and only read afterwards, so lexers on several domains
+   may share it. *)
+let keywords : (string, t) Hashtbl.t = Hashtbl.of_seq (List.to_seq keyword_table)
+
+let of_ident s = match Hashtbl.find_opt keywords s with Some kw -> kw | None -> IDENT s
 
 let to_string = function
   | INT_LIT n -> Int64.to_string n

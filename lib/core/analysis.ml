@@ -257,12 +257,21 @@ let analyze_demand ?(opts = Options.default) ?(entry = "main") ?seeded ~plan
       r
   end
 
+(** Analyze what [lower ()] returns, with its cost as [t_parse]. *)
+let timed_lowering ?opts ?entry ?budget lower =
+  let t0 = Metrics.now () in
+  let prog = lower () in
+  let t_parse = Metrics.now () -. t0 in
+  let r = analyze ?opts ?entry ?budget prog in
+  r.metrics.Metrics.t_parse <- t_parse;
+  r
+
 (** Convenience: parse, simplify and analyze C source text. *)
 let of_string ?opts ?entry ?budget ?file src =
-  analyze ?opts ?entry ?budget (Simple_ir.Simplify.of_string ?file src)
+  timed_lowering ?opts ?entry ?budget (fun () -> Simple_ir.Simplify.of_string ?file src)
 
 let of_file ?opts ?entry ?budget path =
-  analyze ?opts ?entry ?budget (Simple_ir.Simplify.of_file path)
+  timed_lowering ?opts ?entry ?budget (fun () -> Simple_ir.Simplify.of_file path)
 
 (** The points-to set valid at statement [id] ([Pts.empty] when the
     statement was never reached). *)

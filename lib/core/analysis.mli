@@ -126,7 +126,8 @@ val analyze_demand :
   Ir.program ->
   result
 
-(** Parse, simplify and analyze C source text. *)
+(** Parse, simplify and analyze C source text. The parse and lowering
+    time goes into the result's [metrics.t_parse]. *)
 val of_string :
   ?opts:Options.t ->
   ?entry:string ->

@@ -29,8 +29,7 @@ type origin =
   | Replayed
       (** seeded, with its rows folded this run: replayed with sharing
           off, or reached through the references of a replayed entry.
-          Still answers as a seed, and is written back like a live
-          entry *)
+          Still answers as a seed *)
   | Live  (** evaluated this run, or seeded and replayed with sharing on *)
 
 (** A reference from a frame to the summary entry one of its calls
@@ -130,7 +129,7 @@ type ctx = {
           was given (docs/INCREMENTAL.md) *)
   record_summaries : bool;
       (** record a frame with every evaluated (function, input) pair so
-          {!Persist} can write the summary section *)
+          {!Persist} can write the summary segments *)
   mutable recording : (int, Pts.Acc.t) Hashtbl.t;
       (** the innermost open recording table, the only one a statement
           visit folds into: the rows of the innermost in-flight
@@ -271,9 +270,9 @@ let use_entry ctx (node : Ig.node) (r : sref) =
 (** Replay the rows of seed [e] and of every entry its references reach
     into [stmt_pts], once per entry per run: an entry that is no longer
     [Seeded] has had its rows folded this run, or was evaluated in it.
-    The entries reached turn [Replayed], so {!Persist} writes them back
-    with the entries that reference them. Seeds are closed under their
-    references, so the rows reached are the whole call cone. *)
+    The entries reached turn [Replayed], so the walk stops at them the
+    next time. Seeds are closed under their references, so the rows
+    reached are the whole call cone. *)
 let rec replay_rows ctx (e : summary_entry) =
   if e.se_origin = Seeded then begin
     e.se_origin <- Replayed;

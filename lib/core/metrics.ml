@@ -105,6 +105,7 @@ type t = {
   mutable t_record : float;
       (** in the {!Pts.Acc.add} calls that walk a row accumulator, and
           in {!Engine.freeze_table} *)
+  mutable t_parse : float;  (** parsing and lowering the source to SIMPLE *)
   mutable t_analysis : float;  (** whole {!Analysis.analyze} run *)
   mutable t_serialize : float;  (** in {!Persist.save} *)
   mutable t_deserialize : float;  (** in {!Persist.load} *)
@@ -149,6 +150,7 @@ let create () =
     t_map = 0.;
     t_unmap = 0.;
     t_record = 0.;
+    t_parse = 0.;
     t_analysis = 0.;
     t_serialize = 0.;
     t_deserialize = 0.;
@@ -203,6 +205,7 @@ let fields =
     Time ((fun m -> m.t_map), fun m v -> m.t_map <- v);
     Time ((fun m -> m.t_unmap), fun m v -> m.t_unmap <- v);
     Time ((fun m -> m.t_record), fun m v -> m.t_record <- v);
+    Time ((fun m -> m.t_parse), fun m v -> m.t_parse <- v);
     Time ((fun m -> m.t_analysis), fun m v -> m.t_analysis <- v);
     Time ((fun m -> m.t_serialize), fun m v -> m.t_serialize <- v);
     Time ((fun m -> m.t_deserialize), fun m v -> m.t_deserialize <- v);
@@ -252,6 +255,7 @@ let ratio num den = if den = 0 then 0. else 100. *. float_of_int num /. float_of
 (* BEGIN stats-labels *)
 let rows (m : t) : (string * string) list =
   [
+    ("parse time", Printf.sprintf "%.3f ms" (m.t_parse *. 1e3));
     ( "analysis time",
       Printf.sprintf "%.3f ms (map %.3f ms, unmap %.3f ms)" (m.t_analysis *. 1e3)
         (m.t_map *. 1e3) (m.t_unmap *. 1e3) );

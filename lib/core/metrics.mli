@@ -79,6 +79,9 @@ type t = {
   mutable t_record : float;
       (** seconds in the row folds that walk an accumulator and in
           freezing recording tables *)
+  mutable t_parse : float;
+      (** seconds parsing and lowering the source ({!Analysis.of_file},
+          and {!Persist.analyze_cached} when it lowers) *)
   mutable t_analysis : float;  (** whole-analysis wall-clock seconds *)
   mutable t_serialize : float;  (** seconds in {!Persist.save} *)
   mutable t_deserialize : float;  (** seconds in {!Persist.load} *)

@@ -6,26 +6,33 @@
     referenced by index (an entry only references earlier entries, so
     the table decodes in one left-to-right pass). The file layout is
 
-    {v magic | version | key digest | loc table | payload v}
+    {v magic | version | key | index digest | index length | index | sections v}
 
-    where the payload holds the marshalled SIMPLE program (plain data,
-    no closures — re-lowering the source would double the warm-load
-    cost), an interned table of the distinct points-to sets (the engine
-    reaches a steady state, so most statements share one of a few dozen
-    sets; each is written once, grouped by source location), the
-    per-statement set references, the entry output, warnings, the
-    metrics record (every {!Metrics.fields} entry), and the invocation
-    graph in pre-order. The header carries a digest of the payload, verified
-    before any decoding (in particular before [Marshal.from_string],
-    which is not robust against corrupt input). Every decode path
-    bounds-checks and raises {!Bad}, which [load] maps to [None] — a
+    The key digests the analyzed text and is covered by no digest: it
+    only decides whether an entry is a full hit. The index holds the
+    program's fingerprint (incremental entries only) and, per section,
+    its name, offset, length and digest; the sections follow back to
+    back in index order. The first, named [""], is the {e result
+    section}: the marshalled SIMPLE program (plain data, no closures —
+    re-lowering the source would double the warm-load cost), interned
+    location, row and set tables (the engine reaches a steady state, so
+    most statements share one of a few dozen sets; each is written once,
+    grouped by source location), the per-statement set references, the
+    entry output, warnings, the metrics record (every {!Metrics.fields}
+    entry), and the invocation graph in pre-order. Each further section
+    is one function's {e summary segment} (named after it), with tables
+    of its own. A reader checks the index digest before it trusts an
+    offset, and a section's digest before it decodes the section (in
+    particular before [Marshal.from_string], which is not robust against
+    corrupt input), so it verifies only what it reads. Every decode path
+    bounds-checks and raises {!Bad}, which the lookups map to a miss — a
     stale or corrupt cache entry degrades to a cache miss, never to a
     wrong answer. *)
 
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 8
+let version = 9
 
 let magic = "PTANC"
 
@@ -56,10 +63,12 @@ let w_float b f = Buffer.add_int64_le b (Int64.bits_of_float f)
 
 exception Bad
 
-type rd = { data : string; mutable pos : int }
+(** A reader over [data], confined to the bytes before [lim]: one
+    section of an entry file. *)
+type rd = { data : string; mutable pos : int; lim : int }
 
 let r_byte r =
-  if r.pos >= String.length r.data then raise Bad;
+  if r.pos >= r.lim then raise Bad;
   let c = Char.code r.data.[r.pos] in
   r.pos <- r.pos + 1;
   c
@@ -73,21 +82,28 @@ let r_u r =
   in
   go 0 0
 
+(** A count of items still to read, each at least one byte: bounded by
+    the bytes left, so no damaged count allocates beyond the entry. *)
+let r_count r =
+  let n = r_u r in
+  if n > r.lim - r.pos then raise Bad;
+  n
+
 let r_str r =
   let n = r_u r in
-  if n < 0 || r.pos + n > String.length r.data then raise Bad;
+  if n < 0 || r.pos + n > r.lim then raise Bad;
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
 
 let r_raw r n =
-  if r.pos + n > String.length r.data then raise Bad;
+  if r.pos + n > r.lim then raise Bad;
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
 
 let r_float r =
-  if r.pos + 8 > String.length r.data then raise Bad;
+  if r.pos + 8 > r.lim then raise Bad;
   let v = Int64.float_of_bits (String.get_int64_le r.data r.pos) in
   r.pos <- r.pos + 8;
   v
@@ -191,7 +207,7 @@ let rec loc_idx e (l : Loc.t) : int =
 
 (** Decode the table into an array of interned locations. *)
 let r_loc_table r : Loc.t array =
-  let n = r_u r in
+  let n = r_count r in
   let arr = Array.make n (Loc.intern Loc.Heap) in
   let earlier i =
     if i < 0 || i >= n then raise Bad;
@@ -266,19 +282,40 @@ let row_idx e rw (src : Loc.t) (m : Pts.cert Loc.Map.t) : int =
       Hashtbl.replace rw.rw_tbl h ((src, m, i) :: bucket);
       i
 
-let r_row_table arr r : (Loc.t * Pts.cert Loc.Map.t) array =
-  let n = r_u r in
+(** Rows decoded so far by one read, keyed like {!row_idx}'s table:
+    equal rows of different sections decode to one physical map, which
+    the engine's fast paths compare by identity, and a repeated row
+    builds no map. *)
+type canon = (int, (Loc.t * Pts.cert Loc.Map.t) list) Hashtbl.t
+
+let r_row_table (canon : canon) arr r : (Loc.t * Pts.cert Loc.Map.t) array =
+  let n = r_count r in
   let rows = Array.make n (Loc.intern Loc.Heap, Loc.Map.empty) in
   for i = 0 to n - 1 do
     let src = r_loc arr r in
     let nt = r_u r in
-    let m = ref Loc.Map.empty in
-    for _ = 1 to nt do
-      let tgt = r_loc arr r in
-      let c = match r_byte r with 1 -> Pts.D | 0 -> Pts.P | _ -> raise Bad in
-      m := Loc.Map.add tgt c !m
-    done;
-    rows.(i) <- (src, !m)
+    (* the targets in the order written, which is the map's *)
+    let tgts =
+      List.init nt (fun _ ->
+          let tgt = r_loc arr r in
+          (tgt, match r_byte r with 1 -> Pts.D | 0 -> Pts.P | _ -> raise Bad))
+    in
+    let rec same tgts seq =
+      match (tgts, seq ()) with
+      | [], Seq.Nil -> true
+      | (t, c) :: tgts, Seq.Cons ((t', c'), seq) -> t == t' && c == c' && same tgts seq
+      | _ -> false
+    in
+    let is_row (src', m) = src' == src && same tgts (Loc.Map.to_seq m) in
+    let h = Hashtbl.hash src lxor (nt * 65599) in
+    let bucket = Option.value ~default:[] (Hashtbl.find_opt canon h) in
+    rows.(i) <-
+      (match List.find_opt is_row bucket with
+      | Some row -> row
+      | None ->
+          let row = (src, List.fold_left (fun m (t, c) -> Loc.Map.add t c m) Loc.Map.empty tgts) in
+          Hashtbl.replace canon h (row :: bucket);
+          row)
   done;
   rows
 
@@ -301,8 +338,6 @@ let r_rows (rows : (Loc.t * Pts.cert Loc.Map.t) array) r =
     acc := rows.(i) :: !acc
   done;
   !acc
-
-let r_set rows r : Pts.t = Pts.add_rows (r_rows rows r) Pts.empty
 
 (** Table of distinct points-to sets, interned by structural equality
     (a {!Pts.Tbl}, so equal sets built in different tree shapes meet
@@ -387,13 +422,34 @@ let set_idx e rw se (s : Pts.t) : int =
       se.s_last <- Some (s, i);
       i
 
+(** The interning tables of one section — locations, rows and sets —
+    written ahead of the records that reference them. *)
+type tables = { locs : loc_enc; rws : row_enc; sets : set_enc }
+
+let tables n =
+  {
+    locs = { tbl = Hashtbl.create n; buf = Buffer.create (8 * n); next = 0 };
+    rws = { rw_tbl = Hashtbl.create n; rw_buf = Buffer.create (8 * n); rw_next = 0 };
+    sets = { s_tbl = Pts.Tbl.create n; s_buf = Buffer.create (8 * n); s_next = 0; s_last = None };
+  }
+
+let set_ix t s = set_idx t.locs t.rws t.sets s
+
+let w_tables b t =
+  w_u b t.locs.next;
+  Buffer.add_buffer b t.locs.buf;
+  w_u b t.rws.rw_next;
+  Buffer.add_buffer b t.rws.rw_buf;
+  w_u b t.sets.s_next;
+  Buffer.add_buffer b t.sets.s_buf
+
 let r_set_table arr rows r : Pts.t array =
-  let n = r_u r in
+  let n = r_count r in
   let sets = Array.make n Pts.empty in
   for i = 0 to n - 1 do
     let s =
       match r_byte r with
-      | 0 -> r_set rows r
+      | 0 -> Pts.add_rows (r_rows rows r) Pts.empty
       | 1 ->
           let b = r_u r in
           if b < 0 || b >= i then raise Bad;
@@ -414,8 +470,15 @@ let r_set_ref (sets : Pts.t array) r : Pts.t =
   if i < 0 || i >= Array.length sets then raise Bad;
   sets.(i)
 
-let w_state e rw se b (st : Pts.state) =
-  match st with None -> w_u b 0 | Some s -> w_u b (set_idx e rw se s + 1)
+(** The location table, then the set table, which the row table in
+    between serves. *)
+let r_tables canon r : Loc.t array * Pts.t array =
+  let arr = r_loc_table r in
+  let rows = r_row_table canon arr r in
+  (arr, r_set_table arr rows r)
+
+let w_state t b (st : Pts.state) =
+  match st with None -> w_u b 0 | Some s -> w_u b (set_ix t s + 1)
 
 let r_state sets r : Pts.state =
   match r_u r with
@@ -476,19 +539,19 @@ let kind_of_byte = function
 
 (** Pre-order: a node's entry precedes its children's, so back-edges
     ([partner] always points to an ancestor) resolve while decoding. *)
-let rec w_node e rw se b (n : Ig.node) =
+let rec w_node t b (n : Ig.node) =
   w_u b n.Ig.id;
   w_str b n.Ig.func;
   Buffer.add_char b (kind_byte n.Ig.kind);
   (match n.Ig.partner with None -> w_u b 0 | Some p -> w_u b (p.Ig.id + 1));
-  w_state e rw se b n.Ig.stored_input;
-  w_state e rw se b n.Ig.stored_output;
-  w_map_info e b n.Ig.map_info;
+  w_state t b n.Ig.stored_input;
+  w_state t b n.Ig.stored_output;
+  w_map_info t.locs b n.Ig.map_info;
   w_u b (List.length n.Ig.children);
   List.iter
     (fun (site, c) ->
       w_u b site;
-      w_node e rw se b c)
+      w_node t b c)
     n.Ig.children
 
 let rec r_node arr sets r ~parent ~(nodes : (int, Ig.node) Hashtbl.t) : Ig.node =
@@ -530,7 +593,7 @@ let rec r_node arr sets r ~parent ~(nodes : (int, Ig.node) Hashtbl.t) : Ig.node 
   node
 
 (* ------------------------------------------------------------------ *)
-(* Incremental re-analysis: function hashes and summaries (v3)        *)
+(* Incremental re-analysis: function hashes                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Content hash of one function, invariant under edits elsewhere in the
@@ -577,8 +640,8 @@ let env_hash ~opts ~entry (p : Ir.program) : Digest.t =
    its statement count, so equal fingerprints mean equal statement ids:
    the programs differ at most in source positions, which no answer
    holds (heap sites and warnings name statements by id). Computed once
-   per cached lookup, it is the rekey test, the diff oracle and what the
-   save writes. *)
+   per incremental lookup, it is the rekey test, the diff oracle and
+   what the save writes into the index. *)
 type fingerprint = { fp_env : Digest.t; fp_funcs : (string * Digest.t) list }
 
 let fingerprint ~opts ~entry (p : Ir.program) : fingerprint =
@@ -594,115 +657,233 @@ let digests fp =
   List.iter (fun (n, d) -> Hashtbl.replace t n d) fp.fp_funcs;
   t
 
-(* Frame rows are persisted position-independently, as the index of the
-   statement within its function's textual order: program-wide statement
-   ids shift under edits, but an unchanged function's local order is
-   stable. A frame holds rows of its own function only, so the function
-   is the record's. *)
-let stmt_index (p : Ir.program) :
-    (int, string * int) Hashtbl.t * (string * int, int) Hashtbl.t =
-  let by_id = Hashtbl.create 256 in
-  let by_local = Hashtbl.create 256 in
-  List.iter
-    (fun f ->
-      let i = ref 0 in
-      Ir.fold_func
-        (fun () s ->
-          Hashtbl.replace by_id s.Ir.s_id (f.Ir.fn_name, !i);
-          Hashtbl.replace by_local (f.Ir.fn_name, !i) s.Ir.s_id;
-          incr i)
-        () f)
-    p.Ir.funcs;
-  (by_id, by_local)
+(* The statement ids of [f] in textual order: frame rows are persisted
+   position-independently, as the index of the statement within its
+   function (program-wide ids shift under edits, but an unchanged
+   function's local order is stable). *)
+let local_ids (f : Ir.func) : int array =
+  Array.of_list (List.rev (Ir.fold_func (fun acc s -> s.Ir.s_id :: acc) [] f))
 
-(** The incremental section of a file, decoded but not yet bound to a
-    program: frame rows are still local statement indices and references
-    still (function index, set index) pairs, resolved against whatever
-    program the summaries get seeded into. *)
-type raw_summaries = {
-  rs_fp : fingerprint;  (** the saved run's program: the rekey test and diff oracle *)
-  rs_data : string;  (** the verified entry bytes the blocks index into *)
-  rs_sets : Pts.t array;  (** the decoded set table the blocks reference *)
-  rs_blocks : (string * int * int) list;
-      (** per function, the (name, offset, length) of its still-encoded
-          (input, output, rows, references) records — decoded by
-          {!bind_summaries} only for the functions that will actually
-          replay *)
+(* ------------------------------------------------------------------ *)
+(* Sections                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(** A section: [s_len] bytes of [s_data] from [s_off], and their
+    digest. A section read from an entry points into that entry's bytes,
+    so a save can copy it, digest and all, without decoding it. *)
+type section = { s_data : string; s_off : int; s_len : int; s_digest : Digest.t }
+
+let section_of bytes =
+  { s_data = bytes; s_off = 0; s_len = String.length bytes; s_digest = Digest.string bytes }
+
+(** Decode [s] with [f] once its digest holds; [f] must consume it
+    exactly. *)
+let read_section (s : section) f =
+  if not (String.equal (Digest.substring s.s_data s.s_off s.s_len) s.s_digest) then raise Bad;
+  let r = { data = s.s_data; pos = s.s_off; lim = s.s_off + s.s_len } in
+  let v = f r in
+  if r.pos <> r.lim then raise Bad;
+  v
+
+(* ------------------------------------------------------------------ *)
+(* The result section                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let encode_result (res : Analysis.result) : string =
+  let t = tables 1024 in
+  let pay = Buffer.create 65536 in
+  let stmts =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) res.Analysis.stmt_pts []
+    |> List.sort compare
+  in
+  w_u pay (List.length stmts);
+  List.iter
+    (fun (id, s) ->
+      w_u pay id;
+      w_u pay (set_ix t s))
+    stmts;
+  w_state t pay res.Analysis.entry_output;
+  w_u pay (List.length res.Analysis.warnings);
+  List.iter (w_str pay) res.Analysis.warnings;
+  w_metrics pay res.Analysis.metrics;
+  w_node t pay res.Analysis.graph.Ig.root;
+  let b = Buffer.create (Buffer.length pay + 65536) in
+  w_str b (Marshal.to_string res.Analysis.prog []);
+  w_tables b t;
+  Buffer.add_buffer b pay;
+  Buffer.contents b
+
+let decode_result ~opts r : Analysis.result =
+  let prog : Ir.program = Marshal.from_string (r_str r) 0 in
+  let arr, sets = r_tables (Hashtbl.create 256) r in
+  let n_stmts = r_count r in
+  let stmt_pts = Hashtbl.create (max 16 n_stmts) in
+  for _ = 1 to n_stmts do
+    let id = r_u r in
+    Hashtbl.replace stmt_pts id (r_set_ref sets r)
+  done;
+  let entry_output = r_state sets r in
+  let warnings = r_list r (fun () -> r_str r) in
+  let metrics = r_metrics r in
+  let root = r_node arr sets r ~parent:None ~nodes:(Hashtbl.create 64) in
+  (* the node count is not stored: it is read off the decoded graph *)
+  let graph = { Ig.root; n_nodes = 0 } in
+  graph.Ig.n_nodes <- Ig.n_nodes graph;
+  {
+    Analysis.prog;
+    tenv = Tenv.make ~opts prog;
+    graph;
+    stmt_pts;
+    entry_output;
+    warnings;
+    metrics;
+    (* degraded results are never saved (see [analyze_cached]), so
+       anything loaded back is a full-precision run *)
+    degraded = None;
+    (* a loaded result is only ever re-saved by copying its entry's
+       segments, so the summaries stay on disk *)
+    summaries = Engine.store_create ();
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Summary segments                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One function's segment: its own tables, then its framed entries as
+   (input, output, rows, references) records. A row is (local statement
+   index, set); a reference is (callee name, the ordinal of the callee
+   entry's record in the callee's segment). A segment thus depends on
+   no other section's bytes, only on the record order of its callees'
+   segments, which every save keeps (see {!segments_of}). *)
+let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : string =
+  let t = tables 16 in
+  let recs = Buffer.create 1024 in
+  w_u recs (List.length records);
+  List.iter
+    (fun (en : Engine.summary_entry) ->
+      let fr =
+        match en.Engine.se_frame with
+        | Some fr -> fr
+        | None -> failwith "Persist.save: a frameless summary record"
+      in
+      w_u recs (set_ix t en.Engine.se_in);
+      w_u recs (set_ix t en.Engine.se_out);
+      w_u recs (Array.length fr.Engine.f_rows);
+      Array.iter
+        (fun (sid, s) ->
+          w_u recs (local sid);
+          w_u recs (set_ix t s))
+        fr.Engine.f_rows;
+      w_u recs (List.length fr.Engine.f_refs);
+      List.iter
+        (fun (r : Engine.sref) ->
+          w_str recs r.Engine.r_fn;
+          w_u recs (ordinal r))
+        fr.Engine.f_refs)
+    records;
+  let b = Buffer.create (Buffer.length recs + 1024) in
+  w_tables b t;
+  Buffer.add_buffer b recs;
+  Buffer.contents b
+
+(** A decoded record, not yet bound to a program: rows by local
+    statement index, references by (callee, ordinal). *)
+type record = {
+  rc_in : Pts.t;
+  rc_out : Pts.t;
+  rc_rows : (int * Pts.t) array;
+  rc_refs : (string * int) list;
 }
 
-(** Decode the records of the [keep]-satisfying functions and rebind
-    their rows to [p]'s statement ids. A saved entry is closed under its
-    references, [keep] is closed under direct calls, and a kept function
-    is unchanged, so every reference is answered by a kept record and
-    every row names a statement of its function. Anything else, like a
-    decode failure or an out-of-range index under a digest that held,
-    means a damaged entry: [Bad]. *)
-let bind_summaries ~keep (p : Ir.program) (raw : raw_summaries) : Engine.store =
-  let _, by_local = stmt_index p in
-  let names = Array.of_list (List.map fst raw.rs_fp.fp_funcs) in
-  let sets = raw.rs_sets in
-  let set_ix r =
-    let i = r_u r in
-    if i >= Array.length sets then raise Bad;
-    i
+let decode_segment canon r : record array =
+  let _, sets = r_tables canon r in
+  let recs =
+    r_list r (fun () ->
+        let rc_in = r_set_ref sets r in
+        let rc_out = r_set_ref sets r in
+        let rc_rows =
+          Array.init (r_count r) (fun _ ->
+              let li = r_u r in
+              (li, r_set_ref sets r))
+        in
+        let rc_refs =
+          r_list r (fun () ->
+              let g = r_str r in
+              (g, r_u r))
+        in
+        { rc_in; rc_out; rc_rows; rc_refs })
   in
-  let decode (fn, pos, len) =
-    let r = { data = raw.rs_data; pos } in
-    let records =
-      r_list r (fun () ->
-          let i = set_ix r in
-          let o = set_ix r in
-          let rows =
-            r_list r (fun () ->
-                let li = r_u r in
-                match Hashtbl.find_opt by_local (fn, li) with
-                | Some sid -> (sid, sets.(set_ix r))
-                | None -> raise Bad)
-          in
-          let refs =
-            r_list r (fun () ->
-                let fi = r_u r in
-                if fi >= Array.length names then raise Bad;
-                (names.(fi), set_ix r))
-          in
-          let fr = Array.of_list rows in
-          Array.sort (fun (a, _) (b, _) -> Int.compare a b) fr;
-          (i, o, fr, refs))
-    in
-    if r.pos <> pos + len then raise Bad;
-    (fn, records)
-  in
-  let blocks =
-    List.filter_map (fun ((fn, _, _) as b) -> if keep fn then Some (decode b) else None)
-      raw.rs_blocks
-  in
-  let answers = Hashtbl.create 256 in
-  List.iter
-    (fun (fn, recs) -> List.iter (fun (i, _, _, _) -> Hashtbl.replace answers (fn, i) ()) recs)
-    blocks;
-  let out = Engine.store_create () in
-  List.iter
-    (fun (fn, recs) ->
+  Array.of_list recs
+
+(* ------------------------------------------------------------------ *)
+(* Entry files                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(** An entry whose header and index read back: the sections are located
+    and their digests known, but none is verified or decoded yet. *)
+type entry = {
+  en_key : string;  (** the content key of the text it was saved for *)
+  en_fp : fingerprint option;  (** present in incremental entries only *)
+  en_result : section;
+  en_segments : (string * section) list;  (** by function, in index order *)
+}
+
+let w_fingerprint b = function
+  | None -> Buffer.add_char b '\000'
+  | Some fp ->
+      Buffer.add_char b '\001';
+      Buffer.add_string b fp.fp_env;
+      w_u b (List.length fp.fp_funcs);
       List.iter
-        (fun (i, o, f_rows, refs) ->
-          let f_refs =
-            List.map
-              (fun ((g, si) as r) ->
-                if not (Hashtbl.mem answers r) then raise Bad;
-                { Engine.r_fn = g; r_in = sets.(si) })
-              refs
-          in
-          ignore
-            (Engine.store_add out fn
-               {
-                 Engine.se_in = sets.(i);
-                 se_out = sets.(o);
-                 se_frame = Some { Engine.f_rows; f_refs };
-                 se_origin = Engine.Seeded;
-               }))
-        recs)
-    blocks;
-  out
+        (fun (n, d) ->
+          w_str b n;
+          Buffer.add_string b d)
+        fp.fp_funcs
+
+let r_fingerprint r =
+  match r_byte r with
+  | 0 -> None
+  | 1 ->
+      let fp_env = r_raw r 16 in
+      let fp_funcs =
+        r_list r (fun () ->
+            let n = r_str r in
+            (n, r_raw r 16))
+      in
+      Some { fp_env; fp_funcs }
+  | _ -> raise Bad
+
+(** The header and index of an entry file's bytes. Raises [Bad] unless
+    the index digest holds and the sections tile the rest of the file
+    exactly, so a truncated entry is caught here, whatever it is used
+    for next. *)
+let open_entry (data : string) : entry =
+  let r = { data; pos = 0; lim = String.length data } in
+  if r_raw r (String.length magic) <> magic then raise Bad;
+  if r_u r <> version then raise Bad;
+  let en_key = r_raw r 16 in
+  let index_digest = r_raw r 16 in
+  let len = r_u r in
+  if len > r.lim - r.pos then raise Bad;
+  if not (String.equal (Digest.substring data r.pos len) index_digest) then raise Bad;
+  let ix = { data; pos = r.pos; lim = r.pos + len } in
+  let en_fp = r_fingerprint ix in
+  let base = ix.lim in
+  let next = ref 0 in
+  let sections =
+    r_list ix (fun () ->
+        let name = r_str ix in
+        let off = r_u ix in
+        let s_len = r_u ix in
+        let s_digest = r_raw ix 16 in
+        if off <> !next || s_len > r.lim - base - off then raise Bad;
+        next := off + s_len;
+        (name, { s_data = data; s_off = base + off; s_len; s_digest }))
+  in
+  if ix.pos <> ix.lim || base + !next <> r.lim then raise Bad;
+  match sections with
+  | ("", en_result) :: en_segments -> { en_key; en_fp; en_result; en_segments }
+  | _ -> raise Bad
 
 (* ------------------------------------------------------------------ *)
 (* Save                                                               *)
@@ -732,127 +913,143 @@ let tmp_name dir =
        ((Domain.self () :> int))
        !c)
 
-(* Write [res] under header key [stored_key] (raw bytes), with [fp], the
-   fingerprint of [res]'s program, as the incremental section's oracle. *)
-let write ~source ~stored_key ~fp (res : Analysis.result) file =
-  let t0 = Metrics.now () in
-  let tr0 = Trace.start () in
-  let e = { tbl = Hashtbl.create 1024; buf = Buffer.create 8192; next = 0 } in
-  let rw = { rw_tbl = Hashtbl.create 512; rw_buf = Buffer.create 8192; rw_next = 0 } in
-  let se =
-    { s_tbl = Pts.Tbl.create 256; s_buf = Buffer.create 8192; s_next = 0; s_last = None }
-  in
-  let pay = Buffer.create 65536 in
-  let stmts =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) res.Analysis.stmt_pts []
-    |> List.sort compare
-  in
-  w_u pay (List.length stmts);
+(* Lay out and publish an entry: the index names every section with
+   its offset, length and digest, a copied section keeping the digest
+   it came with. *)
+let publish file ~key ~fp ~(result : section) ~(segments : (string * section) list) =
+  let ix = Buffer.create 4096 in
+  w_fingerprint ix fp;
+  let sections = ("", result) :: segments in
+  w_u ix (List.length sections);
+  let off = ref 0 in
   List.iter
-    (fun (id, s) ->
-      w_u pay id;
-      w_u pay (set_idx e rw se s))
-    stmts;
-  w_state e rw se pay res.Analysis.entry_output;
-  w_u pay (List.length res.Analysis.warnings);
-  List.iter (w_str pay) res.Analysis.warnings;
-  w_metrics pay res.Analysis.metrics;
-  w_node e rw se pay res.Analysis.graph.Ig.root;
-  (* v3 incremental section: the fingerprint (env hash, per-function
-     content hashes) and the recorded summaries (docs/INCREMENTAL.md).
-     Sets intern into the same table as everything above. *)
-  Buffer.add_string pay fp.fp_env;
-  w_u pay (List.length fp.fp_funcs);
-  List.iter
-    (fun (n, d) ->
-      w_str pay n;
-      Buffer.add_string pay d)
-    fp.fp_funcs;
-  let fn_idx = Hashtbl.create 64 in
-  List.iteri (fun i (n, _) -> Hashtbl.replace fn_idx n i) fp.fp_funcs;
-  let by_id, _ = stmt_index res.Analysis.prog in
-  (* the framed entries recorded or replayed this run, by function; an
-     unused seed or a frameless entry is not a summary of this run. A
-     frame is stored only when its references resolve to frames
-     ({!Engine.eval_node}), and an entry a used one references was used
-     too, so what is written is closed under its references *)
-  let sum_fns =
-    Hashtbl.fold
-      (fun fn by_input acc ->
-        let es =
-          Pts.Tbl.fold
-            (fun _ (en : Engine.summary_entry) acc ->
-              match en.Engine.se_frame with
-              | Some fr when en.Engine.se_origin <> Engine.Seeded -> (en, fr) :: acc
-              | Some _ | None -> acc)
-            by_input []
-        in
-        match es with [] -> acc | es -> (fn, es) :: acc)
-      res.Analysis.summaries []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  w_u pay (List.length sum_fns);
-  (* each function's records go behind a byte-length prefix so the
-     loader can skip the functions it will not replay *)
-  let scratch = Buffer.create 4096 in
-  List.iter
-    (fun (fn, entries) ->
-      w_str pay fn;
-      Buffer.clear scratch;
-      w_u scratch (List.length entries);
-      List.iter
-        (fun ((en : Engine.summary_entry), (fr : Engine.frame)) ->
-          w_u scratch (set_idx e rw se en.Engine.se_in);
-          w_u scratch (set_idx e rw se en.Engine.se_out);
-          let rows =
-            Array.map
-              (fun (sid, s) ->
-                match Hashtbl.find_opt by_id sid with
-                | Some (owner, li) when String.equal owner fn -> (li, s)
-                | Some _ | None -> failwith "Persist.save: a frame row outside its function")
-              fr.Engine.f_rows
-          in
-          w_u scratch (Array.length rows);
-          Array.iter
-            (fun (li, s) ->
-              w_u scratch li;
-              w_u scratch (set_idx e rw se s))
-            rows;
-          w_u scratch (List.length fr.Engine.f_refs);
-          List.iter
-            (fun (r : Engine.sref) ->
-              w_u scratch (Hashtbl.find fn_idx r.Engine.r_fn);
-              w_u scratch (set_idx e rw se r.Engine.r_in))
-            fr.Engine.f_refs)
-        entries;
-      w_str pay (Buffer.contents scratch))
-    sum_fns;
-  let body = Buffer.create (Buffer.length e.buf + Buffer.length pay + 65536) in
-  w_str body (Marshal.to_string res.Analysis.prog []);
-  w_u body e.next;
-  Buffer.add_buffer body e.buf;
-  w_u body rw.rw_next;
-  Buffer.add_buffer body rw.rw_buf;
-  w_u body se.s_next;
-  Buffer.add_buffer body se.s_buf;
-  Buffer.add_buffer body pay;
-  let body = Buffer.contents body in
-  let out = Buffer.create (String.length body + 64) in
-  Buffer.add_string out magic;
-  w_u out version;
-  Buffer.add_string out stored_key;
-  Buffer.add_string out (Digest.string body);
-  Buffer.add_string out body;
+    (fun (name, s) ->
+      w_str ix name;
+      w_u ix !off;
+      w_u ix s.s_len;
+      Buffer.add_string ix s.s_digest;
+      off := !off + s.s_len)
+    sections;
+  let head = Buffer.create (Buffer.length ix + 64) in
+  Buffer.add_string head magic;
+  w_u head version;
+  Buffer.add_string head key;
+  Buffer.add_string head (Digest.string (Buffer.contents ix));
+  w_u head (Buffer.length ix);
+  Buffer.add_buffer head ix;
   mkdirs (Filename.dirname file);
   let tmp = tmp_name (Filename.dirname file) in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
-      Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc (Buffer.contents out));
+      Out_channel.with_open_bin tmp (fun oc ->
+          Out_channel.output_string oc (Buffer.contents head);
+          List.iter
+            (fun (_, s) -> Out_channel.output_substring oc s.s_data s.s_off s.s_len)
+            sections);
       Sys.rename tmp file;
       (* chaos harness: corrupt the published entry, exactly like torn
          storage under a complete, well-formed file name *)
-      Fault.maybe_corrupt_file file);
+      Fault.maybe_corrupt_file file)
+
+(** What a lookup bound from a kept function's segment: the section, to
+    copy, and the inputs of its records with their ordinals. *)
+type bound = { b_sec : section; b_ord : int Pts.Tbl.t }
+
+(** How a save writes one function's segment. *)
+type plan = Copy of bound | Encode of Engine.summary_entry list
+
+(* The summary segments of [res], in name order. Every framed entry of
+   the store is written: this run's framed entries and every seed. A
+   function whose segment was bound keeps its records at their ordinals
+   (so segments copied from the same entry still resolve), then appends
+   this run's new ones; when it has no new one, which the store's entry
+   count equalling the bound count shows, its old bytes are copied
+   unchanged. A seed's references were resolved when it was bound, and a
+   live frame is stored only when its references resolve to framed
+   entries ({!Engine.eval_node}), so every reference has an ordinal. *)
+let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
+    (string * section) list =
+  let plans =
+    Hashtbl.fold
+      (fun fn by_input acc ->
+        match Hashtbl.find_opt bound fn with
+        | Some b when Pts.Tbl.length by_input = Pts.Tbl.length b.b_ord -> (fn, Copy b) :: acc
+        | found -> (
+            let ordinal (en : Engine.summary_entry) =
+              Option.bind found (fun b -> Pts.Tbl.find_opt b.b_ord en.Engine.se_in)
+            in
+            let old =
+              Array.make (match found with Some b -> Pts.Tbl.length b.b_ord | None -> 0) None
+            in
+            let added =
+              Pts.Tbl.fold
+                (fun _ (en : Engine.summary_entry) added ->
+                  match ordinal en with
+                  | Some k ->
+                      old.(k) <- Some en;
+                      added
+                  | None -> if Option.is_some en.Engine.se_frame then en :: added else added)
+                by_input []
+            in
+            let old =
+              Array.map
+                (function Some en -> en | None -> failwith "Persist.save: a seed left the store")
+                old
+            in
+            match Array.to_list old @ added with [] -> acc | recs -> (fn, Encode recs) :: acc))
+      res.Analysis.summaries []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let ordinals = Hashtbl.create 64 in
+  List.iter
+    (fun (fn, plan) ->
+      Hashtbl.replace ordinals fn
+        (match plan with
+        | Copy b -> b.b_ord
+        | Encode recs ->
+            let t = Pts.Tbl.create 16 in
+            List.iteri
+              (fun k (en : Engine.summary_entry) -> Pts.Tbl.replace t en.Engine.se_in k)
+              recs;
+            t))
+    plans;
+  let ordinal (r : Engine.sref) =
+    match
+      Option.bind (Hashtbl.find_opt ordinals r.Engine.r_fn) (fun t ->
+          Pts.Tbl.find_opt t r.Engine.r_in)
+    with
+    | Some k -> k
+    | None -> failwith "Persist.save: a reference to an unsaved entry"
+  in
+  let funcs = Hashtbl.create 64 in
+  List.iter (fun f -> Hashtbl.replace funcs f.Ir.fn_name f) res.Analysis.prog.Ir.funcs;
+  List.map
+    (fun (fn, plan) ->
+      match plan with
+      | Copy b -> (fn, b.b_sec)
+      | Encode recs ->
+          let local = Hashtbl.create 64 in
+          Option.iter
+            (fun f -> Array.iteri (fun li sid -> Hashtbl.replace local sid li) (local_ids f))
+            (Hashtbl.find_opt funcs fn);
+          let local sid =
+            match Hashtbl.find_opt local sid with
+            | Some li -> li
+            | None -> failwith "Persist.save: a frame row outside its function"
+          in
+          (fn, section_of (encode_segment ~local ~ordinal recs)))
+    plans
+
+(* Write [res] under header key [key] (raw bytes), with [fp], the
+   fingerprint of [res]'s program, in the index; [sections] gives the
+   result section and the segments, encoded or copied. The cost,
+   encoding included, goes to [t_serialize]. *)
+let write ~source ~key ~fp ~sections (res : Analysis.result) file =
+  let t0 = Metrics.now () in
+  let tr0 = Trace.start () in
+  let result, segments = sections () in
+  publish file ~key ~fp ~result ~segments;
   let m = res.Analysis.metrics in
   m.Metrics.t_serialize <- m.Metrics.t_serialize +. (Metrics.now () -. t0);
   if Trace.on () then
@@ -864,8 +1061,9 @@ let write ~source ~stored_key ~fp (res : Analysis.result) file =
 let save ~source ?(entry = "main") (res : Analysis.result) file =
   let opts = res.Analysis.tenv.Tenv.opts in
   write ~source
-    ~stored_key:(Digest.from_hex (key ~source ~opts ~entry))
-    ~fp:(fingerprint ~opts ~entry res.Analysis.prog)
+    ~key:(Digest.from_hex (key ~source ~opts ~entry))
+    ~fp:None
+    ~sections:(fun () -> (section_of (encode_result res), []))
     res file
 
 (* ------------------------------------------------------------------ *)
@@ -886,104 +1084,50 @@ let load_error_name = function
   | Stale -> "stale"
   | Corrupt -> "corrupt"
 
-let decode_body ~opts r : Analysis.result * raw_summaries =
-  let prog : Ir.program = Marshal.from_string (r_str r) 0 in
-  let arr = r_loc_table r in
-  let rows = r_row_table arr r in
-  let sets = r_set_table arr rows r in
-  let n_stmts = r_u r in
-  let stmt_pts = Hashtbl.create (max 16 n_stmts) in
-  for _ = 1 to n_stmts do
-    let id = r_u r in
-    Hashtbl.replace stmt_pts id (r_set_ref sets r)
-  done;
-  let entry_output = r_state sets r in
-  let warnings = r_list r (fun () -> r_str r) in
-  let metrics = r_metrics r in
-  let root = r_node arr sets r ~parent:None ~nodes:(Hashtbl.create 64) in
-  let fp_env = r_raw r 16 in
-  let fp_funcs = r_list r (fun () ->
-      let n = r_str r in
-      (n, r_raw r 16))
-  in
-  let rs_blocks =
-    r_list r (fun () ->
-        let fn = r_str r in
-        let len = r_u r in
-        if len < 0 || r.pos + len > String.length r.data then raise Bad;
-        let pos = r.pos in
-        r.pos <- r.pos + len;
-        (fn, pos, len))
-  in
-  if r.pos <> String.length r.data then raise Bad;
-  let raw = { rs_fp = { fp_env; fp_funcs }; rs_data = r.data; rs_sets = sets; rs_blocks } in
-  let tenv = Tenv.make ~opts prog in
-  (* the node count is not stored: it is read off the decoded graph *)
-  let graph = { Ig.root; n_nodes = 0 } in
-  graph.Ig.n_nodes <- Ig.n_nodes graph;
-  ( {
-      Analysis.prog;
-      tenv;
-      graph;
-      stmt_pts;
-      entry_output;
-      warnings;
-      metrics;
-      (* degraded results are never saved (see [analyze_cached]), so
-         anything loaded back is a full-precision run *)
-      degraded = None;
-      (* loaded results are never re-saved, so the recorded summaries
-         stay encoded in [raw] until a replay actually needs them *)
-      summaries = Engine.store_create ();
-    },
-    raw )
-
-(* The one reader: magic, version, then the body digest before anything
-   decodes ([Marshal.from_string] must only ever see bytes this
-   process's [save] wrote), then one decode. The stored content key is
-   returned, not checked: a key that does not match the source is a
-   miss for [load_checked] but a partial hit for the incremental
-   lookup, and only the caller knows its own key. *)
-let read_entry ~source ~opts file :
-    (string * Analysis.result * raw_summaries, load_error) result =
+(* Run one step of reading an entry, adding its time to [t]. Any
+   failure to read or decode is [Corrupt]. *)
+let timed ~t f =
   let t0 = Metrics.now () in
-  let tr0 = Trace.start () in
-  let res =
-    if not (Sys.file_exists file) then Error Missing
-    else
-      try
-        let r = { data = read_file file; pos = 0 } in
-        if r_raw r (String.length magic) <> magic then raise Bad;
-        if r_u r <> version then raise Bad;
-        let stored_key = r_raw r 16 in
-        let body_digest = r_raw r 16 in
-        if body_digest <> Digest.substring r.data r.pos (String.length r.data - r.pos)
-        then raise Bad;
-        let res, raw = decode_body ~opts r in
-        Ok (stored_key, res, raw)
-      with Bad | Failure _ | Invalid_argument _ | Sys_error _ | End_of_file -> Error Corrupt
+  let v =
+    try Ok (f ()) with
+    | Bad | Failure _ | Invalid_argument _ | Sys_error _ | End_of_file -> Error Corrupt
   in
-  Result.iter
-    (fun (_, res, _) ->
-      let m = res.Analysis.metrics in
-      m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. (Metrics.now () -. t0))
-    res;
+  t := !t +. (Metrics.now () -. t0);
+  v
+
+(* {!timed}, as a [cache-load] span *)
+let loading ~source ~t ?(size = fun _ -> -1) f =
+  let tr0 = Trace.start () in
+  let v = timed ~t f in
   if Trace.on () then
     Trace.emit Trace.Cache_load
       ~name:(Filename.basename source)
-      ~pts_out:
-        (match res with Ok (_, r, _) -> Hashtbl.length r.Analysis.stmt_pts | Error _ -> -1)
+      ~pts_out:(match v with Ok v -> size v | Error _ -> -1)
       ~t0:tr0 ();
-  res
+  v
+
+let stmt_count (r : Analysis.result) = Hashtbl.length r.Analysis.stmt_pts
+
+let open_file ~source ~t file =
+  if not (Sys.file_exists file) then Error Missing
+  else loading ~source ~t (fun () -> open_entry (read_file file))
 
 let load_checked ~source ?(opts = Options.default) ?(entry = "main") file :
     (Analysis.result, load_error) result =
-  match read_entry ~source ~opts file with
+  let t = ref 0. in
+  match open_file ~source ~t file with
   | Error e -> Error e
-  | Ok (stored_key, res, _) -> (
+  | Ok en -> (
       (* an unreadable source cannot be shown to own the entry *)
       match Digest.from_hex (key ~source ~opts ~entry) with
-      | k when String.equal k stored_key -> Ok res
+      | k when String.equal k en.en_key ->
+          Result.map
+            (fun (res : Analysis.result) ->
+              let m = res.Analysis.metrics in
+              m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. !t;
+              res)
+            (loading ~source ~t ~size:stmt_count (fun () ->
+                 read_section en.en_result (decode_result ~opts)))
       | _ | (exception Sys_error _) -> Error Stale)
 
 let load ~source ?opts ?entry file : Analysis.result option =
@@ -1107,32 +1251,6 @@ let quarantine file =
   in
   try Sys.rename file dest with Sys_error _ -> ()
 
-(* Rewrite just the header key of an entry whose body is still byte-valid
-   for the (edited) source: magic and version are unchanged, the stored
-   16-byte key is replaced with [newkey], and the digest + body bytes of
-   [data] (the bytes the lookup already read) are reused untouched.
-   Atomic like [save]; best effort — on failure the stale key simply
-   stays and the next lookup takes the partial path again. *)
-let rekey_file ~data ~newkey file =
-  try
-    let r = { data; pos = 0 } in
-    ignore (r_raw r (String.length magic));
-    ignore (r_u r);
-    let key_pos = r.pos in
-    let out = Buffer.create (String.length data) in
-    Buffer.add_substring out data 0 key_pos;
-    Buffer.add_string out newkey;
-    Buffer.add_substring out data (key_pos + 16) (String.length data - key_pos - 16);
-    let tmp = tmp_name (Filename.dirname file) in
-    Fun.protect
-      ~finally:(fun () ->
-        if Sys.file_exists tmp then try Sys.remove tmp with Sys_error _ -> ())
-      (fun () ->
-        Out_channel.with_open_bin tmp (fun oc ->
-            Out_channel.output_string oc (Buffer.contents out));
-        Sys.rename tmp file)
-  with Bad | Sys_error _ | Failure _ | End_of_file -> ()
-
 (* Summaries replay only under the context-sensitive engine, and not
    under [heap_by_site]: heap objects are named by statement id, and
    ids shift when an earlier function grows, which the per-function
@@ -1141,29 +1259,89 @@ let rekey_file ~data ~newkey file =
 let seedable_mode (opts : Options.t) =
   opts.Options.context_sensitive && not opts.Options.heap_by_site
 
-(* The seeds a saved summary section offers [prog], whose fingerprint is
-   [fp] — the records of the functions {!eligible_funcs} keeps — with
-   the number of dirty functions. [None] when the environment changed
-   (everything is dirty); raises [Bad] when a kept block fails to
-   decode. *)
-let seeds_of ~fp (prog : Ir.program) (raw : raw_summaries) : (int * Engine.store) option =
-  if not (String.equal raw.rs_fp.fp_env fp.fp_env) then None
-  else begin
-    let elig = eligible_funcs prog ~old_hashes:(digests raw.rs_fp) ~new_hashes:(digests fp) in
-    let seeds = bind_summaries ~keep:(Hashtbl.mem elig) prog raw in
-    Some (List.length prog.Ir.funcs - Hashtbl.length elig, seeds)
-  end
+(* The functions whose segments [en] may seed into [prog], whose
+   fingerprint is [fp] ({!eligible_funcs}); [None] when the entry has no
+   fingerprint or the environment changed (everything is dirty). *)
+let kept_funcs ~fp (prog : Ir.program) (en : entry) : (string, unit) Hashtbl.t option =
+  match en.en_fp with
+  | Some old when String.equal old.fp_env fp.fp_env ->
+      Some (eligible_funcs prog ~old_hashes:(digests old) ~new_hashes:(digests fp))
+  | Some _ | None -> None
+
+(** Verify and decode the segments of the [keep]-satisfying functions,
+    and bind their records to [p]: rows to [p]'s statement ids,
+    references to the callee records they name. Reads no other section.
+    A saved entry is closed under its references, [keep] is closed under
+    direct calls, and a kept function is unchanged, so every reference
+    names a record of a kept segment and every row a statement of its
+    function. Anything else, like a decode failure, an out-of-range
+    index or two records of one input under digests that held, means a
+    damaged entry: [Bad]. *)
+let bind_summaries ~keep (p : Ir.program) (en : entry) :
+    Engine.store * (string, bound) Hashtbl.t =
+  let kept = List.filter (fun (fn, _) -> keep fn) en.en_segments in
+  let decoded = Hashtbl.create 64 in
+  let canon = Hashtbl.create 256 in
+  List.iter
+    (fun (fn, sec) -> Hashtbl.replace decoded fn (read_section sec (decode_segment canon)))
+    kept;
+  let funcs = Hashtbl.create 64 in
+  List.iter (fun f -> Hashtbl.replace funcs f.Ir.fn_name f) p.Ir.funcs;
+  let out = Engine.store_create () in
+  let bound = Hashtbl.create 64 in
+  List.iter
+    (fun (fn, b_sec) ->
+      let ids = match Hashtbl.find_opt funcs fn with Some f -> local_ids f | None -> raise Bad in
+      let b_ord = Pts.Tbl.create 16 in
+      Array.iteri
+        (fun k rc ->
+          if Pts.Tbl.mem b_ord rc.rc_in then raise Bad;
+          Pts.Tbl.add b_ord rc.rc_in k;
+          let f_rows =
+            Array.map
+              (fun (li, s) -> if li >= Array.length ids then raise Bad else (ids.(li), s))
+              rc.rc_rows
+          in
+          (* rows are written in statement order, which local order
+             keeps unless lowering numbers nested statements otherwise *)
+          let rec sorted i = i < 1 || (fst f_rows.(i - 1) < fst f_rows.(i) && sorted (i - 1)) in
+          if not (sorted (Array.length f_rows - 1)) then
+            Array.sort (fun (a, _) (b, _) -> Int.compare a b) f_rows;
+          let f_refs =
+            List.map
+              (fun (g, k) ->
+                match Hashtbl.find_opt decoded g with
+                | Some recs when k < Array.length recs -> { Engine.r_fn = g; r_in = recs.(k).rc_in }
+                | Some _ | None -> raise Bad)
+              rc.rc_refs
+          in
+          ignore
+            (Engine.store_add out fn
+               {
+                 Engine.se_in = rc.rc_in;
+                 se_out = rc.rc_out;
+                 se_frame = Some { Engine.f_rows; f_refs };
+                 se_origin = Engine.Seeded;
+               }))
+        (Hashtbl.find decoded fn);
+      Hashtbl.replace bound fn { b_sec; b_ord })
+    kept;
+  (out, bound)
 
 let load_summaries ~cache_dir ~source ~opts ?(entry = "main") (prog : Ir.program) :
     Engine.store option =
   if not (seedable_mode opts) then None
   else
-    match read_entry ~source ~opts (cache_file_incr ~cache_dir ~source ~opts ~entry) with
+    let t = ref 0. in
+    match open_file ~source ~t (cache_file_incr ~cache_dir ~source ~opts ~entry) with
     | Error _ -> None
-    | Ok (_, _, raw) -> (
-        match seeds_of ~fp:(fingerprint ~opts ~entry prog) prog raw with
-        | exception Bad -> None
-        | seeds -> Option.map snd seeds)
+    | Ok en ->
+        Option.bind
+          (kept_funcs ~fp:(fingerprint ~opts ~entry prog) prog en)
+          (fun elig ->
+            Result.to_option
+              (loading ~source ~t (fun () ->
+                   fst (bind_summaries ~keep:(Hashtbl.mem elig) prog en))))
 
 let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budget
     ?(incremental = false) source : Analysis.result * bool =
@@ -1182,91 +1360,132 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
     if incremental then cache_file_incr ~cache_dir:dir ~source ~opts ~entry
     else cache_file_of_key ~cache_dir:dir ~source hexkey
   in
-  let stored =
-    match read_entry ~source ~opts file with
-    | Ok e -> Some e
-    | Error Corrupt ->
-        (* truncated, damaged or version-skewed entry: quarantine it and
-           fall back to a cold analysis *)
-        quarantine file;
-        incr quarantined;
-        None
-    | Error (Missing | Stale) -> None
+  (* this lookup's reading of the entry: the header and index, then the
+     result section (a hit) or the kept segments (a partial hit) *)
+  let t_load = ref 0. in
+  let loading f = loading ~source ~t:t_load ~size:stmt_count f in
+  (* [stored] is the entry as far as it reads; a step that fails
+     quarantines it (truncated, damaged or version-skewed) and the
+     lookup goes on without it *)
+  let stored = ref None in
+  let read run f =
+    match !stored with
+    | None -> None
+    | Some en -> (
+        match run (fun () -> f en) with
+        | Ok v -> Some v
+        | Error _ ->
+            quarantine file;
+            incr quarantined;
+            stored := None;
+            None)
   in
-  let count_hit (res : Analysis.result) =
+  (match open_file ~source ~t:t_load file with
+  | Ok en -> stored := Some en
+  | Error Corrupt ->
+      quarantine file;
+      incr quarantined
+  | Error (Missing | Stale) -> ());
+  let result_of en = read_section en.en_result (decode_result ~opts) in
+  let hit (res : Analysis.result) =
     let m = res.Analysis.metrics in
+    m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. !t_load;
+    m.Metrics.cache_quarantined <- m.Metrics.cache_quarantined + !quarantined;
     m.Metrics.cache_hits <- m.Metrics.cache_hits + 1;
     (res, true)
   in
-  match stored with
-  | Some (stored_key, res, _) when String.equal stored_key mykey -> count_hit res
-  | _ -> (
+  match
+    match !stored with
+    | Some en when String.equal en.en_key mykey -> read loading result_of
+    | Some _ | None -> None
+  with
+  | Some res -> hit res
+  | None -> (
+      let tp0 = Metrics.now () in
       let prog = Simple_ir.Simplify.of_string ~file:source content in
+      let t_parse = Metrics.now () -. tp0 in
       let n_defined = List.length prog.Ir.funcs in
+      (* only an incremental entry carries a fingerprint: a plain one is
+         keyed by content, and no lookup diffs or rekeys it *)
       let tf0 = Metrics.now () in
-      let fp = fingerprint ~opts ~entry prog in
+      let fp = if incremental then Some (fingerprint ~opts ~entry prog) else None in
       let t_fp = Metrics.now () -. tf0 in
       (* [stored], if any, is an entry keying an older text of the source *)
-      match stored with
-      | Some (_, old_res, raw) when incremental && raw.rs_fp = fp ->
+      match
+        match (!stored, fp) with
+        | Some en, Some _ when en.en_fp = fp ->
+            Option.map (fun old -> (en, old)) (read loading result_of)
+        | _ -> None
+      with
+      | Some (en, old_res) ->
           (* Rekey: the edit moved source positions only (a comment,
              whitespace), so statement ids, heap-site names and warnings
-             are unchanged and the old body is still exactly the answer,
-             in every engine mode. Serve it as a hit without touching
-             the engine, with the fresh lowering so that source
-             positions track the edit. *)
+             are unchanged and the old result is still exactly the
+             answer, in every engine mode. Serve it as a hit without
+             touching the engine, with the fresh lowering so that source
+             positions track the edit, and save it under the new key:
+             the save of a run that changed nothing, every section
+             copied. *)
           let res = { old_res with Analysis.prog; tenv = Tenv.make ~opts prog } in
-          rekey_file ~data:raw.rs_data ~newkey:mykey file;
-          res.Analysis.metrics.Metrics.incr_funcs_dirty <- 0;
-          res.Analysis.metrics.Metrics.incr_funcs_reused <- n_defined;
-          count_hit res
-      | _ ->
-          let dirty, seeded =
-            match stored with
-            | Some (_, _, raw) when seedable -> (
+          (try
+             write ~source ~key:mykey ~fp
+               ~sections:(fun () -> (en.en_result, en.en_segments))
+               res file
+           with Sys_error _ | Failure _ -> ());
+          let m = res.Analysis.metrics in
+          m.Metrics.t_parse <- t_parse;
+          m.Metrics.incr_funcs_dirty <- 0;
+          m.Metrics.incr_funcs_reused <- n_defined;
+          hit res
+      | None ->
+          let dirty, seeded, bound =
+            match (!stored, fp) with
+            | Some en, Some fp when seedable -> (
                 let td0 = Trace.start () in
-                match seeds_of ~fp prog raw with
-                | Some (dirty, seeds) ->
+                match kept_funcs ~fp prog en with
+                | None -> (n_defined, None, None)
+                | Some elig -> (
+                    let dirty = n_defined - Hashtbl.length elig in
+                    (* reading the kept segments is the seeding: timed
+                       as a load, traced in the [dirty] span *)
+                    let seeds =
+                      read (timed ~t:t_load) (bind_summaries ~keep:(Hashtbl.mem elig) prog)
+                    in
                     if Trace.on () then
                       Trace.emit Trace.Dirty ~name:(Filename.basename source) ~stmts:dirty
                         ~t0:td0 ();
-                    (dirty, Some seeds)
-                | None -> (n_defined, None)
-                | exception Bad ->
-                    (* a kept block that does not decode, under a digest
-                       that held: the entry is damaged all the same *)
-                    quarantine file;
-                    incr quarantined;
-                    (n_defined, None))
+                    match seeds with
+                    | Some (seeds, bound) -> (dirty, Some seeds, Some bound)
+                    (* a kept segment that does not verify or decode:
+                       the entry was quarantined, everything is dirty *)
+                    | None -> (n_defined, None, None)))
             | _ ->
                 (* nothing usable (or the globals / layouts / externals /
                    options changed): everything is dirty *)
-                (n_defined, None)
+                (n_defined, None, None)
           in
           let res =
             Analysis.analyze ~opts ~entry ?budget ~record_summaries:seedable ?seeded prog
           in
           let m = res.Analysis.metrics in
+          m.Metrics.t_parse <- t_parse;
           if incremental then m.Metrics.incr_funcs_dirty <- dirty;
           (* a degraded result is not the full-precision answer the key
              promises — never publish it to the cache *)
           (if res.Analysis.degraded = None then
+             let bound = match bound with Some b -> b | None -> Hashtbl.create 1 in
              try
-               write ~source ~stored_key:mykey ~fp res file;
+               write ~source ~key:mykey ~fp
+                 ~sections:(fun () -> (section_of (encode_result res), segments_of ~bound res))
+                 res file;
                (* the fingerprint is the save's digest work, computed
                   early to serve the rekey test: it counts in the save
-                  time, as it does in {!save} *)
+                  time *)
                m.Metrics.t_serialize <- m.Metrics.t_serialize +. t_fp
              with Sys_error _ | Failure _ -> ());
           (* after the save: the entry's record, which a hit reports,
-             carries the analysis counters only. A stale entry was read
-             and decoded all the same; [read_entry] timed that into the
-             old result *)
-          Option.iter
-            (fun (_, (old : Analysis.result), _) ->
-              m.Metrics.t_deserialize <-
-                m.Metrics.t_deserialize +. old.Analysis.metrics.Metrics.t_deserialize)
-            stored;
+             carries the analysis counters only *)
+          m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. !t_load;
           m.Metrics.cache_quarantined <- m.Metrics.cache_quarantined + !quarantined;
           m.Metrics.cache_misses <- m.Metrics.cache_misses + 1;
           (res, false))

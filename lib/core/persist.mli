@@ -9,20 +9,25 @@
 
     {2 Format}
 
-    A saved file carries a magic string, a {!version} number, and a
-    16-byte key digesting the analyzed source text together with the
-    {!Options.t} record and the entry-function name. The payload is an
+    A saved file carries a magic string, a {!version} number, a 16-byte
+    key digesting the analyzed source text together with the
+    {!Options.t} record and the entry-function name, and an index with
+    its own digest. The index lists the sections that follow, each with
+    a name, an offset, a length and a digest, so a reader verifies and
+    decodes only the sections it uses. The {e result section} holds an
     interned {!Loc.t} table (each location written once, referenced by
     index), the per-statement {!Pts.t} sets, the entry output state, the
     invocation-graph shape (nodes, kinds, recursive back-edges, stored
     IN/OUT pairs and map information), and the run's {!Metrics.t}
-    record (every field of {!Metrics.fields}). The payload also carries
-    the marshalled SIMPLE program, so loading neither parses nor lowers
-    the source: it unmarshals the program and rebuilds only the typing
+    record (every field of {!Metrics.fields}). It also carries the
+    marshalled SIMPLE program, so loading neither parses nor lowers the
+    source: it unmarshals the program and rebuilds only the typing
     environment from it. Only the incremental rekey path (an edit that
     leaves the program's fingerprint, its environment digest and every
     function hash, unchanged) re-lowers the edited source, so source
-    positions track the edit.
+    positions track the edit. An incremental entry's index also holds
+    the fingerprint, and one {e summary segment} per function follows
+    the result section (see below).
 
     A load returns [None] — never a wrong answer — when the file is
     missing, truncated or corrupt, was written by a different {!version}
@@ -41,14 +46,17 @@
 
     With [~incremental:true], {!analyze_cached} keeps one
     {e stable-named} entry per (source path, options, entry) that also
-    carries the v3 incremental section: a content hash per function
-    (position-normalized, so edits elsewhere in the file do not disturb
-    it) and a replayable summary per evaluated (function, input) pair.
-    On re-analysis after an edit, the hashes are diffed, the dirty slice
+    carries a content hash per function (position-normalized, so edits
+    elsewhere in the file do not disturb it) and, per function, a
+    self-contained segment of replayable summaries, one per evaluated
+    (function, input) pair. On re-analysis after an edit, the hashes are
+    diffed, only the kept functions' segments are read, the dirty slice
     (edited functions, their transitive callers, and anything touching a
     function pointer) is re-run live, and everything else replays from
-    the summaries — bit-identically to a cold run. See
-    docs/INCREMENTAL.md for the dirty rule and the soundness argument. *)
+    the summaries — bit-identically to a cold run. The save copies the
+    segment of a kept function that gained no summary, bytes and digest
+    unchanged. See docs/INCREMENTAL.md for the layout, the dirty rule
+    and the soundness argument. *)
 
 (** Format version; bumped on any change to the encoding. A version
     mismatch invalidates a cache file (the reader returns [None]). *)
@@ -65,7 +73,9 @@ val key : source:string -> opts:Options.t -> entry:string -> string
     result's typing environment. The header carries {!key} of [source]
     as it reads now. Creates parent directories as needed; writes
     atomically (temp file + rename). Adds its cost to the result's
-    [metrics.t_serialize], after the record is written. *)
+    [metrics.t_serialize], after the record is written. The entry is a
+    plain one: no fingerprint and no summary segments, whatever
+    summaries the result recorded. *)
 val save : source:string -> ?entry:string -> Analysis.result -> string -> unit
 
 (** Why a load produced no result. *)
@@ -90,7 +100,8 @@ val load_error_name : load_error -> string
     the key) and the result is equivalent to the one originally saved: same
     per-statement points-to sets, entry output, invocation graph
     (shape, stored IN/OUT, map information), warnings and counters.
-    Records its cost in the loaded result's [metrics.t_deserialize]. *)
+    Records its cost in the loaded result's [metrics.t_deserialize]. It
+    reads the header, the index and the result section only. *)
 val load_checked :
   source:string ->
   ?opts:Options.t ->
@@ -138,7 +149,8 @@ val eligible_funcs :
 
 (** The replayable summaries of the incremental cache entry for
     [source], restricted to {!eligible_funcs} against [prog] (the
-    current lowering of [source]) — what a demand-driven run replays at
+    current lowering of [source]), read from their segments only — what
+    a demand-driven run replays at
     calls it skips ({!Analysis.analyze_demand}; docs/DEMAND.md). [None]
     when there is no usable entry: missing or corrupt file, changed
     environment (globals, layouts, options), or a non-seedable engine
@@ -158,8 +170,11 @@ val load_summaries :
     boolean is [true] on a cache hit. The returned result's metrics
     carry this invocation's cache counters ([cache_hits] /
     [cache_misses] / [t_serialize] / [t_deserialize] /
-    [cache_quarantined]) alongside the counters of the run that
-    originally produced the result. Cache I/O failures degrade to a
+    [cache_quarantined], and [t_parse] when it lowered the source)
+    alongside the counters of the run that originally produced the
+    result. [t_deserialize] covers this lookup's reads: the result
+    section on a hit, the kept segments on a partial hit. Cache I/O
+    failures degrade to a
     fresh analysis, never to an error. An unreadable [source] raises
     [Sys_error] and leaves every entry in place. A {!Corrupt} entry is
     renamed to [<file>.bad] (kept for post-mortem; a pre-existing
@@ -176,7 +191,10 @@ val load_summaries :
     re-runs and the rest replays from the persisted summaries
     (bit-identical tables outside direct-call cycles — see
     docs/INCREMENTAL.md — and [incr_funcs_dirty] / [incr_funcs_reused]
-    metrics). Defaults to [false]. *)
+    metrics). An edit that leaves the fingerprint unchanged is served
+    from the old result and saved under the new key with every section
+    copied. Only this mode computes and saves the fingerprint. Defaults
+    to [false]. *)
 val analyze_cached :
   ?cache_dir:string ->
   ?opts:Options.t ->

@@ -3,7 +3,8 @@
 # driver output — populate the stable cache entry, edit the source, and
 # demand (a) the re-analysis prints per-statement sets bit-identical to
 # a cold run of the edited file and (b) the dirty counter matches the
-# edit: 0 for a comment-only edit (the rekey fast path, also checked
+# edit: 0 for a comment-only edit (the rekey fast path, whose rewritten
+# entry must equal the old one past its content key; also checked
 # mid-file under --heap-by-site), a small bounded cone for a
 # one-function edit. A livc kernel edit is also checked with
 # --no-share-contexts, where only persisted summaries answer a repeated
@@ -33,8 +34,13 @@ dirty_of() { # dirty_of FILE
 # ---- 1. comment edit on livc: the rekey fast path ---------------------
 # An IR-preserving edit must serve the old entry as a hit (0 dirty) and
 # still print exactly what a cold analysis of the edited file prints.
+# The rekey is the save of a run that changed nothing: every section is
+# copied, so the rewritten entry equals the old one past the header's
+# content key (magic, one-byte version, then the 16-byte key).
 cp benchmarks/livc.c "$tmp/livc.c"
 "$ptan" analyze "$tmp/livc.c" --incremental --cache-dir "$cache" >/dev/null
+entry=$(ls "$cache"/livc-*.pti)
+cp "$entry" "$tmp/livc-primed.pti"
 printf '\n/* incremental_smoke: comment-only edit */\n' >>"$tmp/livc.c"
 "$ptan" analyze "$tmp/livc.c" --no-cache | grep '^s[0-9]' >"$tmp/cold1.txt"
 "$ptan" analyze "$tmp/livc.c" --incremental --cache-dir "$cache" --stats >"$tmp/incr1.txt"
@@ -44,7 +50,11 @@ diff -u "$tmp/cold1.txt" "$tmp/got1.txt" \
 d=$(dirty_of "$tmp/incr1.txt")
 [ "$d" = 0 ] \
   || { echo "incremental_smoke: comment edit reported $d dirty (rekey expected 0)" >&2; exit 1; }
-echo "incremental_smoke: livc comment edit — $(wc -l <"$tmp/got1.txt") statement sets identical, 0 dirty (rekey)"
+cmp -n 6 "$tmp/livc-primed.pti" "$entry" >/dev/null \
+  && ! cmp -s -n 22 "$tmp/livc-primed.pti" "$entry" \
+  && cmp -i 22 "$tmp/livc-primed.pti" "$entry" >/dev/null \
+  || { echo "incremental_smoke: the rekeyed livc entry differs from the primed one past its content key" >&2; exit 1; }
+echo "incremental_smoke: livc comment edit — $(wc -l <"$tmp/got1.txt") statement sets identical, 0 dirty (rekey, entry copied past its key)"
 
 # ---- 1a. mid-file comment edit under --heap-by-site -----------------
 # A comment before a function shifts the source position of every later

@@ -656,4 +656,196 @@ let frame_tests =
             check_identical "rewritten mid-analysis" (Analysis.of_file source) r2));
   ]
 
-let suite = ("incremental", hash_tests @ cone_tests @ suite_tests @ corruption_tests @ frame_tests)
+(* ------------------------------------------------------------------ *)
+(* Segments: a save copies what the edit left alone                   *)
+(* ------------------------------------------------------------------ *)
+
+(** Records per function in a summary store. *)
+let record_count (st : Engine.store) fn =
+  match Hashtbl.find_opt st fn with Some by_input -> Pts.Tbl.length by_input | None -> 0
+
+let deep_text () = Gen.program (Test_rows.gen_knobs "deep")
+
+(* A one-line edit of [fn] that changes no pointer: the function's
+   callers re-run, and the other calls they make see the inputs they saw
+   before. *)
+let leaf_edit text fn = insert_at_top text ~fn ~line:"    gv0 = gv0 + 1;\n"
+
+let segment_tests =
+  [
+    case "a leaf edit copies every kept segment that gained no record, byte for byte" (fun () ->
+        in_temp (fun dir ->
+            let source = Filename.concat dir "deep.c" in
+            let text = deep_text () in
+            write_file source text;
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let pti =
+              Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
+            in
+            let before = read_file pti in
+            let old_prog = Simple_ir.Simplify.of_string ~file:source text in
+            (* every function is kept against its own text: the records
+               of every segment *)
+            let old_records =
+              match
+                Persist.load_summaries ~cache_dir:dir ~source ~opts:Options.default old_prog
+              with
+              | Some st -> st
+              | None -> Alcotest.fail "no summaries"
+            in
+            write_file source (leaf_edit text "f0_3");
+            let r, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            check_identical "leaf edit" (Analysis.of_file source) r;
+            let after = read_file pti in
+            let kept =
+              Persist.eligible_funcs r.Analysis.prog ~old_hashes:(digests old_prog)
+                ~new_hashes:(digests r.Analysis.prog)
+            in
+            let copied = ref 0 and grown = ref 0 in
+            List.iter
+              (fun s ->
+                if Hashtbl.mem kept s.name then
+                  if record_count old_records s.name = record_count r.Analysis.summaries s.name
+                  then begin
+                    incr copied;
+                    Alcotest.(check string)
+                      (s.name ^ ": copied unchanged")
+                      (String.sub before s.off s.len) (entry_section after s.name)
+                  end
+                  else incr grown)
+              (entry_layout before).sections;
+            Alcotest.(check bool)
+              (Fmt.str "kept segments are copied (%d copied, %d grown)" !copied !grown)
+              true (!copied > 0)));
+    case "a pointer edit grows kept segments: the save keeps every record, old and new" (fun () ->
+        (* the new target of [gp0] reaches the kept functions below the
+           edited one as new inputs: their segments are re-encoded with
+           the old records first, and the entry holds every framed
+           entry of the run, however many of them are new *)
+        in_temp (fun dir ->
+            let source = Filename.concat dir "deep.c" in
+            let text = deep_text () in
+            write_file source text;
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let old_prog = Simple_ir.Simplify.of_string ~file:source text in
+            let summaries prog =
+              match Persist.load_summaries ~cache_dir:dir ~source ~opts:Options.default prog with
+              | Some st -> st
+              | None -> Alcotest.fail "no summaries"
+            in
+            let old_records = summaries old_prog in
+            write_file source (insert_at_top text ~fn:"f2_1" ~line:"    gp0 = &gv1;\n");
+            let r, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            check_identical "pointer edit" (Analysis.of_file source) r;
+            let _, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Alcotest.(check bool) "the edited text's entry was saved" true hit;
+            let framed fn =
+              match Hashtbl.find_opt r.Analysis.summaries fn with
+              | None -> 0
+              | Some by_input ->
+                  Pts.Tbl.fold
+                    (fun _ (e : Engine.summary_entry) n ->
+                      if Option.is_some e.Engine.se_frame then n + 1 else n)
+                    by_input 0
+            in
+            let saved = summaries r.Analysis.prog in
+            let kept =
+              Persist.eligible_funcs r.Analysis.prog ~old_hashes:(digests old_prog)
+                ~new_hashes:(digests r.Analysis.prog)
+            in
+            let grown = ref 0 in
+            List.iter
+              (fun (f : Ir.func) ->
+                let fn = f.Ir.fn_name in
+                Alcotest.(check int) (fn ^ ": every framed entry saved") (framed fn)
+                  (record_count saved fn);
+                if Hashtbl.mem kept fn && record_count saved fn > record_count old_records fn then
+                  incr grown)
+              r.Analysis.prog.Ir.funcs;
+            Alcotest.(check bool) "some kept segment grew" true (!grown > 0)));
+    case "a grown segment keeps the ordinals that copied callers reference" (fun () ->
+        (* [g] has one record per caller, [f]'s and [k]'s. The second
+           text gives [g] a third input, from [h]: [g]'s segment grows
+           while [f]'s and [k]'s are copied, each still naming its
+           record of [g] by ordinal. The third text drops the call to
+           [k], so only [f]'s record of [g] may replay: [t -> gb] would
+           be [k]'s *)
+        let v1 =
+          "int ga; int gb; int gc; int *p;\n\
+           void g(int **q) { int *t; t = *q; }\n\
+           void f(void) { p = &ga; g(&p); }\n\
+           void k(void) { p = &gb; g(&p); }\n\
+           void h(void) { p = &ga; }\n\
+           int main(void) { f(); k(); h(); return 0; }\n"
+        in
+        let v2 =
+          replace_once ~sub:"void h(void) { p = &ga; }" ~by:"void h(void) { p = &gc; g(&p); }" v1
+        in
+        let v3 = replace_once ~sub:"{ f(); k(); h();" ~by:"{ f(); h();" v2 in
+        List.iter
+          (fun (mode, opts) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir "ord.c" in
+                write_file source v1;
+                let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                List.iter
+                  (fun (label, text) ->
+                    write_file source text;
+                    let r, _ =
+                      Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
+                    in
+                    Alcotest.(check bool)
+                      (label ^ mode ^ ": replays") true
+                      (r.Analysis.metrics.Metrics.incr_funcs_reused > 0);
+                    check_identical (label ^ mode) (Analysis.of_file ~opts source) r)
+                  [ ("g grows", v2); ("k dropped", v3) ]))
+          share_modes);
+    case "a damaged copied segment is caught by the next edit that keeps its function" (fun () ->
+        in_temp (fun dir ->
+            let source = Filename.concat dir "deep.c" in
+            let text = deep_text () in
+            write_file source text;
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let pti =
+              Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
+            in
+            let primed = read_file pti in
+            let text1 = leaf_edit text "f0_3" in
+            write_file source text1;
+            let r1, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let saved = Bytes.of_string (read_file pti) in
+            let text2 = leaf_edit text1 "f0_5" in
+            let prog2 = Simple_ir.Simplify.of_string ~file:source text2 in
+            let kept =
+              Persist.eligible_funcs prog2 ~old_hashes:(digests r1.Analysis.prog)
+                ~new_hashes:(digests prog2)
+            in
+            (* a segment the first edit copied, of a function the second
+               one keeps *)
+            let victim =
+              match
+                List.find_opt
+                  (fun s ->
+                    Hashtbl.mem kept s.name
+                    && String.equal (entry_section primed s.name)
+                         (String.sub (Bytes.to_string saved) s.off s.len))
+                  (entry_layout (Bytes.to_string saved)).sections
+              with
+              | Some s -> s
+              | None -> Alcotest.fail "no copied segment of a kept function"
+            in
+            let i = victim.off + (victim.len / 2) in
+            Bytes.set saved i (Char.chr (Char.code (Bytes.get saved i) lxor 0x10));
+            write_file pti (Bytes.to_string saved);
+            write_file source text2;
+            let r2, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let m = r2.Analysis.metrics in
+            Alcotest.(check bool) "miss" false hit;
+            Alcotest.(check int) (victim.name ^ ": quarantined") 1 m.Metrics.cache_quarantined;
+            Alcotest.(check int) "nothing replayed" 0 m.Metrics.incr_funcs_reused;
+            check_identical "damaged segment" (Analysis.of_file source) r2));
+  ]
+
+let suite =
+  ( "incremental",
+    hash_tests @ cone_tests @ suite_tests @ corruption_tests @ frame_tests @ segment_tests )

@@ -199,4 +199,20 @@ let stmt_tests =
         ignore (global_type p "a"));
   ]
 
-let suite = ("parser", declarator_tests @ expr_tests @ stmt_tests)
+(** The first token the lexer reads from [s]. *)
+let lex1 s = Cfront.Lexer.token (Lexing.from_string s)
+
+let lexer_tests =
+  [
+    case "keywords lex to their tokens, near-keywords to identifiers" (fun () ->
+        List.iter
+          (fun (kw, tok) ->
+            Alcotest.(check bool) (kw ^ " is its keyword") true (lex1 kw = tok))
+          Cfront.Token.keyword_table;
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) (s ^ " is an identifier") true (lex1 s = Cfront.Token.IDENT s))
+          [ "int_"; "iff"; "Int"; "returns"; "sizeof_x" ]);
+  ]
+
+let suite = ("parser", declarator_tests @ expr_tests @ stmt_tests @ lexer_tests)

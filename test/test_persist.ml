@@ -266,16 +266,16 @@ let plain_data_tests =
             marshal_sets warm));
   ]
 
-(** Damage the summary section of an incremental entry under a payload
-    digest that still holds (as a faulty writer would leave it): the
-    incremental lookup must treat the entry as corrupt, quarantine it
-    and fall back to a cold run, never replay a record with missing
-    rows. [damage] rewrites bytes of the entry, given its length. The
-    file ends with the block of [main], the last function by name, whose
-    one record ends with a row (local statement index, set index), the
-    reference count 2, then the references as (function index, set
-    index) pairs: [b]'s, then [a]'s. Functions are indexed in textual
-    order, and every number here fits one byte. *)
+(** Damage a summary segment of an incremental entry under digests that
+    still hold (as a faulty writer would leave it): the incremental
+    lookup must treat the entry as corrupt, quarantine it and fall back
+    to a cold run, never replay a record with missing rows. [damage]
+    rewrites bytes of the entry, given its length. Segments follow in
+    function name order, so the file ends with the segment of [main],
+    whose one record ends with a row (local statement index, set index),
+    the reference count 2, then the references as (callee name,
+    ordinal of the callee's record) pairs: [b]'s, then [a]'s. Every
+    number here fits one byte. *)
 let damaged_summaries_fall_back damage =
   let src =
     "int ga; int gb; int *pa; int *pb;\n\
@@ -296,13 +296,15 @@ let damaged_summaries_fall_back damage =
       in
       let data = Bytes.of_string (In_channel.with_open_bin pti In_channel.input_all) in
       let n = Bytes.length data in
+      Alcotest.(check (list string))
+        "segments" [ ""; "a"; "b"; "leaf"; "main" ]
+        (List.map (fun s -> s.name) (entry_layout (Bytes.to_string data)).sections);
       Alcotest.(check (list int))
-        "main's references" [ 2; 2; 1 ]
-        (List.map (fun i -> Bytes.get_uint8 data (n - i)) [ 5; 4; 2 ]);
+        "main's references"
+        [ 2; 1; Char.code 'b'; 0; 1; Char.code 'a'; 0 ]
+        (List.map (fun i -> Bytes.get_uint8 data (n - i)) [ 7; 6; 5; 4; 3; 2; 1 ]);
       damage data n;
-      (* header: magic, one-byte version, key, then the body digest *)
-      let body = 5 + 1 + 16 + 16 in
-      Bytes.blit_string (Digest.subbytes data body (n - body)) 0 data (body - 16) 16;
+      reseal data;
       write pti (Bytes.to_string data);
       (* an uncalled function keeps every old one replayable, so the
          block of [main] is decoded *)
@@ -319,16 +321,48 @@ let damaged_summaries_fall_back damage =
 let reference_tests =
   [
     case "an out-of-range summary reference is corrupt: quarantine, cold fallback" (fun () ->
-        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 2) 0x7f));
+        (* past [a]'s one record *)
+        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 1) 0x7f));
     case "a summary reference no kept record answers is corrupt: quarantine, cold fallback"
       (fun () ->
-        (* [a]'s input set under [b]'s name: [b] has no record for it *)
-        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 2) 2));
+        (* a callee [z] that has no segment *)
+        damaged_summaries_fall_back (fun data n -> Bytes.set data (n - 2) 'z'));
     case "a summary row naming a statement its function lacks is corrupt: quarantine, cold fallback"
       (fun () ->
-        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 7) 0x7f));
+        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 9) 0x7f));
+  ]
+
+let layout_tests =
+  [
+    case "a plain entry's index holds no fingerprint and no segments" (fun () ->
+        (* only the incremental lookup diffs or rekeys, so only its entry
+           pays for the function digests and the summaries *)
+        in_temp (fun dir ->
+            let source = bench "livc" in
+            let _ = Persist.analyze_cached ~cache_dir:dir source in
+            let read f = In_channel.with_open_bin f In_channel.input_all in
+            let plain =
+              entry_layout
+                (read
+                   (Persist.cache_file ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"))
+            in
+            Alcotest.(check bool) "no fingerprint" false plain.fingerprinted;
+            Alcotest.(check (list string)) "the result section only" [ "" ]
+              (List.map (fun s -> s.name) plain.sections);
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let incr =
+              entry_layout
+                (read
+                   (Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default
+                      ~entry:"main"))
+            in
+            Alcotest.(check bool) "an incremental entry is fingerprinted" true incr.fingerprinted;
+            Alcotest.(check bool)
+              "and has segments" true
+              (List.length incr.sections > 1)));
   ]
 
 let suite =
   ( "persist",
-    roundtrip_tests @ invalidation_tests @ cache_tests @ plain_data_tests @ reference_tests )
+    roundtrip_tests @ invalidation_tests @ cache_tests @ plain_data_tests @ reference_tests
+    @ layout_tests )

@@ -599,6 +599,59 @@ let fuzz_tests =
               (!fallbacks + !roundtrips)));
   ]
 
+(** Kept after the other robust cases so their positions in the suite
+    do not move. *)
+let primed_fuzz_tests =
+  [
+    case "fuzz: truncate + bit-flip a primed .pti at every 97th byte, then edit" (fun () ->
+        (* the edit adds an uncalled function, so every segment of a
+           function free of indirect calls is read back: a damaged
+           header, index or kept segment must quarantine the entry, and
+           damage anywhere must never change the answer *)
+        in_temp (fun dir ->
+            let source = Filename.concat dir "stanford.c" in
+            let write f s =
+              Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
+            in
+            let text = In_channel.with_open_bin (bench "stanford") In_channel.input_all in
+            write source text;
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let pti =
+              Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
+            in
+            let data = In_channel.with_open_bin pti In_channel.input_all in
+            let len = String.length data in
+            write source (text ^ "\nvoid ptan_probe_added(void) { }\n");
+            let cold = stmt_digest (Analysis.of_file source) in
+            let mutants = ref 0 and replayed = ref 0 in
+            let try_mutant name s =
+              incr mutants;
+              write pti s;
+              (match Persist.analyze_cached ~cache_dir:dir ~incremental:true source with
+              | r, _ ->
+                  if r.Analysis.metrics.M.incr_funcs_reused > 0 then incr replayed;
+                  Alcotest.(check string) (name ^ ": the cold answer") cold (stmt_digest r)
+              | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e));
+              (* drop the entry the run saved and any quarantined victim *)
+              Array.iter
+                (fun f -> if f <> "stanford.c" then Sys.remove (Filename.concat dir f))
+                (Sys.readdir dir)
+            in
+            let off = ref 0 in
+            while !off < len do
+              let i = !off in
+              try_mutant (Fmt.str "truncate@%d" i) (String.sub data 0 i);
+              let b = Bytes.of_string data in
+              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+              try_mutant (Fmt.str "flip@%d" i) (Bytes.to_string b);
+              off := !off + 97
+            done;
+            Alcotest.(check bool) "a few hundred mutants exercised" true (!mutants >= 200);
+            (* a flip in the content key or in a segment no function
+               keeps leaves the summaries usable *)
+            Alcotest.(check bool) "some mutants still replay" true (!replayed > 0)));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Guard clock: monotonic measurement                                 *)
 (* ------------------------------------------------------------------ *)
@@ -838,4 +891,5 @@ let supervisor_tests =
 let suite =
   ( "robust",
     guard_tests @ mono_tests @ degradation_tests @ heap_tests @ timeout_tests
-    @ fault_tests @ quarantine_tests @ fuzz_tests @ exit_code_tests @ supervisor_tests )
+    @ fault_tests @ quarantine_tests @ fuzz_tests @ exit_code_tests @ supervisor_tests
+    @ primed_fuzz_tests )

@@ -87,3 +87,74 @@ let insert_at_top text ~fn ~line =
   in
   let at = find "    r = n;\n" (find (Printf.sprintf "int %s(int n, int *p) {\n" fn) 0) in
   String.sub text 0 at ^ line ^ String.sub text at (String.length text - at)
+
+(** Where the parts of a persisted cache entry lie (the layout in
+    lib/core/persist.ml), read independently of [Persist] so that tests
+    can compare, damage and re-seal sections. Offsets are absolute. *)
+type entry_section = { name : string; off : int; len : int; digest_at : int }
+
+type entry_layout = {
+  index_digest_at : int;
+  index_at : int;
+  index_len : int;
+  fingerprinted : bool;
+  sections : entry_section list;  (** the result section (named [""]) first *)
+}
+
+let entry_layout (data : string) : entry_layout =
+  let pos = ref 0 in
+  let byte () =
+    let c = Char.code data.[!pos] in
+    incr pos;
+    c
+  in
+  let rec varint shift acc =
+    let c = byte () in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c land 0x80 = 0 then acc else varint (shift + 7) acc
+  in
+  let varint () = varint 0 0 in
+  let skip n = pos := !pos + n in
+  (* magic, version, content key *)
+  skip 5;
+  ignore (varint ());
+  skip 16;
+  let index_digest_at = !pos in
+  skip 16;
+  let index_len = varint () in
+  let index_at = !pos in
+  let fingerprinted = byte () = 1 in
+  if fingerprinted then begin
+    skip 16;
+    for _ = 1 to varint () do
+      skip (varint ());
+      skip 16
+    done
+  end;
+  let base = index_at + index_len in
+  let sections = ref [] in
+  for _ = 1 to varint () do
+    let l = varint () in
+    let name = String.sub data !pos l in
+    skip l;
+    let off = varint () in
+    let len = varint () in
+    sections := { name; off = base + off; len; digest_at = !pos } :: !sections;
+    skip 16
+  done;
+  { index_digest_at; index_at; index_len; fingerprinted; sections = List.rev !sections }
+
+(** The bytes of the section named [name]. *)
+let entry_section data name =
+  match List.find_opt (fun s -> s.name = name) (entry_layout data).sections with
+  | Some s -> String.sub data s.off s.len
+  | None -> Alcotest.failf "no section %S" name
+
+(** Recompute every section digest, then the index digest, as a writer
+    that produced the damaged bytes would have. *)
+let reseal (b : Bytes.t) =
+  let l = entry_layout (Bytes.to_string b) in
+  List.iter
+    (fun s -> Bytes.blit_string (Digest.subbytes b s.off s.len) 0 b s.digest_at 16)
+    l.sections;
+  Bytes.blit_string (Digest.subbytes b l.index_at l.index_len) 0 b l.index_digest_at 16

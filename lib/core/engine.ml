@@ -37,6 +37,16 @@ type origin =
     {!store}. *)
 type sref = { r_fn : string; r_in : Pts.t }
 
+(** A call of an evaluation whose replay can grow the invocation graph:
+    the call statement, the target, and the input of the callee entry
+    the call used ([None] when it used none: a target outside the
+    program, which grows no node, or a call back into the evaluation
+    itself, which grows an approximate node). Every target of an
+    indirect site is one (§5: the targets are a function of the
+    points-to set at the site, so of the evaluation's input), and so is
+    a direct call whose callee entry records sites of its own. *)
+type site = { c_sid : int; c_fn : string; c_in : Pts.t option }
+
 (** What one evaluation contributed to the per-statement tables, in two
     parts: the rows of the statements of its {e own} function (each the
     merge of that evaluation's visits), and references to the entries of
@@ -45,10 +55,14 @@ type sref = { r_fn : string; r_in : Pts.t }
     with its children by reference: the contribution of the whole call
     cone is the rows of every entry the references reach. Rows are in
     statement order, so consecutive statements that hold the same set
-    fold into [stmt_pts] through the recording chain. *)
+    fold into [stmt_pts] through the recording chain. The sites, in
+    first-use order, are what a replay needs to grow the children a cold
+    evaluation would have grown ({!rebuild}); a cone free of indirect
+    call sites has none. *)
 type frame = {
   f_rows : (int * Pts.t) array;
   f_refs : sref list;
+  f_sites : site list;
 }
 
 (** One memoized (input, output) pair of a function. The frame is
@@ -139,6 +153,7 @@ type ctx = {
   mutable refs : sref list;
       (** the references of the innermost open frame (none is open when
           [recording] is [stmt_pts]) *)
+  mutable sites : site list;  (** the open frame's sites, latest first *)
   node_refs : (int, sref) Hashtbl.t;
       (** when the run records summaries: per invocation-graph node id,
           the entry its stored (input, output) pair came from, which a
@@ -155,6 +170,9 @@ type ctx = {
           are recorded, and every evaluated indirect site re-checks the
           plan's oracle — a target it did not predict raises
           {!Demand.Oracle_miss} *)
+  indirect_fns : (string, bool) Hashtbl.t;
+      (** per function looked up so far: does it have an indirect call
+          site ({!closes_cycle})? *)
 }
 
 (** [seeded] enters the store as seeds; they must be closed under their
@@ -184,9 +202,11 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     record_summaries;
     recording = stmt_pts;
     refs = [];
+    sites = [];
     node_refs = Hashtbl.create (if record_summaries then 256 else 1);
     chain = Pts.Acc.chain ();
     demand;
+    indirect_fns = Hashtbl.create 16;
   }
 
 let warn ctx fmt =
@@ -266,6 +286,82 @@ let add_ref ctx (r : sref) =
 let use_entry ctx (node : Ig.node) (r : sref) =
   add_ref ctx r;
   if ctx.record_summaries then Hashtbl.replace ctx.node_refs node.Ig.id r
+
+(** After a call at statement [sid] to [fname], made through
+    invocation-graph node [child] ([None] for a function outside the
+    program), note it in the open frame's sites when its replay can grow
+    the graph: always at an [indirect] site, and at a direct one when
+    the callee entry has sites. [node_refs] names the entry the call
+    used; an approximate node has none. *)
+let record_site ctx ~indirect sid fname (child : Ig.node option) =
+  if ctx.recording != ctx.stmt_pts then begin
+    let c_in =
+      Option.bind child (fun c ->
+          Option.map (fun r -> r.r_in) (Hashtbl.find_opt ctx.node_refs c.Ig.id))
+    in
+    let grows () =
+      match c_in with
+      | Some i -> (
+          match store_find ctx.store fname i with
+          | Some { se_frame = Some fr; _ } -> fr.f_sites <> []
+          | Some { se_frame = None; _ } | None -> false)
+      | None -> false
+    in
+    let same c =
+      c.c_sid = sid && String.equal c.c_fn fname
+      && match (c.c_in, c_in) with Some a, Some b -> a == b | None, None -> true | _ -> false
+    in
+    if (indirect || grows ()) && not (List.exists same ctx.sites) then
+      ctx.sites <- { c_sid = sid; c_fn = fname; c_in } :: ctx.sites
+  end
+
+(** Would a cold evaluation of seed [e] at [node] close a cycle through
+    a function pointer? It would when a function in [e]'s cone, the
+    entries its references reach, is in flight above [node] (Figure 4
+    makes that call an approximate node, so its output would depend on
+    the in-flight evaluation, not on [e]'s input alone), and the cone
+    holds an indirect call site. The dirty rule bars such cycles when
+    the saved run took them; this catches one that only this run takes:
+    an unchanged function whose new input resolves a pointer to a caller
+    of itself. The seed is evaluated instead, and the next save lists
+    the new edge, so the dirty rule bars the cycle from then on. A cone
+    free of indirect calls is left to replay as it always did
+    (docs/INCREMENTAL.md, "Known divergence"). *)
+let closes_cycle ctx (node : Ig.node) (fname : string) (e : summary_entry) =
+  let rec above n acc = match n.Ig.parent with Some p -> above p (p.Ig.func :: acc) | None -> acc in
+  let in_flight = above node [] in
+  let calls_indirectly g =
+    match Hashtbl.find_opt ctx.indirect_fns g with
+    | Some b -> b
+    | None ->
+        let b =
+          match Tenv.find_func ctx.tenv g with
+          | Some f ->
+              Ir.fold_func
+                (fun acc s ->
+                  acc || match s.Ir.s_desc with Ir.Scall (_, Ir.Cindirect _, _) -> true | _ -> false)
+                false f
+          | None -> false
+        in
+        Hashtbl.replace ctx.indirect_fns g b;
+        b
+  in
+  let seen = Hashtbl.create 16 in
+  let reenters = ref false and indirect = ref false in
+  let rec walk g (e : summary_entry) =
+    let visited = Option.value ~default:[] (Hashtbl.find_opt seen g) in
+    if not (List.memq e visited) then begin
+      Hashtbl.replace seen g (e :: visited);
+      if List.mem g in_flight then reenters := true;
+      if calls_indirectly g then indirect := true;
+      if not (!reenters && !indirect) then
+        Option.iter
+          (fun fr ->
+            List.iter (fun r -> Option.iter (walk r.r_fn) (resolve ctx.store r)) fr.f_refs)
+          e.se_frame
+    end
+  in
+  in_flight <> [] && (walk fname e; !reenters && !indirect)
 
 (** Replay the rows of seed [e] and of every entry its references reach
     into [stmt_pts], once per entry per run: an entry that is no longer
@@ -662,6 +758,51 @@ let finish_call ctx fn ((out, ret_tgts, ret_cells) : call_result) lhs : flow =
             | _ -> flow_of (Some s)
           end)
 
+(** Grow under [node] the invocation-graph children that evaluating the
+    entry [e] there would have grown, since a replay skips the body. At
+    each of [e]'s sites, in first-use order, {!Ig.add_indirect_child}
+    finds or grows the target's child, exactly as the evaluation's call
+    did, and the child takes the callee entry's pair and reference.
+    The callee entry's own sites are then rebuilt under the child
+    unless a cold run would not have evaluated it there: when the child
+    already holds that pair, and, under §6 sharing, when the entry was
+    already used this run (a memo hit grows no subtree). Without
+    sharing every use grows, as every cold evaluation does. *)
+let rec rebuild ctx (node : Ig.node) (e : summary_entry) =
+  let sharing = ctx.opts.Options.share_contexts in
+  Option.iter
+    (fun fr ->
+      List.iter
+        (fun c ->
+          if Tenv.is_defined_func ctx.tenv c.c_fn && not (demand_skips ctx c.c_fn) then begin
+            let n0 = Ig.node_count () in
+            let child = Ig.add_indirect_child ctx.tenv node c.c_sid c.c_fn in
+            let m = Metrics.cur () in
+            m.Metrics.incr_nodes_rebuilt <- m.Metrics.incr_nodes_rebuilt + Ig.node_count () - n0;
+            Guard.check_nodes ctx.guard (Ig.node_count ());
+            match (c.c_in, child.Ig.kind) with
+            | Some input, (Ig.Ordinary | Ig.Recursive) -> (
+                let holds =
+                  match child.Ig.stored_input with
+                  | Some si -> Pts.equal si input && Option.is_some child.Ig.stored_output
+                  | None -> false
+                in
+                match store_find ctx.store c.c_fn input with
+                | Some ce when not holds ->
+                    child.Ig.stored_input <- Some input;
+                    child.Ig.stored_output <- Some ce.se_out;
+                    if ctx.record_summaries then
+                      Hashtbl.replace ctx.node_refs child.Ig.id { r_fn = c.c_fn; r_in = ce.se_in };
+                    if not (sharing && ce.se_origin = Live) then begin
+                      if sharing then ce.se_origin <- Live;
+                      rebuild ctx child ce
+                    end
+                | Some _ | None -> ())
+            | (Some _ | None), _ -> ()
+          end)
+        fr.f_sites)
+    e.se_frame
+
 (* ------------------------------------------------------------------ *)
 (* Statement processing                                               *)
 (* ------------------------------------------------------------------ *)
@@ -818,7 +959,9 @@ and process_call_stmt ctx fn node (s : Pts.t) (stmt : Ir.stmt) lhs callee args :
                    Guard.check_nodes ctx.guard (Ig.node_count ());
                    c
              in
-             invoke ctx fn child s callee_fn args))
+             let result = invoke ctx fn child s callee_fn args in
+             record_site ctx ~indirect:false stmt.Ir.s_id fname (Some child);
+             result))
         lhs
   | Ir.Cindirect fref ->
       (* Figure 5: the functions invocable here are exactly the functions
@@ -856,8 +999,11 @@ and process_call_stmt ctx fn node (s : Pts.t) (stmt : Ir.stmt) lhs callee args :
         let results =
           List.map
             (fun fname ->
-              call_target ctx fn s args fname (fun callee_fn ->
+              let at = ref None in
+              let result =
+                call_target ctx fn s args fname (fun callee_fn ->
                   let child = Ig.add_indirect_child ctx.tenv node stmt.Ir.s_id fname in
+                  at := Some child;
                   Guard.check_nodes ctx.guard (Ig.node_count ());
                   (* make the function pointer definitely point to fname
                      while analyzing it — a definite-information
@@ -870,7 +1016,10 @@ and process_call_stmt ctx fn node (s : Pts.t) (stmt : Ir.stmt) lhs callee args :
                         Pts.add l (Loc.func fname) Pts.D (Pts.kill_src l s)
                     | _ -> s
                   in
-                  invoke ctx fn child s' callee_fn args))
+                  invoke ctx fn child s' callee_fn args)
+              in
+              record_site ctx ~indirect:true stmt.Ir.s_id fname !at;
+              result)
             fnames
         in
         (* merge the outputs of all invocable functions *)
@@ -934,29 +1083,31 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                  replayed: the open frame only references it *)
               use_entry ctx node { r_fn = fname; r_in = e.se_in };
               Some e.se_out
-          | Some ({ se_origin = Seeded | Replayed; _ } as e) ->
+          | Some ({ se_origin = Seeded | Replayed; _ } as e) when not (closes_cycle ctx node fname e) ->
               (* Replay a persisted summary: fold the rows its frame
                  reaches into [stmt_pts] (the first time this run), adopt
-                 its output, reference it from the open frame, and skip
-                 the body fixpoint. Only functions whose whole direct-call
-                 closure is unchanged — and free of indirect call sites —
-                 are ever seeded (docs/INCREMENTAL.md), so the replay
-                 creates no invocation-graph nodes, exactly like the
-                 skipped evaluation would not have under sub-tree
-                 sharing. *)
+                 its output, reference it from the open frame, grow the
+                 children the skipped evaluation would have grown at its
+                 recorded sites, and skip the body fixpoint. Only
+                 functions whose whole closure over direct calls and
+                 recorded targets is unchanged are ever seeded
+                 (docs/INCREMENTAL.md). *)
               let tr0 = Trace.start () in
               replay_rows ctx e;
               use_entry ctx node { r_fn = fname; r_in = e.se_in };
               e.se_origin <- (if sharing then Live else Replayed);
               node.Ig.stored_input <- Some func_input;
               node.Ig.stored_output <- Some e.se_out;
+              rebuild ctx node e;
               Metrics.((cur ()).incr_funcs_reused <- (cur ()).incr_funcs_reused + 1);
               if Trace.on () then
                 Trace.emit Trace.Replay ~name:fname ~ctx:(Pts.hash func_input)
                   ~pts_in:(Pts.cardinal func_input)
                   ~pts_out:(Pts.cardinal e.se_out) ~t0:tr0 ();
               Some e.se_out
-          | Some { se_origin = Live; _ } | None ->
+          | Some _ | None ->
+              (* a seed found here would have closed a cycle
+                 ({!closes_cycle}) *)
               let tr0 = Trace.start () in
               node.Ig.stored_input <- Some func_input;
               node.Ig.stored_output <- Pts.bot;
@@ -964,12 +1115,14 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               node.Ig.in_flight <- true;
               (* an exception abandons the whole run, so [recording] and
                  [refs] are restored on the normal path only *)
-              let parent = ctx.recording and parent_refs = ctx.refs in
+              let parent = ctx.recording and parent_refs = ctx.refs
+              and parent_sites = ctx.sites in
               let open_frame =
                 if ctx.record_summaries then begin
                   let fr = Hashtbl.create 16 in
                   ctx.recording <- fr;
                   ctx.refs <- [];
+                  ctx.sites <- [];
                   Some fr
                 end
                 else None
@@ -1019,7 +1172,10 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               fixpoint ~first:true ~n:1;
               node.Ig.in_flight <- false;
               let frame =
-                Option.map (fun fr -> { f_rows = freeze_rows fr; f_refs = ctx.refs }) open_frame
+                Option.map
+                  (fun fr ->
+                    { f_rows = freeze_rows fr; f_refs = ctx.refs; f_sites = List.rev ctx.sites })
+                  open_frame
               in
               node.Ig.stored_input <- Some func_input;
               (* the frame is stored only when every reference resolves
@@ -1046,6 +1202,7 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               in
               ctx.recording <- parent;
               ctx.refs <- parent_refs;
+              ctx.sites <- parent_sites;
               (* the own rows go straight to [stmt_pts], the caller's
                  frame gets a reference, stored or not *)
               Option.iter

@@ -77,6 +77,9 @@ type t = {
   mutable incr_funcs_reused : int;
       (** summary replays: memoized (input, output) pairs served from
           the persisted v3 summaries instead of re-running the body *)
+  mutable incr_nodes_rebuilt : int;
+      (** invocation-graph nodes that replays grew at recorded call
+          sites, where the skipped evaluations would have grown them *)
   (* demand-driven mode ({!Demand} / {!Analysis.analyze_demand}) *)
   mutable demand_plans : int;  (** slice plans built *)
   mutable demand_slice_funcs : int;
@@ -139,6 +142,7 @@ let create () =
     ckpt_funcs = 0;
     incr_funcs_dirty = 0;
     incr_funcs_reused = 0;
+    incr_nodes_rebuilt = 0;
     demand_plans = 0;
     demand_slice_funcs = 0;
     demand_funcs_total = 0;
@@ -194,6 +198,7 @@ let fields =
     Count ((fun m -> m.ckpt_funcs), fun m v -> m.ckpt_funcs <- v);
     Count ((fun m -> m.incr_funcs_dirty), fun m v -> m.incr_funcs_dirty <- v);
     Count ((fun m -> m.incr_funcs_reused), fun m v -> m.incr_funcs_reused <- v);
+    Count ((fun m -> m.incr_nodes_rebuilt), fun m v -> m.incr_nodes_rebuilt <- v);
     Count ((fun m -> m.demand_plans), fun m v -> m.demand_plans <- v);
     Count ((fun m -> m.demand_slice_funcs), fun m v -> m.demand_slice_funcs <- v);
     Count ((fun m -> m.demand_funcs_total), fun m v -> m.demand_funcs_total <- v);
@@ -289,8 +294,8 @@ let rows (m : t) : (string * string) list =
                       entries quarantined" m.budget_trips m.heap_trips m.ckpt_funcs
         m.cache_quarantined );
     ( "incremental",
-      Printf.sprintf "%d functions dirty, %d summaries replayed" m.incr_funcs_dirty
-        m.incr_funcs_reused );
+      Printf.sprintf "%d functions dirty, %d summaries replayed, %d graph nodes rebuilt"
+        m.incr_funcs_dirty m.incr_funcs_reused m.incr_nodes_rebuilt );
     ( "demand",
       Printf.sprintf "%d plans (slice %d/%d funcs), %d skipped, %d replayed, %d fallbacks"
         m.demand_plans m.demand_slice_funcs m.demand_funcs_total m.demand_skipped

@@ -55,6 +55,10 @@ type t = {
       (** incremental re-analysis: summary replays — memoized
           (input, output) pairs served from persisted v3 summaries
           instead of re-running the function body *)
+  mutable incr_nodes_rebuilt : int;
+      (** incremental re-analysis: invocation-graph nodes that summary
+          replays grew at recorded call sites, as the skipped
+          evaluations would have (docs/INCREMENTAL.md) *)
   mutable demand_plans : int;  (** {!Demand} slice plans built *)
   mutable demand_slice_funcs : int;
       (** functions in the planned slices (summed over plans) *)

@@ -10,29 +10,31 @@
 
     The key digests the analyzed text and is covered by no digest: it
     only decides whether an entry is a full hit. The index holds the
-    program's fingerprint (incremental entries only) and, per section,
-    its name, offset, length and digest; the sections follow back to
-    back in index order. The first, named [""], is the {e result
-    section}: the marshalled SIMPLE program (plain data, no closures —
-    re-lowering the source would double the warm-load cost), interned
-    location, row and set tables (the engine reaches a steady state, so
-    most statements share one of a few dozen sets; each is written once,
-    grouped by source location), the per-statement set references, the
-    entry output, warnings, the metrics record (every {!Metrics.fields}
-    entry), and the invocation graph in pre-order. Each further section
-    is one function's {e summary segment} (named after it), with tables
-    of its own. A reader checks the index digest before it trusts an
-    offset, and a section's digest before it decodes the section (in
-    particular before [Marshal.from_string], which is not robust against
-    corrupt input), so it verifies only what it reads. Every decode path
-    bounds-checks and raises {!Bad}, which the lookups map to a miss — a
-    stale or corrupt cache entry degrades to a cache miss, never to a
-    wrong answer. *)
+    program's fingerprint (incremental entries only), per section its
+    name, offset, length and digest, then each function's indirect-call
+    targets (what the dirty rule reads before any section); the
+    sections follow back to back in index order. The first, named [""],
+    is the {e result section}: the marshalled SIMPLE program (plain
+    data, no closures — re-lowering the source would double the
+    warm-load cost), interned location, row and set tables (the engine
+    reaches a steady state, so most statements share one of a few dozen
+    sets; each is written once, grouped by source location), the
+    per-statement set references, the entry output, warnings, the
+    metrics record (every {!Metrics.fields} entry), and the invocation
+    graph in pre-order. Each further section is one function's {e
+    summary segment} (named after it), with tables of its own. A reader
+    checks the index digest before it trusts an offset, and a section's
+    digest before it decodes the section (in particular before
+    [Marshal.from_string], which is not robust against corrupt input),
+    so it verifies only what it reads. Every decode path bounds-checks
+    and raises {!Bad}, which the lookups map to a miss — a stale or
+    corrupt cache entry degrades to a cache miss, never to a wrong
+    answer. *)
 
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 9
+let version = 10
 
 let magic = "PTANC"
 
@@ -657,12 +659,12 @@ let digests fp =
   List.iter (fun (n, d) -> Hashtbl.replace t n d) fp.fp_funcs;
   t
 
-(* The statement ids of [f] in textual order: frame rows are persisted
-   position-independently, as the index of the statement within its
-   function (program-wide ids shift under edits, but an unchanged
-   function's local order is stable). *)
-let local_ids (f : Ir.func) : int array =
-  Array.of_list (List.rev (Ir.fold_func (fun acc s -> s.Ir.s_id :: acc) [] f))
+(* The statements of [f] in textual order: frame rows and sites are
+   persisted position-independently, as the index of the statement
+   within its function (program-wide ids shift under edits, but an
+   unchanged function's local order is stable). *)
+let local_stmts (f : Ir.func) : Ir.stmt array =
+  Array.of_list (List.rev (Ir.fold_func (fun acc s -> s :: acc) [] f))
 
 (* ------------------------------------------------------------------ *)
 (* Sections                                                           *)
@@ -750,9 +752,13 @@ let decode_result ~opts r : Analysis.result =
 (* ------------------------------------------------------------------ *)
 
 (* One function's segment: its own tables, then its framed entries as
-   (input, output, rows, references) records. A row is (local statement
-   index, set); a reference is (callee name, the ordinal of the callee
-   entry's record in the callee's segment). A segment thus depends on
+   (input, output, rows, references, sites) records. A row is (local
+   statement index, set); a reference is (callee name, the ordinal of
+   the callee entry's record in the callee's segment); a site is (local
+   statement index of the call, callee name, that ordinal plus one, or
+   0 when the call used no entry). The reference count is written
+   doubled, plus one when sites follow, so a record without sites is as
+   long as it was before sites were recorded. A segment thus depends on
    no other section's bytes, only on the record order of its callees'
    segments, which every save keeps (see {!segments_of}). *)
 let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : string =
@@ -774,12 +780,25 @@ let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : strin
           w_u recs (local sid);
           w_u recs (set_ix t s))
         fr.Engine.f_rows;
-      w_u recs (List.length fr.Engine.f_refs);
+      let sites = fr.Engine.f_sites in
+      w_u recs ((2 * List.length fr.Engine.f_refs) + if sites = [] then 0 else 1);
       List.iter
         (fun (r : Engine.sref) ->
           w_str recs r.Engine.r_fn;
           w_u recs (ordinal r))
-        fr.Engine.f_refs)
+        fr.Engine.f_refs;
+      if sites <> [] then begin
+        w_u recs (List.length sites);
+        List.iter
+          (fun (c : Engine.site) ->
+            w_u recs (local c.Engine.c_sid);
+            w_str recs c.Engine.c_fn;
+            w_u recs
+              (match c.Engine.c_in with
+              | Some r_in -> 1 + ordinal { Engine.r_fn = c.Engine.c_fn; r_in }
+              | None -> 0))
+          sites
+      end)
     records;
   let b = Buffer.create (Buffer.length recs + 1024) in
   w_tables b t;
@@ -787,12 +806,14 @@ let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : strin
   Buffer.contents b
 
 (** A decoded record, not yet bound to a program: rows by local
-    statement index, references by (callee, ordinal). *)
+    statement index, references by (callee, ordinal), sites by (local
+    statement index, callee, ordinal plus one or 0). *)
 type record = {
   rc_in : Pts.t;
   rc_out : Pts.t;
   rc_rows : (int * Pts.t) array;
   rc_refs : (string * int) list;
+  rc_sites : (int * string * int) list;
 }
 
 let decode_segment canon r : record array =
@@ -806,12 +827,22 @@ let decode_segment canon r : record array =
               let li = r_u r in
               (li, r_set_ref sets r))
         in
+        let flagged = r_u r in
+        if flagged / 2 > r.lim - r.pos then raise Bad;
         let rc_refs =
-          r_list r (fun () ->
+          List.init (flagged / 2) (fun _ ->
               let g = r_str r in
               (g, r_u r))
         in
-        { rc_in; rc_out; rc_rows; rc_refs })
+        let rc_sites =
+          if flagged land 1 = 0 then []
+          else
+            r_list r (fun () ->
+                let li = r_u r in
+                let g = r_str r in
+                (li, g, r_u r))
+        in
+        { rc_in; rc_out; rc_rows; rc_refs; rc_sites })
   in
   Array.of_list recs
 
@@ -826,6 +857,10 @@ type entry = {
   en_fp : fingerprint option;  (** present in incremental entries only *)
   en_result : section;
   en_segments : (string * section) list;  (** by function, in index order *)
+  en_targets : (string * string list) list;
+      (** per function whose indirect call sites resolved to a target
+          in the saved run, those targets ({!indirect_targets}); a
+          function without a list called nothing through a pointer *)
 }
 
 let w_fingerprint b = function
@@ -880,9 +915,14 @@ let open_entry (data : string) : entry =
         next := off + s_len;
         (name, { s_data = data; s_off = base + off; s_len; s_digest }))
   in
+  let en_targets =
+    r_list ix (fun () ->
+        let fn = r_str ix in
+        (fn, r_list ix (fun () -> r_str ix)))
+  in
   if ix.pos <> ix.lim || base + !next <> r.lim then raise Bad;
   match sections with
-  | ("", en_result) :: en_segments -> { en_key; en_fp; en_result; en_segments }
+  | ("", en_result) :: en_segments -> { en_key; en_fp; en_result; en_segments; en_targets }
   | _ -> raise Bad
 
 (* ------------------------------------------------------------------ *)
@@ -915,8 +955,9 @@ let tmp_name dir =
 
 (* Lay out and publish an entry: the index names every section with
    its offset, length and digest, a copied section keeping the digest
-   it came with. *)
-let publish file ~key ~fp ~(result : section) ~(segments : (string * section) list) =
+   it came with, then lists each function's recorded indirect targets
+   ({!entry}). *)
+let publish file ~key ~fp ~(result : section) ~(segments : (string * section) list) ~targets =
   let ix = Buffer.create 4096 in
   w_fingerprint ix fp;
   let sections = ("", result) :: segments in
@@ -930,6 +971,13 @@ let publish file ~key ~fp ~(result : section) ~(segments : (string * section) li
       Buffer.add_string ix s.s_digest;
       off := !off + s.s_len)
     sections;
+  w_u ix (List.length targets);
+  List.iter
+    (fun (fn, ts) ->
+      w_str ix fn;
+      w_u ix (List.length ts);
+      List.iter (w_str ix) ts)
+    targets;
   let head = Buffer.create (Buffer.length ix + 64) in
   Buffer.add_string head magic;
   w_u head version;
@@ -953,8 +1001,9 @@ let publish file ~key ~fp ~(result : section) ~(segments : (string * section) li
       Fault.maybe_corrupt_file file)
 
 (** What a lookup bound from a kept function's segment: the section, to
-    copy, and the inputs of its records with their ordinals. *)
-type bound = { b_sec : section; b_ord : int Pts.Tbl.t }
+    copy, the inputs of its records with their ordinals, and the
+    function's target list in the entry's index. *)
+type bound = { b_sec : section; b_ord : int Pts.Tbl.t; b_targets : string list }
 
 (** How a save writes one function's segment. *)
 type plan = Copy of bound | Encode of Engine.summary_entry list
@@ -967,7 +1016,8 @@ type plan = Copy of bound | Encode of Engine.summary_entry list
    count equalling the bound count shows, its old bytes are copied
    unchanged. A seed's references were resolved when it was bound, and a
    live frame is stored only when its references resolve to framed
-   entries ({!Engine.eval_node}), so every reference has an ordinal. *)
+   entries ({!Engine.eval_node}), so every reference, and every site's
+   entry, has an ordinal. *)
 let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
     (string * section) list =
   let plans =
@@ -1031,7 +1081,7 @@ let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
       | Encode recs ->
           let local = Hashtbl.create 64 in
           Option.iter
-            (fun f -> Array.iteri (fun li sid -> Hashtbl.replace local sid li) (local_ids f))
+            (fun f -> Array.iteri (fun li s -> Hashtbl.replace local s.Ir.s_id li) (local_stmts f))
             (Hashtbl.find_opt funcs fn);
           let local sid =
             match Hashtbl.find_opt local sid with
@@ -1041,15 +1091,47 @@ let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
           (fn, section_of (encode_segment ~local ~ordinal recs)))
     plans
 
+(* The index's target lists: per function, the sorted functions its
+   indirect call sites resolve to in [res] (paper §5: the function
+   targets of the pointer in the statement's set, merged over every
+   context, which is what a [calls] query answers), plus, for a
+   function whose segment was bound, its old list: the save keeps its
+   old records, whose inputs may not have occurred in this run. So the
+   list covers every target a site of the function's saved records
+   names, and also the targets of evaluations whose frames were not
+   saved: the dirty rule sees every edge a saved record or the run
+   took. Functions with no target are left out. *)
+let indirect_targets ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
+    (string * string list) list =
+  List.filter_map
+    (fun f ->
+      let old =
+        match Hashtbl.find_opt bound f.Ir.fn_name with Some b -> b.b_targets | None -> []
+      in
+      let ts =
+        Ir.fold_func
+          (fun acc s ->
+            match (s.Ir.s_desc, Hashtbl.find_opt res.Analysis.stmt_pts s.Ir.s_id) with
+            | Ir.Scall (_, Ir.Cindirect fref, _), Some pts ->
+                Loc.Map.fold
+                  (fun l _ acc -> match l with Loc.Fun g -> g :: acc | _ -> acc)
+                  (Lval.rvals_ref res.Analysis.tenv f pts fref)
+                  acc
+            | _ -> acc)
+          old f
+      in
+      match List.sort_uniq String.compare ts with [] -> None | ts -> Some (f.Ir.fn_name, ts))
+    res.Analysis.prog.Ir.funcs
+
 (* Write [res] under header key [key] (raw bytes), with [fp], the
    fingerprint of [res]'s program, in the index; [sections] gives the
-   result section and the segments, encoded or copied. The cost,
-   encoding included, goes to [t_serialize]. *)
+   result section, the segments, encoded or copied, and the index's
+   target lists. The cost, encoding included, goes to [t_serialize]. *)
 let write ~source ~key ~fp ~sections (res : Analysis.result) file =
   let t0 = Metrics.now () in
   let tr0 = Trace.start () in
-  let result, segments = sections () in
-  publish file ~key ~fp ~result ~segments;
+  let result, segments, targets = sections () in
+  publish file ~key ~fp ~result ~segments ~targets;
   let m = res.Analysis.metrics in
   m.Metrics.t_serialize <- m.Metrics.t_serialize +. (Metrics.now () -. t0);
   if Trace.on () then
@@ -1063,7 +1145,7 @@ let save ~source ?(entry = "main") (res : Analysis.result) file =
   write ~source
     ~key:(Digest.from_hex (key ~source ~opts ~entry))
     ~fp:None
-    ~sections:(fun () -> (section_of (encode_result res), []))
+    ~sections:(fun () -> (section_of (encode_result res), [], []))
     res file
 
 (* ------------------------------------------------------------------ *)
@@ -1169,23 +1251,40 @@ let cache_file_incr ~cache_dir ~source ~opts ~entry =
 (* ------------------------------------------------------------------ *)
 
 (* A function's persisted summaries may be replayed only when every
-   function in its direct-call closure (over the NEW program) is
-   unchanged and free of indirect call sites: such an evaluation is a
-   pure function of its input that creates no invocation-graph nodes,
-   so serving it from the summary is bit-identical to re-running it
-   (docs/INCREMENTAL.md). The dirty set is the complement — edited
-   functions, their (transitive) callers, and anything touching a
-   function pointer. Computed as a decreasing fixed point: start from
-   the locally-clean functions (equal digests in the two tables) and
-   strike out any whose callee chain fails. *)
-let eligible_funcs (p : Ir.program) ~(old_hashes : (string, string) Hashtbl.t)
-    ~(new_hashes : (string, string) Hashtbl.t) : (string, unit) Hashtbl.t =
+   function in its closure over direct calls and recorded indirect
+   targets (over the NEW program) is unchanged. Paper §5 resolves an
+   indirect call from the points-to set at its site, a function of the
+   evaluation's input, so a summary fixes its targets as it fixes its
+   output; the replay grows the targets' graph nodes from the recorded
+   sites, and serving it from the summary is bit-identical to
+   re-running it (docs/INCREMENTAL.md). [targets f] lists the targets
+   [f]'s indirect calls resolved to in the saved run, [None] when
+   unknown: a function with an indirect site and unknown targets is
+   never eligible (without [targets], none is). Nor is a function whose
+   direct-call closure holds an indirect call site and that lies on a
+   cycle through another function: inside such a cycle an evaluation
+   also depends on the in-flight cycle-mate and on which of its entries
+   a §6 memo hit found, so neither its output nor the calls its frame
+   records, which a replay turns into graph nodes, are a function of
+   its input alone. A self-recursive function's only cycle-mate is
+   itself, inside its own evaluation. Functions whose closure is free
+   of indirect call sites replay inside direct-call cycles as they
+   always did (docs/INCREMENTAL.md, "Known divergence"). The dirty set
+   is the complement — edited functions and their (transitive) callers.
+   Computed as a decreasing fixed point: start from the locally-clean
+   functions (equal digests in the two tables) and strike out any whose
+   callee chain fails. *)
+let eligible_funcs ?(targets = fun _ -> None) (p : Ir.program)
+    ~(old_hashes : (string, string) Hashtbl.t) ~(new_hashes : (string, string) Hashtbl.t) :
+    (string, unit) Hashtbl.t =
   let defined = Hashtbl.create 64 in
   List.iter (fun f -> Hashtbl.replace defined f.Ir.fn_name ()) p.Ir.funcs;
   let callees = Hashtbl.create 64 in
   let elig = Hashtbl.create 64 in
+  let direct = Hashtbl.create 64 and indirect = Hashtbl.create 64 in
   List.iter
     (fun f ->
+      let name = f.Ir.fn_name in
       let has_indirect = ref false in
       let cs = ref [] in
       Ir.fold_func
@@ -1195,15 +1294,41 @@ let eligible_funcs (p : Ir.program) ~(old_hashes : (string, string) Hashtbl.t)
           | Ir.Scall (_, Ir.Cindirect _, _) -> has_indirect := true
           | _ -> ())
         () f;
-      Hashtbl.replace callees f.Ir.fn_name !cs;
+      let ts = if !has_indirect then targets name else Some [] in
+      Hashtbl.replace callees name (Option.value ~default:[] ts @ !cs);
+      Hashtbl.replace direct name !cs;
+      if !has_indirect then Hashtbl.replace indirect name ();
       let unchanged =
-        match
-          (Hashtbl.find_opt old_hashes f.Ir.fn_name, Hashtbl.find_opt new_hashes f.Ir.fn_name)
-        with
+        match (Hashtbl.find_opt old_hashes name, Hashtbl.find_opt new_hashes name) with
         | Some d, Some d' -> String.equal d d'
         | _ -> false
       in
-      if unchanged && not !has_indirect then Hashtbl.replace elig f.Ir.fn_name ())
+      match ts with
+      | Some _ when unchanged -> Hashtbl.replace elig name ()
+      | Some _ | None -> ())
+    p.Ir.funcs;
+  (* does a walk over [edges] from [from] meet a function [goal] holds
+     for? *)
+  let reaches edges goal from =
+    let seen = Hashtbl.create 64 in
+    let rec go g =
+      (not (Hashtbl.mem seen g))
+      && begin
+           Hashtbl.replace seen g ();
+           goal g || List.exists go (Option.value ~default:[] (Hashtbl.find_opt edges g))
+         end
+    in
+    List.exists go from
+  in
+  List.iter
+    (fun f ->
+      let name = f.Ir.fn_name in
+      let others = List.filter (fun g -> not (String.equal g name)) (Hashtbl.find callees name) in
+      if
+        Hashtbl.mem elig name
+        && reaches direct (Hashtbl.mem indirect) [ name ]
+        && reaches callees (String.equal name) others
+      then Hashtbl.remove elig name)
     p.Ir.funcs;
   let changed = ref true in
   while !changed do
@@ -1260,23 +1385,28 @@ let seedable_mode (opts : Options.t) =
   opts.Options.context_sensitive && not opts.Options.heap_by_site
 
 (* The functions whose segments [en] may seed into [prog], whose
-   fingerprint is [fp] ({!eligible_funcs}); [None] when the entry has no
-   fingerprint or the environment changed (everything is dirty). *)
+   fingerprint is [fp] ({!eligible_funcs}, with the index's target
+   lists: a function without one called nothing through a pointer);
+   [None] when the entry has no fingerprint or the environment changed
+   (everything is dirty). *)
 let kept_funcs ~fp (prog : Ir.program) (en : entry) : (string, unit) Hashtbl.t option =
   match en.en_fp with
   | Some old when String.equal old.fp_env fp.fp_env ->
-      Some (eligible_funcs prog ~old_hashes:(digests old) ~new_hashes:(digests fp))
+      let targets fn = Some (Option.value ~default:[] (List.assoc_opt fn en.en_targets)) in
+      Some (eligible_funcs ~targets prog ~old_hashes:(digests old) ~new_hashes:(digests fp))
   | Some _ | None -> None
 
 (** Verify and decode the segments of the [keep]-satisfying functions,
     and bind their records to [p]: rows to [p]'s statement ids,
-    references to the callee records they name. Reads no other section.
-    A saved entry is closed under its references, [keep] is closed under
-    direct calls, and a kept function is unchanged, so every reference
-    names a record of a kept segment and every row a statement of its
-    function. Anything else, like a decode failure, an out-of-range
-    index or two records of one input under digests that held, means a
-    damaged entry: [Bad]. *)
+    references and sites to the callee records they name. Reads no other
+    section. A saved entry is closed under its references, [keep] is
+    closed under direct calls and recorded targets, and a kept function
+    is unchanged, so every reference names a record of a kept segment,
+    every row a statement of its function, and every site a call of its
+    function to the callee it names: the direct call's callee, or one of
+    the index's targets for the function. Anything else, like a decode
+    failure, an out-of-range index or two records of one input under
+    digests that held, means a damaged entry: [Bad]. *)
 let bind_summaries ~keep (p : Ir.program) (en : entry) :
     Engine.store * (string, bound) Hashtbl.t =
   let kept = List.filter (fun (fn, _) -> keep fn) en.en_segments in
@@ -1291,7 +1421,13 @@ let bind_summaries ~keep (p : Ir.program) (en : entry) :
   let bound = Hashtbl.create 64 in
   List.iter
     (fun (fn, b_sec) ->
-      let ids = match Hashtbl.find_opt funcs fn with Some f -> local_ids f | None -> raise Bad in
+      let stmts = match Hashtbl.find_opt funcs fn with Some f -> local_stmts f | None -> raise Bad in
+      let b_targets = Option.value ~default:[] (List.assoc_opt fn en.en_targets) in
+      let entry_of g k =
+        match Hashtbl.find_opt decoded g with
+        | Some recs when k < Array.length recs -> recs.(k).rc_in
+        | Some _ | None -> raise Bad
+      in
       let b_ord = Pts.Tbl.create 16 in
       Array.iteri
         (fun k rc ->
@@ -1299,7 +1435,7 @@ let bind_summaries ~keep (p : Ir.program) (en : entry) :
           Pts.Tbl.add b_ord rc.rc_in k;
           let f_rows =
             Array.map
-              (fun (li, s) -> if li >= Array.length ids then raise Bad else (ids.(li), s))
+              (fun (li, s) -> if li >= Array.length stmts then raise Bad else (stmts.(li).Ir.s_id, s))
               rc.rc_rows
           in
           (* rows are written in statement order, which local order
@@ -1308,23 +1444,31 @@ let bind_summaries ~keep (p : Ir.program) (en : entry) :
           if not (sorted (Array.length f_rows - 1)) then
             Array.sort (fun (a, _) (b, _) -> Int.compare a b) f_rows;
           let f_refs =
+            List.map (fun (g, k) -> { Engine.r_fn = g; r_in = entry_of g k }) rc.rc_refs
+          in
+          let f_sites =
             List.map
-              (fun (g, k) ->
-                match Hashtbl.find_opt decoded g with
-                | Some recs when k < Array.length recs -> { Engine.r_fn = g; r_in = recs.(k).rc_in }
-                | Some _ | None -> raise Bad)
-              rc.rc_refs
+              (fun (li, g, k) ->
+                if li >= Array.length stmts then raise Bad;
+                let s = stmts.(li) in
+                (match s.Ir.s_desc with
+                | Ir.Scall (_, Ir.Cdirect f, _) when String.equal f g && k > 0 -> ()
+                | Ir.Scall (_, Ir.Cindirect _, _) when List.mem g b_targets -> ()
+                | _ -> raise Bad);
+                let c_in = if k > 0 then Some (entry_of g (k - 1)) else None in
+                { Engine.c_sid = s.Ir.s_id; c_fn = g; c_in })
+              rc.rc_sites
           in
           ignore
             (Engine.store_add out fn
                {
                  Engine.se_in = rc.rc_in;
                  se_out = rc.rc_out;
-                 se_frame = Some { Engine.f_rows; f_refs };
+                 se_frame = Some { Engine.f_rows; f_refs; f_sites };
                  se_origin = Engine.Seeded;
                }))
         (Hashtbl.find decoded fn);
-      Hashtbl.replace bound fn { b_sec; b_ord })
+      Hashtbl.replace bound fn { b_sec; b_ord; b_targets })
     kept;
   (out, bound)
 
@@ -1429,7 +1573,7 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
           let res = { old_res with Analysis.prog; tenv = Tenv.make ~opts prog } in
           (try
              write ~source ~key:mykey ~fp
-               ~sections:(fun () -> (en.en_result, en.en_segments))
+               ~sections:(fun () -> (en.en_result, en.en_segments, en.en_targets))
                res file
            with Sys_error _ | Failure _ -> ());
           let m = res.Analysis.metrics in
@@ -1476,7 +1620,10 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
              let bound = match bound with Some b -> b | None -> Hashtbl.create 1 in
              try
                write ~source ~key:mykey ~fp
-                 ~sections:(fun () -> (section_of (encode_result res), segments_of ~bound res))
+                 ~sections:(fun () ->
+                   ( section_of (encode_result res),
+                     segments_of ~bound res,
+                     indirect_targets ~bound res ))
                  res file;
                (* the fingerprint is the save's digest work, computed
                   early to serve the rekey test: it counts in the save

@@ -51,9 +51,11 @@
     self-contained segment of replayable summaries, one per evaluated
     (function, input) pair. On re-analysis after an edit, the hashes are
     diffed, only the kept functions' segments are read, the dirty slice
-    (edited functions, their transitive callers, and anything touching a
-    function pointer) is re-run live, and everything else replays from
-    the summaries — bit-identically to a cold run. The save copies the
+    (edited functions and their transitive callers, over direct calls
+    and the indirect targets the index lists) is re-run live, and
+    everything else replays from the summaries, growing the
+    invocation-graph nodes their recorded call sites name —
+    bit-identically to a cold run. The save copies the
     segment of a kept function that gained no summary, bytes and digest
     unchanged. See docs/INCREMENTAL.md for the layout, the dirty rule
     and the soundness argument. *)
@@ -138,10 +140,18 @@ val func_hash : Simple_ir.Ir.func -> Digest.t
 
 (** The functions of the program whose persisted summaries may be
     replayed after an edit, given the saved run's {!func_hash} table and
-    the program's own, by function name: those whose whole direct-call
-    closure is unchanged (equal digests) and free of indirect call sites
-    (docs/INCREMENTAL.md). The complement is the dirty set. *)
+    the program's own, by function name: those whose whole closure over
+    direct calls and recorded indirect targets is unchanged (equal
+    digests), and that, when that closure holds an indirect call site,
+    lie on no cycle through another function (docs/INCREMENTAL.md).
+    [targets f] lists the targets [f]'s indirect calls resolved to in
+    the saved run, [None] when unknown; a
+    function with an indirect call site and unknown targets is not
+    eligible, so without [targets] only functions whose direct-call
+    closure is free of indirect call sites are. The complement is the
+    dirty set. *)
 val eligible_funcs :
+  ?targets:(string -> string list option) ->
   Simple_ir.Ir.program ->
   old_hashes:(string, string) Hashtbl.t ->
   new_hashes:(string, string) Hashtbl.t ->

@@ -10,7 +10,9 @@
 # --no-share-contexts, where only persisted summaries answer a repeated
 # (function, input) pair. A generated deep call chain and a generated
 # program with recursion each take two successive edits, with sharing
-# on and off. Then run the
+# on and off, and a generated web-3000 program, whose functions call
+# through tables, takes two edits that must leave fewer functions dirty
+# than when no function with an indirect call site replayed. Then run the
 # bench's incremental section, whose own gates enforce suite-wide
 # bit-identity and incremental beating the non-incremental cache.
 # Run from the repository root after `dune build`; CI runs this as the
@@ -172,6 +174,32 @@ two_edits() { # two_edits NAME FN1 FN2 GEN-FLAGS...
 }
 two_edits deep-800 f3_1 f4_0 --seed 23 --size 800 --depth 7 --fnptr-density 0 --structs 50
 two_edits knot-1000 f1_0 f3_0 --seed 37 --size 1000 --depth 4 --fnptr-density 15 --recursion 30
+
+# ---- 2c. web-3000: replay through function pointers -------------------
+# A summary names the callee entry of each call it made, indirect ones
+# included, so a function that calls through a table replays and grows
+# its graph children from the record. Two chained edits of web-3000, a
+# pointer edit of the mid-layer f3_1 and a counter edit of the leaf
+# f0_4, must each print what a cold run prints and leave fewer functions
+# dirty than the 65 (of 136) that stayed dirty while every function with
+# an indirect call site, and each of its callers, re-ran. This counts
+# functions; it does not gate on wall-clock time.
+web="$tmp/web-3000.c"
+"$ptan" gen --seed 11 --size 3000 --depth 4 --fnptr-density 30 --out "$web" >/dev/null
+"$ptan" analyze "$web" --incremental --cache-dir "$tmp/web_cache" >/dev/null
+for step in "f3_1:    gp0 = &gv1;" "f0_4:    gv0 = gv0 + 1;"; do
+  fn=${step%%:*} line=${step#*:}
+  edit_top "$web" "$fn" "$line"
+  "$ptan" analyze "$web" --no-cache | grep '^s[0-9]' >"$tmp/cold_web.txt"
+  "$ptan" analyze "$web" --incremental --cache-dir "$tmp/web_cache" --stats >"$tmp/incr_web.txt"
+  grep '^s[0-9]' "$tmp/incr_web.txt" >"$tmp/got_web.txt"
+  diff -u "$tmp/cold_web.txt" "$tmp/got_web.txt" \
+    || { echo "incremental_smoke: web-3000 edit of $fn diverges from cold analysis" >&2; exit 1; }
+  d=$(dirty_of "$tmp/incr_web.txt")
+  [ "$d" -lt 65 ] \
+    || { echo "incremental_smoke: web-3000 edit of $fn left $d functions dirty (expected fewer than 65)" >&2; exit 1; }
+  echo "incremental_smoke: web-3000 edit of $fn — $(wc -l <"$tmp/got_web.txt") statement sets identical, $(sed -n 's/^incremental:[[:space:]]*//p' "$tmp/incr_web.txt")"
+done
 
 # ---- 3. the bench section ---------------------------------------------
 # The bench gates internally: every row bit-identical, and the suite

@@ -309,8 +309,9 @@ let suite_tests =
           ]);
     case "whole suite: adding a function replays bit-identically" (fun () ->
         (* a new (uncalled) function changes the hash table, so the
-           rekey path is off and the clean subtrees replay from
-           summaries while the fp-touching slice re-runs *)
+           rekey path is off: the new function re-runs and the rest
+           replays from summaries, growing the graph children at its
+           indirect call sites from the recorded sites *)
         List.iter
           (fun (mode, opts) ->
             List.iter
@@ -353,14 +354,21 @@ let suite_tests =
                 let r2, _ =
                   Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
                 in
+                (* the drive functions call the kernels through
+                   tables: their replays rebuild the kernels' graph
+                   nodes, and only the kernel and its two callers re-run *)
+                let m = r2.Analysis.metrics in
                 Alcotest.(check bool)
                   ("most of livc replays" ^ mode)
                   true
-                  (r2.Analysis.metrics.Metrics.incr_funcs_reused > n_funcs / 2);
+                  (m.Metrics.incr_funcs_reused > 0 && m.Metrics.incr_nodes_rebuilt > 0);
                 Alcotest.(check bool)
                   ("only a sliver is dirty" ^ mode)
                   true
-                  (r2.Analysis.metrics.Metrics.incr_funcs_dirty * 4 < n_funcs);
+                  (m.Metrics.incr_funcs_dirty * 4 < n_funcs);
+                Alcotest.(check int)
+                  ("the kernel, its driver and main are dirty" ^ mode)
+                  3 m.Metrics.incr_funcs_dirty;
                 check_identical ("livc edited" ^ mode) (Analysis.of_file ~opts source) r2))
           share_modes);
   ]
@@ -846,6 +854,363 @@ let segment_tests =
             check_identical "damaged segment" (Analysis.of_file source) r2));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Replay through function pointers                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Stats = Pointsto.Stats
+
+(** The functions of [p] that reach themselves through direct calls. *)
+let direct_cycle_members (p : Ir.program) =
+  let callees = Hashtbl.create 64 in
+  List.iter
+    (fun f -> Hashtbl.replace callees f.Ir.fn_name (List.map snd (Ig.direct_call_sites f)))
+    p.Ir.funcs;
+  let reaches_self fn =
+    let seen = Hashtbl.create 64 in
+    let rec go g =
+      List.exists
+        (fun h ->
+          String.equal h fn
+          || ((not (Hashtbl.mem seen h))
+             && begin
+                  Hashtbl.replace seen h ();
+                  go h
+                end))
+        (Option.value ~default:[] (Hashtbl.find_opt callees g))
+    in
+    go fn
+  in
+  List.filter_map
+    (fun f -> if reaches_self f.Ir.fn_name then Some f.Ir.fn_name else None)
+    p.Ir.funcs
+
+(** The function-pointer targets of indirect call [s] of [f] in [res]:
+    what a [calls] query answers. *)
+let indirect_targets (res : Analysis.result) (f : Ir.func) (s : Ir.stmt) =
+  match s.Ir.s_desc with
+  | Ir.Scall (_, Ir.Cindirect fref, _) ->
+      Loc.Map.fold
+        (fun l _ acc -> match l with Loc.Fun g -> g :: acc | _ -> acc)
+        (Pointsto.Lval.rvals_ref res.Analysis.tenv f (Analysis.pts_at res s.Ir.s_id) fref)
+        []
+  | _ -> []
+
+(** [fn] and every function that reaches it over the direct calls and
+    the indirect targets of [res]: the dirty set an edit of [fn] leaves
+    when [res] primed the entry. *)
+let expected_dirty (res : Analysis.result) fn =
+  let callees = Hashtbl.create 64 in
+  List.iter
+    (fun f ->
+      Hashtbl.replace callees f.Ir.fn_name
+        (Ir.fold_func
+           (fun acc s ->
+             match s.Ir.s_desc with
+             | Ir.Scall (_, Ir.Cdirect g, _) -> g :: acc
+             | _ -> indirect_targets res f s @ acc)
+           [] f))
+    res.Analysis.prog.Ir.funcs;
+  let rec reaches seen g =
+    String.equal g fn
+    || List.exists
+         (fun h -> (not (List.mem h seen)) && reaches (h :: seen) h)
+         (Option.value ~default:[] (Hashtbl.find_opt callees g))
+  in
+  List.length
+    (List.filter (fun f -> reaches [ f.Ir.fn_name ] f.Ir.fn_name) res.Analysis.prog.Ir.funcs)
+
+(** Everything a replay through function pointers must reproduce beyond
+    {!check_identical}: the Table 5 and Table 6 statistics and the
+    [calls] answer at every indirect call site. *)
+let check_pointer_surface name (cold : Analysis.result) (incr : Analysis.result) =
+  Alcotest.(check bool)
+    (name ^ ": Table 6 invocation-graph statistics")
+    true
+    (Stats.ig_stats cold = Stats.ig_stats incr);
+  Alcotest.(check bool)
+    (name ^ ": Table 5 indirect-reference statistics")
+    true
+    (Stats.indirect_stats cold = Stats.indirect_stats incr);
+  let calls (res : Analysis.result) =
+    List.concat_map
+      (fun f ->
+        Ir.fold_func
+          (fun acc s ->
+            match s.Ir.s_desc with
+            | Ir.Scall (_, Ir.Cindirect _, _) ->
+                (match Alias.Query.answer res (Alias.Query.Calls_q { stmt = s.Ir.s_id }) with
+                | Ok a -> a
+                | Error e -> "error " ^ e)
+                :: acc
+            | _ -> acc)
+          [] f)
+      res.Analysis.prog.Ir.funcs
+  in
+  Alcotest.(check (list string)) (name ^ ": calls answers") (calls cold) (calls incr)
+
+(** The three one-line edits the [perf] [edit] workload makes, for the
+    [i]th edited function. *)
+let edit_kinds i =
+  [
+    ("comment", Printf.sprintf "    /* edit %d */\n" i);
+    ("gv0", Printf.sprintf "    gv0 = gv0 + %d;\n" (1 + (i mod 7)));
+    ("gp0", Printf.sprintf "    gp0 = &gv%d;\n" (i mod 4));
+  ]
+
+let pointer_tests =
+  [
+    case "web, knot: every edit outside a direct-call cycle equals a cold run" (fun () ->
+        List.iter
+          (fun (mode, opts) ->
+            List.iter
+              (fun shape ->
+                in_temp (fun dir ->
+                    let source = Filename.concat dir (shape ^ ".c") in
+                    let text = Gen.program (Test_rows.gen_knobs shape) in
+                    write_file source text;
+                    let primed_res, _ =
+                      Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
+                    in
+                    let pti = Persist.cache_file_incr ~cache_dir:dir ~source ~opts ~entry:"main" in
+                    let primed = read_file pti in
+                    let cycles = direct_cycle_members primed_res.Analysis.prog in
+                    let edited =
+                      List.filter
+                        (fun f ->
+                          let n = f.Ir.fn_name in
+                          n <> "main" && n.[0] = 'f' && not (List.mem n cycles))
+                        primed_res.Analysis.prog.Ir.funcs
+                    in
+                    Alcotest.(check bool) (shape ^ ": functions to edit") true (edited <> []);
+                    let rebuilt = ref 0 in
+                    List.iteri
+                      (fun i f ->
+                        let fn = f.Ir.fn_name in
+                        List.iter
+                          (fun (kind, line) ->
+                            write_file source (insert_at_top text ~fn ~line);
+                            write_file pti primed;
+                            let r, hit =
+                              Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
+                            in
+                            let name = Printf.sprintf "%s, %s edit of %s%s" shape kind fn mode in
+                            let cold = Analysis.of_file ~opts source in
+                            check_identical name cold r;
+                            check_pointer_surface name cold r;
+                            let m = r.Analysis.metrics in
+                            rebuilt := !rebuilt + m.Metrics.incr_nodes_rebuilt;
+                            Alcotest.(check int)
+                              (name ^ ": dirty")
+                              (if hit then 0 else expected_dirty primed_res fn)
+                              m.Metrics.incr_funcs_dirty;
+                            Alcotest.(check bool) (name ^ ": a comment rekeys") (kind = "comment") hit)
+                          (edit_kinds i))
+                      edited;
+                    Alcotest.(check bool)
+                      (shape ^ mode ^ ": replays rebuild graph nodes")
+                      true (!rebuilt > 0)))
+              [ "web"; "knot" ])
+          share_modes);
+  ]
+
+let memo_tests =
+  [
+    case "a replay grows no subtree under an entry already used this run" (fun () ->
+        (* [m] calls [h] twice with one input. With §6 sharing the
+           second call is a memo hit, so a cold run grows [t]'s node
+           under the first [h] only; without sharing under both. The
+           edit of [main] replays [m], whose rebuild must do the same *)
+        let v1 =
+          "int ga; int *pa;\n\
+           void t(void) { int *q; q = &ga; }\n\
+           void (*fp)(void);\n\
+           void h(void) { fp(); }\n\
+           void m(void) { h(); h(); }\n\
+           int main(void) { fp = t; m(); return 0; }\n"
+        in
+        let v2 = replace_once ~sub:"int main(void) {" ~by:"int main(void) { int k; k = 0;" v1 in
+        List.iter
+          (fun (mode, opts) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir "memo.c" in
+                write_file source v1;
+                let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                write_file source v2;
+                let r, _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                let m = r.Analysis.metrics in
+                Alcotest.(check int) ("m replays" ^ mode) 1 m.Metrics.incr_funcs_reused;
+                Alcotest.(check int)
+                  ("t's nodes rebuilt" ^ mode)
+                  (if opts.Options.share_contexts then 1 else 2)
+                  m.Metrics.incr_nodes_rebuilt;
+                check_identical ("memo" ^ mode) (Analysis.of_file ~opts source) r))
+          share_modes);
+  ]
+
+let target_list_tests =
+  [
+    case "a kept record's targets stay listed after its input stops occurring" (fun () ->
+        (* the first edit sends [H] a new input, so its segment keeps the
+           record that called [T1] next to the new one calling [T2]; the
+           index must still list [T1] for [H], or the next lookup would
+           read that record as damage, and an edit of [T1] would not make
+           [H] dirty *)
+        let v1 =
+          "int ga; int gb; int *p;\n\
+           void (*fp)(void);\n\
+           void T1(void) { p = &ga; }\n\
+           void T2(void) { p = &gb; }\n\
+           void H(void) { fp(); }\n\
+           int main(void) { fp = T1; H(); return 0; }\n"
+        in
+        let v2 = replace_once ~sub:"fp = T1; H();" ~by:"fp = T2; H();" v1 in
+        let v3 = replace_once ~sub:"void T1(void) { p = &ga; }" ~by:"void T1(void) { p = &gb; }" v2 in
+        let v4 = replace_once ~sub:"fp = T2; H();" ~by:"fp = T1; H();" v3 in
+        in_temp (fun dir ->
+            let source = Filename.concat dir "kept.c" in
+            write_file source v1;
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            List.iter
+              (fun (label, text, dirty) ->
+                write_file source text;
+                let r, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+                let m = r.Analysis.metrics in
+                Alcotest.(check int) (label ^ ": nothing quarantined") 0 m.Metrics.cache_quarantined;
+                Alcotest.(check int) (label ^ ": dirty") dirty m.Metrics.incr_funcs_dirty;
+                check_identical label (Analysis.of_file source) r)
+              [
+                ("main sends H a new input", v2, 1);
+                (* T1, and H, whose kept record calls it, re-run *)
+                ("T1 edited", v3, 3);
+                ("main calls T1 again", v4, 1);
+              ]));
+  ]
+
+let cycle_tests =
+  [
+    case "eligible_funcs: listed targets join the closure; cycles through them are barred"
+      (fun () ->
+        (* [loop] and [back] form a cycle through a listed target, and
+           [m1] and [m2] a direct-call one whose closure calls through a
+           pointer: all four, and [main], stay dirty. [hub] replays
+           through its listed target, and so does [self], whose only
+           cycle-mate is itself *)
+        let src =
+          "int g; int *p;\n\
+           void tgt(void) { p = &g; }\n\
+           void hub(void (*fp)(void)) { fp(); }\n\
+           void back(void);\n\
+           void loop(void (*fp)(void)) { fp(); }\n\
+           void back(void) { loop(back); }\n\
+           void m1(int n);\n\
+           void m2(int n) { if (n) m1(n - 1); hub(tgt); }\n\
+           void m1(int n) { if (n) m2(n - 1); }\n\
+           void (*sp)(int);\n\
+           void self(int n) { if (n) sp(n - 1); }\n\
+           int main(void) { sp = self; hub(tgt); back(); m1(2); self(2); return 0; }\n"
+        in
+        let prog = simplify src in
+        let targets = function
+          | "hub" -> Some [ "tgt" ]
+          | "loop" -> Some [ "back" ]
+          | "self" -> Some [ "self" ]
+          | _ -> Some []
+        in
+        let elig =
+          Persist.eligible_funcs ~targets prog ~old_hashes:(digests prog)
+            ~new_hashes:(digests prog)
+        in
+        let names = Hashtbl.fold (fun n () acc -> n :: acc) elig [] |> List.sort compare in
+        Alcotest.(check (list string)) "replayable" [ "hub"; "self"; "tgt" ] names);
+    case "a replay grows the approximate node of a self-call through a pointer" (fun () ->
+        let v1 =
+          "int ga; int *p;\n\
+           void (*sp)(int);\n\
+           void s(int n) { p = &ga; if (n) sp(n - 1); }\n\
+           void w(void) { s(3); }\n\
+           int main(void) { sp = s; w(); return 0; }\n"
+        in
+        let v2 = replace_once ~sub:"int main(void) {" ~by:"int main(void) { int k; k = 0;" v1 in
+        List.iter
+          (fun (mode, opts) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir "self.c" in
+                write_file source v1;
+                let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                write_file source v2;
+                let r, _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                let m = r.Analysis.metrics in
+                Alcotest.(check int) ("w replays" ^ mode) 1 m.Metrics.incr_funcs_reused;
+                Alcotest.(check int) ("s's approximate node rebuilt" ^ mode) 1 m.Metrics.incr_nodes_rebuilt;
+                check_identical ("self-call" ^ mode) (Analysis.of_file ~opts source) r))
+          share_modes);
+    case "a cycle through a function pointer that only the edited run takes is not replayed"
+      (fun () ->
+        (* at first [F] resets [fp] to [T] before it calls [A], so [A]
+           only ever calls [T]. The edit makes [M] call [A] with [fp]
+           pointing to [F], the input [F]'s summary was recorded for:
+           a cold run evaluates [F] under [A], whose call back to [A]
+           is an approximate node, so [F] must not replay there. The
+           save lists the new edge, so the next edit bars the cycle *)
+        let v1 =
+          "int ga; int gb; int *p; int *q;\n\
+           void (*fp)(void);\n\
+           void T(void) { q = &gb; }\n\
+           void A(void) { fp(); p = &ga; }\n\
+           void F(void) { fp = T; A(); q = p; }\n\
+           void M(void) { fp = F; F(); }\n\
+           int main(void) { M(); return 0; }\n"
+        in
+        let v2 = replace_once ~sub:"void M(void) { fp = F; F(); }" ~by:"void M(void) { fp = F; A(); }" v1 in
+        let v3 = v2 ^ "void added(void) { }\n" in
+        List.iter
+          (fun (mode, opts) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir "knot.c" in
+                write_file source v1;
+                let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                List.iter
+                  (fun (label, text) ->
+                    write_file source text;
+                    let r, _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                    check_identical (label ^ mode) (Analysis.of_file ~opts source) r)
+                  [ ("edit of M", v2); ("added function", v3) ]))
+          share_modes);
+  ]
+
+let site_control_tests =
+  [
+    case "a program without indirect call sites stores no site records" (fun () ->
+        (* read independently of Persist: the deep program's index lists
+           no targets and its segments' records have no site records,
+           while a web program's entry, read the same way, has both *)
+        let entry shape =
+          in_temp (fun dir ->
+              let source = Filename.concat dir (shape ^ ".c") in
+              write_file source (Gen.program (Test_rows.gen_knobs shape));
+              let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+              read_file
+                (Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"))
+        in
+        let sites data =
+          List.concat_map
+            (fun s -> if s.name = "" then [] else segment_site_counts (entry_section data s.name))
+            (entry_layout data).sections
+        in
+        let deep = entry "deep" and web = entry "web" in
+        Alcotest.(check (list (pair string (list string))))
+          "deep: the index lists no targets" [] (entry_layout deep).targets;
+        let deep_sites = sites deep in
+        Alcotest.(check bool) "deep: records read" true (List.length deep_sites > 10);
+        Alcotest.(check int) "deep: no record has sites" 0 (List.fold_left ( + ) 0 deep_sites);
+        Alcotest.(check bool) "web: the index lists targets" true ((entry_layout web).targets <> []);
+        Alcotest.(check bool)
+          "web: records have sites" true
+          (List.exists (fun n -> n > 0) (sites web)));
+  ]
+
 let suite =
   ( "incremental",
-    hash_tests @ cone_tests @ suite_tests @ corruption_tests @ frame_tests @ segment_tests )
+    hash_tests @ cone_tests @ suite_tests @ corruption_tests @ frame_tests @ segment_tests
+    @ pointer_tests @ memo_tests @ target_list_tests @ cycle_tests @ site_control_tests )

@@ -273,17 +273,44 @@ let plain_data_tests =
     rewrites bytes of the entry, given its length. Segments follow in
     function name order, so the file ends with the segment of [main],
     whose one record ends with a row (local statement index, set index),
-    the reference count 2, then the references as (callee name,
-    ordinal of the callee's record) pairs: [b]'s, then [a]'s. Every
-    number here fits one byte. *)
-let damaged_summaries_fall_back damage =
-  let src =
-    "int ga; int gb; int *pa; int *pb;\n\
-     void leaf(void) { pa = &ga; }\n\
-     void a(void) { leaf(); }\n\
-     void b(void) { pb = &gb; }\n\
-     int main(void) { a(); b(); return 0; }\n"
-  in
+    the reference count 2, written doubled (4: no site records follow),
+    then the references as (callee name, ordinal of the callee's record)
+    pairs: [b]'s, then [a]'s. Every number here fits one byte. *)
+let rec damaged_summaries_fall_back damage =
+  damaged_entry_falls_back
+    ~src:
+      "int ga; int gb; int *pa; int *pb;\n\
+       void leaf(void) { pa = &ga; }\n\
+       void a(void) { leaf(); }\n\
+       void b(void) { pb = &gb; }\n\
+       int main(void) { a(); b(); return 0; }\n"
+    ~segments:[ ""; "a"; "b"; "leaf"; "main" ]
+    ~tail:("main's references", [ 4; 1; Char.code 'b'; 0; 1; Char.code 'a'; 0 ])
+    damage
+
+(** The same for the site records of a function that calls through a
+    pointer: [z]'s segment comes last, and its one record ends with the
+    reference count 1 doubled plus one (site records follow), [a]'s
+    reference, the site count 2, then the sites as (local statement
+    index of the call, callee name, ordinal plus one or 0 for a function
+    outside the program): [a]'s, then [e]'s. The index lists [a] and [e]
+    as [z]'s targets. *)
+and damaged_sites_fall_back damage =
+  damaged_entry_falls_back
+    ~src:
+      "int ga; int *pa;\n\
+       void e(void);\n\
+       void a(void) { pa = &ga; }\n\
+       void (*fp)(void);\n\
+       void z(int k) { if (k) fp = a; else fp = e; fp(); }\n\
+       int main(void) { z(1); return 0; }\n"
+    ~segments:[ ""; "a"; "main"; "z" ]
+    ~tail:
+      ( "z's references and sites",
+        [ 3; 1; Char.code 'a'; 0; 2; 3; 1; Char.code 'a'; 1; 3; 1; Char.code 'e'; 0 ] )
+    damage
+
+and damaged_entry_falls_back ~src ~segments ~tail:(what, tail) damage =
   in_temp (fun dir ->
       let source = Filename.concat dir "refs.c" in
       let write path s =
@@ -297,12 +324,12 @@ let damaged_summaries_fall_back damage =
       let data = Bytes.of_string (In_channel.with_open_bin pti In_channel.input_all) in
       let n = Bytes.length data in
       Alcotest.(check (list string))
-        "segments" [ ""; "a"; "b"; "leaf"; "main" ]
+        "segments" segments
         (List.map (fun s -> s.name) (entry_layout (Bytes.to_string data)).sections);
+      let k = List.length tail in
       Alcotest.(check (list int))
-        "main's references"
-        [ 2; 1; Char.code 'b'; 0; 1; Char.code 'a'; 0 ]
-        (List.map (fun i -> Bytes.get_uint8 data (n - i)) [ 7; 6; 5; 4; 3; 2; 1 ]);
+        what tail
+        (List.init k (fun i -> Bytes.get_uint8 data (n - k + i)));
       damage data n;
       reseal data;
       write pti (Bytes.to_string data);
@@ -330,6 +357,22 @@ let reference_tests =
     case "a summary row naming a statement its function lacks is corrupt: quarantine, cold fallback"
       (fun () ->
         damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 9) 0x7f));
+  ]
+
+let site_tests =
+  [
+    case "a site naming a callee with no kept segment is corrupt: quarantine, cold fallback"
+      (fun () ->
+        (* [e], a listed target outside the program, has no segment *)
+        damaged_sites_fall_back (fun data n -> Bytes.set data (n - 6) 'e'));
+    case "a site ordinal out of range is corrupt: quarantine, cold fallback" (fun () ->
+        (* past [a]'s one record *)
+        damaged_sites_fall_back (fun data n -> Bytes.set_uint8 data (n - 5) 0x7f));
+    case "a site past the end of its function is corrupt: quarantine, cold fallback" (fun () ->
+        damaged_sites_fall_back (fun data n -> Bytes.set_uint8 data (n - 8) 0x7f));
+    case "a site target the index does not list is corrupt: quarantine, cold fallback" (fun () ->
+        (* [z] is a function, but not one [z]'s indirect call reached *)
+        damaged_sites_fall_back (fun data n -> Bytes.set data (n - 6) 'z'));
   ]
 
 let layout_tests =
@@ -365,4 +408,4 @@ let layout_tests =
 let suite =
   ( "persist",
     roundtrip_tests @ invalidation_tests @ cache_tests @ plain_data_tests @ reference_tests
-    @ layout_tests )
+    @ layout_tests @ site_tests )

@@ -604,16 +604,18 @@ let fuzz_tests =
 let primed_fuzz_tests =
   [
     case "fuzz: truncate + bit-flip a primed .pti at every 97th byte, then edit" (fun () ->
-        (* the edit adds an uncalled function, so every segment of a
-           function free of indirect calls is read back: a damaged
-           header, index or kept segment must quarantine the entry, and
-           damage anywhere must never change the answer *)
+        (* the edit adds an uncalled function, so every segment is read
+           back, site records included in the generated web program,
+           whose functions call through tables: a damaged header, index
+           or kept segment must quarantine the entry, and damage
+           anywhere must never change the answer *)
+        List.iter
+          (fun (prog, text, stride) ->
         in_temp (fun dir ->
-            let source = Filename.concat dir "stanford.c" in
+            let source = Filename.concat dir (prog ^ ".c") in
             let write f s =
               Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
             in
-            let text = In_channel.with_open_bin (bench "stanford") In_channel.input_all in
             write source text;
             let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
             let pti =
@@ -634,22 +636,29 @@ let primed_fuzz_tests =
               | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e));
               (* drop the entry the run saved and any quarantined victim *)
               Array.iter
-                (fun f -> if f <> "stanford.c" then Sys.remove (Filename.concat dir f))
+                (fun f -> if f <> prog ^ ".c" then Sys.remove (Filename.concat dir f))
                 (Sys.readdir dir)
             in
             let off = ref 0 in
             while !off < len do
               let i = !off in
-              try_mutant (Fmt.str "truncate@%d" i) (String.sub data 0 i);
+              try_mutant (Fmt.str "%s: truncate@%d" prog i) (String.sub data 0 i);
               let b = Bytes.of_string data in
               Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-              try_mutant (Fmt.str "flip@%d" i) (Bytes.to_string b);
-              off := !off + 97
+              try_mutant (Fmt.str "%s: flip@%d" prog i) (Bytes.to_string b);
+              off := !off + stride
             done;
-            Alcotest.(check bool) "a few hundred mutants exercised" true (!mutants >= 200);
+            Alcotest.(check bool) (prog ^ ": a few hundred mutants exercised") true (!mutants >= 200);
             (* a flip in the content key or in a segment no function
                keeps leaves the summaries usable *)
-            Alcotest.(check bool) "some mutants still replay" true (!replayed > 0)));
+            Alcotest.(check bool) (prog ^ ": some mutants still replay") true (!replayed > 0)))
+          [
+            ("stanford", In_channel.with_open_bin (bench "stanford") In_channel.input_all, 97);
+            ( "web",
+              Gen.program
+                { Gen.default with Gen.seed = 11; size = 150; depth = 4; fnptr_density = 30 },
+              97 );
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)

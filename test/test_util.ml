@@ -99,10 +99,13 @@ type entry_layout = {
   index_len : int;
   fingerprinted : bool;
   sections : entry_section list;  (** the result section (named [""]) first *)
+  targets : (string * string list) list;
+      (** per function, the targets its indirect call sites resolved to *)
 }
 
-let entry_layout (data : string) : entry_layout =
-  let pos = ref 0 in
+(** A reader of varints and length-prefixed strings over [data] from
+    [pos]. *)
+let cursor (data : string) (pos : int ref) =
   let byte () =
     let c = Char.code data.[!pos] in
     incr pos;
@@ -113,7 +116,17 @@ let entry_layout (data : string) : entry_layout =
     let acc = acc lor ((c land 0x7f) lsl shift) in
     if c land 0x80 = 0 then acc else varint (shift + 7) acc
   in
-  let varint () = varint 0 0 in
+  let str () =
+    let l = varint 0 0 in
+    let s = String.sub data !pos l in
+    pos := !pos + l;
+    s
+  in
+  (byte, (fun () -> varint 0 0), str)
+
+let entry_layout (data : string) : entry_layout =
+  let pos = ref 0 in
+  let byte, varint, str = cursor data pos in
   let skip n = pos := !pos + n in
   (* magic, version, content key *)
   skip 5;
@@ -142,7 +155,72 @@ let entry_layout (data : string) : entry_layout =
     sections := { name; off = base + off; len; digest_at = !pos } :: !sections;
     skip 16
   done;
-  { index_digest_at; index_at; index_len; fingerprinted; sections = List.rev !sections }
+  let targets =
+    List.init (varint ()) (fun _ ->
+        let fn = str () in
+        (fn, List.init (varint ()) (fun _ -> str ())))
+  in
+  { index_digest_at; index_at; index_len; fingerprinted; sections = List.rev !sections; targets }
+
+(** The number of site records of each record of a summary segment
+    ([entry_section]'s bytes), in record order. A segment is its
+    location, row and set tables, then its records: input, output, rows,
+    the reference count doubled (plus one when site records follow),
+    the references, then the site records. *)
+let segment_site_counts (seg : string) : int list =
+  let pos = ref 0 in
+  let byte, varint, str = cursor seg pos in
+  let repeat f = for _ = 1 to varint () do f () done in
+  (* locations: a tag, then its payload *)
+  repeat (fun () ->
+      match byte () with
+      | 0 ->
+          ignore (str ());
+          ignore (byte ())
+      | 1 ->
+          ignore (varint ());
+          ignore (str ())
+      | 2 | 3 | 4 | 6 -> ignore (varint ())
+      | 9 | 10 -> ignore (str ())
+      | _ -> ());
+  (* rows: source, then (target, certainty) pairs *)
+  repeat (fun () ->
+      ignore (varint ());
+      repeat (fun () ->
+          ignore (varint ());
+          ignore (byte ())));
+  (* sets: absolute rows, or a delta of kills and added rows *)
+  repeat (fun () ->
+      match byte () with
+      | 0 -> repeat (fun () -> ignore (varint ()))
+      | _ ->
+          ignore (varint ());
+          repeat (fun () -> ignore (varint ()));
+          repeat (fun () -> ignore (varint ())));
+  let counts =
+    List.init (varint ()) (fun _ ->
+        ignore (varint ());
+        ignore (varint ());
+        repeat (fun () ->
+            ignore (varint ());
+            ignore (varint ()));
+        let flagged = varint () in
+        for _ = 1 to flagged / 2 do
+          ignore (str ());
+          ignore (varint ())
+        done;
+        if flagged land 1 = 0 then 0
+        else
+          let n = varint () in
+          for _ = 1 to n do
+            ignore (varint ());
+            ignore (str ());
+            ignore (varint ())
+          done;
+          n)
+  in
+  if !pos <> String.length seg then Alcotest.failf "segment read to %d of %d bytes" !pos (String.length seg);
+  counts
 
 (** The bytes of the section named [name]. *)
 let entry_section data name =

@@ -89,7 +89,11 @@ let store_find (st : store) fname (input : Pts.t) : summary_entry option =
   Option.bind (Hashtbl.find_opt st fname) (fun by_input -> Pts.Tbl.find_opt by_input input)
 
 (** Add [e] unless an entry with the same input is already stored: the
-    first evaluation of an input wins. Returns the entry the store now
+    first evaluation of an input wins. A seed this run has not used yet
+    is no evaluation of it, and gives way to a framed one: an evaluation
+    of a seed's input ({!closes_cycle}) is what a cold run stores, and
+    what a later §6 memo hit must find. A frameless one leaves the seed,
+    which a save writes at its ordinal. Returns the entry the store now
     holds for that input, which is what a reference to the input
     resolves to. *)
 let store_add (st : store) fname (e : summary_entry) : summary_entry =
@@ -102,9 +106,9 @@ let store_add (st : store) fname (e : summary_entry) : summary_entry =
         t
   in
   match Pts.Tbl.find_opt by_input e.se_in with
-  | Some e' -> e'
-  | None ->
-      Pts.Tbl.add by_input e.se_in e;
+  | Some e' when e'.se_origin <> Seeded || Option.is_none e.se_frame -> e'
+  | Some _ | None ->
+      Pts.Tbl.replace by_input e.se_in e;
       e
 
 (** The entry a reference names, if [st] holds it with a frame. *)
@@ -170,9 +174,9 @@ type ctx = {
           are recorded, and every evaluated indirect site re-checks the
           plan's oracle — a target it did not predict raises
           {!Demand.Oracle_miss} *)
-  indirect_fns : (string, bool) Hashtbl.t;
-      (** per function looked up so far: does it have an indirect call
-          site ({!closes_cycle})? *)
+  indirect_fns : (string, unit) Hashtbl.t;
+      (** when the run has seeds, the functions with an indirect call
+          site ({!closes_cycle}); empty otherwise *)
 }
 
 (** [seeded] enters the store as seeds; they must be closed under their
@@ -183,6 +187,11 @@ type ctx = {
 let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) : ctx =
   let store = store_create () in
   let stmt_pts = Hashtbl.create 256 in
+  let indirect_fns = Hashtbl.create 16 in
+  if Option.is_some seeded then
+    List.iter
+      (fun f -> if Ir.calls_indirectly f then Hashtbl.replace indirect_fns f.Ir.fn_name ())
+      tenv.Tenv.prog.Ir.funcs;
   Option.iter
     (Hashtbl.iter (fun fname ->
          Pts.Tbl.iter (fun _ e -> ignore (store_add store fname { e with se_origin = Seeded }))))
@@ -206,7 +215,7 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     node_refs = Hashtbl.create (if record_summaries then 256 else 1);
     chain = Pts.Acc.chain ();
     demand;
-    indirect_fns = Hashtbl.create 16;
+    indirect_fns;
   }
 
 let warn ctx fmt =
@@ -329,23 +338,9 @@ let record_site ctx ~indirect sid fname (child : Ig.node option) =
     (docs/INCREMENTAL.md, "Known divergence"). *)
 let closes_cycle ctx (node : Ig.node) (fname : string) (e : summary_entry) =
   let rec above n acc = match n.Ig.parent with Some p -> above p (p.Ig.func :: acc) | None -> acc in
+  Hashtbl.length ctx.indirect_fns > 0
+  &&
   let in_flight = above node [] in
-  let calls_indirectly g =
-    match Hashtbl.find_opt ctx.indirect_fns g with
-    | Some b -> b
-    | None ->
-        let b =
-          match Tenv.find_func ctx.tenv g with
-          | Some f ->
-              Ir.fold_func
-                (fun acc s ->
-                  acc || match s.Ir.s_desc with Ir.Scall (_, Ir.Cindirect _, _) -> true | _ -> false)
-                false f
-          | None -> false
-        in
-        Hashtbl.replace ctx.indirect_fns g b;
-        b
-  in
   let seen = Hashtbl.create 16 in
   let reenters = ref false and indirect = ref false in
   let rec walk g (e : summary_entry) =
@@ -353,7 +348,7 @@ let closes_cycle ctx (node : Ig.node) (fname : string) (e : summary_entry) =
     if not (List.memq e visited) then begin
       Hashtbl.replace seen g (e :: visited);
       if List.mem g in_flight then reenters := true;
-      if calls_indirectly g then indirect := true;
+      if Hashtbl.mem ctx.indirect_fns g then indirect := true;
       if not (!reenters && !indirect) then
         Option.iter
           (fun fr ->

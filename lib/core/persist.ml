@@ -1258,11 +1258,9 @@ let cache_file_incr ~cache_dir ~source ~opts ~entry =
    output; the replay grows the targets' graph nodes from the recorded
    sites, and serving it from the summary is bit-identical to
    re-running it (docs/INCREMENTAL.md). [targets f] lists the targets
-   [f]'s indirect calls resolved to in the saved run, [None] when
-   unknown: a function with an indirect site and unknown targets is
-   never eligible (without [targets], none is). Nor is a function whose
-   direct-call closure holds an indirect call site and that lies on a
-   cycle through another function: inside such a cycle an evaluation
+   [f]'s indirect calls resolved to in the saved run. A function is not
+   eligible when its direct-call closure holds an indirect call site
+   and it lies on a cycle through another function: inside such a cycle an evaluation
    also depends on the in-flight cycle-mate and on which of its entries
    a §6 memo hit found, so neither its output nor the calls its frame
    records, which a replay turns into graph nodes, are a function of
@@ -1274,7 +1272,7 @@ let cache_file_incr ~cache_dir ~source ~opts ~entry =
    Computed as a decreasing fixed point: start from the locally-clean
    functions (equal digests in the two tables) and strike out any whose
    callee chain fails. *)
-let eligible_funcs ?(targets = fun _ -> None) (p : Ir.program)
+let eligible_funcs ~(targets : string -> string list) (p : Ir.program)
     ~(old_hashes : (string, string) Hashtbl.t) ~(new_hashes : (string, string) Hashtbl.t) :
     (string, unit) Hashtbl.t =
   let defined = Hashtbl.create 64 in
@@ -1285,27 +1283,18 @@ let eligible_funcs ?(targets = fun _ -> None) (p : Ir.program)
   List.iter
     (fun f ->
       let name = f.Ir.fn_name in
-      let has_indirect = ref false in
-      let cs = ref [] in
-      Ir.fold_func
-        (fun () s ->
-          match s.Ir.s_desc with
-          | Ir.Scall (_, Ir.Cdirect g, _) -> cs := g :: !cs
-          | Ir.Scall (_, Ir.Cindirect _, _) -> has_indirect := true
-          | _ -> ())
-        () f;
-      let ts = if !has_indirect then targets name else Some [] in
-      Hashtbl.replace callees name (Option.value ~default:[] ts @ !cs);
-      Hashtbl.replace direct name !cs;
-      if !has_indirect then Hashtbl.replace indirect name ();
-      let unchanged =
-        match (Hashtbl.find_opt old_hashes name, Hashtbl.find_opt new_hashes name) with
-        | Some d, Some d' -> String.equal d d'
-        | _ -> false
+      let cs =
+        Ir.fold_func
+          (fun cs s -> match s.Ir.s_desc with Ir.Scall (_, Ir.Cdirect g, _) -> g :: cs | _ -> cs)
+          [] f
       in
-      match ts with
-      | Some _ when unchanged -> Hashtbl.replace elig name ()
-      | Some _ | None -> ())
+      let has_indirect = Ir.calls_indirectly f in
+      Hashtbl.replace callees name ((if has_indirect then targets name else []) @ cs);
+      Hashtbl.replace direct name cs;
+      if has_indirect then Hashtbl.replace indirect name ();
+      match (Hashtbl.find_opt old_hashes name, Hashtbl.find_opt new_hashes name) with
+      | Some d, Some d' when String.equal d d' -> Hashtbl.replace elig name ()
+      | _ -> ())
     p.Ir.funcs;
   (* does a walk over [edges] from [from] meet a function [goal] holds
      for? *)
@@ -1392,7 +1381,7 @@ let seedable_mode (opts : Options.t) =
 let kept_funcs ~fp (prog : Ir.program) (en : entry) : (string, unit) Hashtbl.t option =
   match en.en_fp with
   | Some old when String.equal old.fp_env fp.fp_env ->
-      let targets fn = Some (Option.value ~default:[] (List.assoc_opt fn en.en_targets)) in
+      let targets fn = Option.value ~default:[] (List.assoc_opt fn en.en_targets) in
       Some (eligible_funcs ~targets prog ~old_hashes:(digests old) ~new_hashes:(digests fp))
   | Some _ | None -> None
 

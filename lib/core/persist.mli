@@ -145,13 +145,9 @@ val func_hash : Simple_ir.Ir.func -> Digest.t
     digests), and that, when that closure holds an indirect call site,
     lie on no cycle through another function (docs/INCREMENTAL.md).
     [targets f] lists the targets [f]'s indirect calls resolved to in
-    the saved run, [None] when unknown; a
-    function with an indirect call site and unknown targets is not
-    eligible, so without [targets] only functions whose direct-call
-    closure is free of indirect call sites are. The complement is the
-    dirty set. *)
+    the saved run. The complement is the dirty set. *)
 val eligible_funcs :
-  ?targets:(string -> string list option) ->
+  targets:(string -> string list) ->
   Simple_ir.Ir.program ->
   old_hashes:(string, string) Hashtbl.t ->
   new_hashes:(string, string) Hashtbl.t ->

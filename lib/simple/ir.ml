@@ -166,6 +166,12 @@ let fold_func f acc fn = fold_stmts f acc fn.fn_body
 let fold_program f acc p =
   List.fold_left (fold_func f) acc p.funcs
 
+(** Does [fn] call through a function pointer anywhere? *)
+let calls_indirectly fn =
+  fold_func
+    (fun acc s -> acc || match s.s_desc with Scall (_, Cindirect _, _) -> true | _ -> false)
+    false fn
+
 (** Number of statements in a function (basic and control). *)
 let count_stmts fn = fold_func (fun n _ -> n + 1) 0 fn
 

@@ -125,7 +125,7 @@ let hash_tests =
         let old_prog = simplify (src ~edited:false) in
         let new_prog = simplify (src ~edited:true) in
         let elig =
-          Persist.eligible_funcs new_prog ~old_hashes:(digests old_prog)
+          Persist.eligible_funcs ~targets:(fun _ -> []) new_prog ~old_hashes:(digests old_prog)
             ~new_hashes:(digests new_prog)
         in
         let names =
@@ -133,24 +133,34 @@ let hash_tests =
         in
         Alcotest.(check (list string))
           "replayable = untouched subtrees" [ "a"; "c"; "leaf1" ] names);
-    case "eligible_funcs: indirect call sites poison their whole closure" (fun () ->
-        let src =
-          "int g; int *p;\n\
-           void tgt(void) { p = &g; }\n\
-           void hub(void (*fp)(void)) { fp(); }\n\
-           void quiet(void) { p = &g; }\n\
-           int main(void) { hub(tgt); quiet(); return 0; }\n"
+    case "eligible_funcs: indirect call sites replay through their listed targets" (fun () ->
+        let src ~edited =
+          "int g; int *p;\n"
+          ^ (if edited then "void tgt(void) { int t; t = 0; p = &g; }\n"
+             else "void tgt(void) { p = &g; }\n")
+          ^ "void hub(void (*fp)(void)) { fp(); }\n\
+             void quiet(void) { p = &g; }\n\
+             int main(void) { hub(tgt); quiet(); return 0; }\n"
         in
-        let prog = simplify src in
-        (* nothing edited, yet hub (indirect site) and main (calls hub)
-           must stay dirty; tgt and quiet replay *)
-        let elig =
-          Persist.eligible_funcs prog ~old_hashes:(digests prog) ~new_hashes:(digests prog)
-        in
-        let names =
+        let old_prog = simplify (src ~edited:false) in
+        let targets = function "hub" -> [ "tgt" ] | _ -> [] in
+        let replayable prog =
+          let elig =
+            Persist.eligible_funcs ~targets prog ~old_hashes:(digests old_prog)
+              ~new_hashes:(digests prog)
+          in
           Hashtbl.fold (fun n () acc -> n :: acc) elig [] |> List.sort compare
         in
-        Alcotest.(check (list string)) "fp-free subtrees only" [ "quiet"; "tgt" ] names);
+        (* nothing edited: hub's indirect site fixed its targets, so it
+           and main replay *)
+        Alcotest.(check (list string))
+          "unedited: every function" [ "hub"; "main"; "quiet"; "tgt" ]
+          (replayable old_prog);
+        (* an edited target re-runs the function that called it through
+           the pointer, and that function's callers *)
+        Alcotest.(check (list string))
+          "tgt edited: the fp-free subtree" [ "quiet" ]
+          (replayable (simplify (src ~edited:true))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -706,7 +716,8 @@ let segment_tests =
             check_identical "leaf edit" (Analysis.of_file source) r;
             let after = read_file pti in
             let kept =
-              Persist.eligible_funcs r.Analysis.prog ~old_hashes:(digests old_prog)
+              Persist.eligible_funcs ~targets:(fun _ -> []) r.Analysis.prog
+                ~old_hashes:(digests old_prog)
                 ~new_hashes:(digests r.Analysis.prog)
             in
             let copied = ref 0 and grown = ref 0 in
@@ -758,7 +769,8 @@ let segment_tests =
             in
             let saved = summaries r.Analysis.prog in
             let kept =
-              Persist.eligible_funcs r.Analysis.prog ~old_hashes:(digests old_prog)
+              Persist.eligible_funcs ~targets:(fun _ -> []) r.Analysis.prog
+                ~old_hashes:(digests old_prog)
                 ~new_hashes:(digests r.Analysis.prog)
             in
             let grown = ref 0 in
@@ -825,7 +837,8 @@ let segment_tests =
             let text2 = leaf_edit text1 "f0_5" in
             let prog2 = Simple_ir.Simplify.of_string ~file:source text2 in
             let kept =
-              Persist.eligible_funcs prog2 ~old_hashes:(digests r1.Analysis.prog)
+              Persist.eligible_funcs ~targets:(fun _ -> []) prog2
+                ~old_hashes:(digests r1.Analysis.prog)
                 ~new_hashes:(digests prog2)
             in
             (* a segment the first edit copied, of a function the second
@@ -1112,10 +1125,10 @@ let cycle_tests =
         in
         let prog = simplify src in
         let targets = function
-          | "hub" -> Some [ "tgt" ]
-          | "loop" -> Some [ "back" ]
-          | "self" -> Some [ "self" ]
-          | _ -> Some []
+          | "hub" -> [ "tgt" ]
+          | "loop" -> [ "back" ]
+          | "self" -> [ "self" ]
+          | _ -> []
         in
         let elig =
           Persist.eligible_funcs ~targets prog ~old_hashes:(digests prog)
@@ -1163,20 +1176,48 @@ let cycle_tests =
            int main(void) { M(); return 0; }\n"
         in
         let v2 = replace_once ~sub:"void M(void) { fp = F; F(); }" ~by:"void M(void) { fp = F; A(); }" v1 in
-        let v3 = v2 ^ "void added(void) { }\n" in
+        (* here the evaluation under [A] has the seed's input and an
+           output of its own: [A]'s approximate node hands back [x]'s
+           possible target, which the seed's [F] had killed. [M] then
+           calls [F] again with that input, which a cold run answers
+           from the cycle's evaluation (a §6 memo hit), so that
+           evaluation must take the seed's place in the store *)
+        let w1 =
+          "int ga; int gb; int c; int *p; int *q; int *x;\n\
+           void T(void) { q = &gb; }\n\
+           void A(void (*g)(void)) { g(); p = q; }\n\
+           void F(void) { x = 0; A(T); q = x; }\n\
+           void M(void) { if (c) x = &ga; F(); }\n\
+           int main(void) { M(); return 0; }\n"
+        in
+        let w2 =
+          replace_once ~sub:"void M(void) { if (c) x = &ga; F(); }"
+            ~by:
+              "void M(void) { void (*h)(void); if (c) x = &ga; if (c) h = F; else h = T; A(h);\n\
+              \  p = 0; q = 0; x = 0; if (c) x = &ga; F(); }"
+            w1
+        in
+        let added v = v ^ "void added(void) { }\n" in
         List.iter
-          (fun (mode, opts) ->
-            in_temp (fun dir ->
-                let source = Filename.concat dir "knot.c" in
-                write_file source v1;
-                let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
-                List.iter
-                  (fun (label, text) ->
-                    write_file source text;
-                    let r, _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
-                    check_identical (label ^ mode) (Analysis.of_file ~opts source) r)
-                  [ ("edit of M", v2); ("added function", v3) ]))
-          share_modes);
+          (fun (name, v1, v2) ->
+            List.iter
+              (fun (mode, opts) ->
+                in_temp (fun dir ->
+                    let source = Filename.concat dir "knot.c" in
+                    write_file source v1;
+                    let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                    List.iter
+                      (fun (label, text) ->
+                        write_file source text;
+                        let r, _ =
+                          Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
+                        in
+                        check_identical
+                          (name ^ ", " ^ label ^ mode)
+                          (Analysis.of_file ~opts source) r)
+                      [ ("edit of M", v2); ("added function", added v2) ]))
+              share_modes)
+          [ ("fp reset", v1, v2); ("F called again", w1, w2) ]);
   ]
 
 let site_control_tests =

@@ -610,54 +610,55 @@ let primed_fuzz_tests =
            or kept segment must quarantine the entry, and damage
            anywhere must never change the answer *)
         List.iter
-          (fun (prog, text, stride) ->
-        in_temp (fun dir ->
-            let source = Filename.concat dir (prog ^ ".c") in
-            let write f s =
-              Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
-            in
-            write source text;
-            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-            let pti =
-              Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
-            in
-            let data = In_channel.with_open_bin pti In_channel.input_all in
-            let len = String.length data in
-            write source (text ^ "\nvoid ptan_probe_added(void) { }\n");
-            let cold = stmt_digest (Analysis.of_file source) in
-            let mutants = ref 0 and replayed = ref 0 in
-            let try_mutant name s =
-              incr mutants;
-              write pti s;
-              (match Persist.analyze_cached ~cache_dir:dir ~incremental:true source with
-              | r, _ ->
-                  if r.Analysis.metrics.M.incr_funcs_reused > 0 then incr replayed;
-                  Alcotest.(check string) (name ^ ": the cold answer") cold (stmt_digest r)
-              | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e));
-              (* drop the entry the run saved and any quarantined victim *)
-              Array.iter
-                (fun f -> if f <> prog ^ ".c" then Sys.remove (Filename.concat dir f))
-                (Sys.readdir dir)
-            in
-            let off = ref 0 in
-            while !off < len do
-              let i = !off in
-              try_mutant (Fmt.str "%s: truncate@%d" prog i) (String.sub data 0 i);
-              let b = Bytes.of_string data in
-              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-              try_mutant (Fmt.str "%s: flip@%d" prog i) (Bytes.to_string b);
-              off := !off + stride
-            done;
-            Alcotest.(check bool) (prog ^ ": a few hundred mutants exercised") true (!mutants >= 200);
-            (* a flip in the content key or in a segment no function
-               keeps leaves the summaries usable *)
-            Alcotest.(check bool) (prog ^ ": some mutants still replay") true (!replayed > 0)))
+          (fun (prog, text) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir (prog ^ ".c") in
+                let write f s =
+                  Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
+                in
+                write source text;
+                let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+                let pti =
+                  Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
+                in
+                let data = In_channel.with_open_bin pti In_channel.input_all in
+                let len = String.length data in
+                write source (text ^ "\nvoid ptan_probe_added(void) { }\n");
+                let cold = stmt_digest (Analysis.of_file source) in
+                let mutants = ref 0 and replayed = ref 0 in
+                let try_mutant name s =
+                  incr mutants;
+                  write pti s;
+                  (match Persist.analyze_cached ~cache_dir:dir ~incremental:true source with
+                  | r, _ ->
+                      if r.Analysis.metrics.M.incr_funcs_reused > 0 then incr replayed;
+                      Alcotest.(check string) (name ^ ": the cold answer") cold (stmt_digest r)
+                  | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e));
+                  (* drop the entry the run saved and any quarantined victim *)
+                  Array.iter
+                    (fun f -> if f <> prog ^ ".c" then Sys.remove (Filename.concat dir f))
+                    (Sys.readdir dir)
+                in
+                let off = ref 0 in
+                while !off < len do
+                  let i = !off in
+                  try_mutant (Fmt.str "%s: truncate@%d" prog i) (String.sub data 0 i);
+                  let b = Bytes.of_string data in
+                  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+                  try_mutant (Fmt.str "%s: flip@%d" prog i) (Bytes.to_string b);
+                  off := !off + 97
+                done;
+                Alcotest.(check bool)
+                  (prog ^ ": a few hundred mutants exercised")
+                  true (!mutants >= 200);
+                (* a flip in the content key or in a segment no function
+                   keeps leaves the summaries usable *)
+                Alcotest.(check bool) (prog ^ ": some mutants still replay") true (!replayed > 0)))
           [
-            ("stanford", In_channel.with_open_bin (bench "stanford") In_channel.input_all, 97);
+            ("stanford", In_channel.with_open_bin (bench "stanford") In_channel.input_all);
             ( "web",
               Gen.program
-                { Gen.default with Gen.seed = 11; size = 150; depth = 4; fnptr_density = 30 },
-              97 );
+                { Gen.default with Gen.seed = 11; size = 150; depth = 4; fnptr_density = 30 } );
           ]);
   ]
 

@@ -649,13 +649,10 @@ let cmd_serve files cache incremental demand budget jobs socket request_deadline
             Fmt.epr "serve: error: --supervise requires --socket@.";
             exit 1
         | Some path ->
-            let sv =
-              { Pointsto.Serve.default_supervise with sv_max_restarts = max_restarts }
-            in
             let journal = Some (path ^ ".journal") in
             (try Sys.remove (path ^ ".journal") with Sys_error _ -> ());
             let code =
-              Pointsto.Serve.supervise ~stop sv ~socket:path (fun ~restarts fd ->
+              Pointsto.Serve.supervise ~stop ~max_restarts ~socket:path (fun ~restarts fd ->
                   run_daemon ~restarts ~journal (Pointsto.Serve.Listening fd);
                   0)
             in
@@ -760,8 +757,10 @@ let incremental_flag =
           "Incremental re-analysis: keep a stable cache entry carrying per-function \
            content hashes and replayable summaries; after an edit, only the dirty \
            functions (edited ones plus everything that can reach them) re-analyze and \
-           the rest replays — with bit-identical tables. Requires the cache (ignored \
-           under --no-cache). See docs/INCREMENTAL.md.")
+           the rest replays — with bit-identical tables. Summaries replay under \
+           sub-tree sharing only: with --no-context, --no-share-contexts or \
+           --heap-by-site an edit re-runs in full. Requires the cache (ignored under \
+           --no-cache). See docs/INCREMENTAL.md.")
 
 let no_incremental =
   Arg.(

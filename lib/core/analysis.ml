@@ -33,7 +33,7 @@ type result = {
   summaries : Engine.store;
       (** the run's summary store; {!Persist} writes its entries that
           carry a frame and were recorded or replayed this run, with the
-          entries their frames reference, into the summary section for
+          entries their frames' calls name, into the summary section for
           incremental re-analysis *)
 }
 

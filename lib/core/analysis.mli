@@ -49,7 +49,7 @@ type result = {
   summaries : Engine.store;
       (** the run's (function, input) summary store; its entries recorded
           with [~record_summaries:true] or replayed from [seeded], with
-          the entries their frames reference, are the payload of
+          the entries their frames' calls name, are the payload of
           {!Persist}'s summary section, replayed by later incremental
           runs (docs/INCREMENTAL.md) *)
 }
@@ -76,10 +76,12 @@ exception No_entry of string
     evaluated (function, input) pair into [result.summaries]; [seeded]
     supplies summaries from a previous run to replay instead of
     re-evaluating (both default off — see docs/INCREMENTAL.md). Seeds
-    must be closed under their references, as a recording run's framed
+    must be closed under their calls, as a recording run's framed
     entries and {!Persist}'s loaded ones are: a replay folds only the
-    rows its references reach. The
-    widened rerun of a degraded analysis never records or replays.
+    rows its calls reach. A replay grows what a cold run grows under §6
+    sub-tree sharing, so seeds are for sharing runs (as {!Persist} gives
+    them). The widened rerun of a degraded analysis never records or
+    replays.
 
     @raise Guard.Cancelled if the driver cancelled this task
     ({!Pool} timeout) — never degraded, the caller gave up. *)

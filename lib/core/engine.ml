@@ -19,51 +19,36 @@ module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 open Cfront
 
-(** Where a {!summary_entry} came from. Live entries answer a lookup
-    only under §6 sub-tree sharing; seeded ones answer either way, by
-    replaying their frame. *)
+(** Where a {!summary_entry} came from. *)
 type origin =
   | Seeded
-      (** loaded from a previous run's persisted summaries; its rows have
-          not reached [stmt_pts] this run *)
-  | Replayed
-      (** seeded, with its rows folded this run: replayed with sharing
-          off, or reached through the references of a replayed entry.
-          Still answers as a seed *)
-  | Live  (** evaluated this run, or seeded and replayed with sharing on *)
+      (** loaded from a previous run's persisted summaries and not used
+          by this run yet: its rows have not reached [stmt_pts], and a
+          lookup replays it ({!replay}) *)
+  | Live
+      (** evaluated this run, or a seed a replay has used: under §6
+          sharing, a lookup is a memo hit *)
 
-(** A reference from a frame to the summary entry one of its calls
-    used: the callee and that entry's input, i.e. the entry's key in the
-    {!store}. *)
-type sref = { r_fn : string; r_in : Pts.t }
-
-(** A call of an evaluation whose replay can grow the invocation graph:
-    the call statement, the target, and the input of the callee entry
-    the call used ([None] when it used none: a target outside the
-    program, which grows no node, or a call back into the evaluation
-    itself, which grows an approximate node). Every target of an
-    indirect site is one (§5: the targets are a function of the
-    points-to set at the site, so of the evaluation's input), and so is
-    a direct call whose callee entry records sites of its own. *)
-type site = { c_sid : int; c_fn : string; c_in : Pts.t option }
+(** One call an evaluation made, in the order the evaluation first made
+    it: the call statement, the callee, and the input of the callee
+    entry the call used, i.e. the entry's key in the {!store} ([None]
+    when it used none: a target outside the program, or an approximate
+    node). Every call of a defined function and every target of an
+    indirect call is one (§5: the targets are a function of the
+    points-to set at the site, so of the evaluation's input). *)
+type call = { c_sid : int; c_fn : string; c_in : Pts.t option }
 
 (** What one evaluation contributed to the per-statement tables, in two
     parts: the rows of the statements of its {e own} function (each the
-    merge of that evaluation's visits), and references to the entries of
-    the callee evaluations, memo hits and replays it contained, each
-    holding its own frame. A frame is the invocation-graph node of §4
-    with its children by reference: the contribution of the whole call
-    cone is the rows of every entry the references reach. Rows are in
+    merge of that evaluation's visits), and its calls, each naming the
+    callee entry that holds the callee's own frame. A frame is the
+    invocation-graph node of §4 with its children by reference: the
+    contribution of the whole call cone is the rows of every entry the
+    calls reach, and the calls are what a replay needs to find or grow
+    the children a cold evaluation would have ({!replay}). Rows are in
     statement order, so consecutive statements that hold the same set
-    fold into [stmt_pts] through the recording chain. The sites, in
-    first-use order, are what a replay needs to grow the children a cold
-    evaluation would have grown ({!rebuild}); a cone free of indirect
-    call sites has none. *)
-type frame = {
-  f_rows : (int * Pts.t) array;
-  f_refs : sref list;
-  f_sites : site list;
-}
+    fold into [stmt_pts] through the recording chain. *)
+type frame = { f_rows : (int * Pts.t) array; f_calls : call list }
 
 (** One memoized (input, output) pair of a function. The frame is
     present when the run records summaries, and on every seed: it is
@@ -94,8 +79,8 @@ let store_find (st : store) fname (input : Pts.t) : summary_entry option =
     of a seed's input ({!closes_cycle}) is what a cold run stores, and
     what a later §6 memo hit must find. A frameless one leaves the seed,
     which a save writes at its ordinal. Returns the entry the store now
-    holds for that input, which is what a reference to the input
-    resolves to. *)
+    holds for that input, which is what a call that used the input
+    names. *)
 let store_add (st : store) fname (e : summary_entry) : summary_entry =
   let by_input =
     match Hashtbl.find_opt st fname with
@@ -111,9 +96,9 @@ let store_add (st : store) fname (e : summary_entry) : summary_entry =
       Pts.Tbl.replace by_input e.se_in e;
       e
 
-(** The entry a reference names, if [st] holds it with a frame. *)
-let resolve (st : store) (r : sref) : summary_entry option =
-  match store_find st r.r_fn r.r_in with
+(** The entry of [fname] for [input], if [st] holds it with a frame. *)
+let resolve (st : store) fname (input : Pts.t) : summary_entry option =
+  match store_find st fname input with
   | Some { se_frame = None; _ } | None -> None
   | found -> found
 
@@ -154,14 +139,13 @@ type ctx = {
           evaluation when the run records summaries, [stmt_pts]
           otherwise. A finished evaluation's rows are frozen and folded
           straight into [stmt_pts] *)
-  mutable refs : sref list;
-      (** the references of the innermost open frame (none is open when
-          [recording] is [stmt_pts]) *)
-  mutable sites : site list;  (** the open frame's sites, latest first *)
-  node_refs : (int, sref) Hashtbl.t;
+  mutable calls : call list;
+      (** the calls of the innermost open frame, latest first (none is
+          open when [recording] is [stmt_pts]) *)
+  node_refs : (int, Pts.t) Hashtbl.t;
       (** when the run records summaries: per invocation-graph node id,
-          the entry its stored (input, output) pair came from, which a
-          repeat of the node's input references again *)
+          the input of the entry its stored (input, output) pair came
+          from, which a call through the node names *)
   chain : Pts.Acc.chain;
       (** the latest row fold, shared by every recording table: a
           statement that sees the same set as the one before it, with
@@ -180,7 +164,8 @@ type ctx = {
 }
 
 (** [seeded] enters the store as seeds; they must be closed under their
-    references, as a run's framed entries are ({!eval_node}). The run
+    calls, as a run's framed entries are ({!eval_node}), and they replay
+    under §6 sharing only, which {!Persist} keeps to. The run
     works on its own copy: one set of seeds may serve many runs (a
     demand session replays it per query), while a run turns the entries
     it replays live. *)
@@ -210,8 +195,7 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     store;
     record_summaries;
     recording = stmt_pts;
-    refs = [];
-    sites = [];
+    calls = [];
     node_refs = Hashtbl.create (if record_summaries then 256 else 1);
     chain = Pts.Acc.chain ();
     demand;
@@ -282,59 +266,38 @@ let freeze_rows (t : (int, Pts.Acc.t) Hashtbl.t) : (int * Pts.t) array =
 let fold_rows ctx (rows : (int * Pts.t) array) =
   Array.iter (fun (sid, row) -> record_into ctx ctx.stmt_pts sid row) rows
 
-(** Reference [r] from the innermost open frame, if one is open and does
-    not reference it yet. *)
-let add_ref ctx (r : sref) =
-  if
-    ctx.recording != ctx.stmt_pts
-    && not (List.exists (fun r' -> r'.r_in == r.r_in && String.equal r'.r_fn r.r_fn) ctx.refs)
-  then ctx.refs <- r :: ctx.refs
-
-(** [node] now holds the (input, output) pair of the entry [r] names:
-    reference it from the open frame, and remember it for the node. *)
-let use_entry ctx (node : Ig.node) (r : sref) =
-  add_ref ctx r;
-  if ctx.record_summaries then Hashtbl.replace ctx.node_refs node.Ig.id r
+(** [node] takes entry [e]'s pair for [input], an input equal to
+    [e]'s, without an evaluation: remember the entry for the node, so
+    that the call through the node names it. *)
+let adopt ctx (node : Ig.node) (input : Pts.t) (e : summary_entry) =
+  node.Ig.stored_input <- Some input;
+  node.Ig.stored_output <- Some e.se_out;
+  if ctx.record_summaries then Hashtbl.replace ctx.node_refs node.Ig.id e.se_in
 
 (** After a call at statement [sid] to [fname], made through
     invocation-graph node [child] ([None] for a function outside the
-    program), note it in the open frame's sites when its replay can grow
-    the graph: always at an [indirect] site, and at a direct one when
-    the callee entry has sites. [node_refs] names the entry the call
-    used; an approximate node has none. *)
-let record_site ctx ~indirect sid fname (child : Ig.node option) =
+    program), note it in the open frame's calls, once per (statement,
+    callee, entry). [node_refs] names the entry the call used; an
+    approximate node has none. *)
+let record_call ctx sid fname (child : Ig.node option) =
   if ctx.recording != ctx.stmt_pts then begin
-    let c_in =
-      Option.bind child (fun c ->
-          Option.map (fun r -> r.r_in) (Hashtbl.find_opt ctx.node_refs c.Ig.id))
-    in
-    let grows () =
-      match c_in with
-      | Some i -> (
-          match store_find ctx.store fname i with
-          | Some { se_frame = Some fr; _ } -> fr.f_sites <> []
-          | Some { se_frame = None; _ } | None -> false)
-      | None -> false
-    in
-    let same c =
-      c.c_sid = sid && String.equal c.c_fn fname
-      && match (c.c_in, c_in) with Some a, Some b -> a == b | None, None -> true | _ -> false
-    in
-    if (indirect || grows ()) && not (List.exists same ctx.sites) then
-      ctx.sites <- { c_sid = sid; c_fn = fname; c_in } :: ctx.sites
+    let c_in = Option.bind child (fun c -> Hashtbl.find_opt ctx.node_refs c.Ig.id) in
+    let same c = c.c_sid = sid && String.equal c.c_fn fname && Option.equal ( == ) c.c_in c_in in
+    if not (List.exists same ctx.calls) then
+      ctx.calls <- { c_sid = sid; c_fn = fname; c_in } :: ctx.calls
   end
 
 (** Would a cold evaluation of seed [e] at [node] close a cycle through
     a function pointer? It would when a function in [e]'s cone, the
-    entries its references reach, is in flight above [node] (Figure 4
-    makes that call an approximate node, so its output would depend on
-    the in-flight evaluation, not on [e]'s input alone), and the cone
-    holds an indirect call site. The dirty rule bars such cycles when
-    the saved run took them; this catches one that only this run takes:
-    an unchanged function whose new input resolves a pointer to a caller
-    of itself. The seed is evaluated instead, and the next save lists
-    the new edge, so the dirty rule bars the cycle from then on. A cone
-    free of indirect calls is left to replay as it always did
+    entries its calls reach, is in flight above [node] (Figure 4 makes
+    that call an approximate node, so its output would depend on the
+    in-flight evaluation, not on [e]'s input alone), and the cone holds
+    an indirect call site. The dirty rule bars such cycles when the
+    saved run took them; this catches one that only this run takes: an
+    unchanged function whose new input resolves a pointer to a caller of
+    itself. The seed is evaluated instead, and the next save lists the
+    new edge, so the dirty rule bars the cycle from then on. A cone free
+    of indirect calls is left to replay as it always did
     (docs/INCREMENTAL.md, "Known divergence"). *)
 let closes_cycle ctx (node : Ig.node) (fname : string) (e : summary_entry) =
   let rec above n acc = match n.Ig.parent with Some p -> above p (p.Ig.func :: acc) | None -> acc in
@@ -352,27 +315,16 @@ let closes_cycle ctx (node : Ig.node) (fname : string) (e : summary_entry) =
       if not (!reenters && !indirect) then
         Option.iter
           (fun fr ->
-            List.iter (fun r -> Option.iter (walk r.r_fn) (resolve ctx.store r)) fr.f_refs)
+            List.iter
+              (fun c ->
+                Option.iter
+                  (fun i -> Option.iter (walk c.c_fn) (resolve ctx.store c.c_fn i))
+                  c.c_in)
+              fr.f_calls)
           e.se_frame
     end
   in
   in_flight <> [] && (walk fname e; !reenters && !indirect)
-
-(** Replay the rows of seed [e] and of every entry its references reach
-    into [stmt_pts], once per entry per run: an entry that is no longer
-    [Seeded] has had its rows folded this run, or was evaluated in it.
-    The entries reached turn [Replayed], so the walk stops at them the
-    next time. Seeds are closed under their references, so the rows
-    reached are the whole call cone. *)
-let rec replay_rows ctx (e : summary_entry) =
-  if e.se_origin = Seeded then begin
-    e.se_origin <- Replayed;
-    Option.iter
-      (fun fr ->
-        fold_rows ctx fr.f_rows;
-        List.iter (fun r -> Option.iter (replay_rows ctx) (resolve ctx.store r)) fr.f_refs)
-      e.se_frame
-  end
 
 (** Does [t] carry pointers inside a struct or union (so values of it
     are copied cell by cell)? *)
@@ -697,7 +649,7 @@ let demand_skip ctx caller_fn (s : Pts.t) (callee_fn : Ir.func) (args : Ir.opera
   else
     call_mapped ctx caller_fn s callee_fn args ~merged:true (fun func_input _ ->
         match store_find ctx.store fname func_input with
-        | Some { se_origin = Seeded | Replayed; se_out; _ } ->
+        | Some { se_origin = Seeded; se_out; _ } ->
             m.Metrics.demand_replays <- m.Metrics.demand_replays + 1;
             Some se_out
         | Some { se_origin = Live; _ } | None ->
@@ -753,20 +705,23 @@ let finish_call ctx fn ((out, ret_tgts, ret_cells) : call_result) lhs : flow =
             | _ -> flow_of (Some s)
           end)
 
-(** Grow under [node] the invocation-graph children that evaluating the
-    entry [e] there would have grown, since a replay skips the body. At
-    each of [e]'s sites, in first-use order, {!Ig.add_indirect_child}
-    finds or grows the target's child, exactly as the evaluation's call
-    did, and the child takes the callee entry's pair and reference.
-    The callee entry's own sites are then rebuilt under the child
-    unless a cold run would not have evaluated it there: when the child
-    already holds that pair, and, under §6 sharing, when the entry was
-    already used this run (a memo hit grows no subtree). Without
-    sharing every use grows, as every cold evaluation does. *)
-let rec rebuild ctx (node : Ig.node) (e : summary_entry) =
-  let sharing = ctx.opts.Options.share_contexts in
+(** Replay seed [e] at [node] in place of an evaluation of its input
+    there: fold its rows into [stmt_pts], mark it live, and take its
+    calls in order. At each one, {!Ig.add_indirect_child} finds the
+    child, or grows it at an indirect call, exactly as the evaluation's
+    call did, and the child takes the callee entry's pair. The walk then
+    enters the callee entry while it is still seeded, as a cold run
+    evaluates the callee there; a live entry was evaluated or replayed
+    this run already, so the cold run's call was a §6 memo hit, which
+    grows no subtree. A child that already holds the pair answered from
+    it in the cold run, and a demand-skipped callee is never evaluated.
+    So every entry a cold run evaluates inside the cone turns live, and
+    the store is the one a cold run leaves. *)
+let rec replay ctx (node : Ig.node) (e : summary_entry) =
+  e.se_origin <- Live;
   Option.iter
     (fun fr ->
+      fold_rows ctx fr.f_rows;
       List.iter
         (fun c ->
           if Tenv.is_defined_func ctx.tenv c.c_fn && not (demand_skips ctx c.c_fn) then begin
@@ -784,18 +739,12 @@ let rec rebuild ctx (node : Ig.node) (e : summary_entry) =
                 in
                 match store_find ctx.store c.c_fn input with
                 | Some ce when not holds ->
-                    child.Ig.stored_input <- Some input;
-                    child.Ig.stored_output <- Some ce.se_out;
-                    if ctx.record_summaries then
-                      Hashtbl.replace ctx.node_refs child.Ig.id { r_fn = c.c_fn; r_in = ce.se_in };
-                    if not (sharing && ce.se_origin = Live) then begin
-                      if sharing then ce.se_origin <- Live;
-                      rebuild ctx child ce
-                    end
+                    adopt ctx child input ce;
+                    if ce.se_origin = Seeded then replay ctx child ce
                 | Some _ | None -> ())
             | (Some _ | None), _ -> ()
           end)
-        fr.f_sites)
+        fr.f_calls)
     e.se_frame
 
 (* ------------------------------------------------------------------ *)
@@ -955,7 +904,7 @@ and process_call_stmt ctx fn node (s : Pts.t) (stmt : Ir.stmt) lhs callee args :
                    c
              in
              let result = invoke ctx fn child s callee_fn args in
-             record_site ctx ~indirect:false stmt.Ir.s_id fname (Some child);
+             record_call ctx stmt.Ir.s_id fname (Some child);
              result))
         lhs
   | Ir.Cindirect fref ->
@@ -1013,7 +962,7 @@ and process_call_stmt ctx fn node (s : Pts.t) (stmt : Ir.stmt) lhs callee args :
                   in
                   invoke ctx fn child s' callee_fn args)
               in
-              record_site ctx ~indirect:true stmt.Ir.s_id fname !at;
+              record_call ctx stmt.Ir.s_id fname !at;
               result)
             fnames
         in
@@ -1056,11 +1005,8 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
       match (node.Ig.stored_input, node.Ig.in_flight) with
       | Some si, false when Pts.equal si func_input && Option.is_some node.Ig.stored_output
         ->
-          (* the node's own stored pair: a re-evaluation of its caller
-             (with a grown input) still references the entry it came
-             from *)
-          if ctx.recording != ctx.stmt_pts then
-            Option.iter (add_ref ctx) (Hashtbl.find_opt ctx.node_refs node.Ig.id);
+          (* the node's own stored pair: the call's record names the
+             entry it came from *)
           node.Ig.stored_output
       | _ -> (
           let fname = callee_fn.Ir.fn_name in
@@ -1071,29 +1017,19 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               (* §6 sub-tree sharing: another context of the same function
                  has already been analyzed with an identical input *)
               Metrics.((cur ()).memo_hits <- (cur ()).memo_hits + 1);
-              node.Ig.stored_input <- Some func_input;
-              node.Ig.stored_output <- Some e.se_out;
-              (* the entry's rows, and those of every entry it
-                 references, reached [stmt_pts] when it was evaluated or
-                 replayed: the open frame only references it *)
-              use_entry ctx node { r_fn = fname; r_in = e.se_in };
+              (* the entry's rows, and those of every entry its calls
+                 reach, reached [stmt_pts] when it was evaluated or
+                 replayed: the open frame's call only names it *)
+              adopt ctx node func_input e;
               Some e.se_out
-          | Some ({ se_origin = Seeded | Replayed; _ } as e) when not (closes_cycle ctx node fname e) ->
-              (* Replay a persisted summary: fold the rows its frame
-                 reaches into [stmt_pts] (the first time this run), adopt
-                 its output, reference it from the open frame, grow the
-                 children the skipped evaluation would have grown at its
-                 recorded sites, and skip the body fixpoint. Only
-                 functions whose whole closure over direct calls and
-                 recorded targets is unchanged are ever seeded
-                 (docs/INCREMENTAL.md). *)
+          | Some ({ se_origin = Seeded; _ } as e) when not (closes_cycle ctx node fname e) ->
+              (* Replay a persisted summary: adopt its output, walk its
+                 frame, and skip the body fixpoint. Only functions whose
+                 whole closure over direct calls and recorded targets is
+                 unchanged are ever seeded (docs/INCREMENTAL.md). *)
               let tr0 = Trace.start () in
-              replay_rows ctx e;
-              use_entry ctx node { r_fn = fname; r_in = e.se_in };
-              e.se_origin <- (if sharing then Live else Replayed);
-              node.Ig.stored_input <- Some func_input;
-              node.Ig.stored_output <- Some e.se_out;
-              rebuild ctx node e;
+              adopt ctx node func_input e;
+              replay ctx node e;
               Metrics.((cur ()).incr_funcs_reused <- (cur ()).incr_funcs_reused + 1);
               if Trace.on () then
                 Trace.emit Trace.Replay ~name:fname ~ctx:(Pts.hash func_input)
@@ -1109,15 +1045,13 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               node.Ig.pending <- [];
               node.Ig.in_flight <- true;
               (* an exception abandons the whole run, so [recording] and
-                 [refs] are restored on the normal path only *)
-              let parent = ctx.recording and parent_refs = ctx.refs
-              and parent_sites = ctx.sites in
+                 [calls] are restored on the normal path only *)
+              let parent = ctx.recording and parent_calls = ctx.calls in
               let open_frame =
                 if ctx.record_summaries then begin
                   let fr = Hashtbl.create 16 in
                   ctx.recording <- fr;
-                  ctx.refs <- [];
-                  ctx.sites <- [];
+                  ctx.calls <- [];
                   Some fr
                 end
                 else None
@@ -1168,46 +1102,47 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               node.Ig.in_flight <- false;
               let frame =
                 Option.map
-                  (fun fr ->
-                    { f_rows = freeze_rows fr; f_refs = ctx.refs; f_sites = List.rev ctx.sites })
+                  (fun fr -> { f_rows = freeze_rows fr; f_calls = List.rev ctx.calls })
                   open_frame
               in
               node.Ig.stored_input <- Some func_input;
-              (* the frame is stored only when every reference resolves
-                 to a stored frame, so a stored frame replays its whole
-                 call cone. A reference dangles when its callee returned
-                 bottom, and so was not stored (it never returns, or a
-                 cycle-mate's output was still pending), or was itself
-                 stored without a frame. Without sharing, a frameless
-                 entry would never answer and never be saved *)
+              (* the frame is stored only when every call's entry
+                 resolves to a stored frame, so a stored frame replays
+                 its whole call cone. A call's entry dangles when the
+                 callee returned bottom, and so was not stored (it never
+                 returns, or a cycle-mate's output was still pending), or
+                 was itself stored without a frame. Entries are stored
+                 under §6 sharing only: without it no lookup answers
+                 them, and no run replays them *)
               let closed =
                 match frame with
                 | Some fr
-                  when List.for_all (fun r -> Option.is_some (resolve ctx.store r)) fr.f_refs ->
+                  when List.for_all
+                         (fun c ->
+                           match c.c_in with
+                           | Some i -> Option.is_some (resolve ctx.store c.c_fn i)
+                           | None -> true)
+                         fr.f_calls ->
                     frame
                 | Some _ | None -> None
               in
               let stored =
                 match node.Ig.stored_output with
-                | Some out when sharing || Option.is_some closed ->
+                | Some out when sharing ->
                     Some
                       (store_add ctx.store fname
                          { se_in = func_input; se_out = out; se_frame = closed; se_origin = Live })
                 | Some _ | None -> None
               in
               ctx.recording <- parent;
-              ctx.refs <- parent_refs;
-              ctx.sites <- parent_sites;
+              ctx.calls <- parent_calls;
               (* the own rows go straight to [stmt_pts], the caller's
-                 frame gets a reference, stored or not *)
+                 call names the entry, stored or not *)
               Option.iter
                 (fun fr ->
                   fold_rows ctx fr.f_rows;
-                  use_entry ctx node
-                    {
-                      r_fn = fname;
-                      r_in = (match stored with Some e -> e.se_in | None -> func_input);
-                    })
+                  Hashtbl.replace ctx.node_refs node.Ig.id
+                    (match stored with Some e -> e.se_in | None -> func_input))
                 frame;
               if Trace.on () then
                 Trace.emit Trace.Node ~name:fname ~ctx:(Pts.hash func_input)

@@ -25,7 +25,9 @@ type t = {
           mapped input has already been analyzed at another node of the
           same function reuses that result (sub-tree sharing). On by
           default; produces bit-identical results, so the switch exists
-          only for ablation ([--no-share-contexts]) *)
+          only for ablation ([--no-share-contexts]). Incremental replay
+          is this memo carried across runs, so without it an
+          incremental run re-runs in full ({!Persist}) *)
   heap_by_site : bool;
       (** name heap storage by allocation site instead of the single
           [heap] location — the refinement underlying the companion heap

@@ -34,7 +34,7 @@
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 10
+let version = 11
 
 let magic = "PTANC"
 
@@ -659,7 +659,7 @@ let digests fp =
   List.iter (fun (n, d) -> Hashtbl.replace t n d) fp.fp_funcs;
   t
 
-(* The statements of [f] in textual order: frame rows and sites are
+(* The statements of [f] in textual order: frame rows and calls are
    persisted position-independently, as the index of the statement
    within its function (program-wide ids shift under edits, but an
    unchanged function's local order is stable). *)
@@ -752,15 +752,12 @@ let decode_result ~opts r : Analysis.result =
 (* ------------------------------------------------------------------ *)
 
 (* One function's segment: its own tables, then its framed entries as
-   (input, output, rows, references, sites) records. A row is (local
-   statement index, set); a reference is (callee name, the ordinal of
-   the callee entry's record in the callee's segment); a site is (local
-   statement index of the call, callee name, that ordinal plus one, or
-   0 when the call used no entry). The reference count is written
-   doubled, plus one when sites follow, so a record without sites is as
-   long as it was before sites were recorded. A segment thus depends on
-   no other section's bytes, only on the record order of its callees'
-   segments, which every save keeps (see {!segments_of}). *)
+   (input, output, rows, calls) records. A row is (local statement
+   index, set); a call is (local statement index of the call, callee
+   name, the ordinal of the callee entry's record in the callee's
+   segment plus one, or 0 when the call used no entry). A segment thus
+   depends on no other section's bytes, only on the record order of its
+   callees' segments, which every save keeps (see {!segments_of}). *)
 let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : string =
   let t = tables 16 in
   let recs = Buffer.create 1024 in
@@ -780,25 +777,13 @@ let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : strin
           w_u recs (local sid);
           w_u recs (set_ix t s))
         fr.Engine.f_rows;
-      let sites = fr.Engine.f_sites in
-      w_u recs ((2 * List.length fr.Engine.f_refs) + if sites = [] then 0 else 1);
+      w_u recs (List.length fr.Engine.f_calls);
       List.iter
-        (fun (r : Engine.sref) ->
-          w_str recs r.Engine.r_fn;
-          w_u recs (ordinal r))
-        fr.Engine.f_refs;
-      if sites <> [] then begin
-        w_u recs (List.length sites);
-        List.iter
-          (fun (c : Engine.site) ->
-            w_u recs (local c.Engine.c_sid);
-            w_str recs c.Engine.c_fn;
-            w_u recs
-              (match c.Engine.c_in with
-              | Some r_in -> 1 + ordinal { Engine.r_fn = c.Engine.c_fn; r_in }
-              | None -> 0))
-          sites
-      end)
+        (fun (c : Engine.call) ->
+          w_u recs (local c.Engine.c_sid);
+          w_str recs c.Engine.c_fn;
+          w_u recs (match c.Engine.c_in with Some i -> 1 + ordinal c.Engine.c_fn i | None -> 0))
+        fr.Engine.f_calls)
     records;
   let b = Buffer.create (Buffer.length recs + 1024) in
   w_tables b t;
@@ -806,14 +791,13 @@ let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : strin
   Buffer.contents b
 
 (** A decoded record, not yet bound to a program: rows by local
-    statement index, references by (callee, ordinal), sites by (local
-    statement index, callee, ordinal plus one or 0). *)
+    statement index, calls by (local statement index, callee, ordinal
+    plus one or 0). *)
 type record = {
   rc_in : Pts.t;
   rc_out : Pts.t;
   rc_rows : (int * Pts.t) array;
-  rc_refs : (string * int) list;
-  rc_sites : (int * string * int) list;
+  rc_calls : (int * string * int) list;
 }
 
 let decode_segment canon r : record array =
@@ -827,22 +811,13 @@ let decode_segment canon r : record array =
               let li = r_u r in
               (li, r_set_ref sets r))
         in
-        let flagged = r_u r in
-        if flagged / 2 > r.lim - r.pos then raise Bad;
-        let rc_refs =
-          List.init (flagged / 2) (fun _ ->
+        let rc_calls =
+          r_list r (fun () ->
+              let li = r_u r in
               let g = r_str r in
-              (g, r_u r))
+              (li, g, r_u r))
         in
-        let rc_sites =
-          if flagged land 1 = 0 then []
-          else
-            r_list r (fun () ->
-                let li = r_u r in
-                let g = r_str r in
-                (li, g, r_u r))
-        in
-        { rc_in; rc_out; rc_rows; rc_refs; rc_sites })
+        { rc_in; rc_out; rc_rows; rc_calls })
   in
   Array.of_list recs
 
@@ -1014,10 +989,10 @@ type plan = Copy of bound | Encode of Engine.summary_entry list
    (so segments copied from the same entry still resolve), then appends
    this run's new ones; when it has no new one, which the store's entry
    count equalling the bound count shows, its old bytes are copied
-   unchanged. A seed's references were resolved when it was bound, and a
-   live frame is stored only when its references resolve to framed
-   entries ({!Engine.eval_node}), so every reference, and every site's
-   entry, has an ordinal. *)
+   unchanged. A seed's calls were resolved when it was bound, and a live
+   frame is stored only when its calls' entries resolve to framed
+   entries ({!Engine.eval_node}), so every call's entry has an
+   ordinal. *)
 let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
     (string * section) list =
   let plans =
@@ -1064,13 +1039,10 @@ let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
               recs;
             t))
     plans;
-  let ordinal (r : Engine.sref) =
-    match
-      Option.bind (Hashtbl.find_opt ordinals r.Engine.r_fn) (fun t ->
-          Pts.Tbl.find_opt t r.Engine.r_in)
-    with
+  let ordinal fn input =
+    match Option.bind (Hashtbl.find_opt ordinals fn) (fun t -> Pts.Tbl.find_opt t input) with
     | Some k -> k
-    | None -> failwith "Persist.save: a reference to an unsaved entry"
+    | None -> failwith "Persist.save: a call to an unsaved entry"
   in
   let funcs = Hashtbl.create 64 in
   List.iter (fun f -> Hashtbl.replace funcs f.Ir.fn_name f) res.Analysis.prog.Ir.funcs;
@@ -1097,8 +1069,8 @@ let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
    context, which is what a [calls] query answers), plus, for a
    function whose segment was bound, its old list: the save keeps its
    old records, whose inputs may not have occurred in this run. So the
-   list covers every target a site of the function's saved records
-   names, and also the targets of evaluations whose frames were not
+   list covers every target an indirect call of the function's saved
+   records names, and also the targets of evaluations whose frames were not
    saved: the dirty rule sees every edge a saved record or the run
    took. Functions with no target are left out. *)
 let indirect_targets ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
@@ -1256,7 +1228,7 @@ let cache_file_incr ~cache_dir ~source ~opts ~entry =
    indirect call from the points-to set at its site, a function of the
    evaluation's input, so a summary fixes its targets as it fixes its
    output; the replay grows the targets' graph nodes from the recorded
-   sites, and serving it from the summary is bit-identical to
+   calls, and serving it from the summary is bit-identical to
    re-running it (docs/INCREMENTAL.md). [targets f] lists the targets
    [f]'s indirect calls resolved to in the saved run. A function is not
    eligible when its direct-call closure holds an indirect call site
@@ -1365,13 +1337,17 @@ let quarantine file =
   in
   try Sys.rename file dest with Sys_error _ -> ()
 
-(* Summaries replay only under the context-sensitive engine, and not
-   under [heap_by_site]: heap objects are named by statement id, and
-   ids shift when an earlier function grows, which the per-function
-   digests deliberately do not see. Other modes run in full on any
-   change to the fingerprint and keep the entry as a plain cache. *)
+(* Summaries replay only under the context-sensitive engine with §6
+   sharing, and not under [heap_by_site]. A replay grows the subtree a
+   cold evaluation grows under sharing, where a repeated input is a memo
+   hit ({!Engine.replay}); without sharing every repeat grows its own.
+   Heap objects are named by statement id, and ids shift when an earlier
+   function grows, which the per-function digests deliberately do not
+   see. Other modes run in full on any change to the fingerprint and
+   keep the entry as a plain cache. *)
 let seedable_mode (opts : Options.t) =
-  opts.Options.context_sensitive && not opts.Options.heap_by_site
+  opts.Options.context_sensitive && opts.Options.share_contexts
+  && not opts.Options.heap_by_site
 
 (* The functions whose segments [en] may seed into [prog], whose
    fingerprint is [fp] ({!eligible_funcs}, with the index's target
@@ -1386,16 +1362,16 @@ let kept_funcs ~fp (prog : Ir.program) (en : entry) : (string, unit) Hashtbl.t o
   | Some _ | None -> None
 
 (** Verify and decode the segments of the [keep]-satisfying functions,
-    and bind their records to [p]: rows to [p]'s statement ids,
-    references and sites to the callee records they name. Reads no other
-    section. A saved entry is closed under its references, [keep] is
-    closed under direct calls and recorded targets, and a kept function
-    is unchanged, so every reference names a record of a kept segment,
-    every row a statement of its function, and every site a call of its
-    function to the callee it names: the direct call's callee, or one of
-    the index's targets for the function. Anything else, like a decode
-    failure, an out-of-range index or two records of one input under
-    digests that held, means a damaged entry: [Bad]. *)
+    and bind their records to [p]: rows to [p]'s statement ids, calls to
+    the call statements and the callee records they name. Reads no other
+    section. A saved entry is closed under its calls, [keep] is closed
+    under direct calls and recorded targets, and a kept function is
+    unchanged, so every call's entry is a record of a kept segment, every
+    row names a statement of its function, and every call a call
+    statement of its function to the callee it names: the direct call's
+    callee, or one of the index's targets for the function. Anything
+    else, like a decode failure, an out-of-range index or two records of
+    one input under digests that held, means a damaged entry: [Bad]. *)
 let bind_summaries ~keep (p : Ir.program) (en : entry) :
     Engine.store * (string, bound) Hashtbl.t =
   let kept = List.filter (fun (fn, _) -> keep fn) en.en_segments in
@@ -1432,28 +1408,25 @@ let bind_summaries ~keep (p : Ir.program) (en : entry) :
           let rec sorted i = i < 1 || (fst f_rows.(i - 1) < fst f_rows.(i) && sorted (i - 1)) in
           if not (sorted (Array.length f_rows - 1)) then
             Array.sort (fun (a, _) (b, _) -> Int.compare a b) f_rows;
-          let f_refs =
-            List.map (fun (g, k) -> { Engine.r_fn = g; r_in = entry_of g k }) rc.rc_refs
-          in
-          let f_sites =
+          let f_calls =
             List.map
               (fun (li, g, k) ->
                 if li >= Array.length stmts then raise Bad;
                 let s = stmts.(li) in
                 (match s.Ir.s_desc with
-                | Ir.Scall (_, Ir.Cdirect f, _) when String.equal f g && k > 0 -> ()
+                | Ir.Scall (_, Ir.Cdirect f, _) when String.equal f g -> ()
                 | Ir.Scall (_, Ir.Cindirect _, _) when List.mem g b_targets -> ()
                 | _ -> raise Bad);
                 let c_in = if k > 0 then Some (entry_of g (k - 1)) else None in
                 { Engine.c_sid = s.Ir.s_id; c_fn = g; c_in })
-              rc.rc_sites
+              rc.rc_calls
           in
           ignore
             (Engine.store_add out fn
                {
                  Engine.se_in = rc.rc_in;
                  se_out = rc.rc_out;
-                 se_frame = Some { Engine.f_rows; f_refs; f_sites };
+                 se_frame = Some { Engine.f_rows; f_calls };
                  se_origin = Engine.Seeded;
                }))
         (Hashtbl.find decoded fn);

@@ -49,13 +49,15 @@
     carries a content hash per function (position-normalized, so edits
     elsewhere in the file do not disturb it) and, per function, a
     self-contained segment of replayable summaries, one per evaluated
-    (function, input) pair. On re-analysis after an edit, the hashes are
-    diffed, only the kept functions' segments are read, the dirty slice
-    (edited functions and their transitive callers, over direct calls
-    and the indirect targets the index lists) is re-run live, and
-    everything else replays from the summaries, growing the
-    invocation-graph nodes their recorded call sites name —
-    bit-identically to a cold run. The save copies the
+    (function, input) pair: its input, output, rows and calls. On
+    re-analysis after an edit, the hashes are diffed, only the kept
+    functions' segments are read, the dirty slice (edited functions and
+    their transitive callers, over direct calls and the indirect targets
+    the index lists) is re-run live, and everything else replays from
+    the summaries, finding or growing the invocation-graph nodes their
+    recorded calls name — bit-identically to a cold run. Replay is the
+    §6 sub-tree sharing memo carried across runs, so summaries are
+    recorded and replayed only under sharing. The save copies the
     segment of a kept function that gained no summary, bytes and digest
     unchanged. See docs/INCREMENTAL.md for the layout, the dirty rule
     and the soundness argument. *)
@@ -160,8 +162,9 @@ val eligible_funcs :
     calls it skips ({!Analysis.analyze_demand}; docs/DEMAND.md). [None]
     when there is no usable entry: missing or corrupt file, changed
     environment (globals, layouts, options), or a non-seedable engine
-    mode (context-insensitive, [heap_by_site]). Unlike [analyze_cached]
-    this never runs the analysis and never writes. *)
+    mode (context-insensitive, no sub-tree sharing, [heap_by_site]).
+    Unlike [analyze_cached] this never runs the analysis and never
+    writes. *)
 val load_summaries :
   cache_dir:string ->
   source:string ->
@@ -197,7 +200,10 @@ val load_summaries :
     re-runs and the rest replays from the persisted summaries
     (bit-identical tables outside direct-call cycles — see
     docs/INCREMENTAL.md — and [incr_funcs_dirty] / [incr_funcs_reused]
-    metrics). An edit that leaves the fingerprint unchanged is served
+    metrics). Without sub-tree sharing, context sensitivity, or with
+    [heap_by_site], nothing replays: an edit re-runs in full, and the
+    entry is kept as a plain cache. An edit that leaves the fingerprint
+    unchanged is served
     from the old result and saved under the new key with every section
     copied. Only this mode computes and saves the fingerprint. Defaults
     to [false]. *)

@@ -529,15 +529,14 @@ let run ?(stop = Atomic.make false) cfg handler transport =
 (* Supervisor                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type supervise_config = {
-  sv_max_restarts : int;
-  sv_window_s : float;
-  sv_backoff_ms : float;
-  sv_backoff_max_ms : float;
-}
+(* Worker deaths count against [max_restarts] within this sliding
+   window; a restart waits [backoff_ms], doubling up to
+   [backoff_max_ms]. *)
+let window_s = 30.
 
-let default_supervise =
-  { sv_max_restarts = 5; sv_window_s = 30.; sv_backoff_ms = 100.; sv_backoff_max_ms = 5_000. }
+let backoff_ms = 100.
+
+let backoff_max_ms = 5_000.
 
 (* OCaml signal numbers are negative for portability; name the ones a
    dying worker actually produces. *)
@@ -566,7 +565,7 @@ let describe_status = function
    spawns no domains, and allocates almost nothing. All real work —
    corpus load, pool creation, query dispatch — happens in the worker,
    after the fork. *)
-let supervise ?(stop = Atomic.make false) sv ~socket worker =
+let supervise ?(stop = Atomic.make false) ~max_restarts ~socket worker =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
@@ -580,7 +579,7 @@ let supervise ?(stop = Atomic.make false) sv ~socket worker =
   let restarts = ref 0 in
   let recent = ref [] in
   (* deaths within the window *)
-  let backoff = ref sv.sv_backoff_ms in
+  let backoff = ref backoff_ms in
   let rec loop () =
     if Atomic.get stop then 0
     else
@@ -610,22 +609,22 @@ let supervise ?(stop = Atomic.make false) sv ~socket worker =
           | Unix.WEXITED 0 -> 0 (* clean [quit] — the daemon is done *)
           | st ->
               let now = Mono.now_s () in
-              recent := now :: List.filter (fun t -> now -. t <= sv.sv_window_s) !recent;
-              if List.length !recent > sv.sv_max_restarts then begin
+              recent := now :: List.filter (fun t -> now -. t <= window_s) !recent;
+              if List.length !recent > max_restarts then begin
                 Printf.eprintf
                   "ptan serve: worker %s; %d deaths within %.0fs — giving up\n%!"
-                  (describe_status st) (List.length !recent) sv.sv_window_s;
+                  (describe_status st) (List.length !recent) window_s;
                 1
               end
               else begin
                 (* a long healthy stretch (every earlier death aged out
                    of the window) earns a fresh backoff *)
-                if List.length !recent = 1 then backoff := sv.sv_backoff_ms;
+                if List.length !recent = 1 then backoff := backoff_ms;
                 incr restarts;
                 Printf.eprintf "ptan serve: worker %s; restart #%d in %.0fms\n%!"
                   (describe_status st) !restarts !backoff;
                 Unix.sleepf (!backoff /. 1e3);
-                backoff := Float.min sv.sv_backoff_max_ms (!backoff *. 2.);
+                backoff := Float.min backoff_max_ms (!backoff *. 2.);
                 loop ()
               end)
   in

@@ -170,30 +170,20 @@ val run : ?stop:bool Atomic.t -> config -> handler -> transport -> stats
     crash, uncaught signal, the kernel OOM killer — the supervisor
     forks a replacement onto the {e same} socket, so clients observe a
     reset connection and reconnect; they never see ECONNREFUSED or a
-    stale socket file. Restarts back off exponentially ([sv_backoff_ms]
-    doubling up to [sv_backoff_max_ms], reset after a healthy stretch)
-    and fail fast when more than [sv_max_restarts] deaths land within
-    [sv_window_s] seconds — a crash-looping corpus should page an
-    operator, not flap forever. See docs/ROBUSTNESS.md. *)
-
-type supervise_config = {
-  sv_max_restarts : int;  (** fail-fast: max worker deaths tolerated per window *)
-  sv_window_s : float;  (** the sliding window those deaths are counted in *)
-  sv_backoff_ms : float;  (** delay before the first restart *)
-  sv_backoff_max_ms : float;  (** backoff doubles up to this cap *)
-}
-
-val default_supervise : supervise_config
-(** 5 restarts per 30 s window, backoff 100 ms doubling to 5 s. *)
+    stale socket file. Restarts back off exponentially (100 ms doubling
+    up to 5 s, reset after a healthy stretch) and fail fast when more
+    than [max_restarts] deaths land within 30 seconds — a crash-looping
+    corpus should page an operator, not flap forever. See
+    docs/ROBUSTNESS.md. *)
 
 val supervise :
   ?stop:bool Atomic.t ->
-  supervise_config ->
+  max_restarts:int ->
   socket:string ->
   (restarts:int -> Unix.file_descr -> int) ->
   int
-(** [supervise cfg ~socket worker] binds [socket], listens, and runs
-    [worker ~restarts fd] in a forked child, restarting it per [cfg]
+(** [supervise ~max_restarts ~socket worker] binds [socket], listens,
+    and runs [worker ~restarts fd] in a forked child, restarting it
     until it exits 0 (clean [quit]), [stop] is set, or the fail-fast
     bound trips (supervisor exit 1). The worker callback runs only in
     the child: it should {!run} the daemon on [Listening fd] (passing

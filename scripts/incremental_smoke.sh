@@ -6,13 +6,14 @@
 # edit: 0 for a comment-only edit (the rekey fast path, whose rewritten
 # entry must equal the old one past its content key; also checked
 # mid-file under --heap-by-site), a small bounded cone for a
-# one-function edit. A livc kernel edit is also checked with
-# --no-share-contexts, where only persisted summaries answer a repeated
-# (function, input) pair. A generated deep call chain and a generated
-# program with recursion each take two successive edits, with sharing
-# on and off, and a generated web-3000 program, whose functions call
-# through tables, takes two edits that must leave fewer functions dirty
-# than when no function with an indirect call site replayed. Then run the
+# one-function edit. A livc kernel edit and a generated web-600 edit
+# are also checked with --no-share-contexts, where summaries do not
+# replay at all: replay is the §6 memo carried across runs. A
+# generated deep call chain and a generated program with recursion
+# each take two successive edits, with sharing on and off, and a
+# generated web-3000 program, whose functions call through tables,
+# takes two edits that must leave fewer functions dirty than when no
+# function with an indirect call site replayed. Then run the
 # bench's incremental section, whose own gates enforce suite-wide
 # bit-identity and incremental beating the non-incremental cache.
 # Run from the repository root after `dune build`; CI runs this as the
@@ -31,6 +32,11 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 # The dirty count the driver reported in an --incremental --stats run.
 dirty_of() { # dirty_of FILE
   sed -n 's/^incremental:[[:space:]]*\([0-9][0-9]*\) functions dirty.*/\1/p' "$1"
+}
+
+# The summaries-replayed count of the same line.
+replayed_of() { # replayed_of FILE
+  sed -n 's/^incremental:.* dirty, \([0-9][0-9]*\) summaries replayed.*/\1/p' "$1"
 }
 
 # ---- 1. comment edit on livc: the rekey fast path ---------------------
@@ -86,9 +92,9 @@ done
   || { echo "incremental_smoke: sim under --heap-by-site shows no heap@ site" >&2; exit 1; }
 
 # ---- 1b. kernel edit on livc with sub-tree sharing off ----------------
-# Persisted summaries answer even without §6 sharing, the one mode where
-# no live memo entry does: the replayed tables must still match a cold
-# run under the same flag.
+# Without §6 sharing no summary replays: a replay grows the subtree a
+# cold evaluation grows under sharing only. The edited text re-runs in
+# full and must match a cold run under the same flag.
 cp benchmarks/livc.c "$tmp/livc_ns.c"
 "$ptan" analyze "$tmp/livc_ns.c" --no-share-contexts --incremental --cache-dir "$cache" >/dev/null
 sed 's/double kern_a_5(void) { int i;/double kern_a_5(void) { int i; int edit_probe; edit_probe = 0;/' \
@@ -99,8 +105,8 @@ sed 's/double kern_a_5(void) { int i;/double kern_a_5(void) { int i; int edit_pr
 grep '^s[0-9]' "$tmp/incr1b.txt" >"$tmp/got1b.txt"
 diff -u "$tmp/cold1b.txt" "$tmp/got1b.txt" \
   || { echo "incremental_smoke: livc kernel edit without sharing diverges from cold analysis" >&2; exit 1; }
-grep -q 'functions dirty, [1-9][0-9]* summaries replayed' "$tmp/incr1b.txt" \
-  || { echo "incremental_smoke: livc kernel edit without sharing replayed no summaries" >&2; exit 1; }
+[ "$(replayed_of "$tmp/incr1b.txt")" = 0 ] \
+  || { echo "incremental_smoke: livc kernel edit without sharing replayed summaries" >&2; exit 1; }
 echo "incremental_smoke: livc kernel edit, no sharing — $(wc -l <"$tmp/got1b.txt") statement sets identical, $(sed -n 's/^incremental:[[:space:]]*//p' "$tmp/incr1b.txt")"
 
 # ---- 2. one-function edit: the dirty cone is bounded ------------------
@@ -130,12 +136,13 @@ grep -q 'functions dirty, [1-9][0-9]* summaries replayed' "$tmp/incr2.txt" \
 echo "incremental_smoke: cone edit — sets identical, 2 dirty, clean subtrees replayed"
 
 # ---- 2b. generated programs: two successive edits ---------------------
-# A frame holds its own function's rows and references to its callees'
-# entries, so the second re-analysis replays entries the first one only
-# replayed or reached through references, and saved again. Both must
-# print what a cold run prints, with sharing on and off. deep-800 is a
-# long call chain; knot-1000 has recursion and function pointers, where
-# an output can stay bottom and a frame referencing it is not stored.
+# A frame holds its own function's rows and its calls, each naming the
+# callee's entry, so the second re-analysis replays entries the first
+# one only replayed or reached through calls, and saved again. Both
+# must print what a cold run prints, with sharing on and off; without
+# sharing nothing replays. deep-800 is a long call chain; knot-1000 has
+# recursion and function pointers, where an output can stay bottom and
+# a frame whose call names it is not stored.
 # Put LINE before the first statement of the generated function FN.
 edit_top() { # edit_top FILE FN LINE
   awk -v fn="$2" -v line="$3" '
@@ -166,14 +173,38 @@ two_edits() { # two_edits NAME FN1 FN2 GEN-FLAGS...
       grep '^s[0-9]' "$tmp/incr_gen.txt" >"$tmp/got_gen.txt"
       diff -u "$tmp/cold_gen.txt" "$tmp/got_gen.txt" \
         || { echo "incremental_smoke: $name edit of $1 ${flags:-(sharing)} diverges from cold analysis" >&2; exit 1; }
-      grep -q 'functions dirty, [1-9][0-9]* summaries replayed' "$tmp/incr_gen.txt" \
-        || { echo "incremental_smoke: $name edit of $1 ${flags:-(sharing)} replayed no summaries" >&2; exit 1; }
+      r=$(replayed_of "$tmp/incr_gen.txt")
+      if [ -n "$flags" ]; then
+        [ "$r" = 0 ] \
+          || { echo "incremental_smoke: $name edit of $1 $flags replayed $r summaries" >&2; exit 1; }
+      else
+        [ "$r" -gt 0 ] \
+          || { echo "incremental_smoke: $name edit of $1 (sharing) replayed no summaries" >&2; exit 1; }
+      fi
       echo "incremental_smoke: $name edit of $1 ${flags:-(sharing)} — $(wc -l <"$tmp/got_gen.txt") statement sets identical, $(sed -n 's/^incremental:[[:space:]]*//p' "$tmp/incr_gen.txt")"
     done
   done
 }
 two_edits deep-800 f3_1 f4_0 --seed 23 --size 800 --depth 7 --fnptr-density 0 --structs 50
 two_edits knot-1000 f1_0 f3_0 --seed 37 --size 1000 --depth 4 --fnptr-density 15 --recursion 30
+
+# ---- 2b'. web-600 without sharing ---------------------------------------
+# A pointer edit of f0_3 in web-600, whose functions call through
+# tables: a seed replayed at every use without sharing makes this edit
+# differ from a cold run at s36, so it must replay nothing.
+web6="$tmp/web-600.c"
+"$ptan" gen --seed 11 --size 600 --depth 4 --fnptr-density 30 --out "$web6" >/dev/null
+"$ptan" analyze "$web6" --no-share-contexts --incremental --cache-dir "$tmp/web6_cache" >/dev/null
+edit_top "$web6" f0_3 "    gp0 = &gv1;"
+"$ptan" analyze "$web6" --no-share-contexts --no-cache | grep '^s[0-9]' >"$tmp/cold_web6.txt"
+"$ptan" analyze "$web6" --no-share-contexts --incremental --cache-dir "$tmp/web6_cache" --stats \
+  >"$tmp/incr_web6.txt"
+grep '^s[0-9]' "$tmp/incr_web6.txt" >"$tmp/got_web6.txt"
+diff -u "$tmp/cold_web6.txt" "$tmp/got_web6.txt" \
+  || { echo "incremental_smoke: web-600 edit of f0_3 without sharing diverges from cold analysis" >&2; exit 1; }
+[ "$(replayed_of "$tmp/incr_web6.txt")" = 0 ] \
+  || { echo "incremental_smoke: web-600 edit of f0_3 without sharing replayed summaries" >&2; exit 1; }
+echo "incremental_smoke: web-600 edit of f0_3, no sharing — $(wc -l <"$tmp/got_web6.txt") statement sets identical, $(sed -n 's/^incremental:[[:space:]]*//p' "$tmp/incr_web6.txt")"
 
 # ---- 2c. web-3000: replay through function pointers -------------------
 # A summary names the callee entry of each call it made, indirect ones

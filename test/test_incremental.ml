@@ -238,10 +238,19 @@ let suite_names =
     "livc";
   ]
 
-(** Seeded summaries answer with §6 sharing off too, where no live
-    entry does: both modes must replay bit-identically. *)
-let share_modes =
-  [ ("", Options.default); (" (no sharing)", { Options.default with Options.share_contexts = false }) ]
+(** Replay is the §6 memo carried across runs, so with sharing off an
+    entry seeds nothing: the edited text re-runs in full, and must still
+    equal a cold run. *)
+let no_sharing = { Options.default with Options.share_contexts = false }
+
+let share_modes = [ ("", Options.default); (" (no sharing)", no_sharing) ]
+
+let sharing opts = opts.Options.share_contexts
+
+(** The re-analysis [r] replayed nothing. *)
+let no_replay name (r : Analysis.result) =
+  Alcotest.(check int) (name ^ ": nothing replays without sharing") 0
+    r.Analysis.metrics.Metrics.incr_funcs_reused
 
 let suite_tests =
   [
@@ -339,11 +348,13 @@ let suite_tests =
                     in
                     Alcotest.(check bool) (name ^ ": not a full hit") false hit;
                     let n_funcs = List.length r.Analysis.prog.Ir.funcs in
-                    Alcotest.(check bool)
-                      (name ^ ": the new function is dirty, the suite is not")
-                      true
-                      (r.Analysis.metrics.Metrics.incr_funcs_dirty >= 1
-                      && r.Analysis.metrics.Metrics.incr_funcs_dirty < n_funcs);
+                    if sharing opts then
+                      Alcotest.(check bool)
+                        (name ^ ": the new function is dirty, the suite is not")
+                        true
+                        (r.Analysis.metrics.Metrics.incr_funcs_dirty >= 1
+                        && r.Analysis.metrics.Metrics.incr_funcs_dirty < n_funcs)
+                    else no_replay name r;
                     check_identical name (Analysis.of_file ~opts source) r))
               suite_names)
           share_modes);
@@ -368,17 +379,20 @@ let suite_tests =
                    tables: their replays rebuild the kernels' graph
                    nodes, and only the kernel and its two callers re-run *)
                 let m = r2.Analysis.metrics in
-                Alcotest.(check bool)
-                  ("most of livc replays" ^ mode)
-                  true
-                  (m.Metrics.incr_funcs_reused > 0 && m.Metrics.incr_nodes_rebuilt > 0);
-                Alcotest.(check bool)
-                  ("only a sliver is dirty" ^ mode)
-                  true
-                  (m.Metrics.incr_funcs_dirty * 4 < n_funcs);
-                Alcotest.(check int)
-                  ("the kernel, its driver and main are dirty" ^ mode)
-                  3 m.Metrics.incr_funcs_dirty;
+                if sharing opts then begin
+                  Alcotest.(check bool)
+                    ("most of livc replays" ^ mode)
+                    true
+                    (m.Metrics.incr_funcs_reused > 0 && m.Metrics.incr_nodes_rebuilt > 0);
+                  Alcotest.(check bool)
+                    ("only a sliver is dirty" ^ mode)
+                    true
+                    (m.Metrics.incr_funcs_dirty * 4 < n_funcs);
+                  Alcotest.(check int)
+                    ("the kernel, its driver and main are dirty" ^ mode)
+                    3 m.Metrics.incr_funcs_dirty
+                end
+                else no_replay "livc edited" r2;
                 check_identical ("livc edited" ^ mode) (Analysis.of_file ~opts source) r2))
           share_modes);
   ]
@@ -458,7 +472,7 @@ let gen_prog shape =
 
 let frame_tests =
   [
-    case "frames keep their own function's rows and references that resolve" (fun () ->
+    case "frames keep their own function's rows and calls whose entries resolve" (fun () ->
         List.iter
           (fun shape ->
             let prog = gen_prog shape in
@@ -469,7 +483,7 @@ let frame_tests =
               prog.Ir.funcs;
             let res = Analysis.analyze ~record_summaries:true prog in
             let store = res.Analysis.summaries in
-            let refs = ref 0 and dangling = ref 0 in
+            let calls = ref 0 and dangling = ref 0 in
             Hashtbl.iter
               (fun fname by_input ->
                 Pts.Tbl.iter
@@ -484,20 +498,24 @@ let frame_tests =
                                 sid)
                           fr.Engine.f_rows;
                         List.iter
-                          (fun r ->
-                            incr refs;
-                            if Option.is_none (Engine.resolve store r) then incr dangling)
-                          fr.Engine.f_refs)
+                          (fun (c : Engine.call) ->
+                            incr calls;
+                            match c.Engine.c_in with
+                            | Some i ->
+                                if Option.is_none (Engine.resolve store c.Engine.c_fn i) then
+                                  incr dangling
+                            | None -> ())
+                          fr.Engine.f_calls)
                   by_input)
               store;
-            Alcotest.(check bool) (shape ^ ": calls are referenced") true (!refs > 0);
-            Alcotest.(check int) (shape ^ ": every reference resolves") 0 !dangling)
+            Alcotest.(check bool) (shape ^ ": calls are recorded") true (!calls > 0);
+            Alcotest.(check int) (shape ^ ": every call's entry resolves") 0 !dangling)
           [ "deep"; "web"; "knot" ]);
     case "a memo hit's reference replays the callee's rows" (fun () ->
         (* [leaf] is evaluated under [x] and memo-hit, with the same
            input, under [y]. After [x] stops calling it, only the replay
-           of [y] reaches [leaf]'s rows, through the reference the memo
-           hit left in [y]'s frame *)
+           of [y] reaches [leaf]'s rows, through the call of [y]'s frame
+           that names the entry the memo hit used *)
         let src ~edited =
           "int ga; int *pa;\n\
            void leaf(void) { int *q; q = &ga; }\n"
@@ -514,9 +532,9 @@ let frame_tests =
             Alcotest.(check int) "y replays" 1 r.Analysis.metrics.Metrics.incr_funcs_reused;
             check_identical "memo hit" (Analysis.of_file source) r));
     case "a replay's reference replays the callee's rows after a second edit" (fun () ->
-        (* edit 1 re-runs [p], which replays [c] and so references it;
-           edit 2 re-runs [main] only, which replays [p]: [c]'s rows
-           come through [p]'s reference alone *)
+        (* edit 1 re-runs [p], which replays [c], and [p]'s call names
+           [c]'s entry; edit 2 re-runs [main] only, which replays [p]:
+           [c]'s rows come through [p]'s call alone *)
         let v0 =
           "int ga; int *pa;\n\
            void c(void) { int *q; q = &ga; }\n\
@@ -538,7 +556,8 @@ let frame_tests =
                     write_file source text;
                     let r, _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
                     Alcotest.(check int)
-                      (label ^ mode ^ ": one replay") 1
+                      (label ^ mode ^ ": one replay")
+                      (if sharing opts then 1 else 0)
                       r.Analysis.metrics.Metrics.incr_funcs_reused;
                     check_identical (label ^ mode) (Analysis.of_file ~opts source) r)
                   [ ("edit of p", v1); ("edit of main", v2) ]))
@@ -570,9 +589,10 @@ let frame_tests =
             check_identical "grown input" (Analysis.of_file source) r));
     case "a frame referencing a callee that never returns is not saved" (fun () ->
         (* [spin]'s output stays bottom, so it is never stored and the
-           reference [mid]'s frame holds dangles: neither [mid] nor
-           [main], which references [mid], is saved with a frame. The
-           edit of [main] re-runs [mid] and replays both [leaf] entries *)
+           call of [mid]'s frame that names it dangles: neither [mid] nor
+           [main], whose call names [mid]'s entry, is saved with a
+           frame. The edit of [main] re-runs [mid] and replays both
+           [leaf] entries *)
         let v1 =
           "int g; int h; int *p; int *q;\n\
            int spin(int n) { int *r; r = &h; return spin(n); }\n\
@@ -590,32 +610,33 @@ let frame_tests =
                 write_file source v1;
                 let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
                 let seeds =
-                  match
-                    Persist.load_summaries ~cache_dir:dir ~source ~opts
-                      (Simple_ir.Simplify.of_string ~file:source v1)
-                  with
-                  | Some st -> st
-                  | None -> Alcotest.fail "no summaries"
+                  Persist.load_summaries ~cache_dir:dir ~source ~opts
+                    (Simple_ir.Simplify.of_string ~file:source v1)
                 in
                 let records fn =
-                  match Hashtbl.find_opt seeds fn with
+                  match Option.bind seeds (fun st -> Hashtbl.find_opt st fn) with
                   | None -> 0
                   | Some by_input -> Pts.Tbl.length by_input
                 in
-                List.iter
-                  (fun (fn, n) -> Alcotest.(check int) (fn ^ " records" ^ mode) n (records fn))
-                  [ ("spin", 0); ("leaf", 2); ("mid", 0); ("main", 0) ];
+                if sharing opts then
+                  List.iter
+                    (fun (fn, n) -> Alcotest.(check int) (fn ^ " records" ^ mode) n (records fn))
+                    [ ("spin", 0); ("leaf", 2); ("mid", 0); ("main", 0) ]
+                else Alcotest.(check bool) ("no summaries" ^ mode) true (Option.is_none seeds);
                 write_file source v2;
                 let r, _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
                 let m = r.Analysis.metrics in
-                Alcotest.(check int) ("one dirty" ^ mode) 1 m.Metrics.incr_funcs_dirty;
-                Alcotest.(check int) ("leaf replays twice" ^ mode) 2 m.Metrics.incr_funcs_reused;
+                if sharing opts then begin
+                  Alcotest.(check int) ("one dirty" ^ mode) 1 m.Metrics.incr_funcs_dirty;
+                  Alcotest.(check int) ("leaf replays twice" ^ mode) 2 m.Metrics.incr_funcs_reused
+                end
+                else no_replay "spin" r;
                 check_identical ("spin" ^ mode) (Analysis.of_file ~opts source) r))
           share_modes);
     case "two chained edits equal a cold run: gen:deep, gen:web" (fun () ->
         (* the second re-analysis replays entries the first one saved
            after replaying them itself, and entries it only reached
-           through references *)
+           through calls *)
         List.iter
           (fun (mode, opts) ->
             List.iter
@@ -634,9 +655,11 @@ let frame_tests =
                         in
                         let name = Printf.sprintf "%s edit %d (%s)%s" shape (i + 1) fn mode in
                         Alcotest.(check bool) (name ^ ": not a full hit") false hit;
-                        Alcotest.(check bool)
-                          (name ^ ": summaries replay") true
-                          (r.Analysis.metrics.Metrics.incr_funcs_reused > 0);
+                        if sharing opts then
+                          Alcotest.(check bool)
+                            (name ^ ": summaries replay") true
+                            (r.Analysis.metrics.Metrics.incr_funcs_reused > 0)
+                        else no_replay name r;
                         check_identical name (Analysis.of_file ~opts source) r)
                       edits))
               [ ("deep", [ "f3_1"; "f2_1" ]); ("web", [ "f2_1"; "f1_3" ]) ])
@@ -814,9 +837,11 @@ let segment_tests =
                     let r, _ =
                       Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
                     in
-                    Alcotest.(check bool)
-                      (label ^ mode ^ ": replays") true
-                      (r.Analysis.metrics.Metrics.incr_funcs_reused > 0);
+                    if sharing opts then
+                      Alcotest.(check bool)
+                        (label ^ mode ^ ": replays") true
+                        (r.Analysis.metrics.Metrics.incr_funcs_reused > 0)
+                    else no_replay label r;
                     check_identical (label ^ mode) (Analysis.of_file ~opts source) r)
                   [ ("g grows", v2); ("k dropped", v3) ]))
           share_modes);
@@ -1013,16 +1038,18 @@ let pointer_tests =
                             check_pointer_surface name cold r;
                             let m = r.Analysis.metrics in
                             rebuilt := !rebuilt + m.Metrics.incr_nodes_rebuilt;
-                            Alcotest.(check int)
-                              (name ^ ": dirty")
-                              (if hit then 0 else expected_dirty primed_res fn)
-                              m.Metrics.incr_funcs_dirty;
+                            if hit || sharing opts then
+                              Alcotest.(check int)
+                                (name ^ ": dirty")
+                                (if hit then 0 else expected_dirty primed_res fn)
+                                m.Metrics.incr_funcs_dirty
+                            else no_replay name r;
                             Alcotest.(check bool) (name ^ ": a comment rekeys") (kind = "comment") hit)
                           (edit_kinds i))
                       edited;
                     Alcotest.(check bool)
                       (shape ^ mode ^ ": replays rebuild graph nodes")
-                      true (!rebuilt > 0)))
+                      (sharing opts) (!rebuilt > 0)))
               [ "web"; "knot" ])
           share_modes);
   ]
@@ -1032,8 +1059,8 @@ let memo_tests =
     case "a replay grows no subtree under an entry already used this run" (fun () ->
         (* [m] calls [h] twice with one input. With §6 sharing the
            second call is a memo hit, so a cold run grows [t]'s node
-           under the first [h] only; without sharing under both. The
-           edit of [main] replays [m], whose rebuild must do the same *)
+           under the first [h] only. The edit of [main] replays [m],
+           whose walk must do the same *)
         let v1 =
           "int ga; int *pa;\n\
            void t(void) { int *q; q = &ga; }\n\
@@ -1043,22 +1070,16 @@ let memo_tests =
            int main(void) { fp = t; m(); return 0; }\n"
         in
         let v2 = replace_once ~sub:"int main(void) {" ~by:"int main(void) { int k; k = 0;" v1 in
-        List.iter
-          (fun (mode, opts) ->
-            in_temp (fun dir ->
-                let source = Filename.concat dir "memo.c" in
-                write_file source v1;
-                let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
-                write_file source v2;
-                let r, _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
-                let m = r.Analysis.metrics in
-                Alcotest.(check int) ("m replays" ^ mode) 1 m.Metrics.incr_funcs_reused;
-                Alcotest.(check int)
-                  ("t's nodes rebuilt" ^ mode)
-                  (if opts.Options.share_contexts then 1 else 2)
-                  m.Metrics.incr_nodes_rebuilt;
-                check_identical ("memo" ^ mode) (Analysis.of_file ~opts source) r))
-          share_modes);
+        in_temp (fun dir ->
+            let source = Filename.concat dir "memo.c" in
+            write_file source v1;
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            write_file source v2;
+            let r, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let m = r.Analysis.metrics in
+            Alcotest.(check int) "m replays" 1 m.Metrics.incr_funcs_reused;
+            Alcotest.(check int) "t's node rebuilt once" 1 m.Metrics.incr_nodes_rebuilt;
+            check_identical "memo" (Analysis.of_file source) r));
   ]
 
 let target_list_tests =
@@ -1154,8 +1175,13 @@ let cycle_tests =
                 write_file source v2;
                 let r, _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
                 let m = r.Analysis.metrics in
-                Alcotest.(check int) ("w replays" ^ mode) 1 m.Metrics.incr_funcs_reused;
-                Alcotest.(check int) ("s's approximate node rebuilt" ^ mode) 1 m.Metrics.incr_nodes_rebuilt;
+                if sharing opts then begin
+                  Alcotest.(check int) ("w replays" ^ mode) 1 m.Metrics.incr_funcs_reused;
+                  Alcotest.(check int)
+                    ("s's approximate node rebuilt" ^ mode)
+                    1 m.Metrics.incr_nodes_rebuilt
+                end
+                else no_replay "self-call" r;
                 check_identical ("self-call" ^ mode) (Analysis.of_file ~opts source) r))
           share_modes);
     case "a cycle through a function pointer that only the edited run takes is not replayed"
@@ -1212,6 +1238,7 @@ let cycle_tests =
                         let r, _ =
                           Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source
                         in
+                        if not (sharing opts) then no_replay name r;
                         check_identical
                           (name ^ ", " ^ label ^ mode)
                           (Analysis.of_file ~opts source) r)
@@ -1222,36 +1249,93 @@ let cycle_tests =
 
 let site_control_tests =
   [
-    case "a program without indirect call sites stores no site records" (fun () ->
+    case "a program without indirect call sites records direct calls only" (fun () ->
         (* read independently of Persist: the deep program's index lists
-           no targets and its segments' records have no site records,
-           while a web program's entry, read the same way, has both *)
+           no targets and every call record of its segments names a
+           direct call of its callee, while a web program's entry, read
+           the same way, has targets and records of indirect calls *)
         let entry shape =
           in_temp (fun dir ->
               let source = Filename.concat dir (shape ^ ".c") in
-              write_file source (Gen.program (Test_rows.gen_knobs shape));
+              let text = Gen.program (Test_rows.gen_knobs shape) in
+              write_file source text;
               let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-              read_file
-                (Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"))
+              ( simplify text,
+                read_file
+                  (Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default
+                     ~entry:"main") ))
         in
-        let sites data =
+        (* each call record's statement, in its function's textual
+           order *)
+        let calls (prog, data) =
           List.concat_map
-            (fun s -> if s.name = "" then [] else segment_site_counts (entry_section data s.name))
+            (fun s ->
+              if s.name = "" then []
+              else
+                let stmts =
+                  match Ir.find_func prog s.name with
+                  | Some f -> Array.of_list (List.rev (Ir.fold_func (fun acc s -> s :: acc) [] f))
+                  | None -> Alcotest.failf "no function %s" s.name
+                in
+                List.concat_map
+                  (List.map (fun (li, g, _) -> (stmts.(li).Ir.s_desc, g)))
+                  (segment_calls (entry_section data s.name)))
             (entry_layout data).sections
         in
+        let direct = function
+          | Ir.Scall (_, Ir.Cdirect f, _), g -> String.equal f g
+          | _ -> false
+        in
+        let indirect = function Ir.Scall (_, Ir.Cindirect _, _), _ -> true | _ -> false in
         let deep = entry "deep" and web = entry "web" in
         Alcotest.(check (list (pair string (list string))))
-          "deep: the index lists no targets" [] (entry_layout deep).targets;
-        let deep_sites = sites deep in
-        Alcotest.(check bool) "deep: records read" true (List.length deep_sites > 10);
-        Alcotest.(check int) "deep: no record has sites" 0 (List.fold_left ( + ) 0 deep_sites);
-        Alcotest.(check bool) "web: the index lists targets" true ((entry_layout web).targets <> []);
+          "deep: the index lists no targets" [] (entry_layout (snd deep)).targets;
+        let deep_calls = calls deep in
+        Alcotest.(check bool) "deep: calls read" true (List.length deep_calls > 10);
+        Alcotest.(check bool) "deep: every call is direct" true (List.for_all direct deep_calls);
         Alcotest.(check bool)
-          "web: records have sites" true
-          (List.exists (fun n -> n > 0) (sites web)));
+          "web: the index lists targets" true
+          ((entry_layout (snd web)).targets <> []);
+        Alcotest.(check bool) "web: records name indirect calls" true
+          (List.exists indirect (calls web)));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Replay without sharing                                             *)
+(* ------------------------------------------------------------------ *)
+
+(** web-600, the [perf] web shape at size 600: with sharing off, every
+    one-line edit must re-run in full and equal a cold run. A seed
+    replayed at every use without sharing makes these two edits differ
+    from a cold run at s36. *)
+let no_sharing_tests =
+  [
+    case "web-600 without sharing: an edit re-runs in full and equals a cold run" (fun () ->
+        in_temp (fun dir ->
+            let source = Filename.concat dir "web600.c" in
+            let text =
+              Gen.program { (Test_rows.gen_knobs "web") with Gen.size = 600 }
+            in
+            write_file source text;
+            let opts = no_sharing in
+            let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+            let pti = Persist.cache_file_incr ~cache_dir:dir ~source ~opts ~entry:"main" in
+            let primed = read_file pti in
+            List.iter
+              (fun (fn, line) ->
+                write_file source (insert_at_top text ~fn ~line);
+                write_file pti primed;
+                let r, _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
+                let name = Printf.sprintf "%s atop %s" (String.trim line) fn in
+                no_replay name r;
+                let cold = Analysis.of_file ~opts source in
+                check_identical name cold r;
+                check_pointer_surface name cold r)
+              [ ("f0_3", "    gp0 = &gv1;\n"); ("f3_1", "    gv0 = gv0 + 2;\n") ]));
   ]
 
 let suite =
   ( "incremental",
     hash_tests @ cone_tests @ suite_tests @ corruption_tests @ frame_tests @ segment_tests
-    @ pointer_tests @ memo_tests @ target_list_tests @ cycle_tests @ site_control_tests )
+    @ pointer_tests @ memo_tests @ target_list_tests @ cycle_tests @ site_control_tests
+    @ no_sharing_tests )

@@ -272,10 +272,11 @@ let plain_data_tests =
     to a cold run, never replay a record with missing rows. [damage]
     rewrites bytes of the entry, given its length. Segments follow in
     function name order, so the file ends with the segment of [main],
-    whose one record ends with a row (local statement index, set index),
-    the reference count 2, written doubled (4: no site records follow),
-    then the references as (callee name, ordinal of the callee's record)
-    pairs: [b]'s, then [a]'s. Every number here fits one byte. *)
+    whose one record ends with the row of its [return] (local statement
+    index 2, set index), the call count 2, then the calls as (local
+    statement index of the call, callee name, ordinal of the callee's
+    record plus one): [a]'s, then [b]'s. Every number here fits one
+    byte. *)
 let rec damaged_summaries_fall_back damage =
   damaged_entry_falls_back
     ~src:
@@ -285,16 +286,17 @@ let rec damaged_summaries_fall_back damage =
        void b(void) { pb = &gb; }\n\
        int main(void) { a(); b(); return 0; }\n"
     ~segments:[ ""; "a"; "b"; "leaf"; "main" ]
-    ~tail:("main's references", [ 4; 1; Char.code 'b'; 0; 1; Char.code 'a'; 0 ])
+    ~tail:
+      ( "main's rows and calls",
+        [ 2; 1; 2; 0; 1; Char.code 'a'; 1; 1; 1; Char.code 'b'; 1 ] )
     damage
 
-(** The same for the site records of a function that calls through a
+(** The same for the call records of a function that calls through a
     pointer: [z]'s segment comes last, and its one record ends with the
-    reference count 1 doubled plus one (site records follow), [a]'s
-    reference, the site count 2, then the sites as (local statement
-    index of the call, callee name, ordinal plus one or 0 for a function
-    outside the program): [a]'s, then [e]'s. The index lists [a] and [e]
-    as [z]'s targets. *)
+    call count 2, then the calls as (local statement index of the call,
+    callee name, ordinal plus one or 0 for a function outside the
+    program): [a]'s, then [e]'s. The index lists [a] and [e] as [z]'s
+    targets. *)
 and damaged_sites_fall_back damage =
   damaged_entry_falls_back
     ~src:
@@ -306,8 +308,8 @@ and damaged_sites_fall_back damage =
        int main(void) { z(1); return 0; }\n"
     ~segments:[ ""; "a"; "main"; "z" ]
     ~tail:
-      ( "z's references and sites",
-        [ 3; 1; Char.code 'a'; 0; 2; 3; 1; Char.code 'a'; 1; 3; 1; Char.code 'e'; 0 ] )
+      ( "z's calls",
+        [ 2; 3; 1; Char.code 'a'; 1; 3; 1; Char.code 'e'; 0 ] )
     damage
 
 and damaged_entry_falls_back ~src ~segments ~tail:(what, tail) damage =
@@ -348,30 +350,40 @@ and damaged_entry_falls_back ~src ~segments ~tail:(what, tail) damage =
 let reference_tests =
   [
     case "an out-of-range summary reference is corrupt: quarantine, cold fallback" (fun () ->
-        (* past [a]'s one record *)
+        (* the call of [b] names a record past [b]'s one record *)
         damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 1) 0x7f));
     case "a summary reference no kept record answers is corrupt: quarantine, cold fallback"
       (fun () ->
-        (* a callee [z] that has no segment *)
+        (* the call of [b] names [z], which has no segment *)
         damaged_summaries_fall_back (fun data n -> Bytes.set data (n - 2) 'z'));
     case "a summary row naming a statement its function lacks is corrupt: quarantine, cold fallback"
       (fun () ->
-        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 9) 0x7f));
+        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 11) 0x7f));
+    case "a direct call record naming another callee is corrupt: quarantine, cold fallback"
+      (fun () ->
+        (* the call statement of [b] names [a], whose one record the
+           ordinal still finds *)
+        damaged_summaries_fall_back (fun data n -> Bytes.set data (n - 2) 'a'));
   ]
 
+(** Damage to the record of an indirect call: each site names one call
+    record of [z]'s. *)
 let site_tests =
   [
     case "a site naming a callee with no kept segment is corrupt: quarantine, cold fallback"
       (fun () ->
-        (* [e], a listed target outside the program, has no segment *)
+        (* the call of [a] names [e], a listed target outside the
+           program, which has no segment *)
         damaged_sites_fall_back (fun data n -> Bytes.set data (n - 6) 'e'));
     case "a site ordinal out of range is corrupt: quarantine, cold fallback" (fun () ->
-        (* past [a]'s one record *)
+        (* the call of [a] names a record past [a]'s one record *)
         damaged_sites_fall_back (fun data n -> Bytes.set_uint8 data (n - 5) 0x7f));
     case "a site past the end of its function is corrupt: quarantine, cold fallback" (fun () ->
+        (* the call of [a] names a statement [z] lacks *)
         damaged_sites_fall_back (fun data n -> Bytes.set_uint8 data (n - 8) 0x7f));
     case "a site target the index does not list is corrupt: quarantine, cold fallback" (fun () ->
-        (* [z] is a function, but not one [z]'s indirect call reached *)
+        (* the call of [a] names [z]: a function, but not one [z]'s
+           indirect call reached *)
         damaged_sites_fall_back (fun data n -> Bytes.set data (n - 6) 'z'));
   ]
 

@@ -605,10 +605,10 @@ let primed_fuzz_tests =
   [
     case "fuzz: truncate + bit-flip a primed .pti at every 97th byte, then edit" (fun () ->
         (* the edit adds an uncalled function, so every segment is read
-           back, site records included in the generated web program,
-           whose functions call through tables: a damaged header, index
-           or kept segment must quarantine the entry, and damage
-           anywhere must never change the answer *)
+           back, records of indirect calls included in the generated web
+           program, whose functions call through tables: a damaged
+           header, index or kept segment must quarantine the entry, and
+           damage anywhere must never change the answer *)
         List.iter
           (fun (prog, text) ->
             in_temp (fun dir ->

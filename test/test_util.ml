@@ -162,12 +162,12 @@ let entry_layout (data : string) : entry_layout =
   in
   { index_digest_at; index_at; index_len; fingerprinted; sections = List.rev !sections; targets }
 
-(** The number of site records of each record of a summary segment
-    ([entry_section]'s bytes), in record order. A segment is its
+(** The call records of each record of a summary segment
+    ([entry_section]'s bytes), in record order, each as (local statement
+    index of the call, callee, ordinal plus one or 0). A segment is its
     location, row and set tables, then its records: input, output, rows,
-    the reference count doubled (plus one when site records follow),
-    the references, then the site records. *)
-let segment_site_counts (seg : string) : int list =
+    then calls. *)
+let segment_calls (seg : string) : (int * string * int) list list =
   let pos = ref 0 in
   let byte, varint, str = cursor seg pos in
   let repeat f = for _ = 1 to varint () do f () done in
@@ -197,30 +197,20 @@ let segment_site_counts (seg : string) : int list =
           ignore (varint ());
           repeat (fun () -> ignore (varint ()));
           repeat (fun () -> ignore (varint ())));
-  let counts =
+  let calls =
     List.init (varint ()) (fun _ ->
         ignore (varint ());
         ignore (varint ());
         repeat (fun () ->
             ignore (varint ());
             ignore (varint ()));
-        let flagged = varint () in
-        for _ = 1 to flagged / 2 do
-          ignore (str ());
-          ignore (varint ())
-        done;
-        if flagged land 1 = 0 then 0
-        else
-          let n = varint () in
-          for _ = 1 to n do
-            ignore (varint ());
-            ignore (str ());
-            ignore (varint ())
-          done;
-          n)
+        List.init (varint ()) (fun _ ->
+            let li = varint () in
+            let g = str () in
+            (li, g, varint ())))
   in
   if !pos <> String.length seg then Alcotest.failf "segment read to %d of %d bytes" !pos (String.length seg);
-  counts
+  calls
 
 (** The bytes of the section named [name]. *)
 let entry_section data name =

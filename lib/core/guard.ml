@@ -10,12 +10,11 @@
     fatal for a long-running {!Serve} daemon creating one guard per
     request.
 
-    Cooperative cancellation rides on the same polling sites: the pool
-    installs the running task's cancel flag in domain-local storage
-    before the task starts, and every {!check} — budgeted or not —
-    polls it, so any analysis running under {!Pool.run_list} with a
-    timeout can be unwound without the driver knowing anything about
-    guards. *)
+    Cooperative cancellation rides on the same polling sites: a timed
+    {!Pool} task, or a {!Serve} request, runs under a deadline kept in
+    domain-local storage, and every {!check} — budgeted or not — reads
+    it, so any analysis can be unwound without the driver knowing
+    anything about guards. *)
 
 type budget = {
   b_deadline_ms : float option;
@@ -148,19 +147,15 @@ let trip g reason =
 (* Cooperative cancellation                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The cancel flag of the pool task running on this domain, if any.
-   Owned by {!Pool}: installed before a task runs, cleared after. A
-   plain ref inside DLS — only the owning domain writes it; other
-   domains reach the flag itself, which is atomic. *)
-let task_cancel : bool Atomic.t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* The {!Mono.now_s} bound of the task running on this domain;
+   [infinity] when it has none. Only the owning domain reads or writes
+   it, so an untimed {!check} costs one domain-local read. *)
+let task_deadline : float Domain.DLS.key = Domain.DLS.new_key (fun () -> Float.infinity)
 
-let set_task_cancel c = Domain.DLS.get task_cancel := c
-
-let cancel_requested () =
-  match !(Domain.DLS.get task_cancel) with
-  | None -> false
-  | Some c -> Atomic.get c
+let with_task_deadline ~ms f =
+  let prev = Domain.DLS.get task_deadline in
+  Domain.DLS.set task_deadline (Mono.now_s () +. (ms /. 1e3));
+  Fun.protect ~finally:(fun () -> Domain.DLS.set task_deadline prev) f
 
 (* ------------------------------------------------------------------ *)
 (* Checks                                                             *)
@@ -186,7 +181,8 @@ let check_heap g =
       end
 
 let check g =
-  if cancel_requested () then raise Cancelled;
+  let td = Domain.DLS.get task_deadline in
+  if td < Float.infinity && Mono.now_s () >= td then raise Cancelled;
   check_heap g;
   match g.g_deadline with
   | Some d when Mono.now_s () >= d -> trip g Deadline

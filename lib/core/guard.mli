@@ -1,6 +1,6 @@
 (** Per-analysis resource governor: wall-clock deadline, fixpoint fuel,
-    and size ceilings, plus the cooperative-cancellation hook used by
-    {!Pool} task timeouts.
+    and size ceilings, plus the task deadline that {!Pool} task
+    timeouts and {!Serve} request deadlines install.
 
     A {!t} is created per analysis (see {!Analysis.analyze}'s [?guard])
     and consulted by the engine at its existing fixed-point boundaries —
@@ -14,8 +14,9 @@
     unwinds to {!Analysis.analyze}, which reruns the program under the
     widened (context-insensitive, possible-only) semantics with a fresh
     deadline-only guard and marks the result degraded. {!Cancelled} is
-    different — it means the driver gave up on this task (pool timeout),
-    so it propagates without any degradation attempt. *)
+    different — it means the driver gave up on this task (a pool
+    timeout or a request deadline), so it propagates without any
+    degradation attempt. *)
 
 (** What an analysis is allowed to spend. [None] fields are unlimited. *)
 type budget = {
@@ -59,9 +60,9 @@ exception Exhausted of trip
     degrades. *)
 
 exception Cancelled
-(** The driver cancelled this task (pool timeout). Not recoverable by
-    degradation — propagates to the pool, which reports it as the
-    task's error. *)
+(** The task's deadline ({!with_task_deadline}) passed. Not
+    recoverable by degradation — propagates to the pool, which reports
+    it as the task's error, or to {!Serve}, which replies [error]. *)
 
 type t
 
@@ -92,8 +93,10 @@ val at : t -> string -> unit
 val elapsed_ms : t -> float
 
 val check : t -> unit
-(** Poll cancellation and the deadline. Raises {!Cancelled} or
-    {!Exhausted}. Called at every fixpoint boundary, budgeted or not. *)
+(** Poll the task deadline, the heap ceiling and the guard's own
+    deadline. Raises {!Cancelled} or {!Exhausted}. Called at every
+    fixpoint boundary, budgeted or not; with no task deadline set, that
+    part of the check is one domain-local read. *)
 
 val check_fuel : t -> int -> unit
 (** [check_fuel g spent] — iterations spent on the current fixpoint
@@ -115,13 +118,16 @@ val dispose : t -> unit
 
 (** {1 Cooperative cancellation}
 
-    {!Pool} installs the running task's cancel flag in domain-local
-    storage before the task starts and clears it after; {!check} polls
-    it on every call. Other domains (the pool's watchdog) flip the
-    atomic to request cancellation. *)
+    A task deadline bounds whatever runs on this domain, whichever guard
+    it checks: {!Pool.run_list}[ ~timeout_ms] installs one around each
+    task it runs, and {!Serve} around each request. *)
 
-val set_task_cancel : bool Atomic.t option -> unit
-val cancel_requested : unit -> bool
+val with_task_deadline : ms:float -> (unit -> 'a) -> 'a
+(** [with_task_deadline ~ms f] runs [f] with this domain's task
+    deadline set [ms] milliseconds from now on the monotonic clock
+    ({!Mono}), and restores the previous deadline when [f] returns or
+    raises. While it runs, {!check} raises {!Cancelled} once the clock
+    passes the deadline. Outside any call, a domain has no deadline. *)
 
 val pp_budget : Format.formatter -> budget -> unit
 val pp_trip : Format.formatter -> trip -> unit

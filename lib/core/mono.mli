@@ -4,9 +4,10 @@
     manual clock change mid-run moves it arbitrarily in either
     direction, which can spuriously trip — or indefinitely extend — a
     wall-clock deadline. Everything in this library that compares two
-    clock readings ({!Guard} deadlines, the {!Pool} watchdog's task
-    ages) reads this clock instead: [CLOCK_MONOTONIC], which only ever
-    advances and is immune to clock steps.
+    clock readings ({!Guard} deadlines, including the task deadlines
+    of {!Pool} timeouts and {!Serve} requests) reads this clock
+    instead: [CLOCK_MONOTONIC], which only ever advances and is immune
+    to clock steps.
 
     The origin is arbitrary (boot time on Linux); readings are only
     meaningful as differences. Trace spans ({!Trace.start}) and the

@@ -6,27 +6,11 @@
     per-call condition until the last task (wherever it ran) reports
     completion.
 
-    Timeouts are enforced by one watchdog domain {e per pool}, spawned
-    lazily on the first [run_list ~timeout_ms] and joined at
-    [shutdown]. Earlier revisions spawned a watchdog per [run_list]
-    call; in a server answering requests through the pool that is a
-    domain spawn/join per request, and any exit path that skipped the
-    join leaked a domain outright (OCaml caps live domains at ~128, so
-    a leak here eventually kills the process). The per-pool dog plus a
-    registry of active watches makes the lifecycle structural: a call
-    only ever {e registers} a watch (under [Fun.protect], so it is
-    removed again on every exit, including when a task or the caller's
-    drain raises), and the only spawn/join pair lives in
-    [wd_ensure]/[shutdown]. The idle dog blocks on a condition
-    variable, costing nothing between timed calls. *)
-
-type watch = {
-  w_mutex : Mutex.t;
-  w_limit : float;  (** seconds a task may run before cancellation *)
-  w_starts : float array;  (** {!Mono.now_s} stamps; [nan] until the task starts *)
-  w_finished : bool array;
-  w_cancels : bool Atomic.t array;
-}
+    Timeouts need no domain of their own: a timed task runs under a
+    {!Guard.with_task_deadline} set when it starts, on whichever domain
+    runs it, and the analysis reads that deadline at its next
+    {!Guard.check}. The pool spawns its [jobs - 1] workers and nothing
+    else, however many timed calls it serves. *)
 
 type t = {
   jobs : int;
@@ -35,13 +19,6 @@ type t = {
   queue : (unit -> unit) Queue.t;
   mutable shutting_down : bool;
   mutable workers : unit Domain.t list;
-  (* watchdog state, under its own mutex — the dog must never contend
-     with queue traffic *)
-  wd_mutex : Mutex.t;
-  wd_wake : Condition.t;
-  mutable wd_watches : watch list;  (** watches of in-flight timed calls *)
-  mutable wd_dog : unit Domain.t option;
-  mutable wd_stop : bool;
 }
 
 let jobs t = t.jobs
@@ -82,11 +59,6 @@ let create ~jobs =
       queue = Queue.create ();
       shutting_down = false;
       workers = [];
-      wd_mutex = Mutex.create ();
-      wd_wake = Condition.create ();
-      wd_watches = [];
-      wd_dog = None;
-      wd_stop = false;
     }
   in
   (* the caller participates in run_list, so [jobs] concurrency needs
@@ -102,152 +74,55 @@ let traced f () =
   let finally () = if Trace.on () then Trace.emit Trace.Task ~name:"pool-task" ~t0:tr0 () in
   Fun.protect ~finally f
 
-(* ------------------------------------------------------------------ *)
-(* Watchdog                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let make_watch ~limit n =
-  {
-    w_mutex = Mutex.create ();
-    w_limit = limit;
-    w_starts = Array.make n Float.nan;
-    w_finished = Array.make n false;
-    w_cancels = Array.init n (fun _ -> Atomic.make false);
-  }
-
-(* Poll granularity for one watch: responsive for tight timeouts
-   without busy-spinning on long ones. *)
-let tick_of limit = Float.max 0.001 (Float.min 0.005 (limit /. 4.))
-
-(* Scan every task of [w] and flip the cancel flag of the overdue ones.
-   Task ages come from the monotonic clock: a system clock step must
-   not cancel a healthy task (or keep a hung one alive). Cancellation
-   is cooperative — the running analysis observes the flag at its next
-   {!Guard.check} and unwinds with [Guard.Cancelled]; a task that never
-   polls simply runs to completion. *)
-let scan_watch now w =
-  Mutex.lock w.w_mutex;
-  Array.iteri
-    (fun i t0 ->
-      if (not (Float.is_nan t0)) && (not w.w_finished.(i)) && now -. t0 >= w.w_limit then
-        Atomic.set w.w_cancels.(i) true)
-    w.w_starts;
-  Mutex.unlock w.w_mutex
-
-let watchdog t () =
-  let rec loop () =
-    Mutex.lock t.wd_mutex;
-    if t.wd_stop then Mutex.unlock t.wd_mutex
-    else
-      match t.wd_watches with
-      | [] ->
-          (* idle: no timed call in flight, block until one registers
-             (or shutdown), costing nothing meanwhile *)
-          Condition.wait t.wd_wake t.wd_mutex;
-          Mutex.unlock t.wd_mutex;
-          loop ()
-      | watches ->
-          Mutex.unlock t.wd_mutex;
-          let now = Mono.now_s () in
-          List.iter (scan_watch now) watches;
-          let tick =
-            List.fold_left (fun acc w -> Float.min acc (tick_of w.w_limit)) 0.005 watches
-          in
-          Unix.sleepf tick;
-          loop ()
-  in
-  loop ()
-
-(* Register a call's watch, spawning the dog on first use. The spawn
-   happens at most once per pool; [shutdown] joins it. *)
-let wd_register t w =
-  Mutex.lock t.wd_mutex;
-  t.wd_watches <- w :: t.wd_watches;
-  if t.wd_dog = None then t.wd_dog <- Some (Domain.spawn (watchdog t));
-  Condition.broadcast t.wd_wake;
-  Mutex.unlock t.wd_mutex
-
-let wd_unregister t w =
-  Mutex.lock t.wd_mutex;
-  t.wd_watches <- List.filter (fun w' -> w' != w) t.wd_watches;
-  Mutex.unlock t.wd_mutex
-
-(* ------------------------------------------------------------------ *)
-(* Running tasks                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Run one task, optionally under a watch's cancel flag: stamp
-   start/finish for the watchdog, install the flag where {!Guard.check}
-   polls it, and fold any exception — injected, cancellation, or the
-   task's own — into [Error]. *)
-let exec ?watch i f =
-  (match watch with
-  | None -> ()
-  | Some w ->
-      Mutex.lock w.w_mutex;
-      w.w_starts.(i) <- Mono.now_s ();
-      Mutex.unlock w.w_mutex;
-      Guard.set_task_cancel (Some w.w_cancels.(i)));
-  let r =
+(* Run one task, under its deadline when the call is timed, and fold
+   any exception — injected, cancellation, or the task's own — into
+   [Error]. An untimed task leaves the running domain's deadline as it
+   found it. *)
+let exec ?timeout_ms f =
+  let run () =
     try
       Fault.maybe_task_exn ();
       Ok (traced f ())
     with e -> Error e
   in
-  (match watch with
-  | None -> ()
-  | Some w ->
-      Guard.set_task_cancel None;
-      Mutex.lock w.w_mutex;
-      w.w_finished.(i) <- true;
-      Mutex.unlock w.w_mutex);
-  r
+  match timeout_ms with None -> run () | Some ms -> Guard.with_task_deadline ~ms run
 
 let run_list ?timeout_ms t tasks =
   match tasks with
   | [] -> []
+  | _ when t.jobs = 1 -> List.map (exec ?timeout_ms) tasks
   | _ ->
       let n = List.length tasks in
-      let watch = Option.map (fun ms -> make_watch ~limit:(ms /. 1e3) n) timeout_ms in
-      Option.iter (wd_register t) watch;
-      (* the watch must leave the registry on *every* exit — a stale
-         entry would keep the dog scanning dead arrays forever *)
-      let finally () = Option.iter (wd_unregister t) watch in
-      Fun.protect ~finally @@ fun () ->
-      if t.jobs = 1 then List.mapi (fun i f -> exec ?watch i f) tasks
-      else begin
-        let results = Array.make n None in
-        let remaining = ref n in
-        let all_done = Condition.create () in
-        let wrap i f () =
-          let r = exec ?watch i f in
-          Mutex.lock t.mutex;
-          results.(i) <- Some r;
-          decr remaining;
-          if !remaining = 0 then Condition.broadcast all_done;
-          Mutex.unlock t.mutex
-        in
+      let results = Array.make n None in
+      let remaining = ref n in
+      let all_done = Condition.create () in
+      let wrap i f () =
+        let r = exec ?timeout_ms f in
         Mutex.lock t.mutex;
-        List.iteri (fun i f -> Queue.push (wrap i f) t.queue) tasks;
-        Condition.broadcast t.nonempty;
-        (* drain alongside the workers, then wait for the stragglers *)
-        let rec drive () =
-          if !remaining = 0 then Mutex.unlock t.mutex
-          else
-            match Queue.take_opt t.queue with
-            | Some task ->
-                Mutex.unlock t.mutex;
-                task ();
-                Mutex.lock t.mutex;
-                drive ()
-            | None ->
-                Condition.wait all_done t.mutex;
-                drive ()
-        in
-        drive ();
-        Array.to_list results
-        |> List.map (function Some r -> r | None -> assert false)
-      end
+        results.(i) <- Some r;
+        decr remaining;
+        if !remaining = 0 then Condition.broadcast all_done;
+        Mutex.unlock t.mutex
+      in
+      Mutex.lock t.mutex;
+      List.iteri (fun i f -> Queue.push (wrap i f) t.queue) tasks;
+      Condition.broadcast t.nonempty;
+      (* drain alongside the workers, then wait for the stragglers *)
+      let rec drive () =
+        if !remaining = 0 then Mutex.unlock t.mutex
+        else
+          match Queue.take_opt t.queue with
+          | Some task ->
+              Mutex.unlock t.mutex;
+              task ();
+              Mutex.lock t.mutex;
+              drive ()
+          | None ->
+              Condition.wait all_done t.mutex;
+              drive ()
+      in
+      drive ();
+      Array.to_list results |> List.map (function Some r -> r | None -> assert false)
 
 let map_result ?timeout_ms t f xs =
   run_list ?timeout_ms t (List.map (fun x () -> f x) xs)
@@ -261,17 +136,7 @@ let shutdown t =
   Condition.broadcast t.nonempty;
   Mutex.unlock t.mutex;
   List.iter Domain.join t.workers;
-  t.workers <- [];
-  (* stop and join the watchdog last: signalled under its mutex so a
-     dog blocked in [Condition.wait] wakes, joined unconditionally so
-     shutdown never leaks the domain *)
-  Mutex.lock t.wd_mutex;
-  t.wd_stop <- true;
-  Condition.broadcast t.wd_wake;
-  let dog = t.wd_dog in
-  t.wd_dog <- None;
-  Mutex.unlock t.wd_mutex;
-  Option.iter Domain.join dog
+  t.workers <- []
 
 let with_pool ~jobs f =
   let t = create ~jobs in

@@ -28,18 +28,15 @@ val run_list : ?timeout_ms:float -> t -> (unit -> 'a) list -> ('a, exn) result l
 
     [timeout_ms] arms a per-task wall-clock limit, measured from when
     the task {e starts running} (not from submission) on the monotonic
-    clock ({!Mono}): the pool's watchdog domain flips the overdue
-    task's cancel flag, and the task's analysis observes it at its
-    next {!Guard.check} and unwinds as [Error Guard.Cancelled].
-    Cancellation is cooperative — a task that never polls (pure OCaml
-    with no guard sites) runs to completion. Each task honours the
-    {!Fault.Task_exn} injection point.
-
-    The watchdog is one domain per {e pool}, spawned lazily on the
-    first timed call and joined by {!shutdown} — repeated timed calls
-    (a server answering requests through the pool) do not spawn or
-    leak domains, and every exit from [run_list], including a raising
-    task or drain, removes the call's watch from the dog's registry. *)
+    clock ({!Mono}): the task runs under {!Guard.with_task_deadline},
+    and its analysis unwinds as [Error Guard.Cancelled] at the first
+    {!Guard.check} past the deadline. Cancellation is cooperative — a
+    task that never polls (pure OCaml with no guard sites) runs to
+    completion. An untimed call leaves the running domain's deadline
+    in place: made from inside a timed task, it stays bounded by that
+    task's deadline in the tasks it runs on the calling domain.
+    Timeouts spawn no domain.
+    Each task honours the {!Fault.Task_exn} injection point. *)
 
 val map_result : ?timeout_ms:float -> t -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 (** [map_result pool f xs] is {!run_list} specialised to a function
@@ -51,9 +48,8 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     submission order) is re-raised after all tasks have finished. *)
 
 val shutdown : t -> unit
-(** Join the worker domains and the watchdog (when one was spawned).
-    The pool must not be used afterwards; calling [shutdown] twice is
-    harmless. *)
+(** Join the worker domains. The pool must not be used afterwards;
+    calling [shutdown] twice is harmless. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down

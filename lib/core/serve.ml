@@ -168,25 +168,34 @@ let do_reload cfg handler stats ~file =
       | exception e -> reply_error ("reload failed: " ^ Printexc.to_string e))
 
 (* One query request, executed on whichever pool domain picked it up:
-   a fresh deadline-only guard (so the {!Fault.Expired_deadline}
-   injection and genuinely slow handlers trip per-request, not
-   per-daemon), every failure folded into an [error] reply — a request
-   can never take the daemon down. *)
+   the handler runs under the request's own deadline (so the
+   {!Fault.Expired_deadline} injection and genuinely slow handlers trip
+   per-request, not per-daemon, at the analysis's next {!Guard.check}),
+   and every failure is folded into an [error] reply — a request can
+   never take the daemon down. *)
 let do_query cfg handler (file, query) =
   let t0 = Trace.start () in
-  let g =
-    Guard.make { Guard.no_budget with Guard.b_deadline_ms = cfg.request_deadline_ms }
-  in
+  let started = Mono.now_s () in
+  let answer () = handler.h_answer ~file ~query in
   let reply =
     match
-      Guard.check g;
-      handler.h_answer ~file ~query
+      match cfg.request_deadline_ms with
+      | None -> answer ()
+      | Some ms ->
+          Guard.with_task_deadline ~ms (fun () ->
+              (* a request arriving out of budget never reaches the handler *)
+              if Fault.enabled Fault.Expired_deadline then raise Guard.Cancelled;
+              answer ())
     with
     | Ans a -> "ok " ^ sanitize a
     | Ans_degraded a -> "degraded " ^ sanitize a
     | Ans_error e -> reply_error e
     | exception Guard.Exhausted trip -> reply_error (Fmt.str "%a" Guard.pp_trip trip)
-    | exception Guard.Cancelled -> reply_error "cancelled"
+    | exception Guard.Cancelled when Option.is_some cfg.request_deadline_ms ->
+        let after_ms = (Mono.now_s () -. started) *. 1e3 in
+        reply_error
+          (Fmt.str "%a" Guard.pp_trip
+             { Guard.t_reason = Guard.Deadline; t_where = None; t_after_ms = after_ms })
     | exception e -> reply_error ("request failed: " ^ Printexc.to_string e)
   in
   if Trace.on () then Trace.emit Trace.Request ~name:file ~t0 ();

@@ -45,9 +45,11 @@
     them as one batch. Control requests ([ping]/[files]/[stats]/[quit])
     are answered inline; query requests are fanned out over the
     {!Pool} ([jobs] domains) and their replies reassembled in request
-    order. Each query runs under a fresh deadline-only {!Guard}
-    ([request_deadline_ms]); a trip — including the
-    {!Fault.Expired_deadline} injection — becomes an [error] reply.
+    order. Each query's handler runs under its own task deadline
+    ({!Guard.with_task_deadline}, [request_deadline_ms]), which every
+    guard check of the analysis behind the answer reads; a trip —
+    including the {!Fault.Expired_deadline} injection — becomes an
+    [error deadline …] reply.
     Admission control is a per-batch bound: at most [queue_max]
     requests are dispatched per cycle and the excess is answered
     [busy] immediately, so a flooding client degrades service
@@ -107,7 +109,7 @@ type transport =
 type config = {
   jobs : int;  (** {!Pool} width for query dispatch *)
   queue_max : int;  (** admission bound: max requests dispatched per batch *)
-  request_deadline_ms : float option;  (** per-request {!Guard} deadline *)
+  request_deadline_ms : float option;  (** per-request task deadline, milliseconds *)
   restarts : int;
       (** how many times the supervisor has restarted this worker;
           echoed by the [health] reply *)

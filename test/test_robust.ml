@@ -107,20 +107,18 @@ let guard_tests =
         Guard.check w;
         Guard.check_fuel w 1_000_000;
         Guard.check_size w 1_000_000);
-    case "check raises Cancelled when the task's flag is flipped" (fun () ->
-        let flag = Atomic.make false in
-        Guard.set_task_cancel (Some flag);
-        Fun.protect
-          ~finally:(fun () -> Guard.set_task_cancel None)
-          (fun () ->
-            let g = Guard.unlimited () in
+    case "check raises Cancelled once the task deadline passes" (fun () ->
+        let g = Guard.unlimited () in
+        Guard.with_task_deadline ~ms:60_000. (fun () ->
             Guard.check g;
-            Alcotest.(check bool) "not requested" false (Guard.cancel_requested ());
-            Atomic.set flag true;
-            Alcotest.(check bool) "requested" true (Guard.cancel_requested ());
-            match Guard.check g with
-            | exception Guard.Cancelled -> ()
-            | () -> Alcotest.fail "expected Guard.Cancelled"));
+            Guard.with_task_deadline ~ms:20. (fun () ->
+                Unix.sleepf 0.04;
+                match Guard.check g with
+                | exception Guard.Cancelled -> ()
+                | () -> Alcotest.fail "expected Guard.Cancelled");
+            (* the outer deadline is back, and it is far off *)
+            Guard.check g);
+        Guard.check g);
     case "budget pretty-printing" (fun () ->
         Alcotest.(check string) "unlimited" "unlimited" (Fmt.str "%a" Guard.pp_budget Guard.no_budget);
         Alcotest.(check string) "combined" "deadline 100ms, fuel 2"
@@ -349,7 +347,7 @@ let timeout_tests =
                   (match a with Ok s -> s | Error e -> Printexc.to_string e)
                   (match b with Ok s -> s | Error e -> Printexc.to_string e)
             | _ -> Alcotest.fail "wrong arity"));
-    case "the watchdog also covers the jobs = 1 inline path" (fun () ->
+    case "a task timeout also covers the jobs = 1 inline path" (fun () ->
         Pool.with_pool ~jobs:1 (fun pool ->
             match Pool.run_list ~timeout_ms:60. pool [ cancellable_spin ] with
             | [ Error Guard.Cancelled ] -> ()
@@ -898,8 +896,22 @@ let supervisor_tests =
                 Alcotest.(check bool) "supervisor exits 0" true (st = Unix.WEXITED 0))));
   ]
 
+(** A nested, untimed [run_list] inherits the deadline of the timed
+    task it runs in. *)
+let nested_deadline_tests =
+  [
+    case "an untimed run_list inside a timed task keeps its deadline" (fun () ->
+        (* with jobs = 1 the inner call runs its task inline, on the
+           domain whose deadline the outer call set *)
+        Pool.with_pool ~jobs:1 (fun pool ->
+            let inner () = Pool.run_list pool [ cancellable_spin ] in
+            match Pool.run_list ~timeout_ms:60. pool [ inner ] with
+            | [ Ok [ Error Guard.Cancelled ] ] -> ()
+            | _ -> Alcotest.fail "expected the inner task cancelled by the outer deadline"));
+  ]
+
 let suite =
   ( "robust",
     guard_tests @ mono_tests @ degradation_tests @ heap_tests @ timeout_tests
     @ fault_tests @ quarantine_tests @ fuzz_tests @ exit_code_tests @ supervisor_tests
-    @ primed_fuzz_tests )
+    @ primed_fuzz_tests @ nested_deadline_tests )

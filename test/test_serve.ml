@@ -400,6 +400,31 @@ let robustness_tests =
         | _ -> Alcotest.fail "wrong arity");
         Alcotest.(check int) "one error" 1 stats.Serve.s_errors;
         Alcotest.(check int) "one ok" 1 stats.Serve.s_ok);
+    case "a slow request is cut at its deadline, then service resumes" (fun () ->
+        (* the handler polls a guard for up to 5 s, as an analysis
+           does: the 50 ms request deadline must end it at a poll *)
+        let slow ~file:_ ~query =
+          let g = Guard.unlimited () in
+          let t0 = Unix.gettimeofday () in
+          while query = "slow" && Unix.gettimeofday () -. t0 < 5. do
+            Guard.check g;
+            Unix.sleepf 0.002
+          done;
+          Serve.Ans ("echo " ^ query)
+        in
+        let handler = { echo_handler with Serve.h_answer = slow } in
+        let cfg = { Serve.default_config with Serve.request_deadline_ms = Some 50. } in
+        let (cut, ms, next), stats =
+          with_daemon ~cfg ~handler (fun req_w ic ->
+              let t0 = Unix.gettimeofday () in
+              let cut = round_trip req_w ic "q f slow" in
+              let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+              (cut, ms, round_trip req_w ic "q f b"))
+        in
+        Alcotest.(check bool) ("deadline reply: " ^ cut) true (starts_with "error deadline " cut);
+        Alcotest.(check bool) (Printf.sprintf "cut within 1 s (%.0f ms)" ms) true (ms < 1000.);
+        Alcotest.(check string) "the connection still answers" "ok echo b" next;
+        Alcotest.(check int) "one error" 1 stats.Serve.s_errors);
   ]
 
 (* ------------------------------------------------------------------ *)

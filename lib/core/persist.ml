@@ -29,7 +29,16 @@
     so it verifies only what it reads. Every decode path bounds-checks
     and raises {!Bad}, which the lookups map to a miss — a stale or
     corrupt cache entry degrades to a cache miss, never to a wrong
-    answer. *)
+    answer.
+
+    Each set costs one pass either way. A set-table entry is a delta
+    against the set referenced before it when its kills and adds, plus
+    one, are fewer than the set's rows: the encoder builds a set's row
+    list once, stops diffing as soon as the delta cannot win, and keeps
+    the list as the next base. The decoder binds a delta's rows in one
+    {!Pts.add_rows} on its base, a re-added source being one replace.
+    A warm load unmarshals the program where it lies in the entry; a
+    rekey skips it and decodes the tables with the fresh lowering. *)
 
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
@@ -97,6 +106,11 @@ let r_str r =
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
+
+let r_list r f =
+  let n = r_u r in
+  let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (f () :: acc) in
+  go n []
 
 let r_raw r n =
   if r.pos + n > r.lim then raise Bad;
@@ -254,6 +268,8 @@ let r_loc (arr : Loc.t array) r : Loc.t =
     hundred rows cover thousands of (statement, source) occurrences;
     each is written and decoded exactly once, and decoded sets share the
     decoded maps. *)
+type row = Loc.t * Pts.cert Loc.Map.t
+
 type row_enc = {
   rw_tbl : (int, (Loc.t * Pts.cert Loc.Map.t * int) list) Hashtbl.t;
       (** (source, cardinality) hash -> entries *)
@@ -266,7 +282,7 @@ let row_idx e rw (src : Loc.t) (m : Pts.cert Loc.Map.t) : int =
   let bucket = Option.value ~default:[] (Hashtbl.find_opt rw.rw_tbl h) in
   match
     List.find_opt
-      (fun (src', m', _) -> src' == src && (m' == m || Loc.Map.equal ( = ) m' m))
+      (fun (src', m', _) -> src' == src && (m' == m || Loc.Map.equal ( == ) m' m))
       bucket
   with
   | Some (_, _, i) -> i
@@ -288,9 +304,9 @@ let row_idx e rw (src : Loc.t) (m : Pts.cert Loc.Map.t) : int =
     equal rows of different sections decode to one physical map, which
     the engine's fast paths compare by identity, and a repeated row
     builds no map. *)
-type canon = (int, (Loc.t * Pts.cert Loc.Map.t) list) Hashtbl.t
+type canon = (int, row list) Hashtbl.t
 
-let r_row_table (canon : canon) arr r : (Loc.t * Pts.cert Loc.Map.t) array =
+let r_row_table (canon : canon) arr r : row array =
   let n = r_count r in
   let rows = Array.make n (Loc.intern Loc.Heap, Loc.Map.empty) in
   for i = 0 to n - 1 do
@@ -321,17 +337,8 @@ let r_row_table (canon : canon) arr r : (Loc.t * Pts.cert Loc.Map.t) array =
   done;
   rows
 
-(** One set: its rows in source order, by reference into the row
-    table. Decoding binds each row, a shared, already-built map, in
-    one {!Pts.add_rows}. *)
-let w_set e rw b (s : Pts.t) =
-  let n = ref 0 in
-  Pts.iter_srcs (fun _ _ -> incr n) s;
-  w_u b !n;
-  Pts.iter_srcs (fun src m -> w_u b (row_idx e rw src m)) s
-
 (** A count, then that many references into the row table. *)
-let r_rows (rows : (Loc.t * Pts.cert Loc.Map.t) array) r =
+let r_rows (rows : row array) r =
   let n = r_u r in
   let acc = ref [] in
   for _ = 1 to n do
@@ -353,6 +360,9 @@ type set_enc = {
   mutable s_next : int;
   mutable s_last : (Pts.t * int) option;
       (** most recently referenced set — the delta base candidate *)
+  mutable s_wrote : (Pts.t * row list) option;
+      (** the set last written, with its rows: the base of the next
+          entry unless a set written earlier was referenced since *)
 }
 
 (** A set-table entry is either absolute (tag 0: its rows) or a delta
@@ -361,38 +371,41 @@ type set_enc = {
     consecutive fixpoint states differ by a row or two, so the delta
     form dominates — and the decoder then extends the base set's spine
     instead of rebuilding it, keeping warm loads cheaper than the
-    fixpoint that produced the tables. *)
+    fixpoint that produced the tables. A delta is written only when its
+    kills and adds, plus one, are fewer than the set's rows; the diff
+    gives up as soon as they are not. Each set's row list is built once
+    and kept as the next entry's base. *)
 let w_set_entry e rw se b (s : Pts.t) =
-  let rows_of s =
-    let acc = ref [] in
-    Pts.iter_srcs (fun src m -> acc := (src, m) :: !acc) s;
-    List.rev !acc
-  in
+  let news = Pts.rows s in
+  let n = List.length news in
   let delta =
     match se.s_last with
     | None -> None
     | Some (last, base) ->
-        (* merge-join both row lists in source order *)
-        let rec diff kills adds olds news =
-          match (olds, news) with
-          | [], [] -> (kills, adds)
-          | (src, _) :: olds', [] -> diff (src :: kills) adds olds' []
-          | [], row :: news' -> diff kills (row :: adds) [] news'
-          | (osrc, om) :: olds', ((nsrc, nm) as row) :: news' ->
-              let c = Loc.compare osrc nsrc in
-              if c < 0 then diff (osrc :: kills) adds olds' news
-              else if c > 0 then diff kills (row :: adds) olds news'
-              else if om == nm || Loc.Map.equal ( = ) om nm then
-                diff kills adds olds' news'
-              else diff (osrc :: kills) (row :: adds) olds' news'
+        let olds =
+          match se.s_wrote with
+          | Some (w, rows) when w == last -> rows
+          | Some _ | None -> Pts.rows last
         in
-        let news = rows_of s in
-        let kills, adds = diff [] [] (rows_of last) news in
-        if List.length kills + List.length adds + 1 < List.length news then
-          Some (base, kills, adds)
-        else None
+        (* merge-join both row lists in source order; [d] counts the
+           kills and adds so far *)
+        let rec diff d kills adds olds news =
+          if d + 1 >= n then None
+          else
+            match (olds, news) with
+            | [], [] -> Some (base, kills, adds)
+            | (src, _) :: olds', [] -> diff (d + 1) (src :: kills) adds olds' []
+            | [], row :: news' -> diff (d + 1) kills (row :: adds) [] news'
+            | (osrc, om) :: olds', ((nsrc, nm) as row) :: news' ->
+                let c = Loc.compare osrc nsrc in
+                if c < 0 then diff (d + 1) (osrc :: kills) adds olds' news
+                else if c > 0 then diff (d + 1) kills (row :: adds) olds news'
+                else if om == nm || Loc.Map.equal ( == ) om nm then diff d kills adds olds' news'
+                else diff (d + 2) (osrc :: kills) (row :: adds) olds' news'
+        in
+        diff 0 [] [] olds news
   in
-  match delta with
+  (match delta with
   | Some (base, kills, adds) ->
       Buffer.add_char b '\001';
       w_u b base;
@@ -402,7 +415,9 @@ let w_set_entry e rw se b (s : Pts.t) =
       List.iter (fun (src, m) -> w_u b (row_idx e rw src m)) adds
   | None ->
       Buffer.add_char b '\000';
-      w_set e rw b s
+      w_u b n;
+      List.iter (fun (src, m) -> w_u b (row_idx e rw src m)) news);
+  se.s_wrote <- Some (s, news)
 
 (** The index of [s], interning it on first sight. Consecutive
     statements often hold the very same set, so the previous one is
@@ -432,7 +447,14 @@ let tables n =
   {
     locs = { tbl = Hashtbl.create n; buf = Buffer.create (8 * n); next = 0 };
     rws = { rw_tbl = Hashtbl.create n; rw_buf = Buffer.create (8 * n); rw_next = 0 };
-    sets = { s_tbl = Pts.Tbl.create n; s_buf = Buffer.create (8 * n); s_next = 0; s_last = None };
+    sets =
+      {
+        s_tbl = Pts.Tbl.create n;
+        s_buf = Buffer.create (8 * n);
+        s_next = 0;
+        s_last = None;
+        s_wrote = None;
+      };
   }
 
 let set_ix t s = set_idx t.locs t.rws t.sets s
@@ -445,6 +467,10 @@ let w_tables b t =
   w_u b t.sets.s_next;
   Buffer.add_buffer b t.sets.s_buf
 
+(** A delta entry binds in one {!Pts.add_rows} on its base: each added
+    row replaces the source's row, so a killed source that the entry
+    adds back is one replace, and only the other killed sources are
+    unbound (by an empty row). *)
 let r_set_table arr rows r : Pts.t array =
   let n = r_count r in
   let sets = Array.make n Pts.empty in
@@ -455,12 +481,13 @@ let r_set_table arr rows r : Pts.t array =
       | 1 ->
           let b = r_u r in
           if b < 0 || b >= i then raise Bad;
-          let s = ref sets.(b) in
-          let nk = r_u r in
-          for _ = 1 to nk do
-            s := Pts.kill_src (r_loc arr r) !s
-          done;
-          Pts.add_rows (r_rows rows r) !s
+          let kills = r_list r (fun () -> r_loc arr r) in
+          let adds = r_rows rows r in
+          let unbind acc src =
+            if List.exists (fun (src', _) -> src' == src) adds then acc
+            else (src, Loc.Map.empty) :: acc
+          in
+          Pts.add_rows (List.fold_left unbind adds kills) sets.(b)
       | _ -> raise Bad
     in
     sets.(i) <- s
@@ -497,11 +524,6 @@ let w_map_info e b (mi : Ig.map_info) =
       w_u b (List.length ls);
       List.iter (fun l' -> w_u b (loc_idx e l')) ls)
     mi
-
-let r_list r f =
-  let n = r_u r in
-  let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (f () :: acc) in
-  go n []
 
 let r_map_info arr r : Ig.map_info =
   r_list r (fun () ->
@@ -696,7 +718,7 @@ let encode_result (res : Analysis.result) : string =
   let pay = Buffer.create 65536 in
   let stmts =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) res.Analysis.stmt_pts []
-    |> List.sort compare
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   w_u pay (List.length stmts);
   List.iter
@@ -715,8 +737,24 @@ let encode_result (res : Analysis.result) : string =
   Buffer.add_buffer b pay;
   Buffer.contents b
 
-let decode_result ~opts r : Analysis.result =
-  let prog : Ir.program = Marshal.from_string (r_str r) 0 in
+(** The result section's program: unmarshalled where it lies, once
+    [Marshal.total_size] agrees with its length prefix (the section
+    digest has already held), or, given the fresh lowering [prog] of a
+    rekey, skipped. *)
+let r_prog ?prog r : Ir.program =
+  let n = r_u r in
+  if n > r.lim - r.pos then raise Bad;
+  let at = r.pos in
+  r.pos <- at + n;
+  match prog with
+  | Some p -> p
+  | None ->
+      if n < Marshal.header_size || Marshal.total_size (Bytes.unsafe_of_string r.data) at <> n
+      then raise Bad;
+      Marshal.from_string r.data at
+
+let decode_result ~opts ?prog r : Analysis.result =
+  let prog = r_prog ?prog r in
   let arr, sets = r_tables (Hashtbl.create 256) r in
   let n_stmts = r_count r in
   let stmt_pts = Hashtbl.create (max 16 n_stmts) in
@@ -1492,7 +1530,7 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
       quarantine file;
       incr quarantined
   | Error (Missing | Stale) -> ());
-  let result_of en = read_section en.en_result (decode_result ~opts) in
+  let result_of ?prog en = read_section en.en_result (decode_result ~opts ?prog) in
   let hit (res : Analysis.result) =
     let m = res.Analysis.metrics in
     m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. !t_load;
@@ -1520,19 +1558,19 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
       match
         match (!stored, fp) with
         | Some en, Some _ when en.en_fp = fp ->
-            Option.map (fun old -> (en, old)) (read loading result_of)
+            Option.map (fun res -> (en, res)) (read loading (result_of ~prog))
         | _ -> None
       with
-      | Some (en, old_res) ->
+      | Some (en, res) ->
           (* Rekey: the edit moved source positions only (a comment,
              whitespace), so statement ids, heap-site names and warnings
              are unchanged and the old result is still exactly the
              answer, in every engine mode. Serve it as a hit without
-             touching the engine, with the fresh lowering so that source
+             touching the engine, decoded with the fresh lowering (the
+             saved program is skipped, not unmarshalled) so that source
              positions track the edit, and save it under the new key:
              the save of a run that changed nothing, every section
              copied. *)
-          let res = { old_res with Analysis.prog; tenv = Tenv.make ~opts prog } in
           (try
              write ~source ~key:mykey ~fp
                ~sections:(fun () -> (en.en_result, en.en_segments, en.en_targets))

@@ -25,7 +25,7 @@
     environment from it. Only the incremental rekey path (an edit that
     leaves the program's fingerprint, its environment digest and every
     function hash, unchanged) re-lowers the edited source, so source
-    positions track the edit. An incremental entry's index also holds
+    positions track the edit; it skips the saved program. An incremental entry's index also holds
     the fingerprint, and one {e summary segment} per function follows
     the result section (see below).
 

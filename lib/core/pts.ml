@@ -140,6 +140,8 @@ let iter f (s : t) = LM.iter (fun src m -> LM.iter (fun tgt c -> f src tgt c) m)
 
 let iter_srcs f (s : t) = LM.iter f s.fwd
 
+let rows (s : t) = LM.bindings s.fwd
+
 (* Filters start from [s] and remove only the dropped pairs, so the
    untouched submaps stay physically shared with the input (and a filter
    that drops nothing returns [s] itself). *)

@@ -69,6 +69,10 @@ val iter : (Loc.t -> Loc.t -> cert -> unit) -> t -> unit
     (e.g. the serializer's row-dedup table) can exploit physical
     equality across related sets. *)
 val iter_srcs : (Loc.t -> cert Loc.Map.t -> unit) -> t -> unit
+
+(** The (source, target map) rows in {!Loc.compare} order of the
+    sources, the submaps shared as {!iter_srcs} passes them. *)
+val rows : t -> (Loc.t * cert Loc.Map.t) list
 val filter : (Loc.t -> Loc.t -> cert -> bool) -> t -> t
 
 (** Keep only the relationships whose source satisfies the predicate

@@ -326,6 +326,33 @@ let suite_tests =
               Options.default,
               fun (r : Analysis.result) -> r.Analysis.warnings <> [] );
           ]);
+    case "a rekey serves the new text's positions and typing environment" (fun () ->
+        (* the rekey decodes the saved tables with the fresh lowering
+           and skips the saved program, whose positions are stale *)
+        in_temp (fun dir ->
+            let source = Filename.concat dir "livc.c" in
+            let text = read_file (bench "livc") in
+            write_file source text;
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let edited =
+              replace_once ~sub:"double kern_a_5" ~by:"/* moved\n   down */\ndouble kern_a_5" text
+            in
+            write_file source edited;
+            let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Alcotest.(check bool) "a hit" true hit;
+            let locs (p : Ir.program) =
+              Ir.fold_program
+                (fun acc s -> (s.Ir.s_id, Cfront.Srcloc.to_string s.Ir.s_loc) :: acc)
+                [] p
+            in
+            let fresh = locs (Simple_ir.Simplify.of_string ~file:source edited) in
+            Alcotest.(check bool)
+              "the edit moved positions" false
+              (fresh = locs (Simple_ir.Simplify.of_string ~file:source text));
+            Alcotest.(check (list (pair int string))) "positions" fresh (locs r.Analysis.prog);
+            Alcotest.(check bool)
+              "the typing environment is the served program's" true
+              (r.Analysis.tenv.Pointsto.Tenv.prog == r.Analysis.prog)));
     case "whole suite: adding a function replays bit-identically" (fun () ->
         (* a new (uncalled) function changes the hash table, so the
            rekey path is off: the new function re-runs and the rest

@@ -215,4 +215,37 @@ let lexer_tests =
           [ "int_"; "iff"; "Int"; "returns"; "sizeof_x" ]);
   ]
 
-let suite = ("parser", declarator_tests @ expr_tests @ stmt_tests @ lexer_tests)
+let bench_dir = if Sys.file_exists "benchmarks" then "benchmarks" else "../benchmarks"
+
+(** The benchmarks with string literals, whose lexing once shared one
+    module-level buffer. *)
+let literal_benchmarks = [ "stanford"; "xref"; "toplev"; "config"; "fixoutput" ]
+
+let domain_tests =
+  [
+    case "two domains lexing string literals at once parse what one does" (fun () ->
+        let texts =
+          List.map
+            (fun n ->
+              let file = Filename.concat bench_dir (n ^ ".c") in
+              (file, In_channel.with_open_bin file In_channel.input_all))
+            literal_benchmarks
+        in
+        let parse_all () =
+          List.map (fun (file, text) -> Cfront.Parser.parse_string ~file text) texts
+        in
+        let want = parse_all () in
+        (* parses whose AST differs from the sequential one *)
+        let worker () =
+          let bad = ref 0 in
+          for _ = 1 to 300 do
+            List.iter2 (fun got want -> if got <> want then incr bad) (parse_all ()) want
+          done;
+          !bad
+        in
+        let ds = List.init 2 (fun _ -> Domain.spawn worker) in
+        Alcotest.(check (list int))
+          "differing parses per domain" [ 0; 0 ] (List.map Domain.join ds));
+  ]
+
+let suite = ("parser", declarator_tests @ expr_tests @ stmt_tests @ lexer_tests @ domain_tests)

@@ -417,7 +417,87 @@ let layout_tests =
               (List.length incr.sections > 1)));
   ]
 
+(** The bytes of every summary segment, as one digest over each
+    segment's name and MD5 in section order. The result section is not
+    pinned: its metrics record holds timings, and counters that other
+    runs in the same process move. *)
+let segment_pin data =
+  let l = entry_layout data in
+  let lines =
+    List.map
+      (fun s -> s.name ^ " " ^ Digest.to_hex (Digest.substring data s.off s.len))
+      (List.tl l.sections)
+  in
+  Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+(** Recorded at the format-11 encoder that first wrote these entries:
+    (shape, function edited, primed digest, digest after the edit). *)
+let codec_pins =
+  [
+    ("web", "f1_3", "6db692e67ddd7bea7866163bb7b68bf3", "c0c23ae97698eefb2564ccacd9546717");
+    ("deep", "f3_1", "4c7f0487d7aef5988f17fbe328bd6c24", "6ffaae4f7f4e1cda0b846d6e61ce982f");
+  ]
+
+(** A program whose consecutive statements retarget one pointer among
+    more stable rows: each next set differs from the last in [p]'s row
+    only, so the set table holds deltas that kill [p] and add it back. *)
+let retarget_src =
+  "int a; int b; int c; int d;\n\
+   int *p; int *q1; int *q2; int *q3; int *q4;\n\
+   int main(void) {\n\
+  \  q1 = &a; q2 = &b; q3 = &c; q4 = &d;\n\
+  \  p = &a;\n\
+  \  p = &b;\n\
+  \  p = &c;\n\
+  \  p = &d;\n\
+  \  return 0;\n\
+   }\n"
+
+let codec_tests =
+  [
+    case "segment bytes are pinned: gen:web and gen:deep, primed and after an edit" (fun () ->
+        List.iter
+          (fun (shape, fn, primed, edited) ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir (shape ^ ".c") in
+                let write s =
+                  Out_channel.with_open_bin source (fun oc -> Out_channel.output_string oc s)
+                in
+                let pin () =
+                  let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+                  segment_pin
+                    (In_channel.with_open_bin
+                       (Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default
+                          ~entry:"main")
+                       In_channel.input_all)
+                in
+                let text = Gen.program (Test_rows.gen_knobs shape) in
+                write text;
+                Alcotest.(check string) (shape ^ ": primed") primed (pin ());
+                write (insert_at_top text ~fn ~line:"    gp0 = &gv1;\n");
+                Alcotest.(check string) (shape ^ ": after an edit of " ^ fn) edited (pin ())))
+          codec_pins);
+    case "a delta that kills and re-adds a source round-trips" (fun () ->
+        in_temp (fun dir ->
+            let source = Filename.concat dir "retarget.c" in
+            Out_channel.with_open_bin source (fun oc -> Out_channel.output_string oc retarget_src);
+            let fresh = Analysis.of_file source in
+            let file = Filename.concat dir "r.ptc" in
+            Persist.save ~source fresh file;
+            (match Persist.load ~source file with
+            | Some loaded -> check_equivalent "retarget" fresh loaded
+            | None -> Alcotest.fail "load returned None on a fresh save");
+            let sec = entry_section (In_channel.with_open_bin file In_channel.input_all) "" in
+            let rebinds =
+              List.filter
+                (fun d -> List.exists (fun k -> List.mem k d.add_srcs) d.kills)
+                (result_deltas sec)
+            in
+            Alcotest.(check bool) "deltas kill a source and add it back" true
+              (List.length rebinds >= 3)));
+  ]
+
 let suite =
   ( "persist",
     roundtrip_tests @ invalidation_tests @ cache_tests @ plain_data_tests @ reference_tests
-    @ layout_tests @ site_tests )
+    @ layout_tests @ site_tests @ codec_tests )

@@ -162,14 +162,14 @@ let entry_layout (data : string) : entry_layout =
   in
   { index_digest_at; index_at; index_len; fingerprinted; sections = List.rev !sections; targets }
 
-(** The call records of each record of a summary segment
-    ([entry_section]'s bytes), in record order, each as (local statement
-    index of the call, callee, ordinal plus one or 0). A segment is its
-    location, row and set tables, then its records: input, output, rows,
-    then calls. *)
-let segment_calls (seg : string) : (int * string * int) list list =
-  let pos = ref 0 in
-  let byte, varint, str = cursor seg pos in
+(** A delta entry of a set table: the location indices of the sources
+    it kills, and those of the sources of the rows it adds. *)
+type set_delta = { kills : int list; add_srcs : int list }
+
+(** Read a section's location, row and set tables from [pos], returning
+    the set table's delta entries in table order. *)
+let read_tables (data : string) (pos : int ref) : set_delta list =
+  let byte, varint, str = cursor data pos in
   let repeat f = for _ = 1 to varint () do f () done in
   (* locations: a tag, then its payload *)
   repeat (fun () ->
@@ -184,19 +184,46 @@ let segment_calls (seg : string) : (int * string * int) list list =
       | 9 | 10 -> ignore (str ())
       | _ -> ());
   (* rows: source, then (target, certainty) pairs *)
-  repeat (fun () ->
-      ignore (varint ());
-      repeat (fun () ->
-          ignore (varint ());
-          ignore (byte ())));
+  let row_srcs =
+    Array.of_list
+      (List.init (varint ()) (fun _ ->
+           let src = varint () in
+           repeat (fun () ->
+               ignore (varint ());
+               ignore (byte ()));
+           src))
+  in
   (* sets: absolute rows, or a delta of kills and added rows *)
+  let deltas = ref [] in
   repeat (fun () ->
       match byte () with
       | 0 -> repeat (fun () -> ignore (varint ()))
       | _ ->
+          (* the base set's index, then the kills and the added rows *)
           ignore (varint ());
-          repeat (fun () -> ignore (varint ()));
-          repeat (fun () -> ignore (varint ())));
+          let kills = List.init (varint ()) (fun _ -> varint ()) in
+          let add_srcs = List.init (varint ()) (fun _ -> row_srcs.(varint ())) in
+          deltas := { kills; add_srcs } :: !deltas);
+  List.rev !deltas
+
+(** The delta entries of a result section's set table: the tables follow
+    the marshalled program, a length-prefixed string. *)
+let result_deltas (sec : string) : set_delta list =
+  let pos = ref 0 in
+  let _, _, str = cursor sec pos in
+  ignore (str ());
+  read_tables sec pos
+
+(** The call records of each record of a summary segment
+    ([entry_section]'s bytes), in record order, each as (local statement
+    index of the call, callee, ordinal plus one or 0). A segment is its
+    location, row and set tables, then its records: input, output, rows,
+    then calls. *)
+let segment_calls (seg : string) : (int * string * int) list list =
+  let pos = ref 0 in
+  ignore (read_tables seg pos);
+  let _, varint, str = cursor seg pos in
+  let repeat f = for _ = 1 to varint () do f () done in
   let calls =
     List.init (varint ()) (fun _ ->
         ignore (varint ());

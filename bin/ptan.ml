@@ -600,8 +600,9 @@ let cmd_serve files cache incremental demand budget jobs socket request_deadline
                     | Some r ->
                         let m = r.Pointsto.Analysis.metrics in
                         Ok
-                          (Fmt.str "reloaded %s (%d dirty, %d replayed)" f
-                             m.Pointsto.Metrics.incr_funcs_dirty m.incr_funcs_reused)
+                          (Fmt.str "reloaded %s (%d dirty, %d replayed, %d adopted)" f
+                             m.Pointsto.Metrics.incr_funcs_dirty m.incr_funcs_reused
+                             m.incr_funcs_adopted)
                     | None -> Ok (Fmt.str "reloaded %s (demand: slices reset)" f)
                     | exception e -> Error (describe_exn e)));
           h_paths = List.map (fun f -> (f, f)) files;

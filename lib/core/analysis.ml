@@ -35,6 +35,10 @@ type result = {
           carry a frame and were recorded or replayed this run, with the
           entries their frames' calls name, into the summary section for
           incremental re-analysis *)
+  sources : (string, Engine.sources) Hashtbl.t;
+      (** per function, the stored entries whose frames made its rows,
+          and whether nothing else did; filled when the run records
+          summaries, empty otherwise *)
 }
 
 (** Initial points-to set for the entry function: global and local
@@ -107,7 +111,7 @@ let checkpoint_of (ctx : Engine.ctx) (graph : Ig.t) : ci_seed =
     slots from a previous trip's checkpoint. [demand] runs over the
     plan's slice (docs/DEMAND.md): the graph is built within it, and
     the result's summary store stays empty. *)
-let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
+let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded ?adopt
     ?checkpoint_out ?(ci_seed = []) ?demand (prog : Ir.program) : result =
   let tenv = Tenv.make ~opts prog in
   let entry_fn =
@@ -116,7 +120,7 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
     | None -> raise (No_entry entry)
   in
   let graph = Ig.build ?within:(Option.map Demand.in_slice demand) tenv ~entry in
-  let ctx = Engine.make_ctx ~guard ~record_summaries ?seeded ?demand tenv in
+  let ctx = Engine.make_ctx ~guard ~record_summaries ?seeded ?adopt ?demand tenv in
   List.iter
     (fun (name, slot) -> Hashtbl.replace ctx.Engine.ci_slots name slot)
     ci_seed;
@@ -154,6 +158,7 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
             Trace.emit Trace.Checkpoint ~name:entry ~stmts:(List.length ck) ~t0:tc0 ());
       raise e
   in
+  if Option.is_some seeded then Engine.settle ctx;
   let stmt_pts = Engine.freeze_table ctx.Engine.stmt_pts in
   (Metrics.cur ()).Metrics.t_analysis <- Metrics.now () -. t0;
   (* indirect call sites grew the graph after {!Ig.build} counted it *)
@@ -184,17 +189,20 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded
       (if Option.is_none demand && (record_summaries || Option.is_some seeded) then
          ctx.Engine.store
        else Engine.store_create ());
+    sources =
+      (if Option.is_none demand && record_summaries then ctx.Engine.sources
+       else Hashtbl.create 1);
   }
 
 let analyze ?(opts = Options.default) ?(entry = "main") ?budget
-    ?(record_summaries = false) ?seeded (prog : Ir.program) : result =
+    ?(record_summaries = false) ?seeded ?adopt (prog : Ir.program) : result =
   Metrics.reset ();
   let guard = Guard.of_budget budget in
   (* the guard may carry a heap-ceiling {!Gc.alarm}; never leak it *)
   Fun.protect ~finally:(fun () -> Guard.dispose guard) @@ fun () ->
   let ckpt : ci_seed option ref = ref None in
   try
-    run ~opts ~entry ~guard ~degraded:None ~record_summaries ?seeded
+    run ~opts ~entry ~guard ~degraded:None ~record_summaries ?seeded ?adopt
       ~checkpoint_out:ckpt prog
   with Guard.Exhausted trip ->
     (* Graceful degradation: rerun under the widened semantics — the

@@ -52,6 +52,11 @@ type result = {
           the entries their frames' calls name, are the payload of
           {!Persist}'s summary section, replayed by later incremental
           runs (docs/INCREMENTAL.md) *)
+  sources : (string, Engine.sources) Hashtbl.t;
+      (** with [~record_summaries:true], per function, the stored
+          entries whose frames made its rows and whether nothing else
+          did: what {!Persist} lists with the function's saved rows.
+          Empty otherwise *)
 }
 
 (** Initial set for the entry function: global and local pointers
@@ -80,8 +85,11 @@ exception No_entry of string
     entries and {!Persist}'s loaded ones are: a replay folds only the
     rows its calls reach. A replay grows what a cold run grows under §6
     sub-tree sharing, so seeds are for sharing runs (as {!Persist} gives
-    them). The widened rerun of a degraded analysis never records or
-    replays.
+    them). A replay's rows reach [stmt_pts] when the run ends: a
+    function with no body pass takes the rows [adopt] returns for its
+    replayed seeds, when it returns some, which must be the least upper
+    bound of exactly those seeds' frame rows; any other folds the frames.
+    The widened rerun of a degraded analysis never records or replays.
 
     @raise Guard.Cancelled if the driver cancelled this task
     ({!Pool} timeout) — never degraded, the caller gave up. *)
@@ -91,6 +99,7 @@ val analyze :
   ?budget:Guard.budget ->
   ?record_summaries:bool ->
   ?seeded:Engine.store ->
+  ?adopt:(string -> Engine.summary_entry list -> (int * Pts.t) array option) ->
   Ir.program ->
   result
 

@@ -68,6 +68,23 @@ type summary_entry = {
     replay, and demand-mode skip replay. *)
 type store = (string, summary_entry Pts.Tbl.t) Hashtbl.t
 
+(** What made one function's rows in [stmt_pts], in a run that records
+    summaries or replays seeds. *)
+type sources = {
+  mutable src_entries : summary_entry list;
+      (** the stored entries whose frames' rows make the function's
+          rows: each evaluation stored with its frame, and each replayed
+          seed *)
+  mutable src_pending : summary_entry list;
+      (** the replayed seeds whose rows wait for {!settle}, latest
+          first; empty once the run ends *)
+  mutable src_body : bool;  (** a body pass of the function ran *)
+  mutable src_whole : bool;
+      (** every contribution to the rows is one of [src_entries]: no
+          evaluation went unstored or without its frame, and none
+          repeated an input whose first evaluation the store kept *)
+}
+
 let store_create () : store = Hashtbl.create 16
 
 let store_find (st : store) fname (input : Pts.t) : summary_entry option =
@@ -161,6 +178,13 @@ type ctx = {
   indirect_fns : (string, unit) Hashtbl.t;
       (** when the run has seeds, the functions with an indirect call
           site ({!closes_cycle}); empty otherwise *)
+  sources : (string, sources) Hashtbl.t;
+      (** per function, what made its rows: filled by evaluations when
+          the run records summaries, and by every replay *)
+  adopt : (string -> summary_entry list -> (int * Pts.t) array option) option;
+      (** [adopt fname entries]: the saved rows of [fname] when they are
+          the least upper bound of exactly the frames of [entries], its
+          replayed seeds ({!settle}) *)
 }
 
 (** [seeded] enters the store as seeds; they must be closed under their
@@ -169,7 +193,7 @@ type ctx = {
     works on its own copy: one set of seeds may serve many runs (a
     demand session replays it per query), while a run turns the entries
     it replays live. *)
-let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) : ctx =
+let make_ctx ?guard ?(record_summaries = false) ?seeded ?adopt ?demand (tenv : Tenv.t) : ctx =
   let store = store_create () in
   let stmt_pts = Hashtbl.create 256 in
   let indirect_fns = Hashtbl.create 16 in
@@ -200,6 +224,8 @@ let make_ctx ?guard ?(record_summaries = false) ?seeded ?demand (tenv : Tenv.t) 
     chain = Pts.Acc.chain ();
     demand;
     indirect_fns;
+    sources = Hashtbl.create (if record_summaries || Option.is_some seeded then 64 else 1);
+    adopt;
   }
 
 let warn ctx fmt =
@@ -265,6 +291,46 @@ let freeze_rows (t : (int, Pts.Acc.t) Hashtbl.t) : (int * Pts.t) array =
     visits had been recorded there. *)
 let fold_rows ctx (rows : (int * Pts.t) array) =
   Array.iter (fun (sid, row) -> record_into ctx ctx.stmt_pts sid row) rows
+
+(** The sources of [fname]'s rows, created on first use: whole when
+    the run records its evaluations' frames. *)
+let sources_of ctx fname =
+  match Hashtbl.find_opt ctx.sources fname with
+  | Some src -> src
+  | None ->
+      let src =
+        { src_entries = []; src_pending = []; src_body = false; src_whole = ctx.record_summaries }
+      in
+      Hashtbl.replace ctx.sources fname src;
+      src
+
+(** At the end of the run, every replayed seed's rows reach [stmt_pts].
+    A function with no body pass whose replayed seeds [ctx.adopt]
+    accepts takes the saved rows it returns: the least upper bound of
+    the same frames, which is the same set in any fold order. Any other
+    function folds its seeds' frames, as a replay once did at once.
+    Timed as one [replay] span. *)
+let settle ctx =
+  let tr0 = Trace.start () in
+  let m = Metrics.cur () in
+  Hashtbl.iter
+    (fun fname src ->
+      if src.src_pending <> [] then begin
+        match
+          if src.src_body then None
+          else Option.bind ctx.adopt (fun adopt -> adopt fname src.src_pending)
+        with
+        | Some rows ->
+            fold_rows ctx rows;
+            m.Metrics.incr_funcs_adopted <- m.Metrics.incr_funcs_adopted + 1
+        | None ->
+            List.iter
+              (fun e -> Option.iter (fun fr -> fold_rows ctx fr.f_rows) e.se_frame)
+              (List.rev src.src_pending)
+      end;
+      src.src_pending <- [])
+    ctx.sources;
+  if Trace.on () then Trace.emit Trace.Replay ~name:"settle" ~t0:tr0 ()
 
 (** [node] takes entry [e]'s pair for [input], an input equal to
     [e]'s, without an evaluation: remember the entry for the node, so
@@ -706,8 +772,9 @@ let finish_call ctx fn ((out, ret_tgts, ret_cells) : call_result) lhs : flow =
           end)
 
 (** Replay seed [e] at [node] in place of an evaluation of its input
-    there: fold its rows into [stmt_pts], mark it live, and take its
-    calls in order. At each one, {!Ig.add_indirect_child} finds the
+    there: note it among its function's sources, whose rows {!settle}
+    folds or adopts once the run ends, mark it live, and take its calls
+    in order. At each one, {!Ig.add_indirect_child} finds the
     child, or grows it at an indirect call, exactly as the evaluation's
     call did, and the child takes the callee entry's pair. The walk then
     enters the callee entry while it is still seeded, as a cold run
@@ -721,7 +788,9 @@ let rec replay ctx (node : Ig.node) (e : summary_entry) =
   e.se_origin <- Live;
   Option.iter
     (fun fr ->
-      fold_rows ctx fr.f_rows;
+      let src = sources_of ctx node.Ig.func in
+      src.src_entries <- e :: src.src_entries;
+      src.src_pending <- e :: src.src_pending;
       List.iter
         (fun c ->
           if Tenv.is_defined_func ctx.tenv c.c_fn && not (demand_skips ctx c.c_fn) then begin
@@ -1018,8 +1087,10 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
                  has already been analyzed with an identical input *)
               Metrics.((cur ()).memo_hits <- (cur ()).memo_hits + 1);
               (* the entry's rows, and those of every entry its calls
-                 reach, reached [stmt_pts] when it was evaluated or
-                 replayed: the open frame's call only names it *)
+                 reach, reached [stmt_pts] when it was evaluated, or
+                 reach it at {!settle} when it was replayed (nothing
+                 reads [stmt_pts] before the run ends): the open
+                 frame's call only names it *)
               adopt ctx node func_input e;
               Some e.se_out
           | Some ({ se_origin = Seeded; _ } as e) when not (closes_cycle ctx node fname e) ->
@@ -1137,12 +1208,19 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               ctx.recording <- parent;
               ctx.calls <- parent_calls;
               (* the own rows go straight to [stmt_pts], the caller's
-                 call names the entry, stored or not *)
+                 call names the entry, stored or not; the rows are the
+                 stored entry's only when it holds this frame *)
               Option.iter
                 (fun fr ->
                   fold_rows ctx fr.f_rows;
                   Hashtbl.replace ctx.node_refs node.Ig.id
-                    (match stored with Some e -> e.se_in | None -> func_input))
+                    (match stored with Some e -> e.se_in | None -> func_input);
+                  let src = sources_of ctx fname in
+                  src.src_body <- true;
+                  match stored with
+                  | Some ({ se_frame = Some fr'; _ } as e) when fr' == fr ->
+                      src.src_entries <- e :: src.src_entries
+                  | Some _ | None -> src.src_whole <- false)
                 frame;
               if Trace.on () then
                 Trace.emit Trace.Node ~name:fname ~ctx:(Pts.hash func_input)

@@ -80,6 +80,9 @@ type t = {
   mutable incr_nodes_rebuilt : int;
       (** invocation-graph nodes that replays grew at recorded call
           sites, where the skipped evaluations would have grown them *)
+  mutable incr_funcs_adopted : int;
+      (** functions whose rows a run took from the entry's saved rows
+          instead of folding their replayed summaries' frames *)
   (* demand-driven mode ({!Demand} / {!Analysis.analyze_demand}) *)
   mutable demand_plans : int;  (** slice plans built *)
   mutable demand_slice_funcs : int;
@@ -143,6 +146,7 @@ let create () =
     incr_funcs_dirty = 0;
     incr_funcs_reused = 0;
     incr_nodes_rebuilt = 0;
+    incr_funcs_adopted = 0;
     demand_plans = 0;
     demand_slice_funcs = 0;
     demand_funcs_total = 0;
@@ -199,6 +203,7 @@ let fields =
     Count ((fun m -> m.incr_funcs_dirty), fun m v -> m.incr_funcs_dirty <- v);
     Count ((fun m -> m.incr_funcs_reused), fun m v -> m.incr_funcs_reused <- v);
     Count ((fun m -> m.incr_nodes_rebuilt), fun m v -> m.incr_nodes_rebuilt <- v);
+    Count ((fun m -> m.incr_funcs_adopted), fun m v -> m.incr_funcs_adopted <- v);
     Count ((fun m -> m.demand_plans), fun m v -> m.demand_plans <- v);
     Count ((fun m -> m.demand_slice_funcs), fun m v -> m.demand_slice_funcs <- v);
     Count ((fun m -> m.demand_funcs_total), fun m v -> m.demand_funcs_total <- v);
@@ -294,8 +299,10 @@ let rows (m : t) : (string * string) list =
                       entries quarantined" m.budget_trips m.heap_trips m.ckpt_funcs
         m.cache_quarantined );
     ( "incremental",
-      Printf.sprintf "%d functions dirty, %d summaries replayed, %d graph nodes rebuilt"
-        m.incr_funcs_dirty m.incr_funcs_reused m.incr_nodes_rebuilt );
+      Printf.sprintf
+        "%d functions dirty, %d summaries replayed, %d graph nodes rebuilt, %d functions \
+         adopted"
+        m.incr_funcs_dirty m.incr_funcs_reused m.incr_nodes_rebuilt m.incr_funcs_adopted );
     ( "demand",
       Printf.sprintf "%d plans (slice %d/%d funcs), %d skipped, %d replayed, %d fallbacks"
         m.demand_plans m.demand_slice_funcs m.demand_funcs_total m.demand_skipped

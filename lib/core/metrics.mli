@@ -59,6 +59,11 @@ type t = {
       (** incremental re-analysis: invocation-graph nodes that summary
           replays grew at recorded call sites, as the skipped
           evaluations would have (docs/INCREMENTAL.md) *)
+  mutable incr_funcs_adopted : int;
+      (** incremental re-analysis: functions with no body pass whose
+          rows the run took from the entry's saved rows, because they
+          are the least upper bound of exactly the frames it replayed
+          (docs/INCREMENTAL.md) *)
   mutable demand_plans : int;  (** {!Demand} slice plans built *)
   mutable demand_slice_funcs : int;
       (** functions in the planned slices (summed over plans) *)

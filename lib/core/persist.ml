@@ -16,17 +16,17 @@
     sections follow back to back in index order. The first, named [""],
     is the {e result section}: the marshalled SIMPLE program (plain
     data, no closures — re-lowering the source would double the
-    warm-load cost), interned location, row and set tables (the engine
-    reaches a steady state, so most statements share one of a few dozen
-    sets; each is written once, grouped by source location), the
-    per-statement set references, the entry output, warnings, the
-    metrics record (every {!Metrics.fields} entry), and the invocation
-    graph in pre-order. Each further section is one function's {e
-    summary segment} (named after it), with tables of its own. A reader
-    checks the index digest before it trusts an offset, and a section's
-    digest before it decodes the section (in particular before
-    [Marshal.from_string], which is not robust against corrupt input),
-    so it verifies only what it reads. Every decode path bounds-checks
+    warm-load cost), interned location and row tables, the statements'
+    sets as one {e block} per function (a set table, then its
+    statements' set references by local index: the engine reaches a
+    steady state, so most statements share one of a few sets), then the
+    entry output, warnings, the metrics record (every {!Metrics.fields}
+    entry), and the invocation graph in pre-order. Each further section
+    is one function's {e summary segment} (named after it), with tables
+    of its own. A reader checks the index digest before it trusts an
+    offset, and a section's digest before it decodes the section (in
+    particular before [Marshal.from_string], which is not robust
+    against corrupt input), so it verifies only what it reads. Every decode path bounds-checks
     and raises {!Bad}, which the lookups map to a miss — a stale or
     corrupt cache entry degrades to a cache miss, never to a wrong
     answer.
@@ -43,7 +43,7 @@
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 11
+let version = 12
 
 let magic = "PTANC"
 
@@ -443,38 +443,71 @@ let set_idx e rw se (s : Pts.t) : int =
     written ahead of the records that reference them. *)
 type tables = { locs : loc_enc; rws : row_enc; sets : set_enc }
 
+let set_enc n =
+  {
+    s_tbl = Pts.Tbl.create n;
+    s_buf = Buffer.create (8 * n);
+    s_next = 0;
+    s_last = None;
+    s_wrote = None;
+  }
+
 let tables n =
   {
     locs = { tbl = Hashtbl.create n; buf = Buffer.create (8 * n); next = 0 };
     rws = { rw_tbl = Hashtbl.create n; rw_buf = Buffer.create (8 * n); rw_next = 0 };
-    sets =
-      {
-        s_tbl = Pts.Tbl.create n;
-        s_buf = Buffer.create (8 * n);
-        s_next = 0;
-        s_last = None;
-        s_wrote = None;
-      };
+    sets = set_enc n;
   }
 
 let set_ix t s = set_idx t.locs t.rws t.sets s
 
-let w_tables b t =
-  w_u b t.locs.next;
-  Buffer.add_buffer b t.locs.buf;
-  w_u b t.rws.rw_next;
-  Buffer.add_buffer b t.rws.rw_buf;
-  w_u b t.sets.s_next;
-  Buffer.add_buffer b t.sets.s_buf
+let w_locs b (e : loc_enc) =
+  w_u b e.next;
+  Buffer.add_buffer b e.buf
 
-(** A delta entry binds in one {!Pts.add_rows} on its base: each added
-    row replaces the source's row, so a killed source that the entry
-    adds back is one replace, and only the other killed sources are
-    unbound (by an empty row). *)
-let r_set_table arr rows r : Pts.t array =
+let w_rows b (rw : row_enc) =
+  w_u b rw.rw_next;
+  Buffer.add_buffer b rw.rw_buf
+
+let w_sets b (se : set_enc) =
+  w_u b se.s_next;
+  Buffer.add_buffer b se.s_buf
+
+(** The entries [se] gained since it held [from], as a table that
+    extends the one those make: their count, then the entries, whose
+    delta bases may lie in the earlier part. The buffer then starts
+    afresh. *)
+let w_set_chunk b (se : set_enc) ~from =
+  w_u b (se.s_next - from);
+  Buffer.add_buffer b se.s_buf;
+  Buffer.clear se.s_buf
+
+let w_tables b t =
+  w_locs b t.locs;
+  w_rows b t.rws;
+  w_sets b t.sets
+
+(** A set table as it is read: its first [sn] sets, which further
+    chunks ({!w_set_chunk}) extend. *)
+type set_vec = { mutable sv : Pts.t array; mutable sn : int }
+
+let set_vec () = { sv = [||]; sn = 0 }
+
+(** Read a table's entries into [t], after those it holds. A delta
+    entry binds in one {!Pts.add_rows} on its base: each added row
+    replaces the source's row, so a killed source that the entry adds
+    back is one replace, and only the other killed sources are unbound
+    (by an empty row). *)
+let r_set_entries arr rows (t : set_vec) r =
   let n = r_count r in
-  let sets = Array.make n Pts.empty in
-  for i = 0 to n - 1 do
+  let lo = t.sn in
+  if lo + n > Array.length t.sv then begin
+    let sv = Array.make (max (lo + n) (2 * Array.length t.sv)) Pts.empty in
+    Array.blit t.sv 0 sv 0 lo;
+    t.sv <- sv
+  end;
+  let sets = t.sv in
+  for i = lo to lo + n - 1 do
     let s =
       match r_byte r with
       | 0 -> Pts.add_rows (r_rows rows r) Pts.empty
@@ -492,15 +525,25 @@ let r_set_table arr rows r : Pts.t array =
     in
     sets.(i) <- s
   done;
-  sets
+  t.sn <- lo + n
+
+(** A table read whole: its array is exactly its sets. *)
+let r_set_table arr rows r : Pts.t array =
+  let t = set_vec () in
+  r_set_entries arr rows t r;
+  t.sv
 
 let r_set_ref (sets : Pts.t array) r : Pts.t =
   let i = r_u r in
   if i < 0 || i >= Array.length sets then raise Bad;
   sets.(i)
 
-(** The location table, then the set table, which the row table in
-    between serves. *)
+let r_vec_ref (t : set_vec) r : Pts.t =
+  let i = r_u r in
+  if i < 0 || i >= t.sn then raise Bad;
+  t.sv.(i)
+
+(** The location table, then the row and set tables. *)
 let r_tables canon r : Loc.t array * Pts.t array =
   let arr = r_loc_table r in
   let rows = r_row_table canon arr r in
@@ -700,11 +743,15 @@ type section = { s_data : string; s_off : int; s_len : int; s_digest : Digest.t 
 let section_of bytes =
   { s_data = bytes; s_off = 0; s_len = String.length bytes; s_digest = Digest.string bytes }
 
+(** A reader over [s], once its digest holds. *)
+let verified (s : section) : rd =
+  if not (String.equal (Digest.substring s.s_data s.s_off s.s_len) s.s_digest) then raise Bad;
+  { data = s.s_data; pos = s.s_off; lim = s.s_off + s.s_len }
+
 (** Decode [s] with [f] once its digest holds; [f] must consume it
     exactly. *)
 let read_section (s : section) f =
-  if not (String.equal (Digest.substring s.s_data s.s_off s.s_len) s.s_digest) then raise Bad;
-  let r = { data = s.s_data; pos = s.s_off; lim = s.s_off + s.s_len } in
+  let r = verified s in
   let v = f r in
   if r.pos <> r.lim then raise Bad;
   v
@@ -713,39 +760,112 @@ let read_section (s : section) f =
 (* The result section                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let encode_result (res : Analysis.result) : string =
-  let t = tables 1024 in
-  let pay = Buffer.create 65536 in
-  let stmts =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) res.Analysis.stmt_pts []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  w_u pay (List.length stmts);
-  List.iter
-    (fun (id, s) ->
-      w_u pay id;
-      w_u pay (set_ix t s))
+(* The result section holds the marshalled program, its location and
+   row tables, one block per function that has rows, then the entry
+   output, the warnings, the metrics and the invocation graph. A block
+   is a byte saying whether the rows are the least upper bound of
+   stored frames alone (1) or not (0), the ordinals of the function's
+   summary records whose frames made them, ascending, then a set table
+   over the section's rows and the block's rows as (local statement
+   index, set), in local order. Blocks are length-prefixed under their
+   function's name, in program order.
+
+   Only a complete block is ever read alone (an adopted function's
+   rows, {!adopter}), so only a complete block has a set table of its
+   own. The set tables of the incomplete blocks, and the one ahead of
+   the entry output, are chunks of one table ({!w_set_chunk}): a set
+   that several functions hold is written once, as in a plain entry,
+   whose blocks are all incomplete. The location and row tables are
+   shared by every block: livc's 82 blocks would hold 6,898 locations
+   (67 kB) and 772 rows as tables of their own. *)
+
+(* The block of one function's rows in [stmt_pts], [None] when it has
+   none: a complete block interns its sets in a table of its own over
+   [t]'s location and row tables, an incomplete one in [t]'s. *)
+let encode_block t ~complete ~ordinals (stmts : Ir.stmt array)
+    (stmt_pts : (int, Pts.t) Hashtbl.t) : string option =
+  let t = if complete then { t with sets = set_enc 16 } else t in
+  let from = t.sets.s_next in
+  let rows = Buffer.create 256 in
+  let n = ref 0 in
+  Array.iteri
+    (fun li (s : Ir.stmt) ->
+      match Hashtbl.find_opt stmt_pts s.Ir.s_id with
+      | Some set ->
+          incr n;
+          w_u rows li;
+          w_u rows (set_ix t set)
+      | None -> ())
     stmts;
+  if !n = 0 then None
+  else begin
+    let b = Buffer.create (Buffer.length rows + 1024) in
+    Buffer.add_char b (if complete then '\001' else '\000');
+    w_u b (List.length ordinals);
+    List.iter (w_u b) ordinals;
+    w_set_chunk b t.sets ~from;
+    w_u b !n;
+    Buffer.add_buffer b rows;
+    Some (Buffer.contents b)
+  end
+
+(* [ordinals f] gives the ordinal of each record in [f]'s segment by
+   input, when [f] has one. A function whose rows some contribution
+   other than a stored frame made, or that has no segment, writes an
+   incomplete block. *)
+let encode_result ?(ordinals = fun _ -> None) (res : Analysis.result) : string =
+  let t = tables 1024 in
+  let blocks = Buffer.create 65536 in
+  let n_blocks = ref 0 in
+  List.iter
+    (fun (f : Ir.func) ->
+      let name = f.Ir.fn_name in
+      let complete, ords =
+        match (Hashtbl.find_opt res.Analysis.sources name, ordinals name) with
+        | Some src, Some ordinal ->
+            let ordinal (e : Engine.summary_entry) = ordinal e.Engine.se_in in
+            let ords = List.sort_uniq Int.compare (List.map ordinal src.Engine.src_entries) in
+            (src.Engine.src_whole, ords)
+        | _ -> (false, [])
+      in
+      Option.iter
+        (fun bytes ->
+          incr n_blocks;
+          w_str blocks name;
+          w_str blocks bytes)
+        (encode_block t ~complete ~ordinals:ords (local_stmts f) res.Analysis.stmt_pts))
+    res.Analysis.prog.Ir.funcs;
+  let from = t.sets.s_next in
+  let pay = Buffer.create 65536 in
   w_state t pay res.Analysis.entry_output;
   w_u pay (List.length res.Analysis.warnings);
   List.iter (w_str pay) res.Analysis.warnings;
   w_metrics pay res.Analysis.metrics;
   w_node t pay res.Analysis.graph.Ig.root;
-  let b = Buffer.create (Buffer.length pay + 65536) in
+  let b = Buffer.create (Buffer.length blocks + Buffer.length pay + 65536) in
   w_str b (Marshal.to_string res.Analysis.prog []);
-  w_tables b t;
+  w_locs b t.locs;
+  w_rows b t.rws;
+  w_u b !n_blocks;
+  Buffer.add_buffer b blocks;
+  w_set_chunk b t.sets ~from;
   Buffer.add_buffer b pay;
   Buffer.contents b
+
+(** Step over a length-prefixed string, returning where it lies. *)
+let skip_str r =
+  let n = r_u r in
+  if n > r.lim - r.pos then raise Bad;
+  let at = r.pos in
+  r.pos <- at + n;
+  (at, n)
 
 (** The result section's program: unmarshalled where it lies, once
     [Marshal.total_size] agrees with its length prefix (the section
     digest has already held), or, given the fresh lowering [prog] of a
     rekey, skipped. *)
 let r_prog ?prog r : Ir.program =
-  let n = r_u r in
-  if n > r.lim - r.pos then raise Bad;
-  let at = r.pos in
-  r.pos <- at + n;
+  let at, n = skip_str r in
   match prog with
   | Some p -> p
   | None ->
@@ -753,15 +873,60 @@ let r_prog ?prog r : Ir.program =
       then raise Bad;
       Marshal.from_string r.data at
 
+(** The blocks that follow the program, each a reader confined to its
+    bytes, by function name, in section order. *)
+let r_blocks r : (string * rd) list =
+  r_list r (fun () ->
+      let name = r_str r in
+      let at, n = skip_str r in
+      (name, { data = r.data; pos = at; lim = at + n }))
+
+(** A block's head: whether stored frames alone made its rows, and the
+    ordinals of their records. *)
+let r_block_head r : bool * int list =
+  let complete = match r_byte r with 0 -> false | 1 -> true | _ -> raise Bad in
+  (complete, r_list r (fun () -> r_u r))
+
+(** The rows of a block past its head, over the section's locations
+    [arr] and rows [rows], each given to [f] with the statement id of
+    [stmts], its function's statements in local order. The block's set
+    table extends [sets]: empty for a complete block, the table so far
+    for an incomplete one. *)
+let r_block_rows arr rows ~(sets : set_vec) (stmts : Ir.stmt array) r f =
+  r_set_entries arr rows sets r;
+  for _ = 1 to r_count r do
+    let li = r_u r in
+    if li >= Array.length stmts then raise Bad;
+    f stmts.(li).Ir.s_id (r_vec_ref sets r)
+  done;
+  if r.pos <> r.lim then raise Bad
+
 let decode_result ~opts ?prog r : Analysis.result =
   let prog = r_prog ?prog r in
-  let arr, sets = r_tables (Hashtbl.create 256) r in
-  let n_stmts = r_count r in
-  let stmt_pts = Hashtbl.create (max 16 n_stmts) in
-  for _ = 1 to n_stmts do
-    let id = r_u r in
-    Hashtbl.replace stmt_pts id (r_set_ref sets r)
-  done;
+  (* small: an array past the minor heap's size limit would make every
+     insert a major-heap write *)
+  let stmt_pts = Hashtbl.create 64 in
+  let arr = r_loc_table r in
+  let rows = r_row_table (Hashtbl.create 256) arr r in
+  (* the table the incomplete blocks and the rest extend *)
+  let shared = set_vec () in
+  (* blocks come in program order *)
+  let funcs = ref prog.Ir.funcs in
+  List.iter
+    (fun (name, blk) ->
+      let rec find = function
+        | [] -> raise Bad
+        | (f : Ir.func) :: fs ->
+            funcs := fs;
+            if String.equal f.Ir.fn_name name then f else find fs
+      in
+      let f = find !funcs in
+      let complete, _ = r_block_head blk in
+      let sets = if complete then set_vec () else shared in
+      r_block_rows arr rows ~sets (local_stmts f) blk (Hashtbl.replace stmt_pts))
+    (r_blocks r);
+  r_set_entries arr rows shared r;
+  let sets = Array.sub shared.sv 0 shared.sn in
   let entry_output = r_state sets r in
   let warnings = r_list r (fun () -> r_str r) in
   let metrics = r_metrics r in
@@ -783,6 +948,7 @@ let decode_result ~opts ?prog r : Analysis.result =
     (* a loaded result is only ever re-saved by copying its entry's
        segments, so the summaries stay on disk *)
     summaries = Engine.store_create ();
+    sources = Hashtbl.create 1;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1014,9 +1180,15 @@ let publish file ~key ~fp ~(result : section) ~(segments : (string * section) li
       Fault.maybe_corrupt_file file)
 
 (** What a lookup bound from a kept function's segment: the section, to
-    copy, the inputs of its records with their ordinals, and the
-    function's target list in the entry's index. *)
-type bound = { b_sec : section; b_ord : int Pts.Tbl.t; b_targets : string list }
+    copy, the inputs of its records with their ordinals, the function's
+    target list in the entry's index, and its statements in local
+    order. *)
+type bound = {
+  b_sec : section;
+  b_ord : int Pts.Tbl.t;
+  b_targets : string list;
+  b_stmts : Ir.stmt array;
+}
 
 (** How a save writes one function's segment. *)
 type plan = Copy of bound | Encode of Engine.summary_entry list
@@ -1030,9 +1202,10 @@ type plan = Copy of bound | Encode of Engine.summary_entry list
    unchanged. A seed's calls were resolved when it was bound, and a live
    frame is stored only when its calls' entries resolve to framed
    entries ({!Engine.eval_node}), so every call's entry has an
-   ordinal. *)
+   ordinal. Also returns, per function with a segment, the ordinal of
+   each of its records by input. *)
 let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
-    (string * section) list =
+    (string * section) list * (string -> (Pts.t -> int) option) =
   let plans =
     Hashtbl.fold
       (fun fn by_input acc ->
@@ -1084,7 +1257,7 @@ let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
   in
   let funcs = Hashtbl.create 64 in
   List.iter (fun f -> Hashtbl.replace funcs f.Ir.fn_name f) res.Analysis.prog.Ir.funcs;
-  List.map
+  ( List.map
     (fun (fn, plan) ->
       match plan with
       | Copy b -> (fn, b.b_sec)
@@ -1099,7 +1272,8 @@ let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
             | None -> failwith "Persist.save: a frame row outside its function"
           in
           (fn, section_of (encode_segment ~local ~ordinal recs)))
-    plans
+      plans,
+    fun fn -> if Hashtbl.mem ordinals fn then Some (ordinal fn) else None )
 
 (* The index's target lists: per function, the sorted functions its
    indirect call sites resolve to in [res] (paper §5: the function
@@ -1468,9 +1642,51 @@ let bind_summaries ~keep (p : Ir.program) (en : entry) :
                  se_origin = Engine.Seeded;
                }))
         (Hashtbl.find decoded fn);
-      Hashtbl.replace bound fn { b_sec; b_ord; b_targets })
+      Hashtbl.replace bound fn { b_sec; b_ord; b_targets; b_stmts = stmts })
     kept;
   (out, bound)
+
+(* The [adopt] of a run seeded from [en] ({!Analysis.analyze}): the
+   rows of a kept function whose block in [en]'s result section is
+   complete and lists exactly the records the run replayed. A block of
+   one record gives that record's frame rows, which are its rows;
+   others are decoded. The result section is verified, and its location
+   and row tables decoded, on the first call; any damage raises [Bad]. *)
+let adopter ~(bound : (string, bound) Hashtbl.t) (en : entry) =
+  let section =
+    lazy
+      (let r = verified en.en_result in
+       ignore (skip_str r);
+       let locs = r_loc_table r in
+       let rows = r_row_table (Hashtbl.create 64) locs r in
+       let blocks = Hashtbl.create 64 in
+       List.iter (fun (name, blk) -> Hashtbl.replace blocks name blk) (r_blocks r);
+       (locs, rows, blocks))
+  in
+  fun fname (entries : Engine.summary_entry list) ->
+    match Hashtbl.find_opt bound fname with
+    | None -> None
+    | Some b -> (
+        let locs, rows, blocks = Lazy.force section in
+        match Hashtbl.find_opt blocks fname with
+        | None -> None
+        | Some blk ->
+            (* a reader of its own: [blk] serves every call *)
+            let r = { blk with pos = blk.pos } in
+            let complete, listed = r_block_head r in
+            let ordinal (e : Engine.summary_entry) =
+              Option.value ~default:(-1) (Pts.Tbl.find_opt b.b_ord e.Engine.se_in)
+            in
+            if not (complete && listed = List.sort Int.compare (List.map ordinal entries)) then
+              None
+            else
+              match (listed, entries) with
+              | [ _ ], [ { Engine.se_frame = Some fr; _ } ] -> Some fr.Engine.f_rows
+              | _ ->
+                  let acc = ref [] in
+                  r_block_rows locs rows ~sets:(set_vec ()) b.b_stmts r (fun sid set ->
+                      acc := (sid, set) :: !acc);
+                  Some (Array.of_list !acc))
 
 let load_summaries ~cache_dir ~source ~opts ?(entry = "main") (prog : Ir.program) :
     Engine.store option =
@@ -1582,12 +1798,12 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
           m.Metrics.incr_funcs_reused <- n_defined;
           hit res
       | None ->
-          let dirty, seeded, bound =
+          let dirty, seeded, bound, adopt =
             match (!stored, fp) with
             | Some en, Some fp when seedable -> (
                 let td0 = Trace.start () in
                 match kept_funcs ~fp prog en with
-                | None -> (n_defined, None, None)
+                | None -> (n_defined, None, None, None)
                 | Some elig -> (
                     let dirty = n_defined - Hashtbl.length elig in
                     (* reading the kept segments is the seeding: timed
@@ -1599,17 +1815,26 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
                       Trace.emit Trace.Dirty ~name:(Filename.basename source) ~stmts:dirty
                         ~t0:td0 ();
                     match seeds with
-                    | Some (seeds, bound) -> (dirty, Some seeds, Some bound)
+                    | Some (seeds, bound) ->
+                        (* damage to a block quarantines the entry,
+                           and the run folds; reading blocks happens in
+                           the run, so it is timed as analysis, not as
+                           a load *)
+                        let rows = adopter ~bound en in
+                        let adopt fname entries =
+                          Option.join (read (timed ~t:(ref 0.)) (fun _ -> rows fname entries))
+                        in
+                        (dirty, Some seeds, Some bound, Some adopt)
                     (* a kept segment that does not verify or decode:
                        the entry was quarantined, everything is dirty *)
-                    | None -> (n_defined, None, None)))
+                    | None -> (n_defined, None, None, None)))
             | _ ->
                 (* nothing usable (or the globals / layouts / externals /
                    options changed): everything is dirty *)
-                (n_defined, None, None)
+                (n_defined, None, None, None)
           in
           let res =
-            Analysis.analyze ~opts ~entry ?budget ~record_summaries:seedable ?seeded prog
+            Analysis.analyze ~opts ~entry ?budget ~record_summaries:seedable ?seeded ?adopt prog
           in
           let m = res.Analysis.metrics in
           m.Metrics.t_parse <- t_parse;
@@ -1621,8 +1846,9 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
              try
                write ~source ~key:mykey ~fp
                  ~sections:(fun () ->
-                   ( section_of (encode_result res),
-                     segments_of ~bound res,
+                   let segments, ordinals = segments_of ~bound res in
+                   ( section_of (encode_result ~ordinals res),
+                     segments,
                      indirect_targets ~bound res ))
                  res file;
                (* the fingerprint is the save's digest work, computed

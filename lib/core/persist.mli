@@ -16,10 +16,12 @@
     a name, an offset, a length and a digest, so a reader verifies and
     decodes only the sections it uses. The {e result section} holds an
     interned {!Loc.t} table (each location written once, referenced by
-    index), the per-statement {!Pts.t} sets, the entry output state, the
-    invocation-graph shape (nodes, kinds, recursive back-edges, stored
-    IN/OUT pairs and map information), and the run's {!Metrics.t}
-    record (every field of {!Metrics.fields}). It also carries the
+    index), the per-statement {!Pts.t} sets as one block per function
+    (keyed by the statement's index in its function, and listing the
+    summary records whose frames made them), the entry output state,
+    the invocation-graph shape (nodes, kinds, recursive back-edges,
+    stored IN/OUT pairs and map information), and the run's
+    {!Metrics.t} record (every field of {!Metrics.fields}). It also carries the
     marshalled SIMPLE program, so loading neither parses nor lowers the
     source: it unmarshals the program and rebuilds only the typing
     environment from it. Only the incremental rekey path (an edit that
@@ -57,10 +59,14 @@
     the summaries, finding or growing the invocation-graph nodes their
     recorded calls name — bit-identically to a cold run. Replay is the
     §6 sub-tree sharing memo carried across runs, so summaries are
-    recorded and replayed only under sharing. The save copies the
-    segment of a kept function that gained no summary, bytes and digest
-    unchanged. See docs/INCREMENTAL.md for the layout, the dirty rule
-    and the soundness argument. *)
+    recorded and replayed only under sharing. A replayed function with
+    no body pass whose saved block lists exactly the summaries it
+    replayed, and nothing else, takes the block's rows instead of
+    folding the summaries' rows: the same least upper bound. The save
+    encodes the result section afresh and copies the segment of a kept
+    function that gained no summary, bytes and digest unchanged. See
+    docs/INCREMENTAL.md for the layout, the dirty rule and the soundness
+    argument. *)
 
 (** Format version; bumped on any change to the encoding. A version
     mismatch invalidates a cache file (the reader returns [None]). *)
@@ -200,7 +206,7 @@ val load_summaries :
     re-runs and the rest replays from the persisted summaries
     (bit-identical tables outside direct-call cycles — see
     docs/INCREMENTAL.md — and [incr_funcs_dirty] / [incr_funcs_reused]
-    metrics). Without sub-tree sharing, context sensitivity, or with
+    / [incr_funcs_adopted] metrics). Without sub-tree sharing, context sensitivity, or with
     [heap_by_site], nothing replays: an edit re-runs in full, and the
     entry is kept as a plain cache. An edit that leaves the fingerprint
     unchanged is served

@@ -13,7 +13,8 @@
 # each take two successive edits, with sharing on and off, and a
 # generated web-3000 program, whose functions call through tables,
 # takes two edits that must leave fewer functions dirty than when no
-# function with an indirect call site replayed. Then run the
+# function with an indirect call site replayed. A counter edit of a
+# deep-800 leaf must let some function adopt its saved rows. Then run the
 # bench's incremental section, whose own gates enforce suite-wide
 # bit-identity and incremental beating the non-incremental cache.
 # Run from the repository root after `dune build`; CI runs this as the
@@ -37,6 +38,11 @@ dirty_of() { # dirty_of FILE
 # The summaries-replayed count of the same line.
 replayed_of() { # replayed_of FILE
   sed -n 's/^incremental:.* dirty, \([0-9][0-9]*\) summaries replayed.*/\1/p' "$1"
+}
+
+# The functions-adopted count of the same line.
+adopted_of() { # adopted_of FILE
+  sed -n 's/^incremental:.* rebuilt, \([0-9][0-9]*\) functions adopted.*/\1/p' "$1"
 }
 
 # ---- 1. comment edit on livc: the rekey fast path ---------------------
@@ -231,6 +237,25 @@ for step in "f3_1:    gp0 = &gv1;" "f0_4:    gv0 = gv0 + 1;"; do
     || { echo "incremental_smoke: web-3000 edit of $fn left $d functions dirty (expected fewer than 65)" >&2; exit 1; }
   echo "incremental_smoke: web-3000 edit of $fn — $(wc -l <"$tmp/got_web.txt") statement sets identical, $(sed -n 's/^incremental:[[:space:]]*//p' "$tmp/incr_web.txt")"
 done
+
+# ---- 2d. a leaf edit of deep-800: replayed functions adopt their rows -
+# A counter edit of the leaf f0_3 sends no new pointer down the chain:
+# the functions that only replay keep the summaries that made their
+# saved rows, so some of them must take those rows from the entry, and
+# the output must still be what a cold run prints.
+deep="$tmp/deep-leaf.c"
+"$ptan" gen --seed 23 --size 800 --depth 7 --fnptr-density 0 --structs 50 --out "$deep" >/dev/null
+"$ptan" analyze "$deep" --incremental --cache-dir "$tmp/deep_cache" >/dev/null
+edit_top "$deep" f0_3 "    gv0 = gv0 + 1;"
+"$ptan" analyze "$deep" --no-cache | grep '^s[0-9]' >"$tmp/cold_deep.txt"
+"$ptan" analyze "$deep" --incremental --cache-dir "$tmp/deep_cache" --stats >"$tmp/incr_deep.txt"
+grep '^s[0-9]' "$tmp/incr_deep.txt" >"$tmp/got_deep.txt"
+diff -u "$tmp/cold_deep.txt" "$tmp/got_deep.txt" \
+  || { echo "incremental_smoke: deep-800 leaf edit of f0_3 diverges from cold analysis" >&2; exit 1; }
+a=$(adopted_of "$tmp/incr_deep.txt")
+[ "$a" -gt 0 ] \
+  || { echo "incremental_smoke: deep-800 leaf edit of f0_3 adopted no saved rows" >&2; exit 1; }
+echo "incremental_smoke: deep-800 leaf edit of f0_3 — $(wc -l <"$tmp/got_deep.txt") statement sets identical, $(sed -n 's/^incremental:[[:space:]]*//p' "$tmp/incr_deep.txt")"
 
 # ---- 3. the bench section ---------------------------------------------
 # The bench gates internally: every row bit-identical, and the suite

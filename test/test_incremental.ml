@@ -1361,8 +1361,152 @@ let no_sharing_tests =
               [ ("f0_3", "    gp0 = &gv1;\n"); ("f3_1", "    gv0 = gv0 + 2;\n") ]));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Adoption: a replayed function takes its saved rows                 *)
+(* ------------------------------------------------------------------ *)
+
+(** The result section's blocks of the incremental entry in [dir], by
+    function: whether stored frames alone made the rows, and the
+    ordinals of their records. *)
+let blocks_of ~dir ~source =
+  let pti = Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main" in
+  List.map
+    (fun (fn, complete, ords, _) -> (fn, (complete, ords)))
+    (result_blocks (entry_section (read_file pti) ""))
+
+(** Prime [v1], analyze [v2] incrementally, and check it, and the full
+    hit its save then serves, against a cold run; [check] gets the
+    primed entry's blocks ({!blocks_of}) and the re-analysis's
+    metrics. *)
+let prime_then ~name v1 v2 check =
+  in_temp (fun dir ->
+      let source = Filename.concat dir (name ^ ".c") in
+      write_file source v1;
+      let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+      let saved = blocks_of ~dir ~source in
+      write_file source v2;
+      let r, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+      let cold = Analysis.of_file source in
+      check_identical name cold r;
+      check_pointer_surface name cold r;
+      let loaded, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+      Alcotest.(check bool) (name ^ ": then a hit") true hit;
+      check_identical (name ^ ", saved") cold loaded;
+      check saved r.Analysis.metrics)
+
+let adoption_tests =
+  [
+    case "a counter edit atop a leaf adopts saved rows: deep-800, web-600" (fun () ->
+        List.iter
+          (fun (shape, size, fn) ->
+            let text = Gen.program { (Test_rows.gen_knobs shape) with Gen.size } in
+            prime_then ~name:shape text (leaf_edit text fn) (fun _ m ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s-%d: functions adopt their rows (%d of %d replays)" shape size
+                     m.Metrics.incr_funcs_adopted m.Metrics.incr_funcs_reused)
+                  true
+                  (m.Metrics.incr_funcs_adopted > 0)))
+          [ ("deep", 800, "f0_3"); ("web", 600, "f0_2") ]);
+    case "a function whose saved rows are incomplete is folded, not adopted" (fun () ->
+        (* [f] runs twice: under [a] it calls [spin], never returns and
+           is not stored; under [b] it is stored with its frame. Its
+           block lists [b]'s record and is incomplete. After the edit
+           [a] no longer calls [f], and [f] only replays under [b]: its
+           saved rows would still carry [a]'s [x -> ga] *)
+        let v1 =
+          "int ga; int gb; int gc; int *p;\n\
+           void spin(void) { spin(); }\n\
+           void stop(void) { int t; t = 0; }\n\
+           void f(int *x, void (*k)(void)) { p = x; k(); }\n\
+           void a(void) { if (gc) f(&ga, spin); }\n\
+           void b(void) { f(&gb, stop); }\n\
+           int main(void) { a(); b(); return 0; }\n"
+        in
+        let v2 =
+          replace_once ~sub:"void a(void) { if (gc) f(&ga, spin); }"
+            ~by:"void a(void) { int t; t = 0; }" v1
+        in
+        prime_then ~name:"incomplete" v1 v2 (fun saved m ->
+            Alcotest.(check (list (pair string (pair bool (list int)))))
+              "the saved blocks"
+              [
+                ("spin", (false, []));
+                ("stop", (true, [ 0 ]));
+                ("f", (false, [ 0 ]));
+                ("a", (false, []));
+                ("b", (true, [ 0 ]));
+                ("main", (false, []));
+              ]
+              saved;
+            Alcotest.(check int) "b replays, f and stop in its cone" 1 m.Metrics.incr_funcs_reused;
+            Alcotest.(check int) "b and stop adopt, f folds" 2 m.Metrics.incr_funcs_adopted);
+        (* the fixture where a frame names a callee that never returns:
+           [spin] and [mid] ran without a stored frame, and [main]'s
+           frame names [mid]'s, so their blocks are incomplete *)
+        in_temp (fun dir ->
+            let source = Filename.concat dir "spin.c" in
+            write_file source
+              "int g; int h; int *p; int *q;\n\
+               int spin(int n) { int *r; r = &h; return spin(n); }\n\
+               void leaf(void) { q = &h; }\n\
+               void mid(void) { leaf(); if (g) spin(1); p = &g; }\n\
+               int main(void) { mid(); leaf(); return 0; }\n";
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Alcotest.(check (list (pair string (pair bool (list int)))))
+              "the saved blocks"
+              [
+                ("spin", (false, []));
+                ("leaf", (true, [ 0; 1 ]));
+                ("mid", (false, []));
+                ("main", (false, []));
+              ]
+              (blocks_of ~dir ~source)));
+    case "a function whose replayed records differ from its listed ones is folded" (fun () ->
+        (* [leaf]'s rows were made by its records under [b] and [a];
+           after the edit only [b]'s replays *)
+        let v1 =
+          "int ga; int gb; int *p;\n\
+           void leaf(int *x) { p = x; }\n\
+           void a(void) { leaf(&ga); }\n\
+           void b(void) { leaf(&gb); }\n\
+           int main(void) { b(); a(); return 0; }\n"
+        in
+        let v2 =
+          replace_once ~sub:"void a(void) { leaf(&ga); }" ~by:"void a(void) { int t; t = 0; }" v1
+        in
+        prime_then ~name:"differ" v1 v2 (fun saved m ->
+            Alcotest.(check (pair bool (list int)))
+              "leaf's saved block" (true, [ 0; 1 ]) (List.assoc "leaf" saved);
+            Alcotest.(check int) "b replays, leaf in its cone" 1 m.Metrics.incr_funcs_reused;
+            Alcotest.(check int) "b adopts, leaf folds" 1 m.Metrics.incr_funcs_adopted));
+    case "a version-11 entry is not read: the lookup runs cold and primes it again" (fun () ->
+        in_temp (fun dir ->
+            let source = Filename.concat dir "deep.c" in
+            let text = deep_text () in
+            write_file source text;
+            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let pti =
+              Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
+            in
+            (* the version is the byte after the 5-byte magic *)
+            Alcotest.(check int) "this format" 12 Persist.version;
+            let old = Bytes.of_string (read_file pti) in
+            Bytes.set_uint8 old 5 11;
+            write_file pti (Bytes.to_string old);
+            write_file source (leaf_edit text "f0_3");
+            let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            let m = r.Analysis.metrics in
+            Alcotest.(check bool) "a miss" false hit;
+            Alcotest.(check int) "nothing replayed" 0 m.Metrics.incr_funcs_reused;
+            Alcotest.(check int) "nothing adopted" 0 m.Metrics.incr_funcs_adopted;
+            check_identical "version 11" (Analysis.of_file source) r;
+            Alcotest.(check int) "primed at this version" 12 (Char.code (read_file pti).[5]);
+            let _, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+            Alcotest.(check bool) "then a hit" true hit));
+  ]
+
 let suite =
   ( "incremental",
     hash_tests @ cone_tests @ suite_tests @ corruption_tests @ frame_tests @ segment_tests
     @ pointer_tests @ memo_tests @ target_list_tests @ cycle_tests @ site_control_tests
-    @ no_sharing_tests )
+    @ no_sharing_tests @ adoption_tests )

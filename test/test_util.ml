@@ -166,34 +166,42 @@ let entry_layout (data : string) : entry_layout =
     it kills, and those of the sources of the rows it adds. *)
 type set_delta = { kills : int list; add_srcs : int list }
 
-(** Read a section's location, row and set tables from [pos], returning
-    the set table's delta entries in table order. *)
-let read_tables (data : string) (pos : int ref) : set_delta list =
+(** Step over a location table at [pos]. *)
+let skip_locs (data : string) (pos : int ref) =
   let byte, varint, str = cursor data pos in
+  (* a tag, then its payload *)
+  for _ = 1 to varint () do
+    match byte () with
+    | 0 ->
+        ignore (str ());
+        ignore (byte ())
+    | 1 ->
+        ignore (varint ());
+        ignore (str ())
+    | 2 | 3 | 4 | 6 -> ignore (varint ())
+    | 9 | 10 -> ignore (str ())
+    | _ -> ()
+  done
+
+(** Read a row table at [pos], returning each row's source. *)
+let read_rows (data : string) (pos : int ref) : int array =
+  let byte, varint, _ = cursor data pos in
+  (* a source, then (target, certainty) pairs *)
+  Array.of_list
+    (List.init (varint ()) (fun _ ->
+         let src = varint () in
+         for _ = 1 to varint () do
+           ignore (varint ());
+           ignore (byte ())
+         done;
+         src))
+
+(** Read a set table at [pos] over rows with sources [row_srcs],
+    returning its delta entries in table order. *)
+let read_sets (data : string) (pos : int ref) (row_srcs : int array) : set_delta list =
+  let byte, varint, _ = cursor data pos in
   let repeat f = for _ = 1 to varint () do f () done in
-  (* locations: a tag, then its payload *)
-  repeat (fun () ->
-      match byte () with
-      | 0 ->
-          ignore (str ());
-          ignore (byte ())
-      | 1 ->
-          ignore (varint ());
-          ignore (str ())
-      | 2 | 3 | 4 | 6 -> ignore (varint ())
-      | 9 | 10 -> ignore (str ())
-      | _ -> ());
-  (* rows: source, then (target, certainty) pairs *)
-  let row_srcs =
-    Array.of_list
-      (List.init (varint ()) (fun _ ->
-           let src = varint () in
-           repeat (fun () ->
-               ignore (varint ());
-               ignore (byte ()));
-           src))
-  in
-  (* sets: absolute rows, or a delta of kills and added rows *)
+  (* absolute rows, or a delta of kills and added rows *)
   let deltas = ref [] in
   repeat (fun () ->
       match byte () with
@@ -206,13 +214,57 @@ let read_tables (data : string) (pos : int ref) : set_delta list =
           deltas := { kills; add_srcs } :: !deltas);
   List.rev !deltas
 
-(** The delta entries of a result section's set table: the tables follow
-    the marshalled program, a length-prefixed string. *)
-let result_deltas (sec : string) : set_delta list =
+(** Read a section's location, row and set tables from [pos], returning
+    the set table's delta entries in table order. *)
+let read_tables (data : string) (pos : int ref) : set_delta list =
+  skip_locs data pos;
+  read_sets data pos (read_rows data pos)
+
+(** A result section's parts: its blocks, one per function with rows,
+    in section order, each the function, whether stored frames alone
+    made its rows, the ordinals of their records, and the block's bytes;
+    then the sources of the section's rows, and where the set table of
+    the rest lies. The marshalled program (a length-prefixed string)
+    comes first, then the section's location and row tables, and the
+    blocks, each a length-prefixed string under its function's name. A
+    block is its head, then its set table over the section's rows (a
+    complete block's own, an incomplete block's extending the one the
+    earlier incomplete blocks make) and its statements' rows. *)
+let result_layout (sec : string) =
   let pos = ref 0 in
-  let _, _, str = cursor sec pos in
+  let _, varint, str = cursor sec pos in
   ignore (str ());
-  read_tables sec pos
+  skip_locs sec pos;
+  let row_srcs = read_rows sec pos in
+  let blocks =
+    List.init (varint ()) (fun _ ->
+        let name = str () in
+        let bytes = str () in
+        let bpos = ref 0 in
+        let byte, varint, _ = cursor bytes bpos in
+        let complete = byte () = 1 in
+        let ordinals = List.init (varint ()) (fun _ -> varint ()) in
+        (name, complete, ordinals, bytes))
+  in
+  (blocks, row_srcs, pos)
+
+let result_blocks sec =
+  let blocks, _, _ = result_layout sec in
+  blocks
+
+(** The delta entries of a result section's set tables: each block's,
+    which follow its head, then the rest's, which follows the blocks. *)
+let result_deltas (sec : string) : set_delta list =
+  let blocks, row_srcs, pos = result_layout sec in
+  let in_block (_, _, ordinals, bytes) =
+    let bpos = ref 0 in
+    let _, varint, _ = cursor bytes bpos in
+    bpos := 1;
+    ignore (varint ());
+    List.iter (fun _ -> ignore (varint ())) ordinals;
+    read_sets bytes bpos row_srcs
+  in
+  List.concat_map in_block blocks @ read_sets sec pos row_srcs
 
 (** The call records of each record of a summary segment
     ([entry_section]'s bytes), in record order, each as (local statement

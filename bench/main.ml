@@ -264,7 +264,7 @@ let livc_study () =
   in
   Fmt.pr "%-28s %15s %15s@." "strategy" "IG nodes|paper" "fanout|paper";
   Fmt.pr "%s@." hr;
-  row "points-to (precise)" Alias.Callgraph.Precise pp_paper fp_paper;
+  row "points-to (precise)" (Alias.Callgraph.Precise (result "livc")) pp_paper fp_paper;
   row "all functions (naive)" Alias.Callgraph.Naive pn_paper fn_paper;
   row "address-taken" Alias.Callgraph.Address_taken pa_paper fa_paper;
   Fmt.pr

@@ -317,6 +317,7 @@ let cmd_alias file cache =
 let cmd_callgraph file =
   with_errors (fun () ->
       let p = load file in
+      let r = Pointsto.Analysis.analyze p in
       List.iter
         (fun s ->
           let nodes = Alias.Callgraph.ig_size p s in
@@ -325,7 +326,7 @@ let cmd_callgraph file =
             (Alias.Callgraph.strategy_name s) nodes
             (Fmt.list ~sep:(Fmt.any "; ") Fmt.int)
             fanout)
-        [ Alias.Callgraph.Precise; Alias.Callgraph.Naive; Alias.Callgraph.Address_taken ])
+        [ Alias.Callgraph.Precise r; Alias.Callgraph.Naive; Alias.Callgraph.Address_taken ])
 
 let cmd_replace file cache =
   with_errors (fun () ->

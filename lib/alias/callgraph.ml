@@ -18,12 +18,12 @@ module Ir = Simple_ir.Ir
 module Ig = Pointsto.Invocation_graph
 
 type strategy =
-  | Precise
+  | Precise of Pointsto.Analysis.result
   | Naive
   | Address_taken
 
 let strategy_name = function
-  | Precise -> "points-to (precise)"
+  | Precise _ -> "points-to (precise)"
   | Naive -> "all functions (naive)"
   | Address_taken -> "address-taken"
 
@@ -66,14 +66,11 @@ let ig_size_with (prog : Ir.program) ~(entry : string) ~(indirect_targets : stri
   in
   count [] entry
 
-(** Invocation-graph size under each strategy. [Precise] runs the actual
-    analysis and reports its graph; the approximations are counted
-    hypothetically. *)
+(** Invocation-graph size under each strategy. [Precise] reports its
+    analyzed graph; the approximations are counted hypothetically. *)
 let ig_size ?(entry = "main") (prog : Ir.program) (s : strategy) : int =
   match s with
-  | Precise ->
-      let r = Pointsto.Analysis.analyze ~entry prog in
-      Ig.n_nodes r.Pointsto.Analysis.graph
+  | Precise r -> Ig.n_nodes r.Pointsto.Analysis.graph
   | Naive ->
       let all = List.map (fun f -> f.Ir.fn_name) prog.Ir.funcs in
       ig_size_with prog ~entry ~indirect_targets:all
@@ -82,7 +79,7 @@ let ig_size ?(entry = "main") (prog : Ir.program) (s : strategy) : int =
 
 (** How many functions each strategy binds to each indirect site (the
     paper reports 24 / 82 / 72 for livc). *)
-let indirect_fanout ?(entry = "main") (prog : Ir.program) (s : strategy) : int list =
+let indirect_fanout (prog : Ir.program) (s : strategy) : int list =
   match s with
   | Naive -> (
       let n = List.length prog.Ir.funcs in
@@ -101,8 +98,7 @@ let indirect_fanout ?(entry = "main") (prog : Ir.program) (s : strategy) : int l
           List.filter_map (fun (_, k) -> if k = `Indirect then Some n else None)
             (sites_of prog fn))
         prog.Ir.funcs
-  | Precise ->
-      let r = Pointsto.Analysis.analyze ~entry prog in
+  | Precise r ->
       (* per indirect site: the number of distinct functions bound to it
          anywhere in the invocation graph *)
       let site_targets : (int, string list) Hashtbl.t = Hashtbl.create 16 in

@@ -6,7 +6,9 @@
 module Ir = Simple_ir.Ir
 
 type strategy =
-  | Precise  (** the paper's integrated algorithm *)
+  | Precise of Pointsto.Analysis.result
+      (** the paper's integrated algorithm: the bindings of an analyzed
+          result *)
   | Naive  (** every defined function *)
   | Address_taken  (** every function whose address is taken *)
 
@@ -20,13 +22,13 @@ val sites_of : Ir.program -> Ir.func -> (int * [ `Direct of string | `Indirect ]
     builder). *)
 val ig_size_with : Ir.program -> entry:string -> indirect_targets:string list -> int
 
-(** Invocation-graph size under a strategy ([Precise] runs the actual
-    analysis). *)
+(** Invocation-graph size under a strategy ([Precise] reads its
+    result's graph; [entry] roots the other strategies' count). *)
 val ig_size : ?entry:string -> Ir.program -> strategy -> int
 
 (** Functions bound to each indirect call site under a strategy (the
     paper reports 24 / 82 / 72 for livc). *)
-val indirect_fanout : ?entry:string -> Ir.program -> strategy -> int list
+val indirect_fanout : Ir.program -> strategy -> int list
 
 (** The call multigraph (caller, callee) edges of an analyzed invocation
     graph. *)

@@ -182,8 +182,8 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded ?adopt
     warnings = ctx.Engine.warnings;
     metrics = Metrics.snapshot ();
     degraded;
-    (* only recorded or seeded entries carry the frames {!Persist.save}
-       writes; a store of frameless §6 pairs dies with the run, and a
+    (* only recorded or seeded entries carry the frames a {!Persist}
+       save writes; a store of frameless §6 pairs dies with the run, and a
        sliced run's entries must never seed a later one *)
     summaries =
       (if Option.is_none demand && (record_summaries || Option.is_some seeded) then

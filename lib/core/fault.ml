@@ -161,8 +161,8 @@ let maybe_worker_kill () =
     if armed then Unix.kill (Unix.getpid ()) Sys.sigkill
 
 (** The cache-corruption site: flip one byte in the middle of [file]
-    when the injection is on. Called by {!Persist.save} after the
-    atomic rename, so a corrupt entry looks exactly like torn storage
+    when the injection is on. Called by a {!Persist} cache save after
+    the atomic rename, so a corrupt entry looks exactly like torn storage
     under a complete, well-formed name. *)
 let maybe_corrupt_file file =
   if enabled Corrupt_cache then begin

@@ -12,7 +12,7 @@
       injected sleep does {e not} apply to the widened
       (context-insensitive) degradation path, which models the
       approximation escaping the blowup.
-    - {!Corrupt_cache}: {!Persist.save} flips one byte of the cache file
+    - {!Corrupt_cache}: a {!Persist} cache save flips one byte of the entry
       after publishing it — torn/corrupt storage.
     - {!Task_exn}: every {!Pool} task raises {!Injected} before running
       — a crashing worker.

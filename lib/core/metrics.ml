@@ -113,8 +113,8 @@ type t = {
           in {!Engine.freeze_table} *)
   mutable t_parse : float;  (** parsing and lowering the source to SIMPLE *)
   mutable t_analysis : float;  (** whole {!Analysis.analyze} run *)
-  mutable t_serialize : float;  (** in {!Persist.save} *)
-  mutable t_deserialize : float;  (** in {!Persist.load} *)
+  mutable t_serialize : float;  (** saving a {!Persist} cache entry *)
+  mutable t_deserialize : float;  (** reading a {!Persist} cache entry *)
 }
 
 let create () =

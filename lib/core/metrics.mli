@@ -92,8 +92,8 @@ type t = {
       (** seconds parsing and lowering the source ({!Analysis.of_file},
           and {!Persist.analyze_cached} when it lowers) *)
   mutable t_analysis : float;  (** whole-analysis wall-clock seconds *)
-  mutable t_serialize : float;  (** seconds in {!Persist.save} *)
-  mutable t_deserialize : float;  (** seconds in {!Persist.load} *)
+  mutable t_serialize : float;  (** seconds saving a {!Persist} cache entry *)
+  mutable t_deserialize : float;  (** seconds reading a {!Persist} cache entry *)
 }
 
 val create : unit -> t

@@ -10,7 +10,7 @@
 
     The key digests the analyzed text and is covered by no digest: it
     only decides whether an entry is a full hit. The index holds the
-    program's fingerprint (incremental entries only), per section its
+    program's fingerprint, per section its
     name, offset, length and digest, then each function's indirect-call
     targets (what the dirty rule reads before any section); the
     sections follow back to back in index order. The first, named [""],
@@ -38,12 +38,13 @@
     the list as the next base. The decoder binds a delta's rows in one
     {!Pts.add_rows} on its base, a re-added source being one replace.
     A warm load unmarshals the program where it lies in the entry; a
-    rekey skips it and decodes the tables with the fresh lowering. *)
+    rekey skips it, decodes the tables with the fresh lowering, and
+    saves that lowering in its place. *)
 
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 12
+let version = 13
 
 let magic = "PTANC"
 
@@ -135,11 +136,9 @@ let opts_repr (o : Options.t) =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* The header's content key: what decides a full hit. *)
 let key_of_content ~content ~opts ~entry =
-  Digest.to_hex
-    (Digest.string (Printf.sprintf "%d\x00%s\x00%s\x00%s" version content (opts_repr opts) entry))
-
-let key ~source ~opts ~entry = key_of_content ~content:(read_file source) ~opts ~entry
+  Digest.string (Printf.sprintf "%d\x00%s\x00%s\x00%s" version content (opts_repr opts) entry)
 
 (* ------------------------------------------------------------------ *)
 (* Location table                                                     *)
@@ -707,8 +706,8 @@ let env_hash ~opts ~entry (p : Ir.program) : Digest.t =
    its statement count, so equal fingerprints mean equal statement ids:
    the programs differ at most in source positions, which no answer
    holds (heap sites and warnings name statements by id). Computed once
-   per incremental lookup, it is the rekey test, the diff oracle and
-   what the save writes into the index. *)
+   per lookup that is not a full hit, it is the rekey test, the diff
+   oracle and what the save writes into the index. *)
 type fingerprint = { fp_env : Digest.t; fp_funcs : (string * Digest.t) list }
 
 let fingerprint ~opts ~entry (p : Ir.program) : fingerprint =
@@ -873,6 +872,17 @@ let r_prog ?prog r : Ir.program =
       then raise Bad;
       Marshal.from_string r.data at
 
+(** The result section [s], already verified, with [prog] in place of
+    its program and every later byte copied: a rekey's, whose tables
+    hold for the fresh lowering but whose source positions moved. *)
+let reprogram (s : section) (prog : Ir.program) : section =
+  let r = { data = s.s_data; pos = s.s_off; lim = s.s_off + s.s_len } in
+  ignore (skip_str r);
+  let b = Buffer.create (s.s_len + 4096) in
+  w_str b (Marshal.to_string prog []);
+  Buffer.add_substring b r.data r.pos (r.lim - r.pos);
+  section_of (Buffer.contents b)
+
 (** The blocks that follow the program, each a reader confined to its
     bytes, by function name, in section order. *)
 let r_blocks r : (string * rd) list =
@@ -971,7 +981,7 @@ let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : strin
       let fr =
         match en.Engine.se_frame with
         | Some fr -> fr
-        | None -> failwith "Persist.save: a frameless summary record"
+        | None -> failwith "Persist: a frameless summary record"
       in
       w_u recs (set_ix t en.Engine.se_in);
       w_u recs (set_ix t en.Engine.se_out);
@@ -1033,7 +1043,7 @@ let decode_segment canon r : record array =
     and their digests known, but none is verified or decoded yet. *)
 type entry = {
   en_key : string;  (** the content key of the text it was saved for *)
-  en_fp : fingerprint option;  (** present in incremental entries only *)
+  en_fp : fingerprint;
   en_result : section;
   en_segments : (string * section) list;  (** by function, in index order *)
   en_targets : (string * string list) list;
@@ -1042,30 +1052,23 @@ type entry = {
           function without a list called nothing through a pointer *)
 }
 
-let w_fingerprint b = function
-  | None -> Buffer.add_char b '\000'
-  | Some fp ->
-      Buffer.add_char b '\001';
-      Buffer.add_string b fp.fp_env;
-      w_u b (List.length fp.fp_funcs);
-      List.iter
-        (fun (n, d) ->
-          w_str b n;
-          Buffer.add_string b d)
-        fp.fp_funcs
+let w_fingerprint b fp =
+  Buffer.add_string b fp.fp_env;
+  w_u b (List.length fp.fp_funcs);
+  List.iter
+    (fun (n, d) ->
+      w_str b n;
+      Buffer.add_string b d)
+    fp.fp_funcs
 
 let r_fingerprint r =
-  match r_byte r with
-  | 0 -> None
-  | 1 ->
-      let fp_env = r_raw r 16 in
-      let fp_funcs =
-        r_list r (fun () ->
-            let n = r_str r in
-            (n, r_raw r 16))
-      in
-      Some { fp_env; fp_funcs }
-  | _ -> raise Bad
+  let fp_env = r_raw r 16 in
+  let fp_funcs =
+    r_list r (fun () ->
+        let n = r_str r in
+        (n, r_raw r 16))
+  in
+  { fp_env; fp_funcs }
 
 (** The header and index of an entry file's bytes. Raises [Bad] unless
     the index digest holds and the sections tile the rest of the file
@@ -1230,7 +1233,7 @@ let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
             in
             let old =
               Array.map
-                (function Some en -> en | None -> failwith "Persist.save: a seed left the store")
+                (function Some en -> en | None -> failwith "Persist: a seed left the store")
                 old
             in
             match Array.to_list old @ added with [] -> acc | recs -> (fn, Encode recs) :: acc))
@@ -1253,7 +1256,7 @@ let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
   let ordinal fn input =
     match Option.bind (Hashtbl.find_opt ordinals fn) (fun t -> Pts.Tbl.find_opt t input) with
     | Some k -> k
-    | None -> failwith "Persist.save: a call to an unsaved entry"
+    | None -> failwith "Persist: a call to an unsaved entry"
   in
   let funcs = Hashtbl.create 64 in
   List.iter (fun f -> Hashtbl.replace funcs f.Ir.fn_name f) res.Analysis.prog.Ir.funcs;
@@ -1269,7 +1272,7 @@ let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
           let local sid =
             match Hashtbl.find_opt local sid with
             | Some li -> li
-            | None -> failwith "Persist.save: a frame row outside its function"
+            | None -> failwith "Persist: a frame row outside its function"
           in
           (fn, section_of (encode_segment ~local ~ordinal recs)))
       plans,
@@ -1324,31 +1327,17 @@ let write ~source ~key ~fp ~sections (res : Analysis.result) file =
       ~pts_in:(Hashtbl.length res.Analysis.stmt_pts)
       ~t0:tr0 ()
 
-let save ~source ?(entry = "main") (res : Analysis.result) file =
-  let opts = res.Analysis.tenv.Tenv.opts in
-  write ~source
-    ~key:(Digest.from_hex (key ~source ~opts ~entry))
-    ~fp:None
-    ~sections:(fun () -> (section_of (encode_result res), [], []))
-    res file
-
 (* ------------------------------------------------------------------ *)
 (* Load                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(** Why an entry could not be read. An entry that reads back but keys
+    other text is neither: the lookup decides what it serves. *)
 type load_error =
   | Missing  (** no file at that path *)
-  | Stale
-      (** well-formed entry keying a different source text, option
-          record or entry function — not corrupt, just not ours *)
   | Corrupt
       (** truncation, bit damage, version skew, or any decode failure:
-          the entry can never load again and should be quarantined *)
-
-let load_error_name = function
-  | Missing -> "missing"
-  | Stale -> "stale"
-  | Corrupt -> "corrupt"
+          the entry can never load again and is quarantined *)
 
 (* Run one step of reading an entry, adding its time to [t]. Any
    failure to read or decode is [Corrupt]. *)
@@ -1378,27 +1367,6 @@ let open_file ~source ~t file =
   if not (Sys.file_exists file) then Error Missing
   else loading ~source ~t (fun () -> open_entry (read_file file))
 
-let load_checked ~source ?(opts = Options.default) ?(entry = "main") file :
-    (Analysis.result, load_error) result =
-  let t = ref 0. in
-  match open_file ~source ~t file with
-  | Error e -> Error e
-  | Ok en -> (
-      (* an unreadable source cannot be shown to own the entry *)
-      match Digest.from_hex (key ~source ~opts ~entry) with
-      | k when String.equal k en.en_key ->
-          Result.map
-            (fun (res : Analysis.result) ->
-              let m = res.Analysis.metrics in
-              m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. !t;
-              res)
-            (loading ~source ~t ~size:stmt_count (fun () ->
-                 read_section en.en_result (decode_result ~opts)))
-      | _ | (exception Sys_error _) -> Error Stale)
-
-let load ~source ?opts ?entry file : Analysis.result option =
-  Result.to_option (load_checked ~source ?opts ?entry file)
-
 (* ------------------------------------------------------------------ *)
 (* Cache                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1411,24 +1379,21 @@ let default_cache_dir () =
       | Some h when h <> "" -> Filename.concat (Filename.concat h ".cache") "ptan"
       | _ -> ".ptan-cache")
 
-let cache_file_of_key ~cache_dir ~source hexkey =
-  let base = Filename.remove_extension (Filename.basename source) in
-  Filename.concat cache_dir (Printf.sprintf "%s-%s.ptc" base hexkey)
-
-let cache_file ~cache_dir ~source ~opts ~entry =
-  cache_file_of_key ~cache_dir ~source (key ~source ~opts ~entry)
-
-(* The incremental entry must survive edits to the source, so its name
-   cannot involve the content (unlike [cache_file], whose key makes an
-   edited file's previous entry unreachable). One entry per
-   (source path, options, entry function); the content key inside the
-   header still distinguishes a full hit from a partial one. *)
-let cache_file_incr ~cache_dir ~source ~opts ~entry =
+(* An entry must survive edits to the source, so its name cannot
+   involve the content: one entry per (source path, options, entry
+   function) and kind, which an edit overwrites; the content key inside
+   the header distinguishes a full hit from a rekey or a partial one. *)
+let stable_file ~ext ~cache_dir ~source ~opts ~entry =
   let base = Filename.remove_extension (Filename.basename source) in
   Filename.concat cache_dir
-    (Printf.sprintf "%s-%s.pti" base
+    (Printf.sprintf "%s-%s.%s" base
        (Digest.to_hex
-          (Digest.string (Printf.sprintf "%s\x00%s\x00%s" source (opts_repr opts) entry))))
+          (Digest.string (Printf.sprintf "%s\x00%s\x00%s" source (opts_repr opts) entry)))
+       ext)
+
+let cache_file = stable_file ~ext:"ptc"
+
+let cache_file_incr = stable_file ~ext:"pti"
 
 (* ------------------------------------------------------------------ *)
 (* Replay eligibility and the dirty set                               *)
@@ -1564,14 +1529,12 @@ let seedable_mode (opts : Options.t) =
 (* The functions whose segments [en] may seed into [prog], whose
    fingerprint is [fp] ({!eligible_funcs}, with the index's target
    lists: a function without one called nothing through a pointer);
-   [None] when the entry has no fingerprint or the environment changed
-   (everything is dirty). *)
+   [None] when the environment changed (everything is dirty). *)
 let kept_funcs ~fp (prog : Ir.program) (en : entry) : (string, unit) Hashtbl.t option =
-  match en.en_fp with
-  | Some old when String.equal old.fp_env fp.fp_env ->
-      let targets fn = Option.value ~default:[] (List.assoc_opt fn en.en_targets) in
-      Some (eligible_funcs ~targets prog ~old_hashes:(digests old) ~new_hashes:(digests fp))
-  | Some _ | None -> None
+  if not (String.equal en.en_fp.fp_env fp.fp_env) then None
+  else
+    let targets fn = Option.value ~default:[] (List.assoc_opt fn en.en_targets) in
+    Some (eligible_funcs ~targets prog ~old_hashes:(digests en.en_fp) ~new_hashes:(digests fp))
 
 (** Verify and decode the segments of the [keep]-satisfying functions,
     and bind their records to [p]: rows to [p]'s statement ids, calls to
@@ -1714,11 +1677,9 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
      not analyzed. A source that cannot be read raises here, and says
      nothing about the entry, which stays where it is. *)
   let content = read_file source in
-  let hexkey = key_of_content ~content ~opts ~entry in
-  let mykey = Digest.from_hex hexkey in
+  let mykey = key_of_content ~content ~opts ~entry in
   let file =
-    if incremental then cache_file_incr ~cache_dir:dir ~source ~opts ~entry
-    else cache_file_of_key ~cache_dir:dir ~source hexkey
+    (if incremental then cache_file_incr else cache_file) ~cache_dir:dir ~source ~opts ~entry
   in
   (* this lookup's reading of the entry: the header and index, then the
      result section (a hit) or the kept segments (a partial hit) *)
@@ -1745,7 +1706,7 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
   | Error Corrupt ->
       quarantine file;
       incr quarantined
-  | Error (Missing | Stale) -> ());
+  | Error Missing -> ());
   let result_of ?prog en = read_section en.en_result (decode_result ~opts ?prog) in
   let hit (res : Analysis.result) =
     let m = res.Analysis.metrics in
@@ -1765,17 +1726,15 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
       let prog = Simple_ir.Simplify.of_string ~file:source content in
       let t_parse = Metrics.now () -. tp0 in
       let n_defined = List.length prog.Ir.funcs in
-      (* only an incremental entry carries a fingerprint: a plain one is
-         keyed by content, and no lookup diffs or rekeys it *)
       let tf0 = Metrics.now () in
-      let fp = if incremental then Some (fingerprint ~opts ~entry prog) else None in
+      let fp = fingerprint ~opts ~entry prog in
       let t_fp = Metrics.now () -. tf0 in
       (* [stored], if any, is an entry keying an older text of the source *)
       match
-        match (!stored, fp) with
-        | Some en, Some _ when en.en_fp = fp ->
+        match !stored with
+        | Some en when en.en_fp = fp ->
             Option.map (fun res -> (en, res)) (read loading (result_of ~prog))
-        | _ -> None
+        | Some _ | None -> None
       with
       | Some (en, res) ->
           (* Rekey: the edit moved source positions only (a comment,
@@ -1785,11 +1744,12 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
              touching the engine, decoded with the fresh lowering (the
              saved program is skipped, not unmarshalled) so that source
              positions track the edit, and save it under the new key:
-             the save of a run that changed nothing, every section
-             copied. *)
+             the result section with the fresh lowering in place of the
+             saved program, every segment copied. *)
           (try
              write ~source ~key:mykey ~fp
-               ~sections:(fun () -> (en.en_result, en.en_segments, en.en_targets))
+               ~sections:(fun () ->
+                 (reprogram en.en_result prog, en.en_segments, en.en_targets))
                res file
            with Sys_error _ | Failure _ -> ());
           let m = res.Analysis.metrics in
@@ -1799,8 +1759,8 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
           hit res
       | None ->
           let dirty, seeded, bound, adopt =
-            match (!stored, fp) with
-            | Some en, Some fp when seedable -> (
+            match !stored with
+            | Some en when seedable -> (
                 let td0 = Trace.start () in
                 match kept_funcs ~fp prog en with
                 | None -> (n_defined, None, None, None)

@@ -33,8 +33,8 @@ type kind =
   | Loop  (** one loop-head fixed-point iteration (Figure 1) *)
   | Map  (** {!Map_unmap.map_call} at a call site *)
   | Unmap  (** {!Map_unmap.unmap_call} back from a callee *)
-  | Cache_load  (** {!Persist.load} of a persisted result *)
-  | Cache_store  (** {!Persist.save} of a result *)
+  | Cache_load  (** {!Persist.analyze_cached} reading a cache entry *)
+  | Cache_store  (** {!Persist.analyze_cached} saving a cache entry *)
   | Task  (** one task executed by a {!Pool} domain *)
   | Widen
       (** the graceful-degradation rerun of an analysis whose budget was

@@ -4,8 +4,9 @@
 # demand (a) the re-analysis prints per-statement sets bit-identical to
 # a cold run of the edited file and (b) the dirty counter matches the
 # edit: 0 for a comment-only edit (the rekey fast path, whose rewritten
-# entry must equal the old one past its content key; also checked
-# mid-file under --heap-by-site), a small bounded cone for a
+# entry must keep every summary segment byte for byte and be a hit
+# next time; also checked mid-file under --heap-by-site), a small
+# bounded cone for a
 # one-function edit. A livc kernel edit and a generated web-600 edit
 # are also checked with --no-share-contexts, where summaries do not
 # replay at all: replay is the §6 memo carried across runs. A
@@ -16,8 +17,10 @@
 # function with an indirect call site replayed. A counter edit of a
 # deep-800 leaf must let some function adopt its saved rows. Then run the
 # bench's incremental section, whose own gates enforce suite-wide
-# bit-identity and incremental beating the non-incremental cache.
-# Run from the repository root after `dune build`; CI runs this as the
+# bit-identity and incremental beating the non-incremental cache. A
+# last leg checks the plain (default) cache: a comment edit rekeys, and
+# edits leave one entry per source. Run from the repository root after
+# `dune build` (python3 reads the entry layout); CI runs this as the
 # incremental-smoke job. See docs/INCREMENTAL.md.
 set -eu
 
@@ -25,6 +28,8 @@ ptan="${PTAN:-_build/default/bin/ptan.exe}"
 bench="${PTAN_BENCH:-_build/default/bench/main.exe}"
 [ -x "$ptan" ] || { echo "incremental_smoke: $ptan not found (dune build first)" >&2; exit 1; }
 [ -x "$bench" ] || { echo "incremental_smoke: $bench not found (dune build first)" >&2; exit 1; }
+command -v python3 >/dev/null \
+  || { echo "incremental_smoke: python3 not found (needed to read entry layouts)" >&2; exit 1; }
 
 tmp=$(mktemp -d)
 cache="$tmp/cache"
@@ -45,16 +50,54 @@ adopted_of() { # adopted_of FILE
   sed -n 's/^incremental:.* rebuilt, \([0-9][0-9]*\) functions adopted.*/\1/p' "$1"
 }
 
+# One line per summary segment of a cache entry: its name and the MD5
+# of its bytes. The layout (lib/core/persist.ml): magic (5 bytes),
+# version (varint), content key (16), index digest (16), index length
+# (varint), then the index: the fingerprint (environment digest, then
+# (name, digest) per function), the sections as (name, offset, length,
+# digest), the result section first, then the target lists; the
+# sections follow the index.
+segments_of() { # segments_of ENTRY
+  python3 - "$1" <<'PY'
+import hashlib, sys
+data = open(sys.argv[1], "rb").read()
+pos = 0
+def varint():
+    global pos
+    n = shift = 0
+    while True:
+        c = data[pos]; pos += 1
+        n |= (c & 0x7f) << shift; shift += 7
+        if c < 0x80: return n
+def string():
+    global pos
+    n = varint(); s = data[pos:pos + n]; pos += n
+    return s.decode()
+pos = 5; varint(); pos += 32
+length = varint(); base = pos + length
+pos += 16
+for _ in range(varint()):
+    string(); pos += 16
+for k in range(varint()):
+    name = string(); off = varint(); n = varint(); pos += 16
+    if k > 0:
+        print(name, hashlib.md5(data[base + off:base + off + n]).hexdigest())
+PY
+}
+
 # ---- 1. comment edit on livc: the rekey fast path ---------------------
 # An IR-preserving edit must serve the old entry as a hit (0 dirty) and
 # still print exactly what a cold analysis of the edited file prints.
-# The rekey is the save of a run that changed nothing: every section is
-# copied, so the rewritten entry equals the old one past the header's
-# content key (magic, one-byte version, then the 16-byte key).
+# The rekey is the save of a run that changed nothing but source
+# positions: the result section takes the fresh program, and every
+# summary segment is copied byte for byte. The rewritten entry must
+# then be a full hit.
 cp benchmarks/livc.c "$tmp/livc.c"
 "$ptan" analyze "$tmp/livc.c" --incremental --cache-dir "$cache" >/dev/null
 entry=$(ls "$cache"/livc-*.pti)
-cp "$entry" "$tmp/livc-primed.pti"
+segments_of "$entry" >"$tmp/livc-primed.seg"
+[ -s "$tmp/livc-primed.seg" ] \
+  || { echo "incremental_smoke: the primed livc entry lists no summary segment" >&2; exit 1; }
 printf '\n/* incremental_smoke: comment-only edit */\n' >>"$tmp/livc.c"
 "$ptan" analyze "$tmp/livc.c" --no-cache | grep '^s[0-9]' >"$tmp/cold1.txt"
 "$ptan" analyze "$tmp/livc.c" --incremental --cache-dir "$cache" --stats >"$tmp/incr1.txt"
@@ -64,11 +107,12 @@ diff -u "$tmp/cold1.txt" "$tmp/got1.txt" \
 d=$(dirty_of "$tmp/incr1.txt")
 [ "$d" = 0 ] \
   || { echo "incremental_smoke: comment edit reported $d dirty (rekey expected 0)" >&2; exit 1; }
-cmp -n 6 "$tmp/livc-primed.pti" "$entry" >/dev/null \
-  && ! cmp -s -n 22 "$tmp/livc-primed.pti" "$entry" \
-  && cmp -i 22 "$tmp/livc-primed.pti" "$entry" >/dev/null \
-  || { echo "incremental_smoke: the rekeyed livc entry differs from the primed one past its content key" >&2; exit 1; }
-echo "incremental_smoke: livc comment edit — $(wc -l <"$tmp/got1.txt") statement sets identical, 0 dirty (rekey, entry copied past its key)"
+segments_of "$entry" | cmp -s "$tmp/livc-primed.seg" - \
+  || { echo "incremental_smoke: the rekeyed livc entry changed a summary segment" >&2; exit 1; }
+"$ptan" analyze "$tmp/livc.c" --incremental --cache-dir "$cache" --stats >"$tmp/incr1n.txt"
+grep -q '^result cache: *1 hits' "$tmp/incr1n.txt" \
+  || { echo "incremental_smoke: the rekeyed livc entry is not a hit" >&2; exit 1; }
+echo "incremental_smoke: livc comment edit — $(wc -l <"$tmp/got1.txt") statement sets identical, 0 dirty (rekey, $(wc -l <"$tmp/livc-primed.seg") segments copied, then a hit)"
 
 # ---- 1a. mid-file comment edit under --heap-by-site -----------------
 # A comment before a function shifts the source position of every later
@@ -256,6 +300,30 @@ a=$(adopted_of "$tmp/incr_deep.txt")
 [ "$a" -gt 0 ] \
   || { echo "incremental_smoke: deep-800 leaf edit of f0_3 adopted no saved rows" >&2; exit 1; }
 echo "incremental_smoke: deep-800 leaf edit of f0_3 — $(wc -l <"$tmp/got_deep.txt") statement sets identical, $(sed -n 's/^incremental:[[:space:]]*//p' "$tmp/incr_deep.txt")"
+
+# ---- 2e. the plain cache: rekey and one entry per source --------------
+# Without --incremental the entry is named like the incremental one, so
+# a comment edit rekeys it (a hit printing what a cold run prints) and
+# every edit overwrites it: one .ptc per source remains.
+pcache="$tmp/plain_cache"
+cp benchmarks/livc.c "$tmp/livc.c"
+"$ptan" analyze "$tmp/livc.c" --cache-dir "$pcache" >/dev/null
+awk 'index($0, "double kern_a_5") == 1 { print "/* incremental_smoke: plain comment */" } { print }' \
+  benchmarks/livc.c >"$tmp/livc.c"
+"$ptan" analyze "$tmp/livc.c" --no-cache | grep '^s[0-9]' >"$tmp/cold_plain.txt"
+"$ptan" analyze "$tmp/livc.c" --cache-dir "$pcache" --stats >"$tmp/plain.txt"
+grep '^s[0-9]' "$tmp/plain.txt" >"$tmp/got_plain.txt"
+diff -u "$tmp/cold_plain.txt" "$tmp/got_plain.txt" \
+  || { echo "incremental_smoke: livc plain comment edit diverges from cold analysis" >&2; exit 1; }
+grep -q '^result cache: *1 hits' "$tmp/plain.txt" \
+  || { echo "incremental_smoke: livc plain comment edit is not a hit" >&2; exit 1; }
+sed 's/double kern_a_5(void) { int i;/double kern_a_5(void) { int i; int edit_probe; edit_probe = 0;/' \
+  "$tmp/livc.c" >"$tmp/livc2.c" && mv "$tmp/livc2.c" "$tmp/livc.c"
+"$ptan" analyze "$tmp/livc.c" --cache-dir "$pcache" >/dev/null
+n=$(ls "$pcache"/livc-*.ptc | wc -l)
+[ "$n" = 1 ] \
+  || { echo "incremental_smoke: livc edits left $n plain entries (expected 1)" >&2; exit 1; }
+echo "incremental_smoke: livc plain cache — comment edit rekeyed ($(wc -l <"$tmp/got_plain.txt") statement sets identical, a hit), one .ptc after a real edit"
 
 # ---- 3. the bench section ---------------------------------------------
 # The bench gates internally: every row bit-identical, and the suite

@@ -192,7 +192,8 @@ let callgraph_tests =
             }|}
         in
         let p = simplify src in
-        let precise = Alias.Callgraph.ig_size p Alias.Callgraph.Precise in
+        let analyzed = Alias.Callgraph.Precise (Analysis.analyze p) in
+        let precise = Alias.Callgraph.ig_size p analyzed in
         let at = Alias.Callgraph.ig_size p Alias.Callgraph.Address_taken in
         let naive = Alias.Callgraph.ig_size p Alias.Callgraph.Naive in
         Alcotest.(check bool) "precise <= addr-taken" true (precise <= at);
@@ -201,7 +202,7 @@ let callgraph_tests =
         Alcotest.(check (list string)) "fanouts" [ "2"; "2"; "4" ]
           (List.map string_of_int
              [
-               List.hd (Alias.Callgraph.indirect_fanout p Alias.Callgraph.Precise);
+               List.hd (Alias.Callgraph.indirect_fanout p analyzed);
                List.hd (Alias.Callgraph.indirect_fanout p Alias.Callgraph.Address_taken);
                List.hd (Alias.Callgraph.indirect_fanout p Alias.Callgraph.Naive);
              ]));

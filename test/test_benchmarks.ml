@@ -104,13 +104,14 @@ let livc_tests =
   [
     case "livc: precise call-graph binds 24 kernels per site (paper §6)" (fun () ->
         let p = Simple_ir.Simplify.of_file (bench_path "livc") in
+        let analyzed = Alias.Callgraph.Precise (Analysis.analyze p) in
         Alcotest.(check (list int)) "fanout 24/24/24" [ 24; 24; 24 ]
-          (Alias.Callgraph.indirect_fanout p Alias.Callgraph.Precise);
+          (Alias.Callgraph.indirect_fanout p analyzed);
         Alcotest.(check (list int)) "naive fanout 82" [ 82; 82; 82 ]
           (Alias.Callgraph.indirect_fanout p Alias.Callgraph.Naive);
         Alcotest.(check (list int)) "address-taken fanout 72" [ 72; 72; 72 ]
           (Alias.Callgraph.indirect_fanout p Alias.Callgraph.Address_taken);
-        let precise = Alias.Callgraph.ig_size p Alias.Callgraph.Precise in
+        let precise = Alias.Callgraph.ig_size p analyzed in
         let at = Alias.Callgraph.ig_size p Alias.Callgraph.Address_taken in
         let naive = Alias.Callgraph.ig_size p Alias.Callgraph.Naive in
         Alcotest.(check bool)

@@ -285,7 +285,8 @@ let suite_tests =
            statement but no statement id, so the fingerprint holds and
            the saved body is the answer: with heap objects named by
            site, without context sensitivity, and when the run warned
-           (warnings name statements by id) *)
+           (warnings name statements by id); the plain entry carries
+           the fingerprint too, so it rekeys alike *)
         let warns =
           "int g; int *p;\nvoid (*fp)(void);\n\
            void f(void) { p = &g; }\n\
@@ -295,21 +296,26 @@ let suite_tests =
           List.exists (fun (_, s) -> Option.is_some (find_sub s "heap@")) (stmt_pts_strings r)
         in
         let heap_by_site = { Options.default with Options.heap_by_site = true } in
+        let rekeys (name, text, anchor, opts, witness) incremental =
+          in_temp (fun dir ->
+              let name = if incremental then name else name ^ ", plain" in
+              let source = Filename.concat dir "prog.c" in
+              write_file source text;
+              let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental source in
+              write_file source (replace_once ~sub:anchor ~by:("/* moved */\n" ^ anchor) text);
+              let r, hit = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental source in
+              Alcotest.(check bool) (name ^ ": a hit") true hit;
+              Alcotest.(check int)
+                (name ^ ": one hit counted") 1 r.Analysis.metrics.Metrics.cache_hits;
+              Alcotest.(check int)
+                (name ^ ": nothing dirty") 0
+                r.Analysis.metrics.Metrics.incr_funcs_dirty;
+              let cold = Analysis.of_file ~opts source in
+              check_identical name cold r;
+              Alcotest.(check bool) (name ^ ": the run shows what is kept") true (witness cold))
+        in
         List.iter
-          (fun (name, text, anchor, opts, witness) ->
-            in_temp (fun dir ->
-                let source = Filename.concat dir "prog.c" in
-                write_file source text;
-                let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
-                write_file source (replace_once ~sub:anchor ~by:("/* moved */\n" ^ anchor) text);
-                let r, hit = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental:true source in
-                Alcotest.(check bool) (name ^ ": a hit") true hit;
-                Alcotest.(check int)
-                  (name ^ ": nothing dirty") 0
-                  r.Analysis.metrics.Metrics.incr_funcs_dirty;
-                let cold = Analysis.of_file ~opts source in
-                check_identical name cold r;
-                Alcotest.(check bool) (name ^ ": the run shows what is kept") true (witness cold)))
+          (fun case -> List.iter (rekeys case) [ true; false ])
           [
             ("livc, heap by site", read_file (bench "livc"), "double kern_a_5", heap_by_site, Fun.const true);
             (* sim allocates after the comment: its heap@N names are the
@@ -328,31 +334,57 @@ let suite_tests =
           ]);
     case "a rekey serves the new text's positions and typing environment" (fun () ->
         (* the rekey decodes the saved tables with the fresh lowering
-           and skips the saved program, whose positions are stale *)
-        in_temp (fun dir ->
-            let source = Filename.concat dir "livc.c" in
-            let text = read_file (bench "livc") in
-            write_file source text;
-            let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-            let edited =
-              replace_once ~sub:"double kern_a_5" ~by:"/* moved\n   down */\ndouble kern_a_5" text
-            in
-            write_file source edited;
-            let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-            Alcotest.(check bool) "a hit" true hit;
-            let locs (p : Ir.program) =
-              Ir.fold_program
-                (fun acc s -> (s.Ir.s_id, Cfront.Srcloc.to_string s.Ir.s_loc) :: acc)
-                [] p
-            in
-            let fresh = locs (Simple_ir.Simplify.of_string ~file:source edited) in
-            Alcotest.(check bool)
-              "the edit moved positions" false
-              (fresh = locs (Simple_ir.Simplify.of_string ~file:source text));
-            Alcotest.(check (list (pair int string))) "positions" fresh (locs r.Analysis.prog);
-            Alcotest.(check bool)
-              "the typing environment is the served program's" true
-              (r.Analysis.tenv.Pointsto.Tenv.prog == r.Analysis.prog)));
+           and skips the saved program, whose positions are stale; it
+           saves the fresh program in its place and copies every
+           segment, so the next full hit serves the new positions too,
+           plain or incremental *)
+        List.iter
+          (fun incremental ->
+            in_temp (fun dir ->
+                let name = if incremental then "incremental" else "plain" in
+                let source = Filename.concat dir "livc.c" in
+                let text = read_file (bench "livc") in
+                write_file source text;
+                let _ = Persist.analyze_cached ~cache_dir:dir ~incremental source in
+                let entry_file =
+                  (if incremental then Persist.cache_file_incr else Persist.cache_file)
+                    ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
+                in
+                let segments () =
+                  let data = read_file entry_file in
+                  List.map
+                    (fun s -> (s.name, String.sub data s.off s.len))
+                    (List.tl (entry_layout data).sections)
+                in
+                let primed = segments () in
+                let edited =
+                  replace_once ~sub:"double kern_a_5" ~by:"/* moved\n   down */\ndouble kern_a_5"
+                    text
+                in
+                write_file source edited;
+                let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental source in
+                Alcotest.(check bool) (name ^ ": a hit") true hit;
+                let locs (p : Ir.program) =
+                  Ir.fold_program
+                    (fun acc s -> (s.Ir.s_id, Cfront.Srcloc.to_string s.Ir.s_loc) :: acc)
+                    [] p
+                in
+                let fresh = locs (Simple_ir.Simplify.of_string ~file:source edited) in
+                Alcotest.(check bool)
+                  (name ^ ": the edit moved positions") false
+                  (fresh = locs (Simple_ir.Simplify.of_string ~file:source text));
+                Alcotest.(check (list (pair int string)))
+                  (name ^ ": positions") fresh (locs r.Analysis.prog);
+                Alcotest.(check bool)
+                  (name ^ ": the typing environment is the served program's")
+                  true
+                  (r.Analysis.tenv.Pointsto.Tenv.prog == r.Analysis.prog);
+                Alcotest.(check bool) (name ^ ": every segment copied") true (primed = segments ());
+                let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental source in
+                Alcotest.(check bool) (name ^ ": then a full hit") true hit;
+                Alcotest.(check (list (pair int string)))
+                  (name ^ ": the full hit's positions") fresh (locs r.Analysis.prog)))
+          [ true; false ]);
     case "whole suite: adding a function replays bit-identically" (fun () ->
         (* a new (uncalled) function changes the hash table, so the
            rekey path is off: the new function re-runs and the rest
@@ -1489,7 +1521,7 @@ let adoption_tests =
               Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
             in
             (* the version is the byte after the 5-byte magic *)
-            Alcotest.(check int) "this format" 12 Persist.version;
+            Alcotest.(check int) "this format" 13 Persist.version;
             let old = Bytes.of_string (read_file pti) in
             Bytes.set_uint8 old 5 11;
             write_file pti (Bytes.to_string old);
@@ -1500,13 +1532,53 @@ let adoption_tests =
             Alcotest.(check int) "nothing replayed" 0 m.Metrics.incr_funcs_reused;
             Alcotest.(check int) "nothing adopted" 0 m.Metrics.incr_funcs_adopted;
             check_identical "version 11" (Analysis.of_file source) r;
-            Alcotest.(check int) "primed at this version" 12 (Char.code (read_file pti).[5]);
+            Alcotest.(check int) "primed at this version" 13 (Char.code (read_file pti).[5]);
             let _, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
             Alcotest.(check bool) "then a hit" true hit));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The stable entry, plain and incremental                             *)
+(* ------------------------------------------------------------------ *)
+
+(** livc with a comment that moves every statement from [kern_a_5] on
+    down two lines. *)
+let livc_moved text =
+  replace_once ~sub:"double kern_a_5" ~by:"/* moved\n   down */\ndouble kern_a_5" text
+
+let stable_entry_tests =
+  [
+    case "comment and real edits of one source leave one plain entry for it" (fun () ->
+        in_temp (fun dir ->
+            let source = Filename.concat dir "livc.c" in
+            let text = read_file (bench "livc") in
+            let real t =
+              replace_once ~sub:"double kern_a_5(void) { int i;"
+                ~by:"double kern_a_5(void) { int i; int edit_probe; edit_probe = 0;" t
+            in
+            let ptc () =
+              List.filter
+                (fun f -> Filename.check_suffix f ".ptc")
+                (Array.to_list (Sys.readdir dir))
+            in
+            List.iteri
+              (fun k t ->
+                write_file source t;
+                let r, _ = Persist.analyze_cached ~cache_dir:dir source in
+                check_identical (Fmt.str "edit %d" k) (Analysis.of_file source) r;
+                Alcotest.(check int) (Fmt.str "edit %d: one .ptc" k) 1 (List.length (ptc ())))
+              [
+                text;
+                text ^ "\n/* a comment */\n";
+                livc_moved text;
+                real text;
+                real text ^ "/* and another */\n";
+                real (livc_moved text);
+              ]));
   ]
 
 let suite =
   ( "incremental",
     hash_tests @ cone_tests @ suite_tests @ corruption_tests @ frame_tests @ segment_tests
     @ pointer_tests @ memo_tests @ target_list_tests @ cycle_tests @ site_control_tests
-    @ no_sharing_tests @ adoption_tests )
+    @ no_sharing_tests @ adoption_tests @ stable_entry_tests )

@@ -1,12 +1,12 @@
 (** Tests for the persisted-result layer ({!Pointsto.Persist}): the
-    versioned binary save/load round trip, key invalidation, and the
-    disk cache behind [analyze_cached].
+    versioned binary round trip through [analyze_cached]'s cache entry,
+    key invalidation, and the entry's layout.
 
-    The load-side contract under test is "equivalent result or [None]":
-    a loaded result must answer every query — per-statement points-to
-    sets, entry output, invocation-graph statistics, Table 3–5 rows —
+    The contract under test is "equivalent result or a miss": a cache
+    hit must answer every query — per-statement points-to sets, entry
+    output, invocation-graph statistics, Table 3–5 rows —
     bit-identically to the freshly analyzed one, and any mismatch of
-    version, source content or options must read back as a miss. *)
+    version, source content or options must be a miss. *)
 
 open Test_util
 module Ig = Pointsto.Invocation_graph
@@ -34,14 +34,21 @@ let in_temp f =
       end)
     (fun () -> f dir)
 
+(** The cold result of [source] and the hit its cache entry then
+    serves. *)
 let save_load ?(opts = Options.default) source =
-  let res = Analysis.of_file ~opts source in
   in_temp (fun dir ->
-      let file = Filename.concat dir "result.ptc" in
-      Persist.save ~source res file;
-      match Persist.load ~source ~opts file with
-      | None -> Alcotest.fail "load returned None on a fresh save"
-      | Some loaded -> (res, loaded))
+      let res, cold_hit = Persist.analyze_cached ~cache_dir:dir ~opts source in
+      let loaded, hit = Persist.analyze_cached ~cache_dir:dir ~opts source in
+      Alcotest.(check (pair bool bool)) "a miss, then a hit" (false, true) (cold_hit, hit);
+      (res, loaded))
+
+let plain_entry ~dir ?(opts = Options.default) ?(entry = "main") source =
+  Persist.cache_file ~cache_dir:dir ~source ~opts ~entry
+
+let read_file f = In_channel.with_open_bin f In_channel.input_all
+
+let write_file f s = Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s)
 
 (** Every per-statement points-to set, rendered; the exhaustive surface
     the query layer answers from. *)
@@ -122,68 +129,71 @@ let roundtrip_tests =
           "per-node stored pairs" (dump fresh.Analysis.graph) (dump loaded.Analysis.graph));
   ]
 
+(** A lookup of [source] under [opts] and [entry] that finds the entry
+    primed under the defaults, copied to its own name: a well-formed
+    entry keying other options or another entry function. It must be a
+    miss that quarantines nothing, answer as a cold run does, and leave
+    the primed entry a hit. *)
+let copied_entry_misses ?(opts = Options.default) ?(entry = "main") source =
+  in_temp (fun dir ->
+      let _ = Persist.analyze_cached ~cache_dir:dir source in
+      write_file (plain_entry ~dir ~opts ~entry source) (read_file (plain_entry ~dir source));
+      let r, hit = Persist.analyze_cached ~cache_dir:dir ~opts ~entry source in
+      Alcotest.(check bool) "miss" false hit;
+      Alcotest.(check int)
+        "nothing quarantined" 0 r.Analysis.metrics.Pointsto.Metrics.cache_quarantined;
+      check_equivalent "cold" (Analysis.of_file ~opts ~entry source) r;
+      Alcotest.(check bool) "the primed entry still hits" true
+        (snd (Persist.analyze_cached ~cache_dir:dir source)))
+
 let invalidation_tests =
   [
     case "load fails on different options" (fun () ->
-        let source = bench "dry" in
-        let res = Analysis.of_file source in
-        in_temp (fun dir ->
-            let file = Filename.concat dir "r.ptc" in
-            Persist.save ~source res file;
-            let opts = { Options.default with Options.context_sensitive = false } in
-            Alcotest.(check bool)
-              "miss" true
-              (Option.is_none (Persist.load ~source ~opts file))));
+        copied_entry_misses
+          ~opts:{ Options.default with Options.context_sensitive = false }
+          (bench "dry"));
     case "load fails on different entry" (fun () ->
-        let source = bench "dry" in
-        let res = Analysis.of_file source in
-        in_temp (fun dir ->
-            let file = Filename.concat dir "r.ptc" in
-            Persist.save ~source res file;
-            Alcotest.(check bool)
-              "miss" true
-              (Option.is_none (Persist.load ~source ~entry:"other" file))));
+        copied_entry_misses ~entry:"Proc_1" (bench "dry"));
     case "load fails on changed source content" (fun () ->
-        let source = bench "dry" in
-        let res = Analysis.of_file source in
         in_temp (fun dir ->
-            let file = Filename.concat dir "r.ptc" in
-            Persist.save ~source res file;
-            (* same result file, keyed against a different source file *)
-            let other = Filename.concat dir "other.c" in
-            Out_channel.with_open_bin other (fun oc ->
-                Out_channel.output_string oc "int main() { return 0; }\n");
-            Alcotest.(check bool)
-              "miss" true
-              (Option.is_none (Persist.load ~source:other file))));
+            let source = Filename.concat dir "dry.c" in
+            write_file source (read_file (bench "dry"));
+            let _ = Persist.analyze_cached ~cache_dir:dir source in
+            (* the same entry, looked up for other text at the path *)
+            write_file source "int main() { return 0; }\n";
+            let r, hit = Persist.analyze_cached ~cache_dir:dir source in
+            Alcotest.(check bool) "miss" false hit;
+            Alcotest.(check int)
+              "nothing quarantined" 0 r.Analysis.metrics.Pointsto.Metrics.cache_quarantined;
+            check_equivalent "cold" (Analysis.of_file source) r));
     case "load fails on version or magic mismatch and on corruption" (fun () ->
         let source = bench "dry" in
-        let res = Analysis.of_file source in
         in_temp (fun dir ->
-            let file = Filename.concat dir "r.ptc" in
-            Persist.save ~source res file;
-            let data = In_channel.with_open_bin file In_channel.input_all in
-            let wr name s =
-              let f = Filename.concat dir name in
-              Out_channel.with_open_bin f (fun oc -> Out_channel.output_string oc s);
-              f
+            let cold, _ = Persist.analyze_cached ~cache_dir:dir source in
+            let file = plain_entry ~dir source in
+            let data = read_file file in
+            (* each victim is quarantined once and the lookup runs cold,
+               priming the entry again *)
+            let quarantined what s =
+              write_file file s;
+              let r, hit = Persist.analyze_cached ~cache_dir:dir source in
+              Alcotest.(check bool) (what ^ ": miss") false hit;
+              Alcotest.(check int)
+                (what ^ ": quarantined") 1 r.Analysis.metrics.Pointsto.Metrics.cache_quarantined;
+              check_equivalent what cold r
             in
-            let bad_magic = wr "m.ptc" ("XXXXX" ^ String.sub data 5 (String.length data - 5)) in
-            Alcotest.(check bool)
-              "bad magic" true
-              (Option.is_none (Persist.load ~source bad_magic));
-            let truncated = wr "t.ptc" (String.sub data 0 (String.length data / 2)) in
-            Alcotest.(check bool)
-              "truncated" true
-              (Option.is_none (Persist.load ~source truncated));
-            let junk = wr "j.ptc" (data ^ "\000") in
-            Alcotest.(check bool)
-              "trailing junk" true
-              (Option.is_none (Persist.load ~source junk));
-            let missing = Filename.concat dir "absent.ptc" in
-            Alcotest.(check bool)
-              "missing file" true
-              (Option.is_none (Persist.load ~source missing))));
+            quarantined "bad magic" ("XXXXX" ^ String.sub data 5 (String.length data - 5));
+            let old = Bytes.of_string data in
+            Bytes.set_uint8 old 5 (Persist.version - 1);
+            quarantined "older version" (Bytes.to_string old);
+            quarantined "truncated" (String.sub data 0 (String.length data / 2));
+            quarantined "trailing junk" (data ^ "\000");
+            Sys.remove file;
+            let r, hit = Persist.analyze_cached ~cache_dir:dir source in
+            Alcotest.(check bool) "missing file: miss" false hit;
+            Alcotest.(check int)
+              "missing file: nothing quarantined" 0
+              r.Analysis.metrics.Pointsto.Metrics.cache_quarantined));
   ]
 
 let cache_tests =
@@ -389,31 +399,29 @@ let site_tests =
 
 let layout_tests =
   [
-    case "a plain entry's index holds no fingerprint and no segments" (fun () ->
-        (* only the incremental lookup diffs or rekeys, so only its entry
-           pays for the function digests and the summaries *)
+    case "a plain entry is fingerprinted and holds the result section only" (fun () ->
+        (* every lookup can rekey, so every entry carries the function
+           digests; only an incremental one records summaries *)
         in_temp (fun dir ->
             let source = bench "livc" in
             let _ = Persist.analyze_cached ~cache_dir:dir source in
-            let read f = In_channel.with_open_bin f In_channel.input_all in
-            let plain =
-              entry_layout
-                (read
-                   (Persist.cache_file ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"))
+            let funcs =
+              List.map (fun f -> f.Ir.fn_name) (Simple_ir.Simplify.of_file source).Ir.funcs
             in
-            Alcotest.(check bool) "no fingerprint" false plain.fingerprinted;
+            let plain = entry_layout (read_file (plain_entry ~dir source)) in
+            Alcotest.(check (list string)) "fingerprinted" funcs plain.fp_funcs;
             Alcotest.(check (list string)) "the result section only" [ "" ]
               (List.map (fun s -> s.name) plain.sections);
             let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
             let incr =
               entry_layout
-                (read
+                (read_file
                    (Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default
                       ~entry:"main"))
             in
-            Alcotest.(check bool) "an incremental entry is fingerprinted" true incr.fingerprinted;
+            Alcotest.(check (list string)) "an incremental entry's fingerprint" funcs incr.fp_funcs;
             Alcotest.(check bool)
-              "and has segments" true
+              "and it has segments" true
               (List.length incr.sections > 1)));
   ]
 
@@ -481,13 +489,11 @@ let codec_tests =
         in_temp (fun dir ->
             let source = Filename.concat dir "retarget.c" in
             Out_channel.with_open_bin source (fun oc -> Out_channel.output_string oc retarget_src);
-            let fresh = Analysis.of_file source in
-            let file = Filename.concat dir "r.ptc" in
-            Persist.save ~source fresh file;
-            (match Persist.load ~source file with
-            | Some loaded -> check_equivalent "retarget" fresh loaded
-            | None -> Alcotest.fail "load returned None on a fresh save");
-            let sec = entry_section (In_channel.with_open_bin file In_channel.input_all) "" in
+            let fresh, _ = Persist.analyze_cached ~cache_dir:dir source in
+            let loaded, hit = Persist.analyze_cached ~cache_dir:dir source in
+            Alcotest.(check bool) "a hit" true hit;
+            check_equivalent "retarget" fresh loaded;
+            let sec = entry_section (read_file (plain_entry ~dir source)) "" in
             let rebinds =
               List.filter
                 (fun d -> List.exists (fun k -> List.mem k d.add_srcs) d.kills)

@@ -211,16 +211,15 @@ let queries_api () =
     (Queries.verdict_to_string v)
 
 (* ------------------------------------------------------------------ *)
-(* Analyze-once / query-many: a result loaded from disk must answer
-   every query line — successes and failures alike — identically to
-   the fresh in-memory result. *)
+(* Analyze-once / query-many: a result served from the disk cache must
+   answer every query line — successes and failures alike — identically
+   to the fresh in-memory result. *)
 
 let roundtrip_queries () =
   let dir = Filename.temp_file "ptan-qtest" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
   let source = Filename.concat dir "fp.c" in
-  let cache = Filename.concat dir "fp.ptc" in
   Fun.protect
     ~finally:(fun () ->
       Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
@@ -230,12 +229,11 @@ let roundtrip_queries () =
       output_string oc fp_src;
       close_out oc;
       let opts = Options.default in
-      let fresh = Analysis.of_file ~opts source in
-      Persist.save ~source fresh cache;
+      let fresh, _ = Persist.analyze_cached ~cache_dir:dir ~opts source in
       let loaded =
-        match Persist.load ~source ~opts cache with
-        | Some r -> r
-        | None -> Alcotest.fail "load returned None on a fresh save"
+        match Persist.analyze_cached ~cache_dir:dir ~opts source with
+        | r, true -> r
+        | _, false -> Alcotest.fail "a fresh entry missed"
       in
       let p1 = probe_stmt fresh "probe1" in
       let p2 = probe_stmt fresh "probe2" in

@@ -97,7 +97,7 @@ type entry_layout = {
   index_digest_at : int;
   index_at : int;
   index_len : int;
-  fingerprinted : bool;
+  fp_funcs : string list;  (** the functions the fingerprint digests, in its order *)
   sections : entry_section list;  (** the result section (named [""]) first *)
   targets : (string * string list) list;
       (** per function, the targets its indirect call sites resolved to *)
@@ -126,7 +126,7 @@ let cursor (data : string) (pos : int ref) =
 
 let entry_layout (data : string) : entry_layout =
   let pos = ref 0 in
-  let byte, varint, str = cursor data pos in
+  let _, varint, str = cursor data pos in
   let skip n = pos := !pos + n in
   (* magic, version, content key *)
   skip 5;
@@ -136,14 +136,14 @@ let entry_layout (data : string) : entry_layout =
   skip 16;
   let index_len = varint () in
   let index_at = !pos in
-  let fingerprinted = byte () = 1 in
-  if fingerprinted then begin
-    skip 16;
-    for _ = 1 to varint () do
-      skip (varint ());
-      skip 16
-    done
-  end;
+  (* the fingerprint: environment digest, then (function, digest) *)
+  skip 16;
+  let fp_funcs =
+    List.init (varint ()) (fun _ ->
+        let fn = str () in
+        skip 16;
+        fn)
+  in
   let base = index_at + index_len in
   let sections = ref [] in
   for _ = 1 to varint () do
@@ -160,7 +160,7 @@ let entry_layout (data : string) : entry_layout =
         let fn = str () in
         (fn, List.init (varint ()) (fun _ -> str ())))
   in
-  { index_digest_at; index_at; index_len; fingerprinted; sections = List.rev !sections; targets }
+  { index_digest_at; index_at; index_len; fp_funcs; sections = List.rev !sections; targets }
 
 (** A delta entry of a set table: the location indices of the sources
     it kills, and those of the sources of the rows it adds. *)

@@ -773,18 +773,19 @@ type incr_row = {
   ir_dirty : int;
   ir_reused : int;
   ir_t_cold : float;
-      (** the pre-existing cache trajectory on the edited source — a
-          full miss through [analyze_cached] without [incremental], so
-          fixpoint plus save, ms. This is what the [--incremental] flag
-          replaces. *)
+      (** a lookup of the edited source in the plain cache with no entry
+          at all: [analyze_cached] without [incremental] into a cache
+          directory emptied before every run, so parse, fixpoint and the
+          save of a plain entry, ms. A primed plain entry would serve a
+          comment edit as a rekey instead. *)
   ir_t_nocache : float;  (** bare fixpoint ([Analysis.of_file]), ms *)
   ir_t_incr : float;  (** incremental re-analysis of the same edit, ms *)
   ir_ident : bool;  (** result_digest equality against the bare fixpoint *)
 }
 
 (** Populate the incremental cache for a private copy of [name], apply
-    [edit] to the copy, then race the non-incremental cache trajectory
-    against the incremental re-analysis of the same edit. All sides are
+    [edit] to the copy, then race a full miss of the plain cache against
+    the incremental re-analysis of the same edit. All sides are
     timed by {!min_time} — the pre-edit cache entry is restored (and
     the non-incremental cache cleared) before every run so each one
     replays the same edit. *)
@@ -837,7 +838,7 @@ let kernel_edit src =
 (** One row per suite program (trailing-comment edit: every function
     hash survives, only the fp-touching slice re-runs), plus a real
     one-kernel edit of livc. Gates: every row bit-identical, and the
-    suite's incremental total beating the non-incremental cache total. *)
+    suite's incremental total beating the [cold] column's total. *)
 let incremental () =
   section "Incremental Re-analysis: hash the functions, replay the clean subtrees";
   Fmt.pr "%-12s %8s %6s %6s %7s %9s %9s %9s %9s %6s@." "benchmark" "edit" "funcs" "dirty"
@@ -867,10 +868,11 @@ let incremental () =
      every row bit-identical@."
     t_cold t_incr (t_cold /. t_incr) t_nocache;
   Fmt.pr
-    "(cold = the same edit through the non-incremental cache, i.e. full miss +@.\
-     fixpoint + save — what --incremental replaces; fixp = bare Analysis.of_file@.\
-     with no caching at all; incr = hash diff + rekey or dirty-slice re-run +@.\
-     summary replay, including cache load and save; see docs/INCREMENTAL.md)@.";
+    "(cold = the edited source through the plain cache with no entry at all, i.e.@.\
+     full miss + fixpoint + save; a primed plain entry would serve a comment edit@.\
+     as a rekey; fixp = bare Analysis.of_file with no caching at all; incr = hash@.\
+     diff + rekey or dirty-slice re-run + summary replay, including cache load and@.\
+     save; see docs/INCREMENTAL.md)@.";
   if t_incr >= t_cold then
     failwith "incremental: incremental re-analysis did not beat the non-incremental cache"
 

@@ -146,9 +146,9 @@ let cmd_heap file cache =
           let hp = C.heap_pointers r fn s in
           if hp <> [] then Fmt.pr "@.connection matrix at exit of main:@.%a" C.pp_matrix (hp, C.matrix s hp))
 
-let cmd_constants file cache =
+let cmd_constants file cache incremental =
   with_errors (fun () ->
-      let r = analyze_file ~cache file in
+      let r = analyze_file ~cache ~incremental file in
       let cp = Constprop.run r in
       let sites = Constprop.fold_sites cp in
       Fmt.pr "%d constant operand reads@." (List.length sites);
@@ -158,9 +158,9 @@ let cmd_constants file cache =
             Pointsto.Loc.pp fs.Constprop.fs_loc fs.Constprop.fs_value)
         sites)
 
-let cmd_ig file cache =
+let cmd_ig file cache incremental =
   with_errors (fun () ->
-      let r = analyze_file ~cache file in
+      let r = analyze_file ~cache ~incremental file in
       Fmt.pr "%a" Pointsto.Invocation_graph.pp r.Pointsto.Analysis.graph;
       let st = Pointsto.Stats.ig_stats r in
       Fmt.pr "nodes %d, call sites %d, funcs %d, R %d, A %d, Avgc %.2f, Avgf %.2f@."
@@ -900,11 +900,11 @@ let heap_cmd =
 let constants_cmd =
   Cmd.v
     (Cmd.info "constants" ~doc:"Interprocedural constant propagation")
-    Term.(const cmd_constants $ file_arg $ cache)
+    Term.(const cmd_constants $ file_arg $ cache $ incremental)
 
 let ig_cmd =
   Cmd.v (Cmd.info "ig" ~doc:"Print the invocation graph")
-    Term.(const cmd_ig $ file_arg $ cache)
+    Term.(const cmd_ig $ file_arg $ cache $ incremental)
 
 let stats_cmd =
   Cmd.v

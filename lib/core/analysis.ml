@@ -4,7 +4,7 @@
 
     The result carries everything later phases need (paper §6.1): the
     program-point-specific points-to sets, and the complete invocation
-    graph with stored IN/OUT pairs and map information. *)
+    graph with its map information. *)
 
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
@@ -161,8 +161,17 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded ?adopt
   if Option.is_some seeded then Engine.settle ctx;
   let stmt_pts = Engine.freeze_table ctx.Engine.stmt_pts in
   (Metrics.cur ()).Metrics.t_analysis <- Metrics.now () -. t0;
-  (* indirect call sites grew the graph after {!Ig.build} counted it *)
-  graph.Ig.n_nodes <- Ig.n_nodes graph;
+  (* indirect call sites grew the graph after {!Ig.build} counted it.
+     The nodes' IN/OUT pairs are the fixed point's memo (Figure 4):
+     nothing reads them once the run is over and no entry saves them
+     ({!Persist}), so a finished graph holds none, cold or loaded *)
+  graph.Ig.n_nodes <-
+    Ig.fold
+      (fun n node ->
+        node.Ig.stored_input <- Pts.bot;
+        node.Ig.stored_output <- Pts.bot;
+        n + 1)
+      0 graph;
   if Trace.on () then begin
     let kind, name, stmts =
       match demand with

@@ -27,8 +27,12 @@ type degradation = {
 type result = {
   prog : Ir.program;
   tenv : Tenv.t;
-  graph : Ig.t;  (** the complete invocation graph with stored IN/OUT
-                     pairs and map information (paper §6.1) *)
+  graph : Ig.t;
+      (** the complete invocation graph: its shape (nodes, kinds,
+          partners, call sites) and map information (paper §6.1). Every
+          node's IN/OUT pair, the fixed point's working memo, is bottom
+          once the run is over, so a loaded result, which {!Persist}
+          saves without them, has the same graph as a cold one *)
   stmt_pts : (int, Pts.t) Hashtbl.t;
       (** points-to set valid at each statement (its input, merged over
           all invocation contexts) *)

@@ -33,10 +33,13 @@ type origin =
     it: the call statement, the callee, and the input of the callee
     entry the call used, i.e. the entry's key in the {!store} ([None]
     when it used none: a target outside the program, or an approximate
-    node). Every call of a defined function and every target of an
-    indirect call is one (§5: the targets are a function of the
-    points-to set at the site, so of the evaluation's input). *)
-type call = { c_sid : int; c_fn : string; c_in : Pts.t option }
+    node), and the map information (§4.1) the call's child held when
+    the frame was stored: the last mapping the evaluation made there,
+    which a replay gives the child it finds or grows. Every call of a
+    defined function and every target of an indirect call is one (§5:
+    the targets are a function of the points-to set at the site, so of
+    the evaluation's input). *)
+type call = { c_sid : int; c_fn : string; c_in : Pts.t option; c_map : Ig.map_info }
 
 (** What one evaluation contributed to the per-statement tables, in two
     parts: the rows of the statements of its {e own} function (each the
@@ -156,9 +159,11 @@ type ctx = {
           evaluation when the run records summaries, [stmt_pts]
           otherwise. A finished evaluation's rows are frozen and folded
           straight into [stmt_pts] *)
-  mutable calls : call list;
-      (** the calls of the innermost open frame, latest first (none is
-          open when [recording] is [stmt_pts]) *)
+  mutable calls : (call * Ig.node option) list;
+      (** the calls of the innermost open frame, latest first, each with
+          the child it went through, whose map information the frame
+          takes when it is stored (none is open when [recording] is
+          [stmt_pts]) *)
   node_refs : (int, Pts.t) Hashtbl.t;
       (** when the run records summaries: per invocation-graph node id,
           the input of the entry its stored (input, output) pair came
@@ -348,9 +353,11 @@ let adopt ctx (node : Ig.node) (input : Pts.t) (e : summary_entry) =
 let record_call ctx sid fname (child : Ig.node option) =
   if ctx.recording != ctx.stmt_pts then begin
     let c_in = Option.bind child (fun c -> Hashtbl.find_opt ctx.node_refs c.Ig.id) in
-    let same c = c.c_sid = sid && String.equal c.c_fn fname && Option.equal ( == ) c.c_in c_in in
+    let same (c, _) =
+      c.c_sid = sid && String.equal c.c_fn fname && Option.equal ( == ) c.c_in c_in
+    in
     if not (List.exists same ctx.calls) then
-      ctx.calls <- { c_sid = sid; c_fn = fname; c_in } :: ctx.calls
+      ctx.calls <- ({ c_sid = sid; c_fn = fname; c_in; c_map = [] }, child) :: ctx.calls
   end
 
 (** Would a cold evaluation of seed [e] at [node] close a cycle through
@@ -776,11 +783,12 @@ let finish_call ctx fn ((out, ret_tgts, ret_cells) : call_result) lhs : flow =
     folds or adopts once the run ends, mark it live, and take its calls
     in order. At each one, {!Ig.add_indirect_child} finds the
     child, or grows it at an indirect call, exactly as the evaluation's
-    call did, and the child takes the callee entry's pair. The walk then
-    enters the callee entry while it is still seeded, as a cold run
-    evaluates the callee there; a live entry was evaluated or replayed
-    this run already, so the cold run's call was a §6 memo hit, which
-    grows no subtree. A child that already holds the pair answered from
+    call did; the child takes the call's map information, which the
+    evaluation's last mapping there left on it, and the callee entry's
+    pair. The walk then enters the callee entry while it is still
+    seeded, as a cold run evaluates the callee there; a live entry was
+    evaluated or replayed this run already, so the cold run's call was
+    a §6 memo hit, which grows no subtree. A child that already holds the pair answered from
     it in the cold run, and a demand-skipped callee is never evaluated.
     So every entry a cold run evaluates inside the cone turns live, and
     the store is the one a cold run leaves. *)
@@ -796,6 +804,7 @@ let rec replay ctx (node : Ig.node) (e : summary_entry) =
           if Tenv.is_defined_func ctx.tenv c.c_fn && not (demand_skips ctx c.c_fn) then begin
             let n0 = Ig.node_count () in
             let child = Ig.add_indirect_child ctx.tenv node c.c_sid c.c_fn in
+            child.Ig.map_info <- c.c_map;
             let m = Metrics.cur () in
             m.Metrics.incr_nodes_rebuilt <- m.Metrics.incr_nodes_rebuilt + Ig.node_count () - n0;
             Guard.check_nodes ctx.guard (Ig.node_count ());
@@ -1173,7 +1182,13 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
               node.Ig.in_flight <- false;
               let frame =
                 Option.map
-                  (fun fr -> { f_rows = freeze_rows fr; f_calls = List.rev ctx.calls })
+                  (fun fr ->
+                    let call (c, child) =
+                      match child with
+                      | Some (n : Ig.node) -> { c with c_map = n.Ig.map_info }
+                      | None -> c
+                    in
+                    { f_rows = freeze_rows fr; f_calls = List.rev_map call ctx.calls })
                   open_frame
               in
               node.Ig.stored_input <- Some func_input;

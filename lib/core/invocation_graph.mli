@@ -27,8 +27,10 @@ type node = {
   mutable children : (int * node) list;
       (** (call statement id, child); indirect sites may map one id to
           several children *)
-  mutable stored_input : Pts.state;  (** memoized IN (Figure 4) *)
-  mutable stored_output : Pts.state;  (** memoized OUT *)
+  mutable stored_input : Pts.state;
+      (** memoized IN (Figure 4): the engine's working state, bottom
+          again once {!Analysis.run} ends *)
+  mutable stored_output : Pts.state;  (** memoized OUT, likewise *)
   mutable pending : Pts.t list;  (** unresolved recursive inputs *)
   mutable in_flight : bool;
   mutable map_info : map_info;

@@ -21,15 +21,17 @@
     statements' set references by local index: the engine reaches a
     steady state, so most statements share one of a few sets), then the
     entry output, warnings, the metrics record (every {!Metrics.fields}
-    entry), and the invocation graph in pre-order. Each further section
-    is one function's {e summary segment} (named after it), with tables
-    of its own. A reader checks the index digest before it trusts an
-    offset, and a section's digest before it decodes the section (in
-    particular before [Marshal.from_string], which is not robust
-    against corrupt input), so it verifies only what it reads. Every decode path bounds-checks
-    and raises {!Bad}, which the lookups map to a miss — a stale or
-    corrupt cache entry degrades to a cache miss, never to a wrong
-    answer.
+    entry), and the invocation graph in pre-order: its shape (ids,
+    functions, kinds, partners, call sites) and map information, with
+    no IN/OUT pairs, so the graph interns locations but no set. Each
+    further section is one function's {e summary segment} (named after
+    it), with tables of its own. A reader checks the index digest
+    before it trusts an offset, and a section's digest before it
+    decodes the section (in particular before [Marshal.from_string],
+    which is not robust against corrupt input), so it verifies only
+    what it reads. Every decode path bounds-checks and raises {!Bad},
+    which the lookups map to a miss — a stale or corrupt cache entry
+    degrades to a cache miss, never to a wrong answer.
 
     Each set costs one pass either way. A set-table entry is a delta
     against the set referenced before it when its kills and adds, plus
@@ -44,7 +46,7 @@
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 13
+let version = 14
 
 let magic = "PTANC"
 
@@ -604,29 +606,28 @@ let kind_of_byte = function
   | _ -> raise Bad
 
 (** Pre-order: a node's entry precedes its children's, so back-edges
-    ([partner] always points to an ancestor) resolve while decoding. *)
-let rec w_node t b (n : Ig.node) =
+    ([partner] always points to an ancestor) resolve while decoding. A
+    node is its shape and map information: its IN/OUT pair is the
+    engine's working state, bottom in every finished result
+    ({!Analysis.run}), so none is written. *)
+let rec w_node e b (n : Ig.node) =
   w_u b n.Ig.id;
   w_str b n.Ig.func;
   Buffer.add_char b (kind_byte n.Ig.kind);
   (match n.Ig.partner with None -> w_u b 0 | Some p -> w_u b (p.Ig.id + 1));
-  w_state t b n.Ig.stored_input;
-  w_state t b n.Ig.stored_output;
-  w_map_info t.locs b n.Ig.map_info;
+  w_map_info e b n.Ig.map_info;
   w_u b (List.length n.Ig.children);
   List.iter
     (fun (site, c) ->
       w_u b site;
-      w_node t b c)
+      w_node e b c)
     n.Ig.children
 
-let rec r_node arr sets r ~parent ~(nodes : (int, Ig.node) Hashtbl.t) : Ig.node =
+let rec r_node arr r ~parent ~(nodes : (int, Ig.node) Hashtbl.t) : Ig.node =
   let id = r_u r in
   let func = r_str r in
   let kind = kind_of_byte (r_byte r) in
   let partner_id = r_u r in
-  let stored_input = r_state sets r in
-  let stored_output = r_state sets r in
   let map_info = r_map_info arr r in
   let node =
     {
@@ -636,8 +637,8 @@ let rec r_node arr sets r ~parent ~(nodes : (int, Ig.node) Hashtbl.t) : Ig.node 
       kind;
       partner = None;
       children = [];
-      stored_input;
-      stored_output;
+      stored_input = Pts.bot;
+      stored_output = Pts.bot;
       pending = [];
       in_flight = false;
       map_info;
@@ -652,7 +653,7 @@ let rec r_node arr sets r ~parent ~(nodes : (int, Ig.node) Hashtbl.t) : Ig.node 
   let children =
     r_list r (fun () ->
         let site = r_u r in
-        let c = r_node arr sets r ~parent:(Some node) ~nodes in
+        let c = r_node arr r ~parent:(Some node) ~nodes in
         (site, c))
   in
   node.Ig.children <- children;
@@ -761,8 +762,8 @@ let read_section (s : section) f =
 
 (* The result section holds the marshalled program, its location and
    row tables, one block per function that has rows, then the entry
-   output, the warnings, the metrics and the invocation graph. A block
-   is a byte saying whether the rows are the least upper bound of
+   output, the warnings, the metrics and the invocation graph (shape
+   and map information, {!w_node}). A block is a byte saying whether the rows are the least upper bound of
    stored frames alone (1) or not (0), the ordinals of the function's
    summary records whose frames made them, ascending, then a set table
    over the section's rows and the block's rows as (local statement
@@ -840,7 +841,7 @@ let encode_result ?(ordinals = fun _ -> None) (res : Analysis.result) : string =
   w_u pay (List.length res.Analysis.warnings);
   List.iter (w_str pay) res.Analysis.warnings;
   w_metrics pay res.Analysis.metrics;
-  w_node t pay res.Analysis.graph.Ig.root;
+  w_node t.locs pay res.Analysis.graph.Ig.root;
   let b = Buffer.create (Buffer.length blocks + Buffer.length pay + 65536) in
   w_str b (Marshal.to_string res.Analysis.prog []);
   w_locs b t.locs;
@@ -940,7 +941,7 @@ let decode_result ~opts ?prog r : Analysis.result =
   let entry_output = r_state sets r in
   let warnings = r_list r (fun () -> r_str r) in
   let metrics = r_metrics r in
-  let root = r_node arr sets r ~parent:None ~nodes:(Hashtbl.create 64) in
+  let root = r_node arr r ~parent:None ~nodes:(Hashtbl.create 64) in
   (* the node count is not stored: it is read off the decoded graph *)
   let graph = { Ig.root; n_nodes = 0 } in
   graph.Ig.n_nodes <- Ig.n_nodes graph;
@@ -969,7 +970,8 @@ let decode_result ~opts ?prog r : Analysis.result =
    (input, output, rows, calls) records. A row is (local statement
    index, set); a call is (local statement index of the call, callee
    name, the ordinal of the callee entry's record in the callee's
-   segment plus one, or 0 when the call used no entry). A segment thus
+   segment plus one, or 0 when the call used no entry, the call's map
+   information over the segment's locations). A segment thus
    depends on no other section's bytes, only on the record order of its
    callees' segments, which every save keeps (see {!segments_of}). *)
 let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : string =
@@ -996,7 +998,8 @@ let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : strin
         (fun (c : Engine.call) ->
           w_u recs (local c.Engine.c_sid);
           w_str recs c.Engine.c_fn;
-          w_u recs (match c.Engine.c_in with Some i -> 1 + ordinal c.Engine.c_fn i | None -> 0))
+          w_u recs (match c.Engine.c_in with Some i -> 1 + ordinal c.Engine.c_fn i | None -> 0);
+          w_map_info t.locs recs c.Engine.c_map)
         fr.Engine.f_calls)
     records;
   let b = Buffer.create (Buffer.length recs + 1024) in
@@ -1006,16 +1009,16 @@ let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : strin
 
 (** A decoded record, not yet bound to a program: rows by local
     statement index, calls by (local statement index, callee, ordinal
-    plus one or 0). *)
+    plus one or 0, map information). *)
 type record = {
   rc_in : Pts.t;
   rc_out : Pts.t;
   rc_rows : (int * Pts.t) array;
-  rc_calls : (int * string * int) list;
+  rc_calls : (int * string * int * Ig.map_info) list;
 }
 
 let decode_segment canon r : record array =
-  let _, sets = r_tables canon r in
+  let arr, sets = r_tables canon r in
   let recs =
     r_list r (fun () ->
         let rc_in = r_set_ref sets r in
@@ -1029,7 +1032,8 @@ let decode_segment canon r : record array =
           r_list r (fun () ->
               let li = r_u r in
               let g = r_str r in
-              (li, g, r_u r))
+              let k = r_u r in
+              (li, g, k, r_map_info arr r))
         in
         { rc_in; rc_out; rc_rows; rc_calls })
   in
@@ -1585,7 +1589,7 @@ let bind_summaries ~keep (p : Ir.program) (en : entry) :
             Array.sort (fun (a, _) (b, _) -> Int.compare a b) f_rows;
           let f_calls =
             List.map
-              (fun (li, g, k) ->
+              (fun (li, g, k, c_map) ->
                 if li >= Array.length stmts then raise Bad;
                 let s = stmts.(li) in
                 (match s.Ir.s_desc with
@@ -1593,7 +1597,7 @@ let bind_summaries ~keep (p : Ir.program) (en : entry) :
                 | Ir.Scall (_, Ir.Cindirect _, _) when List.mem g b_targets -> ()
                 | _ -> raise Bad);
                 let c_in = if k > 0 then Some (entry_of g (k - 1)) else None in
-                { Engine.c_sid = s.Ir.s_id; c_fn = g; c_in })
+                { Engine.c_sid = s.Ir.s_id; c_fn = g; c_in; c_map })
               rc.rc_calls
           in
           ignore

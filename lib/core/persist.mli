@@ -22,9 +22,12 @@
     index), the per-statement {!Pts.t} sets as one block per function
     (keyed by the statement's index in its function, and listing the
     summary records whose frames made them), the entry output state,
-    the invocation-graph shape (nodes, kinds, recursive back-edges,
-    stored IN/OUT pairs and map information), and the run's
-    {!Metrics.t} record (every field of {!Metrics.fields}). It also carries the
+    the run's {!Metrics.t} record (every field of {!Metrics.fields}),
+    and the invocation graph: its shape (nodes, kinds, recursive
+    back-edges, call sites) and map information. The nodes' IN/OUT
+    pairs, the fixed point's working memo, are not saved: a finished
+    result holds none ({!Analysis.result}), so a loaded graph is the
+    cold one. It also carries the
     marshalled SIMPLE program, so a full hit neither parses nor lowers
     the source: it unmarshals the program and rebuilds only the typing
     environment from it. Only the rekey path (an edit that leaves the
@@ -56,13 +59,15 @@
     With [~incremental:true], {!analyze_cached}'s entry also carries,
     per function, a
     self-contained segment of replayable summaries, one per evaluated
-    (function, input) pair: its input, output, rows and calls. On
+    (function, input) pair: its input, output, rows and calls, each
+    call with the map information its invocation-graph child held. On
     re-analysis after an edit, the hashes are diffed, only the kept
     functions' segments are read, the dirty slice (edited functions and
     their transitive callers, over direct calls and the indirect targets
     the index lists) is re-run live, and everything else replays from
     the summaries, finding or growing the invocation-graph nodes their
-    recorded calls name — bit-identically to a cold run. Replay is the
+    recorded calls name and giving them the calls' map information —
+    bit-identically to a cold run. Replay is the
     §6 sub-tree sharing memo carried across runs, so summaries are
     recorded and replayed only under sharing. A replayed function with
     no body pass whose saved block lists exactly the summaries it

@@ -17,9 +17,12 @@
 # function with an indirect call site replayed. A counter edit of a
 # deep-800 leaf must let some function adopt its saved rows. Then run the
 # bench's incremental section, whose own gates enforce suite-wide
-# bit-identity and incremental beating the non-incremental cache. A
-# last leg checks the plain (default) cache: a comment edit rekeys, and
-# edits leave one entry per source. Run from the repository root after
+# bit-identity and incremental beating a full miss of the plain cache
+# (its `cold` column). A last leg checks the plain (default) cache: a
+# comment edit rekeys, and edits leave one entry per source; and the
+# readers of the invocation graph, `ptan ig` and `ptan constants`,
+# print from a warm entry and after a replaying edit of config.c what
+# they print with --no-cache. Run from the repository root after
 # `dune build` (python3 reads the entry layout); CI runs this as the
 # incremental-smoke job. See docs/INCREMENTAL.md.
 set -eu
@@ -325,10 +328,46 @@ n=$(ls "$pcache"/livc-*.ptc | wc -l)
   || { echo "incremental_smoke: livc edits left $n plain entries (expected 1)" >&2; exit 1; }
 echo "incremental_smoke: livc plain cache — comment edit rekeyed ($(wc -l <"$tmp/got_plain.txt") statement sets identical, a hit), one .ptc after a real edit"
 
+# ---- 2f. the graph's readers: a warm entry and a replaying edit ------
+# An entry holds the invocation graph's shape and map information, not
+# its nodes' IN/OUT pairs. `ptan ig` prints the graph and `ptan
+# constants` reads its map information at every call: both must print
+# from a warm entry what --no-cache prints, and so after an edit atop
+# config.c's check_ptr, which replays its callers' summaries, whose
+# calls give the nodes the replay grows their map information.
+cp benchmarks/config.c "$tmp/config.c"
+for sub in ig constants; do
+  "$ptan" "$sub" "$tmp/config.c" --no-cache >"$tmp/cold_$sub.txt"
+  "$ptan" "$sub" "$tmp/config.c" --cache-dir "$tmp/warm_$sub" >/dev/null
+  ls "$tmp/warm_$sub"/config-*.ptc >/dev/null \
+    || { echo "incremental_smoke: ptan $sub wrote no entry" >&2; exit 1; }
+  "$ptan" "$sub" "$tmp/config.c" --cache-dir "$tmp/warm_$sub" >"$tmp/warm_$sub.txt"
+  diff -u "$tmp/cold_$sub.txt" "$tmp/warm_$sub.txt" \
+    || { echo "incremental_smoke: warm ptan $sub on config.c differs from --no-cache" >&2; exit 1; }
+  "$ptan" "$sub" "$tmp/config.c" --incremental --cache-dir "$tmp/incr_$sub" >/dev/null
+done
+"$ptan" analyze "$tmp/config.c" --incremental --cache-dir "$tmp/incr_config" >/dev/null
+sed 's/^int check_ptr(int \*p, int \*q) {$/& int bench_probe_x; bench_probe_x = 0;/' \
+  benchmarks/config.c >"$tmp/config.c"
+grep -q 'bench_probe_x' "$tmp/config.c" \
+  || { echo "incremental_smoke: the config.c edit did not apply" >&2; exit 1; }
+"$ptan" analyze "$tmp/config.c" --incremental --cache-dir "$tmp/incr_config" --stats \
+  >"$tmp/incr_config.txt"
+r=$(replayed_of "$tmp/incr_config.txt")
+[ "$r" -gt 0 ] \
+  || { echo "incremental_smoke: the config.c edit of check_ptr replayed nothing" >&2; exit 1; }
+for sub in ig constants; do
+  "$ptan" "$sub" "$tmp/config.c" --no-cache >"$tmp/cold_$sub.txt"
+  "$ptan" "$sub" "$tmp/config.c" --incremental --cache-dir "$tmp/incr_$sub" >"$tmp/edit_$sub.txt"
+  diff -u "$tmp/cold_$sub.txt" "$tmp/edit_$sub.txt" \
+    || { echo "incremental_smoke: ptan $sub --incremental after the config.c edit differs from --no-cache" >&2; exit 1; }
+done
+echo "incremental_smoke: config.c graph readers — warm ig and constants as --no-cache; after the check_ptr edit ($r summaries replayed) as --no-cache"
+
 # ---- 3. the bench section ---------------------------------------------
 # The bench gates internally: every row bit-identical, and the suite
-# incremental total beating the non-incremental cache trajectory. A
-# non-zero exit fails the job.
+# incremental total beating the `cold` column's, a full miss of the plain
+# cache with no entry at all. A non-zero exit fails the job.
 "$bench" incremental \
   || { echo "incremental_smoke: bench incremental section failed" >&2; exit 1; }
 

@@ -60,7 +60,7 @@ let replace_once ~sub ~by s =
 
 (** The full query surface an incremental run must reproduce
     bit-identically: per-statement sets, entry output, warnings, and the
-    invocation graph (shape, kinds, stored pairs). *)
+    invocation graph (shape, kinds, call sites). *)
 let stmt_pts_strings (res : Analysis.result) =
   Hashtbl.fold (fun id s acc -> (id, Pts.to_string s) :: acc) res.Analysis.stmt_pts []
   |> List.sort compare
@@ -1512,29 +1512,142 @@ let adoption_tests =
             Alcotest.(check int) "b replays, leaf in its cone" 1 m.Metrics.incr_funcs_reused;
             Alcotest.(check int) "b adopts, leaf folds" 1 m.Metrics.incr_funcs_adopted));
     case "a version-11 entry is not read: the lookup runs cold and primes it again" (fun () ->
+        (* and so is one of format 13, whose graph nodes held IN/OUT
+           pairs *)
+        Alcotest.(check int) "this format" 14 Persist.version;
+        List.iter
+          (fun v ->
+            in_temp (fun dir ->
+                let source = Filename.concat dir "deep.c" in
+                let text = deep_text () in
+                write_file source text;
+                let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+                let pti =
+                  Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default
+                    ~entry:"main"
+                in
+                (* the version is the byte after the 5-byte magic *)
+                let old = Bytes.of_string (read_file pti) in
+                Bytes.set_uint8 old 5 v;
+                write_file pti (Bytes.to_string old);
+                write_file source (leaf_edit text "f0_3");
+                let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+                let m = r.Analysis.metrics in
+                let name = Printf.sprintf "version %d" v in
+                Alcotest.(check bool) (name ^ ": a miss") false hit;
+                Alcotest.(check int) (name ^ ": quarantined") 1 m.Metrics.cache_quarantined;
+                Alcotest.(check int) (name ^ ": nothing replayed") 0 m.Metrics.incr_funcs_reused;
+                Alcotest.(check int) (name ^ ": nothing adopted") 0 m.Metrics.incr_funcs_adopted;
+                check_identical name (Analysis.of_file source) r;
+                Alcotest.(check int)
+                  (name ^ ": primed at this version")
+                  14
+                  (Char.code (read_file pti).[5]);
+                let _, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+                Alcotest.(check bool) (name ^ ": then a hit") true hit))
+          [ 11; 13 ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Graph readers: the shape and map information of a loaded graph      *)
+(* ------------------------------------------------------------------ *)
+
+(** Every node's map information, in pre-order under its id. *)
+let map_infos (g : Ig.t) =
+  let pp_rep ppf (l, ls) = Fmt.pf ppf "%a->%a" Loc.pp l Fmt.(list ~sep:comma Loc.pp) ls in
+  List.rev
+    (Ig.fold
+       (fun acc n ->
+         Fmt.str "%s#%d %a" n.Ig.func n.Ig.id Fmt.(list ~sep:semi pp_rep) n.Ig.map_info :: acc)
+       [] g)
+
+(** Constant propagation's folding sites, which read the graph's map
+    information at every call. *)
+let fold_sites (r : Analysis.result) =
+  List.map
+    (fun fs ->
+      Fmt.str "s%d %s %a = %Ld" fs.Constprop.fs_stmt fs.Constprop.fs_func Loc.pp
+        fs.Constprop.fs_loc fs.Constprop.fs_value)
+    (Constprop.fold_sites (Constprop.run r))
+
+(** What every reader of the invocation graph answers for [r] must be
+    what it answers for [cold]: [ptan ig]'s tree, Table 6, the call
+    graph's edges and the constant folds. *)
+let check_graph_readers name (cold : Analysis.result) (r : Analysis.result) =
+  Alcotest.(check string)
+    (name ^ ": ptan ig")
+    (Fmt.str "%a" Ig.pp cold.Analysis.graph)
+    (Fmt.str "%a" Ig.pp r.Analysis.graph);
+  Alcotest.(check bool) (name ^ ": Table 6") true (Stats.ig_stats cold = Stats.ig_stats r);
+  Alcotest.(check (list (pair string string)))
+    (name ^ ": call graph edges")
+    (Alias.Callgraph.edges_of_result cold)
+    (Alias.Callgraph.edges_of_result r);
+  Alcotest.(check (list string)) (name ^ ": constant folds") (fold_sites cold) (fold_sites r)
+
+(** config.c with [int bench_probe_x; bench_probe_x = 0;] atop
+    [check_ptr]: the run replays [check_ptr]'s callers, whose frames'
+    calls must give the nodes the replay grows their map information. *)
+let config_edit text =
+  replace_once ~sub:"int check_ptr(int *p, int *q) {"
+    ~by:"int check_ptr(int *p, int *q) { int bench_probe_x; bench_probe_x = 0;" text
+
+let graph_reader_tests =
+  [
+    case "every graph reader answers a hit, a rekey and an incremental run as cold" (fun () ->
+        let web600 = Gen.program { (Test_rows.gen_knobs "web") with Gen.size = 600 } in
+        List.iter
+          (fun (name, text, edit) ->
+            List.iter
+              (fun incremental ->
+                in_temp (fun dir ->
+                    let source = Filename.concat dir (name ^ ".c") in
+                    let lookup what ~hit text =
+                      write_file source text;
+                      let r, was_hit = Persist.analyze_cached ~cache_dir:dir ~incremental source in
+                      let what = Printf.sprintf "%s%s: %s" name (if incremental then " (incremental)" else "") what in
+                      Alcotest.(check bool) (what ^ ": a hit") hit was_hit;
+                      let cold = Analysis.of_file source in
+                      check_graph_readers what cold r;
+                      Alcotest.(check (list string))
+                        (what ^ ": map information")
+                        (map_infos cold.Analysis.graph) (map_infos r.Analysis.graph)
+                    in
+                    lookup "primed" ~hit:false text;
+                    lookup "a hit" ~hit:true text;
+                    lookup "a rekey" ~hit:true (text ^ "\n/* a comment */\n");
+                    lookup "an edit" ~hit:false (edit text);
+                    lookup "the edit's hit" ~hit:true (edit text)))
+              [ false; true ])
+          [
+            ( "livc",
+              read_file (bench "livc"),
+              replace_once ~sub:"double kern_a_5(void) { int i;"
+                ~by:"double kern_a_5(void) { int i; int edit_probe; edit_probe = 0;" );
+            ("config", read_file (bench "config"), config_edit);
+            ("web600", web600, fun t -> insert_at_top t ~fn:"f1_3" ~line:"    gp0 = &gv1;\n");
+          ]);
+    case "a replay gives the nodes it grows their map information: config.c" (fun () ->
+        (* without their calls' map information, the nodes a replay
+           grows have none, and constant propagation folds s147 and
+           s200, which a cold run does not *)
         in_temp (fun dir ->
-            let source = Filename.concat dir "deep.c" in
-            let text = deep_text () in
+            let source = Filename.concat dir "config.c" in
+            let text = read_file (bench "config") in
             write_file source text;
             let _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-            let pti =
-              Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
-            in
-            (* the version is the byte after the 5-byte magic *)
-            Alcotest.(check int) "this format" 13 Persist.version;
-            let old = Bytes.of_string (read_file pti) in
-            Bytes.set_uint8 old 5 11;
-            write_file pti (Bytes.to_string old);
-            write_file source (leaf_edit text "f0_3");
+            write_file source (config_edit text);
             let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-            let m = r.Analysis.metrics in
-            Alcotest.(check bool) "a miss" false hit;
-            Alcotest.(check int) "nothing replayed" 0 m.Metrics.incr_funcs_reused;
-            Alcotest.(check int) "nothing adopted" 0 m.Metrics.incr_funcs_adopted;
-            check_identical "version 11" (Analysis.of_file source) r;
-            Alcotest.(check int) "primed at this version" 13 (Char.code (read_file pti).[5]);
-            let _, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
-            Alcotest.(check bool) "then a hit" true hit));
+            Alcotest.(check bool) "a partial hit" false hit;
+            Alcotest.(check bool) "summaries replay" true
+              (r.Analysis.metrics.Metrics.incr_funcs_reused > 0);
+            let cold = Analysis.of_file source in
+            check_identical "config" cold r;
+            Alcotest.(check int) "cold folds" 47 (List.length (fold_sites cold));
+            Alcotest.(check (list string)) "constant folds" (fold_sites cold) (fold_sites r);
+            Alcotest.(check (list string))
+              "every node's map information" (map_infos cold.Analysis.graph)
+              (map_infos r.Analysis.graph)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1581,4 +1694,4 @@ let suite =
   ( "incremental",
     hash_tests @ cone_tests @ suite_tests @ corruption_tests @ frame_tests @ segment_tests
     @ pointer_tests @ memo_tests @ target_list_tests @ cycle_tests @ site_control_tests
-    @ no_sharing_tests @ adoption_tests @ stable_entry_tests )
+    @ no_sharing_tests @ adoption_tests @ graph_reader_tests @ stable_entry_tests )

@@ -114,19 +114,50 @@ let roundtrip_tests =
         let opts = { Options.default with Options.heap_by_site = true } in
         let fresh, loaded = save_load ~opts (bench "hash") in
         check_equivalent "hash/site" fresh loaded);
-    case "round trip preserves stored IN/OUT and map info" (fun () ->
-        let fresh, loaded = save_load (bench "misr") in
+    case "round trip preserves the graph's shape and map info" (fun () ->
+        (* the pairs are in the dump too: bottom on both sides, since a
+           finished run clears them and an entry does not hold them *)
+        let pp_rep ppf (l, ls) = Fmt.pf ppf "%a->%a" Loc.pp l Fmt.(list ~sep:comma Loc.pp) ls in
         let dump (g : Ig.t) =
           Ig.fold
             (fun acc n ->
-              Fmt.str "%s#%d in=%a out=%a maps=%d" n.Ig.func n.Ig.id Pts.pp_state
-                n.Ig.stored_input Pts.pp_state n.Ig.stored_output
-                (List.length n.Ig.map_info)
+              Fmt.str "%s#%d partner=%a sites=%a in=%a out=%a maps=%a" n.Ig.func n.Ig.id
+                Fmt.(option ~none:(any "-") int)
+                (Option.map (fun p -> p.Ig.id) n.Ig.partner)
+                Fmt.(list ~sep:comma int)
+                (List.map fst n.Ig.children) Pts.pp_state n.Ig.stored_input Pts.pp_state
+                n.Ig.stored_output
+                Fmt.(list ~sep:semi pp_rep)
+                n.Ig.map_info
               :: acc)
             [] g
         in
-        Alcotest.(check (list string))
-          "per-node stored pairs" (dump fresh.Analysis.graph) (dump loaded.Analysis.graph));
+        List.iter
+          (fun (name, mapped) ->
+            let fresh, loaded = save_load (bench name) in
+            Alcotest.(check bool)
+              (name ^ ": nodes with map information")
+              mapped
+              (Ig.fold (fun acc n -> acc || n.Ig.map_info <> []) false fresh.Analysis.graph);
+            Alcotest.(check (list string))
+              (name ^ ": per-node shape and map information")
+              (dump fresh.Analysis.graph) (dump loaded.Analysis.graph))
+          [ ("misr", false); ("config", true) ]);
+    case "the result section interns no set for the graph" (fun () ->
+        (* the set chunk after the blocks is the entry output's: it
+           adds that set at most *)
+        List.iter
+          (fun (name, source) ->
+            in_temp (fun dir ->
+                let _ = Persist.analyze_cached ~cache_dir:dir source in
+                let before, added, entry_ref =
+                  result_rest_sets (entry_section (read_file (plain_entry ~dir source)) "")
+                in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: %d sets after the blocks" name added)
+                  true
+                  (added = 0 || (added = 1 && entry_ref = before + 1))))
+          [ ("livc", bench "livc"); ("config", bench "config"); ("misr", bench "misr") ]);
   ]
 
 (** A lookup of [source] under [opts] and [entry] that finds the entry
@@ -285,8 +316,8 @@ let plain_data_tests =
     whose one record ends with the row of its [return] (local statement
     index 2, set index), the call count 2, then the calls as (local
     statement index of the call, callee name, ordinal of the callee's
-    record plus one): [a]'s, then [b]'s. Every number here fits one
-    byte. *)
+    record plus one, map information): [a]'s, then [b]'s, whose map
+    information is empty (one byte). Every number here fits one byte. *)
 let rec damaged_summaries_fall_back damage =
   damaged_entry_falls_back
     ~src:
@@ -298,15 +329,15 @@ let rec damaged_summaries_fall_back damage =
     ~segments:[ ""; "a"; "b"; "leaf"; "main" ]
     ~tail:
       ( "main's rows and calls",
-        [ 2; 1; 2; 0; 1; Char.code 'a'; 1; 1; 1; Char.code 'b'; 1 ] )
+        [ 2; 1; 2; 0; 1; Char.code 'a'; 1; 0; 1; 1; Char.code 'b'; 1; 0 ] )
     damage
 
 (** The same for the call records of a function that calls through a
     pointer: [z]'s segment comes last, and its one record ends with the
     call count 2, then the calls as (local statement index of the call,
     callee name, ordinal plus one or 0 for a function outside the
-    program): [a]'s, then [e]'s. The index lists [a] and [e] as [z]'s
-    targets. *)
+    program, map information, empty here): [a]'s, then [e]'s. The index
+    lists [a] and [e] as [z]'s targets. *)
 and damaged_sites_fall_back damage =
   damaged_entry_falls_back
     ~src:
@@ -319,7 +350,7 @@ and damaged_sites_fall_back damage =
     ~segments:[ ""; "a"; "main"; "z" ]
     ~tail:
       ( "z's calls",
-        [ 2; 3; 1; Char.code 'a'; 1; 3; 1; Char.code 'e'; 0 ] )
+        [ 2; 3; 1; Char.code 'a'; 1; 0; 3; 1; Char.code 'e'; 0; 0 ] )
     damage
 
 and damaged_entry_falls_back ~src ~segments ~tail:(what, tail) damage =
@@ -361,19 +392,19 @@ let reference_tests =
   [
     case "an out-of-range summary reference is corrupt: quarantine, cold fallback" (fun () ->
         (* the call of [b] names a record past [b]'s one record *)
-        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 1) 0x7f));
+        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 2) 0x7f));
     case "a summary reference no kept record answers is corrupt: quarantine, cold fallback"
       (fun () ->
         (* the call of [b] names [z], which has no segment *)
-        damaged_summaries_fall_back (fun data n -> Bytes.set data (n - 2) 'z'));
+        damaged_summaries_fall_back (fun data n -> Bytes.set data (n - 3) 'z'));
     case "a summary row naming a statement its function lacks is corrupt: quarantine, cold fallback"
       (fun () ->
-        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 11) 0x7f));
+        damaged_summaries_fall_back (fun data n -> Bytes.set_uint8 data (n - 13) 0x7f));
     case "a direct call record naming another callee is corrupt: quarantine, cold fallback"
       (fun () ->
         (* the call statement of [b] names [a], whose one record the
            ordinal still finds *)
-        damaged_summaries_fall_back (fun data n -> Bytes.set data (n - 2) 'a'));
+        damaged_summaries_fall_back (fun data n -> Bytes.set data (n - 3) 'a'));
   ]
 
 (** Damage to the record of an indirect call: each site names one call
@@ -384,17 +415,17 @@ let site_tests =
       (fun () ->
         (* the call of [a] names [e], a listed target outside the
            program, which has no segment *)
-        damaged_sites_fall_back (fun data n -> Bytes.set data (n - 6) 'e'));
+        damaged_sites_fall_back (fun data n -> Bytes.set data (n - 8) 'e'));
     case "a site ordinal out of range is corrupt: quarantine, cold fallback" (fun () ->
         (* the call of [a] names a record past [a]'s one record *)
-        damaged_sites_fall_back (fun data n -> Bytes.set_uint8 data (n - 5) 0x7f));
+        damaged_sites_fall_back (fun data n -> Bytes.set_uint8 data (n - 7) 0x7f));
     case "a site past the end of its function is corrupt: quarantine, cold fallback" (fun () ->
         (* the call of [a] names a statement [z] lacks *)
-        damaged_sites_fall_back (fun data n -> Bytes.set_uint8 data (n - 8) 0x7f));
+        damaged_sites_fall_back (fun data n -> Bytes.set_uint8 data (n - 10) 0x7f));
     case "a site target the index does not list is corrupt: quarantine, cold fallback" (fun () ->
         (* the call of [a] names [z]: a function, but not one [z]'s
            indirect call reached *)
-        damaged_sites_fall_back (fun data n -> Bytes.set data (n - 6) 'z'));
+        damaged_sites_fall_back (fun data n -> Bytes.set data (n - 8) 'z'));
   ]
 
 let layout_tests =
@@ -438,12 +469,13 @@ let segment_pin data =
   in
   Digest.to_hex (Digest.string (String.concat "\n" lines))
 
-(** Recorded at the format-11 encoder that first wrote these entries:
-    (shape, function edited, primed digest, digest after the edit). *)
+(** Recorded at the format-14 encoder, whose call records carry map
+    information: (shape, function edited, primed digest, digest after
+    the edit). *)
 let codec_pins =
   [
-    ("web", "f1_3", "6db692e67ddd7bea7866163bb7b68bf3", "c0c23ae97698eefb2564ccacd9546717");
-    ("deep", "f3_1", "4c7f0487d7aef5988f17fbe328bd6c24", "6ffaae4f7f4e1cda0b846d6e61ce982f");
+    ("web", "f1_3", "5c64fdeeaec65a45bf2767224cbb28c5", "79d0ebc7a6f327661edb756c2769b8d9");
+    ("deep", "f3_1", "09df8c8a92b80de79bb570f110d2ed08", "8b78202920692028eae6cda1d3aa2e57");
   ]
 
 (** A program whose consecutive statements retarget one pointer among

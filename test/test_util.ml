@@ -266,11 +266,38 @@ let result_deltas (sec : string) : set_delta list =
   in
   List.concat_map in_block blocks @ read_sets sec pos row_srcs
 
+(** The shared set table as the entry output reads it: how many sets
+    the incomplete blocks' chunks hold, how many the chunk after the
+    blocks adds, and the entry output's reference into the table (0 for
+    bottom, else the set's index plus one), which follows that chunk. *)
+let result_rest_sets (sec : string) : int * int * int =
+  let blocks, row_srcs, pos = result_layout sec in
+  let chunk (_, complete, ordinals, bytes) =
+    if complete then 0
+    else begin
+      (* past the head: the complete byte, then the listed ordinals *)
+      let bpos = ref 1 in
+      let _, varint, _ = cursor bytes bpos in
+      ignore (varint ());
+      List.iter (fun _ -> ignore (varint ())) ordinals;
+      varint ()
+    end
+  in
+  let before = List.fold_left (fun n b -> n + chunk b) 0 blocks in
+  let _, varint, _ = cursor sec pos in
+  let at = !pos in
+  let added = varint () in
+  (* the chunk again from its count, read to its end *)
+  pos := at;
+  ignore (read_sets sec pos row_srcs);
+  (before, added, varint ())
+
 (** The call records of each record of a summary segment
     ([entry_section]'s bytes), in record order, each as (local statement
     index of the call, callee, ordinal plus one or 0). A segment is its
     location, row and set tables, then its records: input, output, rows,
-    then calls. *)
+    then calls, each of which ends with its map information (per
+    symbolic name, its location and the locations it stands for). *)
 let segment_calls (seg : string) : (int * string * int) list list =
   let pos = ref 0 in
   ignore (read_tables seg pos);
@@ -286,7 +313,11 @@ let segment_calls (seg : string) : (int * string * int) list list =
         List.init (varint ()) (fun _ ->
             let li = varint () in
             let g = str () in
-            (li, g, varint ())))
+            let k = varint () in
+            repeat (fun () ->
+                ignore (varint ());
+                repeat (fun () -> ignore (varint ())));
+            (li, g, k)))
   in
   if !pos <> String.length seg then Alcotest.failf "segment read to %d of %d bytes" !pos (String.length seg);
   calls

@@ -46,26 +46,33 @@ let with_trace trace_out f =
       in
       Fun.protect ~finally f
 
-(** Render an analysis failure: {!with_errors} reports the input errors
-    with it, and [tables] every per-file failure, where one bad file
-    must not kill the whole run. *)
-let describe_exn = function
-  | Cfront.Srcloc.Error (loc, m) -> Fmt.str "%a: error: %s" Cfront.Srcloc.pp loc m
+(** The message of an analysis failure the CLI reports as an error
+    (exit 1), [None] for any other exception. *)
+let analysis_error = function
+  | Cfront.Srcloc.Error (loc, m) -> Some (Fmt.str "%a: error: %s" Cfront.Srcloc.pp loc m)
   | Simple_ir.Simplify.Unsupported (loc, m) ->
-      Fmt.str "%a: unsupported: %s" Cfront.Srcloc.pp loc m
-  | Pointsto.Analysis.No_entry e -> Fmt.str "error: no entry function '%s'" e
-  | Pointsto.Guard.Cancelled -> "error: cancelled (task timeout)"
+      Some (Fmt.str "%a: unsupported: %s" Cfront.Srcloc.pp loc m)
+  | Pointsto.Analysis.No_entry e -> Some (Fmt.str "error: no entry function '%s'" e)
+  | Pointsto.Guard.Cancelled -> Some "error: cancelled (task timeout)"
   | Pointsto.Guard.Exhausted t ->
-      Fmt.str "error: %a (even the widened rerun blew the budget)" Pointsto.Guard.pp_trip t
-  | Pointsto.Fault.Injected p -> Fmt.str "error: injected fault '%s'" p
-  | e -> Printexc.to_string e
+      Some
+        (Fmt.str "error: %a (even the widened rerun blew the budget)" Pointsto.Guard.pp_trip t)
+  | Pointsto.Fault.Injected p -> Some (Fmt.str "error: injected fault '%s'" p)
+  | _ -> None
+
+(** Render an analysis failure: {!with_errors} reports it, and [tables]
+    every per-file failure, where one bad file must not kill the whole
+    run. *)
+let describe_exn e = Option.value (analysis_error e) ~default:(Printexc.to_string e)
 
 let with_errors f =
-  try f () with
-  | (Cfront.Srcloc.Error _ | Simple_ir.Simplify.Unsupported _ | Pointsto.Analysis.No_entry _)
-    as e ->
-      Fmt.epr "%s@." (describe_exn e);
-      exit 1
+  try f ()
+  with e -> (
+    match analysis_error e with
+    | Some m ->
+        Fmt.epr "%s@." m;
+        exit 1
+    | None -> raise e)
 
 let opts_of ~no_context ~no_definite ~sym_depth ~no_share ~heap_by_site =
   {

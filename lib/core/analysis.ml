@@ -62,57 +62,15 @@ let initial_input (tenv : Tenv.t) (entry_fn : Ir.func) : Pts.t =
 
 exception No_entry of string
 
-(** A degradation checkpoint: the aborted precise run's partial
-    per-function IN/OUT state, demoted to possible-only relationships,
-    in the shape of the widened engine's per-function slots. Seeding the
-    widened rerun from it resumes the work the trip unwound instead of
-    discarding it: every checkpointed pair is a fact the precise run
-    established (completed §6-memo evaluations and the invocation
-    graph's stored partial IN/OUT pairs), and widening it can only move
-    it toward the context-insensitive superset the rerun converges to,
-    so the degraded-superset property is untouched
-    (docs/ROBUSTNESS.md). *)
-type ci_seed = (string * (Pts.t option * Pts.state)) list
-
-(* widen one set: every relationship becomes possible-only *)
-let demote (s : Pts.t) : Pts.t =
-  Pts.fold (fun src tgt _cert acc -> Pts.add src tgt Pts.P acc) s Pts.empty
-
-let checkpoint_of (ctx : Engine.ctx) (graph : Ig.t) : ci_seed =
-  let slots : (string, Pts.t option * Pts.state) Hashtbl.t = Hashtbl.create 64 in
-  let note name (i : Pts.state) (o : Pts.state) =
-    let di = Option.map demote i and dm = Option.map demote o in
-    let cur_i, cur_o =
-      Option.value ~default:(None, None) (Hashtbl.find_opt slots name)
-    in
-    Hashtbl.replace slots name (Pts.merge_state cur_i di, Pts.merge_state cur_o dm)
-  in
-  (* the completed §6-sharing pairs: live entries, under sharing only *)
-  if ctx.Engine.opts.Options.share_contexts then
-    Hashtbl.iter
-      (fun name by_input ->
-        Pts.Tbl.iter
-          (fun _ e ->
-            if e.Engine.se_origin = Engine.Live then
-              note name (Some e.Engine.se_in) (Some e.Engine.se_out))
-          by_input)
-      ctx.Engine.store;
-  Ig.fold
-    (fun () node -> note node.Ig.func node.Ig.stored_input node.Ig.stored_output)
-    () graph;
-  Hashtbl.fold (fun name slot acc -> (name, slot) :: acc) slots []
-
 (** One full run under [guard]: raises [Guard.Exhausted] when the budget
     blows — [analyze] below handles the degradation. Does not touch the
     Metrics accumulator's lifecycle (the caller resets once, so the
-    degraded rerun accumulates on top of the aborted precise run).
-    [checkpoint_out] receives the partial-state checkpoint when the
-    budget trips; [ci_seed] pre-loads the widened engine's per-function
-    slots from a previous trip's checkpoint. [demand] runs over the
-    plan's slice (docs/DEMAND.md): the graph is built within it, and
-    the result's summary store stays empty. *)
+    degraded rerun accumulates on top of the aborted precise run, its
+    analysis time included). [demand] runs over the plan's slice
+    (docs/DEMAND.md): the graph is built within it, and the result's
+    summary store stays empty. *)
 let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded ?adopt
-    ?checkpoint_out ?(ci_seed = []) ?demand (prog : Ir.program) : result =
+    ?demand (prog : Ir.program) : result =
   let tenv = Tenv.make ~opts prog in
   let entry_fn =
     match Tenv.find_func tenv entry with
@@ -121,9 +79,6 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded ?adopt
   in
   let graph = Ig.build ?within:(Option.map Demand.in_slice demand) tenv ~entry in
   let ctx = Engine.make_ctx ~guard ~record_summaries ?seeded ?adopt ?demand tenv in
-  List.iter
-    (fun (name, slot) -> Hashtbl.replace ctx.Engine.ci_slots name slot)
-    ci_seed;
   let input0 = initial_input tenv entry_fn in
   let t0 = Metrics.now () in
   let ttr = Trace.start () in
@@ -145,22 +100,19 @@ let run ~opts ~entry ~guard ~degraded ?(record_summaries = false) ?seeded ?adopt
       !out
     end
   in
+  let add_time () =
+    let m = Metrics.cur () in
+    m.Metrics.t_analysis <- m.Metrics.t_analysis +. (Metrics.now () -. t0)
+  in
   let entry_output =
     try eval ()
-    with Guard.Exhausted _ as e ->
-      (match checkpoint_out with
-      | None -> ()
-      | Some slot ->
-          let tc0 = Trace.start () in
-          let ck = checkpoint_of ctx graph in
-          slot := Some ck;
-          if Trace.on () then
-            Trace.emit Trace.Checkpoint ~name:entry ~stmts:(List.length ck) ~t0:tc0 ());
+    with e ->
+      add_time ();
       raise e
   in
   if Option.is_some seeded then Engine.settle ctx;
   let stmt_pts = Engine.freeze_table ctx.Engine.stmt_pts in
-  (Metrics.cur ()).Metrics.t_analysis <- Metrics.now () -. t0;
+  add_time ();
   (* indirect call sites grew the graph after {!Ig.build} counted it.
      The nodes' IN/OUT pairs are the fixed point's memo (Figure 4):
      nothing reads them once the run is over and no entry saves them
@@ -209,22 +161,18 @@ let analyze ?(opts = Options.default) ?(entry = "main") ?budget
   let guard = Guard.of_budget budget in
   (* the guard may carry a heap-ceiling {!Gc.alarm}; never leak it *)
   Fun.protect ~finally:(fun () -> Guard.dispose guard) @@ fun () ->
-  let ckpt : ci_seed option ref = ref None in
   try
-    run ~opts ~entry ~guard ~degraded:None ~record_summaries ?seeded ?adopt
-      ~checkpoint_out:ckpt prog
+    run ~opts ~entry ~guard ~degraded:None ~record_summaries ?seeded ?adopt prog
   with Guard.Exhausted trip ->
     (* Graceful degradation: rerun under the widened semantics — the
        context-insensitive merged summary with possible-only
        relationships, i.e. exactly the ablation the engine already
-       implements. That mode is polynomial where the precise one can
-       blow up, so it gets the same wall-clock allowance afresh and no
-       fuel, size, or heap ceiling ({!Guard.widened}); a second
-       exhaustion is a genuine failure and propagates. The rerun does
-       not start cold: it is seeded from the checkpoint [run] took at
-       the trip — the aborted run's partial per-function state, widened
-       (sound: it only moves facts toward the superset the rerun
-       converges to). *)
+       implements, so the degraded tables are the ablation's answer
+       whenever and however the trip came. That mode is polynomial where
+       the precise one can blow up, so it gets the same wall-clock
+       allowance afresh and no fuel, size, or heap ceiling
+       ({!Guard.widened}); a second exhaustion is a genuine failure and
+       propagates. *)
     Metrics.((cur ()).budget_trips <- (cur ()).budget_trips + 1);
     if trip.Guard.t_reason = Guard.Heap then begin
       Metrics.((cur ()).heap_trips <- (cur ()).heap_trips + 1);
@@ -242,10 +190,8 @@ let analyze ?(opts = Options.default) ?(entry = "main") ?budget
     in
     let wguard = Guard.widened guard in
     let degraded = Some { deg_trip = trip; deg_budget = Guard.budget guard } in
-    let ci_seed = Option.value ~default:[] !ckpt in
-    Metrics.((cur ()).ckpt_funcs <- (cur ()).ckpt_funcs + List.length ci_seed);
     let tw0 = Trace.start () in
-    let r = run ~opts:wopts ~entry ~guard:wguard ~degraded ~ci_seed prog in
+    let r = run ~opts:wopts ~entry ~guard:wguard ~degraded prog in
     if Trace.on () then Trace.emit Trace.Widen ~name:entry ~t0:tw0 ();
     r
 

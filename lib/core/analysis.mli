@@ -76,8 +76,11 @@ exception No_entry of string
     budget is exhausted, the analysis degrades — it reruns under the
     widened (context-insensitive, possible-only) semantics with a fresh
     deadline-only guard and returns a result marked [degraded] instead
-    of raising. The widened rerun getting its own full deadline bounds
-    the total wall-clock at roughly twice [b_deadline_ms].
+    of raising. The rerun starts from nothing, so its tables are those
+    of [opts] with [context_sensitive] and [use_definite] off, whatever
+    the trip. The widened rerun getting its own full deadline bounds
+    the total wall-clock at roughly twice [b_deadline_ms]; the result's
+    metrics count both runs.
 
     @raise No_entry if the entry function is not defined.
     @raise Guard.Exhausted if even the widened rerun blows the deadline.

@@ -136,7 +136,7 @@ type ctx = {
   warn_seen : (string, unit) Hashtbl.t;
       (** messages already emitted (duplicate suppression in O(1)) *)
   (* context-insensitive ablation: one IN/OUT slot per function *)
-  ci_slots : (string, Pts.t option * Pts.state) Hashtbl.t;
+  ci_slots : (string, Pts.t * Pts.state) Hashtbl.t;
   ci_in_flight : (string, unit) Hashtbl.t;
   ci_done : (string, unit) Hashtbl.t;
       (** functions whose body has already been processed during the
@@ -1253,18 +1253,16 @@ and eval_node ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : 
     until no slot changes. *)
 and eval_ci ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : Pts.state =
   let name = callee_fn.Ir.fn_name in
-  let slot_in, slot_out =
+  let new_in, slot_out, input_grew =
     match Hashtbl.find_opt ctx.ci_slots name with
-    | Some (i, o) -> (i, o)
-    | None -> (None, Pts.bot)
+    | None -> (func_input, Pts.bot, true)
+    | Some (si, so) ->
+        let ni = Pts.merge si func_input in
+        (ni, so, not (Pts.equal si ni))
   in
-  let new_in =
-    match slot_in with None -> func_input | Some si -> Pts.merge si func_input
-  in
-  let input_grew = match slot_in with None -> true | Some si -> not (Pts.equal si new_in) in
   if input_grew then begin
     ctx.ci_changed <- true;
-    Hashtbl.replace ctx.ci_slots name (Some new_in, slot_out)
+    Hashtbl.replace ctx.ci_slots name (new_in, slot_out)
   end;
   (* recursion guard per function: the driver's outer fixed point
      iterates until no slot changes, so using the stored output here is
@@ -1291,10 +1289,8 @@ and eval_ci ctx (node : Ig.node) (callee_fn : Ir.func) (func_input : Pts.t) : Pt
     let merged_out = Pts.merge_state slot_out out in
     if not (Pts.state_equal merged_out slot_out) then begin
       ctx.ci_changed <- true;
-      let cur_in = match Hashtbl.find_opt ctx.ci_slots name with
-        | Some (i, _) -> i
-        | None -> Some new_in
-      in
+      (* a recursive call may have grown the slot's input meanwhile *)
+      let cur_in = fst (Hashtbl.find ctx.ci_slots name) in
       Hashtbl.replace ctx.ci_slots name (cur_in, merged_out)
     end;
     merged_out

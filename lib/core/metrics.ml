@@ -66,9 +66,6 @@ type t = {
   mutable heap_trips : int;
       (** budget trips whose reason was the [--max-heap-mb] memory
           ceiling (a subset of [budget_trips]) *)
-  mutable ckpt_funcs : int;
-      (** per-function IN/OUT slots seeded into a widened rerun from
-          the aborted precise run's checkpoint (docs/ROBUSTNESS.md) *)
   (* incremental re-analysis ({!Persist.analyze_cached} with
      [~incremental:true]) *)
   mutable incr_funcs_dirty : int;
@@ -142,7 +139,6 @@ let create () =
     cache_quarantined = 0;
     budget_trips = 0;
     heap_trips = 0;
-    ckpt_funcs = 0;
     incr_funcs_dirty = 0;
     incr_funcs_reused = 0;
     incr_nodes_rebuilt = 0;
@@ -199,7 +195,6 @@ let fields =
     Count ((fun m -> m.cache_quarantined), fun m v -> m.cache_quarantined <- v);
     Count ((fun m -> m.budget_trips), fun m v -> m.budget_trips <- v);
     Count ((fun m -> m.heap_trips), fun m v -> m.heap_trips <- v);
-    Count ((fun m -> m.ckpt_funcs), fun m v -> m.ckpt_funcs <- v);
     Count ((fun m -> m.incr_funcs_dirty), fun m v -> m.incr_funcs_dirty <- v);
     Count ((fun m -> m.incr_funcs_reused), fun m v -> m.incr_funcs_reused <- v);
     Count ((fun m -> m.incr_nodes_rebuilt), fun m v -> m.incr_nodes_rebuilt <- v);
@@ -295,9 +290,8 @@ let rows (m : t) : (string * string) list =
       Printf.sprintf "%d hits, %d misses (save %.3f ms, load %.3f ms)" m.cache_hits
         m.cache_misses (m.t_serialize *. 1e3) (m.t_deserialize *. 1e3) );
     ( "robustness",
-      Printf.sprintf "%d budget trips (%d heap), %d checkpointed functions, %d cache \
-                      entries quarantined" m.budget_trips m.heap_trips m.ckpt_funcs
-        m.cache_quarantined );
+      Printf.sprintf "%d budget trips (%d heap), %d cache entries quarantined"
+        m.budget_trips m.heap_trips m.cache_quarantined );
     ( "incremental",
       Printf.sprintf
         "%d functions dirty, %d summaries replayed, %d graph nodes rebuilt, %d functions \

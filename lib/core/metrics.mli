@@ -44,9 +44,6 @@ type t = {
   mutable heap_trips : int;
       (** budget trips whose reason was the [--max-heap-mb] memory
           ceiling (a subset of [budget_trips]) *)
-  mutable ckpt_funcs : int;
-      (** per-function IN/OUT slots seeded into a widened rerun from the
-          aborted precise run's checkpoint (docs/ROBUSTNESS.md) *)
   mutable incr_funcs_dirty : int;
       (** incremental re-analysis: functions marked dirty by the
           content-hash diff (edited functions plus every function that

@@ -46,7 +46,7 @@
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 14
+let version = 15
 
 let magic = "PTANC"
 

@@ -53,10 +53,9 @@ type kind =
       (** demand mode: one whole {!Analysis.analyze_demand} run over a
           planned slice *)
   | Checkpoint
-      (** graceful degradation: the snapshot of the aborted precise
-          run's partial per-function IN/OUT state, taken when a
-          {!Guard} budget trips and seeded into the widened rerun
-          ([sp_stmts] carries the number of seeded function slots) *)
+      (** no longer emitted: a tripped run's widened rerun starts from
+          nothing. Kept only because the perf harness matches every
+          kind *)
   | Oom
       (** a {!Guard} heap-ceiling trip ([--max-heap-mb]): the precise
           run exceeded its memory budget and degraded instead of dying

@@ -1,9 +1,11 @@
 #!/bin/sh
 # Paired perf runs: the measurement perf/README.md prescribes for a
-# claimed gain. Runs `perf.exe run --workload WORKLOAD` alternately in
-# PARENT_TREE and CHANGE_TREE (parent, change, parent, ...) on seeds
-# 1..PAIRS, SECONDS each, untraced, so that the two runs of a pair are
-# back to back and the pairing rule cancels the host's drift. The result
+# claimed gain. Runs `perf.exe run --workload WORKLOAD` in PARENT_TREE
+# and CHANGE_TREE on seeds 1..PAIRS, SECONDS each, untraced, so that the
+# two runs of a pair are back to back and the pairing rule cancels the
+# host's drift. The tree that runs first alternates from pair to pair
+# (odd seeds: parent first; even seeds: change first), so that neither
+# side always takes the slot after the other's run. The result
 # files go to perf-pairs/parent/ and perf-pairs/change/ under the
 # working directory, which are emptied first; then `perf.exe compare`
 # prints the verdict table (a gain needs at least 10 pairs).
@@ -47,8 +49,13 @@ run() {
 
 seed=1
 while [ "$seed" -le "$pairs" ]; do
-  run parent "$parent" "$seed"
-  run change "$change" "$seed"
+  if [ $((seed % 2)) -eq 1 ]; then
+    run parent "$parent" "$seed"
+    run change "$change" "$seed"
+  else
+    run change "$change" "$seed"
+    run parent "$parent" "$seed"
+  fi
   seed=$((seed + 1))
 done
 

@@ -245,7 +245,7 @@ let degradation_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Heap budget and checkpointed degradation                           *)
+(* Heap budget, and what a tripped run answers                        *)
 (* ------------------------------------------------------------------ *)
 
 let heap_tests =
@@ -297,28 +297,58 @@ let heap_tests =
         Alcotest.(check int) "budget trip counted" 1 deg.Analysis.metrics.M.budget_trips;
         Alcotest.(check bool) "still sound" true
           (is_superset ~full:(result_pairs full) ~degraded:(result_pairs deg)));
-    case "a mid-run trip checkpoints completed functions; result stays sound" (fun () ->
-        (* stanford under fuel 2 finishes several leaf functions before
-           the fixpoint blows, so the trip must hand the widened rerun a
-           non-empty seed — and the seed, being demoted facts of the
-           precise run, must not break the superset property *)
-        let p = Simple_ir.Simplify.of_file (bench "stanford") in
-        let full = Analysis.analyze p in
+    case "a tripped run's tables equal the --no-context --no-definite ablation" (fun () ->
+        (* the widened rerun starts from nothing, so neither the budget
+           nor how far the precise run got shows in its tables *)
+        let ablation =
+          { Options.default with Options.context_sensitive = false; use_definite = false }
+        in
+        List.iter
+          (fun (name, p, budget, fault) ->
+            let deg =
+              match fault with
+              | Some f -> Fault.with_point f (fun () -> Analysis.analyze ~budget p)
+              | None -> Analysis.analyze ~budget p
+            in
+            Alcotest.(check bool) (name ^ ": degraded") true (deg.Analysis.degraded <> None);
+            Alcotest.(check string) (name ^ ": the ablation's tables")
+              (stmt_digest (Analysis.analyze ~opts:ablation p))
+              (stmt_digest deg))
+          [
+            ( "stanford, fuel 2",
+              Simple_ir.Simplify.of_file (bench "stanford"),
+              { Guard.no_budget with Guard.b_fuel = Some 2 },
+              None );
+            ( "hash, alloc-spike",
+              Simple_ir.Simplify.of_file (bench "hash"),
+              { Guard.no_budget with Guard.b_max_heap_mb = Some 4096 },
+              Some Fault.Alloc_spike );
+            ( "knot-1000, max-locs 100",
+              Simple_ir.Simplify.of_string
+                (Gen.program
+                   {
+                     Gen.default with
+                     Gen.seed = 37;
+                     size = 1000;
+                     depth = 4;
+                     fnptr_density = 15;
+                     recursion = 30;
+                   }),
+              { Guard.no_budget with Guard.b_max_locs = Some 100 },
+              None );
+          ]);
+    case "a degraded result's analysis time covers the aborted run" (fun () ->
+        (* every precise body pass sleeps 50 ms, so the 75 ms deadline
+           trips at the check after the second sleep, 100 ms in; the
+           widened rerun does not sleep and takes about a millisecond *)
+        let p = Simple_ir.Simplify.of_file (bench "hash") in
         let deg =
-          Analysis.analyze ~budget:{ Guard.no_budget with Guard.b_fuel = Some 2 } p
+          Fault.with_point ~sleep_ms:50. Fault.Slow_fixpoint (fun () ->
+              Analysis.analyze ~budget:{ Guard.no_budget with Guard.b_deadline_ms = Some 75. } p)
         in
         Alcotest.(check bool) "degraded" true (deg.Analysis.degraded <> None);
-        Alcotest.(check bool) "some functions checkpointed" true
-          (deg.Analysis.metrics.M.ckpt_funcs > 0);
-        Alcotest.(check bool) "superset despite seeding" true
-          (is_superset ~full:(result_pairs full) ~degraded:(result_pairs deg)));
-    case "an untripped budget checkpoints nothing" (fun () ->
-        let p = Simple_ir.Simplify.of_file (bench "hash") in
-        let r =
-          Analysis.analyze ~budget:{ Guard.no_budget with Guard.b_fuel = Some 1_000_000 } p
-        in
-        Alcotest.(check bool) "not degraded" true (r.Analysis.degraded = None);
-        Alcotest.(check int) "no checkpoint" 0 r.Analysis.metrics.M.ckpt_funcs);
+        Alcotest.(check bool) "at least the deadline" true
+          (deg.Analysis.metrics.M.t_analysis >= 0.075));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -801,6 +831,11 @@ let exit_code_tests =
         in
         Alcotest.(check int) "exit 3" 3 code;
         Alcotest.(check bool) "heap named in the report" true (contains out "heap"));
+    case "analyze: a widened rerun that blows the budget too exits 1" (fun () ->
+        let code, _, err = run_ptan (Fmt.str "analyze --no-cache --deadline-ms 0 %s" (bench "hash")) in
+        Alcotest.(check int) "exit 1" 1 code;
+        Alcotest.(check bool) "the reason on stderr" true
+          (contains err "(even the widened rerun blew the budget)"));
   ]
 
 (* ------------------------------------------------------------------ *)

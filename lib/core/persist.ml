@@ -757,6 +757,35 @@ let read_section (s : section) f =
   v
 
 (* ------------------------------------------------------------------ *)
+(* Decoded forms                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(** A decoded record, not yet bound to a program: rows as local
+    statement indices and their sets, at one position in the two
+    arrays, calls by (local statement index, callee, ordinal plus one or
+    0, map information). *)
+type record = {
+  rc_in : Pts.t;
+  rc_out : Pts.t;
+  rc_lis : int array;
+  rc_sets : Pts.t array;
+  rc_calls : (int * string * int * Ig.map_info) list;
+}
+
+(** The result section's location and row tables, and the length of
+    their bytes, which a reader holding them steps over. *)
+type tables_form = { t_locs : Loc.t array; t_rows : row array; t_len : int }
+
+(** What a section decodes to, as far as a lookup keeps it: a summary
+    segment's records, or the result section's tables. A form is a
+    function of the section's bytes alone, so it is keyed by their
+    digest (docs/INCREMENTAL.md, "Resident sections"). *)
+type form = Records of record array | Tables of tables_form
+
+(** Forms by section digest. *)
+type held = (Digest.t, form) Hashtbl.t
+
+(* ------------------------------------------------------------------ *)
 (* The result section                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -809,11 +838,22 @@ let encode_block t ~complete ~ordinals (stmts : Ir.stmt array)
     Some (Buffer.contents b)
   end
 
+(* The tables [t] wrote in [len] bytes, as a reader decodes them: each
+   location and row at its index. *)
+let tables_form t ~len : tables_form =
+  let t_locs = Array.make t.locs.next (Loc.intern Loc.Heap) in
+  Hashtbl.iter (fun l i -> t_locs.(i) <- Loc.intern l) t.locs.tbl;
+  let t_rows = Array.make t.rws.rw_next (Loc.intern Loc.Heap, Loc.Map.empty) in
+  Hashtbl.iter
+    (fun _ bucket -> List.iter (fun (src, m, i) -> t_rows.(i) <- (Loc.intern src, m)) bucket)
+    t.rws.rw_tbl;
+  { t_locs; t_rows; t_len = len }
+
 (* [ordinals f] gives the ordinal of each record in [f]'s segment by
    input, when [f] has one. A function whose rows some contribution
    other than a stored frame made, or that has no segment, writes an
-   incomplete block. *)
-let encode_result ?(ordinals = fun _ -> None) (res : Analysis.result) : string =
+   incomplete block. Also returns the section's tables. *)
+let encode_result ?(ordinals = fun _ -> None) (res : Analysis.result) : string * tables_form =
   let t = tables 1024 in
   let blocks = Buffer.create 65536 in
   let n_blocks = ref 0 in
@@ -844,13 +884,15 @@ let encode_result ?(ordinals = fun _ -> None) (res : Analysis.result) : string =
   w_node t.locs pay res.Analysis.graph.Ig.root;
   let b = Buffer.create (Buffer.length blocks + Buffer.length pay + 65536) in
   w_str b (Marshal.to_string res.Analysis.prog []);
+  let at = Buffer.length b in
   w_locs b t.locs;
   w_rows b t.rws;
+  let form = tables_form t ~len:(Buffer.length b - at) in
   w_u b !n_blocks;
   Buffer.add_buffer b blocks;
   w_set_chunk b t.sets ~from;
   Buffer.add_buffer b pay;
-  Buffer.contents b
+  (Buffer.contents b, form)
 
 (** Step over a length-prefixed string, returning where it lies. *)
 let skip_str r =
@@ -872,6 +914,23 @@ let r_prog ?prog r : Ir.program =
       if n < Marshal.header_size || Marshal.total_size (Bytes.unsafe_of_string r.data) at <> n
       then raise Bad;
       Marshal.from_string r.data at
+
+(** The location and row tables of the verified result section whose
+    digest is [digest], read at [r], just past the program: stepped over
+    when [held] has them, else decoded and added to [held]. *)
+let r_result_tables ~(held : held) digest r : tables_form =
+  match Hashtbl.find_opt held digest with
+  | Some (Tables t) ->
+      if t.t_len > r.lim - r.pos then raise Bad;
+      r.pos <- r.pos + t.t_len;
+      t
+  | Some (Records _) | None ->
+      let at = r.pos in
+      let t_locs = r_loc_table r in
+      let t_rows = r_row_table (Hashtbl.create 256) t_locs r in
+      let t = { t_locs; t_rows; t_len = r.pos - at } in
+      Hashtbl.replace held digest (Tables t);
+      t
 
 (** The result section [s], already verified, with [prog] in place of
     its program and every later byte copied: a rekey's, whose tables
@@ -912,13 +971,12 @@ let r_block_rows arr rows ~(sets : set_vec) (stmts : Ir.stmt array) r f =
   done;
   if r.pos <> r.lim then raise Bad
 
-let decode_result ~opts ?prog r : Analysis.result =
+let decode_result ~opts ~held ?prog (s : section) r : Analysis.result =
   let prog = r_prog ?prog r in
   (* small: an array past the minor heap's size limit would make every
      insert a major-heap write *)
   let stmt_pts = Hashtbl.create 64 in
-  let arr = r_loc_table r in
-  let rows = r_row_table (Hashtbl.create 256) arr r in
+  let { t_locs = arr; t_rows = rows; _ } = r_result_tables ~held s.s_digest r in
   (* the table the incomplete blocks and the rest extend *)
   let shared = set_vec () in
   (* blocks come in program order *)
@@ -973,49 +1031,66 @@ let decode_result ~opts ?prog r : Analysis.result =
    segment plus one, or 0 when the call used no entry, the call's map
    information over the segment's locations). A segment thus
    depends on no other section's bytes, only on the record order of its
-   callees' segments, which every save keeps (see {!segments_of}). *)
-let encode_segment ~local ~ordinal (records : Engine.summary_entry list) : string =
+   callees' segments, which every save keeps (see {!segments_of}). Also
+   returns the records as {!decode_segment} reads them back. *)
+let encode_segment ~local ~ordinal (records : Engine.summary_entry list) :
+    string * record array =
   let t = tables 16 in
   let recs = Buffer.create 1024 in
   w_u recs (List.length records);
-  List.iter
-    (fun (en : Engine.summary_entry) ->
-      let fr =
-        match en.Engine.se_frame with
-        | Some fr -> fr
-        | None -> failwith "Persist: a frameless summary record"
-      in
-      w_u recs (set_ix t en.Engine.se_in);
-      w_u recs (set_ix t en.Engine.se_out);
-      w_u recs (Array.length fr.Engine.f_rows);
-      Array.iter
-        (fun (sid, s) ->
-          w_u recs (local sid);
-          w_u recs (set_ix t s))
-        fr.Engine.f_rows;
-      w_u recs (List.length fr.Engine.f_calls);
-      List.iter
-        (fun (c : Engine.call) ->
-          w_u recs (local c.Engine.c_sid);
-          w_str recs c.Engine.c_fn;
-          w_u recs (match c.Engine.c_in with Some i -> 1 + ordinal c.Engine.c_fn i | None -> 0);
-          w_map_info t.locs recs c.Engine.c_map)
-        fr.Engine.f_calls)
-    records;
+  (* a set's index, and the set the records keep for it: the first one
+     interned under it, so that equal sets share one, as read back *)
+  let firsts = Hashtbl.create 64 in
+  let set_ref s =
+    let i = set_ix t s in
+    w_u recs i;
+    match Hashtbl.find_opt firsts i with
+    | Some s -> s
+    | None ->
+        Hashtbl.add firsts i s;
+        s
+  in
+  let decoded =
+    List.map
+      (fun (en : Engine.summary_entry) ->
+        let fr =
+          match en.Engine.se_frame with
+          | Some fr -> fr
+          | None -> failwith "Persist: a frameless summary record"
+        in
+        let rc_in = set_ref en.Engine.se_in in
+        let rc_out = set_ref en.Engine.se_out in
+        let rows = fr.Engine.f_rows in
+        w_u recs (Array.length rows);
+        let rc_lis = Array.make (Array.length rows) 0 in
+        let rc_sets = Array.make (Array.length rows) Pts.empty in
+        Array.iteri
+          (fun i (sid, s) ->
+            let li = local sid in
+            w_u recs li;
+            rc_lis.(i) <- li;
+            rc_sets.(i) <- set_ref s)
+          rows;
+        w_u recs (List.length fr.Engine.f_calls);
+        let rc_calls =
+          List.map
+            (fun (c : Engine.call) ->
+              let li = local c.Engine.c_sid in
+              let k = match c.Engine.c_in with Some i -> 1 + ordinal c.Engine.c_fn i | None -> 0 in
+              w_u recs li;
+              w_str recs c.Engine.c_fn;
+              w_u recs k;
+              w_map_info t.locs recs c.Engine.c_map;
+              (li, c.Engine.c_fn, k, c.Engine.c_map))
+            fr.Engine.f_calls
+        in
+        { rc_in; rc_out; rc_lis; rc_sets; rc_calls })
+      records
+  in
   let b = Buffer.create (Buffer.length recs + 1024) in
   w_tables b t;
   Buffer.add_buffer b recs;
-  Buffer.contents b
-
-(** A decoded record, not yet bound to a program: rows by local
-    statement index, calls by (local statement index, callee, ordinal
-    plus one or 0, map information). *)
-type record = {
-  rc_in : Pts.t;
-  rc_out : Pts.t;
-  rc_rows : (int * Pts.t) array;
-  rc_calls : (int * string * int * Ig.map_info) list;
-}
+  (Buffer.contents b, Array.of_list decoded)
 
 let decode_segment canon r : record array =
   let arr, sets = r_tables canon r in
@@ -1023,11 +1098,12 @@ let decode_segment canon r : record array =
     r_list r (fun () ->
         let rc_in = r_set_ref sets r in
         let rc_out = r_set_ref sets r in
-        let rc_rows =
-          Array.init (r_count r) (fun _ ->
-              let li = r_u r in
-              (li, r_set_ref sets r))
-        in
+        let n = r_count r in
+        let rc_lis = Array.make n 0 and rc_sets = Array.make n Pts.empty in
+        for i = 0 to n - 1 do
+          rc_lis.(i) <- r_u r;
+          rc_sets.(i) <- r_set_ref sets r
+        done;
         let rc_calls =
           r_list r (fun () ->
               let li = r_u r in
@@ -1035,7 +1111,7 @@ let decode_segment canon r : record array =
               let k = r_u r in
               (li, g, k, r_map_info arr r))
         in
-        { rc_in; rc_out; rc_rows; rc_calls })
+        { rc_in; rc_out; rc_lis; rc_sets; rc_calls })
   in
   Array.of_list recs
 
@@ -1110,6 +1186,54 @@ let open_entry (data : string) : entry =
   match sections with
   | ("", en_result) :: en_segments -> { en_key; en_fp; en_result; en_segments; en_targets }
   | _ -> raise Bad
+
+(* ------------------------------------------------------------------ *)
+(* Resident sections                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Per cache file, the decoded forms of sections of the entry this
+   domain last read or wrote there: what a lookup decoded, and what a
+   save encoded or copied. A lookup verifies a section's bytes against
+   the index digest, as it always does, and only then takes the held
+   form of that digest in place of decoding. Forms hold locations
+   interned in this domain ({!Loc}), hence one table per domain; each
+   file's table is replaced wholesale, so it never outgrows one entry.
+   An entry that another writer replaced is read from disk wherever its
+   digests differ. *)
+let resident : (string, held) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+(** Make [held] the forms of [file]. *)
+let hold file (held : held) = Hashtbl.replace (Domain.DLS.get resident) file held
+
+(** Forget every form of [file]. *)
+let release file = Hashtbl.remove (Domain.DLS.get resident) file
+
+(** [file]'s forms of the sections of [en], the entry just read there,
+    which become the file's table: what a lookup of [en] can use, and
+    what it adds as it decodes. *)
+let held_for file (en : entry) : held =
+  let held = Hashtbl.create 64 in
+  (match Hashtbl.find_opt (Domain.DLS.get resident) file with
+  | None -> ()
+  | Some prev ->
+      List.iter
+        (fun (s : section) ->
+          Option.iter (Hashtbl.replace held s.s_digest) (Hashtbl.find_opt prev s.s_digest))
+        (en.en_result :: List.map snd en.en_segments));
+  hold file held;
+  held
+
+(** Drop from [held] the forms of [en]'s segments but those of functions
+    [keep] holds for: what a partial hit of [en] cannot use, since its
+    save writes the other functions' segments afresh. *)
+let retain ~keep (held : held) (en : entry) =
+  let used = Hashtbl.create 64 in
+  Hashtbl.replace used en.en_result.s_digest ();
+  List.iter
+    (fun (fn, (s : section)) -> if keep fn then Hashtbl.replace used s.s_digest ())
+    en.en_segments;
+  Hashtbl.filter_map_inplace (fun d f -> if Hashtbl.mem used d then Some f else None) held
 
 (* ------------------------------------------------------------------ *)
 (* Save                                                               *)
@@ -1187,11 +1311,12 @@ let publish file ~key ~fp ~(result : section) ~(segments : (string * section) li
       Fault.maybe_corrupt_file file)
 
 (** What a lookup bound from a kept function's segment: the section, to
-    copy, the inputs of its records with their ordinals, the function's
-    target list in the entry's index, and its statements in local
-    order. *)
+    copy, and its records, the inputs of its records with their
+    ordinals, the function's target list in the entry's index, and its
+    statements in local order. *)
 type bound = {
   b_sec : section;
+  b_recs : record array;
   b_ord : int Pts.Tbl.t;
   b_targets : string list;
   b_stmts : Ir.stmt array;
@@ -1209,10 +1334,11 @@ type plan = Copy of bound | Encode of Engine.summary_entry list
    unchanged. A seed's calls were resolved when it was bound, and a live
    frame is stored only when its calls' entries resolve to framed
    entries ({!Engine.eval_node}), so every call's entry has an
-   ordinal. Also returns, per function with a segment, the ordinal of
-   each of its records by input. *)
+   ordinal. Each segment comes with its records. Also returns, per
+   function with a segment, the ordinal of each of its records by
+   input. *)
 let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
-    (string * section) list * (string -> (Pts.t -> int) option) =
+    (string * section * record array) list * (string -> (Pts.t -> int) option) =
   let plans =
     Hashtbl.fold
       (fun fn by_input acc ->
@@ -1267,7 +1393,7 @@ let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
   ( List.map
     (fun (fn, plan) ->
       match plan with
-      | Copy b -> (fn, b.b_sec)
+      | Copy b -> (fn, b.b_sec, b.b_recs)
       | Encode recs ->
           let local = Hashtbl.create 64 in
           Option.iter
@@ -1278,7 +1404,8 @@ let segments_of ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result) :
             | Some li -> li
             | None -> failwith "Persist: a frame row outside its function"
           in
-          (fn, section_of (encode_segment ~local ~ordinal recs)))
+          let bytes, decoded = encode_segment ~local ~ordinal recs in
+          (fn, section_of bytes, decoded))
       plans,
     fun fn -> if Hashtbl.mem ordinals fn then Some (ordinal fn) else None )
 
@@ -1317,12 +1444,20 @@ let indirect_targets ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result
 (* Write [res] under header key [key] (raw bytes), with [fp], the
    fingerprint of [res]'s program, in the index; [sections] gives the
    result section, the segments, encoded or copied, and the index's
-   target lists. The cost, encoding included, goes to [t_serialize]. *)
+   target lists, each section with its decoded form when known. Those
+   forms are [file]'s resident ones once the entry is published. The
+   cost, encoding included, goes to [t_serialize]. *)
 let write ~source ~key ~fp ~sections (res : Analysis.result) file =
   let t0 = Metrics.now () in
   let tr0 = Trace.start () in
-  let result, segments, targets = sections () in
-  publish file ~key ~fp ~result ~segments ~targets;
+  let (result, tables), segments, targets = sections () in
+  publish file ~key ~fp ~result ~segments:(List.map (fun (fn, s, _) -> (fn, s)) segments) ~targets;
+  let held = Hashtbl.create 64 in
+  Option.iter (fun t -> Hashtbl.replace held result.s_digest (Tables t)) tables;
+  List.iter
+    (fun (_, s, recs) -> Option.iter (fun r -> Hashtbl.replace held s.s_digest (Records r)) recs)
+    segments;
+  hold file held;
   let m = res.Analysis.metrics in
   m.Metrics.t_serialize <- m.Metrics.t_serialize +. (Metrics.now () -. t0);
   if Trace.on () then
@@ -1504,8 +1639,10 @@ let eligible_funcs ~(targets : string -> string list) (p : Ir.program)
    [.bad] file is kept rather than deleted so operators can post-mortem
    what corrupted it — which is why a pre-existing [.bad] (an earlier,
    still-uninspected corruption) must not be clobbered: later victims
-   go to [.bad.1], [.bad.2], ... instead. *)
+   go to [.bad.1], [.bad.2], ... instead. The file's resident forms
+   go too. *)
 let quarantine file =
+  release file;
   let base = file ^ ".bad" in
   let dest =
     if not (Sys.file_exists base) then base
@@ -1540,24 +1677,40 @@ let kept_funcs ~fp (prog : Ir.program) (en : entry) : (string, unit) Hashtbl.t o
     let targets fn = Option.value ~default:[] (List.assoc_opt fn en.en_targets) in
     Some (eligible_funcs ~targets prog ~old_hashes:(digests en.en_fp) ~new_hashes:(digests fp))
 
-(** Verify and decode the segments of the [keep]-satisfying functions,
-    and bind their records to [p]: rows to [p]'s statement ids, calls to
-    the call statements and the callee records they name. Reads no other
-    section. A saved entry is closed under its calls, [keep] is closed
-    under direct calls and recorded targets, and a kept function is
-    unchanged, so every call's entry is a record of a kept segment, every
-    row names a statement of its function, and every call a call
-    statement of its function to the callee it names: the direct call's
-    callee, or one of the index's targets for the function. Anything
-    else, like a decode failure, an out-of-range index or two records of
-    one input under digests that held, means a damaged entry: [Bad]. *)
-let bind_summaries ~keep (p : Ir.program) (en : entry) :
-    Engine.store * (string, bound) Hashtbl.t =
+(** Verify the segments of the [keep]-satisfying functions, take each
+    one's records from [held] or decode them into it, and bind them to
+    [p]: rows to [p]'s statement ids, calls to the call statements and
+    the callee records they name. Reads no other section. A saved entry
+    is closed under its calls, [keep] is closed under direct calls and
+    recorded targets, and a kept function is unchanged, so every call's
+    entry is a record of a kept segment, every row names a statement of
+    its function, and every call a call statement of its function to the
+    callee it names: the direct call's callee, or one of the index's
+    targets for the function. Anything else, like a decode failure, an
+    out-of-range index or two records of one input under digests that
+    held, means a damaged entry: [Bad]. Also returns how many segments
+    [held] served. *)
+let bind_summaries ~(held : held) ~keep (p : Ir.program) (en : entry) :
+    Engine.store * (string, bound) Hashtbl.t * int =
   let kept = List.filter (fun (fn, _) -> keep fn) en.en_segments in
   let decoded = Hashtbl.create 64 in
   let canon = Hashtbl.create 256 in
+  let served = ref 0 in
   List.iter
-    (fun (fn, sec) -> Hashtbl.replace decoded fn (read_section sec (decode_segment canon)))
+    (fun (fn, sec) ->
+      let r = verified sec in
+      let recs =
+        match Hashtbl.find_opt held sec.s_digest with
+        | Some (Records recs) ->
+            incr served;
+            recs
+        | Some (Tables _) | None ->
+            let recs = decode_segment canon r in
+            if r.pos <> r.lim then raise Bad;
+            Hashtbl.replace held sec.s_digest (Records recs);
+            recs
+      in
+      Hashtbl.replace decoded fn recs)
     kept;
   let funcs = Hashtbl.create 64 in
   List.iter (fun f -> Hashtbl.replace funcs f.Ir.fn_name f) p.Ir.funcs;
@@ -1565,6 +1718,7 @@ let bind_summaries ~keep (p : Ir.program) (en : entry) :
   let bound = Hashtbl.create 64 in
   List.iter
     (fun (fn, b_sec) ->
+      let b_recs = Hashtbl.find decoded fn in
       let stmts = match Hashtbl.find_opt funcs fn with Some f -> local_stmts f | None -> raise Bad in
       let b_targets = Option.value ~default:[] (List.assoc_opt fn en.en_targets) in
       let entry_of g k =
@@ -1578,9 +1732,11 @@ let bind_summaries ~keep (p : Ir.program) (en : entry) :
           if Pts.Tbl.mem b_ord rc.rc_in then raise Bad;
           Pts.Tbl.add b_ord rc.rc_in k;
           let f_rows =
-            Array.map
-              (fun (li, s) -> if li >= Array.length stmts then raise Bad else (stmts.(li).Ir.s_id, s))
-              rc.rc_rows
+            Array.mapi
+              (fun i li ->
+                if li >= Array.length stmts then raise Bad;
+                (stmts.(li).Ir.s_id, rc.rc_sets.(i)))
+              rc.rc_lis
           in
           (* rows are written in statement order, which local order
              keeps unless lowering numbers nested statements otherwise *)
@@ -1608,27 +1764,27 @@ let bind_summaries ~keep (p : Ir.program) (en : entry) :
                  se_frame = Some { Engine.f_rows; f_calls };
                  se_origin = Engine.Seeded;
                }))
-        (Hashtbl.find decoded fn);
-      Hashtbl.replace bound fn { b_sec; b_ord; b_targets; b_stmts = stmts })
+        b_recs;
+      Hashtbl.replace bound fn { b_sec; b_recs; b_ord; b_targets; b_stmts = stmts })
     kept;
-  (out, bound)
+  (out, bound, !served)
 
 (* The [adopt] of a run seeded from [en] ({!Analysis.analyze}): the
    rows of a kept function whose block in [en]'s result section is
    complete and lists exactly the records the run replayed. A block of
    one record gives that record's frame rows, which are its rows;
-   others are decoded. The result section is verified, and its location
-   and row tables decoded, on the first call; any damage raises [Bad]. *)
-let adopter ~(bound : (string, bound) Hashtbl.t) (en : entry) =
+   others are decoded. The result section is verified on the first call,
+   and its location and row tables taken from [held] or decoded into
+   it; any damage raises [Bad]. *)
+let adopter ~held ~(bound : (string, bound) Hashtbl.t) (en : entry) =
   let section =
     lazy
       (let r = verified en.en_result in
        ignore (skip_str r);
-       let locs = r_loc_table r in
-       let rows = r_row_table (Hashtbl.create 64) locs r in
+       let t = r_result_tables ~held en.en_result.s_digest r in
        let blocks = Hashtbl.create 64 in
        List.iter (fun (name, blk) -> Hashtbl.replace blocks name blk) (r_blocks r);
-       (locs, rows, blocks))
+       (t.t_locs, t.t_rows, blocks))
   in
   fun fname (entries : Engine.summary_entry list) ->
     match Hashtbl.find_opt bound fname with
@@ -1660,15 +1816,18 @@ let load_summaries ~cache_dir ~source ~opts ?(entry = "main") (prog : Ir.program
   if not (seedable_mode opts) then None
   else
     let t = ref 0. in
-    match open_file ~source ~t (cache_file_incr ~cache_dir ~source ~opts ~entry) with
+    let file = cache_file_incr ~cache_dir ~source ~opts ~entry in
+    match open_file ~source ~t file with
     | Error _ -> None
     | Ok en ->
         Option.bind
           (kept_funcs ~fp:(fingerprint ~opts ~entry prog) prog en)
           (fun elig ->
+            let held = held_for file en in
             Result.to_option
               (loading ~source ~t (fun () ->
-                   fst (bind_summaries ~keep:(Hashtbl.mem elig) prog en))))
+                   let seeds, _, _ = bind_summaries ~held ~keep:(Hashtbl.mem elig) prog en in
+                   seeds)))
 
 let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budget
     ?(incremental = false) source : Analysis.result * bool =
@@ -1705,13 +1864,24 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
             stored := None;
             None)
   in
-  (match open_file ~source ~t:t_load file with
-  | Ok en -> stored := Some en
-  | Error Corrupt ->
-      quarantine file;
-      incr quarantined
-  | Error Missing -> ());
-  let result_of ?prog en = read_section en.en_result (decode_result ~opts ?prog) in
+  (* the forms of the stored entry's sections that this domain holds,
+     and those the lookup decodes ({!held_for}) *)
+  let held =
+    match open_file ~source ~t:t_load file with
+    | Ok en ->
+        stored := Some en;
+        held_for file en
+    | Error Corrupt ->
+        quarantine file;
+        incr quarantined;
+        Hashtbl.create 1
+    | Error Missing ->
+        release file;
+        Hashtbl.create 1
+  in
+  let result_of ?prog en =
+    read_section en.en_result (decode_result ~opts ~held ?prog en.en_result)
+  in
   let hit (res : Analysis.result) =
     let m = res.Analysis.metrics in
     m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. !t_load;
@@ -1753,7 +1923,19 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
           (try
              write ~source ~key:mykey ~fp
                ~sections:(fun () ->
-                 (reprogram en.en_result prog, en.en_segments, en.en_targets))
+                 let tables =
+                   match Hashtbl.find_opt held en.en_result.s_digest with
+                   | Some (Tables t) -> Some t
+                   | Some (Records _) | None -> None
+                 in
+                 let records (s : section) =
+                   match Hashtbl.find_opt held s.s_digest with
+                   | Some (Records recs) -> Some recs
+                   | Some (Tables _) | None -> None
+                 in
+                 ( (reprogram en.en_result prog, tables),
+                   List.map (fun (fn, s) -> (fn, s, records s)) en.en_segments,
+                   en.en_targets ))
                res file
            with Sys_error _ | Failure _ -> ());
           let m = res.Analysis.metrics in
@@ -1770,21 +1952,31 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
                 | None -> (n_defined, None, None, None)
                 | Some elig -> (
                     let dirty = n_defined - Hashtbl.length elig in
+                    retain ~keep:(Hashtbl.mem elig) held en;
                     (* reading the kept segments is the seeding: timed
                        as a load, traced in the [dirty] span *)
                     let seeds =
-                      read (timed ~t:t_load) (bind_summaries ~keep:(Hashtbl.mem elig) prog)
+                      read (timed ~t:t_load)
+                        (bind_summaries ~held ~keep:(Hashtbl.mem elig) prog)
                     in
-                    if Trace.on () then
+                    (* the kept segments decoded, and those served
+                       resident *)
+                    if Trace.on () then begin
+                      let pts_in, pts_out =
+                        match seeds with
+                        | Some (_, bound, served) -> (Hashtbl.length bound - served, served)
+                        | None -> (-1, -1)
+                      in
                       Trace.emit Trace.Dirty ~name:(Filename.basename source) ~stmts:dirty
-                        ~t0:td0 ();
+                        ~pts_in ~pts_out ~t0:td0 ()
+                    end;
                     match seeds with
-                    | Some (seeds, bound) ->
+                    | Some (seeds, bound, _) ->
                         (* damage to a block quarantines the entry,
                            and the run folds; reading blocks happens in
                            the run, so it is timed as analysis, not as
                            a load *)
-                        let rows = adopter ~bound en in
+                        let rows = adopter ~held ~bound en in
                         let adopt fname entries =
                           Option.join (read (timed ~t:(ref 0.)) (fun _ -> rows fname entries))
                         in
@@ -1811,8 +2003,9 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
                write ~source ~key:mykey ~fp
                  ~sections:(fun () ->
                    let segments, ordinals = segments_of ~bound res in
-                   ( section_of (encode_result ~ordinals res),
-                     segments,
+                   let result, tables = encode_result ~ordinals res in
+                   ( (section_of result, Some tables),
+                     List.map (fun (fn, s, recs) -> (fn, s, Some recs)) segments,
                      indirect_targets ~bound res ))
                  res file;
                (* the fingerprint is the save's digest work, computed

@@ -177,7 +177,16 @@ val load_summaries :
     [incr_funcs_dirty] / [incr_funcs_reused] / [incr_funcs_adopted]
     metrics). Without sub-tree sharing, context sensitivity, or with
     [heap_by_site], nothing replays: an edit re-runs in full, as a plain
-    entry's does. Defaults to [false]. *)
+    entry's does. Defaults to [false].
+
+    The calling domain keeps, per cache file, the decoded sections of
+    the entry it last read or wrote there (summary records, and the
+    result section's location and row tables), keyed by section digest.
+    A later lookup of that file, this one or {!load_summaries}, verifies
+    every section it uses as always, then takes a held section's decoded
+    form instead of decoding it, so an edit loop in one process decodes
+    only the sections another writer changed. A quarantine drops the
+    file's sections (docs/INCREMENTAL.md, "Resident sections"). *)
 val analyze_cached :
   ?cache_dir:string ->
   ?opts:Options.t ->

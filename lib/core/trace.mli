@@ -42,7 +42,9 @@ type kind =
   | Request  (** one {!Serve} protocol request, parse to reply *)
   | Dirty
       (** incremental re-analysis: the content-hash diff and dirty-set
-          computation over the persisted v3 summaries ({!Persist}) *)
+          computation over the persisted summaries, and the seeding
+          from the kept ones ({!Persist}); [sp_in] counts the kept
+          segments decoded from disk, [sp_out] those served resident *)
   | Replay
       (** incremental re-analysis: one memoized (input, output) pair
           served from a persisted summary instead of a body fixpoint *)

@@ -133,4 +133,91 @@ cold_bodies=$("$ptan" analyze --no-cache --stats benchmarks/hash.c | grep '^body
   || { echo "serve_smoke: serve --stats body passes differ from '$cold_bodies'" >&2; cat "$tmp/serve4.err" >&2; exit 1; }
 echo "serve_smoke: --stats across a reload counts every request and the resident result"
 
+# ---- 5. reloads from memory after edits --------------------------------
+# `serve --incremental` on web-600. After a pointer edit, then a comment
+# edit, of f1_3, each followed by `reload`, the daemon reads the entry
+# that its previous save wrote, whose sections it still holds decoded
+# (docs/INCREMENTAL.md, "Resident sections"). The `calls` answer and
+# the function pointer's `pts` answer at every indirect call must equal
+# `ptan query --no-cache` on the edited text. Each reload's round trip
+# is printed for information only; there is no wall-clock gate.
+web="$tmp/web.c"
+"$ptan" gen --seed 11 --size 600 --depth 4 --fnptr-density 30 --out "$web" >/dev/null
+mkfifo "$tmp/in5"
+"$ptan" serve "$web" --incremental --cache-dir "$tmp/cache5" \
+  <"$tmp/in5" >"$tmp/got5.txt" 2>"$tmp/serve5.err" &
+daemon_pid=$!
+exec 4>"$tmp/in5"
+wait_for '^serve: ready' "$tmp/serve5.err"
+replies=0
+
+wait_replies() { # wait_replies N: until got5.txt has N lines
+  i=0
+  while [ "$(wc -l <"$tmp/got5.txt")" -lt "$1" ]; do
+    i=$((i + 1))
+    [ "$i" -lt 2000 ] || { echo "serve_smoke: timed out waiting for reply $1" >&2; exit 1; }
+    sleep 0.005
+  done
+}
+
+edit_top() { # edit_top FILE FN LINE
+  awk -v fn="$2" -v line="$3" '
+    $0 == "int " fn "(int n, int *p) {" { inside = 1 }
+    inside && $0 == "    r = n;" { print line; inside = 0 }
+    { print }' "$1" >"$1.tmp" && mv "$1.tmp" "$1"
+}
+
+# reload_and_query WHAT: reload the edited text, then query it
+reload_and_query() {
+  start=$(date +%s%N)
+  printf 'reload web\n' >&4
+  replies=$((replies + 1))
+  wait_replies "$replies"
+  rt_ms=$(( ($(date +%s%N) - start) / 1000000 ))
+  reply=$(sed -n "${replies}p" "$tmp/got5.txt")
+  case $reply in
+    "ok reloaded "*) ;;
+    *) echo "serve_smoke: reload after the $1 replied '$reply'" >&2; exit 1 ;;
+  esac
+  echo "serve_smoke: reload after the $1: ${rt_ms} ms round trip, ${reply#ok reloaded }"
+  # at each indirect call of the edited text: its targets, and the set
+  # of the pointer it calls through
+  "$ptan" simple "$web" | awk '
+    /^[a-z].*\(.*\)$/ { fn = $2; sub(/\(.*/, "", fn) }
+    /\(\*fp\)\(/ && match($0, /\/\* s[0-9]+ \*\//) {
+      sid = substr($0, RSTART + 3, RLENGTH - 6)
+      print "calls " sid
+      print "pts " fn " " sid " fp"
+    }' >"$tmp/q5.txt"
+  [ -s "$tmp/q5.txt" ] || { echo "serve_smoke: no indirect call to query" >&2; exit 1; }
+  : >"$tmp/want5.txt"
+  from=$((replies + 1))
+  while read -r q; do
+    printf 'q web %s\n' "$q" >&4
+    replies=$((replies + 1))
+    # shellcheck disable=SC2086 # the query's words
+    if out=$("$ptan" query "$web" --no-cache $q 2>"$tmp/qerr"); then
+      printf 'ok %s\n' "$out" >>"$tmp/want5.txt"
+    else
+      printf 'error %s\n' "$(sed 's/^error: //' "$tmp/qerr")" >>"$tmp/want5.txt"
+    fi
+  done <"$tmp/q5.txt"
+  wait_replies "$replies"
+  sed -n "${from},${replies}p" "$tmp/got5.txt" >"$tmp/have5.txt"
+  diff -u "$tmp/want5.txt" "$tmp/have5.txt" \
+    || { echo "serve_smoke: replies after the $1 diverge from ptan query --no-cache" >&2; exit 1; }
+  echo "serve_smoke: $(wc -l <"$tmp/have5.txt") replies after the $1 equal ptan query --no-cache"
+}
+
+edit_top "$web" f1_3 "    gp0 = &gv1;"
+reload_and_query "pointer edit"
+edit_top "$web" f1_3 "    /* a comment */"
+reload_and_query "comment edit"
+printf 'quit\n' >&4
+if wait "$daemon_pid"; then st=0; else st=$?; fi
+daemon_pid=
+exec 4>&-
+[ "$st" -eq 0 ] \
+  || { echo "serve_smoke: the reload daemon exited $st" >&2; cat "$tmp/serve5.err" >&2; exit 1; }
+
 echo "serve_smoke: OK"

@@ -1691,8 +1691,259 @@ let stable_entry_tests =
               ]));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Resident sections: a lookup in the process that wrote the entry     *)
+(* ------------------------------------------------------------------ *)
+
+module Trace = Pointsto.Trace
+
+(** What a lookup answers: its rows, its invocation graph with every
+    node's map information, and its constant folds, as strings, so that
+    results of different domains compare. *)
+let answers (r : Analysis.result) =
+  List.map (fun (id, s) -> Printf.sprintf "s%d %s" id s) (stmt_pts_strings r)
+  @ [ Fmt.str "%a" Ig.pp r.Analysis.graph ]
+  @ map_infos r.Analysis.graph @ fold_sites r
+
+(** The lookup's incremental counters. *)
+let counters (r : Analysis.result) =
+  let m = r.Analysis.metrics in
+  [ m.Metrics.incr_funcs_dirty; m.Metrics.incr_funcs_reused; m.Metrics.incr_funcs_adopted ]
+
+(** [data], an entry, with the timings in its result section's metrics
+    zeroed and its digests resealed: what two runs of one lookup write
+    alike. *)
+let untimed data =
+  let res = List.find (fun (s : entry_section) -> s.name = "") (entry_layout data).sections in
+  let sec = String.sub data res.off res.len in
+  let _, row_srcs, pos = result_layout sec in
+  (* the rest's set chunk, the entry output and the warnings *)
+  ignore (read_sets sec pos row_srcs);
+  let _, varint, str = cursor sec pos in
+  ignore (varint ());
+  for _ = 1 to varint () do
+    ignore (str ())
+  done;
+  let b = Bytes.of_string data in
+  List.iter
+    (function
+      | Metrics.Count _ -> ignore (varint ())
+      | Metrics.Time _ ->
+          Bytes.fill b (res.off + !pos) 8 '\000';
+          pos := !pos + 8)
+    Metrics.fields;
+  reseal b;
+  Bytes.to_string b
+
+type lookup = {
+  hit : bool;
+  answered : string list;
+  counted : int list;
+  quarantined : int;
+  left : string;  (** the entry's bytes afterwards *)
+}
+
+(** The incremental entry of [source] under [dir]. *)
+let pti_of ~dir source =
+  Persist.cache_file_incr ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
+
+let observe pti ((r : Analysis.result), hit) =
+  {
+    hit;
+    answered = answers r;
+    counted = counters r;
+    quarantined = r.Analysis.metrics.Metrics.cache_quarantined;
+    left = read_file pti;
+  }
+
+(** An incremental lookup of [source] under [dir] on this domain. The
+    second part is, per [dirty] span, the kept segments decoded from
+    disk and those served resident. *)
+let lookup_here ~dir source =
+  Trace.enable ~capacity:4096 ();
+  Trace.clear ();
+  let looked =
+    Fun.protect ~finally:Trace.disable (fun () ->
+        Persist.analyze_cached ~cache_dir:dir ~incremental:true source)
+  in
+  let dirty =
+    List.filter_map
+      (fun (sp : Trace.span) ->
+        if sp.Trace.sp_kind = Trace.Dirty then Some (sp.Trace.sp_in, sp.Trace.sp_out) else None)
+      (Trace.collect ())
+  in
+  Trace.clear ();
+  (observe (pti_of ~dir source) looked, dirty)
+
+(** The same lookup on a new domain, which holds no resident section,
+    from [entry]'s bytes in a cache directory of its own. *)
+let lookup_fresh ~entry source =
+  in_temp (fun dir ->
+      let pti = pti_of ~dir source in
+      write_file pti entry;
+      Domain.join
+        (Domain.spawn (fun () ->
+             observe pti (Persist.analyze_cached ~cache_dir:dir ~incremental:true source))))
+
+(** [here] against [fresh]: the same hit, answers, counters, quarantine
+    and entry bytes; and its answers against a [--no-cache] run. *)
+let check_lookup name source ~(here : lookup) ~(fresh : lookup) =
+  Alcotest.(check bool) (name ^ ": a hit as on a fresh domain") fresh.hit here.hit;
+  Alcotest.(check (list string))
+    (name ^ ": answers as on a fresh domain")
+    fresh.answered here.answered;
+  Alcotest.(check (list int)) (name ^ ": dirty, reused, adopted as on a fresh domain") fresh.counted
+    here.counted;
+  Alcotest.(check int) (name ^ ": quarantines as on a fresh domain") fresh.quarantined
+    here.quarantined;
+  Alcotest.(check bool) (name ^ ": the entry's bytes as on a fresh domain") true
+    (String.equal (untimed fresh.left) (untimed here.left));
+  Alcotest.(check (list string))
+    (name ^ ": answers as --no-cache")
+    (answers (Analysis.of_file source))
+    here.answered
+
+(** [n] functions of [p] spread over its edit sites, the functions
+    outside direct-call cycles that {!insert_at_top} can edit. *)
+let spread_sites (p : Ir.program) n =
+  let cycles = direct_cycle_members p in
+  let sites =
+    List.filter_map
+      (fun f ->
+        let fn = f.Ir.fn_name in
+        if fn <> "main" && fn.[0] = 'f' && not (List.mem fn cycles) then Some fn else None)
+      p.Ir.funcs
+  in
+  let step = max 1 (List.length sites / n) in
+  List.filteri (fun i _ -> i mod step = 0 && i / step < n) sites
+
+(** Prime [shape]'s size-400 program in a fresh cache directory and run
+    [f] with the directory, the source, its text and the edit sites. *)
+let primed_gen shape f =
+  in_temp (fun dir ->
+      let source = Filename.concat dir (shape ^ ".c") in
+      let text = Gen.program (Test_rows.gen_knobs shape) in
+      write_file source text;
+      let r, _ = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
+      f ~dir ~source ~text (spread_sites r.Analysis.prog 4))
+
+let resident_tests =
+  [
+    case "resident lookups answer as a fresh domain and --no-cache: web-400, deep-400" (fun () ->
+        List.iter
+          (fun shape ->
+            primed_gen shape (fun ~dir ~source ~text sites ->
+                let pti = pti_of ~dir source in
+                let text = ref text and served = ref 0 in
+                List.iteri
+                  (fun i fn ->
+                    List.iter
+                      (fun (kind, line) ->
+                        let name = Printf.sprintf "%s, %s edit %d of %s" shape kind i fn in
+                        text := insert_at_top !text ~fn ~line;
+                        write_file source !text;
+                        let entry = read_file pti in
+                        let here, dirty = lookup_here ~dir source in
+                        List.iter (fun (_, from_memory) -> served := !served + from_memory) dirty;
+                        check_lookup name source ~here ~fresh:(lookup_fresh ~entry source))
+                      (edit_kinds i))
+                  sites;
+                Alcotest.(check bool) (shape ^ ": kept segments are served resident") true
+                  (!served > 0)))
+          [ "web"; "deep" ]);
+    case "an entry put back under a resident table reads as on a fresh domain" (fun () ->
+        List.iter
+          (fun shape ->
+            primed_gen shape (fun ~dir ~source ~text sites ->
+                let pti = pti_of ~dir source in
+                let primed = read_file pti in
+                let edited = ref text in
+                List.iter
+                  (fun fn ->
+                    edited := insert_at_top !edited ~fn ~line:"    gp0 = &gv1;\n";
+                    write_file source !edited;
+                    ignore (Persist.analyze_cached ~cache_dir:dir ~incremental:true source))
+                  sites;
+                Alcotest.(check bool) (shape ^ ": the edits rewrote the entry") false
+                  (String.equal primed (read_file pti));
+                (* the lap restore of the perf edit workload: the
+                   generated text and its primed entry *)
+                write_file pti primed;
+                write_file source text;
+                let here, _ = lookup_here ~dir source in
+                check_lookup (shape ^ ": the primed text") source ~here
+                  ~fresh:(lookup_fresh ~entry:primed source);
+                write_file pti primed;
+                let text' = leaf_edit text (List.hd sites) in
+                write_file source text';
+                let here, dirty = lookup_here ~dir source in
+                check_lookup (shape ^ ": an edit of the primed text") source ~here
+                  ~fresh:(lookup_fresh ~entry:primed source);
+                Alcotest.(check bool) (shape ^ ": segments the edits rewrote decode from disk") true
+                  (List.exists (fun (from_disk, _) -> from_disk > 0) dirty)))
+          [ "web"; "deep" ]);
+    case "a damaged segment held resident still quarantines, and the run is cold" (fun () ->
+        primed_gen "deep" (fun ~dir ~source ~text sites ->
+            let pti = pti_of ~dir source in
+            let fn = List.hd sites in
+            let v1 = leaf_edit text fn in
+            write_file source v1;
+            let _, dirty = lookup_here ~dir source in
+            Alcotest.(check bool) "the first edit is served resident" true
+              (List.exists (fun (_, from_memory) -> from_memory > 0) dirty);
+            (* the second edit keeps what the first kept: flip a byte in
+               the middle of one such segment *)
+            let kept =
+              let p0 = Simple_ir.Simplify.of_string ~file:source text in
+              let p1 = Simple_ir.Simplify.of_string ~file:source v1 in
+              let hashes (p : Ir.program) =
+                let t = Hashtbl.create 64 in
+                List.iter
+                  (fun f -> Hashtbl.replace t f.Ir.fn_name (Persist.func_hash f))
+                  p.Ir.funcs;
+                t
+              in
+              let data = read_file pti in
+              let targets fn =
+                Option.value ~default:[] (List.assoc_opt fn (entry_layout data).targets)
+              in
+              Persist.eligible_funcs ~targets p1 ~old_hashes:(hashes p0) ~new_hashes:(hashes p1)
+            in
+            let v2 = leaf_edit v1 fn in
+            write_file source v2;
+            let data = read_file pti in
+            let victim =
+              match
+                List.find_opt
+                  (fun (s : entry_section) -> s.name <> "" && Hashtbl.mem kept s.name)
+                  (entry_layout data).sections
+              with
+              | Some s -> s
+              | None -> Alcotest.fail "no kept segment"
+            in
+            let b = Bytes.of_string data in
+            let at = victim.off + (victim.len / 2) in
+            Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x5a));
+            write_file pti (Bytes.to_string b);
+            let here, dirty = lookup_here ~dir source in
+            let name = Printf.sprintf "deep, %s flipped" victim.name in
+            Alcotest.(check int) (name ^ ": quarantined") 1 here.quarantined;
+            Alcotest.(check bool) (name ^ ": the .bad file") true (Sys.file_exists (pti ^ ".bad"));
+            Alcotest.(check (list int))
+              (name ^ ": every function dirty, nothing replayed")
+              [ List.length (Simple_ir.Simplify.of_string ~file:source v2).Ir.funcs; 0; 0 ]
+              here.counted;
+            Alcotest.(check bool) (name ^ ": no segment bound") true
+              (List.for_all (fun (d, m) -> d < 0 && m < 0) dirty);
+            Alcotest.(check (list string))
+              (name ^ ": answers as --no-cache")
+              (answers (Analysis.of_file source))
+              here.answered));
+  ]
+
 let suite =
   ( "incremental",
     hash_tests @ cone_tests @ suite_tests @ corruption_tests @ frame_tests @ segment_tests
     @ pointer_tests @ memo_tests @ target_list_tests @ cycle_tests @ site_control_tests
-    @ no_sharing_tests @ adoption_tests @ graph_reader_tests @ stable_entry_tests )
+    @ no_sharing_tests @ adoption_tests @ graph_reader_tests @ stable_entry_tests
+    @ resident_tests )

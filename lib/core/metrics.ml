@@ -167,9 +167,10 @@ type field =
 
 (* Every field of [t] once, in record order. Aggregation and the
    {!Persist} encoding are folds over this table, so a counter listed
-   here is summed and persisted with no edit to either. The order is
-   the on-disk order: a change to this list needs a [Persist.version]
-   bump. *)
+   here is summed and persisted with no edit to either. Only the counts
+   are on disk, in this order: a change to the [Count] entries needs a
+   [Persist.version] bump. A timer is this process's wall-clock, never
+   persisted. *)
 let fields =
   [
     Count ((fun m -> m.merges), fun m v -> m.merges <- v);

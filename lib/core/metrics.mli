@@ -103,7 +103,9 @@ type field =
 (** Every field of {!t} exactly once, in record order. {!add_into} and
     {!Persist}'s encoding are folds over it, so adding a counter means
     adding the field to {!t} and to {!create}, one line here, and a
-    bump of [Persist.version]. *)
+    bump of [Persist.version]. Only the [Count] fields are on disk: a
+    [Time] field is the wall-clock of the process that ran, so a result
+    read from a cache entry starts with every timer at zero. *)
 val fields : field list
 
 (** The calling domain's accumulator (created on first use, one record

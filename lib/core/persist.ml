@@ -1,8 +1,8 @@
 (** Persisted analysis results (see persist.mli).
 
     Encoding conventions: non-negative integers are unsigned LEB128
-    varints; strings are length-prefixed; floats are IEEE-754 bits,
-    little-endian; locations are written once into an interned table and
+    varints; strings are length-prefixed; locations are written once
+    into an interned table and
     referenced by index (an entry only references earlier entries, so
     the table decodes in one left-to-right pass). The file layout is
 
@@ -20,8 +20,8 @@
     sets as one {e block} per function (a set table, then its
     statements' set references by local index: the engine reaches a
     steady state, so most statements share one of a few sets), then the
-    entry output, warnings, the metrics record (every {!Metrics.fields}
-    entry), and the invocation graph in pre-order: its shape (ids,
+    entry output, warnings, the metrics record's counts (the [Count]
+    entries of {!Metrics.fields}), and the invocation graph in pre-order: its shape (ids,
     functions, kinds, partners, call sites) and map information, with
     no IN/OUT pairs, so the graph interns locations but no set. Each
     further section is one function's {e summary segment} (named after
@@ -39,14 +39,18 @@
     list once, stops diffing as soon as the delta cannot win, and keeps
     the list as the next base. The decoder binds a delta's rows in one
     {!Pts.add_rows} on its base, a re-added source being one replace.
-    A warm load unmarshals the program where it lies in the entry; a
-    rekey skips it, decodes the tables with the fresh lowering, and
-    saves that lowering in its place. *)
+    A warm load unmarshals the program where it lies in the entry. A
+    statement holds no source position and the metrics no timer, so an
+    entry depends only on the lowered program and the options: a rekey,
+    whose fresh lowering equals the saved program, skips the program,
+    decodes the tables with the fresh lowering, and publishes the
+    entry's own sections under the new key, every other byte as it
+    was. *)
 
 module Ir = Simple_ir.Ir
 module Ig = Invocation_graph
 
-let version = 15
+let version = 16
 
 let magic = "PTANC"
 
@@ -68,8 +72,6 @@ let w_u b n =
 let w_str b s =
   w_u b (String.length s);
   Buffer.add_string b s
-
-let w_float b f = Buffer.add_int64_le b (Int64.bits_of_float f)
 
 (* ------------------------------------------------------------------ *)
 (* Primitive readers                                                  *)
@@ -120,12 +122,6 @@ let r_raw r n =
   let s = String.sub r.data r.pos n in
   r.pos <- r.pos + n;
   s
-
-let r_float r =
-  if r.pos + 8 > r.lim then raise Bad;
-  let v = Int64.float_of_bits (String.get_int64_le r.data r.pos) in
-  r.pos <- r.pos + 8;
-  v
 
 (* ------------------------------------------------------------------ *)
 (* Keys                                                               *)
@@ -579,17 +575,18 @@ let r_map_info arr r : Ig.map_info =
 (* Metrics                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The counts only: a run's timers are its own wall-clock, which no
+   later lookup repeats, so a loaded record's timers start at zero and
+   two saves of one answer write the same bytes. *)
 let w_metrics b (m : Metrics.t) =
   List.iter
-    (function
-      | Metrics.Count (get, _) -> w_u b (get m) | Metrics.Time (get, _) -> w_float b (get m))
+    (function Metrics.Count (get, _) -> w_u b (get m) | Metrics.Time _ -> ())
     Metrics.fields
 
 let r_metrics r : Metrics.t =
   let m = Metrics.create () in
   List.iter
-    (function
-      | Metrics.Count (_, set) -> set m (r_u r) | Metrics.Time (_, set) -> set m (r_float r))
+    (function Metrics.Count (_, set) -> set m (r_u r) | Metrics.Time _ -> ())
     Metrics.fields;
   m
 
@@ -666,9 +663,9 @@ let rec r_node arr r ~parent ~(nodes : (int, Ig.node) Hashtbl.t) : Ig.node =
 (* Content hash of one function, invariant under edits elsewhere in the
    translation unit: statement ids are assigned program-wide in textual
    order, so adding a line to one function renumbers every later
-   function. The hash therefore marshals a copy with ids zeroed and
-   source locations blanked — two functions hash equal iff their
-   lowered IR is identical up to position. *)
+   function. The hash therefore marshals a copy with ids zeroed — two
+   functions hash equal iff their lowered IR is identical up to
+   numbering. *)
 let rec norm_stmt (s : Ir.stmt) : Ir.stmt =
   let d =
     match s.Ir.s_desc with
@@ -687,7 +684,7 @@ let rec norm_stmt (s : Ir.stmt) : Ir.stmt =
           ( op,
             List.map (fun g -> { g with Ir.g_body = List.map norm_stmt g.Ir.g_body }) gs )
   in
-  { Ir.s_id = 0; s_loc = Cfront.Srcloc.dummy; s_desc = d }
+  { Ir.s_id = 0; s_desc = d }
 
 let func_hash (f : Ir.func) : Digest.t =
   Digest.string
@@ -704,11 +701,10 @@ let env_hash ~opts ~entry (p : Ir.program) : Digest.t =
 (* A lowered program's fingerprint: the environment digest, then each
    defined function's {!func_hash}, in program order. Lowering numbers
    statements program-wide in that order, and a function's digest fixes
-   its statement count, so equal fingerprints mean equal statement ids:
-   the programs differ at most in source positions, which no answer
-   holds (heap sites and warnings name statements by id). Computed once
-   per lookup that is not a full hit, it is the rekey test, the diff
-   oracle and what the save writes into the index. *)
+   its statement count, so equal fingerprints mean equal statement ids,
+   and equal programs: a statement holds no source position. Computed
+   once per lookup that is not a full hit, it is the rekey test, the
+   diff oracle and what the save writes into the index. *)
 type fingerprint = { fp_env : Digest.t; fp_funcs : (string * Digest.t) list }
 
 let fingerprint ~opts ~entry (p : Ir.program) : fingerprint =
@@ -905,7 +901,7 @@ let skip_str r =
 (** The result section's program: unmarshalled where it lies, once
     [Marshal.total_size] agrees with its length prefix (the section
     digest has already held), or, given the fresh lowering [prog] of a
-    rekey, skipped. *)
+    rekey, which equals it, skipped. *)
 let r_prog ?prog r : Ir.program =
   let at, n = skip_str r in
   match prog with
@@ -931,17 +927,6 @@ let r_result_tables ~(held : held) digest r : tables_form =
       let t = { t_locs; t_rows; t_len = r.pos - at } in
       Hashtbl.replace held digest (Tables t);
       t
-
-(** The result section [s], already verified, with [prog] in place of
-    its program and every later byte copied: a rekey's, whose tables
-    hold for the fresh lowering but whose source positions moved. *)
-let reprogram (s : section) (prog : Ir.program) : section =
-  let r = { data = s.s_data; pos = s.s_off; lim = s.s_off + s.s_len } in
-  ignore (skip_str r);
-  let b = Buffer.create (s.s_len + 4096) in
-  w_str b (Marshal.to_string prog []);
-  Buffer.add_substring b r.data r.pos (r.lim - r.pos);
-  section_of (Buffer.contents b)
 
 (** The blocks that follow the program, each a reader confined to its
     bytes, by function name, in section order. *)
@@ -1441,23 +1426,12 @@ let indirect_targets ~(bound : (string, bound) Hashtbl.t) (res : Analysis.result
       match List.sort_uniq String.compare ts with [] -> None | ts -> Some (f.Ir.fn_name, ts))
     res.Analysis.prog.Ir.funcs
 
-(* Write [res] under header key [key] (raw bytes), with [fp], the
-   fingerprint of [res]'s program, in the index; [sections] gives the
-   result section, the segments, encoded or copied, and the index's
-   target lists, each section with its decoded form when known. Those
-   forms are [file]'s resident ones once the entry is published. The
-   cost, encoding included, goes to [t_serialize]. *)
-let write ~source ~key ~fp ~sections (res : Analysis.result) file =
+(* Run [save], which saves [res], adding its cost to [t_serialize], as a
+   [cache-store] span. *)
+let storing ~source (res : Analysis.result) save =
   let t0 = Metrics.now () in
   let tr0 = Trace.start () in
-  let (result, tables), segments, targets = sections () in
-  publish file ~key ~fp ~result ~segments:(List.map (fun (fn, s, _) -> (fn, s)) segments) ~targets;
-  let held = Hashtbl.create 64 in
-  Option.iter (fun t -> Hashtbl.replace held result.s_digest (Tables t)) tables;
-  List.iter
-    (fun (_, s, recs) -> Option.iter (fun r -> Hashtbl.replace held s.s_digest (Records r)) recs)
-    segments;
-  hold file held;
+  save ();
   let m = res.Analysis.metrics in
   m.Metrics.t_serialize <- m.Metrics.t_serialize +. (Metrics.now () -. t0);
   if Trace.on () then
@@ -1465,6 +1439,24 @@ let write ~source ~key ~fp ~sections (res : Analysis.result) file =
       ~name:(Filename.basename source)
       ~pts_in:(Hashtbl.length res.Analysis.stmt_pts)
       ~t0:tr0 ()
+
+(* Write [res], a run seeded from the segments [bound] holds, under
+   header key [key] (raw bytes), with [fp], the fingerprint of [res]'s
+   program, in the index: the result section, the segments, encoded or
+   copied, and the index's target lists. The forms of its sections are
+   [file]'s resident ones once the entry is published. *)
+let write ~source ~key ~fp ~bound (res : Analysis.result) file =
+  storing ~source res (fun () ->
+      let segments, ordinals = segments_of ~bound res in
+      let bytes, tables = encode_result ~ordinals res in
+      let result = section_of bytes in
+      publish file ~key ~fp ~result
+        ~segments:(List.map (fun (fn, s, _) -> (fn, s)) segments)
+        ~targets:(indirect_targets ~bound res);
+      let held = Hashtbl.create 64 in
+      Hashtbl.replace held result.s_digest (Tables tables);
+      List.iter (fun (_, s, recs) -> Hashtbl.replace held s.s_digest (Records recs)) segments;
+      hold file held)
 
 (* ------------------------------------------------------------------ *)
 (* Load                                                               *)
@@ -1882,11 +1874,21 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
   let result_of ?prog en =
     read_section en.en_result (decode_result ~opts ~held ?prog en.en_result)
   in
-  let hit (res : Analysis.result) =
+  (* A hit, full or rekeyed, serves the saved result: its counters are
+     the saved run's, but for this lookup's own. The lookup's timers are
+     its load, its save and, when it lowered the source, [t_parse]; its
+     incremental counters say that nothing re-ran, every function being
+     served from the entry. *)
+  let hit ?(t_parse = 0.) (res : Analysis.result) =
     let m = res.Analysis.metrics in
-    m.Metrics.t_deserialize <- m.Metrics.t_deserialize +. !t_load;
+    m.Metrics.t_parse <- t_parse;
+    m.Metrics.t_deserialize <- !t_load;
     m.Metrics.cache_quarantined <- m.Metrics.cache_quarantined + !quarantined;
     m.Metrics.cache_hits <- m.Metrics.cache_hits + 1;
+    m.Metrics.incr_funcs_dirty <- 0;
+    m.Metrics.incr_funcs_reused <- List.length res.Analysis.prog.Ir.funcs;
+    m.Metrics.incr_nodes_rebuilt <- 0;
+    m.Metrics.incr_funcs_adopted <- 0;
     (res, true)
   in
   match
@@ -1911,38 +1913,19 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
         | Some _ | None -> None
       with
       | Some (en, res) ->
-          (* Rekey: the edit moved source positions only (a comment,
-             whitespace), so statement ids, heap-site names and warnings
-             are unchanged and the old result is still exactly the
-             answer, in every engine mode. Serve it as a hit without
-             touching the engine, decoded with the fresh lowering (the
-             saved program is skipped, not unmarshalled) so that source
-             positions track the edit, and save it under the new key:
-             the result section with the fresh lowering in place of the
-             saved program, every segment copied. *)
+          (* Rekey: the edit left the lowered program as it was (a
+             comment, whitespace), so the saved result is still exactly
+             the answer, in every engine mode. Serve it as a hit without
+             touching the engine, decoded with the fresh lowering, which
+             equals the saved program (so that is skipped, not
+             unmarshalled), and publish the entry's sections under the
+             new key: the same index and bytes, and resident forms. *)
           (try
-             write ~source ~key:mykey ~fp
-               ~sections:(fun () ->
-                 let tables =
-                   match Hashtbl.find_opt held en.en_result.s_digest with
-                   | Some (Tables t) -> Some t
-                   | Some (Records _) | None -> None
-                 in
-                 let records (s : section) =
-                   match Hashtbl.find_opt held s.s_digest with
-                   | Some (Records recs) -> Some recs
-                   | Some (Tables _) | None -> None
-                 in
-                 ( (reprogram en.en_result prog, tables),
-                   List.map (fun (fn, s) -> (fn, s, records s)) en.en_segments,
-                   en.en_targets ))
-               res file
+             storing ~source res (fun () ->
+                 publish file ~key:mykey ~fp ~result:en.en_result ~segments:en.en_segments
+                   ~targets:en.en_targets)
            with Sys_error _ | Failure _ -> ());
-          let m = res.Analysis.metrics in
-          m.Metrics.t_parse <- t_parse;
-          m.Metrics.incr_funcs_dirty <- 0;
-          m.Metrics.incr_funcs_reused <- n_defined;
-          hit res
+          hit ~t_parse res
       | None ->
           let dirty, seeded, bound, adopt =
             match !stored with
@@ -2000,14 +1983,7 @@ let analyze_cached ?cache_dir ?(opts = Options.default) ?(entry = "main") ?budge
           (if res.Analysis.degraded = None then
              let bound = match bound with Some b -> b | None -> Hashtbl.create 1 in
              try
-               write ~source ~key:mykey ~fp
-                 ~sections:(fun () ->
-                   let segments, ordinals = segments_of ~bound res in
-                   let result, tables = encode_result ~ordinals res in
-                   ( (section_of result, Some tables),
-                     List.map (fun (fn, s, recs) -> (fn, s, Some recs)) segments,
-                     indirect_targets ~bound res ))
-                 res file;
+               write ~source ~key:mykey ~fp ~bound res file;
                (* the fingerprint is the save's digest work, computed
                   early to serve the rekey test: it counts in the save
                   time *)

@@ -22,20 +22,22 @@
     index), the per-statement {!Pts.t} sets as one block per function
     (keyed by the statement's index in its function, and listing the
     summary records whose frames made them), the entry output state,
-    the run's {!Metrics.t} record (every field of {!Metrics.fields}),
-    and the invocation graph: its shape (nodes, kinds, recursive
+    the run's {!Metrics.t} counts (the [Count] fields of
+    {!Metrics.fields}; no timer), and the invocation graph: its shape (nodes, kinds, recursive
     back-edges, call sites) and map information. The nodes' IN/OUT
     pairs, the fixed point's working memo, are not saved: a finished
     result holds none ({!Analysis.result}), so a loaded graph is the
     cold one. It also carries the
     marshalled SIMPLE program, so a full hit neither parses nor lowers
     the source: it unmarshals the program and rebuilds only the typing
-    environment from it. Only the rekey path (an edit that leaves the
-    program's fingerprint unchanged) re-lowers the edited source, so
-    source positions track the edit; it skips the saved program and
-    saves the fresh one in its place. An incremental entry's result
-    section is followed by one {e summary segment} per function (see
-    below).
+    environment from it. A SIMPLE statement holds no source position,
+    so an entry depends only on the lowered program and the options:
+    two saves of one answer write the same bytes, and the rekey path
+    (an edit that leaves the program's fingerprint unchanged) publishes
+    the entry's own sections under the new key, every other byte as it
+    was. An
+    incremental entry's result section is followed by one {e summary
+    segment} per function (see below).
 
     A lookup never serves a wrong answer: an entry that is missing,
     truncated or corrupt, was written by a different {!version} of the
@@ -100,8 +102,8 @@ val cache_file : cache_dir:string -> source:string -> opts:Options.t -> entry:st
 val cache_file_incr :
   cache_dir:string -> source:string -> opts:Options.t -> entry:string -> string
 
-(** Position-normalized content hash of one function's lowered IR
-    (statement ids and source locations blanked): equal iff the
+(** Numbering-normalized content hash of one function's lowered IR
+    (statement ids zeroed): equal iff the
     function's code is unchanged, no matter what was edited elsewhere in
     the translation unit. The diff oracle of the incremental path. *)
 val func_hash : Simple_ir.Ir.func -> Digest.t
@@ -144,23 +146,25 @@ val load_summaries :
     {!cache_file_incr} under [incremental]) when the entry keys the
     source's current text, and otherwise runs {!Analysis.analyze} and
     saves the result over the entry. The boolean is [true] on a cache
-    hit. The returned result's metrics carry this invocation's cache
-    counters ([cache_hits] / [cache_misses] / [t_serialize] /
-    [t_deserialize] / [cache_quarantined], and [t_parse] when it
-    lowered the source) alongside the counters of the run that
-    originally produced the result. [t_deserialize] covers this
-    lookup's reads: the result section on a hit, the kept segments on a
-    partial hit. Cache I/O failures degrade to a fresh analysis, never
+    hit. A hit's metrics carry the counts of the run that originally
+    produced the result, and this invocation's own cache counters
+    ([cache_hits] / [cache_misses] / [cache_quarantined]), incremental
+    counters (nothing dirty, every defined function replayed, no graph
+    node rebuilt, no function adopted) and timers: [t_serialize] /
+    [t_deserialize], and [t_parse] when it lowered the source; no
+    analysis time. [t_deserialize] covers this lookup's reads: the
+    result section on a hit, the kept segments on a partial hit. Cache I/O failures degrade to a fresh analysis, never
     to an error. An unreadable [source] raises [Sys_error] and leaves
     every entry in place.
 
     A lookup ends one of three ways. An entry keying the current text
     is a full hit. An entry keying other text, or none, is a miss that
     quarantines nothing; but when the stored fingerprint equals the
-    fresh lowering's (the edit moved source positions only), the miss
-    is a {e rekey}: the old result is served as a hit without running
-    the engine, in every engine mode, and saved under the new key with
-    the fresh program in its result section and every segment copied.
+    fresh lowering's (a comment or whitespace edit, which leaves the
+    lowered program as it was), the miss is a {e rekey}: the old result
+    is served as a hit without running the engine, in every engine
+    mode, and the entry is saved under the new key, every other byte as
+    it was.
     An entry that cannot be read (truncated, damaged, another
     {!version}) is renamed to [<file>.bad] (kept for post-mortem; a
     pre-existing [.bad] is never clobbered: subsequent victims get

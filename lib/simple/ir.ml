@@ -91,7 +91,11 @@ type rhs =
           points-to value *)
   | Runop of string * operand  (** non-pointer unary arithmetic *)
 
-type stmt = { s_id : int; s_loc : Cfront.Srcloc.t; s_desc : stmt_desc }
+(** A statement, named by its id: ids number the program's statements in
+    textual order. A statement holds no source position, so two texts
+    that lower alike (a comment or whitespace apart) give equal
+    programs; positions stay in the AST, for lowering errors. *)
+type stmt = { s_id : int; s_desc : stmt_desc }
 
 and stmt_desc =
   | Sassign of vref * rhs

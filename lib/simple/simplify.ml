@@ -34,7 +34,7 @@ type env = {
   mutable temp_counter : int;
   mutable rename_counter : int;
   mutable ret_ty : Ctype.t;
-  mutable cur_loc : Srcloc.t;
+  mutable cur_loc : Srcloc.t;  (** where a lowering error is reported *)
   mutable stmt_id : int;
 }
 
@@ -221,7 +221,7 @@ let flush (em : emitter) = List.rev !em
 
 let mk_stmt env desc =
   env.stmt_id <- env.stmt_id + 1;
-  { Ir.s_id = env.stmt_id; s_loc = env.cur_loc; s_desc = desc }
+  { Ir.s_id = env.stmt_id; s_desc = desc }
 
 let emit env (em : emitter) desc = em := mk_stmt env desc :: !em
 

@@ -4,7 +4,7 @@
 # demand (a) the re-analysis prints per-statement sets bit-identical to
 # a cold run of the edited file and (b) the dirty counter matches the
 # edit: 0 for a comment-only edit (the rekey fast path, whose rewritten
-# entry must keep every summary segment byte for byte and be a hit
+# entry must equal the primed one past its content key and be a hit
 # next time; also checked mid-file under --heap-by-site), a small
 # bounded cone for a
 # one-function edit. A livc kernel edit and a generated web-600 edit
@@ -23,16 +23,14 @@
 # readers of the invocation graph, `ptan ig` and `ptan constants`,
 # print from a warm entry and after a replaying edit of config.c what
 # they print with --no-cache. Run from the repository root after
-# `dune build` (python3 reads the entry layout); CI runs this as the
-# incremental-smoke job. See docs/INCREMENTAL.md.
+# `dune build`; CI runs this as the incremental-smoke job. See
+# docs/INCREMENTAL.md.
 set -eu
 
 ptan="${PTAN:-_build/default/bin/ptan.exe}"
 bench="${PTAN_BENCH:-_build/default/bench/main.exe}"
 [ -x "$ptan" ] || { echo "incremental_smoke: $ptan not found (dune build first)" >&2; exit 1; }
 [ -x "$bench" ] || { echo "incremental_smoke: $bench not found (dune build first)" >&2; exit 1; }
-command -v python3 >/dev/null \
-  || { echo "incremental_smoke: python3 not found (needed to read entry layouts)" >&2; exit 1; }
 
 tmp=$(mktemp -d)
 cache="$tmp/cache"
@@ -53,54 +51,25 @@ adopted_of() { # adopted_of FILE
   sed -n 's/^incremental:.* rebuilt, \([0-9][0-9]*\) functions adopted.*/\1/p' "$1"
 }
 
-# One line per summary segment of a cache entry: its name and the MD5
-# of its bytes. The layout (lib/core/persist.ml): magic (5 bytes),
-# version (varint), content key (16), index digest (16), index length
-# (varint), then the index: the fingerprint (environment digest, then
-# (name, digest) per function), the sections as (name, offset, length,
-# digest), the result section first, then the target lists; the
-# sections follow the index.
-segments_of() { # segments_of ENTRY
-  python3 - "$1" <<'PY'
-import hashlib, sys
-data = open(sys.argv[1], "rb").read()
-pos = 0
-def varint():
-    global pos
-    n = shift = 0
-    while True:
-        c = data[pos]; pos += 1
-        n |= (c & 0x7f) << shift; shift += 7
-        if c < 0x80: return n
-def string():
-    global pos
-    n = varint(); s = data[pos:pos + n]; pos += n
-    return s.decode()
-pos = 5; varint(); pos += 32
-length = varint(); base = pos + length
-pos += 16
-for _ in range(varint()):
-    string(); pos += 16
-for k in range(varint()):
-    name = string(); off = varint(); n = varint(); pos += 16
-    if k > 0:
-        print(name, hashlib.md5(data[base + off:base + off + n]).hexdigest())
-PY
+# Whether entries A and B agree past their content keys: magic (5
+# bytes), version (1 byte), key (16 bytes), then the index and the
+# sections (lib/core/persist.ml). A rekey rewrites the key only.
+same_past_key() { # same_past_key A B
+  tail -c +23 "$1" >"$tmp/a.past"
+  tail -c +23 "$2" >"$tmp/b.past"
+  cmp -s "$tmp/a.past" "$tmp/b.past"
 }
 
 # ---- 1. comment edit on livc: the rekey fast path ---------------------
 # An IR-preserving edit must serve the old entry as a hit (0 dirty) and
 # still print exactly what a cold analysis of the edited file prints.
-# The rekey is the save of a run that changed nothing but source
-# positions: the result section takes the fresh program, and every
-# summary segment is copied byte for byte. The rewritten entry must
-# then be a full hit.
+# The edit leaves the lowered program as it was, so the rekey saves the
+# entry under the new content key and every later byte as it was. The
+# rewritten entry must then be a full hit.
 cp benchmarks/livc.c "$tmp/livc.c"
 "$ptan" analyze "$tmp/livc.c" --incremental --cache-dir "$cache" >/dev/null
 entry=$(ls "$cache"/livc-*.pti)
-segments_of "$entry" >"$tmp/livc-primed.seg"
-[ -s "$tmp/livc-primed.seg" ] \
-  || { echo "incremental_smoke: the primed livc entry lists no summary segment" >&2; exit 1; }
+cp "$entry" "$tmp/livc-primed.pti"
 printf '\n/* incremental_smoke: comment-only edit */\n' >>"$tmp/livc.c"
 "$ptan" analyze "$tmp/livc.c" --no-cache | grep '^s[0-9]' >"$tmp/cold1.txt"
 "$ptan" analyze "$tmp/livc.c" --incremental --cache-dir "$cache" --stats >"$tmp/incr1.txt"
@@ -110,12 +79,12 @@ diff -u "$tmp/cold1.txt" "$tmp/got1.txt" \
 d=$(dirty_of "$tmp/incr1.txt")
 [ "$d" = 0 ] \
   || { echo "incremental_smoke: comment edit reported $d dirty (rekey expected 0)" >&2; exit 1; }
-segments_of "$entry" | cmp -s "$tmp/livc-primed.seg" - \
-  || { echo "incremental_smoke: the rekeyed livc entry changed a summary segment" >&2; exit 1; }
+same_past_key "$tmp/livc-primed.pti" "$entry" \
+  || { echo "incremental_smoke: the rekeyed livc entry differs from the primed one past its key" >&2; exit 1; }
 "$ptan" analyze "$tmp/livc.c" --incremental --cache-dir "$cache" --stats >"$tmp/incr1n.txt"
 grep -q '^result cache: *1 hits' "$tmp/incr1n.txt" \
   || { echo "incremental_smoke: the rekeyed livc entry is not a hit" >&2; exit 1; }
-echo "incremental_smoke: livc comment edit — $(wc -l <"$tmp/got1.txt") statement sets identical, 0 dirty (rekey, $(wc -l <"$tmp/livc-primed.seg") segments copied, then a hit)"
+echo "incremental_smoke: livc comment edit — $(wc -l <"$tmp/got1.txt") statement sets identical, 0 dirty (rekey, entry as primed past its key, then a hit)"
 
 # ---- 1a. mid-file comment edit under --heap-by-site -----------------
 # A comment before a function shifts the source position of every later
@@ -306,11 +275,14 @@ echo "incremental_smoke: deep-800 leaf edit of f0_3 — $(wc -l <"$tmp/got_deep.
 
 # ---- 2e. the plain cache: rekey and one entry per source --------------
 # Without --incremental the entry is named like the incremental one, so
-# a comment edit rekeys it (a hit printing what a cold run prints) and
-# every edit overwrites it: one .ptc per source remains.
+# a comment edit rekeys it (a hit printing what a cold run prints, the
+# entry as primed past its key) and every edit overwrites it: one .ptc
+# per source remains.
 pcache="$tmp/plain_cache"
 cp benchmarks/livc.c "$tmp/livc.c"
 "$ptan" analyze "$tmp/livc.c" --cache-dir "$pcache" >/dev/null
+pentry=$(ls "$pcache"/livc-*.ptc)
+cp "$pentry" "$tmp/livc-primed.ptc"
 awk 'index($0, "double kern_a_5") == 1 { print "/* incremental_smoke: plain comment */" } { print }' \
   benchmarks/livc.c >"$tmp/livc.c"
 "$ptan" analyze "$tmp/livc.c" --no-cache | grep '^s[0-9]' >"$tmp/cold_plain.txt"
@@ -320,13 +292,15 @@ diff -u "$tmp/cold_plain.txt" "$tmp/got_plain.txt" \
   || { echo "incremental_smoke: livc plain comment edit diverges from cold analysis" >&2; exit 1; }
 grep -q '^result cache: *1 hits' "$tmp/plain.txt" \
   || { echo "incremental_smoke: livc plain comment edit is not a hit" >&2; exit 1; }
+same_past_key "$tmp/livc-primed.ptc" "$pentry" \
+  || { echo "incremental_smoke: the rekeyed plain livc entry differs from the primed one past its key" >&2; exit 1; }
 sed 's/double kern_a_5(void) { int i;/double kern_a_5(void) { int i; int edit_probe; edit_probe = 0;/' \
   "$tmp/livc.c" >"$tmp/livc2.c" && mv "$tmp/livc2.c" "$tmp/livc.c"
 "$ptan" analyze "$tmp/livc.c" --cache-dir "$pcache" >/dev/null
 n=$(ls "$pcache"/livc-*.ptc | wc -l)
 [ "$n" = 1 ] \
   || { echo "incremental_smoke: livc edits left $n plain entries (expected 1)" >&2; exit 1; }
-echo "incremental_smoke: livc plain cache — comment edit rekeyed ($(wc -l <"$tmp/got_plain.txt") statement sets identical, a hit), one .ptc after a real edit"
+echo "incremental_smoke: livc plain cache — comment edit rekeyed ($(wc -l <"$tmp/got_plain.txt") statement sets identical, a hit, entry as primed past its key), one .ptc after a real edit"
 
 # ---- 2f. the graph's readers: a warm entry and a replaying edit ------
 # An entry holds the invocation graph's shape and map information, not

@@ -38,6 +38,11 @@ let in_temp f =
       end)
     (fun () -> f dir)
 
+(** The entry of [source] under [dir], incremental or plain. *)
+let entry_file ?(opts = Options.default) ~incremental ~dir source =
+  (if incremental then Persist.cache_file_incr else Persist.cache_file)
+    ~cache_dir:dir ~source ~opts ~entry:"main"
+
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -252,6 +257,11 @@ let no_replay name (r : Analysis.result) =
   Alcotest.(check int) (name ^ ": nothing replays without sharing") 0
     r.Analysis.metrics.Metrics.incr_funcs_reused
 
+(** livc with a comment that moves every statement from [kern_a_5] on
+    down two lines. *)
+let livc_moved text =
+  replace_once ~sub:"double kern_a_5" ~by:"/* moved\n   down */\ndouble kern_a_5" text
+
 let suite_tests =
   [
     case "whole suite: comment edit rekeys bit-identically" (fun () ->
@@ -286,7 +296,8 @@ let suite_tests =
            the saved body is the answer: with heap objects named by
            site, without context sensitivity, and when the run warned
            (warnings name statements by id); the plain entry carries
-           the fingerprint too, so it rekeys alike *)
+           the fingerprint too, so it rekeys alike. The rekey rewrites
+           the content key and nothing else. *)
         let warns =
           "int g; int *p;\nvoid (*fp)(void);\n\
            void f(void) { p = &g; }\n\
@@ -302,9 +313,14 @@ let suite_tests =
               let source = Filename.concat dir "prog.c" in
               write_file source text;
               let _ = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental source in
+              let entry () = read_file (entry_file ~opts ~incremental ~dir source) in
+              let primed = entry () in
               write_file source (replace_once ~sub:anchor ~by:("/* moved */\n" ^ anchor) text);
               let r, hit = Persist.analyze_cached ~cache_dir:dir ~opts ~incremental source in
               Alcotest.(check bool) (name ^ ": a hit") true hit;
+              Alcotest.(check bool)
+                (name ^ ": the entry past its key as primed") true
+                (String.equal (past_key primed) (past_key (entry ())));
               Alcotest.(check int)
                 (name ^ ": one hit counted") 1 r.Analysis.metrics.Metrics.cache_hits;
               Alcotest.(check int)
@@ -332,12 +348,13 @@ let suite_tests =
               Options.default,
               fun (r : Analysis.result) -> r.Analysis.warnings <> [] );
           ]);
-    case "a rekey serves the new text's positions and typing environment" (fun () ->
-        (* the rekey decodes the saved tables with the fresh lowering
-           and skips the saved program, whose positions are stale; it
-           saves the fresh program in its place and copies every
-           segment, so the next full hit serves the new positions too,
-           plain or incremental *)
+    case "a rekey serves the fresh lowering and its typing environment" (fun () ->
+        (* a statement holds no source position, so the comment leaves
+           the lowering as it was: the rekey decodes the saved tables
+           with the fresh lowering, skipping the saved program, and
+           saves the entry under the new key, every later byte as it
+           was; the next full hit serves the same program, plain or
+           incremental *)
         List.iter
           (fun incremental ->
             in_temp (fun dir ->
@@ -346,44 +363,28 @@ let suite_tests =
                 let text = read_file (bench "livc") in
                 write_file source text;
                 let _ = Persist.analyze_cached ~cache_dir:dir ~incremental source in
-                let entry_file =
-                  (if incremental then Persist.cache_file_incr else Persist.cache_file)
-                    ~cache_dir:dir ~source ~opts:Options.default ~entry:"main"
-                in
-                let segments () =
-                  let data = read_file entry_file in
-                  List.map
-                    (fun s -> (s.name, String.sub data s.off s.len))
-                    (List.tl (entry_layout data).sections)
-                in
-                let primed = segments () in
-                let edited =
-                  replace_once ~sub:"double kern_a_5" ~by:"/* moved\n   down */\ndouble kern_a_5"
-                    text
-                in
+                let entry_file = entry_file ~incremental ~dir source in
+                let primed = read_file entry_file in
+                let edited = livc_moved text in
                 write_file source edited;
                 let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental source in
                 Alcotest.(check bool) (name ^ ": a hit") true hit;
-                let locs (p : Ir.program) =
-                  Ir.fold_program
-                    (fun acc s -> (s.Ir.s_id, Cfront.Srcloc.to_string s.Ir.s_loc) :: acc)
-                    [] p
-                in
-                let fresh = locs (Simple_ir.Simplify.of_string ~file:source edited) in
+                let fresh = Simple_ir.Simplify.of_string ~file:source edited in
                 Alcotest.(check bool)
-                  (name ^ ": the edit moved positions") false
-                  (fresh = locs (Simple_ir.Simplify.of_string ~file:source text));
-                Alcotest.(check (list (pair int string)))
-                  (name ^ ": positions") fresh (locs r.Analysis.prog);
+                  (name ^ ": the served program is the fresh lowering") true
+                  (fresh = r.Analysis.prog);
                 Alcotest.(check bool)
                   (name ^ ": the typing environment is the served program's")
                   true
                   (r.Analysis.tenv.Pointsto.Tenv.prog == r.Analysis.prog);
-                Alcotest.(check bool) (name ^ ": every segment copied") true (primed = segments ());
+                Alcotest.(check bool)
+                  (name ^ ": the entry past its key as primed") true
+                  (String.equal (past_key primed) (past_key (read_file entry_file)));
                 let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental source in
                 Alcotest.(check bool) (name ^ ": then a full hit") true hit;
-                Alcotest.(check (list (pair int string)))
-                  (name ^ ": the full hit's positions") fresh (locs r.Analysis.prog)))
+                Alcotest.(check bool)
+                  (name ^ ": the full hit's program is the fresh lowering") true
+                  (fresh = r.Analysis.prog)))
           [ true; false ]);
     case "whole suite: adding a function replays bit-identically" (fun () ->
         (* a new (uncalled) function changes the hash table, so the
@@ -1513,9 +1514,10 @@ let adoption_tests =
             Alcotest.(check int) "b adopts, leaf folds" 1 m.Metrics.incr_funcs_adopted));
     case "a version-11 entry is not read: the lookup runs cold and primes it again" (fun () ->
         (* and so is one of format 13, whose graph nodes held IN/OUT
-           pairs, or of format 14, whose metrics counted checkpointed
-           functions *)
-        Alcotest.(check int) "this format" 15 Persist.version;
+           pairs, of format 14, whose metrics counted checkpointed
+           functions, or of format 15, whose program held source
+           positions and whose metrics held timings *)
+        Alcotest.(check int) "this format" 16 Persist.version;
         List.iter
           (fun v ->
             in_temp (fun dir ->
@@ -1542,11 +1544,11 @@ let adoption_tests =
                 check_identical name (Analysis.of_file source) r;
                 Alcotest.(check int)
                   (name ^ ": primed at this version")
-                  15
+                  16
                   (Char.code (read_file pti).[5]);
                 let _, hit = Persist.analyze_cached ~cache_dir:dir ~incremental:true source in
                 Alcotest.(check bool) (name ^ ": then a hit") true hit))
-          [ 11; 13; 14 ]);
+          [ 11; 13; 14; 15 ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1655,11 +1657,6 @@ let graph_reader_tests =
 (* The stable entry, plain and incremental                             *)
 (* ------------------------------------------------------------------ *)
 
-(** livc with a comment that moves every statement from [kern_a_5] on
-    down two lines. *)
-let livc_moved text =
-  replace_once ~sub:"double kern_a_5" ~by:"/* moved\n   down */\ndouble kern_a_5" text
-
 let stable_entry_tests =
   [
     case "comment and real edits of one source leave one plain entry for it" (fun () ->
@@ -1689,6 +1686,66 @@ let stable_entry_tests =
                 real text ^ "/* and another */\n";
                 real (livc_moved text);
               ]));
+    case "two cold primes of one source write the same bytes, plain and incremental" (fun () ->
+        (* an entry holds the lowered program, the answers and the
+           run's counts, none of which depends on when it ran *)
+        in_temp (fun dir ->
+            let source = Filename.concat dir "livc.c" in
+            write_file source (read_file (bench "livc"));
+            List.iter
+              (fun incremental ->
+                let name = if incremental then "incremental" else "plain" in
+                let prime () =
+                  in_temp (fun cache_dir ->
+                      let _, hit = Persist.analyze_cached ~cache_dir ~incremental source in
+                      Alcotest.(check bool) (name ^ ": a miss") false hit;
+                      read_file (entry_file ~incremental ~dir:cache_dir source))
+                in
+                let first = prime () in
+                Alcotest.(check bool) (name ^ ": equal bytes") true (String.equal first (prime ())))
+              [ true; false ]));
+    case "a full hit and a rekey report their own incremental counters" (fun () ->
+        (* nothing re-ran: nothing dirty, every defined function served,
+           no graph node rebuilt, no function adopted, whatever the run
+           that saved the entry counted *)
+        let text = Gen.program { (Test_rows.gen_knobs "web") with Gen.size = 600 } in
+        List.iter
+          (fun incremental ->
+            in_temp (fun dir ->
+                let mode = if incremental then "incremental" else "plain" in
+                let source = Filename.concat dir "web.c" in
+                let lookup name expect_hit =
+                  let r, hit = Persist.analyze_cached ~cache_dir:dir ~incremental source in
+                  Alcotest.(check bool) (Printf.sprintf "%s, %s: a hit" mode name) expect_hit hit;
+                  let m = r.Analysis.metrics in
+                  ( List.length r.Analysis.prog.Ir.funcs,
+                    [
+                      m.Metrics.incr_funcs_dirty;
+                      m.Metrics.incr_funcs_reused;
+                      m.Metrics.incr_nodes_rebuilt;
+                      m.Metrics.incr_funcs_adopted;
+                    ] )
+                in
+                let served name =
+                  let n, counted = lookup name true in
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "%s, %s: dirty, replayed, rebuilt, adopted" mode name)
+                    [ 0; n; 0; 0 ] counted
+                in
+                write_file source text;
+                ignore (lookup "prime" false);
+                served "full hit of the prime";
+                let edited = leaf_edit text "f0_2" in
+                write_file source edited;
+                let _, counted = lookup "leaf edit" false in
+                if incremental then
+                  Alcotest.(check bool) "the edit adopted or rebuilt" true
+                    (List.nth counted 2 + List.nth counted 3 > 0);
+                served "full hit of the edit";
+                write_file source (edited ^ "\n/* a comment */\n");
+                served "rekey of the edit";
+                served "full hit of the rekey"))
+          [ true; false ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1709,31 +1766,6 @@ let answers (r : Analysis.result) =
 let counters (r : Analysis.result) =
   let m = r.Analysis.metrics in
   [ m.Metrics.incr_funcs_dirty; m.Metrics.incr_funcs_reused; m.Metrics.incr_funcs_adopted ]
-
-(** [data], an entry, with the timings in its result section's metrics
-    zeroed and its digests resealed: what two runs of one lookup write
-    alike. *)
-let untimed data =
-  let res = List.find (fun (s : entry_section) -> s.name = "") (entry_layout data).sections in
-  let sec = String.sub data res.off res.len in
-  let _, row_srcs, pos = result_layout sec in
-  (* the rest's set chunk, the entry output and the warnings *)
-  ignore (read_sets sec pos row_srcs);
-  let _, varint, str = cursor sec pos in
-  ignore (varint ());
-  for _ = 1 to varint () do
-    ignore (str ())
-  done;
-  let b = Bytes.of_string data in
-  List.iter
-    (function
-      | Metrics.Count _ -> ignore (varint ())
-      | Metrics.Time _ ->
-          Bytes.fill b (res.off + !pos) 8 '\000';
-          pos := !pos + 8)
-    Metrics.fields;
-  reseal b;
-  Bytes.to_string b
 
 type lookup = {
   hit : bool;
@@ -1797,7 +1829,7 @@ let check_lookup name source ~(here : lookup) ~(fresh : lookup) =
   Alcotest.(check int) (name ^ ": quarantines as on a fresh domain") fresh.quarantined
     here.quarantined;
   Alcotest.(check bool) (name ^ ": the entry's bytes as on a fresh domain") true
-    (String.equal (untimed fresh.left) (untimed here.left));
+    (String.equal fresh.left here.left);
   Alcotest.(check (list string))
     (name ^ ": answers as --no-cache")
     (answers (Analysis.of_file source))

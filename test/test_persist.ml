@@ -13,6 +13,7 @@ module Ig = Pointsto.Invocation_graph
 module Stats = Pointsto.Stats
 module Persist = Pointsto.Persist
 module Options = Pointsto.Options
+module M = Pointsto.Metrics
 
 let bench_dir = if Sys.file_exists "benchmarks" then "benchmarks" else "../benchmarks"
 
@@ -243,22 +244,37 @@ let cache_tests =
             check_equivalent "stanford cached" cold warm));
     case "analyze_cached: a hit reports the cold run's counters" (fun () ->
         (* config.c calls a modeled library function, so the external-call
-           row is non-zero; every row but this invocation's own cache
-           traffic and timings must survive the round trip *)
+           row is non-zero; every count but this invocation's own cache
+           traffic and incremental counters must survive the round trip,
+           and no timing does *)
         in_temp (fun dir ->
             let source = bench "config" in
-            let rows (r : Analysis.result) =
-              List.filter
-                (fun (label, _) -> label <> "analysis time" && label <> "result cache")
-                (Pointsto.Metrics.rows r.Analysis.metrics)
+            let counts (r : Analysis.result) =
+              let m =
+                {
+                  r.Analysis.metrics with
+                  M.cache_hits = 0;
+                  cache_misses = 0;
+                  incr_funcs_dirty = 0;
+                  incr_funcs_reused = 0;
+                  incr_nodes_rebuilt = 0;
+                  incr_funcs_adopted = 0;
+                }
+              in
+              List.filter_map
+                (function M.Count (get, _) -> Some (get m) | M.Time _ -> None)
+                M.fields
             in
             let cold, _ = Persist.analyze_cached ~cache_dir:dir source in
             let warm, hit = Persist.analyze_cached ~cache_dir:dir source in
             Alcotest.(check bool) "second call hits" true hit;
             Alcotest.(check bool)
               "external calls counted" true
-              (cold.Analysis.metrics.Pointsto.Metrics.ext_modeled > 0);
-            Alcotest.(check (list (pair string string))) "rows" (rows cold) (rows warm)));
+              (cold.Analysis.metrics.M.ext_modeled > 0);
+            Alcotest.(check (list int)) "counts" (counts cold) (counts warm);
+            Alcotest.(check bool)
+              "no analysis time" true
+              (warm.Analysis.metrics.M.t_analysis = 0.)));
     case "analyze_cached: different options key different entries" (fun () ->
         in_temp (fun dir ->
             let source = bench "stanford" in

@@ -322,6 +322,15 @@ let segment_calls (seg : string) : (int * string * int) list list =
   if !pos <> String.length seg then Alcotest.failf "segment read to %d of %d bytes" !pos (String.length seg);
   calls
 
+(** An entry's bytes past its content key (magic, version, key): what
+    is equal in two entries of one program, options and engine. *)
+let past_key (data : string) =
+  let pos = ref 5 in
+  let _, varint, _ = cursor data pos in
+  ignore (varint ());
+  let at = !pos + 16 in
+  String.sub data at (String.length data - at)
+
 (** The bytes of the section named [name]. *)
 let entry_section data name =
   match List.find_opt (fun s -> s.name = name) (entry_layout data).sections with

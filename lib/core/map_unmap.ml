@@ -25,7 +25,20 @@
     relationships of globals and symbolic names are translated back
     through the recorded representation, demoting pairs whose target
     resolves to several caller locations; pairs involving escaping callee
-    locals are dropped. *)
+    locals are dropped.
+
+    Cost per call. A call costs the rows it translates, not the
+    program's global state. Globals keep their relationships across a
+    call, so the callee's global part ({!Pts}) is the caller's, shared,
+    and the caller's global part after the call is the callee output's:
+    [map_call] visits only the rows of the caller's {!Pts.global_index}
+    (the global rows that name an invisible, a symbolic name or the
+    heap), and [unmap_call] only those of the output's. The index is
+    kept on the set and updated per changed row, so reading it is O(1)
+    along an analysis. The rest is proportional to the frames: the
+    callee's input frame is its program-wide NULL rows
+    ({!Tenv.frame_cells}) plus the explored and formal rows, and unmap
+    walks the callee output's frame part and filters the caller's. *)
 
 module Ir = Simple_ir.Ir
 open Cfront
@@ -40,11 +53,12 @@ type state = {
   tenv : Tenv.t;
   caller_fn : Ir.func;
   input : Pts.t;
-  fwd : (Loc.t, Loc.t) Hashtbl.t;  (** caller invisible -> symbolic name *)
-  reps : (Loc.t, Loc.t list) Hashtbl.t;  (** symbolic name -> invisibles *)
-  cells : (Loc.t, Loc.t list) Hashtbl.t;  (** callee cell -> caller cells *)
-  cell_order : Loc.t list ref;  (** callee cells in discovery order *)
-  visited : (Loc.t * Loc.t, unit) Hashtbl.t;
+  mutable fwd : Loc.t Loc.Map.t;  (** caller invisible -> symbolic name *)
+  mutable reps : Loc.t list Loc.Map.t;  (** symbolic name -> invisibles *)
+  mutable cells : Loc.t list ref Loc.Map.t;  (** callee cell -> caller cells *)
+  mutable cell_order : (Loc.t * Loc.t list ref) list;
+      (** callee cells in reverse discovery order, with their caller cells *)
+  mutable visited : Loc.Set.t Loc.Map.t;  (** callee location -> caller locations explored *)
 }
 
 (** Information recorded in the invocation-graph node. *)
@@ -74,7 +88,7 @@ let rec translate_with ~find (l : Loc.t) : Loc.t option =
         | Loc.Tail b -> Option.map Loc.tail (translate_with ~find b)
         | _ -> None)
 
-let translate_fwd st l = translate_with ~find:(Hashtbl.find_opt st.fwd) l
+let translate_fwd st l = translate_with ~find:(fun l -> Loc.Map.find_opt l st.fwd) l
 
 let info_translate info l = translate_with ~find:(fun l -> Loc.Map.find_opt l info.i_fwd) l
 
@@ -83,7 +97,7 @@ let info_translate info l = translate_with ~find:(fun l -> Loc.Map.find_opt l in
     the enclosing symbolic location summarizes (safe: its representation
     set grows, so its relationships weaken to possible). *)
 let assign_sym st ~parent t =
-  match Hashtbl.find_opt st.fwd t with
+  match Loc.Map.find_opt t st.fwd with
   | Some s -> s
   | None ->
       let max_depth = st.tenv.Tenv.opts.Options.max_sym_depth in
@@ -97,15 +111,19 @@ let assign_sym st ~parent t =
           in
           enclosing parent
       in
-      Hashtbl.replace st.fwd t sym;
-      let old = Option.value ~default:[] (Hashtbl.find_opt st.reps sym) in
-      Hashtbl.replace st.reps sym (old @ [ t ]);
+      st.fwd <- Loc.Map.add t sym st.fwd;
+      let old = Option.value ~default:[] (Loc.Map.find_opt sym st.reps) in
+      st.reps <- Loc.Map.add sym (old @ [ t ]) st.reps;
       sym
 
 let record_cell st cl c =
-  (if not (Hashtbl.mem st.cells cl) then st.cell_order := cl :: !(st.cell_order));
-  let old = Option.value ~default:[] (Hashtbl.find_opt st.cells cl) in
-  if not (List.exists (Loc.equal c) old) then Hashtbl.replace st.cells cl (old @ [ c ])
+  match Loc.Map.find_opt cl st.cells with
+  | None ->
+      let callers = ref [ c ] in
+      st.cells <- Loc.Map.add cl callers st.cells;
+      st.cell_order <- (cl, callers) :: st.cell_order
+  | Some callers ->
+      if not (List.exists (Loc.equal c) !callers) then callers := !callers @ [ c ]
 
 (** Rebase caller location [l] (a path extending [c]) onto callee
     location [cl]. *)
@@ -131,7 +149,7 @@ let sort_definite_first targets =
     symbolic name when it is invisible, and recursively explores it. *)
 let rec map_target st ~parent (t : Loc.t) : Loc.t =
   if visible t then begin
-    if Loc.equal t Loc.Heap then explore st Loc.Heap Loc.Heap;
+    (match t with Loc.Heap -> explore st Loc.Heap Loc.Heap | _ -> ());
     t
   end
   else
@@ -148,8 +166,9 @@ let rec map_target st ~parent (t : Loc.t) : Loc.t =
 (** Explore the object at caller location [c], represented by callee
     location [cl]: record its pointer cells and map all their targets. *)
 and explore st (cl : Loc.t) (c : Loc.t) : unit =
-  if not (Hashtbl.mem st.visited (cl, c)) then begin
-    Hashtbl.replace st.visited (cl, c) ();
+  let seen = Option.value ~default:Loc.Set.empty (Loc.Map.find_opt cl st.visited) in
+  if not (Loc.Set.mem c seen) then begin
+    st.visited <- Loc.Map.add cl (Loc.Set.add c seen) st.visited;
     let cells =
       match Tenv.loc_type st.tenv st.caller_fn c with
       | Some ty -> Tenv.pointer_cells st.tenv c ty
@@ -163,12 +182,18 @@ and explore st (cl : Loc.t) (c : Loc.t) : unit =
   end
 
 (** Record caller cell [c_cell] as represented by callee cell [cl_cell]
-    and map its targets, definite first. *)
+    and map its targets, definite first, each kind in the descending
+    order {!Pts.targets} lists them in, as {!sort_definite_first} over
+    that list orders them. *)
 and map_cell st cl_cell c_cell =
   record_cell st cl_cell c_cell;
-  List.iter
-    (fun (t, _d) -> ignore (map_target st ~parent:cl_cell t))
-    (sort_definite_first (Pts.targets c_cell st.input))
+  let definite = ref [] and possible = ref [] in
+  Loc.Map.iter
+    (fun t c -> if c == Pts.D then definite := t :: !definite else possible := t :: !possible)
+    (Pts.tgt_map c_cell st.input);
+  let map t = ignore (map_target st ~parent:cl_cell t) in
+  List.iter map !definite;
+  List.iter map !possible
 
 (* ------------------------------------------------------------------ *)
 (* Building the callee input                                          *)
@@ -179,18 +204,14 @@ let make_state tenv caller_fn input =
     tenv;
     caller_fn;
     input;
-    fwd = Hashtbl.create 16;
-    reps = Hashtbl.create 16;
-    cells = Hashtbl.create 32;
-    cell_order = ref [];
-    visited = Hashtbl.create 32;
+    fwd = Loc.Map.empty;
+    reps = Loc.Map.empty;
+    cells = Loc.Map.empty;
+    cell_order = [];
+    visited = Loc.Map.empty;
   }
 
-let info_of_state st : info =
-  {
-    i_fwd = Hashtbl.fold Loc.Map.add st.fwd Loc.Map.empty;
-    i_reps = Hashtbl.fold Loc.Map.add st.reps Loc.Map.empty;
-  }
+let info_of_state st : info = { i_fwd = st.fwd; i_reps = st.reps }
 
 (** Merge two target maps with Figure 1's merge semantics: a target is
     definite only when definite in both (used when several caller cells
@@ -211,20 +232,6 @@ let targets_meet (a : Pts.cert Loc.Map.t) (b : Pts.cert Loc.Map.t) =
 let add_weak_tgt t d row =
   Loc.Map.update t (function None -> Some d | Some d0 -> Some (Pts.cert_and d0 d)) row
 
-(** A row every one of whose targets {!map_target} keeps as is without
-    exploring anything and that no demotion can touch: visible, not the
-    heap blob, and not symbolic. A symbolic name rooted at a global is
-    visible too, but this call may also mint it for several caller
-    invisibles, and then the rows pointing at it are demoted; such rows
-    are mapped. Allocation sites are visible roots explored on their
-    own, so they qualify. *)
-let names_nothing m =
-  Loc.Map.for_all
-    (fun t _ -> visible t && Loc.sym_depth t = 0 && not (Loc.equal t Loc.Heap))
-    m
-
-let null_row (cell, singular) = (cell, Loc.Map.singleton Loc.Null (if singular then Pts.D else Pts.P))
-
 (** Compute the callee's input set and map information for a call.
     [actuals] must be aligned with [callee.fn_params] (missing trailing
     actuals are allowed for variadic-style calls and map to NULL). *)
@@ -236,19 +243,27 @@ let map_call (tenv : Tenv.t) ~(caller_fn : Ir.func) ~(callee : Ir.func) ~(input 
   let tr0 = Trace.start () in
   let st = make_state tenv caller_fn input in
   (* roots: the globals' cells, in declaration order. A row that names
-     nothing maps to itself and is not explored; every other row maps in
-     order, so the symbolic names it mints do not depend on the skipped
-     rows *)
+     nothing maps to itself and is not explored, so only the index's
+     rows map, in order: the symbolic names they mint do not depend on
+     the skipped rows. An indexed source that is no declared cell was
+     made through a cast and is dropped *)
+  let index = Pts.global_index ~cells:tenv.Tenv.global_cell_ord input in
+  let roots, undeclared =
+    Loc.Set.fold
+      (fun src (roots, undeclared) ->
+        match Loc.Map.find_opt src tenv.Tenv.global_cell_ord with
+        | Some i -> ((i, src) :: roots, undeclared)
+        | None -> (roots, (src, Loc.Map.empty) :: undeclared))
+      index ([], [])
+  in
   List.iter
-    (fun (cell, _) ->
-      let row = Pts.tgt_map cell input in
-      if not (Loc.Map.is_empty row || names_nothing row) then map_cell st cell cell)
-    tenv.Tenv.global_cells;
+    (fun (_, cell) -> map_cell st cell cell)
+    (List.sort (fun (i, _) (j, _) -> Int.compare i j) roots);
   explore st Loc.Heap Loc.Heap;
   (* with heap_by_site, each allocation site present in the caller's set
      is its own visible root *)
   if tenv.Tenv.opts.Options.heap_by_site then
-    Pts.iter_srcs
+    Pts.iter_frame
       (fun src _ ->
         match Loc.root src with Loc.Site _ as site -> explore st site site | _ -> ())
       input;
@@ -304,15 +319,16 @@ let map_call (tenv : Tenv.t) ~(caller_fn : Ir.func) ~(callee : Ir.func) ~(input 
      for several invisibles, hence never demoted *)
   let identity_tgt t _d = visible t && rep_count info t = 1 in
   (* every row below has its own source: explored cells are global-,
-     heap-, site- or symbolic-rooted, formals parameter-rooted, the
-     NULL rows local- or return-rooted. The base they go onto is the
-     caller's global rows, shared: a skipped row is already its
-     callee-side row, an explored global row is replaced *)
+     heap-, site- or symbolic-rooted, formals parameter-rooted. The base
+     they go onto is the caller's global part, shared — a skipped row is
+     already its callee-side row, an explored global row is replaced, an
+     undeclared one unbound — with the callee's NULL rows, local- or
+     return-rooted, as its frame part *)
   let explored_rows =
     List.fold_left
-      (fun rows cl_cell ->
+      (fun rows (cl_cell, callers) ->
         let row =
-          match Hashtbl.find st.cells cl_cell with
+          match !callers with
           | [ c ] when Loc.equal cl_cell c && Loc.Map.for_all identity_tgt (Pts.tgt_map c input)
             ->
               (* visible cell, every target visible: the caller's submap
@@ -325,7 +341,7 @@ let map_call (tenv : Tenv.t) ~(caller_fn : Ir.func) ~(callee : Ir.func) ~(input 
               | r :: rest -> List.fold_left targets_meet r rest)
         in
         (cl_cell, row) :: rows)
-      [] !(st.cell_order)
+      [] st.cell_order
   in
   let formal_rows =
     List.map
@@ -337,11 +353,10 @@ let map_call (tenv : Tenv.t) ~(caller_fn : Ir.func) ~(callee : Ir.func) ~(input 
               mapped ))
       !formal_values
   in
-  (* NULL-initialize callee pointer locals and the return slot *)
-  let frame = Tenv.frame_cells tenv callee in
-  let null_rows = List.map null_row (frame.Tenv.local_cells @ frame.Tenv.ret_cells) in
-  let globals = Pts.filter_src (fun src -> Loc.Set.mem src tenv.Tenv.global_cell_set) input in
-  let func_input = Pts.add_rows (explored_rows @ formal_rows @ null_rows) globals in
+  (* the callee's pointer locals and return slot start NULL: its frame
+     part starts as the program-wide set of those rows *)
+  let base = Pts.splice ~globals:input ~frame:(Tenv.frame_cells tenv callee).Tenv.null_frame in
+  let func_input = Pts.add_rows (undeclared @ explored_rows @ formal_rows) base in
   m.Metrics.t_map <- m.Metrics.t_map +. (Metrics.now () -. t0);
   if Trace.on () then
     Trace.emit Trace.Map ~name:callee.Ir.fn_name ~pts_in:(Pts.cardinal input)
@@ -366,6 +381,15 @@ let rec resolve_back (info : info) (l : Loc.t) : Loc.t list =
   | Loc.Var _ | Loc.Ret _ -> []
   | Loc.Heap | Loc.Site _ | Loc.Null | Loc.Str | Loc.Fun _ -> [ l ]
 
+(** A callee-side location in the callee's own storage (a local, a
+    parameter or the return slot, or a part of one) with no symbolic
+    name on the path: {!resolve_back} gives nothing. *)
+let rec own_storage = function
+  | Loc.Var (_, k) -> k != Loc.Kglobal
+  | Loc.Ret _ -> true
+  | Loc.Fld (b, _) | Loc.Head b | Loc.Tail b -> own_storage b
+  | Loc.Sym _ | Loc.Heap | Loc.Site _ | Loc.Null | Loc.Str | Loc.Fun _ -> false
+
 (** Output points-to set at the call site, from the callee's output.
     [merged] marks calls evaluated with merged per-function contexts
     (the context-insensitive ablation and the widened degradation
@@ -373,83 +397,109 @@ let rec resolve_back (info : info) (l : Loc.t) : Loc.t list =
     an untranslatable target — a local name that may belong to another
     frame, not just the callee's dead storage — still warrants
     retaining the cell's pre-call targets. *)
-let unmap_call ?(callee = "?") ?(merged = false) (_tenv : Tenv.t) ~(input : Pts.t)
+let unmap_call ?(callee = "?") ?(merged = false) (tenv : Tenv.t) ~(input : Pts.t)
     ~(output : Pts.t) ~(info : info) : Pts.t =
   let m = Metrics.cur () in
   m.Metrics.unmap_calls <- m.Metrics.unmap_calls + 1;
   let t0 = Metrics.now () in
   let tr0 = Trace.start () in
   let self_resolving t = visible t && not (Loc.Map.mem t info.i_reps) in
-  (* the caller-side rows the callee's output translates to *)
-  let rows : (Loc.t, Pts.cert Loc.Map.t) Hashtbl.t = Hashtbl.create 64 in
-  (* per caller source: the translated target maps of every callee-side
-     source resolving to it *)
-  let per_src : (Loc.t, Pts.cert Loc.Map.t list) Hashtbl.t = Hashtbl.create 32 in
-  Pts.iter_srcs
+  (* a callee-side target map in the caller's name space, and whether a
+     symbolic target dropped on the way. A symbolic target with no
+     representation at this site comes from another call path whose
+     facts were merged into the callee's set (context-insensitive slots,
+     approximate-node reuse). It cannot be translated here, but it
+     witnesses that along some path the cell kept or received a
+     caller-invisible value — so the cell may still hold any of its
+     pre-call targets. Dropping the pair outright loses that (observed
+     as concrete pairs vanishing across widened-mode calls on the
+     generated corpus); instead the caller's old targets for the cell
+     are retained, demoted to possible. *)
+  let translate m0 =
+    (* every target resolves back to itself: the callee's submap is
+       already the translated target map — share it *)
+    if Loc.Map.for_all (fun t _ -> self_resolving t) m0 then (m0, false)
+    else
+      let dropped_sym = ref false in
+      let tmap =
+        Loc.Map.fold
+          (fun tgt d acc ->
+            let tgts = resolve_back info tgt in
+            if tgts = [] && (merged || Loc.sym_depth tgt > 0) then dropped_sym := true;
+            let d = if List.length tgts > 1 then Pts.P else d in
+            List.fold_left (fun acc t -> add_weak_tgt t d acc) acc tgts)
+          m0 Loc.Map.empty
+      in
+      (tmap, !dropped_sym)
+  in
+  let retained s = Loc.Map.map (fun _ -> Pts.P) (Pts.tgt_map s input) in
+  (* the global part: a global source resolves back to itself alone,
+     and no other callee-side source resolves to a global, so the
+     callee's global part is the caller's, with only the rows of its
+     index to translate; a row that names nothing comes back shared *)
+  let global_rows =
+    Loc.Set.fold
+      (fun src rows ->
+        let m0 = Pts.tgt_map src output in
+        if Loc.Map.for_all (fun t _ -> self_resolving t) m0 then rows
+        else
+          let tmap, dropped_sym = translate m0 in
+          let kept = if dropped_sym then retained src else Loc.Map.empty in
+          (src, if Loc.Map.is_empty kept then tmap else targets_meet tmap kept) :: rows)
+      (Pts.global_index ~cells:tenv.Tenv.global_cell_ord output)
+      []
+  in
+  (* the caller-side frame rows the callee's frame part translates to,
+     and per caller source the translated target maps of every
+     callee-side source resolving to it *)
+  let rows = ref Loc.Map.empty and per_src = ref Loc.Map.empty in
+  Pts.iter_frame
     (fun src m0 ->
-      if self_resolving src && Loc.Map.for_all (fun t _ -> self_resolving t) m0 then
+      if own_storage src then () (* escaping callee storage is dropped *)
+      else if self_resolving src && Loc.Map.for_all (fun t _ -> self_resolving t) m0 then
         (* already its caller-side row, and no other callee source
            resolves to a visible location: kept as is, shared *)
-        Hashtbl.replace rows src m0
+        rows := Loc.Map.add src m0 !rows
       else
         let srcs = resolve_back info src in
         if srcs <> [] then begin
-          (* a symbolic target with no representation at this site comes
-             from another call path whose facts were merged into the
-             callee's set (context-insensitive slots, approximate-node
-             reuse). It cannot be translated here, but it witnesses that
-             along some path the cell kept or received a caller-invisible
-             value — so the cell may still hold any of its pre-call
-             targets. Dropping the pair outright loses that (observed as
-             concrete pairs vanishing across widened-mode calls on the
-             generated corpus); instead the caller's old targets for the
-             cell are retained, demoted to possible. *)
-          let dropped_sym = ref false in
-          let tmap =
-            (* every target resolves back to itself: the callee's submap
-               is already the translated target map — share it *)
-            if Loc.Map.for_all (fun t _ -> self_resolving t) m0 then m0
-            else
-              Loc.Map.fold
-                (fun tgt d acc ->
-                  let tgts = resolve_back info tgt in
-                  if tgts = [] && (merged || Loc.sym_depth tgt > 0) then
-                    dropped_sym := true;
-                  let d = if List.length tgts > 1 then Pts.P else d in
-                  List.fold_left (fun acc t -> add_weak_tgt t d acc) acc tgts)
-                m0 Loc.Map.empty
-          in
+          let tmap, dropped_sym = translate m0 in
           List.iter
             (fun s ->
-              let old = Option.value ~default:[] (Hashtbl.find_opt per_src s) in
+              let old = Option.value ~default:[] (Loc.Map.find_opt s !per_src) in
               let maps =
-                if !dropped_sym then
-                  let retained = Loc.Map.map (fun _ -> Pts.P) (Pts.tgt_map s input) in
-                  if Loc.Map.is_empty retained then tmap :: old
-                  else tmap :: retained :: old
+                if dropped_sym then
+                  let kept = retained s in
+                  if Loc.Map.is_empty kept then tmap :: old else tmap :: kept :: old
                 else tmap :: old
               in
-              Hashtbl.replace per_src s maps)
+              per_src := Loc.Map.add s maps !per_src)
             srcs
         end)
     output;
-  Hashtbl.iter
-    (fun s tmaps ->
-      match tmaps with
-      | [] -> ()
-      | m :: rest -> Hashtbl.replace rows s (List.fold_left targets_meet m rest))
-    per_src;
-  (* a caller row the callee could reach is replaced by its translated
-     row, or dropped when nothing translates back to its source; rows
-     out of the callee's reach persist. A row the call left alone comes
-     back physically shared, so only the rows the call changed cost a
-     tree update *)
+  let rows =
+    Loc.Map.fold
+      (fun s tmaps rows ->
+        match tmaps with
+        | [] -> rows
+        | m :: rest -> Loc.Map.add s (List.fold_left targets_meet m rest) rows)
+      !per_src !rows
+  in
+  (* a caller frame row the callee could reach is replaced by its
+     translated row, or dropped when nothing translates back to its
+     source; rows out of the callee's reach persist. A row the call left
+     alone comes back physically shared, so only the rows the call
+     changed cost a tree update *)
   let kept =
-    Pts.filter_src
-      (fun src -> Hashtbl.mem rows src || Option.is_none (info_translate info src))
+    Pts.filter_frame
+      (fun src -> Option.is_none (info_translate info src) || Loc.Map.mem src rows)
       input
   in
-  let result = Pts.add_rows (Hashtbl.fold (fun s row acc -> (s, row) :: acc) rows []) kept in
+  let result =
+    Pts.add_rows
+      (Loc.Map.fold (fun s row acc -> (s, row) :: acc) rows global_rows)
+      (Pts.splice ~globals:output ~frame:kept)
+  in
   m.Metrics.t_unmap <- m.Metrics.t_unmap +. (Metrics.now () -. t0);
   if Trace.on () then
     Trace.emit Trace.Unmap ~name:callee ~pts_in:(Pts.cardinal output)

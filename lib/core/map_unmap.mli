@@ -35,9 +35,12 @@ val resolve_back : info -> Loc.t -> Loc.t list
 
 (** Compute the callee's input set and map information for a call.
     [actuals] align with [callee.fn_params]; missing trailing actuals map
-    to NULL. The roots are the {!Tenv.t} [global_cells]; a global row whose
-    targets are all visible and none the heap maps to itself and is
-    shared without exploration. The callee's locals and return slot
+    to NULL. The callee's global part is the caller's, shared: only the
+    rows of its {!Pts.global_index} are visited — the declared cells
+    among them mapped as roots in the declaration order of the {!Tenv.t}
+    [global_cells], the others (made through a cast) dropped — and a
+    global row whose targets are all visible and none the heap maps to
+    itself without exploration. The callee's locals and return slot
     start at NULL ({!Tenv.frame_cells}). *)
 val map_call :
   Tenv.t ->
@@ -50,7 +53,11 @@ val map_call :
 (** The caller's points-to set after the call: relationships of
     unreachable caller locations persist; the callee's output translates
     back (conflicting views of one caller cell reconcile with merge
-    semantics). [callee] only labels the {!Trace} span.
+    semantics). The result's global part is the callee output's, shared,
+    with only the rows of its {!Pts.global_index} translated; its frame
+    part is the caller's minus the locations the callee reached, plus
+    the translated frame rows of the output. [callee] only labels the
+    {!Trace} span.
 
     A translated cell whose callee-side targets include an
     untranslatable symbolic name — minted at another call site whose

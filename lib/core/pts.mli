@@ -1,12 +1,24 @@
 (** Points-to sets: maps from (source, target) abstract-location pairs to
     a certainty (paper Definitions 3.1–3.3).
 
-    The representation is one source-indexed map plus the pair count,
-    so cardinality is O(1); {!merge}, {!equal} and {!covered_by} run
-    identity / cardinality / subsumption pre-checks so fixed-point
-    steady states cost O(1)–O(pairs) without allocation. A set is
-    immutable data with no closure or suspension inside, plus one cached
-    int, its {!hash}: any number of domains may read one at once, and it
+    The representation is two source-indexed maps plus the pair count,
+    so cardinality is O(1): the {e global part}, the rows whose source
+    is a global variable or a field or array part of one with no
+    symbolic name on the path, and the {e frame part}, every other row
+    (locals, parameters, return slots, symbolic names — a global-rooted
+    one such as [1_gq] included —, the heap and allocation sites). The
+    split serves {!Map_unmap} alone, which hands a callee the caller's
+    global part whole and translates only its {!global_index} rows: no
+    other reader sees it. Every observable walk ({!iter_srcs}, {!rows},
+    {!fold}, {!iter}, {!to_list}, {!pp}) goes in {!Loc.compare} order of
+    the sources across both parts, and {!hash} folds them in that order,
+    so it has the value it had over one map.
+
+    {!merge}, {!equal} and {!covered_by} run identity / cardinality /
+    subsumption pre-checks, per part, so fixed-point steady states cost
+    O(1)–O(pairs) without allocation. A set is immutable data with no
+    closure or suspension inside, plus two caches, its {!hash} and its
+    {!global_index}: any number of domains may read one at once, and it
     marshals as it is.
 
     The interprocedural fixed point (Figure 4) uses the lattice defined
@@ -73,6 +85,46 @@ val iter_srcs : (Loc.t -> cert Loc.Map.t -> unit) -> t -> unit
 (** The (source, target map) rows in {!Loc.compare} order of the
     sources, the submaps shared as {!iter_srcs} passes them. *)
 val rows : t -> (Loc.t * cert Loc.Map.t) list
+
+(** {2 The global part and its index}
+
+    What {!Map_unmap} reads to make a call cost the rows it translates,
+    not the program's global state. *)
+
+(** [global_index ~cells s]: the sources of the global rows a call must
+    visit, given the program's declared global pointer cells, the keys
+    of [cells] (its values, the cells' declaration positions, are not
+    read here): the rows that name something — a target that is not
+    visible, is symbolic or is the heap blob — and the rows whose source
+    is none of [cells] (made through a cast, which a call drops). Every
+    other global row names nothing: a call keeps each of its targets as
+    it is, explores none and demotes none, so it passes through
+    unchanged. (A symbolic name rooted at a global is visible, but a
+    call may mint it for several caller invisibles and then demote the
+    rows pointing at it, so it names something.)
+
+    The set keeps the index of the [cells] it was last asked for
+    (compared physically, so one per {!Tenv}), like {!hash}: the first
+    call walks the global part, later calls read it. An operation that
+    leaves the global part physically unchanged passes the index on, and
+    one that changes global rows ({!add}, {!add_rows}, {!kill_src},
+    filters, {!merge}) updates it per changed row, so along an analysis
+    the walk happens about once per program. Domains may race on the
+    cache: it is one pointer to immutable data, and a reader that finds
+    another [cells] there recomputes. *)
+val global_index : cells:int Loc.Map.t -> t -> Loc.Set.t
+
+(** Iterate the frame part's rows in {!Loc.compare} order. *)
+val iter_frame : (Loc.t -> cert Loc.Map.t -> unit) -> t -> unit
+
+(** {!filter_src} over the frame part only: every global row is kept,
+    the global part and its index shared. *)
+val filter_frame : (Loc.t -> bool) -> t -> t
+
+(** [splice ~globals ~frame]: [globals]'s global part (shared, with its
+    index) with [frame]'s frame part. *)
+val splice : globals:t -> frame:t -> t
+
 val filter : (Loc.t -> Loc.t -> cert -> bool) -> t -> t
 
 (** Keep only the relationships whose source satisfies the predicate
@@ -86,6 +138,9 @@ val equal : t -> t -> bool
 
 (** Canonical structural digest, consistent with {!equal}: equal sets
     hash equal, regardless of construction order or interning domain.
+    It folds the pairs of both parts in {!Loc.compare} order of their
+    sources, so it has the value a fold over one source-indexed map
+    gives, which the persisted set tables' record order depends on.
 
     The set keeps it: the first call computes it, later calls read it.
     Every operation that returns a new set builds it with the digest

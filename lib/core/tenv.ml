@@ -9,6 +9,7 @@ module Ir = Simple_ir.Ir
 type frame_cells = {
   local_cells : (Loc.t * bool) list;
   ret_cells : (Loc.t * bool) list;
+  null_frame : Pts.t;
 }
 
 type t = {
@@ -18,8 +19,9 @@ type t = {
   funcs : (string, Ir.func) Hashtbl.t;
   externals : (string, Ctype.func_sig) Hashtbl.t;
   global_cells : (Loc.t * bool) list;
-  global_cell_set : Loc.Set.t;
+  global_cell_ord : int Loc.Map.t;
   frames : (string, frame_cells) Hashtbl.t;
+  scopes : (string, Ir.func * (string, Loc.var_kind * Ctype.t) Hashtbl.t) Hashtbl.t;
 }
 
 let layouts t = t.prog.Ir.layouts
@@ -38,17 +40,31 @@ let func_ret_type t name =
       | Some s -> Some s.Ctype.ret
       | None -> None)
 
-(** Kind and type of a name as seen from function [fn]. *)
-let var_info t (fn : Ir.func) name : (Loc.var_kind * Ctype.t) option =
+(** A function's own names, parameters before locals, the first binding
+    of a name winning. *)
+let scan_scope (fn : Ir.func) name : (Loc.var_kind * Ctype.t) option =
   match List.assoc_opt name fn.Ir.fn_params with
   | Some ty -> Some (Loc.Kparam, ty)
   | None -> (
       match List.assoc_opt name fn.Ir.fn_locals with
       | Some ty -> Some (Loc.Klocal, ty)
-      | None -> (
-          match Hashtbl.find_opt t.globals name with
-          | Some ty -> Some (Loc.Kglobal, ty)
-          | None -> None))
+      | None -> None)
+
+(** Kind and type of a name as seen from function [fn]: one lookup in
+    the function's scope table when [fn] is the program's own, a scan of
+    its parameters and locals otherwise, then the globals. *)
+let var_info t (fn : Ir.func) name : (Loc.var_kind * Ctype.t) option =
+  let own =
+    match Hashtbl.find_opt t.scopes fn.Ir.fn_name with
+    | Some (f, scope) when f == fn -> Hashtbl.find_opt scope name
+    | Some _ | None -> scan_scope fn name
+  in
+  match own with
+  | Some _ -> own
+  | None -> (
+      match Hashtbl.find_opt t.globals name with
+      | Some ty -> Some (Loc.Kglobal, ty)
+      | None -> None)
 
 (** The abstract location for base variable [name] in [fn]; [None] when
     the name denotes a function (the caller should use [Loc.Fun]). *)
@@ -165,17 +181,33 @@ let rec pointer_cells t (l : Loc.t) (ty : Ctype.t) : (Loc.t * Ctype.t) list =
 let with_singular cells = List.map (fun (cell, _) -> (cell, Loc.singular cell)) cells
 
 (** The NULL-initialized cells of [f]'s frame: its locals' pointer
-    cells, then its return slot's. *)
+    cells, then its return slot's, and the set binding each to NULL. *)
 let frame_of t (f : Ir.func) =
+  let local_cells =
+    List.concat_map
+      (fun (n, ty) -> with_singular (pointer_cells t (Loc.var n Loc.Klocal) ty))
+      f.Ir.fn_locals
+  and ret_cells =
+    with_singular (pointer_cells t (Loc.ret f.Ir.fn_name) (Ctype.decay f.Ir.fn_ret))
+  in
+  let null_row (cell, singular) =
+    (cell, Loc.Map.singleton Loc.Null (if singular then Pts.D else Pts.P))
+  in
   {
-    local_cells =
-      List.concat_map
-        (fun (n, ty) -> with_singular (pointer_cells t (Loc.var n Loc.Klocal) ty))
-        f.Ir.fn_locals;
-    ret_cells = with_singular (pointer_cells t (Loc.ret f.Ir.fn_name) (Ctype.decay f.Ir.fn_ret));
+    local_cells;
+    ret_cells;
+    null_frame = Pts.add_rows (List.map null_row (local_cells @ ret_cells)) Pts.empty;
   }
 
 let frame_cells t (f : Ir.func) = Hashtbl.find t.frames f.Ir.fn_name
+
+(** [f]'s scope table: what {!scan_scope} finds, by name. *)
+let scope_of (f : Ir.func) =
+  let scope = Hashtbl.create 16 in
+  let bind kind (n, ty) = if not (Hashtbl.mem scope n) then Hashtbl.replace scope n (kind, ty) in
+  List.iter (bind Loc.Kparam) f.Ir.fn_params;
+  List.iter (bind Loc.Klocal) f.Ir.fn_locals;
+  scope
 
 let make ?(opts = Options.default) (prog : Ir.program) : t =
   let globals = Hashtbl.create 64 in
@@ -194,8 +226,9 @@ let make ?(opts = Options.default) (prog : Ir.program) : t =
       funcs;
       externals;
       global_cells = [];
-      global_cell_set = Loc.Set.empty;
+      global_cell_ord = Loc.Map.empty;
       frames = Hashtbl.create 64;
+      scopes = Hashtbl.create 64;
     }
   in
   (* a global declared twice is one location, typed by its last
@@ -211,5 +244,17 @@ let make ?(opts = Options.default) (prog : Ir.program) : t =
         end)
       prog.Ir.globals
   in
-  List.iter (fun f -> Hashtbl.replace t.frames f.Ir.fn_name (frame_of t f)) prog.Ir.funcs;
-  { t with global_cells; global_cell_set = Loc.Set.of_list (List.map fst global_cells) }
+  List.iter
+    (fun f ->
+      Hashtbl.replace t.frames f.Ir.fn_name (frame_of t f);
+      Hashtbl.replace t.scopes f.Ir.fn_name (f, scope_of f))
+    prog.Ir.funcs;
+  {
+    t with
+    global_cells;
+    global_cell_ord =
+      List.fold_left
+        (fun (ord, i) (cell, _) -> (Loc.Map.add cell i ord, i + 1))
+        (Loc.Map.empty, 0) global_cells
+      |> fst;
+  }

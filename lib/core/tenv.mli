@@ -12,6 +12,10 @@ module Ir = Simple_ir.Ir
 type frame_cells = {
   local_cells : (Loc.t * bool) list;  (** the locals' cells, in declaration order *)
   ret_cells : (Loc.t * bool) list;  (** the return slot's cells *)
+  null_frame : Pts.t;
+      (** every one of those cells pointing to NULL and nothing else:
+          the frame part {!Map_unmap.map_call} builds a callee's input
+          on *)
 }
 
 type t = {
@@ -24,9 +28,16 @@ type t = {
       (** the pointer cells of every global, in declaration order, typed
           from the declaration (never from a same-named parameter of the
           function at hand), each with its {!Loc.singular} flag: the
-          roots {!Map_unmap.map_call} walks at every call *)
-  global_cell_set : Loc.Set.t;  (** the same cells, as a set *)
+          roots of {!Map_unmap.map_call} *)
+  global_cell_ord : int Loc.Map.t;
+      (** the same cells, each with its position in that order: the
+          declared cells {!Pts.global_index} reads, and the order
+          {!Map_unmap.map_call} maps a call's indexed roots in *)
   frames : (string, frame_cells) Hashtbl.t;  (** per defined function *)
+  scopes : (string, Ir.func * (string, Loc.var_kind * Ctype.t) Hashtbl.t) Hashtbl.t;
+      (** per defined function: the function and its parameters' and
+          locals' kinds and types by name, a parameter winning over a
+          same-named local ({!var_info}'s table) *)
 }
 
 (** Computes the per-program cell tables once. *)

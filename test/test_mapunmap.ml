@@ -337,6 +337,23 @@ let root_tests =
               return 0;
             }|}
           "q" [ "x/D" ]);
+    case "a cast-made global source loses its row at a call (pinned defect)" (fun () ->
+        (* [g.count] is an [int] field, so it is none of the declared
+           global cells; the store through the cast pointer gives it a
+           row, and the call drops that row although [f] touches nothing:
+           s4 should still hold (g.count,x,D). This pins today's answer
+           (ROADMAP item 1, wrong answer 3), so that the fix changes it on
+           purpose. *)
+        let res =
+          analyze
+            {|struct S { int count; int *p; }; struct S g; int x;
+              void f(void) { }
+              int main(void) { int **t; t = (int **)&g.count; *t = &x; f(); t = 0; return 0; }|}
+        in
+        let at sid = Pts.to_string (Analysis.pts_at_no_null res sid) in
+        Alcotest.(check string) "s3" "{(t,g.count,D), (g.count,x,D)}" (at 3);
+        Alcotest.(check string) "s4" "{(t,g.count,D)}" (at 4);
+        Alcotest.(check string) "s5" "{}" (at 5));
   ]
 
 let suite = ("mapunmap", direct_tests @ root_tests)

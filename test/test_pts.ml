@@ -395,4 +395,131 @@ let hash_tests =
         go s0 steps);
   ]
 
-let suite = ("pts", unit_tests @ loc_tests @ property_tests @ acc_tests @ hash_tests)
+(* ------------------------------------------------------------------ *)
+(* The global and frame parts                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Sources of every kind the split tells apart: global-rooted (a
+   variable, a field, both array parts), frame (a local, a local's
+   field, the heap, a site) and a global-rooted symbolic name, which
+   belongs to the frame part. *)
+let split_srcs =
+  Array.map Loc.intern
+    [|
+      g "ga";
+      Loc.Fld (g "gs", "f");
+      Loc.Head (g "garr");
+      Loc.Tail (g "garr");
+      g "gcast";
+      v "p";
+      Loc.Fld (v "s", "f");
+      Loc.Heap;
+      Loc.Site 3;
+      Loc.Sym (g "ga");
+    |]
+
+(* Targets that name nothing (globals, NULL, a function) and targets
+   that name something (a local, a symbolic name, the heap). *)
+let split_tgts =
+  Array.map Loc.intern
+    [| g "ga"; Loc.Fld (g "gs", "f"); Loc.Null; Loc.Fun "f"; v "p"; Loc.Sym (g "ga"); Loc.Heap |]
+
+(* The declared cells: [gcast] is not one, like a source made through a
+   cast. *)
+let split_cells =
+  List.fold_left
+    (fun cells l -> Loc.Map.add l (Loc.Map.cardinal cells) cells)
+    Loc.Map.empty
+    [ g "ga"; Loc.Fld (g "gs", "f"); Loc.Head (g "garr"); Loc.Tail (g "garr") ]
+
+let split_pts : Pts.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  list_size (int_bound 10) (triple (oneofa split_srcs) (oneofa split_tgts) cert_gen)
+  >|= Pts.of_list
+
+(** One step of a set's life, the operand sets some steps take drawn
+    with or without their index computed. *)
+let split_step_gen : (string * (Pts.t -> Pts.t)) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let src = oneofa split_srcs and tgt = oneofa split_tgts in
+  let operand =
+    map2
+      (fun o force ->
+        if force then ignore (Pts.global_index ~cells:split_cells o);
+        o)
+      split_pts bool
+  in
+  oneof
+    [
+      map3 (fun l t c -> ("add", Pts.add l t c)) src tgt cert_gen;
+      map3 (fun l t c -> ("add_weak", Pts.add_weak l t c)) src tgt cert_gen;
+      map2
+        (fun ls o -> ("add_rows", Pts.add_rows (List.map (fun l -> (l, Pts.tgt_map l o)) ls)))
+        (list_size (int_range 1 3) src) operand;
+      map (fun l -> ("kill_src", Pts.kill_src l)) src;
+      map (fun l -> ("weaken_src", Pts.weaken_src l)) src;
+      map (fun l -> ("filter_src", Pts.filter_src (fun s -> not (Loc.equal s l)))) src;
+      map (fun o -> ("merge", fun s -> Pts.merge s o)) operand;
+      map (fun o -> ("merge'", Pts.merge o)) operand;
+    ]
+
+(** [s] against the set rebuilt from its pairs: the same pairs in
+    {!Loc.compare} order, hash, equality both ways of asking, and a
+    global index equal to one computed from scratch. *)
+let agrees_with_rebuilt s =
+  let r = Pts.of_list (Pts.to_list s) in
+  let pairs = Pts.to_list s in
+  let ordered =
+    List.sort
+      (fun (a, b, _) (c, d, _) ->
+        match Loc.compare a c with 0 -> Loc.compare b d | n -> n)
+      pairs
+  in
+  let srcs = List.map fst (Pts.rows s) in
+  pairs = ordered
+  && pairs = Pts.to_list r
+  && srcs = List.sort_uniq Loc.compare srcs
+  && Pts.hash s = Pts.hash r
+  && Pts.equal s r && Pts.equal r s
+  && Pts.covered_by s r && Pts.covered_by r s
+  && Loc.Set.equal (Pts.global_index ~cells:split_cells s)
+       (* cells the rebuilt set has never seen: an index computed from scratch *)
+       (Pts.global_index ~cells:(Loc.Map.map Fun.id split_cells) r)
+
+let split_tests =
+  [
+    qcase ~count:1000 "split: every step agrees with the set rebuilt from its pairs"
+      QCheck2.Gen.(pair split_pts (list_size (int_range 1 12) split_step_gen))
+      (fun (s0, steps) ->
+        (* the index is asked for at every step, so each step starts
+           from a set that carries one and must keep it exact *)
+        let rec go s = function
+          | [] -> agrees_with_rebuilt s
+          | (name, step) :: rest ->
+              if not (agrees_with_rebuilt s) then
+                QCheck2.Test.fail_reportf "before %s: %s" name (Pts.to_string s);
+              go (step s) rest
+        in
+        go s0 steps);
+    case "split: the index lists the rows that name something and undeclared sources"
+      (fun () ->
+        let s =
+          Pts.of_list
+            [
+              (g "ga", Loc.Null, Pts.D);
+              (Loc.Fld (g "gs", "f"), v "p", Pts.P);
+              (Loc.Head (g "garr"), Loc.Heap, Pts.P);
+              (Loc.Tail (g "garr"), Loc.Sym (g "ga"), Pts.P);
+              (g "gcast", g "ga", Pts.D);
+              (v "p", v "p", Pts.D);
+            ]
+        in
+        Alcotest.(check (list string))
+          "indexed"
+          [ "gcast"; "gs.f"; "garr_head"; "garr_tail" ]
+          (List.map Loc.to_string
+             (Loc.Set.elements (Pts.global_index ~cells:split_cells s))));
+  ]
+
+let suite =
+  ("pts", unit_tests @ loc_tests @ property_tests @ acc_tests @ hash_tests @ split_tests)
